@@ -14,7 +14,7 @@ SOAK_SEED ?= 0
 # replays with GEN_SEED=<printed seed>.
 GEN_SEED ?= 0
 
-.PHONY: all tier1 build build-cmds test test-race test-daemon test-recovery test-plan test-fleet test-federation test-upgrade test-mincover test-workload soak soak-gen vet vet-cmds ci bench bench-smoke bench-baseline
+.PHONY: all tier1 build build-cmds test test-race test-daemon test-recovery test-plan test-fleet test-federation test-mincover test-workload soak soak-gen vet vet-cmds ci bench bench-smoke bench-baseline benchmark-smoke
 
 all: tier1
 
@@ -63,10 +63,15 @@ test-plan:
 	$(GO) test -run 'TestPlan' ./internal/daemon/...
 	$(GO) test -run 'TestPull' ./internal/puller/...
 
-# The chaos harness, twice over: the fleetsim unit + negative tests
-# (every invariant checker must be shown to fire), then a short
-# fixed-seed soak through the real cbsload binary — all four fault
-# kinds, a mid-run daemon restart, exit 1 on any invariant failure.
+# The chaos harness, twice over: the fleetsim tests — every scenario of
+# the one runner (flat, tree, rolling upgrade: half the fleet flips to
+# a modified build mid-run, conservation and plan epochs checked per
+# version, restart byte-identity for both builds, zero cross-version
+# plans, a misrouted probe refusing v1 plans while running v2), the
+# negative tests (every invariant checker must be shown to fire), and
+# the digests pinned across commits — then a short fixed-seed soak
+# through the real cbsload binary: all four fault kinds, a mid-run
+# daemon restart, exit 1 on any invariant failure.
 test-fleet:
 	$(GO) test ./internal/fleetsim/...
 	$(GO) run ./cmd/cbsload -vms 8 -rounds 4 -seed $(FLEET_SEED) -faults all -restarts 1
@@ -83,17 +88,6 @@ test-federation:
 	$(GO) test ./internal/api/... ./internal/federation/...
 	$(GO) test -run 'TestLeafForwardsToRoot|TestTree' ./internal/daemon/... ./internal/fleetsim/...
 	$(GO) run ./cmd/cbsload -vms 16 -leaves 4 -rounds 4 -seed $(FLEET_SEED) -faults all -restarts 2
-
-# The version-identity loop end to end: the minimal-upgrade property
-# (one method fingerprint moves, no site moves), then the rolling
-# upgrade — half the fleet flips to a modified build mid-run, and the
-# harness checks weight conservation per version (v2's including the
-# carried-forward baseline), restart byte-identity for both builds,
-# monotone non-flapping plan epochs within each version, zero
-# cross-version plans observed, and a misrouted probe refusing v1
-# plans while running v2.
-test-upgrade:
-	$(GO) test -run 'TestRollingUpgrade|TestUpgradeProgram' -v ./internal/fleetsim/...
 
 # Minimum-coverage instrumentation: the unit tests, the 15-benchmark
 # differential gate (recovered DCG byte-identical to exhaustive with
@@ -143,7 +137,7 @@ vet:
 vet-cmds:
 	$(GO) vet ./cmd/...
 
-ci: tier1 vet vet-cmds build-cmds test-daemon test-plan test-race test-recovery test-fleet test-upgrade test-federation test-mincover test-workload
+ci: tier1 vet vet-cmds build-cmds test-daemon test-plan test-race test-recovery test-fleet test-federation test-mincover test-workload benchmark-smoke
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...
@@ -159,6 +153,11 @@ bench-smoke:
 	$(GO) run ./cmd/cbsbench -study perf -quick \
 		-perf-out $(BENCH_SMOKE_OUT) -perf-baseline BENCH_1.json -perf-gate 0.10
 	@rm -f $(BENCH_SMOKE_OUT)
+
+# The repo benchmark (BENCHMARK.json, benchmark/) at smoke size: every
+# workload runs briefly and every declared metric must be reported.
+benchmark-smoke:
+	$(GO) run ./benchmark --smoke
 
 # Regenerate the committed baseline with the full suite and default
 # measurement parameters. Run on a quiet machine; commit the diff.

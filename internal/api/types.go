@@ -94,9 +94,10 @@ type DecayResponse struct {
 }
 
 // MetricsResponse is the daemon's operational-counter digest. The
-// ingest-latency fields appear once at least one ingest has been
-// observed; the plan_* fields appear when the plan service is enabled
-// (on a leaf, when the relay is enabled).
+// store figures sum every substore, default and per-build. ingest_lat
+// appears once at least one ingest has been observed; plan appears
+// when the plan service is enabled (on a leaf, when the relay is
+// enabled).
 type MetricsResponse struct {
 	Edges           int     `json:"edges"`
 	TotalWeight     float64 `json:"total_weight"`
@@ -116,23 +117,6 @@ type MetricsResponse struct {
 	Plan      *PlanMetrics    `json:"plan,omitempty"`
 	Forward   *ForwardMetrics `json:"forward,omitempty"`
 
-	// The flattened aliases below predate the nested groups; they are
-	// what existing scrapers (and the perf trajectory) read, so the
-	// daemon keeps populating both for one release.
-	IngestMsCount int     `json:"ingest_ms_count,omitempty"`
-	IngestMsMean  float64 `json:"ingest_ms_mean,omitempty"`
-	IngestMsP50   float64 `json:"ingest_ms_p50,omitempty"`
-	IngestMsP99   float64 `json:"ingest_ms_p99,omitempty"`
-	IngestMsMax   float64 `json:"ingest_ms_max,omitempty"`
-
-	PlanPrograms      int    `json:"plan_programs,omitempty"`
-	PlanComputed      uint64 `json:"plan_computed,omitempty"`
-	PlanUnchanged     uint64 `json:"plan_unchanged,omitempty"`
-	PlanCompileErrors uint64 `json:"plan_compile_errors,omitempty"`
-	PlanRequests      uint64 `json:"plan_requests,omitempty"`
-	PlanNotModified   uint64 `json:"plan_not_modified,omitempty"`
-	PlanReqErrors     uint64 `json:"plan_request_errors,omitempty"`
-
 	// ProgramVersions counts the distinct (program, version) graphs the
 	// store currently keeps (0 on a daemon that has only seen unstamped
 	// pushes).
@@ -141,11 +125,6 @@ type MetricsResponse struct {
 	// substores the TTL garbage collector has dropped since start —
 	// versions the fleet rolled off of whose graphs went idle.
 	VersionSubstoresEvicted uint64 `json:"version_substores_evicted,omitempty"`
-	// PlanVersionMismatches counts plan requests refused because the
-	// requested program version is not the one the daemon serves — the
-	// fleet-visible signal that pullers are running a build the root
-	// does not know (they previously degraded silently).
-	PlanVersionMismatches uint64 `json:"plan_version_mismatches,omitempty"`
 }
 
 // LatencyMetrics is a histogram digest in milliseconds.

@@ -110,7 +110,7 @@ func Run(ctx context.Context, cfg Config) error {
 			return fmt.Errorf("restore %s: %w", cfg.StateDir, err)
 		}
 		if loaded {
-			st := store.Stats()
+			st := multi.Stats()
 			logf("restored checkpoint from %s: %d edges, %.0f weight, %d pushers, %d keyed builds",
 				cfg.StateDir, st.Edges, st.TotalWeight, st.Pushers, multi.NumKeys())
 		} else {
@@ -329,7 +329,7 @@ func Run(ctx context.Context, cfg Config) error {
 		if err := dcgstore.SaveMultiCheckpoint(cfg.StateDir, multi); err != nil {
 			return fmt.Errorf("final checkpoint: %w", err)
 		}
-		st := store.Stats()
+		st := multi.Stats()
 		logf("final checkpoint written to %s (%d edges, %.0f weight, %d keyed builds)",
 			cfg.StateDir, st.Edges, st.TotalWeight, multi.NumKeys())
 	}

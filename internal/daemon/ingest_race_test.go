@@ -114,12 +114,7 @@ func TestIngestPooledBuffersRace(t *testing.T) {
 	}
 
 	// The latency histogram saw every successful push.
-	resp, err := http.Get(ts.URL + api.PathMetrics)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := decodeJSON(t, resp)
-	if n := m["ingest_ms_count"].(float64); n != pushers*rounds {
-		t.Errorf("ingest_ms_count = %v, want %d", n, pushers*rounds)
+	if n := fetchMetrics(t, ts.URL).IngestLat.Count; n != pushers*rounds {
+		t.Errorf("ingest_lat.count = %v, want %d", n, pushers*rounds)
 	}
 }

@@ -120,12 +120,12 @@ func TestPlanEndToEnd(t *testing.T) {
 	if changed || !bytes.Equal(p2.Encode(), p.Encode()) {
 		t.Error("conditional re-fetch did not return the identical cached plan")
 	}
-	m := decodeJSON(t, mustGet(t, ts.URL+api.PathMetrics))
-	if m["plan_not_modified"].(float64) < 1 {
-		t.Errorf("plan_not_modified = %v, want >= 1", m["plan_not_modified"])
+	m := fetchMetrics(t, ts.URL)
+	if m.Plan.NotModified < 1 {
+		t.Errorf("plan.not_modified = %v, want >= 1", m.Plan.NotModified)
 	}
-	if m["plan_computed"].(float64) < 1 {
-		t.Errorf("plan_computed = %v, want >= 1", m["plan_computed"])
+	if m.Plan.Computed < 1 {
+		t.Errorf("plan.computed = %v, want >= 1", m.Plan.Computed)
 	}
 
 	// Steady state: baseline JIT-only clone vs the plan-guided clone.
@@ -200,9 +200,8 @@ func TestPlanEndpointErrors(t *testing.T) {
 			t.Errorf("program=%s: status %d, want 404", q, resp.StatusCode)
 		}
 	}
-	m := decodeJSON(t, mustGet(t, ts.URL+api.PathMetrics))
-	if m["plan_request_errors"].(float64) != 3 {
-		t.Errorf("plan_request_errors = %v, want 3", m["plan_request_errors"])
+	if n := fetchMetrics(t, ts.URL).Plan.RequestErrors; n != 3 {
+		t.Errorf("plan.request_errors = %v, want 3", n)
 	}
 	if resp, _ := http.Post(ts.URL+api.PathPlan+"?program=compress", "", nil); resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("POST /plan: status %d, want 405", resp.StatusCode)

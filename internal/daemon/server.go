@@ -30,7 +30,6 @@ const DefaultMaxUploadBytes = 256 << 20
 // the substores' sharded locks and the counters here are atomics.
 type server struct {
 	multi     *dcgstore.Multi
-	store     *dcgstore.Store // multi.Default(), the unkeyed/legacy substore
 	plans     planSource
 	fed       *fedState
 	start     time.Time
@@ -76,8 +75,7 @@ func newServer(multi *dcgstore.Multi, plans planSource, fed *fedState, maxUpload
 		plans = nil
 	}
 	return &server{
-		multi: multi, store: multi.Default(),
-		plans: plans, fed: fed, start: time.Now(), maxUpload: maxUpload,
+		multi: multi, plans: plans, fed: fed, start: time.Now(), maxUpload: maxUpload,
 	}
 }
 
@@ -488,7 +486,7 @@ func (s *server) handleDecay(w http.ResponseWriter, r *http.Request) {
 	// at the same rate, so no version's plan inputs drift relative to
 	// another's.
 	pruned := s.multi.DecayAll(factor, prune)
-	s.writeJSON(w, api.DecayResponse{Epoch: s.store.Epoch(), PrunedEdges: pruned})
+	s.writeJSON(w, api.DecayResponse{Epoch: s.multi.Stats().Epoch, PrunedEdges: pruned})
 }
 
 // planETag renders a plan's strong validator: epoch plus content
@@ -563,7 +561,7 @@ func (s *server) handlePlan(w http.ResponseWriter, r *http.Request) {
 
 // handleMetrics reports expvar-style operational counters.
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	st := s.store.Stats()
+	st := s.multi.Stats()
 	ingests := s.ingests.Load()
 	nanos := s.mergeNanos.Load()
 	var meanMs float64
@@ -571,19 +569,19 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		meanMs = float64(nanos) / float64(applied) / 1e6
 	}
 	m := api.MetricsResponse{
-		Edges:           st.Edges,
-		TotalWeight:     st.TotalWeight,
-		SamplesIngested: st.SamplesIngested,
-		Merges:          st.Merges,
-		DecayEpoch:      st.Epoch,
-		Shards:          st.Shards,
-		Pushers:         st.Pushers,
-		Ingests:         ingests,
-		IngestErrors:    s.ingestErrors.Load(),
-		IngestDups:      st.Duplicates,
-		MergeMsTotal:    float64(nanos) / 1e6,
-		MergeMsMean:     meanMs,
-		UptimeS:         time.Since(s.start).Seconds(),
+		Edges:                   st.Edges,
+		TotalWeight:             st.TotalWeight,
+		SamplesIngested:         st.SamplesIngested,
+		Merges:                  st.Merges,
+		DecayEpoch:              st.Epoch,
+		Shards:                  st.Shards,
+		Pushers:                 st.Pushers,
+		Ingests:                 ingests,
+		IngestErrors:            s.ingestErrors.Load(),
+		IngestDups:              st.Duplicates,
+		MergeMsTotal:            float64(nanos) / 1e6,
+		MergeMsMean:             meanMs,
+		UptimeS:                 time.Since(s.start).Seconds(),
 		ProgramVersions:         s.multi.NumKeys(),
 		VersionSubstoresEvicted: s.multi.Evicted(),
 	}
@@ -591,15 +589,9 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		m.IngestLat = &api.LatencyMetrics{
 			Count: lat.Count, Mean: lat.Mean, P50: lat.P50, P99: lat.P99, Max: lat.Max,
 		}
-		m.IngestMsCount = lat.Count
-		m.IngestMsMean = lat.Mean
-		m.IngestMsP50 = lat.P50
-		m.IngestMsP99 = lat.P99
-		m.IngestMsMax = lat.Max
 	}
 	if s.plans != nil {
 		ps := s.plans.Stats()
-		m.PlanVersionMismatches = ps.VersionMismatches
 		m.Plan = &api.PlanMetrics{
 			Programs:          ps.Programs,
 			Computed:          ps.Computed,
@@ -613,13 +605,6 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		if relay, ok := s.plans.(*planRelay); ok {
 			m.Plan.RelayRefreshes, m.Plan.RelayStale = relay.Counters()
 		}
-		m.PlanPrograms = ps.Programs
-		m.PlanComputed = ps.Computed
-		m.PlanUnchanged = ps.Unchanged
-		m.PlanCompileErrors = ps.Errors
-		m.PlanRequests = s.planRequests.Load()
-		m.PlanNotModified = s.planNotModified.Load()
-		m.PlanReqErrors = s.planErrors.Load()
 	}
 	if s.fed != nil {
 		m.Forward = s.fed.forwardMetrics()

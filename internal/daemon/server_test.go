@@ -75,6 +75,17 @@ func decodeJSON(t *testing.T, resp *http.Response) map[string]any {
 	return m
 }
 
+// fetchMetrics reads /v1/metrics through the typed client. Plan is
+// non-nil on every daemon newTestDaemon builds (plan service on).
+func fetchMetrics(t *testing.T, url string) *api.MetricsResponse {
+	t.Helper()
+	m, err := (&api.Client{BaseURL: url}).Metrics()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 func TestIngestSnapshotRoundTrip(t *testing.T) {
 	ts, _ := newTestDaemon(t)
 	g := profile.NewDCG()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"net/http"
+	"strings"
 	"testing"
 
 	"gocbs/internal/api"
@@ -37,9 +38,9 @@ func TestPlanCacheScopedPerProgram(t *testing.T) {
 		t.Fatal(err)
 	}
 	first := fetchPlanBytes(t, ts.URL)
-	m := decodeJSON(t, mustGet(t, ts.URL+api.PathMetrics))
-	if m["plan_computed"].(float64) != 1 {
-		t.Fatalf("plan_computed = %v after first request, want 1", m["plan_computed"])
+	m := fetchMetrics(t, ts.URL)
+	if m.Plan.Computed != 1 {
+		t.Fatalf("plan.computed = %v after first request, want 1", m.Plan.Computed)
 	}
 
 	// Unrelated traffic: keyed pushes for a different program. They
@@ -53,17 +54,17 @@ func TestPlanCacheScopedPerProgram(t *testing.T) {
 	}
 
 	// Re-fetching compress's plan must be a pure cache hit: same bytes,
-	// no recompile — neither plan_computed nor plan_unchanged moves.
+	// no recompile — neither plan.computed nor plan.unchanged moves.
 	second := fetchPlanBytes(t, ts.URL)
 	if !bytes.Equal(first, second) {
 		t.Error("unrelated keyed pushes changed the served plan bytes")
 	}
-	m = decodeJSON(t, mustGet(t, ts.URL+api.PathMetrics))
-	if m["plan_computed"].(float64) != 1 {
-		t.Errorf("plan_computed = %v after unrelated pushes, want 1 (cache over-invalidated)", m["plan_computed"])
+	m = fetchMetrics(t, ts.URL)
+	if m.Plan.Computed != 1 {
+		t.Errorf("plan.computed = %v after unrelated pushes, want 1 (cache over-invalidated)", m.Plan.Computed)
 	}
-	if got, ok := m["plan_unchanged"]; ok && got.(float64) != 0 {
-		t.Errorf("plan_unchanged = %v after unrelated pushes, want 0 (recompile happened)", got)
+	if m.Plan.Unchanged != 0 {
+		t.Errorf("plan.unchanged = %v after unrelated pushes, want 0 (recompile happened)", m.Plan.Unchanged)
 	}
 
 	// Related traffic does re-validate: one more compress push, one
@@ -73,9 +74,8 @@ func TestPlanCacheScopedPerProgram(t *testing.T) {
 		t.Fatal(err)
 	}
 	fetchPlanBytes(t, ts.URL)
-	m = decodeJSON(t, mustGet(t, ts.URL+api.PathMetrics))
-	computed, _ := m["plan_computed"].(float64)
-	unchanged, _ := m["plan_unchanged"].(float64)
+	m = fetchMetrics(t, ts.URL)
+	computed, unchanged := m.Plan.Computed, m.Plan.Unchanged
 	if computed+unchanged != 2 {
 		t.Errorf("computed %v + unchanged %v = %v after a related push, want exactly 2 recompiles",
 			computed, unchanged, computed+unchanged)
@@ -167,9 +167,8 @@ func TestTwoBuildsOneNameStayApart(t *testing.T) {
 			t.Errorf("plan @%s: status %d, want 404", v, resp.StatusCode)
 		}
 	}
-	m := decodeJSON(t, mustGet(t, ts.URL+api.PathMetrics))
-	if mm, ok := m["plan_version_mismatches"].(float64); !ok || mm < 2 {
-		t.Errorf("plan_version_mismatches = %v, want >= 2", m["plan_version_mismatches"])
+	if mm := fetchMetrics(t, ts.URL).Plan.VersionMismatches; mm < 2 {
+		t.Errorf("plan.version_mismatches = %v, want >= 2", mm)
 	}
 
 	// And the canonical build's plan is served stamped with its own
@@ -181,5 +180,40 @@ func TestTwoBuildsOneNameStayApart(t *testing.T) {
 	}
 	if p.Version != canonical {
 		t.Errorf("canonical plan stamped %q, want %q", p.Version, canonical)
+	}
+}
+
+// TestMetricsCoverKeyedSubstores: the store figures in /v1/metrics sum
+// every substore. A fleet that stamps its pushes (every cbsvm) used to
+// read edges, pushers and duplicates stuck at 0, because the handler
+// looked at the default substore only; and the flat ingest_ms_* and
+// plan_* aliases of the nested groups are gone from the JSON.
+func TestMetricsCoverKeyedSubstores(t *testing.T) {
+	ts, _ := newTestDaemon(t)
+	g := profile.NewDCG()
+	g.AddSample(edge(1, 1, 2), 100)
+	c := keyedClient(ts.URL, "compress", "ab12cd34")
+	for i := 0; i < 2; i++ { // the second is a re-send of the same stamp
+		if err := c.PushDelta("vm-a", 1, g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fetchPlanBytes(t, ts.URL) // so the plan group has something to say
+
+	m := fetchMetrics(t, ts.URL)
+	if m.Edges != 1 || m.TotalWeight != 100 || m.SamplesIngested != 100 || m.Merges != 1 {
+		t.Errorf("store figures miss the keyed substore: %d edges, %v weight, %v ingested, %d merges",
+			m.Edges, m.TotalWeight, m.SamplesIngested, m.Merges)
+	}
+	if m.Pushers != 1 || m.IngestDups != 1 || m.Ingests != 2 {
+		t.Errorf("pushers %d, duplicates %d, ingests %d; want 1, 1, 2", m.Pushers, m.IngestDups, m.Ingests)
+	}
+	if m.IngestLat == nil || m.Plan == nil {
+		t.Fatalf("nested groups missing: ingest_lat %v, plan %v", m.IngestLat, m.Plan)
+	}
+	for key := range decodeJSON(t, mustGet(t, ts.URL+api.PathMetrics)) {
+		if strings.HasPrefix(key, "ingest_ms_") || strings.HasPrefix(key, "plan_") {
+			t.Errorf("retired flat alias %q still in /v1/metrics", key)
+		}
 	}
 }

@@ -84,6 +84,32 @@ func NewMultiWithDefault(def *Store, shards int) *Multi {
 // Default returns the substore unstamped pushes land in.
 func (m *Multi) Default() *Store { return m.def }
 
+// Stats sums the default substore and every keyed substore, so a fleet
+// that stamps its pushes shows up in the daemon's figures. As cheap as
+// Store.Stats (published snapshots and counters, no shard locks).
+// Shards is per substore, Epoch the furthest any substore has decayed
+// (DecayAll ages them together; a substore created later starts at 0),
+// and Pushers counts sequence streams: a pusher ID that has pushed
+// under two builds counts once per build.
+func (m *Multi) Stats() Stats {
+	st := m.def.Stats()
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	for _, sub := range m.subs {
+		s := sub.Stats()
+		st.Edges += s.Edges
+		st.TotalWeight += s.TotalWeight
+		st.SamplesIngested += s.SamplesIngested
+		st.Merges += s.Merges
+		st.Pushers += s.Pushers
+		st.Duplicates += s.Duplicates
+		if s.Epoch > st.Epoch {
+			st.Epoch = s.Epoch
+		}
+	}
+	return st
+}
+
 // validKey bounds wire-supplied key components. Program names are
 // fully validated at the daemon layer (plan.ValidProgramName); here we
 // enforce only what keeps the key maps and persistence file names

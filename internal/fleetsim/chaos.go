@@ -142,8 +142,6 @@ func newRouter() *router {
 	return &router{targets: make(map[string]string)}
 }
 
-func (r *router) setTarget(addr string) { r.set(PlaceholderHost, addr) }
-
 func (r *router) set(host, addr string) {
 	r.mu.Lock()
 	r.targets[host] = addr

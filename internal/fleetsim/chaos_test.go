@@ -1,6 +1,7 @@
 package fleetsim
 
 import (
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -105,7 +106,7 @@ func TestTransportFaultSemantics(t *testing.T) {
 	faults, _ := ParseFaults("all")
 	c := newChaos(1, faults, time.Millisecond)
 	defer c.close()
-	c.router.setTarget(strings.TrimPrefix(backend.URL, "http://"))
+	c.router.set(PlaceholderHost, strings.TrimPrefix(backend.URL, "http://"))
 
 	hc := &http.Client{Transport: c.transportFor("probe", "push")}
 	const n = 400
@@ -143,7 +144,7 @@ func TestTransportFaultSemantics(t *testing.T) {
 
 	// With no target, requests fail with a synthetic refusal and reach
 	// nothing.
-	c.router.setTarget("")
+	c.router.set(PlaceholderHost, "")
 	c.enabled.Store(false)
 	before := hits.Load()
 	if _, err := hc.Get("http://" + PlaceholderHost + "/x"); err == nil {
@@ -157,17 +158,52 @@ func TestTransportFaultSemantics(t *testing.T) {
 }
 
 func TestRestartRoundsSpread(t *testing.T) {
-	if got := restartRounds(8, 0); len(got) != 0 {
-		t.Errorf("restartRounds(8,0) = %v", got)
+	if got := restartRounds(0, 8, 0); len(got) != 0 {
+		t.Errorf("restartRounds(0,8,0) = %v", got)
 	}
-	got := restartRounds(9, 2)
+	got := restartRounds(0, 9, 2)
 	if len(got) != 2 || !got[2] || !got[5] {
-		t.Errorf("restartRounds(9,2) = %v, want rounds 2 and 5", got)
+		t.Errorf("restartRounds(0,9,2) = %v, want rounds 2 and 5", got)
 	}
-	// Never schedules after the final round; tiny runs clamp sensibly.
-	for r := range restartRounds(2, 5) {
-		if r >= 1 {
-			t.Errorf("restartRounds(2,5) scheduled after round %d", r)
+	// An upgrade spreads its restarts over the rounds after the flip.
+	if got := restartRounds(3, 6, 1); len(got) != 1 || !got[3] {
+		t.Errorf("restartRounds(3,6,1) = %v, want round 3", got)
+	}
+	// Up to the boundary — one restart per round boundary — every
+	// requested restart gets its own round, none after the last one.
+	for first := 0; first < 3; first++ {
+		for rounds := first + 1; rounds <= first+9; rounds++ {
+			restarts := rounds - first - 1
+			got := restartRounds(first, rounds, restarts)
+			if len(got) != restarts {
+				t.Errorf("restartRounds(%d,%d,%d) scheduled %d restarts: %v", first, rounds, restarts, len(got), got)
+			}
+			for r := range got {
+				if r < first || r > rounds-2 {
+					t.Errorf("restartRounds(%d,%d,%d) scheduled after round %d", first, rounds, restarts, r)
+				}
+			}
 		}
+	}
+	// Past the boundary Run refuses, naming both numbers, instead of
+	// silently performing fewer.
+	for _, cfg := range []Config{{Rounds: 1, Restarts: 1}, {Rounds: 3, Restarts: 3}} {
+		_, err := Run(cfg)
+		if err == nil {
+			t.Fatalf("Rounds=%d Restarts=%d ran anyway", cfg.Rounds, cfg.Restarts)
+		}
+		for _, want := range []string{fmt.Sprintf("Restarts=%d", cfg.Restarts), fmt.Sprintf("Rounds=%d", cfg.Rounds)} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("error %q does not name %s", err, want)
+			}
+		}
+	}
+	// The boundary itself runs, and performs exactly what was asked.
+	rep, err := Run(Config{VMs: 1, Pullers: 1, Rounds: 3, Restarts: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Deterministic.RestartsDone != 2 || !rep.AllPassed() {
+		t.Errorf("Rounds=3 Restarts=2 performed %d restart(s):\n%s", rep.Deterministic.RestartsDone, rep.Format())
 	}
 }

@@ -140,6 +140,19 @@ func (c *planChecker) Observe(puller string, p *plan.Plan, swapped bool) {
 	_ = swapped
 }
 
+// observed returns how many plans the pullers observed and the highest
+// epoch among them.
+func (c *planChecker) observed() (n int, topEpoch uint64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for e := range c.epochHash {
+		if e > topEpoch {
+			topEpoch = e
+		}
+	}
+	return c.observations, topEpoch
+}
+
 func (c *planChecker) Verdict() Verdict {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -194,7 +207,7 @@ func (c *restartChecker) Verdict(expected int) Verdict {
 		return Verdict{Name: InvariantRestart, Passed: true, Detail: "no restarts scheduled"}
 	default:
 		return Verdict{Name: InvariantRestart, Passed: true,
-			Detail: fmt.Sprintf("%d restart(s) re-served byte-identical /snapshot and /plan", c.checks)}
+			Detail: fmt.Sprintf("%d restart check(s) re-served byte-identical /snapshot and /plan", c.checks)}
 	}
 }
 

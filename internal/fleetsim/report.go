@@ -27,6 +27,13 @@ type Deterministic struct {
 	ItersPerRound int    `json:"iters_per_round"`
 	Faults        string `json:"faults"`
 	RestartsDone  int    `json:"restarts_done"`
+	// Versions and FlipRound describe a rolling upgrade (absent
+	// otherwise): the two builds' content-addressed versions, old
+	// first, and the round before which half the fleet flipped. In an
+	// upgrade the final aggregate figures below sum both builds'
+	// substores.
+	Versions  []string `json:"versions,omitempty"`
+	FlipRound int      `json:"flip_round,omitempty"`
 
 	// FaultSchedule is every fault drawn, in canonical (actor, request)
 	// order; FaultCounts aggregates it per kind.
@@ -117,6 +124,9 @@ func (r *Report) Format() string {
 	}
 	fmt.Fprintf(&sb, "fleet soak: %d pusher VMs, %d pullers, %s, %d rounds of %s, seed %d, faults %s, %d restart(s)\n",
 		d.VMs, d.Pullers, topology, d.Rounds, d.Program, d.Seed, d.Faults, d.RestartsDone)
+	if len(d.Versions) == 2 {
+		fmt.Fprintf(&sb, "  rolling upgrade: %s -> %s before round %d\n", d.Versions[0], d.Versions[1], d.FlipRound)
+	}
 	fmt.Fprintf(&sb, "  faults drawn: %d", len(d.FaultSchedule))
 	for _, k := range AllFaults {
 		if n := d.FaultCounts[k]; n > 0 {

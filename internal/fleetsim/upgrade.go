@@ -1,89 +1,25 @@
 package fleetsim
 
 import (
-	"bytes"
 	"fmt"
 	"net/http"
-	"os"
-	"sync"
-	"sync/atomic"
-	"time"
 
-	"gocbs/internal/api"
 	"gocbs/internal/bytecode"
-	"gocbs/internal/dcgstore"
-	"gocbs/internal/plan"
-	"gocbs/internal/profile"
-	"gocbs/internal/profiler"
-	"gocbs/internal/puller"
-	"gocbs/internal/vm"
 )
 
-// UpgradeConfig parameterizes one rolling-upgrade soak: a fleet that
-// starts homogeneous on one build of a program and flips half of its
-// pushers (and gains new pullers) to a modified build mid-run, against
-// a single daemon that must keep the two builds' profiles and plans
-// apart.
-type UpgradeConfig struct {
-	// VMs is the number of pusher VMs; the second half flips to the
-	// upgraded build at the flip round. Must be even and >= 2.
-	VMs int
-	// PullersPerVersion is how many plan-pulling VMs run per build: the
-	// v1 pullers run the whole soak, the v2 pullers start at the flip.
-	PullersPerVersion int
-	// Rounds is the total number of lockstep pusher rounds; the flip
-	// happens before round Rounds/2 and one daemon restart is scheduled
-	// between the flip and the end.
-	Rounds        int
-	ItersPerRound int
-	Seed          int64
-	// Faults selects chaos on the push/pull transports (nil = none);
-	// quiesce points (flip, restart, final drain) suspend it as in Run.
-	Faults     FaultSet
-	Program    string
-	StateDir   string
-	MaxLatency time.Duration
-	Logf       func(format string, args ...any)
-}
+// The rolling-upgrade scenario (Config.Upgrade): what the one driver
+// in fleet.go needs beyond a second build — the build itself, the flip
+// event, the misrouted refusal probe, and the three verdicts only an
+// upgrade can earn. The base checkers run per build, tagged "@<ver>":
+//   - weight conservation: the old build's final substore equals the
+//     merge of all its acknowledged deltas, retired pushers' included;
+//     the new build's equals the carried-forward baseline plus all of
+//     its acknowledged deltas.
+//   - restart byte-identity: both builds' /snapshot and /plan are
+//     re-served byte-identically across every kill/restart.
+//   - plan epochs: monotone and non-flapping within each build.
 
-func (c *UpgradeConfig) setDefaults() {
-	if c.VMs < 2 {
-		c.VMs = 4
-	}
-	if c.VMs%2 != 0 {
-		c.VMs++
-	}
-	if c.PullersPerVersion <= 0 {
-		c.PullersPerVersion = 1
-	}
-	if c.Rounds < 4 {
-		c.Rounds = 6
-	}
-	if c.ItersPerRound <= 0 {
-		c.ItersPerRound = 2
-	}
-	if c.Program == "" {
-		c.Program = "compress"
-	}
-	if c.Logf == nil {
-		c.Logf = func(string, ...any) {}
-	}
-}
-
-// UpgradeReport is the outcome of one rolling-upgrade soak.
-type UpgradeReport struct {
-	Program string `json:"program"`
-	// V1 and V2 are the two builds' content-addressed versions.
-	V1        string    `json:"v1"`
-	V2        string    `json:"v2"`
-	FlipRound int       `json:"flip_round"`
-	Verdicts  []Verdict `json:"verdicts"`
-	Passed    bool      `json:"passed"`
-}
-
-// Invariant names specific to the rolling-upgrade scenario; the
-// per-version conservation/plan/restart checks reuse the base names
-// with an "@v1"/"@v2" suffix.
+// Invariant names specific to the rolling-upgrade scenario.
 const (
 	InvariantVersionScoping = "version-scoping"
 	InvariantVersionRefusal = "version-refusal"
@@ -135,403 +71,73 @@ func (t *rewriteVersionTransport) RoundTrip(req *http.Request) (*http.Response, 
 	return t.inner.RoundTrip(req)
 }
 
-// RunUpgrade executes one rolling-upgrade soak and returns its report.
-//
-// Timeline: VMs pushers stream CBS deltas stamped (Program, v1); at
-// round Rounds/2 the fleet quiesces, the second half of the pushers
-// drain and are replaced by fresh VMs running the upgraded build
-// (stamped v2, new pusher identities), the v2 manifest is registered
-// (triggering KRAB-style carry-forward from v1's substore), and v2
-// pullers plus a misrouted "refusal probe" start. One daemon
-// kill/restart cycle is scheduled between the flip and the end.
-//
-// The invariants it proves, each scoped per version:
-//   - weight conservation: v1's final substore equals the merge of all
-//     v1 acknowledged deltas; v2's equals the carried-forward baseline
-//     plus all v2 acknowledged deltas.
-//   - restart byte-identity: both versions' /snapshot and /plan are
-//     re-served byte-identically across the kill/restart.
-//   - plan epochs: monotone and non-flapping within each version, and
-//     no puller ever observes a plan stamped with the other version.
-//   - refusal: the probe demanding v2 through a transport that
-//     misroutes it to v1 plans refuses every poll and never swaps.
-func RunUpgrade(cfg UpgradeConfig) (*UpgradeReport, error) {
-	cfg.setDefaults()
-	if cfg.Faults == nil {
-		cfg.Faults = make(FaultSet)
+// flip is the upgrade's round-boundary event: quiesce, retire the
+// second half of the pushers for good, and launch build next on fresh
+// VMs under new pusher identities — its manifest registration is where
+// KRAB-style carry-forward from the old build's substore fires — plus
+// its pullers and the refusal probe, a puller demanding next through a
+// transport that misroutes it to the old build's plans.
+func (f *fleet) flip(next *build, rounds int) error {
+	if err := f.quiesce(); err != nil {
+		return fmt.Errorf("flip drain: %w", err)
 	}
-
-	stateDir := cfg.StateDir
-	if stateDir == "" {
-		dir, err := os.MkdirTemp("", "fleetsim-upgrade-*")
-		if err != nil {
-			return nil, err
+	keep := f.cfg.VMs / 2
+	for _, a := range f.active[keep:] {
+		if err := a.finish(); err != nil {
+			return err
 		}
-		defer os.RemoveAll(dir)
-		stateDir = dir
 	}
+	f.active = f.active[:keep]
+	if err := f.launch(next, keep, f.cfg.VMs, f.cfg.Seed+1000, rounds); err != nil {
+		return err
+	}
+	f.probe = f.startPuller("probe-00", next.prog, rounds, "http://"+f.root.host,
+		&rewriteVersionTransport{
+			inner: f.chaos.transportFor("probe-00", "pull"),
+			from:  next.key.Version, to: f.live[0].key.Version,
+		}, nil)
+	f.cfg.Logf("fleetsim: flip: %d pushers now on %s, carried %d edges (%.0f weight)",
+		len(next.pushers), next.key, next.carriedResp.CarriedEdges, next.carriedResp.CarriedWeight)
+	f.chaos.enabled.Store(true)
+	return nil
+}
 
-	// Both builds, prepared the canonical way. The daemon gets a
-	// resolver that knows them so its plan compiler can serve either.
-	v1prog, b, err := jitCompile(cfg.Program)
-	if err != nil {
-		return nil, err
-	}
-	v2prog := upgradeProgram(v1prog)
-	v1, v2 := v1prog.Version(), v2prog.Version()
-	if v1 == v2 {
-		return nil, fmt.Errorf("upgradeProgram did not change the program version (%s)", v1)
-	}
-	size := b.SizeFor("small")
-
-	f := &fleet{
-		cfg:      Config{Program: cfg.Program, Logf: cfg.Logf},
-		chaos:    newChaos(cfg.Seed, cfg.Faults, cfg.MaxLatency),
-		stateDir: stateDir,
-		direct:   &http.Client{Timeout: 10 * time.Second},
-		resolve: func(name, version string) (*bytecode.Program, error) {
-			if name != cfg.Program {
-				return nil, fmt.Errorf("unknown program %q", name)
-			}
-			switch version {
-			case "", v1:
-				return v1prog.Clone(), nil
-			case v2:
-				return v2prog.Clone(), nil
-			}
-			return nil, fmt.Errorf("no build of %s with version %s", name, version)
-		},
-	}
-	defer f.chaos.close()
-
-	if err := f.startDaemon(); err != nil {
-		return nil, err
-	}
-	defer func() {
-		if f.d != nil {
-			f.stopDaemon()
-		}
-	}()
-	cfg.Logf("fleetsim: upgrade soak, daemon at %s, %s v1=%s v2=%s", f.d.addr, cfg.Program, v1, v2)
-
-	// Register the v1 manifest up front — the fleet's starting build —
-	// so the flip's v2 registration has a predecessor to carry from.
-	if _, err := dcgstore.NewClient("http://" + f.d.addr).RegisterManifest(v1prog.BuildManifest(cfg.Program)); err != nil {
-		return nil, fmt.Errorf("register v1 manifest: %w", err)
-	}
-
-	mkPusher := func(name string, prog *bytecode.Program, version string, seed int64) (*pusherActor, error) {
-		p := prog.Clone()
-		cbs := profiler.NewCBS(profiler.Config{
-			Stride: 3, SamplesPerTick: 16,
-			Flavour: profiler.FlavourRVM, Seed: seed,
-		})
-		m := vm.New(p)
-		m.SetProfiler(cbs)
-		m.SetTimer(50_000)
-		if _, err := m.Call(p.MethodByName("$Globals.setup"), vm.IntV(size)); err != nil {
-			return nil, fmt.Errorf("%s setup: %w", name, err)
-		}
-		client := &dcgstore.Client{
-			BaseURL:    "http://" + PlaceholderHost,
-			HTTPClient: &http.Client{Transport: f.chaos.transportFor(name, "push"), Timeout: 10 * time.Second},
-			Key:        api.ProgramKey{Program: cfg.Program, Version: version},
-			Backoff:    time.Millisecond, MaxBackoff: 4 * time.Millisecond,
-		}
-		return &pusherActor{
-			name:  name,
-			graph: cbs.Graph,
-			m:     m,
-			iter:  p.MethodByName("$Globals.iter"),
-			push:  dcgstore.NewDeltaPusherWithID(client, name),
-		}, nil
-	}
-
-	v1Pushers := make([]*pusherActor, cfg.VMs)
-	for k := range v1Pushers {
-		a, err := mkPusher(fmt.Sprintf("pusher-%03d", k), v1prog, v1, cfg.Seed+int64(k))
-		if err != nil {
-			return nil, err
-		}
-		v1Pushers[k] = a
-	}
-	active := append([]*pusherActor(nil), v1Pushers...)
-	var v2Pushers []*pusherActor
-
-	drainAll := func(actors []*pusherActor) error {
-		for _, a := range actors {
-			if err := a.drain(); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	// Per-version plan checkers plus a cross-serving counter: a plan
-	// stamped with any version other than the one its puller demanded
-	// is an immediate scoping violation, whatever its epoch says.
-	checkers := map[string]*planChecker{v1: newPlanChecker(), v2: newPlanChecker()}
-	var crossServed atomic.Int64
-	var pullerWG sync.WaitGroup
-	var outMu sync.Mutex
-	var outcomes []pullerOutcome
-	startPuller := func(name string, prog *bytecode.Program, wantVer string, rounds int, transport http.RoundTripper) {
-		ck := checkers[wantVer]
-		pc := plan.NewClient("http://" + PlaceholderHost)
-		pc.SetHTTPClient(&http.Client{Transport: transport, Timeout: 10 * time.Second})
-		pristine := prog.Clone()
-		pullerWG.Add(1)
-		go func() {
-			defer pullerWG.Done()
-			st, err := puller.Run(pristine, puller.Options{
-				Program: cfg.Program,
-				Size:    size,
-				Rounds:  rounds,
-				Every:   1,
-				Iters:   1,
-				Verify:  true,
-				Client:  pc,
-				Observe: func(p *plan.Plan, swapped bool) {
-					if p.Version != wantVer {
-						crossServed.Add(1)
-					}
-					ck.Observe(name, p, swapped)
-				},
-				Logf: cfg.Logf,
-			})
-			outMu.Lock()
-			outcomes = append(outcomes, pullerOutcome{Name: name, Killed: st.Killed, Rounds: st.Rounds, Swaps: st.Swaps, Err: err})
-			outMu.Unlock()
-		}()
-	}
-	for k := 0; k < cfg.PullersPerVersion; k++ {
-		name := fmt.Sprintf("puller-v1-%02d", k)
-		startPuller(name, v1prog, v1, cfg.Rounds, f.chaos.transportFor(name, "pull"))
-	}
-
-	// The refusal probe's outcome is collected separately: its job is
-	// to fail loudly, so it must not satisfy the divergence checker's
-	// definition of a healthy puller.
-	var probeSt puller.Stats
-	var probeErr error
-	var probeWG sync.WaitGroup
-
-	snapPath := func(ver string) string { return api.PathSnapshot + "?program=" + cfg.Program + "&version=" + ver }
-	planPath := func(ver string) string { return api.PathPlan + "?program=" + cfg.Program + "&version=" + ver }
-	readDCG := func(path string) (*profile.DCG, error) {
-		raw, err := f.capture(path)
-		if err != nil {
-			return nil, err
-		}
-		return profile.ReadDCG(bytes.NewReader(raw))
-	}
-
-	flip := cfg.Rounds / 2
-	restartAfter := flip + (cfg.Rounds-flip)/2 - 1
-	if restartAfter >= cfg.Rounds-1 {
-		restartAfter = cfg.Rounds - 2
-	}
-	if restartAfter < flip {
-		restartAfter = flip
-	}
-
-	var carried *profile.DCG
-	var carriedResp *api.ManifestResponse
-	restartCk := &restartChecker{}
-	restartsDone := 0
-
-	for r := 0; r < cfg.Rounds; r++ {
-		if r == flip {
-			// The flip: quiesce, retire the second half of the v1 fleet,
-			// register the new build's manifest (carry-forward fires here),
-			// and bring up the v2 half plus its pullers.
-			f.chaos.enabled.Store(false)
-			if err := drainAll(active); err != nil {
-				return nil, fmt.Errorf("flip drain: %w", err)
-			}
-			carriedResp, err = dcgstore.NewClient("http://" + f.d.addr).RegisterManifest(v2prog.BuildManifest(cfg.Program))
-			if err != nil {
-				return nil, fmt.Errorf("register v2 manifest: %w", err)
-			}
-			// The v2 substore right now holds exactly the carried-forward
-			// edges: the baseline the conservation check builds on.
-			carried, err = readDCG(snapPath(v2))
-			if err != nil {
-				return nil, fmt.Errorf("carried baseline: %w", err)
-			}
-			active = active[:cfg.VMs/2]
-			for k := cfg.VMs / 2; k < cfg.VMs; k++ {
-				a, err := mkPusher(fmt.Sprintf("pusher-%03d-v2", k), v2prog, v2, cfg.Seed+1000+int64(k))
-				if err != nil {
-					return nil, err
-				}
-				v2Pushers = append(v2Pushers, a)
-				active = append(active, a)
-			}
-			for k := 0; k < cfg.PullersPerVersion; k++ {
-				name := fmt.Sprintf("puller-v2-%02d", k)
-				startPuller(name, v2prog, v2, cfg.Rounds-flip, f.chaos.transportFor(name, "pull"))
-			}
-			probeWG.Add(1)
-			go func() {
-				defer probeWG.Done()
-				pc := plan.NewClient("http://" + PlaceholderHost)
-				pc.SetHTTPClient(&http.Client{
-					Transport: &rewriteVersionTransport{inner: f.chaos.transportFor("probe-00", "pull"), from: v2, to: v1},
-					Timeout:   10 * time.Second,
-				})
-				probeSt, probeErr = puller.Run(v2prog.Clone(), puller.Options{
-					Program: cfg.Program, Size: size,
-					Rounds: cfg.Rounds - flip, Every: 1, Iters: 1, Verify: true,
-					Client: pc, Logf: cfg.Logf,
-				})
-			}()
-			cfg.Logf("fleetsim: flip before round %d: %d pushers now on v2, carried %d edges (%.0f weight)",
-				r, len(v2Pushers), carriedResp.CarriedEdges, carriedResp.CarriedWeight)
-			f.chaos.enabled.Store(true)
-		}
-
-		var wg sync.WaitGroup
-		errs := make([]error, len(active))
-		for i, a := range active {
-			i, a := i, a
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				errs[i] = a.round(cfg.ItersPerRound)
-			}()
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
-
-		if r != restartAfter {
-			continue
-		}
-		// The kill/restart cycle, with both versions live: each build's
-		// externally visible state must survive independently.
-		f.chaos.enabled.Store(false)
-		if err := drainAll(active); err != nil {
-			return nil, fmt.Errorf("restart drain: %w", err)
-		}
-		type capturePair struct{ snap, plan []byte }
-		before := map[string]capturePair{}
-		for _, ver := range []string{v1, v2} {
-			s, err := f.capture(snapPath(ver))
-			if err != nil {
-				return nil, fmt.Errorf("pre-restart snapshot @%s: %w", ver, err)
-			}
-			p, err := f.capture(planPath(ver))
-			if err != nil {
-				return nil, fmt.Errorf("pre-restart plan @%s: %w", ver, err)
-			}
-			before[ver] = capturePair{s, p}
-		}
-		if err := f.stopDaemon(); err != nil {
-			return nil, fmt.Errorf("daemon shutdown: %w", err)
-		}
-		if err := f.startDaemon(); err != nil {
-			return nil, fmt.Errorf("daemon restart: %w", err)
-		}
-		for i, ver := range []string{v1, v2} {
-			s, err := f.capture(snapPath(ver))
-			if err != nil {
-				return nil, fmt.Errorf("post-restart snapshot @%s: %w", ver, err)
-			}
-			p, err := f.capture(planPath(ver))
-			if err != nil {
-				return nil, fmt.Errorf("post-restart plan @%s: %w", ver, err)
-			}
-			restartCk.Record(i+1, before[ver].snap, s, before[ver].plan, p)
-		}
-		restartsDone++
-		cfg.Logf("fleetsim: restart after round %d: daemon back at %s, both versions re-checked", r+1, f.d.addr)
-		f.chaos.enabled.Store(true)
-	}
-
-	// Final drain and the per-version verdicts.
-	f.chaos.enabled.Store(false)
-	if err := drainAll(active); err != nil {
-		return nil, err
-	}
-	pullerWG.Wait()
-	probeWG.Wait()
-
-	snapV1, err := readDCG(snapPath(v1))
-	if err != nil {
-		return nil, fmt.Errorf("final v1 snapshot: %w", err)
-	}
-	snapV2, err := readDCG(snapPath(v2))
-	if err != nil {
-		return nil, fmt.Errorf("final v2 snapshot: %w", err)
-	}
-
-	// v1 owes every acknowledged v1 delta — including those from the
-	// pushers that later flipped away; v2 owes the carried baseline plus
-	// every acknowledged v2 delta.
-	ackedV1 := make(map[string]*profile.DCG, len(v1Pushers))
-	for _, a := range v1Pushers {
-		ackedV1[a.name] = a.push.Acknowledged()
-	}
-	ackedV2 := map[string]*profile.DCG{"carried@" + v2[:8]: carried}
-	for _, a := range v2Pushers {
-		ackedV2[a.name] = a.push.Acknowledged()
-	}
-
-	tag := func(v Verdict, ver string) Verdict {
-		v.Name += "@" + ver[:8]
-		return v
-	}
-	carryVerdict := Verdict{Name: InvariantCarryForward, Passed: true,
+// upgradeVerdicts judges what only an upgrade can get wrong: the
+// carried baseline matching what registration claimed, no puller ever
+// observing a plan stamped with the other build's version, and the
+// probe refusing every misrouted plan without ever swapping one in.
+func (f *fleet) upgradeVerdicts() []Verdict {
+	next := f.live[len(f.live)-1]
+	resp, carried := next.carriedResp, next.carried
+	carry := Verdict{Name: InvariantCarryForward, Passed: true,
 		Detail: fmt.Sprintf("manifest registration carried %d edges (%.0f weight) into %s, matching the substore baseline",
-			carriedResp.CarriedEdges, carriedResp.CarriedWeight, v2[:8])}
-	if carriedResp.CarriedEdges != carried.NumEdges() || carriedResp.CarriedWeight != carried.Total() {
-		carryVerdict.Passed = false
-		carryVerdict.Detail = fmt.Sprintf("manifest response claims %d edges (%.0f weight) carried but the v2 substore baseline holds %d (%.0f)",
-			carriedResp.CarriedEdges, carriedResp.CarriedWeight, carried.NumEdges(), carried.Total())
-	}
-	scopeVerdict := Verdict{Name: InvariantVersionScoping, Passed: crossServed.Load() == 0,
-		Detail: "every observed plan was stamped with the version its puller demanded"}
-	if n := crossServed.Load(); n > 0 {
-		scopeVerdict.Detail = fmt.Sprintf("%d plan(s) arrived stamped with another build's version", n)
-	}
-	refusalVerdict := Verdict{Name: InvariantVersionRefusal}
-	switch {
-	case probeErr != nil:
-		refusalVerdict.Detail = fmt.Sprintf("probe failed outright: %v", probeErr)
-	case probeSt.Swaps > 0 || probeSt.Epoch != 0:
-		refusalVerdict.Detail = fmt.Sprintf("probe APPLIED a misrouted plan: %d swap(s), epoch %d", probeSt.Swaps, probeSt.Epoch)
-	case probeSt.VersionRejects == 0:
-		refusalVerdict.Detail = fmt.Sprintf("probe never fired the refusal path (%d polls)", probeSt.Polls)
-	case probeSt.Killed:
-		refusalVerdict.Detail = "probe tripped the kill switch — a refused plan must never reach execution"
-	default:
-		refusalVerdict.Passed = true
-		refusalVerdict.Detail = fmt.Sprintf("probe refused %d misrouted plan(s) over %d polls, zero swaps", probeSt.VersionRejects, probeSt.Polls)
+			resp.CarriedEdges, resp.CarriedWeight, next.key.Version[:8])}
+	if resp.CarriedEdges != carried.NumEdges() || resp.CarriedWeight != carried.Total() {
+		carry.Passed = false
+		carry.Detail = fmt.Sprintf("manifest response claims %d edges (%.0f weight) carried but the substore baseline holds %d (%.0f)",
+			resp.CarriedEdges, resp.CarriedWeight, carried.NumEdges(), carried.Total())
 	}
 
-	verdicts := []Verdict{
-		tag(checkConservation(snapV1, ackedV1), v1),
-		tag(checkConservation(snapV2, ackedV2), v2),
-		tag(checkers[v1].Verdict(), v1),
-		tag(checkers[v2].Verdict(), v2),
-		restartCk.Verdict(2 * restartsDone),
-		checkDivergence(outcomes),
-		carryVerdict,
-		scopeVerdict,
-		refusalVerdict,
+	scope := Verdict{Name: InvariantVersionScoping, Passed: true,
+		Detail: "every observed plan was stamped with the version its puller demanded"}
+	if n := f.crossServed.Load(); n > 0 {
+		scope.Passed = false
+		scope.Detail = fmt.Sprintf("%d plan(s) arrived stamped with another build's version", n)
 	}
-	rep := &UpgradeReport{
-		Program: cfg.Program, V1: v1, V2: v2, FlipRound: flip,
-		Verdicts: verdicts, Passed: true,
+
+	refusal := Verdict{Name: InvariantVersionRefusal}
+	switch st := f.probe.st; {
+	case f.probe.err != nil:
+		refusal.Detail = fmt.Sprintf("probe failed outright: %v", f.probe.err)
+	case st.Swaps > 0 || st.Epoch != 0:
+		refusal.Detail = fmt.Sprintf("probe APPLIED a misrouted plan: %d swap(s), epoch %d", st.Swaps, st.Epoch)
+	case st.VersionRejects == 0:
+		refusal.Detail = fmt.Sprintf("probe never fired the refusal path (%d polls)", st.Polls)
+	case st.Killed:
+		refusal.Detail = "probe tripped the kill switch — a refused plan must never reach execution"
+	default:
+		refusal.Passed = true
+		refusal.Detail = fmt.Sprintf("probe refused %d misrouted plan(s) over %d polls, zero swaps", st.VersionRejects, st.Polls)
 	}
-	for _, v := range verdicts {
-		if !v.Passed {
-			rep.Passed = false
-		}
-	}
-	return rep, nil
+	return []Verdict{carry, scope, refusal}
 }
