@@ -14,7 +14,7 @@ SOAK_SEED ?= 0
 # replays with GEN_SEED=<printed seed>.
 GEN_SEED ?= 0
 
-.PHONY: all tier1 build build-cmds test test-race test-daemon test-recovery test-plan test-fleet test-federation test-mincover test-workload soak soak-gen vet vet-cmds ci bench bench-smoke bench-baseline benchmark-smoke
+.PHONY: all tier1 loc build build-cmds test test-race test-daemon test-recovery test-plan test-fleet test-federation test-mincover test-workload soak soak-gen vet vet-cmds ci bench bench-smoke bench-baseline benchmark-smoke
 
 all: tier1
 
@@ -22,6 +22,14 @@ all: tier1
 tier1:
 	$(GO) build ./...
 	$(GO) test ./...
+
+# Non-test Go lines per internal/* package and their total: the number
+# ROADMAP item 3's acceptance and every simplicity PR quote.
+loc:
+	@for d in internal/*/; do \
+		printf '%6d  %s\n' $$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l) $$d; \
+	done
+	@printf '%6d  total\n' $$(find internal -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)
 
 build:
 	$(GO) build ./...
@@ -47,11 +55,13 @@ test-daemon:
 	$(GO) test ./internal/daemon/...
 
 # Durability and exactly-once delivery, under the race detector: the
-# checkpoint round trip, sequence dedup, the flaky-pusher soak (a
-# daemon that drops responses while pushers retry), and the SIGTERM
-# kill-and-restart lifecycle.
+# checkpoint round trip and the golden state dir / forwarder state
+# written by an earlier commit, sequence dedup, the flaky-pusher soak (a
+# daemon that drops responses while pushers retry), the forwarder's
+# restart and failed-persist rollback, and the SIGTERM kill-and-restart
+# lifecycle.
 test-recovery:
-	$(GO) test -race -run 'Checkpoint|Restore|Sequence|Sequenced|Duplicate|Dedup|Flaky|Retr|Outage|GiveUp|Sigterm|Corrupt' ./internal/dcgstore/... ./internal/daemon/...
+	$(GO) test -race -run 'Checkpoint|Restore|Golden|Sequence|Sequenced|Duplicate|Dedup|Flaky|Retr|Outage|GiveUp|Sigterm|Corrupt|Restart|PersistFailure|Transient' ./internal/dcgstore/... ./internal/daemon/... ./internal/federation/...
 
 # The fleet PGO loop: plan wire round trip + rejection paths, the
 # fuzz seed corpus, stability/determinism properties, the K-pusher/

@@ -200,9 +200,10 @@ func main() {
 			// stamp every push with (name, content version) so the daemon
 			// aggregates this build into its own ledger, and register the
 			// method/site manifest so carry-forward has fingerprints to
-			// match against. Ad-hoc -file programs stay unstamped (legacy
-			// default ledger). Manifest registration is best-effort: an
-			// old daemon 404s, and the keyed pushes still merge.
+			// match against. Ad-hoc -file programs stay unstamped (they
+			// land under the zero key). Manifest registration is
+			// best-effort: an old daemon 404s, and the keyed pushes still
+			// merge.
 			client.Key = api.ProgramKey{Program: *benchName, Version: prog.Version()}
 			if _, err := client.RegisterManifest(prog.BuildManifest(*benchName)); err != nil {
 				fmt.Fprintf(os.Stderr, "manifest registration skipped: %v\n", err)

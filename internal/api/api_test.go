@@ -116,7 +116,7 @@ func TestPushDeltaRetriesTransientFailures(t *testing.T) {
 	defer srv.Close()
 	g := profile.NewDCG()
 	g.AddSample(profile.Edge{Caller: 1, Site: 2, Callee: 3}, 5)
-	resp, err := fastClient(srv).PushDCG("p-1", 7, g)
+	resp, err := fastClient(srv).PushDCGKeyed("p-1", 7, ProgramKey{}, g)
 	if err != nil {
 		t.Fatalf("PushDCG: %v", err)
 	}
@@ -183,7 +183,7 @@ func TestGetPlanConditional(t *testing.T) {
 	defer srv.Close()
 	c := fastClient(srv)
 
-	first, err := c.GetPlan("javac", "")
+	first, err := c.GetPlanVersion("javac", "", "")
 	if err != nil {
 		t.Fatalf("GetPlan: %v", err)
 	}
@@ -192,7 +192,7 @@ func TestGetPlanConditional(t *testing.T) {
 		t.Fatalf("first = %+v", first)
 	}
 
-	second, err := c.GetPlan("javac", first.ETag)
+	second, err := c.GetPlanVersion("javac", "", first.ETag)
 	if err != nil {
 		t.Fatalf("conditional GetPlan: %v", err)
 	}

@@ -192,8 +192,8 @@ func (c *Client) PushDelta(pusher string, seq uint64, payload []byte) (*IngestRe
 }
 
 // PushDeltaKeyed is PushDelta with a program identity: the delta is
-// merged into the per-(program, version) graph named by key instead of
-// the legacy merged aggregate. A zero key degrades to PushDelta.
+// merged into the per-(program, version) graph named by key. The zero
+// key sends no identity headers, which is how the wire spells it.
 func (c *Client) PushDeltaKeyed(pusher string, seq uint64, key ProgramKey, payload []byte) (*IngestResponse, error) {
 	hdr := http.Header{"Content-Type": {"application/octet-stream"}}
 	if pusher != "" {
@@ -237,11 +237,6 @@ func (c *Client) PushManifest(key ProgramKey, manifestJSON []byte) (*ManifestRes
 	return &out, nil
 }
 
-// PushDCG serializes g and pushes it via PushDelta.
-func (c *Client) PushDCG(pusher string, seq uint64, g *profile.DCG) (*IngestResponse, error) {
-	return c.PushDCGKeyed(pusher, seq, ProgramKey{}, g)
-}
-
 // PushDCGKeyed serializes g and pushes it via PushDeltaKeyed.
 func (c *Client) PushDCGKeyed(pusher string, seq uint64, key ProgramKey, g *profile.DCG) (*IngestResponse, error) {
 	var body bytes.Buffer
@@ -267,18 +262,13 @@ func (c *Client) FetchSnapshot() (*profile.DCG, error) {
 	return g, nil
 }
 
-// GetPlan fetches the plan for program from PathPlan, conditionally
-// when ifNoneMatch carries a previous response's ETag. The body stays
-// raw bytes: decoding is the plan package's business (api sits below
-// plan in the import graph).
-func (c *Client) GetPlan(program, ifNoneMatch string) (*PlanResult, error) {
-	return c.GetPlanVersion(program, "", ifNoneMatch)
-}
-
-// GetPlanVersion is GetPlan scoped to one program version: the daemon
-// serves only a plan compiled for exactly that build and answers 404
-// when it cannot. An empty version asks for the daemon's canonical
-// build of the program (the pre-versioning behaviour).
+// GetPlanVersion fetches the plan for one build of program from
+// PathPlan, conditionally when ifNoneMatch carries a previous
+// response's ETag. The daemon serves only a plan compiled for exactly
+// that build and answers 404 when it cannot; an empty version asks for
+// the daemon's canonical build of the program. The body stays raw
+// bytes: decoding is the plan package's business (api sits below plan
+// in the import graph).
 func (c *Client) GetPlanVersion(program, version, ifNoneMatch string) (*PlanResult, error) {
 	path := PathPlan + "?program=" + url.QueryEscape(program)
 	if version != "" {

@@ -2,6 +2,7 @@ package api
 
 import (
 	"regexp"
+	"sort"
 
 	"gocbs/internal/profile"
 )
@@ -9,14 +10,16 @@ import (
 // ProgramKey identifies one build of one program: the name plus its
 // content-addressed version (bytecode.Program.Version). It is the
 // store's sharding key for per-version call graphs and the plan
-// cache's scoping key. The zero key means "unversioned" — the legacy
-// merged aggregate that unstamped pushes land in.
+// cache's scoping key. The zero key names the stream of pushes that
+// carry no program identity: a key like any other to the store, the
+// checkpoint and the forwarder, spelled on the wire by omitting the
+// identity headers.
 type ProgramKey struct {
 	Program string `json:"program"`
 	Version string `json:"version"`
 }
 
-// IsZero reports whether the key carries no identity (legacy path).
+// IsZero reports whether the key carries no identity.
 func (k ProgramKey) IsZero() bool { return k.Program == "" && k.Version == "" }
 
 // String renders the key in its canonical "program@version" spelling —
@@ -24,6 +27,23 @@ func (k ProgramKey) IsZero() bool { return k.Program == "" && k.Version == "" }
 // excluded from both the program-name and version alphabets, so the
 // rendering splits back unambiguously.
 func (k ProgramKey) String() string { return k.Program + "@" + k.Version }
+
+// SortedKeys lists m's keys in the canonical order every persisted or
+// forwarded key list uses: the zero key first, then builds by their
+// "program@version" spelling.
+func SortedKeys[V any](m map[ProgramKey]V) []ProgramKey {
+	keys := make([]ProgramKey, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i].IsZero() != keys[j].IsZero() {
+			return keys[i].IsZero()
+		}
+		return keys[i].String() < keys[j].String()
+	})
+	return keys
+}
 
 var versionRE = regexp.MustCompile(`^[0-9a-f]{1,64}$`)
 

@@ -1,9 +1,11 @@
 // Package daemon is the cbsd aggregation daemon as a library: the HTTP
-// surface over a dcgstore.Store plus the full serve/decay/checkpoint/
-// shutdown lifecycle, extracted from cmd/cbsd so that tests and the
-// fleet simulator (internal/fleetsim) can run a real daemon in-process
-// — same handlers, same checkpoint files, same graceful-shutdown
-// semantics — and kill/restart it mid-run.
+// surface over a dcgstore.Multi — one substore per (program, version)
+// build, and the zero key's for pushes that carry no program identity —
+// plus the full serve/decay/checkpoint/shutdown lifecycle, extracted
+// from cmd/cbsd so that tests and the fleet simulator
+// (internal/fleetsim) can run a real daemon in-process — same handlers,
+// same checkpoint files, same graceful-shutdown semantics — and
+// kill/restart it mid-run.
 package daemon
 
 import (
@@ -103,7 +105,6 @@ func Run(ctx context.Context, cfg Config) error {
 	}
 
 	multi := dcgstore.NewMulti(cfg.Shards)
-	store := multi.Default()
 	if cfg.StateDir != "" {
 		loaded, err := dcgstore.RestoreMultiCheckpoint(multi, cfg.StateDir)
 		if err != nil {
@@ -133,18 +134,9 @@ func Run(ctx context.Context, cfg Config) error {
 			statePath = filepath.Join(cfg.StateDir, "forward-state.json")
 		}
 		fwd, err := federation.NewForwarder(federation.ForwarderConfig{
-			ID:       cfg.UpstreamID,
-			Upstream: up,
-			Source:   store.Snapshot,
-			KeyedSource: func() map[api.ProgramKey]*profile.DCG {
-				out := make(map[api.ProgramKey]*profile.DCG)
-				for _, key := range multi.Keys() {
-					if sub := multi.Lookup(key); sub != nil {
-						out[key] = sub.Snapshot()
-					}
-				}
-				return out
-			},
+			ID:        cfg.UpstreamID,
+			Upstream:  up,
+			Source:    multi.Snapshots,
 			Manifests: multi.ManifestsInOrder,
 			StatePath: statePath,
 		})
@@ -177,35 +169,48 @@ func Run(ctx context.Context, cfg Config) error {
 		return err
 	}
 	logf("cbsd listening on %s (%d shards, decay %s, state %s)",
-		ln.Addr(), store.NumShards(), decayDesc(cfg.Decay, cfg.DecayEvery), stateDesc(cfg))
+		ln.Addr(), multi.Stats().Shards, decayDesc(cfg.Decay, cfg.DecayEvery), stateDesc(cfg))
 	if cfg.Ready != nil {
 		cfg.Ready <- ln.Addr().String()
 	}
 
-	// Background loops: decay and periodic checkpoints. Both are wired
-	// into the shutdown path — bg.Wait() below guarantees neither a
-	// decay epoch nor a periodic checkpoint races the final checkpoint.
+	// Background loops: decay, version gc, forwarding, periodic
+	// checkpoints and plan refresh. All are wired into the shutdown path
+	// — bg.Wait() below guarantees none of them races the final flush
+	// and checkpoint.
 	bgCtx, stopBg := context.WithCancel(context.Background())
 	defer stopBg()
 	var bg sync.WaitGroup
-	if cfg.Decay > 0 && !isLeaf {
+	background := func(loop func()) {
 		bg.Add(1)
 		go func() {
 			defer bg.Done()
-			ticker := time.NewTicker(cfg.DecayEvery)
-			defer ticker.Stop()
-			for {
-				select {
-				case <-bgCtx.Done():
-					return
-				case <-ticker.C:
-					pruned := multi.DecayAll(cfg.Decay, cfg.DecayPrune)
-					logf("decay epoch %d: factor %v, pruned %d edges, %d remain",
-						store.Epoch(), cfg.Decay, pruned, store.NumEdges())
-					planSvc.RefreshAll()
-				}
-			}
+			loop()
 		}()
+	}
+	// tick runs fn every d until the background context ends.
+	tick := func(d time.Duration, fn func()) {
+		ticker := time.NewTicker(d)
+		defer ticker.Stop()
+		for {
+			select {
+			case <-bgCtx.Done():
+				return
+			case <-ticker.C:
+				fn()
+			}
+		}
+	}
+	if cfg.Decay > 0 && !isLeaf {
+		background(func() {
+			tick(cfg.DecayEvery, func() {
+				pruned := multi.DecayAll(cfg.Decay, cfg.DecayPrune)
+				st := multi.Stats()
+				logf("decay epoch %d: factor %v, pruned %d edges, %d remain",
+					st.Epoch, cfg.Decay, pruned, st.Edges)
+				planSvc.RefreshAll()
+			})
+		})
 	}
 	if cfg.VersionTTL > 0 {
 		// Sweep at a fraction of the TTL so a retired version overstays
@@ -214,83 +219,58 @@ func Run(ctx context.Context, cfg Config) error {
 		if every < time.Second {
 			every = time.Second
 		}
-		bg.Add(1)
-		go func() {
-			defer bg.Done()
-			ticker := time.NewTicker(every)
-			defer ticker.Stop()
-			for {
-				select {
-				case <-bgCtx.Done():
-					return
-				case <-ticker.C:
-					if n := multi.EvictRetired(cfg.VersionTTL); n > 0 {
-						logf("version gc: evicted %d retired substore(s), %d live, %d total evictions",
-							n, multi.NumKeys(), multi.Evicted())
-					}
+		background(func() {
+			tick(every, func() {
+				if n := multi.EvictRetired(cfg.VersionTTL); n > 0 {
+					logf("version gc: evicted %d retired substore(s), %d live, %d total evictions",
+						n, multi.NumKeys(), multi.Evicted())
 				}
-			}
-		}()
+			})
+		})
 	}
 	if fed.fwd != nil {
 		every := cfg.ForwardEvery
 		if every <= 0 {
 			every = time.Second
 		}
-		bg.Add(1)
-		go func() {
-			defer bg.Done()
-			// Registration is best-effort (the delta protocol carries
-			// correctness); a failed heartbeat just retries next tick.
+		// Registration is best-effort (the delta protocol carries
+		// correctness); a failed heartbeat just retries next tick.
+		register := func() {
 			if err := fed.register(); err != nil {
 				logf("register with %s: %v", cfg.Upstream, err)
 			}
-			ticker := time.NewTicker(every)
-			defer ticker.Stop()
-			for {
-				select {
-				case <-bgCtx.Done():
-					return
-				case <-ticker.C:
-					if _, err := fed.fwd.Flush(); err != nil {
-						logf("forward: %v", err)
-					}
-					if err := fed.register(); err != nil {
-						logf("register with %s: %v", cfg.Upstream, err)
-					}
+		}
+		background(func() {
+			register()
+			tick(every, func() {
+				if _, err := fed.fwd.Flush(); err != nil {
+					logf("forward: %v", err)
 				}
-			}
-		}()
+				register()
+			})
+		})
 	}
 	if cfg.StateDir != "" {
-		bg.Add(1)
-		go func() {
-			defer bg.Done()
-			ckpt := &dcgstore.Checkpointer{
-				Dir: cfg.StateDir, Store: store, Multi: multi, Every: cfg.CheckpointEvery, Logf: logf,
-			}
-			ckpt.Run(bgCtx)
-		}()
+		every := cfg.CheckpointEvery
+		if every <= 0 {
+			every = dcgstore.DefaultCheckpointEvery
+		}
+		background(func() {
+			tick(every, func() {
+				// A periodic failure is retried at the next tick, not fatal:
+				// transient disk pressure should not kill the daemon.
+				if err := dcgstore.SaveMultiCheckpoint(cfg.StateDir, multi); err != nil {
+					logf("checkpoint: %v", err)
+				}
+			})
+		})
 		// Keep persisted plans fresh at the same cadence as checkpoints:
 		// a durable daemon re-plans on the checkpoint tick, not just on
 		// demand, so the plan files a restart restores from are recent.
 		// (A leaf has no compiler — its relay cache is refreshed by the
 		// downstream pulls themselves.)
 		if planSvc != nil {
-			bg.Add(1)
-			go func() {
-				defer bg.Done()
-				ticker := time.NewTicker(cfg.CheckpointEvery)
-				defer ticker.Stop()
-				for {
-					select {
-					case <-bgCtx.Done():
-						return
-					case <-ticker.C:
-						planSvc.RefreshAll()
-					}
-				}
-			}()
+			background(func() { tick(every, planSvc.RefreshAll) })
 		}
 	}
 
@@ -347,7 +327,8 @@ func Run(ctx context.Context, cfg Config) error {
 // profile-driven decisions), so the global call-site IDs the plan keys
 // on line up with every VM's clone of the same build. Each build's plan
 // compiles from that build's own substore when one exists (falling back
-// to the default substore for unkeyed legacy fleets), and its cache
+// to the zero key's substore, where a fleet that does not stamp its
+// pushes lands), and its cache
 // invalidates on that substore's counters alone — ingest for program A
 // no longer forces program B to recompile. With a state dir, compiled
 // plans persist next to the store checkpoints and epochs survive
@@ -383,24 +364,30 @@ func NewPlanService(cfg Config, multi *dcgstore.Multi, logf func(string, ...any)
 			return prog, nil
 		}
 	}
-	def := multi.Default()
+	// substoreFor is the one lookup both closures share: this build's
+	// substore, else the zero key's.
+	substoreFor := func(program, version string) (sub *dcgstore.Store, own bool) {
+		if sub := multi.Lookup(api.ProgramKey{Program: program, Version: version}); sub != nil {
+			return sub, true
+		}
+		return multi.Lookup(api.ProgramKey{}), false
+	}
 	return plan.NewService(plan.ServiceConfig{
 		Source: func(program, version string) *profile.DCG {
-			if sub := multi.Lookup(api.ProgramKey{Program: program, Version: version}); sub != nil {
-				return sub.Snapshot()
-			}
-			return def.Snapshot()
+			sub, _ := substoreFor(program, version)
+			return sub.Snapshot()
 		},
 		Version: func(program, version string) (merges, epochs uint64) {
-			if sub := multi.Lookup(api.ProgramKey{Program: program, Version: version}); sub != nil {
-				m, e := sub.Version()
-				// The tag bit marks "counters of the keyed substore": a
-				// build whose substore appears after its plan compiled
-				// from the default store must invalidate even if the raw
-				// counter pair happens to collide.
-				return m | 1<<63, e
+			sub, own := substoreFor(program, version)
+			m, e := sub.Version()
+			if own {
+				// The tag bit marks "counters of the build's own
+				// substore": a build whose substore appears after its
+				// plan compiled from the zero key's must invalidate even
+				// if the raw counter pair happens to collide.
+				m |= 1 << 63
 			}
-			return def.Version()
+			return m, e
 		},
 		CompileProgram: resolve,
 		Params:         params,

@@ -52,7 +52,8 @@ func FuzzIngestHostilePusher(f *testing.F) {
 	baseEdge := profile.Edge{Caller: 1, Site: 2, Callee: 3}
 
 	f.Fuzz(func(t *testing.T, pusher, seq string, body []byte) {
-		store := dcgstore.New(4)
+		multi := dcgstore.NewMulti(4)
+		store := multi.Lookup(api.ProgramKey{})
 		base := profile.NewDCG()
 		base.AddSample(baseEdge, 10)
 		if !store.MergeDCGFrom("good-pusher", 1, base) {
@@ -60,7 +61,7 @@ func FuzzIngestHostilePusher(f *testing.F) {
 		}
 		before := dcgBytes(t, store.Snapshot())
 
-		h := newServer(dcgstore.NewMultiWithDefault(store, 4), nil, nil, 1<<16).handler()
+		h := newServer(multi, nil, nil, 1<<16).handler()
 		req := httptest.NewRequest("POST", api.PathIngest, bytes.NewReader(body))
 		// Set headers through the map: hostile values (control bytes,
 		// overlong strings) must reach the handler's own validation.
@@ -90,14 +91,14 @@ func FuzzIngestHostilePusher(f *testing.F) {
 		}
 
 		dir := t.TempDir()
-		if err := dcgstore.SaveCheckpoint(dir, store); err != nil {
+		if err := dcgstore.SaveMultiCheckpoint(dir, multi); err != nil {
 			t.Fatalf("store no longer checkpointable after hostile push: %v", err)
 		}
-		restored := dcgstore.New(4)
-		if _, err := dcgstore.RestoreCheckpoint(restored, dir); err != nil {
+		restored := dcgstore.NewMulti(4)
+		if _, err := dcgstore.RestoreMultiCheckpoint(restored, dir); err != nil {
 			t.Fatalf("checkpoint written after hostile push does not restore: %v", err)
 		}
-		if got, want := dcgBytes(t, restored.Snapshot()), dcgBytes(t, snap); !bytes.Equal(got, want) {
+		if got, want := dcgBytes(t, restored.Lookup(api.ProgramKey{}).Snapshot()), dcgBytes(t, snap); !bytes.Equal(got, want) {
 			t.Fatal("checkpoint round trip diverged after hostile push")
 		}
 	})

@@ -100,7 +100,7 @@ func TestPlanEndToEnd(t *testing.T) {
 	// The puller VM fetches the plan the daemon compiled from the
 	// merged fleet graph.
 	client := plan.NewClient(ts.URL)
-	p, changed, err := client.Fetch("compress")
+	p, changed, err := client.FetchVersion("compress", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestPlanEndToEnd(t *testing.T) {
 
 	// A second conditional fetch is answered 304 from cache: same plan
 	// object semantics, changed=false, and the daemon counts it.
-	p2, changed, err := client.Fetch("compress")
+	p2, changed, err := client.FetchVersion("compress", "")
 	if err != nil {
 		t.Fatal(err)
 	}

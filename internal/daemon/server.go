@@ -24,10 +24,10 @@ import (
 const DefaultMaxUploadBytes = 256 << 20
 
 // server is the cbsd HTTP surface over a dcgstore.Multi: one substore
-// per (program, version) build for stamped pushes, plus the default
-// substore that preserves the pre-versioning behaviour for unstamped
-// ones. All handlers are safe for concurrent use: mutation goes through
-// the substores' sharded locks and the counters here are atomics.
+// per (program, version) build for stamped pushes, and the zero key's
+// for unstamped ones. All handlers are safe for concurrent use: mutation
+// goes through the substores' sharded locks and the counters here are
+// atomics.
 type server struct {
 	multi     *dcgstore.Multi
 	plans     planSource
@@ -89,13 +89,11 @@ type InProcess struct {
 	s *server
 }
 
-// NewInProcess returns an in-process daemon over the given store,
-// which becomes the default substore of a fresh Multi (version-stamped
-// pushes get per-build substores as usual). maxUpload <= 0 selects
+// NewInProcess returns an in-process daemon over a fresh store family
+// with the default shard count. maxUpload <= 0 selects
 // DefaultMaxUploadBytes.
-func NewInProcess(store *dcgstore.Store, maxUpload int64) *InProcess {
-	multi := dcgstore.NewMultiWithDefault(store, store.NumShards())
-	return &InProcess{s: newServer(multi, nil, nil, maxUpload)}
+func NewInProcess(maxUpload int64) *InProcess {
+	return &InProcess{s: newServer(dcgstore.NewMulti(0), nil, nil, maxUpload)}
 }
 
 // Handler returns the daemon's HTTP mux.
@@ -264,7 +262,7 @@ func (s *server) ingestKey(w http.ResponseWriter, r *http.Request) (key api.Prog
 
 // handleIngest merges one POSTed DCG snapshot into the store — into the
 // substore of the (program, version) build named by the identity
-// headers, or the default substore for unkeyed pushes. Requests stamped
+// headers, or the zero key's when there are none. Requests stamped
 // with (pusher, sequence) headers are idempotent per substore: a retry
 // of an increment that was already applied is acknowledged without
 // being merged again.
@@ -345,10 +343,9 @@ func (s *server) handleManifest(w http.ResponseWriter, r *http.Request) {
 // queryGraph resolves the graph a read endpoint should serve:
 // ?program=&version= selects one build's substore (version may be
 // omitted to mean the program's latest registered build), no program
-// parameter selects the cross-version merged view (default substore
-// plus every keyed substore — the pre-versioning response for stores
-// that never saw a keyed push). ok=false means the request was
-// answered with an error.
+// parameter selects the cross-version merged view (every substore —
+// for a store that never saw a keyed push, just the zero key's).
+// ok=false means the request was answered with an error.
 func (s *server) queryGraph(w http.ResponseWriter, r *http.Request) (g *profile.DCG, ok bool) {
 	q := r.URL.Query()
 	program, version := q.Get("program"), q.Get("version")

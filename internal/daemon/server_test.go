@@ -24,7 +24,7 @@ func edge(c, s, t int) profile.Edge { return profile.Edge{Caller: c, Site: s, Ca
 func newTestDaemon(t *testing.T) (*httptest.Server, *dcgstore.Store) {
 	t.Helper()
 	multi := dcgstore.NewMulti(8)
-	store := multi.Default()
+	store := multi.Lookup(api.ProgramKey{})
 	cfg := Config{PlanPolicy: "new-linear", PlanFloor: 1, PlanBand: 0.25, PlanHold: 0.05}
 	ts := httptest.NewServer(newServer(multi, NewPlanService(cfg, multi, t.Logf), newFedState(), cfg.MaxUploadBytes).handler())
 	t.Cleanup(ts.Close)
@@ -145,7 +145,7 @@ func TestIngestRejectsGarbageAndWrongMethod(t *testing.T) {
 // MaxBytesReader guarantees the daemon never buffered the excess.
 func TestIngestRejectsOversizeBody(t *testing.T) {
 	multi := dcgstore.NewMulti(4)
-	store := multi.Default()
+	store := multi.Lookup(api.ProgramKey{})
 	cfg := Config{MaxUploadBytes: 128}
 	ts := httptest.NewServer(newServer(multi, NewPlanService(cfg, multi, t.Logf), newFedState(), cfg.MaxUploadBytes).handler())
 	t.Cleanup(ts.Close)

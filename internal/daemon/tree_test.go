@@ -3,9 +3,11 @@ package daemon
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
@@ -27,7 +29,9 @@ func startTreeDaemon(t *testing.T, ctx context.Context, cfg Config) (string, <-c
 	cfg.ReadTimeout = 10 * time.Second
 	cfg.WriteTimeout = 10 * time.Second
 	cfg.Ready = ready
-	cfg.Logf = t.Logf
+	if cfg.Logf == nil {
+		cfg.Logf = t.Logf
+	}
 	done := make(chan error, 1)
 	go func() { done <- Run(ctx, cfg) }()
 	select {
@@ -162,6 +166,84 @@ func TestLeafForwardsToRoot(t *testing.T) {
 	if rf.StatusCode != http.StatusNotFound || m["code"] != "not_found" {
 		t.Errorf("root /v1/flush: status %d code %v, want 404 not_found", rf.StatusCode, m["code"])
 	}
+
+	cancel()
+	for _, done := range []<-chan error{leafDone, rootDone} {
+		if err := <-done; err != nil {
+			t.Fatalf("daemon exited with %v", err)
+		}
+	}
+}
+
+// TestTreeKeyedFleetFiguresAreNotZero: a fleet that stamps every push
+// with a program identity puts nothing under the zero key, so any
+// figure read from that substore alone sits at 0 forever. The leaf's
+// heartbeat to the root (/v1/leaves), its forward.ack_* metrics and the
+// root's periodic decay log line must all count the keyed streams.
+func TestTreeKeyedFleetFiguresAreNotZero(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+
+	var (
+		logMu    sync.Mutex
+		rootLogs []string
+	)
+	rootURL, rootDone := startTreeDaemon(t, ctx, Config{
+		Decay: 0.99, DecayEvery: 20 * time.Millisecond,
+		Logf: func(format string, args ...any) {
+			logMu.Lock()
+			rootLogs = append(rootLogs, fmt.Sprintf(format, args...))
+			logMu.Unlock()
+		},
+	})
+	leafURL, leafDone := startTreeDaemon(t, ctx, Config{
+		Upstream:     rootURL,
+		UpstreamID:   "leaf-keyed-0",
+		ForwardEvery: 20 * time.Millisecond, // flush + heartbeat on the tick
+	})
+
+	g := profile.NewDCG()
+	g.AddSample(edge(1, 2, 3), 40)
+	g.AddSample(edge(4, 5, 6), 2)
+	if err := keyedClient(leafURL, "compress", "00000000000000aa").PushDelta("vm-0", 1, g); err != nil {
+		t.Fatal(err)
+	}
+
+	eventually := func(what string, ok func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); !ok(); time.Sleep(10 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+	eventually("the leaf's heartbeat to report the keyed weight", func() bool {
+		lr, err := (&api.Client{BaseURL: rootURL}).Leaves()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(lr.Leaves) == 1 && lr.Leaves[0].Edges == 2 && lr.Leaves[0].Weight == 42
+	})
+	m, err := (&api.Client{BaseURL: leafURL}).Metrics()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Forward == nil || m.Forward.AckEdges != 2 || m.Forward.AckWeight != 42 {
+		t.Errorf("leaf forward metrics %+v, want 2 acked edges / 42 weight", m.Forward)
+	}
+	eventually("a root decay log line that counts the keyed edges", func() bool {
+		logMu.Lock()
+		defer logMu.Unlock()
+		for _, line := range rootLogs {
+			var epoch, pruned, remain int
+			var factor float64
+			if n, _ := fmt.Sscanf(line, "decay epoch %d: factor %g, pruned %d edges, %d remain",
+				&epoch, &factor, &pruned, &remain); n == 4 && epoch > 0 && remain == 2 {
+				return true
+			}
+		}
+		return false
+	})
 
 	cancel()
 	for _, done := range []<-chan error{leafDone, rootDone} {

@@ -1,0 +1,239 @@
+package dcgstore
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+	"time"
+
+	"gocbs/internal/api"
+	"gocbs/internal/bytecode"
+	"gocbs/internal/profile"
+)
+
+// eachStream runs a checkpoint case once for the zero key and once for
+// a build: there is one save path and one restore path, and every
+// behaviour below holds for both.
+func eachStream(t *testing.T, run func(t *testing.T, key api.ProgramKey)) {
+	t.Run("zero key", func(t *testing.T) { run(t, api.ProgramKey{}) })
+	t.Run("build", func(t *testing.T) { run(t, goldenV1) })
+}
+
+func mustSave(t *testing.T, dir string, m *Multi) {
+	t.Helper()
+	if err := SaveMultiCheckpoint(dir, m); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestCheckpointRoundTripIsByteIdentical(t *testing.T) {
+	eachStream(t, func(t *testing.T, key api.ProgramKey) {
+		dir := t.TempDir()
+		m := NewMulti(8)
+		s := m.For(key)
+		inc := profile.NewDCG()
+		inc.AddSample(edge(1, 2, 3), 4.5)
+		inc.AddSample(edge(7, 8, 9), 0.25)
+		s.MergeDCGFrom("p-a", 3, inc)
+		s.MergeDCGFrom("p-b", 11, inc)
+		s.AddSample(edge(5, 5, 5), 2) // unsequenced weight persists too
+		mustSave(t, dir, m)
+
+		// A restarted store restored from the checkpoint serves the same
+		// snapshot and keeps deduplicating the old pushers' retries.
+		fresh := NewMulti(8)
+		loaded, err := RestoreMultiCheckpoint(fresh, dir)
+		if err != nil || !loaded {
+			t.Fatalf("RestoreMultiCheckpoint = %v, %v", loaded, err)
+		}
+		r := fresh.Lookup(key)
+		if r == nil {
+			t.Fatal("restored Multi has no substore for the key")
+		}
+		if !bytes.Equal(dcgBytesOf(t, r.Snapshot()), dcgBytesOf(t, s.Snapshot())) {
+			t.Error("restored snapshot is not byte-identical to the checkpointed one")
+		}
+		if got := r.Stats().Pushers; got != 2 {
+			t.Errorf("restored %d sequence streams, want p-a and p-b", got)
+		}
+		if r.MergeDCGFrom("p-a", 3, inc) || r.MergeDCGFrom("p-b", 11, inc) {
+			t.Error("retry of a pre-restart increment was applied after restore")
+		}
+		if !r.MergeDCGFrom("p-a", 4, inc) {
+			t.Error("next increment after restore rejected")
+		}
+	})
+}
+
+func TestRestoreMissingCheckpointIsFreshStart(t *testing.T) {
+	m := NewMulti(4)
+	loaded, err := RestoreMultiCheckpoint(m, filepath.Join(t.TempDir(), "never-written"))
+	if loaded || err != nil {
+		t.Errorf("restore(missing) = %v, %v; want false, nil", loaded, err)
+	}
+	if st := m.Stats(); st.Edges != 0 || st.Pushers != 0 || m.NumKeys() != 0 {
+		t.Errorf("fresh start is not empty: %+v, %d builds", st, m.NumKeys())
+	}
+}
+
+func TestRestoreGraphWithoutSequencesTolerated(t *testing.T) {
+	eachStream(t, func(t *testing.T, key api.ProgramKey) {
+		dir := t.TempDir()
+		m := NewMulti(4)
+		m.For(key).MergeDCGFrom("p", 1, dcgOf([4]int{1, 1, 1, 1}))
+		mustSave(t, dir, m)
+		if err := os.Remove(filepath.Join(dir, checkpointFile(seqsFile, key))); err != nil {
+			t.Fatal(err)
+		}
+		fresh := NewMulti(4)
+		loaded, err := RestoreMultiCheckpoint(fresh, dir)
+		if err != nil || !loaded {
+			t.Fatalf("restore without seq file = %v, %v", loaded, err)
+		}
+		if st := fresh.Lookup(key).Stats(); st.Edges != 1 || st.Pushers != 0 {
+			t.Errorf("restored %d edges, %d sequence streams; want 1, 0", st.Edges, st.Pushers)
+		}
+	})
+}
+
+func TestRestoreRejectsCorruptFiles(t *testing.T) {
+	eachStream(t, func(t *testing.T, key api.ProgramKey) {
+		m := NewMulti(4)
+		m.For(key).AddSample(edge(1, 1, 1), 1)
+		// Corrupt graph: must fail loudly, not load garbage weights. Then
+		// the same for the sequence file.
+		for _, tc := range []struct {
+			kind fileKind
+			junk string
+		}{{graphFile, "not a DCG"}, {seqsFile, "cbsd-seq v1\nbroken"}} {
+			dir := t.TempDir()
+			mustSave(t, dir, m)
+			name := checkpointFile(tc.kind, key)
+			if err := os.WriteFile(filepath.Join(dir, name), []byte(tc.junk), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := RestoreMultiCheckpoint(NewMulti(4), dir); err == nil {
+				t.Errorf("corrupt %s loaded without error", name)
+			} else if !strings.Contains(err.Error(), name) {
+				t.Errorf("error %q does not name the corrupt file %s", err, name)
+			}
+		}
+	})
+}
+
+func TestSaveCheckpointReplacesAtomically(t *testing.T) {
+	eachStream(t, func(t *testing.T, key api.ProgramKey) {
+		dir := t.TempDir()
+		m := NewMulti(4)
+		m.For(key).AddSample(edge(1, 1, 1), 1)
+		mustSave(t, dir, m)
+		m.For(key).AddSample(edge(2, 2, 2), 2)
+		mustSave(t, dir, m)
+		fresh := NewMulti(4)
+		if _, err := RestoreMultiCheckpoint(fresh, dir); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(dcgBytesOf(t, fresh.Lookup(key).Snapshot()), dcgBytesOf(t, m.Lookup(key).Snapshot())) {
+			t.Error("second checkpoint did not replace the first")
+		}
+		// No temp droppings left behind: the zero key's pair, the index,
+		// and the build's pair are all there is.
+		want := map[string]bool{CheckpointGraphFile: true, CheckpointSeqFile: true, MultiIndexFile: true,
+			checkpointFile(graphFile, key): true, checkpointFile(seqsFile, key): true}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			if !want[e.Name()] {
+				t.Errorf("unexpected file %q in state dir", e.Name())
+			}
+		}
+	})
+}
+
+// TestCheckpointDropsEvictedBuildFiles: eviction reaches the state dir.
+// An evicted build's files are removed by the next checkpoint, and when
+// a straggler re-creates an evicted key cold, the manifest and carried
+// graph of its earlier life do not come back on restart — Carried(key)
+// must never report a graph the substore did not merge (snapshot ==
+// carried + Σ acked).
+func TestCheckpointDropsEvictedBuildFiles(t *testing.T) {
+	dir := t.TempDir()
+	keys := []api.ProgramKey{goldenV1, goldenV2, {Program: "compress", Version: "00000000000000a3"}}
+	m := NewMulti(4)
+	now := time.Unix(1_000_000, 0)
+	m.SetClock(func() time.Time { return now })
+	for i, key := range keys {
+		// Only the entry method changes build to build, so the edge
+		// between the other two carries forward each time.
+		man := &bytecode.Manifest{Program: key.Program, Version: key.Version,
+			Methods: []bytecode.MethodFingerprint{
+				{Name: "$Globals.main", Hash: uint64(i)}, {Name: "Coder.step", Hash: 0x11}, {Name: "Coder.emit", Hash: 0x22}},
+			Sites: []bytecode.SiteFingerprint{{Owner: 1, PC: 9}}}
+		if _, _, err := m.RegisterManifest(man); err != nil {
+			t.Fatal(err)
+		}
+		m.For(key).MergeDCGFrom("vm", uint64(i+1), dcgOf([4]int{1, 0, 2, 8}))
+	}
+	if m.Carried(keys[1]) == nil {
+		t.Fatal("test needs a carried graph on the build that gets evicted")
+	}
+	mustSave(t, dir, m)
+
+	// v1 and v2 retire; a straggler then pushes under v2, re-creating it
+	// cold (no manifest, nothing carried).
+	now = now.Add(time.Hour)
+	if n := m.EvictRetired(time.Minute); n != 2 {
+		t.Fatalf("evicted %d builds, want 2", n)
+	}
+	m.For(keys[1]).MergeDCGFrom("straggler", 1, dcgOf([4]int{1, 0, 2, 1}))
+	mustSave(t, dir, m)
+
+	r := NewMulti(4)
+	if _, err := RestoreMultiCheckpoint(r, dir); err != nil {
+		t.Fatal(err)
+	}
+	if r.Lookup(keys[0]) != nil {
+		t.Error("evicted build restored")
+	}
+	if got := r.Lookup(keys[1]).Snapshot().Total(); got != 1 {
+		t.Errorf("cold substore restored with weight %v, want the straggler's 1", got)
+	}
+	if r.Manifest(keys[1]) != nil || r.Carried(keys[1]) != nil {
+		t.Error("cold substore came back with the manifest or carried graph of its evicted life")
+	}
+	if r.Manifest(keys[2]) == nil || r.Carried(keys[2]) == nil {
+		t.Error("live build lost its manifest or carried graph")
+	}
+	// The dir lists no file for a key absent from the index, and no
+	// manifest/carried file the restored Multi does not hold.
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if strings.Contains(e.Name(), keys[0].String()) {
+			t.Errorf("file %s of an evicted build is still in the state dir", e.Name())
+		}
+	}
+	for _, stale := range []string{checkpointFile(manifestFile, keys[1]), checkpointFile(carriedFile, keys[1])} {
+		if _, err := os.Stat(filepath.Join(dir, stale)); !os.IsNotExist(err) {
+			t.Errorf("stale %s still in the state dir (stat err %v)", stale, err)
+		}
+	}
+	// Files that are not the checkpoint's are left alone.
+	for _, other := range []string{"forward-state.json", "plan-compress@00000000000000a1.plnb", "graph-notes.txt"} {
+		if err := os.WriteFile(filepath.Join(dir, other), []byte("x"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mustSave(t, dir, m)
+	for _, other := range []string{"forward-state.json", "plan-compress@00000000000000a1.plnb", "graph-notes.txt"} {
+		if _, err := os.Stat(filepath.Join(dir, other)); err != nil {
+			t.Errorf("checkpoint removed a file it does not own: %v", err)
+		}
+	}
+}

@@ -36,7 +36,7 @@ func goldenMulti(t *testing.T) *Multi {
 			Sites: []bytecode.SiteFingerprint{{Owner: 0, PC: 4}, {Owner: 1, PC: 9}}}
 	}
 	m := NewMulti(4)
-	m.Default().MergeDCGFrom("legacy-vm", 2, dcgOf([4]int{0, 0, 1, 5}, [4]int{3, 1, 4, 2}))
+	m.For(api.ProgramKey{}).MergeDCGFrom("legacy-vm", 2, dcgOf([4]int{0, 0, 1, 5}, [4]int{3, 1, 4, 2}))
 	if _, _, err := m.RegisterManifest(man(goldenV1, 0xa1)); err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package dcgstore
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -19,8 +18,11 @@ import (
 // other's edge IDs — method 17 in build A is not method 17 in build B —
 // and the merged aggregate is garbage that still looks plausible. A
 // Multi keeps one substore per api.ProgramKey so each build's profile
-// is internally consistent, plus a default substore for unstamped
-// legacy pushes (the pre-versioning behaviour, preserved bit-for-bit).
+// is internally consistent. The store is keyed from the start: pushes
+// that carry no program identity land in the substore under the zero
+// key, an entry like any other except that it exists from NewMulti on,
+// is never retired, and is not a build (Keys, NumKeys and the
+// MaxProgramKeys cap count builds only).
 //
 // When a new version of a program registers its manifest, edges whose
 // caller, callee, and call-site owner all have unchanged method bodies
@@ -34,13 +36,13 @@ import (
 // refused (the daemon answers 503 capacity).
 const MaxProgramKeys = 256
 
-// Multi is a set of Stores keyed by (program, version), plus a default
-// Store for unkeyed pushes. Safe for concurrent use.
+// Multi is a set of Stores keyed by (program, version). Safe for
+// concurrent use.
 type Multi struct {
-	def    *Store
 	shards int
 
-	mu        sync.RWMutex
+	mu sync.RWMutex
+	// subs holds every substore, the zero key's included.
 	subs      map[api.ProgramKey]*Store
 	manifests map[api.ProgramKey]*bytecode.Manifest
 	// manifestOrder keeps registration order — succession matters when
@@ -59,20 +61,12 @@ type Multi struct {
 	now     func() time.Time
 }
 
-// NewMulti returns a Multi whose substores (including the default) use
-// at least shards shards.
+// NewMulti returns a Multi whose substores use at least shards shards,
+// holding the zero key's (empty) substore.
 func NewMulti(shards int) *Multi {
-	return NewMultiWithDefault(New(shards), shards)
-}
-
-// NewMultiWithDefault wraps an existing Store as the default substore —
-// the migration path for callers (daemon.NewInProcess) that built their
-// Store first.
-func NewMultiWithDefault(def *Store, shards int) *Multi {
 	return &Multi{
-		def:       def,
 		shards:    shards,
-		subs:      make(map[api.ProgramKey]*Store),
+		subs:      map[api.ProgramKey]*Store{{}: New(shards)},
 		manifests: make(map[api.ProgramKey]*bytecode.Manifest),
 		carried:   make(map[api.ProgramKey]*profile.DCG),
 		latest:    make(map[string]string),
@@ -81,22 +75,36 @@ func NewMultiWithDefault(def *Store, shards int) *Multi {
 	}
 }
 
-// Default returns the substore unstamped pushes land in.
-func (m *Multi) Default() *Store { return m.def }
+// substore is one entry of a Multi, as the walks over all of them see it.
+type substore struct {
+	key   api.ProgramKey
+	store *Store
+}
 
-// Stats sums the default substore and every keyed substore, so a fleet
-// that stamps its pushes shows up in the daemon's figures. As cheap as
-// Store.Stats (published snapshots and counters, no shard locks).
-// Shards is per substore, Epoch the furthest any substore has decayed
-// (DecayAll ages them together; a substore created later starts at 0),
-// and Pushers counts sequence streams: a pusher ID that has pushed
-// under two builds counts once per build.
-func (m *Multi) Stats() Stats {
-	st := m.def.Stats()
+// all lists every substore in canonical key order (api.SortedKeys: the
+// zero key first, then builds). Never empty.
+func (m *Multi) all() []substore {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	for _, sub := range m.subs {
-		s := sub.Stats()
+	out := make([]substore, 0, len(m.subs))
+	for _, k := range api.SortedKeys(m.subs) {
+		out = append(out, substore{k, m.subs[k]})
+	}
+	return out
+}
+
+// Stats sums every substore, so a fleet that stamps its pushes shows up
+// in the daemon's figures. As cheap as Store.Stats (published snapshots
+// and counters, no shard locks). Shards is per substore, Epoch the
+// furthest any substore has decayed (DecayAll ages them together; a
+// substore created later starts at 0), and Pushers counts sequence
+// streams: a pusher ID that has pushed under two builds counts once per
+// build.
+func (m *Multi) Stats() Stats {
+	all := m.all()
+	st := all[0].store.Stats()
+	for _, sub := range all[1:] {
+		s := sub.store.Stats()
 		st.Edges += s.Edges
 		st.TotalWeight += s.TotalWeight
 		st.SamplesIngested += s.SamplesIngested
@@ -127,11 +135,7 @@ func validKey(key api.ProgramKey) bool {
 }
 
 // Lookup returns the substore for key, or nil if it does not exist.
-// The zero key names the default substore.
 func (m *Multi) Lookup(key api.ProgramKey) *Store {
-	if key.IsZero() {
-		return m.def
-	}
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	return m.subs[key]
@@ -140,12 +144,6 @@ func (m *Multi) Lookup(key api.ProgramKey) *Store {
 // For returns the substore for key, creating it on first use. Returns
 // nil when the key is malformed or the substore ledger is full.
 func (m *Multi) For(key api.ProgramKey) *Store {
-	if key.IsZero() {
-		return m.def
-	}
-	if !validKey(key) {
-		return nil
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.forLocked(key)
@@ -156,7 +154,9 @@ func (m *Multi) forLocked(key api.ProgramKey) *Store {
 		m.touched[key] = m.now()
 		return s
 	}
-	if len(m.subs) >= MaxProgramKeys {
+	// Only builds are ever created here (the zero key exists from
+	// NewMulti on), so only builds are validated and capped.
+	if !validKey(key) || m.buildsLocked() >= MaxProgramKeys {
 		return nil
 	}
 	s := New(m.shards)
@@ -170,23 +170,22 @@ func (m *Multi) forLocked(key api.ProgramKey) *Store {
 	return s
 }
 
-// Keys lists the live (program, version) keys in canonical order.
+// buildsLocked counts the (program, version) substores: every entry but
+// the zero key's.
+func (m *Multi) buildsLocked() int { return len(m.subs) - 1 }
+
+// Keys lists the live (program, version) builds in canonical order.
 func (m *Multi) Keys() []api.ProgramKey {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	keys := make([]api.ProgramKey, 0, len(m.subs))
-	for k := range m.subs {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].String() < keys[j].String() })
-	return keys
+	return api.SortedKeys(m.subs)[1:] // the zero key sorts first
 }
 
-// NumKeys returns the number of live (program, version) substores.
+// NumKeys returns the number of live (program, version) builds.
 func (m *Multi) NumKeys() int {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return len(m.subs)
+	return m.buildsLocked()
 }
 
 // LatestVersion returns the most recent version registered (or first
@@ -202,19 +201,6 @@ func (m *Multi) Manifest(key api.ProgramKey) *bytecode.Manifest {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	return m.manifests[key]
-}
-
-// Manifests returns the registered manifests keyed by (program,
-// version). Manifests are immutable once registered, so sharing the
-// pointers is safe.
-func (m *Multi) Manifests() map[api.ProgramKey]*bytecode.Manifest {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	out := make(map[api.ProgramKey]*bytecode.Manifest, len(m.manifests))
-	for k, v := range m.manifests {
-		out[k] = v
-	}
-	return out
 }
 
 // ManifestsInOrder returns the registered manifests in registration
@@ -271,7 +257,7 @@ func (m *Multi) RegisterManifest(man *bytecode.Manifest) (carriedEdges int, carr
 	}
 	sub := m.forLocked(key)
 	if sub == nil {
-		return 0, 0, fmt.Errorf("dcgstore: program ledger full (%d keys)", len(m.subs))
+		return 0, 0, fmt.Errorf("dcgstore: program ledger full (%d keys)", m.buildsLocked())
 	}
 	prevVer := m.latest[man.Program]
 	if prevVer != "" && prevVer != man.Version {
@@ -291,29 +277,37 @@ func (m *Multi) RegisterManifest(man *bytecode.Manifest) (carriedEdges int, carr
 	return carriedEdges, carriedWeight, nil
 }
 
-// MergedSnapshot returns a consistent merge of the default substore and
-// every keyed substore — the cross-version view the unparameterized
-// /snapshot serves. The merge is commutative and the snapshot per
-// substore is consistent; cross-substore skew is bounded by the call
-// itself (substores are independent stores).
+// Snapshots returns every substore's consistent snapshot by key — what
+// a federation leaf forwards upstream, stream by stream.
+func (m *Multi) Snapshots() map[api.ProgramKey]*profile.DCG {
+	all := m.all()
+	out := make(map[api.ProgramKey]*profile.DCG, len(all))
+	for _, sub := range all {
+		out[sub.key] = sub.store.Snapshot()
+	}
+	return out
+}
+
+// MergedSnapshot returns a consistent merge of every substore — the
+// cross-version view the unparameterized /snapshot serves. The merge is
+// commutative and the snapshot per substore is consistent;
+// cross-substore skew is bounded by the call itself (substores are
+// independent stores).
 func (m *Multi) MergedSnapshot() *profile.DCG {
-	g := m.def.Snapshot()
-	for _, key := range m.Keys() {
-		if sub := m.Lookup(key); sub != nil {
-			g.Merge(sub.Snapshot())
-		}
+	all := m.all()
+	g := all[0].store.Snapshot()
+	for _, sub := range all[1:] {
+		g.Merge(sub.store.Snapshot())
 	}
 	return g
 }
 
-// DecayAll runs one decay epoch on the default substore and every keyed
-// substore, returning the total number of edges pruned.
+// DecayAll runs one decay epoch on every substore, returning the total
+// number of edges pruned.
 func (m *Multi) DecayAll(factor, prune float64) int {
-	pruned := m.def.Decay(factor, prune)
-	for _, key := range m.Keys() {
-		if sub := m.Lookup(key); sub != nil {
-			pruned += sub.Decay(factor, prune)
-		}
+	pruned := 0
+	for _, sub := range m.all() {
+		pruned += sub.store.Decay(factor, prune)
 	}
 	return pruned
 }
@@ -323,8 +317,9 @@ func (m *Multi) DecayAll(factor, prune float64) int {
 // no write-path access (push or manifest registration) for at least
 // ttl. The latest version of every program is always kept, however
 // idle, as is a program's sole version (never superseded = not
-// retired). Eviction drops the substore, its manifest, and its
-// carried-forward graph; the version can still come back cold if a
+// retired) and the zero key's substore. Eviction drops the substore,
+// its manifest, and its carried-forward graph (and the next checkpoint
+// drops their files); the version can still come back cold if a
 // straggler pushes under it again, which is exactly the slot the cap
 // in forLocked guards. Returns how many substores were evicted.
 func (m *Multi) EvictRetired(ttl time.Duration) int {
@@ -333,6 +328,8 @@ func (m *Multi) EvictRetired(ttl time.Duration) int {
 	cutoff := m.now().Add(-ttl)
 	n := 0
 	for key := range m.subs {
+		// The zero key is never retired either: no version is ever
+		// latest for the empty program name, so it reads as "latest".
 		if m.latest[key.Program] == key.Version {
 			continue
 		}

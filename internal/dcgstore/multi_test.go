@@ -97,10 +97,14 @@ func TestCrossVersionAliasingRegression(t *testing.T) {
 	}
 }
 
-func TestMultiDefaultAndBounds(t *testing.T) {
+func TestMultiZeroKeyAndBounds(t *testing.T) {
 	m := NewMulti(2)
-	if m.For(api.ProgramKey{}) != m.Default() {
-		t.Fatal("zero key must select the default substore")
+	// The zero key's substore exists from the start and is not a build.
+	if s := m.Lookup(api.ProgramKey{}); s == nil || m.For(api.ProgramKey{}) != s {
+		t.Fatal("zero key must name a substore that exists from NewMulti on")
+	}
+	if m.NumKeys() != 0 || len(m.Keys()) != 0 {
+		t.Fatalf("fresh Multi counts %d builds (%v), want none", m.NumKeys(), m.Keys())
 	}
 	for _, bad := range []api.ProgramKey{
 		{Program: "", Version: "00"},
@@ -274,7 +278,7 @@ func TestMultiCheckpointRoundTrip(t *testing.T) {
 	key2 := api.ProgramKey{Program: "compress", Version: man2.Version}
 
 	m := NewMulti(4)
-	m.Default().MergeDCGFrom("legacy", 1, dcgOf([4]int{0, 0, 1, 5}))
+	m.For(api.ProgramKey{}).MergeDCGFrom("legacy", 1, dcgOf([4]int{0, 0, 1, 5}))
 	if _, _, err := m.RegisterManifest(man1); err != nil {
 		t.Fatal(err)
 	}

@@ -127,9 +127,6 @@ func New(n int) *Store {
 	return s
 }
 
-// NumShards returns the shard count.
-func (s *Store) NumShards() int { return len(s.shards) }
-
 // edgeHash mixes the three edge coordinates (splitmix64-style finalizer
 // over a combination of the fields) so consecutive IDs spread across
 // shards instead of striping.

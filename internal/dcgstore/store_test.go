@@ -13,8 +13,8 @@ func edge(c, s, t int) profile.Edge { return profile.Edge{Caller: c, Site: s, Ca
 func TestNewRoundsShardsUpToPowerOfTwo(t *testing.T) {
 	cases := map[int]int{-1: DefaultShards, 0: DefaultShards, 1: 1, 2: 2, 3: 4, 17: 32, 32: 32}
 	for in, want := range cases {
-		if got := New(in).NumShards(); got != want {
-			t.Errorf("New(%d).NumShards() = %d, want %d", in, got, want)
+		if got := New(in).Stats().Shards; got != want {
+			t.Errorf("New(%d).Stats().Shards = %d, want %d", in, got, want)
 		}
 	}
 }

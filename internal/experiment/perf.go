@@ -16,7 +16,6 @@ import (
 	"gocbs/internal/bench"
 	"gocbs/internal/bytecode"
 	"gocbs/internal/daemon"
-	"gocbs/internal/dcgstore"
 	"gocbs/internal/inline"
 	"gocbs/internal/opt"
 	"gocbs/internal/perf"
@@ -282,8 +281,7 @@ func measureIngest(params PerfParams) (perf.Ingest, error) {
 		return perf.Ingest{}, err
 	}
 
-	store := dcgstore.New(0)
-	ip := daemon.NewInProcess(store, 0)
+	ip := daemon.NewInProcess(0)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return perf.Ingest{}, fmt.Errorf("ingest listener: %w", err)

@@ -26,9 +26,9 @@ func edge(c, s, t int) profile.Edge { return profile.Edge{Caller: c, Site: s, Ca
 // store's real MergeDCGFrom keeps the dedup semantics honest without
 // importing internal/daemon (which imports this package).
 type rootServer struct {
+	// multi is the full per-build ledger; store is the zero key's
+	// substore, where the single-stream tests' weight lands.
 	store *dcgstore.Store
-	// multi is the full per-build ledger; store is its default
-	// substore, which keeps the pre-versioning tests unchanged.
 	multi *dcgstore.Multi
 	// failNext, when > 0, answers that many requests with a 500
 	// WITHOUT applying them.
@@ -40,7 +40,7 @@ type rootServer struct {
 
 func newRootServer() *rootServer {
 	multi := dcgstore.NewMulti(8)
-	return &rootServer{store: multi.Default(), multi: multi}
+	return &rootServer{store: multi.Lookup(api.ProgramKey{}), multi: multi}
 }
 
 func (rs *rootServer) handler(t testing.TB) http.Handler {
@@ -81,13 +81,11 @@ func (rs *rootServer) handler(t testing.TB) http.Handler {
 				t.Errorf("root: bad seq: %v", err)
 			}
 		}
-		dest := rs.store
-		if prog := r.Header.Get(api.HeaderProgram); prog != "" {
-			dest = rs.multi.For(api.ProgramKey{Program: prog, Version: r.Header.Get(api.HeaderProgramVersion)})
-			if dest == nil {
-				api.WriteError(w, http.StatusServiceUnavailable, api.CodeCapacity, "ledger full")
-				return
-			}
+		dest := rs.multi.For(api.ProgramKey{
+			Program: r.Header.Get(api.HeaderProgram), Version: r.Header.Get(api.HeaderProgramVersion)})
+		if dest == nil {
+			api.WriteError(w, http.StatusServiceUnavailable, api.CodeCapacity, "ledger full")
+			return
 		}
 		applied := dest.MergeDCGFrom(pusher, seq, g)
 		if rs.dropNext.Load() > 0 {
@@ -96,6 +94,13 @@ func (rs *rootServer) handler(t testing.TB) http.Handler {
 		}
 		fmt.Fprintf(w, `{"applied":%v,"duplicate":%v}`, applied, !applied)
 	})
+}
+
+// newLeafStore returns a leaf store family and its zero-key substore,
+// for tests that drive a single unstamped stream.
+func newLeafStore() (*dcgstore.Multi, *dcgstore.Store) {
+	leaf := dcgstore.NewMulti(4)
+	return leaf, leaf.Lookup(api.ProgramKey{})
 }
 
 // fastUpstream returns an api client for the root with near-zero
@@ -206,11 +211,11 @@ func TestReRoutedPusherDoesNotDoubleCountAtRoot(t *testing.T) {
 	defer ts.Close()
 
 	newLeaf := func(id string) (*dcgstore.Store, *Forwarder) {
-		store := dcgstore.New(4)
+		leaf, store := newLeafStore()
 		f, err := NewForwarder(ForwarderConfig{
 			ID:       id,
 			Upstream: fastUpstream(ts.URL),
-			Source:   store.Snapshot,
+			Source:   leaf.Snapshots,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -267,8 +272,8 @@ func TestReRoutedPusherDoesNotDoubleCountAtRoot(t *testing.T) {
 	mustEqualDCG(t, "root vs pusher source", root.store.Snapshot(), src)
 	// And the composition invariant: root == merge of the two leaves'
 	// acknowledged graphs.
-	comp := fwdA.Acknowledged()
-	comp.Merge(fwdB.Acknowledged())
+	comp := fwdA.Acknowledged(api.ProgramKey{})
+	comp.Merge(fwdB.Acknowledged(api.ProgramKey{}))
 	mustEqualDCG(t, "root vs leaf acks", root.store.Snapshot(), comp)
 }
 
@@ -282,9 +287,9 @@ func TestForwarderRestartExactness(t *testing.T) {
 	defer ts.Close()
 
 	statePath := filepath.Join(t.TempDir(), "fwd-state.json")
-	store := dcgstore.New(4)
+	leaf, store := newLeafStore()
 	fwd, err := NewForwarder(ForwarderConfig{
-		ID: "leaf-0", Upstream: fastUpstream(ts.URL), Source: store.Snapshot, StatePath: statePath,
+		ID: "leaf-0", Upstream: fastUpstream(ts.URL), Source: leaf.Snapshots, StatePath: statePath,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -314,7 +319,7 @@ func TestForwarderRestartExactness(t *testing.T) {
 
 	// "Crash": rebuild the forwarder from the write-ahead state alone.
 	fwd2, err := NewForwarder(ForwarderConfig{
-		ID: "leaf-0", Upstream: fastUpstream(ts.URL), Source: store.Snapshot, StatePath: statePath,
+		ID: "leaf-0", Upstream: fastUpstream(ts.URL), Source: leaf.Snapshots, StatePath: statePath,
 	})
 	if err != nil {
 		t.Fatalf("restart: %v", err)
@@ -331,12 +336,12 @@ func TestForwarderRestartExactness(t *testing.T) {
 		t.Errorf("root deduplicated %d increments, want 1", d)
 	}
 	mustEqualDCG(t, "root vs leaf store", root.store.Snapshot(), store.Snapshot())
-	mustEqualDCG(t, "root vs restarted acked", root.store.Snapshot(), fwd2.Acknowledged())
+	mustEqualDCG(t, "root vs restarted acked", root.store.Snapshot(), fwd2.Acknowledged(api.ProgramKey{}))
 
 	// A third restart starts clean: nothing pending, and a flush with
 	// no new weight pushes nothing.
 	fwd3, err := NewForwarder(ForwarderConfig{
-		ID: "leaf-0", Upstream: fastUpstream(ts.URL), Source: store.Snapshot, StatePath: statePath,
+		ID: "leaf-0", Upstream: fastUpstream(ts.URL), Source: leaf.Snapshots, StatePath: statePath,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -351,68 +356,89 @@ func TestForwarderRestartExactness(t *testing.T) {
 // the next flush re-captures the same delta — not the whole store. The
 // regression this pins: rolling back to a nil baseline made the next
 // flush send the full snapshot under a new seq, re-counting weight the
-// root had already acknowledged under earlier sequence numbers.
+// root had already acknowledged under earlier sequence numbers. Every
+// stream rolls back the same way, whichever key it is under and whether
+// or not it had a baseline before the failed capture.
 func TestForwarderPersistFailureConservesWeight(t *testing.T) {
-	root := newRootServer()
-	ts := httptest.NewServer(root.handler(t))
-	defer ts.Close()
+	kA := api.ProgramKey{Program: "compress", Version: "00000000aaaaaaaa"}
+	kB := api.ProgramKey{Program: "compress", Version: "00000000bbbbbbbb"}
+	for _, tc := range []struct {
+		name string
+		// acked is the stream whose first 10 units the root acknowledges
+		// as seq 1; failed the stream that then grows by 5 while the
+		// state dir is gone.
+		acked, failed api.ProgramKey
+	}{
+		{"zero key", api.ProgramKey{}, api.ProgramKey{}},
+		{"keyed with a prior baseline", kA, kA},
+		{"keyed first capture", api.ProgramKey{}, kB},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			root := newRootServer()
+			ts := httptest.NewServer(root.handler(t))
+			defer ts.Close()
 
-	stateDir := filepath.Join(t.TempDir(), "state")
-	if err := os.MkdirAll(stateDir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	store := dcgstore.New(4)
-	fwd, err := NewForwarder(ForwarderConfig{
-		ID:        "leaf-0",
-		Upstream:  fastUpstream(ts.URL),
-		Source:    store.Snapshot,
-		StatePath: filepath.Join(stateDir, "fwd-state.json"),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+			stateDir := filepath.Join(t.TempDir(), "state")
+			if err := os.MkdirAll(stateDir, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			leaf := dcgstore.NewMulti(4)
+			fwd, err := NewForwarder(ForwarderConfig{
+				ID:        "leaf-0",
+				Upstream:  fastUpstream(ts.URL),
+				Source:    leaf.Snapshots,
+				StatePath: filepath.Join(stateDir, "fwd-state.json"),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	// Seq 1 forwards and acks 10 weight.
-	g1 := profile.NewDCG()
-	g1.AddSample(edge(1, 2, 3), 10)
-	store.MergeDCGFrom("vm-1", 1, g1)
-	if resp, err := fwd.Flush(); err != nil || !resp.Forwarded || resp.Seq != 1 {
-		t.Fatalf("first flush: resp=%+v err=%v", resp, err)
-	}
+			// Seq 1 forwards and acks 10 weight.
+			g1 := profile.NewDCG()
+			g1.AddSample(edge(1, 2, 3), 10)
+			leaf.For(tc.acked).MergeDCGFrom("vm-1", 1, g1)
+			if resp, err := fwd.Flush(); err != nil || !resp.Forwarded || resp.Seq != 1 {
+				t.Fatalf("first flush: resp=%+v err=%v", resp, err)
+			}
 
-	// The store grows by 5, and persisting the next capture fails (the
-	// state directory is gone, so the temp-file create fails).
-	g2 := profile.NewDCG()
-	g2.AddSample(edge(1, 2, 3), 5)
-	store.MergeDCGFrom("vm-1", 2, g2)
-	if err := os.RemoveAll(stateDir); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fwd.Flush(); err == nil {
-		t.Fatal("flush with a failing persist must error")
-	}
-	if p := fwd.Pending(); p != 0 {
-		t.Fatalf("rolled-back capture left %d pending, want 0", p)
-	}
+			// The leaf grows by 5, and persisting the next capture fails
+			// (the state directory is gone, so the temp-file create fails).
+			g2 := profile.NewDCG()
+			g2.AddSample(edge(1, 2, 3), 5)
+			leaf.For(tc.failed).MergeDCGFrom("vm-2", 1, g2)
+			if err := os.RemoveAll(stateDir); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := fwd.Flush(); err == nil {
+				t.Fatal("flush with a failing persist must error")
+			}
+			if p := fwd.Pending(); p != 0 {
+				t.Fatalf("rolled-back capture left %d pending, want 0", p)
+			}
 
-	// Persistence recovers; the next flush must forward ONLY the 5-unit
-	// delta (as seq 2), never re-send the acknowledged 10.
-	if err := os.MkdirAll(stateDir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := fwd.Flush()
-	if err != nil || !resp.Forwarded || resp.Seq != 2 {
-		t.Fatalf("recovery flush: resp=%+v err=%v", resp, err)
-	}
-	if resp.Weight != 5 {
-		t.Errorf("recovery flush captured %v weight, want exactly the 5-unit delta", resp.Weight)
-	}
-	mustEqualDCG(t, "root vs leaf store", root.store.Snapshot(), store.Snapshot())
-	if got, want := root.store.Snapshot().Total(), store.Snapshot().Total(); got != want {
-		t.Errorf("root holds %v weight, leaf holds %v — conservation violated", got, want)
-	}
-	if d := root.store.Stats().Duplicates; d != 0 {
-		t.Errorf("root saw %d duplicates, want 0", d)
+			// Persistence recovers; the next flush must forward ONLY the
+			// 5-unit delta (as seq 2), never re-send the acknowledged 10.
+			if err := os.MkdirAll(stateDir, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			resp, err := fwd.Flush()
+			if err != nil || !resp.Forwarded || resp.Seq != 2 {
+				t.Fatalf("recovery flush: resp=%+v err=%v", resp, err)
+			}
+			if resp.Weight != 5 {
+				t.Errorf("recovery flush captured %v weight, want exactly the 5-unit delta", resp.Weight)
+			}
+			for _, key := range []api.ProgramKey{tc.acked, tc.failed} {
+				mustEqualDCG(t, "root vs leaf "+key.String(), root.multi.Lookup(key).Snapshot(), leaf.Lookup(key).Snapshot())
+				mustEqualDCG(t, "acked vs leaf "+key.String(), fwd.Acknowledged(key), leaf.Lookup(key).Snapshot())
+			}
+			if got, want := root.multi.Stats().TotalWeight, leaf.Stats().TotalWeight; got != want {
+				t.Errorf("root holds %v weight, leaf holds %v — conservation violated", got, want)
+			}
+			if d := root.multi.Stats().Duplicates; d != 0 {
+				t.Errorf("root saw %d duplicates, want 0", d)
+			}
+		})
 	}
 }
 
@@ -424,9 +450,9 @@ func TestForwarderTransientUpstreamFailure(t *testing.T) {
 	ts := httptest.NewServer(root.handler(t))
 	defer ts.Close()
 
-	store := dcgstore.New(4)
+	leaf, store := newLeafStore()
 	fwd, err := NewForwarder(ForwarderConfig{
-		ID: "leaf-0", Upstream: fastUpstream(ts.URL), Source: store.Snapshot,
+		ID: "leaf-0", Upstream: fastUpstream(ts.URL), Source: leaf.Snapshots,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -536,7 +562,7 @@ func TestForwarderRelaysKeyedBuildsAndManifests(t *testing.T) {
 	}
 	gDef := profile.NewDCG()
 	gDef.AddSample(edge(5, 5, 6), 2)
-	leaf.Default().MergeDCGFrom("vm-0", 1, gDef)
+	leaf.For(api.ProgramKey{}).MergeDCGFrom("vm-0", 1, gDef)
 	gA := profile.NewDCG()
 	gA.AddSample(edge(0, 3, 1), 10)
 	leaf.For(kA).MergeDCGFrom("vm-1", 1, gA)
@@ -546,14 +572,7 @@ func TestForwarderRelaysKeyedBuildsAndManifests(t *testing.T) {
 		t.Helper()
 		fwd, err := NewForwarder(ForwarderConfig{
 			ID: "leaf-0", Upstream: fastUpstream(ts.URL),
-			Source: leaf.Default().Snapshot,
-			KeyedSource: func() map[api.ProgramKey]*profile.DCG {
-				out := make(map[api.ProgramKey]*profile.DCG)
-				for _, k := range leaf.Keys() {
-					out[k] = leaf.Lookup(k).Snapshot()
-				}
-				return out
-			},
+			Source:    leaf.Snapshots,
 			Manifests: leaf.ManifestsInOrder,
 			StatePath: statePath,
 		})
@@ -599,8 +618,17 @@ func TestForwarderRelaysKeyedBuildsAndManifests(t *testing.T) {
 	}
 	mustEqualDCG(t, "root build A after growth", root.multi.Lookup(kA).Snapshot(), leaf.Lookup(kA).Snapshot())
 	mustEqualDCG(t, "root build B", root.multi.Lookup(kB).Snapshot(), leaf.Lookup(kB).Snapshot())
-	mustEqualDCG(t, "acked keyed A", fwd.AcknowledgedKeyed(kA), leaf.Lookup(kA).Snapshot())
-	mustEqualDCG(t, "acked keyed B", fwd.AcknowledgedKeyed(kB), leaf.Lookup(kB).Snapshot())
+	mustEqualDCG(t, "acked keyed A", fwd.Acknowledged(kA), leaf.Lookup(kA).Snapshot())
+	mustEqualDCG(t, "acked keyed B", fwd.Acknowledged(kB), leaf.Lookup(kB).Snapshot())
+	// The heartbeat and /metrics figures count every stream, not just
+	// the zero key's.
+	want := leaf.Stats()
+	if st := fwd.Status(""); st.Edges != want.Edges || st.Weight != want.TotalWeight {
+		t.Errorf("status reports %d edges / %v weight, leaf holds %d / %v", st.Edges, st.Weight, want.Edges, want.TotalWeight)
+	}
+	if m := fwd.Metrics(); m.AckEdges != want.Edges || m.AckWeight != want.TotalWeight {
+		t.Errorf("metrics report %d edges / %v weight, leaf holds %d / %v", m.AckEdges, m.AckWeight, want.Edges, want.TotalWeight)
+	}
 
 	// Restart from the write-ahead state: nothing pending, an idle
 	// flush moves nothing, and the keyed ledgers still agree — the
@@ -614,5 +642,5 @@ func TestForwarderRelaysKeyedBuildsAndManifests(t *testing.T) {
 	}
 	mustEqualDCG(t, "root build A after restart", root.multi.Lookup(kA).Snapshot(), leaf.Lookup(kA).Snapshot())
 	mustEqualDCG(t, "root build B after restart", root.multi.Lookup(kB).Snapshot(), leaf.Lookup(kB).Snapshot())
-	mustEqualDCG(t, "acked keyed A after restart", fwd2.AcknowledgedKeyed(kA), leaf.Lookup(kA).Snapshot())
+	mustEqualDCG(t, "acked keyed A after restart", fwd2.Acknowledged(kA), leaf.Lookup(kA).Snapshot())
 }

@@ -7,26 +7,31 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
-	"path/filepath"
-	"sort"
 	"sync"
 
 	"gocbs/internal/api"
+	"gocbs/internal/atomicfile"
 	"gocbs/internal/bytecode"
 	"gocbs/internal/profile"
 )
 
 // Forwarder streams a leaf store's accumulated weight upstream to the
 // root as stamped, exactly-once increments — the leaf-side half of the
-// federation tentpole. It is a DeltaPusher grown a write-ahead state
-// file: every capture is persisted *before* the first push attempt, so
-// a leaf that crashes after a push whose response was lost re-sends
-// the identical frozen increment on restart and the root deduplicates
-// it by (pusher, seq) — weight can neither vanish nor double-count
-// across a leaf restart.
+// federation tentpole. The leaf store is keyed from the start and so is
+// the forwarder: one stream per api.ProgramKey, the zero key's (pushes
+// that carried no program identity) among them, each forwarded to the
+// same substore at the root so version isolation survives federation
+// end to end. It is a DeltaPusher grown a write-ahead state file: every
+// capture is persisted *before* the first push attempt, so a leaf that
+// crashes after a push whose response was lost re-sends the identical
+// frozen increment on restart and the root deduplicates it by (pusher,
+// seq) — weight can neither vanish nor double-count across a leaf
+// restart.
 //
-// Crash matrix (state file written atomically via temp + rename):
+// Crash matrix, the same for every stream (state file replaced
+// atomically, atomicfile.Write):
 //
 //   - crash before capture persists: the weight is still in the
 //     store snapshot; the next capture picks it up under a new seq.
@@ -35,21 +40,18 @@ import (
 //     push had actually landed, the root drops it as a duplicate.
 //   - crash after the ack persists: nothing outstanding.
 //
-// The store snapshot the forwarder captures from must never shrink
+// The store snapshots the forwarder captures from must never shrink
 // (leaves do not decay locally — decay is the root's job), and on a
 // graceful restart the leaf checkpoints its store alongside this
-// state, so the restored snapshot is always >= the persisted capture
+// state, so each restored snapshot is always >= its persisted capture
 // baseline.
 type Forwarder struct {
 	// ID is the leaf's upstream pusher identity.
 	id string
 	// upstream is the api client aimed at the root.
 	upstream *api.Client
-	// source returns the leaf store's consistent snapshot.
-	source func() *profile.DCG
-	// keyedSource returns per-(program, version) snapshots; nil leaves
-	// forward only the default stream.
-	keyedSource func() map[api.ProgramKey]*profile.DCG
+	// source returns a consistent snapshot of every leaf substore.
+	source func() map[api.ProgramKey]*profile.DCG
 	// manifests returns the leaf's registered manifests in registration
 	// order, for upward relay; nil skips manifest relay.
 	manifests func() []*bytecode.Manifest
@@ -57,24 +59,22 @@ type Forwarder struct {
 	statePath string
 
 	mu sync.Mutex
-	// last is the snapshot baseline of the previous capture.
-	last *profile.DCG
-	// lastKeyed is the per-build capture baseline.
-	lastKeyed map[api.ProgramKey]*profile.DCG
+	// last is each stream's snapshot baseline at its previous capture.
+	// Baselines are replaced, never mutated, so a shallow copy of the
+	// map is a rollback point.
+	last map[api.ProgramKey]*profile.DCG
 	// seq is the last allocated sequence number. One counter stamps
-	// both the default and every keyed stream: the root deduplicates
-	// per substore against a per-pusher high-water mark, and each
-	// stream sees a strictly increasing subsequence of one counter.
+	// every stream: the root deduplicates per substore against a
+	// per-pusher high-water mark, and each stream sees a strictly
+	// increasing subsequence of one counter.
 	seq uint64
 	// pending holds captured-but-unacknowledged increments in
 	// sequence order, frozen (bytes never change once stamped).
 	pending []stampedDelta
-	// acked accumulates every default-stream increment the root
+	// acked accumulates, per stream, every increment the root
 	// acknowledged — by construction exactly the graph the root owes
-	// this leaf.
-	acked *profile.DCG
-	// ackedKeyed is the same accounting per build.
-	ackedKeyed map[api.ProgramKey]*profile.DCG
+	// this leaf for that stream.
+	acked map[api.ProgramKey]*profile.DCG
 	// sentManifests records which manifests the root has acknowledged;
 	// relay is at-least-once and the root registers idempotently.
 	sentManifests map[api.ProgramKey]bool
@@ -83,8 +83,8 @@ type Forwarder struct {
 	errs     uint64
 }
 
-// stampedDelta is one frozen increment. A zero key targets the root's
-// default substore; a non-zero key its (program, version) substore.
+// stampedDelta is one frozen increment, bound for the root substore
+// under key.
 type stampedDelta struct {
 	seq   uint64
 	key   api.ProgramKey
@@ -98,17 +98,12 @@ type ForwarderConfig struct {
 	ID string
 	// Upstream is the api client aimed at the root. Required.
 	Upstream *api.Client
-	// Source returns the leaf store's consistent snapshot. Required.
-	Source func() *profile.DCG
-	// KeyedSource returns per-(program, version) snapshots of the
-	// leaf's keyed substores. Optional: nil forwards only the default
-	// stream (the pre-versioning behaviour). Each keyed graph is
-	// forwarded to the same substore at the root, so version isolation
-	// survives federation end to end.
-	KeyedSource func() map[api.ProgramKey]*profile.DCG
+	// Source returns a consistent snapshot of every leaf substore by
+	// key (dcgstore.Multi.Snapshots). Required.
+	Source func() map[api.ProgramKey]*profile.DCG
 	// Manifests returns the leaf's registered manifests in
-	// registration order, relayed upstream (before any keyed deltas)
-	// so the root can run its own carry-forward. Optional.
+	// registration order, relayed upstream (before any deltas) so the
+	// root can run its own carry-forward. Optional.
 	Manifests func() []*bytecode.Manifest
 	// StatePath, when non-empty, persists the forwarder's write-ahead
 	// state (capture baselines, sequence counter, pending increments)
@@ -132,12 +127,10 @@ func NewForwarder(cfg ForwarderConfig) (*Forwarder, error) {
 		id:            cfg.ID,
 		upstream:      cfg.Upstream,
 		source:        cfg.Source,
-		keyedSource:   cfg.KeyedSource,
 		manifests:     cfg.Manifests,
 		statePath:     cfg.StatePath,
-		acked:         profile.NewDCG(),
-		lastKeyed:     make(map[api.ProgramKey]*profile.DCG),
-		ackedKeyed:    make(map[api.ProgramKey]*profile.DCG),
+		last:          make(map[api.ProgramKey]*profile.DCG),
+		acked:         make(map[api.ProgramKey]*profile.DCG),
 		sentManifests: make(map[api.ProgramKey]bool),
 	}
 	if cfg.StatePath != "" {
@@ -166,9 +159,9 @@ func newLeafID() string {
 // ID returns the leaf's upstream pusher identity.
 func (f *Forwarder) ID() string { return f.id }
 
-// Flush relays any newly registered manifests, captures the weight the
-// store (default and keyed substores alike) accumulated since the
-// previous capture as new stamped increments, persists the state, then
+// Flush relays any newly registered manifests, captures the weight
+// every substore accumulated since its previous capture as new stamped
+// increments (in canonical key order), persists the state, then
 // pushes every pending increment upstream in order. A flush with
 // nothing new and nothing pending is a no-op. The returned response
 // reports what this flush captured and what remains pending (non-zero
@@ -206,63 +199,34 @@ func (f *Forwarder) Flush() (api.FlushResponse, error) {
 	}
 
 	// Capture phase: one write-ahead persist covers every stream's
-	// capture, with a full rollback on persist failure so the next
-	// flush re-captures the identical deltas under the same seqs.
-	type rollback struct {
-		key  api.ProgramKey
-		prev *profile.DCG
-		def  bool
-	}
-	var rollbacks []rollback
-	capture := func(key api.ProgramKey, def bool, cur, base *profile.DCG) *profile.DCG {
-		delta := cur.DeltaSince(base)
+	// capture. The baselines advance in a copy of the map, so a failed
+	// persist rolls back by dropping the copy.
+	prev, seq0, pending0 := f.last, f.seq, len(f.pending)
+	f.last = maps.Clone(prev)
+	cur := f.source()
+	for _, k := range api.SortedKeys(cur) {
+		delta := cur[k].DeltaSince(prev[k])
 		if delta.NumEdges() == 0 {
-			return base
+			continue
 		}
-		rollbacks = append(rollbacks, rollback{key: key, prev: base, def: def})
 		f.seq++
-		f.pending = append(f.pending, stampedDelta{seq: f.seq, key: key, delta: delta})
+		f.pending = append(f.pending, stampedDelta{seq: f.seq, key: k, delta: delta})
+		f.last[k] = cur[k].Clone()
 		resp.Edges += delta.NumEdges()
 		resp.Weight += delta.Total()
-		return cur.Clone()
 	}
-	f.last = capture(api.ProgramKey{}, true, f.source(), f.last)
-	if f.keyedSource != nil {
-		keyed := f.keyedSource()
-		keys := make([]api.ProgramKey, 0, len(keyed))
-		for k := range keyed {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i].String() < keys[j].String() })
-		for _, k := range keys {
-			if next := capture(k, false, keyed[k], f.lastKeyed[k]); next != nil {
-				f.lastKeyed[k] = next
-			}
-		}
-	}
-	if len(rollbacks) > 0 {
+	if f.seq > seq0 {
 		// Write-ahead: the captures must hit disk before the first push
 		// attempt, or a crash after a successful push would re-capture
 		// and double-send this weight under new stamps.
 		if err := f.persistLocked(); err != nil {
 			// Roll every capture back to its PRIOR baseline, so the next
 			// flush re-captures exactly these deltas (plus anything
-			// newer) under the same seqs. Resetting a baseline to nil
-			// instead would re-capture the whole stream — weight the
-			// root already acknowledged under earlier seqs,
-			// double-counted under fresh stamps.
-			f.pending = f.pending[:len(f.pending)-len(rollbacks)]
-			f.seq -= uint64(len(rollbacks))
-			for _, rb := range rollbacks {
-				switch {
-				case rb.def:
-					f.last = rb.prev
-				case rb.prev == nil:
-					delete(f.lastKeyed, rb.key)
-				default:
-					f.lastKeyed[rb.key] = rb.prev
-				}
-			}
+			// newer) under the same seqs. Dropping a baseline instead
+			// would re-capture the whole stream — weight the root
+			// already acknowledged under earlier seqs, double-counted
+			// under fresh stamps.
+			f.last, f.seq, f.pending = prev, seq0, f.pending[:pending0]
 			f.errs++
 			resp.Edges, resp.Weight = 0, 0
 			return resp, fmt.Errorf("federation: persist capture: %w", err)
@@ -278,14 +242,10 @@ func (f *Forwarder) Flush() (api.FlushResponse, error) {
 			return resp, fmt.Errorf("federation: forward seq %d: %w", head.seq, err)
 		}
 		f.pending = f.pending[1:]
-		if head.key.IsZero() {
-			f.acked.Merge(head.delta)
-		} else {
-			if f.ackedKeyed[head.key] == nil {
-				f.ackedKeyed[head.key] = profile.NewDCG()
-			}
-			f.ackedKeyed[head.key].Merge(head.delta)
+		if f.acked[head.key] == nil {
+			f.acked[head.key] = profile.NewDCG()
 		}
+		f.acked[head.key].Merge(head.delta)
 		f.forwards++
 		if err := f.persistLocked(); err != nil {
 			// The ack is applied in memory; a stale state file only
@@ -311,24 +271,27 @@ func (f *Forwarder) ackedSeqLocked() uint64 {
 	return f.seq
 }
 
-// Acknowledged returns a clone of the cumulative default-stream graph
-// the root has acknowledged from this leaf — what the conservation
-// checker holds the root accountable for.
-func (f *Forwarder) Acknowledged() *profile.DCG {
+// Acknowledged returns a clone of the cumulative graph the root has
+// acknowledged from this leaf for key's stream — what the conservation
+// checker holds the root accountable for; an empty graph when the root
+// has acknowledged nothing for that stream.
+func (f *Forwarder) Acknowledged(key api.ProgramKey) *profile.DCG {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.acked.Clone()
-}
-
-// AcknowledgedKeyed is Acknowledged for one (program, version) stream;
-// an empty graph when the root has acknowledged nothing for that build.
-func (f *Forwarder) AcknowledgedKeyed(key api.ProgramKey) *profile.DCG {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if g := f.ackedKeyed[key]; g != nil {
+	if g := f.acked[key]; g != nil {
 		return g.Clone()
 	}
 	return profile.NewDCG()
+}
+
+// ackedSizeLocked sums the acknowledged graphs of every stream (in key
+// order, so the float sum is reproducible).
+func (f *Forwarder) ackedSizeLocked() (edges int, weight float64) {
+	for _, k := range api.SortedKeys(f.acked) {
+		edges += f.acked[k].NumEdges()
+		weight += f.acked[k].Total()
+	}
+	return edges, weight
 }
 
 // Pending reports how many captured increments await acknowledgement.
@@ -342,12 +305,13 @@ func (f *Forwarder) Pending() int {
 func (f *Forwarder) Status(addr string) api.LeafStatus {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	edges, weight := f.ackedSizeLocked()
 	return api.LeafStatus{
 		ID:     f.id,
 		Addr:   addr,
 		Seq:    f.ackedSeqLocked(),
-		Edges:  f.acked.NumEdges(),
-		Weight: f.acked.Total(),
+		Edges:  edges,
+		Weight: weight,
 	}
 }
 
@@ -355,45 +319,61 @@ func (f *Forwarder) Status(addr string) api.LeafStatus {
 func (f *Forwarder) Metrics() *api.ForwardMetrics {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	edges, weight := f.ackedSizeLocked()
 	return &api.ForwardMetrics{
 		Seq:       f.seq,
 		Pending:   len(f.pending),
 		Forwards:  f.forwards,
 		Errors:    f.errs,
-		AckEdges:  f.acked.NumEdges(),
-		AckWeight: f.acked.Total(),
+		AckEdges:  edges,
+		AckWeight: weight,
 	}
 }
 
 // forwarderState is the on-disk write-ahead state. Graph payloads are
-// the canonical DCGB wire format (base64 in JSON).
+// the canonical DCGB wire format (base64 in JSON). The layout predates
+// keyed streams, so the zero key's baseline and acked graph sit in
+// top-level fields and every other stream's in Keyed; setStream and
+// streams are the only code that knows.
 type forwarderState struct {
 	ID      string         `json:"id"`
 	Seq     uint64         `json:"seq"`
 	Last    []byte         `json:"last,omitempty"`
 	Acked   []byte         `json:"acked,omitempty"`
 	Pending []pendingState `json:"pending,omitempty"`
-	// Keyed carries the per-build baselines and acked graphs, in
-	// canonical key order; SentManifests the manifests the root has
-	// already acknowledged.
-	Keyed         []keyedState     `json:"keyed,omitempty"`
+	// Keyed is in canonical key order; SentManifests lists the
+	// manifests the root has already acknowledged.
+	Keyed         []streamState    `json:"keyed,omitempty"`
 	SentManifests []api.ProgramKey `json:"sent_manifests,omitempty"`
 }
 
 type pendingState struct {
 	Seq uint64 `json:"seq"`
-	// Program/Version name the target substore; empty targets the
-	// default stream.
+	// Program/Version name the target substore (both empty: the zero
+	// key's).
 	Program string `json:"program,omitempty"`
 	Version string `json:"version,omitempty"`
 	Delta   []byte `json:"delta"`
 }
 
-type keyedState struct {
+// streamState is one stream's capture baseline and acked graph.
+type streamState struct {
 	Program string `json:"program"`
 	Version string `json:"version"`
 	Last    []byte `json:"last,omitempty"`
 	Acked   []byte `json:"acked,omitempty"`
+}
+
+func (st *forwarderState) setStream(ss streamState) {
+	if ss.Program == "" && ss.Version == "" {
+		st.Last, st.Acked = ss.Last, ss.Acked
+		return
+	}
+	st.Keyed = append(st.Keyed, ss)
+}
+
+func (st *forwarderState) streams() []streamState {
+	return append([]streamState{{Last: st.Last, Acked: st.Acked}}, st.Keyed...)
 }
 
 func encodeDCG(g *profile.DCG) []byte {
@@ -409,78 +389,34 @@ func decodeDCG(b []byte) (*profile.DCG, error) {
 	return profile.ReadDCG(bytes.NewReader(b))
 }
 
-// persistLocked writes the state atomically (temp file + rename into
-// place), a no-op without a StatePath.
+// persistLocked replaces the state file atomically, a no-op without a
+// StatePath.
 func (f *Forwarder) persistLocked() error {
 	if f.statePath == "" {
 		return nil
 	}
 	st := forwarderState{ID: f.id, Seq: f.seq}
-	if f.last != nil {
-		st.Last = encodeDCG(f.last)
-	}
-	if f.acked.NumEdges() > 0 {
-		st.Acked = encodeDCG(f.acked)
-	}
 	for _, p := range f.pending {
 		st.Pending = append(st.Pending, pendingState{
 			Seq: p.seq, Program: p.key.Program, Version: p.key.Version, Delta: encodeDCG(p.delta),
 		})
 	}
-	keys := make([]api.ProgramKey, 0, len(f.lastKeyed)+len(f.ackedKeyed))
-	seen := make(map[api.ProgramKey]bool)
-	for k := range f.lastKeyed {
-		if !seen[k] {
-			seen[k] = true
-			keys = append(keys, k)
+	// Every acked stream has a baseline (an increment is captured, which
+	// sets the baseline, before it can be acknowledged), so the
+	// baselines' keys are all the streams there are.
+	for _, k := range api.SortedKeys(f.last) {
+		ss := streamState{Program: k.Program, Version: k.Version, Last: encodeDCG(f.last[k])}
+		if g := f.acked[k]; g != nil && g.NumEdges() > 0 {
+			ss.Acked = encodeDCG(g)
 		}
+		st.setStream(ss)
 	}
-	for k := range f.ackedKeyed {
-		if !seen[k] {
-			seen[k] = true
-			keys = append(keys, k)
-		}
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].String() < keys[j].String() })
-	for _, k := range keys {
-		ks := keyedState{Program: k.Program, Version: k.Version}
-		if g := f.lastKeyed[k]; g != nil {
-			ks.Last = encodeDCG(g)
-		}
-		if g := f.ackedKeyed[k]; g != nil && g.NumEdges() > 0 {
-			ks.Acked = encodeDCG(g)
-		}
-		st.Keyed = append(st.Keyed, ks)
-	}
-	for k := range f.sentManifests {
-		st.SentManifests = append(st.SentManifests, k)
-	}
-	sort.Slice(st.SentManifests, func(i, j int) bool {
-		return st.SentManifests[i].String() < st.SentManifests[j].String()
-	})
+	st.SentManifests = api.SortedKeys(f.sentManifests)
 	data, err := json.Marshal(st)
 	if err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(f.statePath), ".fwd-*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return os.Rename(tmp.Name(), f.statePath)
+	return atomicfile.Write(f.statePath, bytes.NewReader(data))
 }
 
 // restore loads persisted state; a missing file is a fresh start.
@@ -502,16 +438,6 @@ func (f *Forwarder) restore(path, wantID string) error {
 	}
 	f.id = st.ID
 	f.seq = st.Seq
-	if f.last, err = decodeDCG(st.Last); err != nil {
-		return fmt.Errorf("federation: corrupt capture baseline in %s: %w", path, err)
-	}
-	acked, err := decodeDCG(st.Acked)
-	if err != nil {
-		return fmt.Errorf("federation: corrupt acked graph in %s: %w", path, err)
-	}
-	if acked != nil {
-		f.acked = acked
-	}
 	for _, p := range st.Pending {
 		d, err := decodeDCG(p.Delta)
 		if err != nil {
@@ -521,17 +447,17 @@ func (f *Forwarder) restore(path, wantID string) error {
 			seq: p.Seq, key: api.ProgramKey{Program: p.Program, Version: p.Version}, delta: d,
 		})
 	}
-	for _, ks := range st.Keyed {
-		key := api.ProgramKey{Program: ks.Program, Version: ks.Version}
-		if last, err := decodeDCG(ks.Last); err != nil {
-			return fmt.Errorf("federation: corrupt keyed baseline %s in %s: %w", key.String(), path, err)
+	for _, ss := range st.streams() {
+		key := api.ProgramKey{Program: ss.Program, Version: ss.Version}
+		if last, err := decodeDCG(ss.Last); err != nil {
+			return fmt.Errorf("federation: corrupt capture baseline %s in %s: %w", key.String(), path, err)
 		} else if last != nil {
-			f.lastKeyed[key] = last
+			f.last[key] = last
 		}
-		if acked, err := decodeDCG(ks.Acked); err != nil {
-			return fmt.Errorf("federation: corrupt keyed acked graph %s in %s: %w", key.String(), path, err)
+		if acked, err := decodeDCG(ss.Acked); err != nil {
+			return fmt.Errorf("federation: corrupt acked graph %s in %s: %w", key.String(), path, err)
 		} else if acked != nil {
-			f.ackedKeyed[key] = acked
+			f.acked[key] = acked
 		}
 	}
 	for _, k := range st.SentManifests {

@@ -30,14 +30,7 @@ func goldenForwarder(t *testing.T, leaf *dcgstore.Multi, rootURL, statePath stri
 	t.Helper()
 	fwd, err := NewForwarder(ForwarderConfig{
 		ID: "leaf-golden", Upstream: fastUpstream(rootURL),
-		Source: leaf.Default().Snapshot,
-		KeyedSource: func() map[api.ProgramKey]*profile.DCG {
-			out := make(map[api.ProgramKey]*profile.DCG)
-			for _, k := range leaf.Keys() {
-				out[k] = leaf.Lookup(k).Snapshot()
-			}
-			return out
-		},
+		Source:    leaf.Snapshots,
 		Manifests: leaf.ManifestsInOrder,
 		StatePath: statePath,
 	})
@@ -66,10 +59,10 @@ func goldenLeaf(t *testing.T, phases int) *dcgstore.Multi {
 	if _, _, err := leaf.RegisterManifest(manA); err != nil {
 		t.Fatal(err)
 	}
-	leaf.Default().MergeDCGFrom("vm-0", 1, graph(5, 5, 6, 2))
+	leaf.For(api.ProgramKey{}).MergeDCGFrom("vm-0", 1, graph(5, 5, 6, 2))
 	leaf.For(goldenA).MergeDCGFrom("vm-1", 1, graph(0, 3, 1, 10))
 	if phases > 1 {
-		leaf.Default().MergeDCGFrom("vm-0", 2, graph(5, 5, 7, 3))
+		leaf.For(api.ProgramKey{}).MergeDCGFrom("vm-0", 2, graph(5, 5, 7, 3))
 		leaf.For(goldenA).MergeDCGFrom("vm-1", 2, graph(0, 3, 1, 5))
 		leaf.For(goldenB).MergeDCGFrom("vm-2", 1, graph(0, 3, 2, 7))
 	}
@@ -171,7 +164,7 @@ func TestGoldenForwardState(t *testing.T) {
 			t.Errorf("arrival %d = %v, want %v", i, arrivals[i], want[i])
 		}
 	}
-	mustEqualDCG(t, "acked unstamped", fwd.Acknowledged(), leaf.Default().Snapshot())
-	mustEqualDCG(t, "acked build A", fwd.AcknowledgedKeyed(goldenA), leaf.Lookup(goldenA).Snapshot())
-	mustEqualDCG(t, "acked build B", fwd.AcknowledgedKeyed(goldenB), leaf.Lookup(goldenB).Snapshot())
+	for _, key := range []api.ProgramKey{{}, goldenA, goldenB} {
+		mustEqualDCG(t, "acked "+key.String(), fwd.Acknowledged(key), leaf.Lookup(key).Snapshot())
+	}
 }

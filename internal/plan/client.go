@@ -54,15 +54,10 @@ func (c *Client) SetHTTPClient(hc *http.Client) {
 	}
 }
 
-// Fetch returns the daemon's current plan for its canonical build of a
-// program — FetchVersion with no version constraint.
-func (c *Client) Fetch(program string) (p *Plan, changed bool, err error) {
-	return c.FetchVersion(program, "")
-}
-
 // FetchVersion returns the daemon's current plan for one build of a
-// program and whether it changed since this client's previous fetch. A
-// non-empty version demands that exact build: a daemon that cannot
+// program and whether it changed since this client's previous fetch. An
+// empty version asks for the daemon's canonical build; a non-empty one
+// demands that exact build: a daemon that cannot
 // produce it answers 404 (surfaced as an error here), and a plan that
 // decodes with a different version is rejected on the client side too —
 // applying another build's decisions is never acceptable. A 304 Not

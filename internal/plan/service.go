@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"gocbs/internal/atomicfile"
 	"gocbs/internal/bytecode"
 	"gocbs/internal/profile"
 )
@@ -131,16 +132,10 @@ func (s *Service) Stats() ServiceStats {
 	}
 }
 
-// PlanFor returns the current plan for the daemon's canonical build of
-// a program — PlanForVersion with no version constraint.
-func (s *Service) PlanFor(program string) (*Plan, error) {
-	return s.PlanForVersion(program, "")
-}
-
 // PlanForVersion returns the current plan for one build of a program,
 // recompiling only when that build's aggregated graph has changed since
-// the cached plan was compiled. A non-empty version demands that exact
-// build: if the resolver cannot produce it the request fails with
+// the cached plan was compiled. An empty version asks for the daemon's
+// canonical build; a non-empty one demands that exact build: if the resolver cannot produce it the request fails with
 // ErrUnknownVersion instead of serving a plan whose decisions would
 // silently misapply. The first request for a build compiles its
 // pristine bytecode and, with a state dir, restores the persisted prior
@@ -302,8 +297,8 @@ func (s *Service) restore(program, version string) *Plan {
 	return p
 }
 
-// persist atomically writes the plan file (write-temp-then-rename, the
-// same discipline as the store checkpoints).
+// persist atomically replaces the plan file (the same discipline as the
+// store checkpoints).
 func (s *Service) persist(program, version string, p *Plan) error {
 	if s.cfg.StateDir == "" {
 		return nil
@@ -311,22 +306,5 @@ func (s *Service) persist(program, version string, p *Plan) error {
 	if err := os.MkdirAll(s.cfg.StateDir, 0o755); err != nil {
 		return err
 	}
-	path := planFile(s.cfg.StateDir, program, version)
-	tmp, err := os.CreateTemp(s.cfg.StateDir, "plan-*.tmp")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := p.WriteTo(tmp); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+	return atomicfile.Write(planFile(s.cfg.StateDir, program, version), p)
 }

@@ -61,7 +61,7 @@ func TestServiceCachesUntilStoreChanges(t *testing.T) {
 	fs := &fakeStore{graph: exhaustiveGraph(t, pristine.Clone(), b.Small, 3), merges: 1}
 	svc := fs.service(t, "")
 
-	p1, err := svc.PlanFor("compress")
+	p1, err := svc.PlanForVersion("compress", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestServiceCachesUntilStoreChanges(t *testing.T) {
 	}
 	// Same store version: served from cache, no new snapshot.
 	before := fs.snapshots
-	p2, err := svc.PlanFor("compress")
+	p2, err := svc.PlanForVersion("compress", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestServiceCachesUntilStoreChanges(t *testing.T) {
 	// Version bump with unchanged content: recompiles, but the prior
 	// is returned verbatim and counted as unchanged.
 	fs.merges++
-	p3, err := svc.PlanFor("compress")
+	p3, err := svc.PlanForVersion("compress", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestServiceCachesUntilStoreChanges(t *testing.T) {
 	// new epoch with the profile-driven decisions gone.
 	fs.graph = profile.NewDCG()
 	fs.merges++
-	p4, err := svc.PlanFor("compress")
+	p4, err := svc.PlanForVersion("compress", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,10 +116,10 @@ func TestServiceCachesUntilStoreChanges(t *testing.T) {
 func TestServiceUnknownProgram(t *testing.T) {
 	fs := &fakeStore{graph: profile.NewDCG()}
 	svc := fs.service(t, "")
-	if _, err := svc.PlanFor("no-such-benchmark"); !errors.Is(err, plan.ErrUnknownProgram) {
+	if _, err := svc.PlanForVersion("no-such-benchmark", ""); !errors.Is(err, plan.ErrUnknownProgram) {
 		t.Errorf("unknown benchmark: err = %v, want ErrUnknownProgram", err)
 	}
-	if _, err := svc.PlanFor("../escape"); !errors.Is(err, plan.ErrUnknownProgram) {
+	if _, err := svc.PlanForVersion("../escape", ""); !errors.Is(err, plan.ErrUnknownProgram) {
 		t.Errorf("invalid name: err = %v, want ErrUnknownProgram", err)
 	}
 	if st := svc.Stats(); st.Errors == 0 {
@@ -139,7 +139,7 @@ func TestServiceEpochSurvivesRestart(t *testing.T) {
 
 	fs1 := &fakeStore{graph: g, merges: 1}
 	svc1 := fs1.service(t, dir)
-	p1, err := svc1.PlanFor("compress")
+	p1, err := svc1.PlanForVersion("compress", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestServiceEpochSurvivesRestart(t *testing.T) {
 	// preserve.
 	fs1.graph = profile.NewDCG()
 	fs1.merges++
-	p2, err := svc1.PlanFor("compress")
+	p2, err := svc1.PlanForVersion("compress", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestServiceEpochSurvivesRestart(t *testing.T) {
 	// "Restart": fresh service, same state dir, same (restored) graph.
 	fs2 := &fakeStore{graph: fs1.graph.Clone(), merges: 1}
 	svc2 := fs2.service(t, dir)
-	p3, err := svc2.PlanFor("compress")
+	p3, err := svc2.PlanForVersion("compress", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestServiceEpochSurvivesRestart(t *testing.T) {
 	// returns, so the profile-driven decisions come back as epoch 3).
 	fs2.graph = g.Clone()
 	fs2.merges++
-	p4, err := svc2.PlanFor("compress")
+	p4, err := svc2.PlanForVersion("compress", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,12 +188,12 @@ func TestServiceInvalidateForcesRecompile(t *testing.T) {
 	b := bench.ByName("compress")
 	fs := &fakeStore{graph: exhaustiveGraph(t, pristine.Clone(), b.Small, 3), merges: 1}
 	svc := fs.service(t, "")
-	if _, err := svc.PlanFor("compress"); err != nil {
+	if _, err := svc.PlanForVersion("compress", ""); err != nil {
 		t.Fatal(err)
 	}
 	before := fs.snapshots
 	svc.Invalidate()
-	if _, err := svc.PlanFor("compress"); err != nil {
+	if _, err := svc.PlanForVersion("compress", ""); err != nil {
 		t.Fatal(err)
 	}
 	if fs.snapshots == before {
@@ -217,12 +217,12 @@ func TestServiceRestoreRefusesForeignPlan(t *testing.T) {
 	fs := &fakeStore{graph: g, merges: 1}
 	seedDir := t.TempDir()
 	svc := fs.service(t, seedDir)
-	if _, err := svc.PlanFor("compress"); err != nil {
+	if _, err := svc.PlanForVersion("compress", ""); err != nil {
 		t.Fatal(err)
 	}
 	fs.graph = profile.NewDCG()
 	fs.merges++
-	p2, err := svc.PlanFor("compress")
+	p2, err := svc.PlanForVersion("compress", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestServiceRestoreRefusesForeignPlan(t *testing.T) {
 	restartEpoch := func(dir string) uint64 {
 		t.Helper()
 		fresh := &fakeStore{graph: fs.graph.Clone(), merges: 1}
-		p, err := fresh.service(t, dir).PlanFor("compress")
+		p, err := fresh.service(t, dir).PlanForVersion("compress", "")
 		if err != nil {
 			t.Fatal(err)
 		}
