@@ -14,7 +14,7 @@ SOAK_SEED ?= 0
 # replays with GEN_SEED=<printed seed>.
 GEN_SEED ?= 0
 
-.PHONY: all tier1 loc build build-cmds test test-race test-daemon test-recovery test-plan test-fleet test-federation test-mincover test-workload soak soak-gen vet vet-cmds ci bench bench-smoke bench-baseline benchmark-smoke
+.PHONY: all tier1 loc build build-cmds test test-race test-daemon test-recovery test-plan test-fleet test-federation test-mincover test-workload soak soak-gen vet vet-cmds ci bench bench-vm bench-smoke bench-baseline benchmark-smoke
 
 all: tier1
 
@@ -151,6 +151,14 @@ ci: tier1 vet vet-cmds build-cmds test-daemon test-plan test-race test-recovery 
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...
+
+# The interpreter layer alone, as testing.B: BenchmarkInterpreter/<program>
+# for the 15 suite programs and BenchmarkDispatch/<opcode class>, each
+# reporting ns/instr and allocs/op. These are the twins of the repo
+# benchmark's vm.mcyc_per_s.<program> and vm.ns_per_instr.<class> rows:
+# add -cpuprofile to land on the lines those rows name.
+bench-vm:
+	$(GO) test -run=^$$ -bench='Interpreter|Dispatch' ./internal/vm/
 
 # Perf-trajectory smoke: a quick -study perf pass whose report is
 # schema-validated (the emitter round-trips it through perf.ReadFile)

@@ -1,36 +1,89 @@
-package bytecode
+package bytecode_test
 
 import (
 	"bytes"
 	"testing"
+
+	"gocbs/internal/bytecode"
 )
 
-// FuzzDecodeProgram: arbitrary bytes must never panic the decoder and
-// never produce a program whose methods fail verification (Decode
-// re-verifies internally, so a non-nil result is a safe program).
+// fuzzSeeds are small valid programs that stress what the interpreter
+// derives from the verifier's facts: a frame whose locals are exactly
+// its arguments, a method with no locals and no operands at all, a
+// closure without captures, and a recursion deep enough that the shared
+// stack must grow many times before the step limit cuts it off.
+func fuzzSeeds(f *testing.F) [][]byte {
+	build := func(body func(pb *bytecode.ProgramBuilder) *bytecode.MethodBuilder) []byte {
+		pb := bytecode.NewProgramBuilder()
+		pb.SetEntry(body(pb))
+		p, err := pb.Link()
+		if err != nil {
+			f.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := bytecode.EncodeProgram(p, &buf); err != nil {
+			f.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	return [][]byte{
+		build(func(pb *bytecode.ProgramBuilder) *bytecode.MethodBuilder { // NLocals == NArgs
+			callee := pb.NewFunc("callee", 1)
+			callee.Emit(bytecode.OpLoad, 0)
+			callee.Const(1)
+			callee.Emit(bytecode.OpAdd)
+			callee.Emit(bytecode.OpReturn)
+			main := pb.NewFunc("main", 1)
+			main.Emit(bytecode.OpLoad, 0)
+			main.CallStatic(callee)
+			main.Emit(bytecode.OpReturn)
+			return main
+		}),
+		build(func(pb *bytecode.ProgramBuilder) *bytecode.MethodBuilder { // NLocals == 0, MaxStack == 0
+			nop := pb.NewFunc("nop", 0)
+			nop.Emit(bytecode.OpReturnVoid)
+			main := pb.NewFunc("main", 0)
+			main.CallStatic(nop)
+			main.Emit(bytecode.OpReturn)
+			return main
+		}),
+		build(func(pb *bytecode.ProgramBuilder) *bytecode.MethodBuilder { // closure, zero captures
+			lambda := pb.NewFunc("lambda", 1)
+			lambda.Const(7)
+			lambda.Emit(bytecode.OpReturn)
+			main := pb.NewFunc("main", 0)
+			main.MakeClosure(lambda, 0)
+			main.CallClosure(1)
+			main.Emit(bytecode.OpReturn)
+			return main
+		}),
+		build(func(pb *bytecode.ProgramBuilder) *bytecode.MethodBuilder { // unbounded recursion
+			deep := pb.NewFunc("deep", 1)
+			deep.Emit(bytecode.OpLoad, 0)
+			deep.Const(1)
+			deep.Emit(bytecode.OpAdd)
+			deep.CallStatic(deep)
+			deep.Emit(bytecode.OpReturn)
+			main := pb.NewFunc("main", 1)
+			main.Emit(bytecode.OpLoad, 0)
+			main.CallStatic(deep)
+			main.Emit(bytecode.OpReturn)
+			return main
+		}),
+	}
+}
+
+// FuzzDecodeProgram: arbitrary bytes must never panic the decoder, never
+// produce a program whose methods fail verification (Decode re-verifies
+// internally, so a non-nil result is a safe program), and never produce
+// one that panics the VM: every accepted program is run, plain and
+// fused, unprofiled and under CBS.
 func FuzzDecodeProgram(f *testing.F) {
-	// Seed with a valid encoding and a few corruptions of it.
-	pb := NewProgramBuilder()
-	callee := pb.NewFunc("callee", 1)
-	callee.Emit(OpLoad, 0)
-	callee.Const(1)
-	callee.Emit(OpAdd)
-	callee.Emit(OpReturn)
-	main := pb.NewFunc("main", 1)
-	main.Emit(OpLoad, 0)
-	main.CallStatic(callee)
-	main.Emit(OpReturn)
-	pb.SetEntry(main)
-	p, err := pb.Link()
-	if err != nil {
-		f.Fatal(err)
+	seeds := fuzzSeeds(f)
+	for _, s := range seeds {
+		f.Add(s)
 	}
-	var buf bytes.Buffer
-	if err := EncodeProgram(p, &buf); err != nil {
-		f.Fatal(err)
-	}
-	good := buf.Bytes()
-	f.Add(good)
+	good := seeds[0]
 	f.Add(good[:len(good)/2])
 	f.Add([]byte("MJBC"))
 	f.Add([]byte{})
@@ -39,17 +92,18 @@ func FuzzDecodeProgram(f *testing.F) {
 	f.Add(mut)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		q, err := DecodeProgram(bytes.NewReader(data))
+		q, err := bytecode.DecodeProgram(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
 		for _, m := range q.Methods {
-			if err := Verify(q, m); err != nil {
+			if err := bytecode.Verify(q, m); err != nil {
 				t.Fatalf("decoder accepted unverifiable method %s: %v", m.Name, err)
 			}
 		}
 		if q.Entry == nil || !q.Entry.Static {
 			t.Fatal("decoder accepted program without a static entry")
 		}
+		runAllWays(t, q, "decoded program")
 	})
 }

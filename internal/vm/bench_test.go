@@ -1,0 +1,215 @@
+package vm_test
+
+import (
+	"testing"
+
+	"gocbs/internal/bench"
+	"gocbs/internal/bytecode"
+	"gocbs/internal/vm"
+)
+
+// benchRun times b.N calls of prog's entry on size in one VM, under p if
+// not nil, and reports the interpreter's cost per executed bytecode.
+func benchRun(b *testing.B, prog *bytecode.Program, size int64, p vm.Profiler) {
+	b.Helper()
+	m := vm.New(prog)
+	m.SetProfiler(p)
+	if _, err := m.Run(size); err != nil { // warm: stack grown, methods entered
+		b.Fatal(err)
+	}
+	start := m.Instrs
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := m.Run(size); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(m.Instrs-start), "ns/instr")
+}
+
+// BenchmarkInterpreter runs each suite program's main(small) bare and
+// unfused: the testing.B twin of the repo benchmark's vm_bare workload
+// (per-layer rows vm.mcyc_per_s.<program>, vm.ns_per_instr).
+func BenchmarkInterpreter(b *testing.B) {
+	for _, bm := range bench.All() {
+		prog, err := bm.Compile()
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(bm.Name, func(b *testing.B) { benchRun(b, prog, bm.Small, nil) })
+	}
+}
+
+// dispatchKernel links main(n) { for i in [0,n) { body }; return acc }.
+// kernel runs once, ahead of the loop — it declares classes and callees
+// and emits any set-up code — and returns the emitter of one copy of
+// the loop body, which works on the locals acc (1) and i (2) plus any
+// the kernel allocated. Eight copies make one trip, so the class under
+// test is most of what executes.
+func dispatchKernel(b *testing.B, kernel func(pb *bytecode.ProgramBuilder, mb *bytecode.MethodBuilder) func()) *bytecode.Program {
+	b.Helper()
+	pb := bytecode.NewProgramBuilder()
+	mb := pb.NewFunc("main", 1)
+	acc, i := mb.AllocLocal(), mb.AllocLocal()
+	body := kernel(pb, mb)
+	head, done := mb.NewLabel(), mb.NewLabel()
+	mb.Bind(head)
+	mb.Emit(bytecode.OpLoad, int32(i))
+	mb.Emit(bytecode.OpLoad, 0)
+	mb.Emit(bytecode.OpLt)
+	mb.Branch(bytecode.OpJumpZ, done)
+	for k := 0; k < 8; k++ {
+		body()
+	}
+	mb.Emit(bytecode.OpLoad, int32(i))
+	mb.Const(1)
+	mb.Emit(bytecode.OpAdd)
+	mb.Emit(bytecode.OpStore, int32(i))
+	mb.Branch(bytecode.OpJump, head)
+	mb.Bind(done)
+	mb.Emit(bytecode.OpLoad, int32(acc))
+	mb.Emit(bytecode.OpReturn)
+	pb.SetEntry(mb)
+	prog, err := pb.Link()
+	if err != nil {
+		b.Fatal(err)
+	}
+	return prog
+}
+
+// leaf adds int name(x) { return x + 1 } as a static function or, on
+// cb, as a virtual method (whose x is the local after the receiver).
+func leaf(pb *bytecode.ProgramBuilder, cb *bytecode.ClassBuilder, name string) *bytecode.MethodBuilder {
+	var f *bytecode.MethodBuilder
+	x := int32(0)
+	if cb == nil {
+		f = pb.NewFunc(name, 1)
+	} else {
+		f, x = cb.NewMethod(name, false, 2), 1
+	}
+	f.Emit(bytecode.OpLoad, x)
+	f.Const(1)
+	f.Emit(bytecode.OpAdd)
+	f.Emit(bytecode.OpReturn)
+	return f
+}
+
+// callCounter is the cheapest possible CallListener: with it installed
+// every call leaves the interpreter's registers for the hook.
+type callCounter struct{ calls uint64 }
+
+func (c *callCounter) Name() string { return "call-counter" }
+
+func (c *callCounter) OnCall(*vm.VM, *bytecode.Method, int, *bytecode.Method) { c.calls++ }
+
+// BenchmarkDispatch times one opcode class at a time, as the repo
+// benchmark's microkernels do from outside (vm.ns_per_instr.<class>);
+// call_static_hooked is call_static again with a CallListener installed,
+// the path profiler.exhaustive.ns_per_call pays for.
+func BenchmarkDispatch(b *testing.B) {
+	const acc, i = 1, 2
+	kernels := []struct {
+		name   string
+		kernel func(pb *bytecode.ProgramBuilder, mb *bytecode.MethodBuilder) func()
+	}{
+		{"arith", func(_ *bytecode.ProgramBuilder, mb *bytecode.MethodBuilder) func() {
+			return func() { // acc = ((acc*31 + i) ^ (acc >> 3)) & 0xFFFFF
+				mb.Emit(bytecode.OpLoad, acc)
+				mb.Const(31)
+				mb.Emit(bytecode.OpMul)
+				mb.Emit(bytecode.OpLoad, i)
+				mb.Emit(bytecode.OpAdd)
+				mb.Emit(bytecode.OpLoad, acc)
+				mb.Const(3)
+				mb.Emit(bytecode.OpShr)
+				mb.Emit(bytecode.OpXor)
+				mb.Const(0xFFFFF)
+				mb.Emit(bytecode.OpAnd)
+				mb.Emit(bytecode.OpStore, acc)
+			}
+		}},
+		{"field_array", func(pb *bytecode.ProgramBuilder, mb *bytecode.MethodBuilder) func() {
+			cell := pb.NewClass("Cell", nil)
+			x := int32(cell.AddField("x", false))
+			g := int32(pb.AddStaticInit("g", 5))
+			obj, arr := int32(mb.AllocLocal()), int32(mb.AllocLocal())
+			mb.Emit(bytecode.OpNew, int32(cell.ID()))
+			mb.Emit(bytecode.OpStore, obj)
+			mb.Const(4)
+			mb.Emit(bytecode.OpNewArr)
+			mb.Emit(bytecode.OpStore, arr)
+			return func() { // obj.x = g; arr[1] = obj.x; g = arr[1] + 1
+				mb.Emit(bytecode.OpLoad, obj)
+				mb.Emit(bytecode.OpGetStatic, g)
+				mb.Emit(bytecode.OpPutField, x)
+				mb.Emit(bytecode.OpLoad, arr)
+				mb.Const(1)
+				mb.Emit(bytecode.OpLoad, obj)
+				mb.Emit(bytecode.OpGetField, x)
+				mb.Emit(bytecode.OpAStore)
+				mb.Emit(bytecode.OpLoad, arr)
+				mb.Const(1)
+				mb.Emit(bytecode.OpALoad)
+				mb.Const(1)
+				mb.Emit(bytecode.OpAdd)
+				mb.Emit(bytecode.OpPutStatic, g)
+			}
+		}},
+		{"alloc", func(pb *bytecode.ProgramBuilder, mb *bytecode.MethodBuilder) func() {
+			cell := pb.NewClass("Cell", nil)
+			cell.AddField("x", false)
+			cell.AddField("y", false)
+			return func() {
+				mb.Emit(bytecode.OpNew, int32(cell.ID()))
+				mb.Emit(bytecode.OpPop)
+				mb.Const(4)
+				mb.Emit(bytecode.OpNewArr)
+				mb.Emit(bytecode.OpPop)
+			}
+		}},
+		{"call_static", func(pb *bytecode.ProgramBuilder, mb *bytecode.MethodBuilder) func() {
+			f := leaf(pb, nil, "inc")
+			return func() {
+				mb.Emit(bytecode.OpLoad, acc)
+				mb.CallStatic(f)
+				mb.Emit(bytecode.OpStore, acc)
+			}
+		}},
+		{"call_virtual", func(pb *bytecode.ProgramBuilder, mb *bytecode.MethodBuilder) func() {
+			base := pb.NewClass("Base", nil)
+			leaf(pb, base, "inc")
+			sub := pb.NewClass("Sub", base)
+			leaf(pb, sub, "inc")
+			recv := int32(mb.AllocLocal())
+			mb.Emit(bytecode.OpNew, int32(sub.ID()))
+			mb.Emit(bytecode.OpStore, recv)
+			return func() {
+				mb.Emit(bytecode.OpLoad, recv)
+				mb.Emit(bytecode.OpLoad, acc)
+				mb.CallVirtual(base, "inc")
+				mb.Emit(bytecode.OpStore, acc)
+			}
+		}},
+		{"call_closure", func(pb *bytecode.ProgramBuilder, mb *bytecode.MethodBuilder) func() {
+			f := pb.NewFunc("lambda", 1) // the closure itself is argument 0
+			f.Const(1)
+			f.Emit(bytecode.OpReturn)
+			fn := int32(mb.AllocLocal())
+			mb.MakeClosure(f, 0)
+			mb.Emit(bytecode.OpStore, fn)
+			return func() {
+				mb.Emit(bytecode.OpLoad, fn)
+				mb.CallClosure(1)
+				mb.Emit(bytecode.OpStore, acc)
+			}
+		}},
+	}
+	for _, k := range kernels {
+		prog := dispatchKernel(b, k.kernel)
+		b.Run(k.name, func(b *testing.B) { benchRun(b, prog, 2_000, nil) })
+		if k.name == "call_static" {
+			b.Run(k.name+"_hooked", func(b *testing.B) { benchRun(b, prog, 2_000, &callCounter{}) })
+		}
+	}
+}

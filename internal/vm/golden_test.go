@@ -247,8 +247,9 @@ func goldenRun(t *testing.T, name string, o observer, fused bool, maxSteps uint6
 	m, p, g, size := setup()
 	rec := newRecorder(p)
 	start(m, rec, o.timer)
+	wantTrap := maxSteps == goldenSteps
 	v, err := m.Run(size)
-	if (err != nil) != (maxSteps < 4_000_000_000) {
+	if (err != nil) != wantTrap {
 		t.Fatalf("hooks run: err = %v with MaxSteps %d", err, maxSteps)
 	}
 	finish(t, &rec.d, m, v, err, g)
@@ -263,7 +264,7 @@ func goldenRun(t *testing.T, name string, o observer, fused bool, maxSteps uint6
 		d.add(methodID(meth), uint64(int64(pc)), uint64(ins.Op), m.Cycles, m.Instrs)
 	}
 	v, err = m.Run(size)
-	if (err != nil) != (maxSteps < 4_000_000_000) {
+	if (err != nil) != wantTrap {
 		t.Fatalf("trace run: err = %v with MaxSteps %d", err, maxSteps)
 	}
 	finish(t, &d, m, v, err, g)

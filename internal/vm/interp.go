@@ -2,6 +2,8 @@ package vm
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"gocbs/internal/bytecode"
 )
@@ -27,46 +29,53 @@ func (vm *VM) Call(m *bytecode.Method, args ...Value) (Value, error) {
 	if len(args) != m.NArgs {
 		return Value{}, fmt.Errorf("%s takes %d args, got %d", m.Name, m.NArgs, len(args))
 	}
-	baseDepth := len(vm.frames)
+	baseDepth, base := len(vm.frames), len(vm.stack)
+	vm.stack = append(vm.stack, args...)
+	err := vm.enter(m, -1)
+	var v Value
+	if err == nil {
+		v, err = vm.run(baseDepth)
+	}
+	if err != nil {
+		// The error names the faulting location; the activations between
+		// it and this call are dead, and a reused VM must not see them.
+		vm.frames, vm.stack = vm.frames[:baseDepth], vm.stack[:base]
+	}
+	return v, err
+}
+
+// enter transfers control into m from the call instruction the
+// executing frame is at, with call-site ID site, or from the harness
+// (site -1), with all the bookkeeping and hooks of a call and an entry.
+// The frame is made in place: the m.NArgs values on top of the stack
+// become locals 0..NArgs-1, the other locals are cleared above them,
+// and room is made for the MaxStack operands the verifier allows.
+func (vm *VM) enter(m *bytecode.Method, site int) error {
 	vm.chargeWork(vm.Cost.CallOverhead)
-	f := vm.pushFrame(m, -1, -1)
-	copy(f.Locals, args)
-	vm.noteEntry(m)
-	return vm.run(baseDepth)
-}
-
-// pushFrame appends an activation record, reusing the slot's previous
-// locals allocation when possible. Non-argument locals are zeroed by
-// the caller after arguments are copied in.
-func (vm *VM) pushFrame(m *bytecode.Method, site, callerPC int) *Frame {
-	n := len(vm.frames)
-	if n < cap(vm.frames) {
-		vm.frames = vm.frames[:n+1]
-	} else {
-		vm.frames = append(vm.frames, Frame{})
-	}
-	f := &vm.frames[n]
-	f.M = m
-	f.PC = 0
-	f.Site = site
-	f.CallerPC = callerPC
-	f.base = len(vm.stack)
-	if cap(f.Locals) >= m.NLocals {
-		f.Locals = f.Locals[:m.NLocals]
-		for i := range f.Locals {
-			f.Locals[i] = Value{}
+	callerPC := -1
+	if site >= 0 {
+		vm.Calls++
+		if vm.callH != nil {
+			vm.callH.OnCall(vm, vm.frame().M, site, m)
 		}
-	} else {
-		f.Locals = make([]Value, m.NLocals)
+		callerPC = vm.frame().PC
 	}
-	return f
-}
+	base := len(vm.stack) - m.NArgs
+	need := base + m.NLocals + m.MaxStack
+	if need > maxStackSlots {
+		return vm.trap("stack overflow calling %s", m.Name)
+	}
+	vm.stack = slices.Grow(vm.stack, need-len(vm.stack))[:base+m.NLocals]
+	// A loop and an indexed store, not clear and append: for a handful
+	// of slots and one pointer-bearing Frame those go through memclr
+	// and typedmemmove, 10 ns a call where this is 2.
+	for i := base + m.NArgs; i < len(vm.stack); i++ {
+		vm.stack[i] = Value{}
+	}
+	n := len(vm.frames)
+	vm.frames = slices.Grow(vm.frames, 1)[:n+1]
+	vm.frames[n] = Frame{M: m, Site: site, CallerPC: callerPC, base: base}
 
-// noteEntry performs the per-entry bookkeeping shared by harness calls
-// and interpreted calls: executed-method tracking, the optional
-// explicit entry check cost, the entry listener, and the prologue
-// yieldpoint.
-func (vm *VM) noteEntry(m *bytecode.Method) {
 	if !vm.executed[m.ID] {
 		vm.executed[m.ID] = true
 		vm.nExec++
@@ -80,356 +89,432 @@ func (vm *VM) noteEntry(m *bytecode.Method) {
 	if vm.ControlWord != 0 {
 		vm.takeYieldpoint(YieldPrologue)
 	}
+	return nil
 }
 
-func (vm *VM) push(v Value) { vm.stack = append(vm.stack, v) }
+// frame returns the executing activation record.
+func (vm *VM) frame() *Frame { return &vm.frames[len(vm.frames)-1] }
 
-func (vm *VM) pop() Value {
-	v := vm.stack[len(vm.stack)-1]
-	vm.stack = vm.stack[:len(vm.stack)-1]
-	return v
-}
-
-// invoke transfers control into callee from the call instruction ins
-// executing in frame f.
-func (vm *VM) invoke(f *Frame, site int, callee *bytecode.Method) {
-	vm.Calls++
-	vm.chargeWork(vm.Cost.CallOverhead)
-	if vm.callH != nil {
-		vm.callH.OnCall(vm, f.M, site, callee)
+// prologue does what precedes the instruction at the executing frame's
+// PC — range check, step limit, trace function, cycle charge, timer —
+// on the VM's own fields; run does the same in registers for as long as
+// nothing is due. Either way a tick is delivered at the first
+// instruction boundary at which the clock has passed the deadline.
+func (vm *VM) prologue() error {
+	f := vm.frame()
+	if uint(f.PC) >= uint(len(f.M.Code)) {
+		return vm.trap("pc out of range")
 	}
-	nargs := callee.NArgs
-	argBase := len(vm.stack) - nargs
-	nf := vm.pushFrame(callee, site, f.PC)
-	copy(nf.Locals, vm.stack[argBase:])
-	vm.stack = vm.stack[:argBase]
-	nf.base = argBase
-	vm.noteEntry(callee)
+	ins := f.M.Code[f.PC]
+	vm.Instrs++
+	if vm.MaxSteps > 0 && vm.Instrs > vm.MaxSteps {
+		return vm.trap("step limit %d exceeded", vm.MaxSteps)
+	}
+	if vm.Trace != nil {
+		vm.Trace(f.M, f.PC, ins)
+	}
+	vm.chargeWork(vm.Cost.Instr[ins.Op])
+	for vm.TimerPeriod > 0 && vm.Cycles >= vm.nextTimer {
+		vm.nextTimer += vm.TimerPeriod
+		if vm.tick != nil {
+			vm.tick.OnTimerTick(vm)
+		}
+	}
+	return nil
+}
+
+// load derives run's registers from the VM: the executing frame's code
+// and pc, its window fr of the shared stack (locals, then operands up
+// to sp), the two counters, and what each is tested against: the
+// timer's deadline and the step limit (0 while tracing). The window is
+// spelled out at its three uses, and the cost table is read through vm:
+// an inlined helper for the one and a local for the other each cost
+// run's register allocation 7 % of vm_bare.
+func (vm *VM) load() (code []bytecode.Instr, pc int, fr []Value, sp int, cycles, instrs, deadline, limit uint64) {
+	f := vm.frame()
+	limit, deadline = math.MaxUint64, math.MaxUint64
+	if vm.Trace != nil {
+		limit = 0
+	} else if vm.MaxSteps > 0 {
+		limit = vm.MaxSteps
+	}
+	if vm.TimerPeriod > 0 {
+		deadline = vm.nextTimer
+	}
+	return f.M.Code, f.PC, vm.stack[f.base : f.base+f.M.NLocals+f.M.MaxStack], len(vm.stack) - f.base,
+		vm.Cycles, vm.Instrs, deadline, limit
+}
+
+// sync writes run's registers back, so that what runs next sees the VM
+// as of pc. It returns vm, so that a trap is raised in one expression.
+func (vm *VM) sync(pc, sp int, cycles, instrs uint64) *VM {
+	f := vm.frame()
+	f.PC, vm.stack, vm.Cycles, vm.Instrs = pc, vm.stack[:f.base+sp], cycles, instrs
+	return vm
 }
 
 // run interprets until the frame stack shrinks back to baseDepth.
+//
+// The inner loop keeps its working set in locals (see load) and makes
+// no call: Go has no callee-saved registers, so a value live across any
+// call in the loop would be stored to memory wherever it is defined.
+// Whatever needs one — a hook, a trap, an allocation, a slow frame push
+// or pop — is a sync point: sync, do it on the VM's own fields, and let
+// the outer loop start over from them, so nothing cached survives a
+// hook (DESIGN §5, "Interpreter state and sync points").
 func (vm *VM) run(baseDepth int) (Value, error) {
-	entryBase := vm.frames[baseDepth].base
-	for {
-		f := &vm.frames[len(vm.frames)-1]
-		code := f.M.Code
-		if f.PC < 0 || f.PC >= len(code) {
-			return Value{}, vm.trap("pc out of range")
+	for { // the VM is at an instruction boundary, PC on what runs next
+		if err := vm.prologue(); err != nil {
+			return Value{}, err
 		}
-		ins := code[f.PC]
-		vm.Instrs++
-		if vm.MaxSteps > 0 && vm.Instrs > vm.MaxSteps {
-			return Value{}, vm.trap("step limit %d exceeded", vm.MaxSteps)
-		}
-		if vm.Trace != nil {
-			vm.Trace(f.M, f.PC, ins)
-		}
-		vm.Cycles += vm.Cost.Instr[ins.Op]
-		vm.pollTimer()
+		code, pc, fr, sp, cycles, instrs, deadline, limit := vm.load()
+		ins := code[pc]
+		var (
+			target, site int
+			callee       *bytecode.Method
+		)
+	registers:
+		for {
+			switch ins.Op {
+			case bytecode.OpNop:
 
-		switch ins.Op {
-		case bytecode.OpNop:
+			case bytecode.OpConst:
+				fr[sp] = IntV(int64(ins.A))
+				sp++
+			case bytecode.OpConstL:
+				fr[sp] = IntV(vm.frame().M.Consts[ins.A])
+				sp++
+			case bytecode.OpLoad:
+				fr[sp] = fr[ins.A]
+				sp++
+			case bytecode.OpStore:
+				sp--
+				fr[ins.A] = fr[sp]
+			case bytecode.OpPop:
+				sp--
+			case bytecode.OpDup:
+				fr[sp] = fr[sp-1]
+				sp++
 
-		case bytecode.OpConst:
-			vm.push(IntV(int64(ins.A)))
-		case bytecode.OpConstL:
-			vm.push(IntV(f.M.Consts[ins.A]))
-		case bytecode.OpLoad:
-			vm.push(f.Locals[ins.A])
-		case bytecode.OpStore:
-			f.Locals[ins.A] = vm.pop()
-		case bytecode.OpPop:
-			vm.pop()
-		case bytecode.OpDup:
-			vm.push(vm.stack[len(vm.stack)-1])
-
-		case bytecode.OpAdd:
-			b, a := vm.pop(), vm.pop()
-			vm.push(IntV(a.I + b.I))
-		case bytecode.OpSub:
-			b, a := vm.pop(), vm.pop()
-			vm.push(IntV(a.I - b.I))
-		case bytecode.OpMul:
-			b, a := vm.pop(), vm.pop()
-			vm.push(IntV(a.I * b.I))
-		case bytecode.OpDiv:
-			b, a := vm.pop(), vm.pop()
-			if b.I == 0 {
-				return Value{}, vm.trap("division by zero")
-			}
-			// MinInt64 / -1 wraps (Java idiv semantics); Go would panic.
-			if b.I == -1 {
-				vm.push(IntV(-a.I))
-			} else {
-				vm.push(IntV(a.I / b.I))
-			}
-		case bytecode.OpRem:
-			b, a := vm.pop(), vm.pop()
-			if b.I == 0 {
-				return Value{}, vm.trap("remainder by zero")
-			}
-			if b.I == -1 { // MinInt64 % -1 is 0, not a panic
-				vm.push(IntV(0))
-			} else {
-				vm.push(IntV(a.I % b.I))
-			}
-		case bytecode.OpNeg:
-			a := vm.pop()
-			vm.push(IntV(-a.I))
-
-		case bytecode.OpAnd:
-			b, a := vm.pop(), vm.pop()
-			vm.push(IntV(a.I & b.I))
-		case bytecode.OpOr:
-			b, a := vm.pop(), vm.pop()
-			vm.push(IntV(a.I | b.I))
-		case bytecode.OpXor:
-			b, a := vm.pop(), vm.pop()
-			vm.push(IntV(a.I ^ b.I))
-		case bytecode.OpShl:
-			b, a := vm.pop(), vm.pop()
-			vm.push(IntV(a.I << (uint64(b.I) & 63)))
-		case bytecode.OpShr:
-			b, a := vm.pop(), vm.pop()
-			vm.push(IntV(a.I >> (uint64(b.I) & 63)))
-
-		case bytecode.OpEq:
-			b, a := vm.pop(), vm.pop()
-			vm.push(boolV(a.I == b.I && a.R == b.R))
-		case bytecode.OpNe:
-			b, a := vm.pop(), vm.pop()
-			vm.push(boolV(a.I != b.I || a.R != b.R))
-		case bytecode.OpLt:
-			b, a := vm.pop(), vm.pop()
-			vm.push(boolV(a.I < b.I))
-		case bytecode.OpLe:
-			b, a := vm.pop(), vm.pop()
-			vm.push(boolV(a.I <= b.I))
-		case bytecode.OpGt:
-			b, a := vm.pop(), vm.pop()
-			vm.push(boolV(a.I > b.I))
-		case bytecode.OpGe:
-			b, a := vm.pop(), vm.pop()
-			vm.push(boolV(a.I >= b.I))
-		case bytecode.OpNot:
-			a := vm.pop()
-			vm.push(boolV(a.I == 0 && a.R == nil))
-
-		case bytecode.OpJump:
-			target := int(ins.A)
-			if target <= f.PC && vm.ControlWord > ControlNone {
-				vm.takeYieldpoint(YieldBackedge)
-			}
-			f.PC = target
-			continue
-		case bytecode.OpJumpZ, bytecode.OpJumpNZ:
-			v := vm.pop()
-			zero := v.I == 0 && v.R == nil
-			if zero == (ins.Op == bytecode.OpJumpZ) {
-				target := int(ins.A)
-				if target <= f.PC && vm.ControlWord > ControlNone {
-					vm.takeYieldpoint(YieldBackedge)
+			case bytecode.OpAdd:
+				sp--
+				fr[sp-1] = IntV(fr[sp-1].I + fr[sp].I)
+			case bytecode.OpSub:
+				sp--
+				fr[sp-1] = IntV(fr[sp-1].I - fr[sp].I)
+			case bytecode.OpMul:
+				sp--
+				fr[sp-1] = IntV(fr[sp-1].I * fr[sp].I)
+			case bytecode.OpDiv:
+				sp--
+				a, b := fr[sp-1].I, fr[sp].I
+				if b == 0 {
+					return Value{}, vm.sync(pc, sp, cycles, instrs).trap("division by zero")
 				}
-				f.PC = target
-				continue
-			}
+				// MinInt64 / -1 wraps (Java idiv semantics); Go would panic.
+				if b == -1 {
+					fr[sp-1] = IntV(-a)
+				} else {
+					fr[sp-1] = IntV(a / b)
+				}
+			case bytecode.OpRem:
+				sp--
+				a, b := fr[sp-1].I, fr[sp].I
+				if b == 0 {
+					return Value{}, vm.sync(pc, sp, cycles, instrs).trap("remainder by zero")
+				}
+				if b == -1 { // MinInt64 % -1 is 0, not a panic
+					fr[sp-1] = IntV(0)
+				} else {
+					fr[sp-1] = IntV(a % b)
+				}
+			case bytecode.OpNeg:
+				fr[sp-1] = IntV(-fr[sp-1].I)
 
-		case bytecode.OpGetField:
-			o := vm.pop()
-			if o.R == nil {
-				return Value{}, vm.trap("getfield on nil")
-			}
-			vm.push(o.R.Fields[ins.A])
-		case bytecode.OpPutField:
-			v, o := vm.pop(), vm.pop()
-			if o.R == nil {
-				return Value{}, vm.trap("putfield on nil")
-			}
-			o.R.Fields[ins.A] = v
-		case bytecode.OpNew:
-			cls := vm.Prog.Classes[ins.A]
-			vm.chargeWork(vm.Cost.AllocBase + vm.Cost.AllocPerField*uint64(len(cls.Fields)))
-			vm.push(RefV(&Object{Class: cls, Fields: make([]Value, len(cls.Fields))}))
+			case bytecode.OpAnd:
+				sp--
+				fr[sp-1] = IntV(fr[sp-1].I & fr[sp].I)
+			case bytecode.OpOr:
+				sp--
+				fr[sp-1] = IntV(fr[sp-1].I | fr[sp].I)
+			case bytecode.OpXor:
+				sp--
+				fr[sp-1] = IntV(fr[sp-1].I ^ fr[sp].I)
+			case bytecode.OpShl:
+				sp--
+				fr[sp-1] = IntV(fr[sp-1].I << (uint64(fr[sp].I) & 63))
+			case bytecode.OpShr:
+				sp--
+				fr[sp-1] = IntV(fr[sp-1].I >> (uint64(fr[sp].I) & 63))
 
-		case bytecode.OpGetStatic:
-			vm.push(vm.statics[ins.A])
-		case bytecode.OpPutStatic:
-			vm.statics[ins.A] = vm.pop()
+			case bytecode.OpEq, bytecode.OpNe, bytecode.OpLt, bytecode.OpLe, bytecode.OpGt, bytecode.OpGe:
+				sp--
+				fr[sp-1] = boolV(compare(ins.Op, fr[sp-1], fr[sp]))
+			case bytecode.OpNot:
+				fr[sp-1] = boolV(fr[sp-1] == Value{})
 
-		case bytecode.OpNewArr:
-			n := vm.pop().I
-			if n < 0 {
-				return Value{}, vm.trap("newarr with negative length %d", n)
-			}
-			vm.chargeWork(vm.Cost.AllocBase + vm.Cost.AllocPerField*uint64(n))
-			vm.push(RefV(&Object{Elems: make([]Value, n)}))
-		case bytecode.OpALoad:
-			idx, arr := vm.pop(), vm.pop()
-			if arr.R == nil {
-				return Value{}, vm.trap("aload on nil")
-			}
-			if idx.I < 0 || idx.I >= int64(len(arr.R.Elems)) {
-				return Value{}, vm.trap("array index %d out of range [0,%d)", idx.I, len(arr.R.Elems))
-			}
-			vm.push(arr.R.Elems[idx.I])
-		case bytecode.OpAStore:
-			v, idx, arr := vm.pop(), vm.pop(), vm.pop()
-			if arr.R == nil {
-				return Value{}, vm.trap("astore on nil")
-			}
-			if idx.I < 0 || idx.I >= int64(len(arr.R.Elems)) {
-				return Value{}, vm.trap("array index %d out of range [0,%d)", idx.I, len(arr.R.Elems))
-			}
-			arr.R.Elems[idx.I] = v
-		case bytecode.OpArrLen:
-			arr := vm.pop()
-			if arr.R == nil {
-				return Value{}, vm.trap("arrlen on nil")
-			}
-			vm.push(IntV(int64(len(arr.R.Elems))))
+			case bytecode.OpJump:
+				target = int(ins.A)
+				goto branch
+			case bytecode.OpJumpZ, bytecode.OpJumpNZ:
+				sp--
+				if (fr[sp] == Value{}) == (ins.Op == bytecode.OpJumpZ) {
+					target = int(ins.A)
+					goto branch
+				}
 
-		case bytecode.OpCallStatic:
-			vm.invoke(f, int(ins.B), vm.Prog.Methods[ins.A])
-			continue
-		case bytecode.OpCallVirtual:
-			slot, nargs := bytecode.DecodeVirtual(ins.A)
-			recv := vm.stack[len(vm.stack)-nargs]
-			if recv.R == nil {
-				return Value{}, vm.trap("virtual call on nil receiver")
-			}
-			if recv.R.Class == nil || slot >= len(recv.R.Class.VTable) {
-				return Value{}, vm.trap("bad virtual dispatch (slot %d)", slot)
-			}
-			callee := recv.R.Class.VTable[slot]
-			if callee == nil {
-				return Value{}, vm.trap("vtable slot %d empty on %s", slot, recv.R.Class.Name)
-			}
-			vm.chargeWork(vm.Cost.VirtualDispatch)
-			vm.invoke(f, int(ins.B), callee)
-			continue
+			case bytecode.OpGetField:
+				o := fr[sp-1].R
+				if o == nil {
+					return Value{}, vm.sync(pc, sp, cycles, instrs).trap("getfield on nil")
+				}
+				if uint(ins.A) >= uint(len(o.Fields)) {
+					return Value{}, vm.sync(pc, sp, cycles, instrs).trap("getfield outside the %d fields of %s", len(o.Fields), castClassName(o))
+				}
+				fr[sp-1] = o.Fields[ins.A]
+			case bytecode.OpPutField:
+				sp -= 2
+				o := fr[sp].R
+				if o == nil {
+					return Value{}, vm.sync(pc, sp, cycles, instrs).trap("putfield on nil")
+				}
+				if uint(ins.A) >= uint(len(o.Fields)) {
+					return Value{}, vm.sync(pc, sp, cycles, instrs).trap("putfield outside the %d fields of %s", len(o.Fields), castClassName(o))
+				}
+				o.Fields[ins.A] = fr[sp+1]
+			case bytecode.OpNew:
+				cls := vm.Prog.Classes[ins.A]
+				cycles += vm.Cost.AllocBase + vm.Cost.AllocPerField*uint64(len(cls.Fields))
+				vm.sync(pc+1, sp, cycles, instrs)
+				vm.stack = append(vm.stack, RefV(&Object{Class: cls, Fields: make([]Value, len(cls.Fields))}))
+				break registers
 
-		case bytecode.OpMakeClosure:
-			target := vm.Prog.Methods[ins.A]
-			ncaps := int(ins.B)
-			vm.chargeWork(vm.Cost.AllocBase + vm.Cost.AllocPerField*uint64(ncaps))
-			caps := make([]Value, ncaps)
-			copy(caps, vm.stack[len(vm.stack)-ncaps:])
-			vm.stack = vm.stack[:len(vm.stack)-ncaps]
-			vm.push(RefV(&Object{Fn: target, Fields: caps}))
-		case bytecode.OpCallClosure:
-			nargs := int(ins.A)
-			fn := vm.stack[len(vm.stack)-nargs]
-			if fn.R == nil {
-				return Value{}, vm.trap("closure call on nil")
-			}
-			if fn.R.Fn == nil {
-				return Value{}, vm.trap("closure call on non-closure %s", castClassName(fn.R))
-			}
-			callee := fn.R.Fn
-			if callee.NArgs != nargs {
-				return Value{}, vm.trap("closure %s takes %d args, call site passes %d", callee.Name, callee.NArgs, nargs)
-			}
-			vm.chargeWork(vm.Cost.VirtualDispatch)
-			vm.invoke(f, int(ins.B), callee)
-			continue
+			case bytecode.OpGetStatic:
+				fr[sp] = vm.statics[ins.A]
+				sp++
+			case bytecode.OpPutStatic:
+				sp--
+				vm.statics[ins.A] = fr[sp]
 
-		case bytecode.OpReturn, bytecode.OpReturnVoid:
-			var rv Value
-			if ins.Op == bytecode.OpReturn {
-				rv = vm.pop()
-			}
-			if vm.ControlWord != ControlNone && vm.EpilogueYieldpoints {
-				vm.takeYieldpoint(YieldEpilogue)
-			}
-			vm.stack = vm.stack[:f.base]
-			vm.frames = vm.frames[:len(vm.frames)-1]
-			if len(vm.frames) == baseDepth {
-				return rv, nil
-			}
-			caller := &vm.frames[len(vm.frames)-1]
-			caller.PC++
-			vm.push(rv)
-			continue
+			case bytecode.OpNewArr:
+				n := fr[sp-1].I
+				if n < 0 || n > maxArrayLen {
+					return Value{}, vm.sync(pc, sp, cycles, instrs).trap("newarr with length %d outside [0,%d]", n, maxArrayLen)
+				}
+				cycles += vm.Cost.AllocBase + vm.Cost.AllocPerField*uint64(n)
+				vm.sync(pc+1, sp-1, cycles, instrs)
+				vm.stack = append(vm.stack, RefV(&Object{Elems: make([]Value, n)}))
+				break registers
+			case bytecode.OpALoad:
+				sp--
+				arr, idx := fr[sp-1].R, fr[sp].I
+				if arr == nil {
+					return Value{}, vm.sync(pc, sp, cycles, instrs).trap("aload on nil")
+				}
+				if idx < 0 || idx >= int64(len(arr.Elems)) {
+					return Value{}, vm.sync(pc, sp, cycles, instrs).trap("array index %d out of range [0,%d)", idx, len(arr.Elems))
+				}
+				fr[sp-1] = arr.Elems[idx]
+			case bytecode.OpAStore:
+				sp -= 3
+				arr, idx := fr[sp].R, fr[sp+1].I
+				if arr == nil {
+					return Value{}, vm.sync(pc, sp, cycles, instrs).trap("astore on nil")
+				}
+				if idx < 0 || idx >= int64(len(arr.Elems)) {
+					return Value{}, vm.sync(pc, sp, cycles, instrs).trap("array index %d out of range [0,%d)", idx, len(arr.Elems))
+				}
+				arr.Elems[idx] = fr[sp+2]
+			case bytecode.OpArrLen:
+				arr := fr[sp-1].R
+				if arr == nil {
+					return Value{}, vm.sync(pc, sp, cycles, instrs).trap("arrlen on nil")
+				}
+				fr[sp-1] = IntV(int64(len(arr.Elems)))
 
-		case bytecode.OpClassEq:
-			o := vm.pop()
-			vm.push(boolV(o.R != nil && o.R.Class != nil && o.R.Class.ID == int(ins.A)))
-		case bytecode.OpVTEq:
-			o := vm.pop()
-			slot, mid := bytecode.DecodeVTEq(ins.A)
-			ok := o.R != nil && o.R.Class != nil && slot < len(o.R.Class.VTable) &&
-				o.R.Class.VTable[slot] == vm.Prog.Methods[mid]
-			vm.push(boolV(ok))
-		case bytecode.OpInstanceOf:
-			o := vm.pop()
-			vm.push(boolV(o.R != nil && o.R.Class != nil && o.R.Class.SubclassOf(vm.Prog.Classes[ins.A])))
-		case bytecode.OpCast:
-			o := vm.stack[len(vm.stack)-1]
-			if o.R != nil && (o.R.Class == nil || !o.R.Class.SubclassOf(vm.Prog.Classes[ins.A])) {
-				return Value{}, vm.trap("cannot cast %s to %s", castClassName(o.R), vm.Prog.Classes[ins.A].Name)
-			}
-		case bytecode.OpIsNull:
-			o := vm.pop()
-			vm.push(boolV(o.R == nil && o.I == 0))
-		case bytecode.OpNull:
-			vm.push(Value{})
+			case bytecode.OpCallStatic:
+				callee, site = vm.Prog.Methods[ins.A], int(ins.B)
+				goto call
+			case bytecode.OpCallVirtual:
+				slot, nargs := bytecode.DecodeVirtual(ins.A)
+				recv := fr[sp-nargs].R
+				if recv == nil {
+					return Value{}, vm.sync(pc, sp, cycles, instrs).trap("virtual call on nil receiver")
+				}
+				if recv.Class == nil || slot >= len(recv.Class.VTable) {
+					return Value{}, vm.sync(pc, sp, cycles, instrs).trap("bad virtual dispatch (slot %d)", slot)
+				}
+				callee, site = recv.Class.VTable[slot], int(ins.B)
+				if callee == nil {
+					return Value{}, vm.sync(pc, sp, cycles, instrs).trap("vtable slot %d empty on %s", slot, recv.Class.Name)
+				}
+				if callee.NArgs != nargs {
+					return Value{}, vm.sync(pc, sp, cycles, instrs).trap("%s takes %d args, call site passes %d", callee.Name, callee.NArgs, nargs)
+				}
+				cycles += vm.Cost.VirtualDispatch
+				goto call
 
-		// Superinstructions (emitted by opt.Fuse): each case is the
-		// literal composition of its unfused parts, executed under the
-		// single summed cycle charge taken above.
-		case bytecode.OpLoadLoad:
-			vm.push(f.Locals[ins.A])
-			vm.push(f.Locals[ins.B])
-		case bytecode.OpLoadConst:
-			vm.push(f.Locals[ins.A])
-			vm.push(IntV(int64(ins.B)))
-		case bytecode.OpAddConst:
-			a := vm.pop()
-			vm.push(IntV(a.I + int64(ins.A)))
-		case bytecode.OpIncLocal:
-			// Like Load;Const;Add;Store, the result is a pure integer:
-			// any reference interpretation of the local is dropped.
-			f.Locals[ins.A] = IntV(f.Locals[ins.A].I + int64(ins.B))
-		case bytecode.OpJumpCmp:
-			b, a := vm.pop(), vm.pop()
-			var take bool
-			switch bytecode.Opcode(ins.B) {
-			case bytecode.OpEq:
-				take = a.I == b.I && a.R == b.R
-			case bytecode.OpNe:
-				take = a.I != b.I || a.R != b.R
-			case bytecode.OpLt:
-				take = a.I < b.I
-			case bytecode.OpLe:
-				take = a.I <= b.I
-			case bytecode.OpGt:
-				take = a.I > b.I
-			case bytecode.OpGe:
-				take = a.I >= b.I
+			case bytecode.OpMakeClosure:
+				fn, ncaps := vm.Prog.Methods[ins.A], int(ins.B)
+				cycles += vm.Cost.AllocBase + vm.Cost.AllocPerField*uint64(ncaps)
+				vm.sync(pc+1, sp-ncaps, cycles, instrs)
+				n := len(vm.stack)
+				caps := append([]Value(nil), vm.stack[n:n+ncaps]...)
+				vm.stack = append(vm.stack, RefV(&Object{Fn: fn, Fields: caps}))
+				break registers
+			case bytecode.OpCallClosure:
+				nargs := int(ins.A)
+				fn := fr[sp-nargs].R
+				if fn == nil {
+					return Value{}, vm.sync(pc, sp, cycles, instrs).trap("closure call on nil")
+				}
+				if fn.Fn == nil {
+					return Value{}, vm.sync(pc, sp, cycles, instrs).trap("closure call on non-closure %s", castClassName(fn))
+				}
+				callee, site = fn.Fn, int(ins.B)
+				if callee.NArgs != nargs {
+					return Value{}, vm.sync(pc, sp, cycles, instrs).trap("closure %s takes %d args, call site passes %d", callee.Name, callee.NArgs, nargs)
+				}
+				cycles += vm.Cost.VirtualDispatch
+				goto call
+
+			case bytecode.OpReturn, bytecode.OpReturnVoid:
+				var rv Value
+				if ins.Op == bytecode.OpReturn {
+					sp--
+					rv = fr[sp]
+				}
+				if n := len(vm.frames) - 1; n > baseDepth && (vm.ControlWord == ControlNone || !vm.EpilogueYieldpoints) {
+					// No yieldpoint, and the caller is interpreted: pop to it in
+					// registers. The stack is cut at the callee's base, where its
+					// first argument was pushed, and the result goes there.
+					f, top := &vm.frames[n-1], vm.frames[n].base
+					vm.frames = vm.frames[:n]
+					code, pc = f.M.Code, f.PC
+					fr, sp = vm.stack[f.base:f.base+f.M.NLocals+f.M.MaxStack], top-f.base
+					fr[sp] = rv
+					sp++
+					break
+				}
+				vm.sync(pc, sp, cycles, instrs)
+				if vm.ControlWord != ControlNone && vm.EpilogueYieldpoints {
+					vm.takeYieldpoint(YieldEpilogue)
+				}
+				vm.stack = vm.stack[:vm.frame().base]
+				vm.frames = vm.frames[:len(vm.frames)-1]
+				if len(vm.frames) == baseDepth {
+					return rv, nil
+				}
+				vm.frame().PC++
+				vm.stack = append(vm.stack, rv)
+				break registers
+
+			case bytecode.OpClassEq:
+				o := fr[sp-1].R
+				fr[sp-1] = boolV(o != nil && o.Class != nil && o.Class.ID == int(ins.A))
+			case bytecode.OpVTEq:
+				o := fr[sp-1].R
+				slot, mid := bytecode.DecodeVTEq(ins.A)
+				fr[sp-1] = boolV(o != nil && o.Class != nil && slot < len(o.Class.VTable) &&
+					o.Class.VTable[slot] == vm.Prog.Methods[mid])
+			case bytecode.OpInstanceOf:
+				o := fr[sp-1].R
+				fr[sp-1] = boolV(o != nil && o.Class != nil && o.Class.SubclassOf(vm.Prog.Classes[ins.A]))
+			case bytecode.OpCast:
+				o, cls := fr[sp-1].R, vm.Prog.Classes[ins.A]
+				if o != nil && (o.Class == nil || !o.Class.SubclassOf(cls)) {
+					return Value{}, vm.sync(pc, sp, cycles, instrs).trap("cannot cast %s to %s", castClassName(o), cls.Name)
+				}
+			case bytecode.OpIsNull:
+				fr[sp-1] = boolV(fr[sp-1] == Value{})
+			case bytecode.OpNull:
+				fr[sp] = Value{}
+				sp++
+
+			// Superinstructions (emitted by opt.Fuse): each case is the
+			// literal composition of its unfused parts, executed under the
+			// single summed cycle charge taken in the prologue.
+			case bytecode.OpLoadLoad:
+				fr[sp], fr[sp+1] = fr[ins.A], fr[ins.B]
+				sp += 2
+			case bytecode.OpLoadConst:
+				fr[sp], fr[sp+1] = fr[ins.A], IntV(int64(ins.B))
+				sp += 2
+			case bytecode.OpAddConst:
+				fr[sp-1] = IntV(fr[sp-1].I + int64(ins.A))
+			case bytecode.OpIncLocal:
+				// Like Load;Const;Add;Store, the result is a pure integer:
+				// any reference interpretation of the local is dropped.
+				fr[ins.A] = IntV(fr[ins.A].I + int64(ins.B))
+			case bytecode.OpJumpCmp:
+				sp -= 2
+				if compare(bytecode.Opcode(ins.B), fr[sp], fr[sp+1]) {
+					target = int(ins.A)
+					goto branch
+				}
+
+			case bytecode.OpPrint:
+				sp--
+				v := fr[sp].I
+				vm.sync(pc+1, sp, cycles, instrs)
+				vm.Output = append(vm.Output, v)
+				break registers
+			case bytecode.OpHalt:
+				vm.sync(pc, sp, cycles, instrs)
+				vm.stack, vm.frames = vm.stack[:vm.frames[baseDepth].base], vm.frames[:baseDepth]
+				return Value{}, nil
+
 			default:
-				return Value{}, vm.trap("jumpcmp with bad comparison %d", ins.B)
+				return Value{}, vm.sync(pc, sp, cycles, instrs).trap("unimplemented opcode %v", ins.Op)
 			}
-			if take {
-				target := int(ins.A)
-				if target <= f.PC && vm.ControlWord > ControlNone {
-					vm.takeYieldpoint(YieldBackedge)
+			pc++
+
+		next: // the prologue of the instruction at pc, in registers
+			if uint(pc) < uint(len(code)) {
+				ins = code[pc]
+				if c := cycles + vm.Cost.Instr[ins.Op]; instrs < limit && c < deadline {
+					cycles, instrs = c, instrs+1
+					continue
 				}
-				f.PC = target
-				continue
 			}
+			// Out of range, at the step limit, tracing, or timer due.
+			vm.sync(pc, sp, cycles, instrs)
+			break
 
-		case bytecode.OpPrint:
-			v := vm.pop()
-			vm.Output = append(vm.Output, v.I)
-		case bytecode.OpHalt:
-			vm.stack = vm.stack[:entryBase]
-			vm.frames = vm.frames[:baseDepth]
-			return Value{}, nil
+		branch: // a taken branch to target; a backward one is a yieldpoint
+			if target <= pc && vm.ControlWord > ControlNone {
+				vm.sync(pc, sp, cycles, instrs)
+				vm.takeYieldpoint(YieldBackedge)
+				vm.frame().PC = target
+				break
+			}
+			pc = target
+			goto next
 
-		default:
-			return Value{}, vm.trap("unimplemented opcode %v", ins.Op)
+		call: // a call instruction at pc, its arguments pushed
+			if f, n := vm.frame(), len(vm.frames); vm.callH == nil && vm.entryH == nil && vm.EntryCheckCost == 0 &&
+				vm.ControlWord == ControlNone && vm.executed[callee.ID] && n < cap(vm.frames) &&
+				f.base+sp-callee.NArgs+callee.NLocals+callee.MaxStack <= cap(vm.stack) {
+				// Nobody is watching and nothing has to grow: what is left of
+				// enter is the frame push, done here in registers.
+				vm.Calls++
+				cycles += vm.Cost.CallOverhead
+				f.PC = pc
+				base := f.base + sp - callee.NArgs
+				vm.frames = vm.frames[:n+1]
+				vm.frames[n] = Frame{M: callee, Site: site, CallerPC: pc, base: base}
+				code, pc = callee.Code, 0
+				fr, sp = vm.stack[base:base+callee.NLocals+callee.MaxStack], callee.NLocals
+				for i := callee.NArgs; i < sp; i++ {
+					fr[i] = Value{}
+				}
+				goto next
+			}
+			if err := vm.sync(pc, sp, cycles, instrs).enter(callee, site); err != nil {
+				return Value{}, err
+			}
+			break
 		}
-		f.PC++
 	}
 }
 
@@ -441,6 +526,25 @@ func castClassName(o *Object) string {
 		return "array"
 	}
 	return o.Class.Name
+}
+
+// compare applies a comparison opcode (the verifier admits no other
+// operand to OpJumpCmp). Equality looks at both halves of a Value.
+func compare(op bytecode.Opcode, a, b Value) bool {
+	switch op {
+	case bytecode.OpEq:
+		return a == b
+	case bytecode.OpNe:
+		return a != b
+	case bytecode.OpLt:
+		return a.I < b.I
+	case bytecode.OpLe:
+		return a.I <= b.I
+	case bytecode.OpGt:
+		return a.I > b.I
+	default:
+		return a.I >= b.I
+	}
 }
 
 func boolV(b bool) Value {

@@ -121,19 +121,30 @@ type EntryListener interface {
 	OnEntry(vm *VM, m *bytecode.Method)
 }
 
-// Frame is one activation record.
+// Frame is one activation record. Its locals and operands live in the
+// VM's one shared stack: locals at [base, base+M.NLocals), operands
+// above them.
 type Frame struct {
-	M      *bytecode.Method
-	PC     int
-	Locals []Value
+	M *bytecode.Method
+	// PC is the pc of the call a frame below the top is executing; the
+	// top frame's is current as of the interpreter's last sync point.
+	PC int
 	// Site is the call-site ID whose execution created this frame, or
 	// -1 for frames pushed directly by the harness.
 	Site int
 	// CallerPC is the pc of the call instruction in the caller.
 	CallerPC int
-	// base is this frame's operand-stack base in the shared stack.
+	// base is where this frame starts in the shared stack; returning
+	// cuts the stack back to it.
 	base int
 }
+
+// Bounds on what one program may ask of the host: the shared stack (in
+// slots, all frames together) and one array.
+const (
+	maxStackSlots = 1 << 24
+	maxArrayLen   = 1 << 24
+)
 
 // VM executes one MJ program. A VM is single-threaded and not safe for
 // concurrent use; experiments run one VM per goroutine.
@@ -288,21 +299,6 @@ func (vm *VM) chargeWork(n uint64) {
 	vm.Cycles += n
 }
 
-// pollTimer fires the virtual timer if the clock passed the deadline.
-// Called between instructions, which models interrupt delivery at the
-// next instruction boundary.
-func (vm *VM) pollTimer() {
-	if vm.TimerPeriod == 0 {
-		return
-	}
-	for vm.Cycles >= vm.nextTimer {
-		vm.nextTimer += vm.TimerPeriod
-		if vm.tick != nil {
-			vm.tick.OnTimerTick(vm)
-		}
-	}
-}
-
 // takeYieldpoint transfers to the runtime when a yieldpoint's condition
 // holds. The transfer itself costs cycles (charged to profiling, since
 // without a profiler the control word would stay zero).
@@ -364,12 +360,9 @@ func (vm *VM) TopMethod() *bytecode.Method {
 	return vm.frames[len(vm.frames)-1].M
 }
 
-// trap builds a runtime error annotated with the current location.
+// trap builds a runtime error annotated with the executing frame's
+// location. Call unwinds the dead frames.
 func (vm *VM) trap(format string, args ...any) error {
-	loc := "<no frame>"
-	if len(vm.frames) > 0 {
-		f := &vm.frames[len(vm.frames)-1]
-		loc = fmt.Sprintf("%s@%d", f.M.Name, f.PC)
-	}
-	return fmt.Errorf("trap at %s: %s", loc, fmt.Sprintf(format, args...))
+	f := vm.frame()
+	return fmt.Errorf("trap at %s@%d: %s", f.M.Name, f.PC, fmt.Sprintf(format, args...))
 }
