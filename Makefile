@@ -14,7 +14,7 @@ SOAK_SEED ?= 0
 # replays with GEN_SEED=<printed seed>.
 GEN_SEED ?= 0
 
-.PHONY: all tier1 loc build build-cmds test test-race test-daemon test-recovery test-plan test-fleet test-federation test-mincover test-workload soak soak-gen vet vet-cmds ci bench bench-vm bench-smoke bench-baseline benchmark-smoke
+.PHONY: all tier1 loc build build-cmds test test-race test-daemon test-recovery test-plan test-fleet test-federation test-mincover test-workload test-cbsbench soak soak-gen vet vet-cmds ci bench bench-vm benchmark-smoke
 
 all: tier1
 
@@ -123,6 +123,12 @@ test-workload:
 	$(GO) test -run 'Closure' ./internal/profiler/ ./internal/bytecode/ ./internal/opt/
 	$(GO) test -run 'TestFleetSoakGenerated|TestFleetGeneratedWorkload' ./internal/fleetsim/
 
+# The experiment harness's CLI contract: one artifact end to end, the
+# unknown-name exit, -all visiting exactly experiment.Artifacts and
+# writing no file, flags applied after -quick.
+test-cbsbench:
+	$(GO) test ./cmd/cbsbench/...
+
 # A bigger randomized soak for hunting; cbsload prints the chosen seed
 # up front and repeats it on failure, so any hit replays with
 # `make soak SOAK_SEED=<seed>`.
@@ -147,7 +153,7 @@ vet:
 vet-cmds:
 	$(GO) vet ./cmd/...
 
-ci: tier1 vet vet-cmds build-cmds test-daemon test-plan test-race test-recovery test-fleet test-federation test-mincover test-workload benchmark-smoke
+ci: tier1 vet vet-cmds build-cmds test-daemon test-plan test-race test-recovery test-fleet test-federation test-mincover test-workload test-cbsbench benchmark-smoke
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...
@@ -160,24 +166,7 @@ bench:
 bench-vm:
 	$(GO) test -run=^$$ -bench='Interpreter|Dispatch' ./internal/vm/
 
-# Perf-trajectory smoke: a quick -study perf pass whose report is
-# schema-validated (the emitter round-trips it through perf.ReadFile)
-# and gated against the checked-in BENCH_1.json baseline — the run
-# fails on a >10% geomean Mcyc/s regression over the benchmarks the
-# quick subset shares with the baseline. The report itself goes to a
-# scratch path so the committed trajectory only grows deliberately.
-BENCH_SMOKE_OUT ?= /tmp/BENCH_smoke.json
-bench-smoke:
-	$(GO) run ./cmd/cbsbench -study perf -quick \
-		-perf-out $(BENCH_SMOKE_OUT) -perf-baseline BENCH_1.json -perf-gate 0.10
-	@rm -f $(BENCH_SMOKE_OUT)
-
 # The repo benchmark (BENCHMARK.json, benchmark/) at smoke size: every
 # workload runs briefly and every declared metric must be reported.
 benchmark-smoke:
 	$(GO) run ./benchmark --smoke
-
-# Regenerate the committed baseline with the full suite and default
-# measurement parameters. Run on a quiet machine; commit the diff.
-bench-baseline:
-	$(GO) run ./cmd/cbsbench -study perf -perf-out BENCH_1.json

@@ -1,361 +1,150 @@
-// Command cbsbench regenerates the paper's tables and figures on the
-// MJ VM substrate. Each artifact of the evaluation section maps to a
-// flag:
-//
-//	cbsbench -table 1            benchmark characteristics (Table 1)
-//	cbsbench -table 2a           overhead/accuracy grid, Jikes RVM flavour
-//	cbsbench -table 2b           overhead/accuracy grid, J9 flavour
-//	cbsbench -table 3            per-benchmark base vs CBS breakdown
-//	cbsbench -figure 5a          inlining speedups, Jikes RVM flavour
-//	cbsbench -figure 5b          inlining speedups, J9 flavour
-//	cbsbench -study convergence  accuracy vs time (E8)
-//	cbsbench -study skew         initial-skip ablation (E9)
-//	cbsbench -study comparators  §3 techniques side by side (E10)
-//	cbsbench -study inliners     old vs new inliner (E11)
-//	cbsbench -study context      calling-context-tree extension (E12)
-//	cbsbench -study profilers    exhaustive vs CBS vs mincover accuracy/overhead
-//	cbsbench -study planloop     fleet PGO loop: K pushers -> plan -> puller
-//	cbsbench -study fleetsoak    chaos soak: fleet vs faults, invariant-gated
-//	cbsbench -study fleetscale   federated ingest scaling: 1/4/16 leaves + root
-//	cbsbench -study perf         perf trajectory: BENCH_<n>.json emission
-//	cbsbench -all                everything above
-//
-// Use -quick for a cheap single-seed run on a benchmark subset, -input
-// to pick small/large where applicable, and -benchmarks for a comma
-// separated subset of the suite.
+// Command cbsbench regenerates the paper's tables and figures, and the
+// supplementary studies, on the MJ VM substrate. What it can print is
+// the experiment.Artifacts table, which `cbsbench -h` lists: pick one
+// by kind and name (`-table 2a`, `-figure 5b`, `-study convergence`) or
+// take them all with -all. -quick is a cheap single-seed run on a
+// benchmark subset, -input picks small/large where applicable, and
+// -benchmarks takes a comma separated subset of the suite.
 //
 // Experiments fan their independent jobs over -parallel workers
 // (default: GOMAXPROCS); output is byte-identical at any setting.
-// -progress renders a live meter on stderr: jobs completed/total,
-// modeled cycles simulated, wall-clock rate, and ETA.
+// -progress renders a live meter on stderr. Only artifact text goes to
+// stdout; status lines go to stderr.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
 	"gocbs/internal/bench"
 	"gocbs/internal/experiment"
-	"gocbs/internal/perf"
-	"gocbs/internal/profiler"
 	"gocbs/internal/runner"
 )
 
 func main() {
-	table := flag.String("table", "", "regenerate a table: 1, 2a, 2b, or 3")
-	figure := flag.String("figure", "", "regenerate a figure: 5a or 5b")
-	study := flag.String("study", "", "run a study: convergence, skew, comparators, inliners, context, cleanup, online, entrycheck, profilers, planloop, fleetsoak, fleetscale, perf")
-	perfOut := flag.String("perf-out", "", "perf study: write the BENCH report to this path (default: next free BENCH_<n>.json)")
-	perfBaseline := flag.String("perf-baseline", "", "perf study: gate the run against this baseline BENCH_*.json")
-	perfGate := flag.Float64("perf-gate", 0.10, "perf study: fail when geomean Mcyc/s regresses more than this fraction vs the baseline")
-	all := flag.Bool("all", false, "regenerate every table, figure, and study")
-	quick := flag.Bool("quick", false, "single seed and a four-benchmark subset")
-	input := flag.String("input", "small", "input size for grids/figures/studies: small or large")
-	benchList := flag.String("benchmarks", "", "comma-separated benchmark subset (default: whole suite)")
-	fullGrid := flag.Bool("full", false, "use the paper's full samples-per-tick row set in table 2")
-	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "worker count for experiment jobs; 1 = serial (same output either way)")
-	progress := flag.Bool("progress", false, "render a live job/cycle/ETA meter on stderr")
-	flag.Parse()
+	os.Exit(realMain(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	cfg := experiment.DefaultConfig()
-	if *quick {
-		cfg = experiment.QuickConfig()
-		sub, err := bench.Subset([]string{"compress", "jess", "javac", "mtrt"})
-		if err != nil {
-			fatal(err)
+// realMain is main with its edges injected, so the CLI contract — what
+// runs, what goes to which stream, exit codes — is unit-testable.
+func realMain(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("cbsbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	// One selector flag per artifact kind, in table order.
+	var kinds []string
+	names := map[string][]string{}
+	picked := map[string]*string{}
+	for _, a := range experiment.Artifacts {
+		if names[a.Kind] == nil {
+			kinds = append(kinds, a.Kind)
 		}
-		cfg.Benchmarks = sub
+		names[a.Kind] = append(names[a.Kind], a.Name)
 	}
-	if *benchList != "" {
-		sub, err := bench.Subset(strings.Split(*benchList, ","))
-		if err != nil {
-			fatal(err)
+	for _, k := range kinds {
+		picked[k] = fs.String(k, "", "print one "+k+" of the list above, by name")
+	}
+	all := fs.Bool("all", false, "print every table, figure, and study")
+	quick := fs.Bool("quick", false, "single seed and a four-benchmark subset")
+	input := fs.String("input", "small", "input size for grids/figures/studies: small or large")
+	benchList := fs.String("benchmarks", "", "comma-separated benchmark subset (default: whole suite)")
+	fullGrid := fs.Bool("full", false, "use the paper's full samples-per-tick row set in table 2")
+	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0), "worker count for experiment jobs; 1 = serial (same output either way)")
+	progress := fs.Bool("progress", false, "render a live job/cycle/ETA meter on stderr")
+	fs.Usage = func() {
+		fmt.Fprintln(stderr, "usage: cbsbench [flags] -"+strings.Join(kinds, " NAME | -")+" NAME | -all")
+		for _, a := range experiment.Artifacts {
+			fmt.Fprintf(stderr, "  -%-6s %-12s %s\n", a.Kind, a.Name, a.Help)
 		}
-		cfg.Benchmarks = sub
+		fmt.Fprintln(stderr, "flags:")
+		fs.PrintDefaults()
 	}
-	cfg.Parallel = *parallel
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+
+	var run []experiment.Artifact
+	for _, a := range experiment.Artifacts {
+		if *all || *picked[a.Kind] == a.Name {
+			run = append(run, a)
+		}
+	}
+	for _, k := range kinds {
+		if v := *picked[k]; v != "" && !slices.Contains(names[k], v) {
+			fmt.Fprintf(stderr, "cbsbench: unknown %s %q; valid: %s\n", k, v, strings.Join(names[k], ", "))
+			return 2
+		}
+	}
+	if len(run) == 0 {
+		fs.Usage()
+		return 2
+	}
+
+	cfg, err := config(*quick, *fullGrid, *benchList, *parallel)
+	if err != nil {
+		fmt.Fprintln(stderr, "cbsbench:", err)
+		return 1
+	}
 	if *progress {
-		cfg.Progress = progressMeter()
+		cfg.Progress = progressMeter(stderr)
 	}
-
-	ran := false
-	run := func(name string, f func() error) {
-		ran = true
+	for _, a := range run {
+		label := a.Kind + " " + a.Name
 		start := time.Now()
-		if err := f(); err != nil {
-			fatal(fmt.Errorf("%s: %w", name, err))
+		text, err := a.Render(cfg, *input)
+		if err != nil {
+			fmt.Fprintf(stderr, "cbsbench: %s: %v\n", label, err)
+			return 1
 		}
+		fmt.Fprintln(stdout, text)
 		if *progress {
-			fmt.Fprintln(os.Stderr) // terminate the meter line
+			fmt.Fprintln(stderr) // terminate the meter line
 		}
-		fmt.Fprintf(os.Stderr, "[%s done in %v]\n", name, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(stderr, "[%s done in %v]\n", label, time.Since(start).Round(time.Millisecond))
 	}
-
-	samples := experiment.DefaultSamples
-	if *fullGrid {
-		samples = experiment.FullSamples
-	}
-
-	wantTable := func(t string) bool { return *all || *table == t }
-	wantFigure := func(f string) bool { return *all || *figure == f }
-	wantStudy := func(s string) bool { return *all || *study == s }
-
-	if wantTable("1") {
-		run("table 1", func() error {
-			rows, err := experiment.Table1(cfg)
-			if err != nil {
-				return err
-			}
-			fmt.Println(experiment.FormatTable1(rows))
-			return nil
-		})
-	}
-	if wantTable("2a") {
-		run("table 2a", func() error {
-			cells, err := experiment.Table2(cfg, profiler.FlavourRVM, *input, experiment.DefaultStrides, samples)
-			if err != nil {
-				return err
-			}
-			fmt.Println(experiment.FormatTable2("Table 2A: Jikes RVM flavour", cells, experiment.DefaultStrides, samples))
-			return nil
-		})
-	}
-	if wantTable("2b") {
-		run("table 2b", func() error {
-			cells, err := experiment.Table2(cfg, profiler.FlavourJ9, *input, experiment.DefaultStrides, samples)
-			if err != nil {
-				return err
-			}
-			fmt.Println(experiment.FormatTable2("Table 2B: J9 flavour", cells, experiment.DefaultStrides, samples))
-			return nil
-		})
-	}
-	if wantTable("3") {
-		run("table 3", func() error {
-			params := experiment.DefaultTable3Params()
-			rows, err := experiment.Table3(cfg, params)
-			if err != nil {
-				return err
-			}
-			fmt.Println(experiment.FormatTable3(rows, params))
-			return nil
-		})
-	}
-	if wantFigure("5a") {
-		run("figure 5a", func() error {
-			rows, err := experiment.Figure5(cfg, experiment.Figure5Jikes, *input)
-			if err != nil {
-				return err
-			}
-			fmt.Println(experiment.FormatFigure5(experiment.Figure5Jikes, rows))
-			return nil
-		})
-	}
-	if wantFigure("5b") {
-		run("figure 5b", func() error {
-			rows, err := experiment.Figure5(cfg, experiment.Figure5J9, *input)
-			if err != nil {
-				return err
-			}
-			fmt.Println(experiment.FormatFigure5(experiment.Figure5J9, rows))
-			return nil
-		})
-	}
-	if wantStudy("convergence") {
-		run("convergence", func() error {
-			b := bench.ByName("javac")
-			pts, err := experiment.Convergence(cfg, b, "large")
-			if err != nil {
-				return err
-			}
-			fmt.Println(experiment.FormatConvergence(b.Name+"-large", pts))
-			return nil
-		})
-	}
-	if wantStudy("skew") {
-		run("skew", func() error {
-			rows, err := experiment.SkewAblation(cfg, *input, 31, 16)
-			if err != nil {
-				return err
-			}
-			fmt.Println(experiment.FormatSkew(rows, 31, 16))
-			return nil
-		})
-	}
-	if wantStudy("comparators") {
-		run("comparators", func() error {
-			rows, err := experiment.Comparators(cfg, *input)
-			if err != nil {
-				return err
-			}
-			fmt.Println(experiment.FormatComparators(rows))
-			return nil
-		})
-	}
-	if wantStudy("inliners") {
-		run("inliners", func() error {
-			rows, err := experiment.InlinerAblation(cfg, *input)
-			if err != nil {
-				return err
-			}
-			fmt.Println(experiment.FormatInliners(rows))
-			return nil
-		})
-	}
-	if wantStudy("cleanup") {
-		run("cleanup", func() error {
-			rows, err := experiment.CleanupAblation(cfg, *input)
-			if err != nil {
-				return err
-			}
-			fmt.Println(experiment.FormatCleanup(rows))
-			return nil
-		})
-	}
-	if wantStudy("online") {
-		run("online", func() error {
-			rows, err := experiment.Online(cfg, *input)
-			if err != nil {
-				return err
-			}
-			fmt.Println(experiment.FormatOnline(rows))
-			return nil
-		})
-	}
-	if wantStudy("entrycheck") {
-		run("entrycheck", func() error {
-			rows, err := experiment.EntryCheckStudy(cfg, *input)
-			if err != nil {
-				return err
-			}
-			fmt.Println(experiment.FormatEntryCheck(rows))
-			return nil
-		})
-	}
-	if wantStudy("context") {
-		run("context", func() error {
-			rows, err := experiment.ContextStudy(cfg, *input)
-			if err != nil {
-				return err
-			}
-			fmt.Println(experiment.FormatContext(rows))
-			return nil
-		})
-	}
-	if wantStudy("profilers") {
-		run("profilers", func() error {
-			rows, err := experiment.ProfilerStudy(cfg, *input)
-			if err != nil {
-				return err
-			}
-			fmt.Println(experiment.FormatProfilers(rows))
-			return nil
-		})
-	}
-	if wantStudy("planloop") {
-		run("planloop", func() error {
-			rows, err := experiment.PlanLoop(cfg, *input, experiment.DefaultPlanLoopPushers)
-			if err != nil {
-				return err
-			}
-			fmt.Println(experiment.FormatPlanLoop(rows))
-			return nil
-		})
-	}
-	if wantStudy("perf") {
-		run("perf", func() error {
-			params := experiment.DefaultPerfParams()
-			if *quick {
-				params = experiment.QuickPerfParams()
-			}
-			rep, err := experiment.PerfTrajectory(cfg, *input, params)
-			if err != nil {
-				return err
-			}
-			fmt.Println(experiment.FormatPerf(rep))
-			out := *perfOut
-			if out == "" {
-				out = nextBenchPath(".")
-			}
-			if err := rep.WriteFile(out); err != nil {
-				return err
-			}
-			fmt.Fprintf(os.Stderr, "[perf report written to %s]\n", out)
-			if *perfBaseline != "" {
-				base, err := perf.ReadFile(*perfBaseline)
-				if err != nil {
-					return fmt.Errorf("baseline: %w", err)
-				}
-				if err := perf.Gate(rep, base, *perfGate); err != nil {
-					return err
-				}
-				fmt.Fprintf(os.Stderr, "[perf gate vs %s passed at %.0f%%]\n", *perfBaseline, *perfGate*100)
-			}
-			return nil
-		})
-	}
-	if wantStudy("fleetscale") {
-		run("fleetscale", func() error {
-			params := experiment.DefaultPerfParams()
-			if *quick {
-				params = experiment.QuickPerfParams()
-			}
-			fs, err := experiment.FleetScale(params)
-			if err != nil {
-				return err
-			}
-			fmt.Println(experiment.FormatFleetScale(fs))
-			return nil
-		})
-	}
-	if wantStudy("fleetsoak") {
-		run("fleetsoak", func() error {
-			params := experiment.DefaultFleetSoakParams()
-			if *quick {
-				params = experiment.QuickFleetSoakParams()
-			}
-			rep, err := experiment.FleetSoak(cfg, params)
-			if err != nil {
-				return err
-			}
-			fmt.Println(experiment.FormatFleetSoak(rep))
-			return nil
-		})
-	}
-
-	if !ran {
-		flag.Usage()
-		os.Exit(2)
-	}
+	return 0
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "cbsbench:", err)
-	os.Exit(1)
-}
-
-// nextBenchPath returns the first BENCH_<n>.json (n from 1) that does
-// not exist in dir, so successive perf runs append to the trajectory
-// instead of clobbering the checked-in baseline.
-func nextBenchPath(dir string) string {
-	for n := 1; ; n++ {
-		p := filepath.Join(dir, fmt.Sprintf("BENCH_%d.json", n))
-		if _, err := os.Stat(p); os.IsNotExist(err) {
-			return p
+// config builds the experiment configuration the flags describe.
+// -quick replaces the whole Config, so every other flag (and, in
+// realMain, -progress) is applied after it.
+func config(quick, fullGrid bool, benchList string, parallel int) (experiment.Config, error) {
+	cfg := experiment.DefaultConfig()
+	subset := benchList
+	if quick {
+		cfg = experiment.QuickConfig()
+		if subset == "" {
+			subset = "compress,jess,javac,mtrt"
 		}
 	}
+	if subset != "" {
+		sub, err := bench.Subset(strings.Split(subset, ","))
+		if err != nil {
+			return cfg, err
+		}
+		cfg.Benchmarks = sub
+	}
+	if fullGrid {
+		cfg.Samples = experiment.FullSamples
+	}
+	cfg.Parallel = parallel
+	return cfg, nil
 }
 
-// progressMeter returns a runner progress hook that redraws one stderr
-// line per ~100 ms: jobs completed/total, modeled megacycles simulated,
+// progressMeter returns a runner progress hook that redraws one line
+// on w per ~100 ms: jobs completed/total, modeled megacycles simulated,
 // simulation rate, and ETA. Experiments run sequentially and the pool
 // serializes hook calls, so the unsynchronized lastDraw is safe.
-func progressMeter() func(runner.Progress) {
+func progressMeter(w io.Writer) func(runner.Progress) {
 	var lastDraw time.Time
 	return func(p runner.Progress) {
 		now := time.Now()
@@ -363,7 +152,7 @@ func progressMeter() func(runner.Progress) {
 			return
 		}
 		lastDraw = now
-		fmt.Fprintf(os.Stderr, "\r[%d/%d jobs  %.0f Mcyc  %.1f Mcyc/s  ETA %v]   ",
+		fmt.Fprintf(w, "\r[%d/%d jobs  %.0f Mcyc  %.1f Mcyc/s  ETA %v]   ",
 			p.JobsDone, p.JobsTotal, p.Mcyc(), p.Rate(),
 			p.ETA().Round(time.Second))
 	}

@@ -16,10 +16,7 @@ import (
 // fastClient returns a Client aimed at srv with near-zero backoff so
 // retry tests run in microseconds.
 func fastClient(srv *httptest.Server) *Client {
-	c := NewClient(srv.URL)
-	c.Backoff = time.Microsecond
-	c.MaxBackoff = 10 * time.Microsecond
-	return c
+	return &Client{BaseURL: srv.URL, Backoff: time.Microsecond, MaxBackoff: 10 * time.Microsecond}
 }
 
 func TestRetiredPathsCoverEveryPreFederationRoute(t *testing.T) {
@@ -135,7 +132,7 @@ func TestPushDeltaGivesUpOnPermanentError(t *testing.T) {
 		WriteError(w, http.StatusBadRequest, CodeBadRequest, "malformed")
 	}))
 	defer srv.Close()
-	_, err := fastClient(srv).PushDelta("p-1", 1, []byte("junk"))
+	_, err := fastClient(srv).PushDeltaKeyed("p-1", 1, ProgramKey{}, []byte("junk"))
 	if err == nil {
 		t.Fatal("want error")
 	}

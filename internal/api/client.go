@@ -28,8 +28,8 @@ const (
 	DefaultBackoff = 100 * time.Millisecond
 	// DefaultMaxBackoff caps the exponential growth.
 	DefaultMaxBackoff = 2 * time.Second
-	// DefaultTimeout is the per-request timeout of NewClient's
-	// underlying http.Client.
+	// DefaultTimeout is the per-request timeout of the http.Client the
+	// delta pusher (dcgstore.NewClient) builds.
 	DefaultTimeout = 10 * time.Second
 )
 
@@ -44,22 +44,13 @@ const (
 type Client struct {
 	// BaseURL is the daemon root, e.g. "http://localhost:8944".
 	BaseURL string
-	// HTTPClient defaults to a client with DefaultTimeout.
+	// HTTPClient defaults to http.DefaultClient (no timeout).
 	HTTPClient *http.Client
 	// Retries, Backoff, MaxBackoff tune retry behaviour; zero values
 	// select the Default* constants. Retries < 0 disables retrying.
 	Retries    int
 	Backoff    time.Duration
 	MaxBackoff time.Duration
-}
-
-// NewClient returns a client for the daemon at baseURL with the default
-// retry policy and timeout.
-func NewClient(baseURL string) *Client {
-	return &Client{
-		BaseURL:    baseURL,
-		HTTPClient: &http.Client{Timeout: DefaultTimeout},
-	}
 }
 
 func (c *Client) httpClient() *http.Client {
@@ -180,20 +171,16 @@ func (c *Client) getJSON(path string, out any) error {
 	})
 }
 
-// PushDelta sends one stamped increment: the serialized DCG payload
-// under the given (pusher, sequence) identity, POSTed to PathIngest.
-// Transient failures retry with backoff; a duplicate response — the
-// daemon already applied this sequence on an attempt whose response was
-// lost — counts as success. The same (pusher, seq) pair must always
-// carry the same bytes. An empty pusher sends an unstamped legacy push
-// (no idempotency, still retried: the daemon's merge is commutative).
-func (c *Client) PushDelta(pusher string, seq uint64, payload []byte) (*IngestResponse, error) {
-	return c.PushDeltaKeyed(pusher, seq, ProgramKey{}, payload)
-}
-
-// PushDeltaKeyed is PushDelta with a program identity: the delta is
-// merged into the per-(program, version) graph named by key. The zero
-// key sends no identity headers, which is how the wire spells it.
+// PushDeltaKeyed sends one stamped increment: the serialized DCG
+// payload under the given (pusher, sequence) identity, POSTed to
+// PathIngest and merged into the per-(program, version) graph named by
+// key. The zero key sends no identity headers, which is how the wire
+// spells it. Transient failures retry with backoff; a duplicate
+// response — the daemon already applied this sequence on an attempt
+// whose response was lost — counts as success. The same (pusher, seq)
+// pair must always carry the same bytes. An empty pusher sends an
+// unstamped legacy push (no idempotency, still retried: the daemon's
+// merge is commutative).
 func (c *Client) PushDeltaKeyed(pusher string, seq uint64, key ProgramKey, payload []byte) (*IngestResponse, error) {
 	hdr := http.Header{"Content-Type": {"application/octet-stream"}}
 	if pusher != "" {

@@ -98,26 +98,6 @@ func Names() []string {
 	return names
 }
 
-// dispatchBound names the benchmarks whose runtime is dominated by
-// interpreter dispatch of straight-line arithmetic rather than call
-// overhead or allocation — the subset where superinstruction fusion
-// (internal/opt.FuseProgram) replaces the largest share of dynamic
-// instructions. Membership was chosen empirically: benchmarks whose
-// fused dynamic-instruction reduction (and hence dispatch speedup) is
-// consistently the suite's largest. The fusion acceptance gate in
-// BENCH_*.json reports its geomean speedup over exactly this set.
-var dispatchBound = []string{"compress", "db", "jack", "xerces", "daikon", "jbb"}
-
-// DispatchBound returns the dispatch-bound subset of the suite in
-// registry order.
-func DispatchBound() []*Benchmark {
-	out, err := Subset(dispatchBound)
-	if err != nil {
-		panic(err) // the list is static; an unknown name is a bug here
-	}
-	return out
-}
-
 // Subset returns benchmarks whose names are in the given list,
 // preserving registry order; unknown names are reported.
 func Subset(names []string) ([]*Benchmark, error) {

@@ -79,32 +79,6 @@ func newServer(multi *dcgstore.Multi, plans planSource, fed *fedState, maxUpload
 	}
 }
 
-// InProcess is a daemon HTTP surface without the process scaffolding
-// (no listener management, checkpoints, or plan service) — the form
-// the perf trajectory uses to benchmark the ingest fast path and tests
-// use to poke handlers directly. It additionally exposes the ingest
-// latency histogram, which over HTTP is only visible as a /metrics
-// digest.
-type InProcess struct {
-	s *server
-}
-
-// NewInProcess returns an in-process daemon over a fresh store family
-// with the default shard count. maxUpload <= 0 selects
-// DefaultMaxUploadBytes.
-func NewInProcess(maxUpload int64) *InProcess {
-	return &InProcess{s: newServer(dcgstore.NewMulti(0), nil, nil, maxUpload)}
-}
-
-// Handler returns the daemon's HTTP mux.
-func (p *InProcess) Handler() http.Handler { return p.s.handler() }
-
-// IngestLatency returns the digest of the daemon-side whole-request
-// ingest latency histogram (milliseconds).
-func (p *InProcess) IngestLatency() stats.HistogramSummary {
-	return p.s.ingestLat.Summary()
-}
-
 // handler routes the daemon's endpoints. Every route lives under /v1
 // (paths and method guards from internal/api); the pre-versioning flat
 // paths finished their one-release deprecation window and now answer

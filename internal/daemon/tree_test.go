@@ -274,7 +274,7 @@ func TestPlanRelayDoesNotSerializeAcrossPrograms(t *testing.T) {
 	}))
 	defer root.Close()
 
-	rl := newPlanRelay(api.NewClient(root.URL))
+	rl := newPlanRelay(&api.Client{BaseURL: root.URL})
 	slowDone := make(chan error, 1)
 	go func() {
 		_, err := rl.PlanForVersion("slow", "")

@@ -1,101 +1,45 @@
 package experiment
 
-import (
-	"testing"
+import "testing"
 
-	"gocbs/internal/profiler"
-)
-
-// The tentpole guarantee: every table and figure is byte-identical no
-// matter how many workers the runner fans jobs over. Each case renders
-// the artifact serially (Parallel=1) and with 8 workers — twice, to
-// catch schedule-dependent flakiness — and compares the formatted
-// text.
-
-func withParallel(cfg Config, n int) Config {
-	cfg.Parallel = n
-	return cfg
-}
-
-// renderAll runs one artifact at the given parallelism and returns its
-// formatted text.
-func renderDeterminism(t *testing.T, cfg Config, artifact string) string {
-	t.Helper()
-	strides := []int{1, 7}
-	samples := []int{1, 16}
-	switch artifact {
-	case "table1":
-		rows, err := Table1(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return FormatTable1(rows)
-	case "table2a", "table2b":
-		flavour := profiler.FlavourRVM
-		if artifact == "table2b" {
-			flavour = profiler.FlavourJ9
-		}
-		cells, err := Table2(cfg, flavour, "small", strides, samples)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return FormatTable2(artifact, cells, strides, samples)
-	case "table3":
-		rows, err := Table3(cfg, DefaultTable3Params())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return FormatTable3(rows, DefaultTable3Params())
-	case "figure5a":
-		rows, err := Figure5(cfg, Figure5Jikes, "small")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return FormatFigure5(Figure5Jikes, rows)
-	case "figure5b":
-		rows, err := Figure5(cfg, Figure5J9, "small")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return FormatFigure5(Figure5J9, rows)
-	default:
-		t.Fatalf("unknown artifact %s", artifact)
-		return ""
-	}
-}
-
+// The tentpole guarantee: every table, figure and study is
+// byte-identical no matter how many workers the runner fans jobs over.
+// Each entry of Artifacts is rendered serially (Parallel=1) and with 8
+// workers — twice, to catch schedule-dependent flakiness — and the
+// texts are compared.
 func TestParallelOutputByteIdentical(t *testing.T) {
-	type artifactCase struct {
-		artifact string
-		benches  []string
-	}
-	cases := []artifactCase{
-		{"table1", []string{"compress", "jess"}},
-		{"table2a", []string{"compress", "jess"}},
-		{"table2b", []string{"compress", "jess"}},
-		{"table3", []string{"compress"}},
-		{"figure5a", []string{"mtrt"}},
-		{"figure5b", []string{"mtrt"}},
-	}
-	repeats := 2
+	benches, repeats := []string{"jess", "mtrt"}, 2
+	// Under the race detector: one parallel pass over one benchmark,
+	// and only the fan-out shapes with distinct concurrent code paths —
+	// the measurement grid, the build-and-rerun pipeline, the widest
+	// per-job variety (one technique switch per job) and the cheapest
+	// second study shape. The rest reuse those shapes.
+	raceSet := map[string]bool{"table 2a": true, "figure 5a": true, "study comparators": true, "study entrycheck": true}
 	if raceLite {
-		// The two fan-out shapes with distinct concurrent code paths
-		// (the measurement grid and the build-and-rerun pipeline), one
-		// parallel pass each: table1/table3 reuse the table2 job shape
-		// and the 2b/5b flavours share the 2a/5a paths.
-		cases = []artifactCase{
-			{"table2a", []string{"compress"}},
-			{"figure5a", []string{"mtrt"}},
-		}
-		repeats = 1
+		benches, repeats = []string{"mtrt"}, 1
 	}
-	for _, tc := range cases {
-		tc := tc
-		t.Run(tc.artifact, func(t *testing.T) {
-			cfg := testCfg(t, tc.benches...)
-			serial := renderDeterminism(t, withParallel(cfg, 1), tc.artifact)
+	for _, a := range Artifacts {
+		id := a.Kind + " " + a.Name
+		if a.Name == "fleetsoak" {
+			continue // its report carries wall-clock figures
+		}
+		if raceLite && !raceSet[id] {
+			continue
+		}
+		t.Run(id, func(t *testing.T) {
+			cfg := testCfg(t, benches...)
+			cfg.Samples = []int{1, 16} // two rows of Table 2 are as good as six here
+			cfg.Parallel = 1
+			serial, err := a.Render(cfg, "small")
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Parallel = 8
 			for run := 0; run < repeats; run++ {
-				par := renderDeterminism(t, withParallel(cfg, 8), tc.artifact)
+				par, err := a.Render(cfg, "small")
+				if err != nil {
+					t.Fatal(err)
+				}
 				if par != serial {
 					t.Fatalf("parallel run %d differs from serial output.\nserial:\n%s\nparallel:\n%s",
 						run, serial, par)
@@ -105,63 +49,34 @@ func TestParallelOutputByteIdentical(t *testing.T) {
 	}
 }
 
-// TestParallelStudiesByteIdentical covers the supplementary studies
-// with a lighter single pass (serial vs 8 workers once each).
-func TestParallelStudiesByteIdentical(t *testing.T) {
-	type study struct {
-		name   string
-		render func(cfg Config) (string, error)
-	}
-	studies := []study{
-		{"comparators", func(cfg Config) (string, error) {
-			rows, err := Comparators(cfg, "small")
-			if err != nil {
-				return "", err
-			}
-			return FormatComparators(rows), nil
-		}},
-		{"skew", func(cfg Config) (string, error) {
-			rows, err := SkewAblation(cfg, "small", 31, 16)
-			if err != nil {
-				return "", err
-			}
-			return FormatSkew(rows, 31, 16), nil
-		}},
-		{"entrycheck", func(cfg Config) (string, error) {
-			rows, err := EntryCheckStudy(cfg, "small")
-			if err != nil {
-				return "", err
-			}
-			return FormatEntryCheck(rows), nil
-		}},
-		{"context", func(cfg Config) (string, error) {
-			rows, err := ContextStudy(cfg, "small")
-			if err != nil {
-				return "", err
-			}
-			return FormatContext(rows), nil
-		}},
-	}
+// TestArtifactTableMatchesPins renders every entry of Artifacts under
+// the configuration TestArtifactsPinned uses and requires the digest
+// pinned there: the table prints what the direct calls print, and the
+// two lists name the same artifacts.
+func TestArtifactTableMatchesPins(t *testing.T) {
 	if raceLite {
-		// Comparators covers the widest per-job variety (one technique
-		// switch per job); entrycheck is the cheapest second shape.
-		studies = []study{studies[0], studies[2]}
+		t.Skip("pinned text is schedule-independent and verified by the non-race run; skipped under -race for time")
 	}
-	for _, s := range studies {
-		s := s
-		t.Run(s.name, func(t *testing.T) {
-			cfg := testCfg(t, "jess")
-			serial, err := s.render(withParallel(cfg, 1))
-			if err != nil {
-				t.Fatal(err)
+	seen := 0
+	for _, a := range Artifacts {
+		id := a.Kind + " " + a.Name
+		want, ok := pinnedDigests[id]
+		if !ok {
+			if a.Name != "fleetsoak" {
+				t.Errorf("%s has no pinned digest", id)
 			}
-			par, err := s.render(withParallel(cfg, 8))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if par != serial {
-				t.Fatalf("parallel output differs from serial.\nserial:\n%s\nparallel:\n%s", serial, par)
-			}
-		})
+			continue
+		}
+		seen++
+		text, err := a.Render(pinnedCfg(t), "small")
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		if got := textDigest(text); got != want {
+			t.Errorf("%s digest = %s, want %s\n%s", id, got, want, text)
+		}
+	}
+	if seen != len(pinnedDigests) {
+		t.Errorf("table covers %d of %d pinned artifacts", seen, len(pinnedDigests))
 	}
 }

@@ -6,6 +6,7 @@
 // profile-directed inlining under timer-only vs CBS profiles), plus the
 // supplementary studies indexed in DESIGN.md (convergence, skew
 // ablation, §3 comparators, old-vs-new inliner, context sensitivity).
+// Artifacts is the one list of them; cmd/cbsbench is driven by it.
 //
 // Every experiment fans its independent (benchmark × size × seed ×
 // grid-point) jobs across an internal/runner worker pool. Jobs are
@@ -45,6 +46,11 @@ type Config struct {
 	Benchmarks []*bench.Benchmark
 	// MaxSteps caps each VM run.
 	MaxSteps uint64
+	// Samples is Table 2's samples-per-tick row set; nil means
+	// DefaultSamples (cbsbench -full passes FullSamples).
+	Samples []int
+	// Quick is set by QuickConfig; the fleet soak sizes itself by it.
+	Quick bool
 
 	// Parallel is the worker count experiment jobs fan out over;
 	// 0 or 1 runs the serial path. Any setting produces byte-identical
@@ -79,6 +85,7 @@ func DefaultConfig() Config {
 func QuickConfig() Config {
 	c := DefaultConfig()
 	c.Seeds = []int64{42}
+	c.Quick = true
 	return c
 }
 

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -325,6 +326,37 @@ func TestEntryCheckStudyShowsTheGap(t *testing.T) {
 	}
 	out := FormatEntryCheck(rows)
 	if !strings.Contains(out, "javac") {
+		t.Errorf("format wrong:\n%s", out)
+	}
+}
+
+func TestProfilerStudyRuns(t *testing.T) {
+	cfg := testCfg(t, "jess", "closures")
+	rows, err := ProfilerStudy(cfg, "small")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 2 {
+		t.Fatalf("rows = %d, want 2", len(rows))
+	}
+	for _, r := range rows {
+		// Mincover recovers the exhaustive profile byte for byte from
+		// strictly fewer probes.
+		if !r.Exact || math.Abs(r.MincoverAccuracy-100) > 1e-9 {
+			t.Errorf("%s: mincover exact=%v accuracy=%v, want exact and 100", r.Name, r.Exact, r.MincoverAccuracy)
+		}
+		if r.ProbedSites <= 0 || r.ProbedSites >= r.TotalSites {
+			t.Errorf("%s: mincover probes %d of %d call points, want fewer than all", r.Name, r.ProbedSites, r.TotalSites)
+		}
+		if r.MincoverPct >= r.ExhaustivePct {
+			t.Errorf("%s: mincover overhead %.1f%% should be below exhaustive %.1f%%", r.Name, r.MincoverPct, r.ExhaustivePct)
+		}
+		if r.CBSAccuracy <= 0 || r.CBSAccuracy > 100 {
+			t.Errorf("%s: CBS accuracy %v out of (0,100]", r.Name, r.CBSAccuracy)
+		}
+	}
+	out := FormatProfilers(rows)
+	if !strings.Contains(out, "closures") || !strings.Contains(out, "yes") {
 		t.Errorf("format wrong:\n%s", out)
 	}
 }

@@ -15,52 +15,25 @@ import (
 // no puller divergence). CI gates on the verdicts: a failed invariant
 // is an error, not a table entry.
 
-// FleetSoakParams sizes the soak.
-type FleetSoakParams struct {
-	VMs      int
-	Pullers  int
-	Rounds   int
-	Restarts int
-	Seed     int64
-}
-
-// DefaultFleetSoakParams is the CI-sized soak; QuickFleetSoakParams is
-// the -quick variant.
-func DefaultFleetSoakParams() FleetSoakParams {
-	return FleetSoakParams{VMs: 16, Pullers: 4, Rounds: 6, Restarts: 2, Seed: 42}
-}
-
-// QuickFleetSoakParams returns a smaller soak for -quick runs.
-func QuickFleetSoakParams() FleetSoakParams {
-	return FleetSoakParams{VMs: 4, Pullers: 2, Rounds: 4, Restarts: 1, Seed: 42}
-}
-
-// FleetSoak runs the soak with every fault kind enabled and returns
+// FleetSoak runs the soak with every fault kind enabled — CI-sized, or
+// smaller under a Quick config — seeded from cfg.Seeds[0], and returns
 // the report; any failed invariant is returned as an error so callers
 // (cbsbench, CI) fail loudly.
-func FleetSoak(cfg Config, p FleetSoakParams) (*fleetsim.Report, error) {
-	if len(cfg.Seeds) > 0 {
-		p.Seed = cfg.Seeds[0]
+func FleetSoak(cfg Config) (*fleetsim.Report, error) {
+	fc := fleetsim.Config{VMs: 16, Pullers: 4, Rounds: 6, Restarts: 2, Seed: 42}
+	if cfg.Quick {
+		fc = fleetsim.Config{VMs: 4, Pullers: 2, Rounds: 4, Restarts: 1, Seed: 42}
 	}
-	faults, _ := fleetsim.ParseFaults("all")
-	rep, err := fleetsim.Run(fleetsim.Config{
-		VMs:      p.VMs,
-		Pullers:  p.Pullers,
-		Rounds:   p.Rounds,
-		Seed:     p.Seed,
-		Faults:   faults,
-		Restarts: p.Restarts,
-	})
+	if len(cfg.Seeds) > 0 {
+		fc.Seed = cfg.Seeds[0]
+	}
+	fc.Faults, _ = fleetsim.ParseFaults("all")
+	rep, err := fleetsim.Run(fc)
 	if err != nil {
 		return nil, err
 	}
 	if !rep.AllPassed() {
-		return rep, fmt.Errorf("fleet soak (seed %d) failed invariants:\n%s", p.Seed, rep.Format())
+		return rep, fmt.Errorf("fleet soak (seed %d) failed invariants:\n%s", fc.Seed, rep.Format())
 	}
 	return rep, nil
-}
-
-// FormatFleetSoak renders the study.
-func FormatFleetSoak(rep *fleetsim.Report) string {
-	return rep.Format()
 }

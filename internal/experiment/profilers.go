@@ -7,43 +7,54 @@ import (
 
 	"gocbs/internal/bench"
 	"gocbs/internal/mincover"
-	"gocbs/internal/perf"
 	"gocbs/internal/profile"
 	"gocbs/internal/profiler"
 	"gocbs/internal/runner"
 	"gocbs/internal/vm"
 )
 
+// ProfilerRow is one benchmark's three-way profile-source comparison.
+// Overheads are profiling cycles as a percentage of base cycles;
+// accuracies are overlap with the perfect profile.
+type ProfilerRow struct {
+	Name             string
+	ExhaustivePct    float64 // exhaustive instrumentation's overhead
+	CBSPct           float64 // CBS, median over seeds
+	CBSAccuracy      float64
+	MincoverPct      float64 // minimum-coverage instrumentation, after recovery
+	MincoverAccuracy float64
+	ProbedSites      int // static call points carrying a probe ...
+	TotalSites       int // ... out of this many
+	// Exact reports that mincover's recovered DCG was byte-identical
+	// to the exhaustive profile of the same deterministic run.
+	Exact bool
+}
+
 // ProfilerStudy is the three-way accuracy-vs-overhead comparison of
 // the fleet's profile sources — exhaustive instrumentation, CBS
 // sampling, and minimum-coverage instrumentation — per benchmark, all
 // in the JIT-only configuration and scored against the same perfect
-// profile. Emitted into the perf schema (v3 Profilers section) so the
-// trajectory tracks how much accuracy each point of overhead buys.
-func ProfilerStudy(cfg Config, input string) ([]perf.ProfilerRow, error) {
+// profile.
+func ProfilerStudy(cfg Config, input string) ([]ProfilerRow, error) {
 	pool := cfg.startPool()
-	return measureProfilers(cfg, pool, input)
-}
-
-func measureProfilers(cfg Config, pool *runner.Pool, input string) ([]perf.ProfilerRow, error) {
-	return runner.Map(pool, cfg.Benchmarks, func(_ int, b *bench.Benchmark) (perf.ProfilerRow, error) {
+	return runner.Map(pool, cfg.Benchmarks, func(_ int, b *bench.Benchmark) (ProfilerRow, error) {
 		size := b.SizeFor(input)
 		perfect, err := PerfectDCG(cfg, b, size)
 		if err != nil {
-			return perf.ProfilerRow{}, err
+			return ProfilerRow{}, err
 		}
 
 		// Exhaustive with modeled per-call counter cost: the accuracy
 		// ceiling and the overhead ceiling at once.
 		prog, err := cfg.prepare(b)
 		if err != nil {
-			return perf.ProfilerRow{}, err
+			return ProfilerRow{}, err
 		}
 		m := vm.New(prog)
 		m.MaxSteps = cfg.MaxSteps
 		m.SetProfiler(profiler.NewInstrumented())
 		if _, err := m.Run(size); err != nil {
-			return perf.ProfilerRow{}, fmt.Errorf("%s instrumented: %w", b.Name, err)
+			return ProfilerRow{}, fmt.Errorf("%s instrumented: %w", b.Name, err)
 		}
 		cfg.addCycles(m.Cycles)
 		exhaustivePct := m.Overhead() * 100
@@ -52,34 +63,34 @@ func measureProfilers(cfg Config, pool *runner.Pool, input string) ([]perf.Profi
 		cbs, err := MeasureCBS(cfg, b, size,
 			profiler.Config{Stride: 3, SamplesPerTick: 16, Flavour: profiler.FlavourRVM}, perfect)
 		if err != nil {
-			return perf.ProfilerRow{}, err
+			return ProfilerRow{}, err
 		}
 
 		// Mincover: deterministic, so a single run measures it fully.
 		mprog, err := cfg.prepare(b)
 		if err != nil {
-			return perf.ProfilerRow{}, err
+			return ProfilerRow{}, err
 		}
 		mc := mincover.New(mprog)
 		mv := vm.New(mprog)
 		mv.MaxSteps = cfg.MaxSteps
 		mv.SetProfiler(mc)
 		if _, err := mv.Run(size); err != nil {
-			return perf.ProfilerRow{}, fmt.Errorf("%s mincover: %w", b.Name, err)
+			return ProfilerRow{}, fmt.Errorf("%s mincover: %w", b.Name, err)
 		}
 		if err := mc.Finalize(); err != nil {
-			return perf.ProfilerRow{}, fmt.Errorf("%s mincover: %w", b.Name, err)
+			return ProfilerRow{}, fmt.Errorf("%s mincover: %w", b.Name, err)
 		}
 		if mc.Unexpected != 0 {
-			return perf.ProfilerRow{}, fmt.Errorf("%s mincover: %d edges outside the static graph", b.Name, mc.Unexpected)
+			return ProfilerRow{}, fmt.Errorf("%s mincover: %d edges outside the static graph", b.Name, mc.Unexpected)
 		}
 		cfg.addCycles(mv.Cycles)
 		exact, err := sameDCG(mc.Graph, perfect)
 		if err != nil {
-			return perf.ProfilerRow{}, err
+			return ProfilerRow{}, err
 		}
 		c := mc.Cover
-		return perf.ProfilerRow{
+		return ProfilerRow{
 			Name:             b.Name,
 			ExhaustivePct:    exhaustivePct,
 			CBSPct:           cbs.OverheadPct,
@@ -88,7 +99,6 @@ func measureProfilers(cfg Config, pool *runner.Pool, input string) ([]perf.Profi
 			MincoverAccuracy: profile.Accuracy(mc.Graph, perfect),
 			ProbedSites:      c.NumProbes(),
 			TotalSites:       c.NumPoints(),
-			ProbeRatio:       c.ProbeRatio(),
 			Exact:            exact,
 		}, nil
 	})
@@ -108,7 +118,7 @@ func sameDCG(a, b *profile.DCG) (bool, error) {
 }
 
 // FormatProfilers renders the study for the terminal.
-func FormatProfilers(rows []perf.ProfilerRow) string {
+func FormatProfilers(rows []ProfilerRow) string {
 	var sb strings.Builder
 	sb.WriteString("Profile sources: overhead (profiling cycles / base cycles) vs accuracy (overlap with perfect)\n")
 	fmt.Fprintf(&sb, "%-12s %9s  %8s %7s  %8s %7s %11s %6s\n",

@@ -106,9 +106,7 @@ func newLeafStore() (*dcgstore.Multi, *dcgstore.Store) {
 // fastUpstream returns an api client for the root with near-zero
 // backoff and no retries (tests drive every attempt explicitly).
 func fastUpstream(url string) *api.Client {
-	c := api.NewClient(url)
-	c.Retries = -1
-	return c
+	return &api.Client{BaseURL: url, Retries: -1}
 }
 
 func mustEqualDCG(t *testing.T, label string, got, want *profile.DCG) {
