@@ -76,10 +76,7 @@ func (vm *VM) enter(m *bytecode.Method, site int) error {
 	vm.frames = slices.Grow(vm.frames, 1)[:n+1]
 	vm.frames[n] = Frame{M: m, Site: site, CallerPC: callerPC, base: base}
 
-	if !vm.executed[m.ID] {
-		vm.executed[m.ID] = true
-		vm.nExec++
-	}
+	vm.table(m)
 	if vm.EntryCheckCost > 0 {
 		vm.ChargeProfiling(vm.EntryCheckCost)
 	}
@@ -95,23 +92,63 @@ func (vm *VM) enter(m *bytecode.Method, site int) error {
 // frame returns the executing activation record.
 func (vm *VM) frame() *Frame { return &vm.frames[len(vm.frames)-1] }
 
-// prologue does what precedes the instruction at the executing frame's
-// PC — range check, step limit, trace function, cycle charge, timer —
-// on the VM's own fields; run does the same in registers for as long as
-// nothing is due. Either way a tick is delivered at the first
-// instruction boundary at which the clock has passed the deadline.
-func (vm *VM) prologue() error {
-	f := vm.frame()
-	if uint(f.PC) >= uint(len(f.M.Code)) {
-		return vm.trap("pc out of range")
+// bound sets what a span's charge is tested against until the next
+// sync point: the step limit (0 while tracing, so that nothing fits) and
+// the timer's deadline. step calls it on the way in, after whatever hook
+// brought run to a sync point, and again after the one hook of its own.
+func (vm *VM) bound() {
+	vm.limit, vm.deadline = math.MaxUint64, math.MaxUint64
+	if vm.Trace != nil {
+		vm.limit = 0
+	} else if vm.MaxSteps > 0 {
+		vm.limit = vm.MaxSteps
 	}
-	ins := f.M.Code[f.PC]
+	if vm.TimerPeriod > 0 {
+		vm.deadline = vm.nextTimer
+	}
+}
+
+// step pays for what runs next and returns the pc up to which run may
+// execute on that payment. That is as much of the span at the executing
+// frame's PC as lies ahead of the step limit and the next tick: all of
+// it, unless run has just found that it does not fit. When not even its
+// first instruction does — always, under a Trace function — that one is
+// taken the slow way: step limit, trace function, its own charge, timer.
+// Either way a tick is delivered at the first instruction boundary at
+// which the clock has passed the deadline.
+func (vm *VM) step() (end int, err error) {
+	f := vm.frame()
+	tab, pc := vm.table(f.M), f.PC
+	if uint(pc) >= uint(len(tab)) {
+		return 0, vm.trap("pc out of range")
+	}
+	vm.bound()
+	n, paid := int(tab[pc].n), uint32(0)
+	lo, hi := 0, n+1 // the first lo instructions fit, the first hi do not
+	for k := n; lo+1 < hi && vm.Trace == nil; k = (lo + hi) / 2 {
+		cyc := tab[pc].cyc
+		if k < n {
+			cyc -= tab[pc+k].cyc
+		}
+		if vm.Instrs+uint64(k) <= vm.limit && vm.Cycles+uint64(cyc) < vm.deadline {
+			lo, paid = k, cyc
+		} else {
+			hi = k
+		}
+	}
+	vm.Cycles, vm.Instrs = vm.Cycles+uint64(paid), vm.Instrs+uint64(lo)
+	if lo == n {
+		return len(tab), nil
+	} else if lo > 0 {
+		return pc + lo, nil
+	}
+	ins := f.M.Code[pc]
 	vm.Instrs++
 	if vm.MaxSteps > 0 && vm.Instrs > vm.MaxSteps {
-		return vm.trap("step limit %d exceeded", vm.MaxSteps)
+		return 0, vm.trap("step limit %d exceeded", vm.MaxSteps)
 	}
 	if vm.Trace != nil {
-		vm.Trace(f.M, f.PC, ins)
+		vm.Trace(f.M, pc, ins)
 	}
 	vm.chargeWork(vm.Cost.Instr[ins.Op])
 	for vm.TimerPeriod > 0 && vm.Cycles >= vm.nextTimer {
@@ -120,370 +157,389 @@ func (vm *VM) prologue() error {
 			vm.tick.OnTimerTick(vm)
 		}
 	}
-	return nil
+	vm.bound() // a tick listener may have moved either
+	return pc + 1, nil
 }
 
-// load derives run's registers from the VM: the executing frame's code
-// and pc, its window fr of the shared stack (locals, then operands up
-// to sp), the two counters, and what each is tested against: the
-// timer's deadline and the step limit (0 while tracing). The window is
-// spelled out at its three uses, and the cost table is read through vm:
-// an inlined helper for the one and a local for the other each cost
-// run's register allocation 7 % of vm_bare.
-func (vm *VM) load() (code []bytecode.Instr, pc int, fr []Value, sp int, cycles, instrs, deadline, limit uint64) {
+// load derives run's registers from the VM: the executing frame's code,
+// the span table summed from it, its pc, and its window fr of the shared
+// stack (locals, then operands up to sp). The window is spelled out at
+// its three uses: an inlined helper for it cost run's register
+// allocation 7 % of vm_bare.
+func (vm *VM) load() (code []bytecode.Instr, spans []span, pc int, fr []Value, sp int) {
 	f := vm.frame()
-	limit, deadline = math.MaxUint64, math.MaxUint64
-	if vm.Trace != nil {
-		limit = 0
-	} else if vm.MaxSteps > 0 {
-		limit = vm.MaxSteps
-	}
-	if vm.TimerPeriod > 0 {
-		deadline = vm.nextTimer
-	}
-	return f.M.Code, f.PC, vm.stack[f.base : f.base+f.M.NLocals+f.M.MaxStack], len(vm.stack) - f.base,
-		vm.Cycles, vm.Instrs, deadline, limit
+	return f.M.Code, vm.table(f.M), f.PC, vm.stack[f.base : f.base+f.M.NLocals+f.M.MaxStack], len(vm.stack) - f.base
 }
 
 // sync writes run's registers back, so that what runs next sees the VM
 // as of pc. It returns vm, so that a trap is raised in one expression.
-func (vm *VM) sync(pc, sp int, cycles, instrs uint64) *VM {
+func (vm *VM) sync(pc, sp int) *VM {
 	f := vm.frame()
-	f.PC, vm.stack, vm.Cycles, vm.Instrs = pc, vm.stack[:f.base+sp], cycles, instrs
+	f.PC, vm.stack = pc, vm.stack[:f.base+sp]
 	return vm
+}
+
+// fault is sync for a trap raised at pc in mid-span: what was paid for
+// beyond pc is given back, so that the counters stop at the fault. That
+// is the rest of the span, or of the part of it that code was cut to;
+// nothing, when pc was paid for alone.
+func (vm *VM) fault(pc, sp int, code []bytecode.Instr, spans []span) *VM {
+	if pc+1 < len(code) {
+		back := spans[pc+1]
+		if len(code) < len(spans) {
+			back.cyc, back.n = back.cyc-spans[len(code)].cyc, back.n-spans[len(code)].n
+		}
+		vm.Cycles, vm.Instrs = vm.Cycles-uint64(back.cyc), vm.Instrs-uint64(back.n)
+	}
+	return vm.sync(pc, sp)
 }
 
 // run interprets until the frame stack shrinks back to baseDepth.
 //
-// The inner loop keeps its working set in locals (see load) and makes
-// no call: Go has no callee-saved registers, so a value live across any
-// call in the loop would be stored to memory wherever it is defined.
-// Whatever needs one — a hook, a trap, an allocation, a slow frame push
-// or pop — is a sync point: sync, do it on the VM's own fields, and let
-// the outer loop start over from them, so nothing cached survives a
-// hook (DESIGN §5, "Interpreter state and sync points").
+// The register loop keeps its working set in locals (see load) and
+// makes no call: Go has no callee-saved registers, so a value live
+// across any call in the loop would be stored to memory wherever it is
+// defined. Whatever needs one — a hook, a trap, an allocation, a slow
+// frame push or pop — is a sync point: sync, do it on the VM's own
+// fields, and let the outer loop start over from them, so nothing cached
+// survives a hook. The counters are not in the working set: a span (see
+// span.go) is paid for where it starts, and the straight line inside it
+// runs with nothing to count (DESIGN §5, "Interpreter state and sync
+// points").
 func (vm *VM) run(baseDepth int) (Value, error) {
 	for { // the VM is at an instruction boundary, PC on what runs next
-		if err := vm.prologue(); err != nil {
+		end, err := vm.step()
+		if err != nil {
 			return Value{}, err
 		}
-		code, pc, fr, sp, cycles, instrs, deadline, limit := vm.load()
-		ins := code[pc]
+		code, spans, pc, fr, sp := vm.load()
+		code = code[:end] // the straight line ends where what step paid for does
 		var (
 			target, site int
 			callee       *bytecode.Method
+			dispatch     uint64 // what finding callee cost
 		)
 	registers:
 		for {
-			switch ins.Op {
-			case bytecode.OpNop:
+			for uint(pc) < uint(len(code)) { // the straight line, paid for: falls out at a terminator
+				ins := code[pc]
+				switch ins.Op {
+				case bytecode.OpNop:
 
-			case bytecode.OpConst:
-				fr[sp] = IntV(int64(ins.A))
-				sp++
-			case bytecode.OpConstL:
-				fr[sp] = IntV(vm.frame().M.Consts[ins.A])
-				sp++
-			case bytecode.OpLoad:
-				fr[sp] = fr[ins.A]
-				sp++
-			case bytecode.OpStore:
-				sp--
-				fr[ins.A] = fr[sp]
-			case bytecode.OpPop:
-				sp--
-			case bytecode.OpDup:
-				fr[sp] = fr[sp-1]
-				sp++
-
-			case bytecode.OpAdd:
-				sp--
-				fr[sp-1] = IntV(fr[sp-1].I + fr[sp].I)
-			case bytecode.OpSub:
-				sp--
-				fr[sp-1] = IntV(fr[sp-1].I - fr[sp].I)
-			case bytecode.OpMul:
-				sp--
-				fr[sp-1] = IntV(fr[sp-1].I * fr[sp].I)
-			case bytecode.OpDiv:
-				sp--
-				a, b := fr[sp-1].I, fr[sp].I
-				if b == 0 {
-					return Value{}, vm.sync(pc, sp, cycles, instrs).trap("division by zero")
-				}
-				// MinInt64 / -1 wraps (Java idiv semantics); Go would panic.
-				if b == -1 {
-					fr[sp-1] = IntV(-a)
-				} else {
-					fr[sp-1] = IntV(a / b)
-				}
-			case bytecode.OpRem:
-				sp--
-				a, b := fr[sp-1].I, fr[sp].I
-				if b == 0 {
-					return Value{}, vm.sync(pc, sp, cycles, instrs).trap("remainder by zero")
-				}
-				if b == -1 { // MinInt64 % -1 is 0, not a panic
-					fr[sp-1] = IntV(0)
-				} else {
-					fr[sp-1] = IntV(a % b)
-				}
-			case bytecode.OpNeg:
-				fr[sp-1] = IntV(-fr[sp-1].I)
-
-			case bytecode.OpAnd:
-				sp--
-				fr[sp-1] = IntV(fr[sp-1].I & fr[sp].I)
-			case bytecode.OpOr:
-				sp--
-				fr[sp-1] = IntV(fr[sp-1].I | fr[sp].I)
-			case bytecode.OpXor:
-				sp--
-				fr[sp-1] = IntV(fr[sp-1].I ^ fr[sp].I)
-			case bytecode.OpShl:
-				sp--
-				fr[sp-1] = IntV(fr[sp-1].I << (uint64(fr[sp].I) & 63))
-			case bytecode.OpShr:
-				sp--
-				fr[sp-1] = IntV(fr[sp-1].I >> (uint64(fr[sp].I) & 63))
-
-			case bytecode.OpEq, bytecode.OpNe, bytecode.OpLt, bytecode.OpLe, bytecode.OpGt, bytecode.OpGe:
-				sp--
-				fr[sp-1] = boolV(compare(ins.Op, fr[sp-1], fr[sp]))
-			case bytecode.OpNot:
-				fr[sp-1] = boolV(fr[sp-1] == Value{})
-
-			case bytecode.OpJump:
-				target = int(ins.A)
-				goto branch
-			case bytecode.OpJumpZ, bytecode.OpJumpNZ:
-				sp--
-				if (fr[sp] == Value{}) == (ins.Op == bytecode.OpJumpZ) {
-					target = int(ins.A)
-					goto branch
-				}
-
-			case bytecode.OpGetField:
-				o := fr[sp-1].R
-				if o == nil {
-					return Value{}, vm.sync(pc, sp, cycles, instrs).trap("getfield on nil")
-				}
-				if uint(ins.A) >= uint(len(o.Fields)) {
-					return Value{}, vm.sync(pc, sp, cycles, instrs).trap("getfield outside the %d fields of %s", len(o.Fields), castClassName(o))
-				}
-				fr[sp-1] = o.Fields[ins.A]
-			case bytecode.OpPutField:
-				sp -= 2
-				o := fr[sp].R
-				if o == nil {
-					return Value{}, vm.sync(pc, sp, cycles, instrs).trap("putfield on nil")
-				}
-				if uint(ins.A) >= uint(len(o.Fields)) {
-					return Value{}, vm.sync(pc, sp, cycles, instrs).trap("putfield outside the %d fields of %s", len(o.Fields), castClassName(o))
-				}
-				o.Fields[ins.A] = fr[sp+1]
-			case bytecode.OpNew:
-				cls := vm.Prog.Classes[ins.A]
-				cycles += vm.Cost.AllocBase + vm.Cost.AllocPerField*uint64(len(cls.Fields))
-				vm.sync(pc+1, sp, cycles, instrs)
-				vm.stack = append(vm.stack, RefV(&Object{Class: cls, Fields: make([]Value, len(cls.Fields))}))
-				break registers
-
-			case bytecode.OpGetStatic:
-				fr[sp] = vm.statics[ins.A]
-				sp++
-			case bytecode.OpPutStatic:
-				sp--
-				vm.statics[ins.A] = fr[sp]
-
-			case bytecode.OpNewArr:
-				n := fr[sp-1].I
-				if n < 0 || n > maxArrayLen {
-					return Value{}, vm.sync(pc, sp, cycles, instrs).trap("newarr with length %d outside [0,%d]", n, maxArrayLen)
-				}
-				cycles += vm.Cost.AllocBase + vm.Cost.AllocPerField*uint64(n)
-				vm.sync(pc+1, sp-1, cycles, instrs)
-				vm.stack = append(vm.stack, RefV(&Object{Elems: make([]Value, n)}))
-				break registers
-			case bytecode.OpALoad:
-				sp--
-				arr, idx := fr[sp-1].R, fr[sp].I
-				if arr == nil {
-					return Value{}, vm.sync(pc, sp, cycles, instrs).trap("aload on nil")
-				}
-				if idx < 0 || idx >= int64(len(arr.Elems)) {
-					return Value{}, vm.sync(pc, sp, cycles, instrs).trap("array index %d out of range [0,%d)", idx, len(arr.Elems))
-				}
-				fr[sp-1] = arr.Elems[idx]
-			case bytecode.OpAStore:
-				sp -= 3
-				arr, idx := fr[sp].R, fr[sp+1].I
-				if arr == nil {
-					return Value{}, vm.sync(pc, sp, cycles, instrs).trap("astore on nil")
-				}
-				if idx < 0 || idx >= int64(len(arr.Elems)) {
-					return Value{}, vm.sync(pc, sp, cycles, instrs).trap("array index %d out of range [0,%d)", idx, len(arr.Elems))
-				}
-				arr.Elems[idx] = fr[sp+2]
-			case bytecode.OpArrLen:
-				arr := fr[sp-1].R
-				if arr == nil {
-					return Value{}, vm.sync(pc, sp, cycles, instrs).trap("arrlen on nil")
-				}
-				fr[sp-1] = IntV(int64(len(arr.Elems)))
-
-			case bytecode.OpCallStatic:
-				callee, site = vm.Prog.Methods[ins.A], int(ins.B)
-				goto call
-			case bytecode.OpCallVirtual:
-				slot, nargs := bytecode.DecodeVirtual(ins.A)
-				recv := fr[sp-nargs].R
-				if recv == nil {
-					return Value{}, vm.sync(pc, sp, cycles, instrs).trap("virtual call on nil receiver")
-				}
-				if recv.Class == nil || slot >= len(recv.Class.VTable) {
-					return Value{}, vm.sync(pc, sp, cycles, instrs).trap("bad virtual dispatch (slot %d)", slot)
-				}
-				callee, site = recv.Class.VTable[slot], int(ins.B)
-				if callee == nil {
-					return Value{}, vm.sync(pc, sp, cycles, instrs).trap("vtable slot %d empty on %s", slot, recv.Class.Name)
-				}
-				if callee.NArgs != nargs {
-					return Value{}, vm.sync(pc, sp, cycles, instrs).trap("%s takes %d args, call site passes %d", callee.Name, callee.NArgs, nargs)
-				}
-				cycles += vm.Cost.VirtualDispatch
-				goto call
-
-			case bytecode.OpMakeClosure:
-				fn, ncaps := vm.Prog.Methods[ins.A], int(ins.B)
-				cycles += vm.Cost.AllocBase + vm.Cost.AllocPerField*uint64(ncaps)
-				vm.sync(pc+1, sp-ncaps, cycles, instrs)
-				n := len(vm.stack)
-				caps := append([]Value(nil), vm.stack[n:n+ncaps]...)
-				vm.stack = append(vm.stack, RefV(&Object{Fn: fn, Fields: caps}))
-				break registers
-			case bytecode.OpCallClosure:
-				nargs := int(ins.A)
-				fn := fr[sp-nargs].R
-				if fn == nil {
-					return Value{}, vm.sync(pc, sp, cycles, instrs).trap("closure call on nil")
-				}
-				if fn.Fn == nil {
-					return Value{}, vm.sync(pc, sp, cycles, instrs).trap("closure call on non-closure %s", castClassName(fn))
-				}
-				callee, site = fn.Fn, int(ins.B)
-				if callee.NArgs != nargs {
-					return Value{}, vm.sync(pc, sp, cycles, instrs).trap("closure %s takes %d args, call site passes %d", callee.Name, callee.NArgs, nargs)
-				}
-				cycles += vm.Cost.VirtualDispatch
-				goto call
-
-			case bytecode.OpReturn, bytecode.OpReturnVoid:
-				var rv Value
-				if ins.Op == bytecode.OpReturn {
-					sp--
-					rv = fr[sp]
-				}
-				if n := len(vm.frames) - 1; n > baseDepth && (vm.ControlWord == ControlNone || !vm.EpilogueYieldpoints) {
-					// No yieldpoint, and the caller is interpreted: pop to it in
-					// registers. The stack is cut at the callee's base, where its
-					// first argument was pushed, and the result goes there.
-					f, top := &vm.frames[n-1], vm.frames[n].base
-					vm.frames = vm.frames[:n]
-					code, pc = f.M.Code, f.PC
-					fr, sp = vm.stack[f.base:f.base+f.M.NLocals+f.M.MaxStack], top-f.base
-					fr[sp] = rv
+				case bytecode.OpConst:
+					fr[sp] = IntV(int64(ins.A))
 					sp++
-					break
-				}
-				vm.sync(pc, sp, cycles, instrs)
-				if vm.ControlWord != ControlNone && vm.EpilogueYieldpoints {
-					vm.takeYieldpoint(YieldEpilogue)
-				}
-				vm.stack = vm.stack[:vm.frame().base]
-				vm.frames = vm.frames[:len(vm.frames)-1]
-				if len(vm.frames) == baseDepth {
-					return rv, nil
-				}
-				vm.frame().PC++
-				vm.stack = append(vm.stack, rv)
-				break registers
+				case bytecode.OpConstL:
+					fr[sp] = IntV(vm.frame().M.Consts[ins.A])
+					sp++
+				case bytecode.OpLoad:
+					fr[sp] = fr[ins.A]
+					sp++
+				case bytecode.OpStore:
+					sp--
+					fr[ins.A] = fr[sp]
+				case bytecode.OpPop:
+					sp--
+				case bytecode.OpDup:
+					fr[sp] = fr[sp-1]
+					sp++
 
-			case bytecode.OpClassEq:
-				o := fr[sp-1].R
-				fr[sp-1] = boolV(o != nil && o.Class != nil && o.Class.ID == int(ins.A))
-			case bytecode.OpVTEq:
-				o := fr[sp-1].R
-				slot, mid := bytecode.DecodeVTEq(ins.A)
-				fr[sp-1] = boolV(o != nil && o.Class != nil && slot < len(o.Class.VTable) &&
-					o.Class.VTable[slot] == vm.Prog.Methods[mid])
-			case bytecode.OpInstanceOf:
-				o := fr[sp-1].R
-				fr[sp-1] = boolV(o != nil && o.Class != nil && o.Class.SubclassOf(vm.Prog.Classes[ins.A]))
-			case bytecode.OpCast:
-				o, cls := fr[sp-1].R, vm.Prog.Classes[ins.A]
-				if o != nil && (o.Class == nil || !o.Class.SubclassOf(cls)) {
-					return Value{}, vm.sync(pc, sp, cycles, instrs).trap("cannot cast %s to %s", castClassName(o), cls.Name)
-				}
-			case bytecode.OpIsNull:
-				fr[sp-1] = boolV(fr[sp-1] == Value{})
-			case bytecode.OpNull:
-				fr[sp] = Value{}
-				sp++
+				case bytecode.OpAdd:
+					sp--
+					fr[sp-1] = IntV(fr[sp-1].I + fr[sp].I)
+				case bytecode.OpSub:
+					sp--
+					fr[sp-1] = IntV(fr[sp-1].I - fr[sp].I)
+				case bytecode.OpMul:
+					sp--
+					fr[sp-1] = IntV(fr[sp-1].I * fr[sp].I)
+				case bytecode.OpDiv:
+					sp--
+					a, b := fr[sp-1].I, fr[sp].I
+					if b == 0 {
+						return Value{}, vm.fault(pc, sp, code, spans).trap("division by zero")
+					}
+					// MinInt64 / -1 wraps (Java idiv semantics); Go would panic.
+					if b == -1 {
+						fr[sp-1] = IntV(-a)
+					} else {
+						fr[sp-1] = IntV(a / b)
+					}
+				case bytecode.OpRem:
+					sp--
+					a, b := fr[sp-1].I, fr[sp].I
+					if b == 0 {
+						return Value{}, vm.fault(pc, sp, code, spans).trap("remainder by zero")
+					}
+					if b == -1 { // MinInt64 % -1 is 0, not a panic
+						fr[sp-1] = IntV(0)
+					} else {
+						fr[sp-1] = IntV(a % b)
+					}
+				case bytecode.OpNeg:
+					fr[sp-1] = IntV(-fr[sp-1].I)
 
-			// Superinstructions (emitted by opt.Fuse): each case is the
-			// literal composition of its unfused parts, executed under the
-			// single summed cycle charge taken in the prologue.
-			case bytecode.OpLoadLoad:
-				fr[sp], fr[sp+1] = fr[ins.A], fr[ins.B]
-				sp += 2
-			case bytecode.OpLoadConst:
-				fr[sp], fr[sp+1] = fr[ins.A], IntV(int64(ins.B))
-				sp += 2
-			case bytecode.OpAddConst:
-				fr[sp-1] = IntV(fr[sp-1].I + int64(ins.A))
-			case bytecode.OpIncLocal:
-				// Like Load;Const;Add;Store, the result is a pure integer:
-				// any reference interpretation of the local is dropped.
-				fr[ins.A] = IntV(fr[ins.A].I + int64(ins.B))
-			case bytecode.OpJumpCmp:
-				sp -= 2
-				if compare(bytecode.Opcode(ins.B), fr[sp], fr[sp+1]) {
+				case bytecode.OpAnd:
+					sp--
+					fr[sp-1] = IntV(fr[sp-1].I & fr[sp].I)
+				case bytecode.OpOr:
+					sp--
+					fr[sp-1] = IntV(fr[sp-1].I | fr[sp].I)
+				case bytecode.OpXor:
+					sp--
+					fr[sp-1] = IntV(fr[sp-1].I ^ fr[sp].I)
+				case bytecode.OpShl:
+					sp--
+					fr[sp-1] = IntV(fr[sp-1].I << (uint64(fr[sp].I) & 63))
+				case bytecode.OpShr:
+					sp--
+					fr[sp-1] = IntV(fr[sp-1].I >> (uint64(fr[sp].I) & 63))
+
+				case bytecode.OpEq, bytecode.OpNe, bytecode.OpLt, bytecode.OpLe, bytecode.OpGt, bytecode.OpGe:
+					sp--
+					fr[sp-1] = boolV(compare(ins.Op, fr[sp-1], fr[sp]))
+				case bytecode.OpNot:
+					fr[sp-1] = boolV(fr[sp-1] == Value{})
+
+				case bytecode.OpJump:
 					target = int(ins.A)
 					goto branch
+				case bytecode.OpJumpZ, bytecode.OpJumpNZ:
+					sp--
+					if (fr[sp] == Value{}) == (ins.Op == bytecode.OpJumpZ) {
+						target = int(ins.A)
+						goto branch
+					}
+					pc++
+					goto next
+
+				case bytecode.OpGetField:
+					o := fr[sp-1].R
+					if o == nil {
+						return Value{}, vm.fault(pc, sp, code, spans).trap("getfield on nil")
+					}
+					if uint(ins.A) >= uint(len(o.Fields)) {
+						return Value{}, vm.fault(pc, sp, code, spans).trap("getfield outside the %d fields of %s", len(o.Fields), castClassName(o))
+					}
+					fr[sp-1] = o.Fields[ins.A]
+				case bytecode.OpPutField:
+					sp -= 2
+					o := fr[sp].R
+					if o == nil {
+						return Value{}, vm.fault(pc, sp, code, spans).trap("putfield on nil")
+					}
+					if uint(ins.A) >= uint(len(o.Fields)) {
+						return Value{}, vm.fault(pc, sp, code, spans).trap("putfield outside the %d fields of %s", len(o.Fields), castClassName(o))
+					}
+					o.Fields[ins.A] = fr[sp+1]
+				case bytecode.OpNew:
+					cls := vm.Prog.Classes[ins.A]
+					vm.Cycles += vm.Cost.AllocBase + vm.Cost.AllocPerField*uint64(len(cls.Fields))
+					vm.sync(pc+1, sp)
+					vm.stack = append(vm.stack, RefV(&Object{Class: cls, Fields: make([]Value, len(cls.Fields))}))
+					break registers
+
+				case bytecode.OpGetStatic:
+					fr[sp] = vm.statics[ins.A]
+					sp++
+				case bytecode.OpPutStatic:
+					sp--
+					vm.statics[ins.A] = fr[sp]
+
+				case bytecode.OpNewArr:
+					n := fr[sp-1].I
+					if n < 0 || n > maxArrayLen {
+						return Value{}, vm.sync(pc, sp).trap("newarr with length %d outside [0,%d]", n, maxArrayLen)
+					}
+					vm.Cycles += vm.Cost.AllocBase + vm.Cost.AllocPerField*uint64(n)
+					vm.sync(pc+1, sp-1)
+					vm.stack = append(vm.stack, RefV(&Object{Elems: make([]Value, n)}))
+					break registers
+				case bytecode.OpALoad:
+					sp--
+					arr, idx := fr[sp-1].R, fr[sp].I
+					if arr == nil {
+						return Value{}, vm.fault(pc, sp, code, spans).trap("aload on nil")
+					}
+					if idx < 0 || idx >= int64(len(arr.Elems)) {
+						return Value{}, vm.fault(pc, sp, code, spans).trap("array index %d out of range [0,%d)", idx, len(arr.Elems))
+					}
+					fr[sp-1] = arr.Elems[idx]
+				case bytecode.OpAStore:
+					sp -= 3
+					arr, idx := fr[sp].R, fr[sp+1].I
+					if arr == nil {
+						return Value{}, vm.fault(pc, sp, code, spans).trap("astore on nil")
+					}
+					if idx < 0 || idx >= int64(len(arr.Elems)) {
+						return Value{}, vm.fault(pc, sp, code, spans).trap("array index %d out of range [0,%d)", idx, len(arr.Elems))
+					}
+					arr.Elems[idx] = fr[sp+2]
+				case bytecode.OpArrLen:
+					arr := fr[sp-1].R
+					if arr == nil {
+						return Value{}, vm.fault(pc, sp, code, spans).trap("arrlen on nil")
+					}
+					fr[sp-1] = IntV(int64(len(arr.Elems)))
+
+				case bytecode.OpCallStatic:
+					callee, site, dispatch = vm.Prog.Methods[ins.A], int(ins.B), 0
+					goto call
+				case bytecode.OpCallVirtual:
+					slot, nargs := bytecode.DecodeVirtual(ins.A)
+					recv := fr[sp-nargs].R
+					if recv == nil {
+						return Value{}, vm.sync(pc, sp).trap("virtual call on nil receiver")
+					}
+					if recv.Class == nil || slot >= len(recv.Class.VTable) {
+						return Value{}, vm.sync(pc, sp).trap("bad virtual dispatch (slot %d)", slot)
+					}
+					callee, site = recv.Class.VTable[slot], int(ins.B)
+					if callee == nil {
+						return Value{}, vm.sync(pc, sp).trap("vtable slot %d empty on %s", slot, recv.Class.Name)
+					}
+					if callee.NArgs != nargs {
+						return Value{}, vm.sync(pc, sp).trap("%s takes %d args, call site passes %d", callee.Name, callee.NArgs, nargs)
+					}
+					dispatch = vm.Cost.VirtualDispatch
+					goto call
+
+				case bytecode.OpMakeClosure:
+					fn, ncaps := vm.Prog.Methods[ins.A], int(ins.B)
+					vm.Cycles += vm.Cost.AllocBase + vm.Cost.AllocPerField*uint64(ncaps)
+					vm.sync(pc+1, sp-ncaps)
+					n := len(vm.stack)
+					caps := append([]Value(nil), vm.stack[n:n+ncaps]...)
+					vm.stack = append(vm.stack, RefV(&Object{Fn: fn, Fields: caps}))
+					break registers
+				case bytecode.OpCallClosure:
+					nargs := int(ins.A)
+					fn := fr[sp-nargs].R
+					if fn == nil {
+						return Value{}, vm.sync(pc, sp).trap("closure call on nil")
+					}
+					if fn.Fn == nil {
+						return Value{}, vm.sync(pc, sp).trap("closure call on non-closure %s", castClassName(fn))
+					}
+					callee, site = fn.Fn, int(ins.B)
+					if callee.NArgs != nargs {
+						return Value{}, vm.sync(pc, sp).trap("closure %s takes %d args, call site passes %d", callee.Name, callee.NArgs, nargs)
+					}
+					dispatch = vm.Cost.VirtualDispatch
+					goto call
+
+				case bytecode.OpReturn, bytecode.OpReturnVoid:
+					var rv Value
+					if ins.Op == bytecode.OpReturn {
+						sp--
+						rv = fr[sp]
+					}
+					if n := len(vm.frames) - 1; n > baseDepth && (vm.ControlWord == ControlNone || !vm.EpilogueYieldpoints) {
+						// No yieldpoint, and the caller is interpreted: if the VM's
+						// table for it still covers its code, pop to it in registers.
+						// The stack is cut at the callee's base, where its first
+						// argument was pushed, and the result goes there.
+						f, top := &vm.frames[n-1], vm.frames[n].base
+						if s := &vm.spans[f.M.ID]; s.covers(f.M.Code) {
+							vm.frames = vm.frames[:n]
+							code, spans, pc = f.M.Code, s.tab, f.PC+1
+							fr, sp = vm.stack[f.base:f.base+f.M.NLocals+f.M.MaxStack], top-f.base
+							fr[sp] = rv
+							sp++
+							goto next
+						}
+					}
+					vm.sync(pc, sp)
+					if vm.ControlWord != ControlNone && vm.EpilogueYieldpoints {
+						vm.takeYieldpoint(YieldEpilogue)
+					}
+					vm.stack = vm.stack[:vm.frame().base]
+					vm.frames = vm.frames[:len(vm.frames)-1]
+					if len(vm.frames) == baseDepth {
+						return rv, nil
+					}
+					vm.frame().PC++
+					vm.stack = append(vm.stack, rv)
+					break registers
+
+				case bytecode.OpClassEq:
+					o := fr[sp-1].R
+					fr[sp-1] = boolV(o != nil && o.Class != nil && o.Class.ID == int(ins.A))
+				case bytecode.OpVTEq:
+					o := fr[sp-1].R
+					slot, mid := bytecode.DecodeVTEq(ins.A)
+					fr[sp-1] = boolV(o != nil && o.Class != nil && slot < len(o.Class.VTable) &&
+						o.Class.VTable[slot] == vm.Prog.Methods[mid])
+				case bytecode.OpInstanceOf:
+					o := fr[sp-1].R
+					fr[sp-1] = boolV(o != nil && o.Class != nil && o.Class.SubclassOf(vm.Prog.Classes[ins.A]))
+				case bytecode.OpCast:
+					o, cls := fr[sp-1].R, vm.Prog.Classes[ins.A]
+					if o != nil && (o.Class == nil || !o.Class.SubclassOf(cls)) {
+						return Value{}, vm.fault(pc, sp, code, spans).trap("cannot cast %s to %s", castClassName(o), cls.Name)
+					}
+				case bytecode.OpIsNull:
+					fr[sp-1] = boolV(fr[sp-1] == Value{})
+				case bytecode.OpNull:
+					fr[sp] = Value{}
+					sp++
+
+				// Superinstructions (emitted by opt.Fuse): each case is the
+				// literal composition of its unfused parts, and costs their sum.
+				case bytecode.OpLoadLoad:
+					fr[sp], fr[sp+1] = fr[ins.A], fr[ins.B]
+					sp += 2
+				case bytecode.OpLoadConst:
+					fr[sp], fr[sp+1] = fr[ins.A], IntV(int64(ins.B))
+					sp += 2
+				case bytecode.OpAddConst:
+					fr[sp-1] = IntV(fr[sp-1].I + int64(ins.A))
+				case bytecode.OpIncLocal:
+					// Like Load;Const;Add;Store, the result is a pure integer:
+					// any reference interpretation of the local is dropped.
+					fr[ins.A] = IntV(fr[ins.A].I + int64(ins.B))
+				case bytecode.OpJumpCmp:
+					sp -= 2
+					if compare(bytecode.Opcode(ins.B), fr[sp], fr[sp+1]) {
+						target = int(ins.A)
+						goto branch
+					}
+					pc++
+					goto next
+
+				case bytecode.OpPrint:
+					sp--
+					v := fr[sp].I
+					vm.sync(pc+1, sp)
+					vm.Output = append(vm.Output, v)
+					break registers
+				case bytecode.OpHalt:
+					vm.sync(pc, sp)
+					vm.stack, vm.frames = vm.stack[:vm.frames[baseDepth].base], vm.frames[:baseDepth]
+					return Value{}, nil
+
+				default:
+					return Value{}, vm.fault(pc, sp, code, spans).trap("unimplemented opcode %v", ins.Op)
 				}
-
-			case bytecode.OpPrint:
-				sp--
-				v := fr[sp].I
-				vm.sync(pc+1, sp, cycles, instrs)
-				vm.Output = append(vm.Output, v)
-				break registers
-			case bytecode.OpHalt:
-				vm.sync(pc, sp, cycles, instrs)
-				vm.stack, vm.frames = vm.stack[:vm.frames[baseDepth].base], vm.frames[:baseDepth]
-				return Value{}, nil
-
-			default:
-				return Value{}, vm.sync(pc, sp, cycles, instrs).trap("unimplemented opcode %v", ins.Op)
+				pc++
 			}
-			pc++
 
-		next: // the prologue of the instruction at pc, in registers
-			if uint(pc) < uint(len(code)) {
-				ins = code[pc]
-				if c := cycles + vm.Cost.Instr[ins.Op]; instrs < limit && c < deadline {
-					cycles, instrs = c, instrs+1
+		next: // pc starts a span: pay for all of it here, or leave it to step
+			if uint(pc) < uint(len(spans)) {
+				s := spans[pc]
+				if c, i := vm.Cycles+uint64(s.cyc), vm.Instrs+uint64(s.n); i <= vm.limit && c < vm.deadline {
+					vm.Cycles, vm.Instrs = c, i
+					code = code[:len(spans)] // all of the method again, if step had cut it
 					continue
 				}
 			}
-			// Out of range, at the step limit, tracing, or timer due.
-			vm.sync(pc, sp, cycles, instrs)
+			// Out of range, tracing, or the step limit or a tick falls inside.
+			vm.sync(pc, sp)
 			break
 
 		branch: // a taken branch to target; a backward one is a yieldpoint
 			if target <= pc && vm.ControlWord > ControlNone {
-				vm.sync(pc, sp, cycles, instrs)
+				vm.sync(pc, sp)
 				vm.takeYieldpoint(YieldBackedge)
 				vm.frame().PC = target
 				break
@@ -492,25 +548,26 @@ func (vm *VM) run(baseDepth int) (Value, error) {
 			goto next
 
 		call: // a call instruction at pc, its arguments pushed
-			if f, n := vm.frame(), len(vm.frames); vm.callH == nil && vm.entryH == nil && vm.EntryCheckCost == 0 &&
-				vm.ControlWord == ControlNone && vm.executed[callee.ID] && n < cap(vm.frames) &&
+			if f, n, s := vm.frame(), len(vm.frames), &vm.spans[callee.ID]; vm.callH == nil && vm.entryH == nil && vm.EntryCheckCost == 0 &&
+				vm.ControlWord == ControlNone && s.covers(callee.Code) && n < cap(vm.frames) &&
 				f.base+sp-callee.NArgs+callee.NLocals+callee.MaxStack <= cap(vm.stack) {
 				// Nobody is watching and nothing has to grow: what is left of
 				// enter is the frame push, done here in registers.
 				vm.Calls++
-				cycles += vm.Cost.CallOverhead
+				vm.Cycles += dispatch + vm.Cost.CallOverhead
 				f.PC = pc
 				base := f.base + sp - callee.NArgs
 				vm.frames = vm.frames[:n+1]
 				vm.frames[n] = Frame{M: callee, Site: site, CallerPC: pc, base: base}
-				code, pc = callee.Code, 0
+				code, spans, pc = callee.Code, s.tab, 0
 				fr, sp = vm.stack[base:base+callee.NLocals+callee.MaxStack], callee.NLocals
 				for i := callee.NArgs; i < sp; i++ {
 					fr[i] = Value{}
 				}
 				goto next
 			}
-			if err := vm.sync(pc, sp, cycles, instrs).enter(callee, site); err != nil {
+			vm.Cycles += dispatch
+			if err := vm.sync(pc, sp).enter(callee, site); err != nil {
 				return Value{}, err
 			}
 			break

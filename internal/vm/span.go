@@ -1,0 +1,70 @@
+package vm
+
+import (
+	"math"
+
+	"gocbs/internal/bytecode"
+)
+
+// A span is what run pays for at once: the instructions from a pc up to
+// and including the next terminator, as their summed Cost.Instr and
+// their number. A method's table holds one per pc — suffix sums along
+// each straight line — so wherever control arrives (a branch into the
+// middle of a line, a return to the instruction after a call, a restart
+// after a sync point) the table entry at that pc is what lies ahead.
+type span struct{ cyc, n uint32 }
+
+// endsSpan reports whether op is a terminator: after it control may
+// leave the straight line (branches, calls, returns, halt) or run leaves
+// its registers (the instructions that allocate or append). These are
+// the paper's yieldpoint sites plus the sync points, and the only
+// instructions that charge anything beyond Cost.Instr or run a hook, so
+// no observer can look at the counters inside a span.
+func endsSpan(op bytecode.Opcode) bool {
+	switch op {
+	case bytecode.OpHalt, bytecode.OpNew, bytecode.OpNewArr, bytecode.OpMakeClosure, bytecode.OpPrint:
+		return true
+	}
+	return op.IsBranch() || op.IsCall() || op.IsReturn()
+}
+
+// summary is one method's span table and the code it was summed from.
+type summary struct {
+	tab   []span
+	first *bytecode.Instr // &code[0]
+}
+
+// covers reports whether s was summed from code: the same array at the
+// same length. Whoever rewrites a method a VM may have entered assigns
+// it a fresh Code (the inliner, opt.Fuse, opt.Cleanup,
+// adaptive.Controller from inside a tick), which this sees; the table
+// keeps the old array reachable, so its address cannot come back.
+func (s *summary) covers(code []bytecode.Instr) bool {
+	return len(code) == len(s.tab) && len(code) > 0 && &code[0] == s.first
+}
+
+// table returns m's span table, summed now — from its code and the
+// VM's cost model as they are — if the VM holds none that covers it.
+func (vm *VM) table(m *bytecode.Method) []span {
+	s := &vm.spans[m.ID]
+	if s.covers(m.Code) {
+		return s.tab
+	}
+	if s.tab == nil {
+		vm.nExec++
+	}
+	*s = summary{tab: make([]span, len(m.Code))}
+	var cyc, n uint64
+	for pc := len(m.Code) - 1; pc >= 0; pc-- {
+		op := m.Code[pc].Op
+		if endsSpan(op) {
+			cyc, n = 0, 0
+		}
+		cyc, n = cyc+vm.Cost.Instr[op], n+1
+		if cyc > math.MaxUint32 {
+			panic("vm: cost model charges one straight line 2^32 cycles")
+		}
+		s.tab[pc], s.first = span{uint32(cyc), uint32(n)}, &m.Code[pc] // first ends at pc 0
+	}
+	return s.tab
+}

@@ -150,6 +150,8 @@ const (
 // concurrent use; experiments run one VM per goroutine.
 type VM struct {
 	Prog *bytecode.Program
+	// Cost is read as each method is first entered (see span.go): replace
+	// or edit it before the first Run, not between two.
 	Cost *CostModel
 
 	// Cycles is the total modeled cycle count (workload + profiling).
@@ -202,8 +204,12 @@ type VM struct {
 	frames  []Frame
 	stack   []Value
 
-	executed []bool // methods entered at least once
-	nExec    int
+	// limit and deadline are what a span's charge is tested against
+	// between sync points (see bound); spans holds a table per method
+	// entered, by method ID.
+	limit, deadline uint64
+	spans           []summary
+	nExec           int // methods entered at least once
 }
 
 // New creates a VM for prog with the default cost model and a disabled
@@ -217,7 +223,7 @@ func New(prog *bytecode.Program) *VM {
 		Prog:                prog,
 		Cost:                DefaultCostModel(),
 		statics:             statics,
-		executed:            make([]bool, len(prog.Methods)),
+		spans:               make([]summary, len(prog.Methods)),
 		EpilogueYieldpoints: true,
 	}
 }
