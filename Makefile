@@ -14,7 +14,7 @@ SOAK_SEED ?= 0
 # replays with GEN_SEED=<printed seed>.
 GEN_SEED ?= 0
 
-.PHONY: all tier1 loc build build-cmds test test-race test-daemon test-recovery test-plan test-fleet test-federation test-mincover test-workload test-cbsbench soak soak-gen vet vet-cmds ci bench bench-vm benchmark-smoke
+.PHONY: all tier1 loc build build-cmds test test-race test-daemon test-recovery test-plan test-fleet test-federation test-mincover test-workload test-cbsbench soak soak-gen vet vet-cmds ci bench bench-vm vm-asm benchmark-smoke
 
 all: tier1
 
@@ -165,6 +165,25 @@ bench:
 # add -cpuprofile to land on the lines those rows name.
 bench-vm:
 	$(GO) test -run=^$$ -bench='Interpreter|Dispatch' ./internal/vm/
+
+# What the compiler made of the interpreter's straight line: writes
+# (*VM).run's assembly to .bench_build/vm-run.S and counts the machine
+# instructions every bytecode pays besides its own case — the fall-through
+# chain that ends in the switch's jump-table JMP, which the non-terminator
+# cases jump back to — and the register-to-register MOVs and Go-stack
+# accesses among them (PR 16 with go1.24: 16, 0 and 4; at its parent the
+# chain was split in two, ~30 with 10-16 moves). Informational: the
+# numbers belong to one toolchain, so this is not in ci.
+vm-asm:
+	@mkdir -p .bench_build
+	@$(GO) build -gcflags=-S ./internal/vm 2>&1 | awk '/^gocbs\/internal\/vm\.\(\*VM\)\.run STEXT/ {p=1; print; next} /^[^\t]/ {p=0} p' > .bench_build/vm-run.S
+	@awk -F'\t' '$$3 != "" && $$3 !~ /^(PCDATA|FUNCDATA|NOP)$$/ { n++; op[n] = $$3; arg[n] = $$4 } \
+		END { for (j = n; j > 0 && !(op[j] == "JMP" && arg[j] ~ /^\(/); j--); \
+			if (j == 0) { print "vm-asm: no jump-table JMP in (*VM).run"; exit 1 } \
+			for (i = j - 1; i > 0 && op[i] != "JMP" && op[i] != "RET" && op[i] !~ /^CALL/; i--) { \
+				if (op[i] ~ /^MOV/ && arg[i] ~ /^[A-Z][A-Z0-9]*, [A-Z][A-Z0-9]*$$/) mov++; \
+				if (arg[i] ~ /\(SP\)/) stack++ } \
+			printf "vm-asm: %d machine instructions from the top of the straight line to the jump-table JMP, %d register-to-register MOVs, %d Go-stack accesses (.bench_build/vm-run.S)\n", j - i, mov, stack }' .bench_build/vm-run.S
 
 # The repo benchmark (BENCHMARK.json, benchmark/) at smoke size: every
 # workload runs briefly and every declared metric must be reported.

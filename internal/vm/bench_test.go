@@ -9,11 +9,13 @@ import (
 )
 
 // benchRun times b.N calls of prog's entry on size in one VM, under p if
-// not nil, and reports the interpreter's cost per executed bytecode.
-func benchRun(b *testing.B, prog *bytecode.Program, size int64, p vm.Profiler) {
+// not nil and with the timer at period if not 0, and reports the
+// interpreter's cost per executed bytecode.
+func benchRun(b *testing.B, prog *bytecode.Program, size int64, p vm.Profiler, period uint64) {
 	b.Helper()
 	m := vm.New(prog)
 	m.SetProfiler(p)
+	m.SetTimer(period)
 	if _, err := m.Run(size); err != nil { // warm: stack grown, methods entered
 		b.Fatal(err)
 	}
@@ -37,7 +39,7 @@ func BenchmarkInterpreter(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.Run(bm.Name, func(b *testing.B) { benchRun(b, prog, bm.Small, nil) })
+		b.Run(bm.Name, func(b *testing.B) { benchRun(b, prog, bm.Small, nil, 0) })
 	}
 }
 
@@ -103,10 +105,21 @@ func (c *callCounter) Name() string { return "call-counter" }
 
 func (c *callCounter) OnCall(*vm.VM, *bytecode.Method, int, *bytecode.Method) { c.calls++ }
 
+// tickCounter is the cheapest possible TickListener.
+type tickCounter struct{ ticks uint64 }
+
+func (c *tickCounter) Name() string { return "tick-counter" }
+
+func (c *tickCounter) OnTimerTick(*vm.VM) { c.ticks++ }
+
 // BenchmarkDispatch times one opcode class at a time, as the repo
 // benchmark's microkernels do from outside (vm.ns_per_instr.<class>);
 // call_static_hooked is call_static again with a CallListener installed,
-// the path profiler.exhaustive.ns_per_call pays for.
+// the path profiler.exhaustive.ns_per_call pays for. Two rows price what
+// charging by span adds: arith_timer is arith again with a tick due every
+// 97 cycles, inside almost every one of its hundred-instruction lines, so
+// it is what stepping round a tick costs; short_spans is all branches,
+// one span check for every one or two instructions.
 func BenchmarkDispatch(b *testing.B) {
 	const acc, i = 1, 2
 	kernels := []struct {
@@ -191,6 +204,19 @@ func BenchmarkDispatch(b *testing.B) {
 				mb.Emit(bytecode.OpStore, acc)
 			}
 		}},
+		{"short_spans", func(_ *bytecode.ProgramBuilder, mb *bytecode.MethodBuilder) func() {
+			return func() { // three branches to the next instruction: spans of 2, 2 and 1
+				a, b, c := mb.NewLabel(), mb.NewLabel(), mb.NewLabel()
+				mb.Emit(bytecode.OpLoad, i)
+				mb.Branch(bytecode.OpJumpZ, a)
+				mb.Bind(a)
+				mb.Emit(bytecode.OpLoad, acc)
+				mb.Branch(bytecode.OpJumpNZ, b)
+				mb.Bind(b)
+				mb.Branch(bytecode.OpJump, c)
+				mb.Bind(c)
+			}
+		}},
 		{"call_closure", func(pb *bytecode.ProgramBuilder, mb *bytecode.MethodBuilder) func() {
 			f := pb.NewFunc("lambda", 1) // the closure itself is argument 0
 			f.Const(1)
@@ -207,9 +233,12 @@ func BenchmarkDispatch(b *testing.B) {
 	}
 	for _, k := range kernels {
 		prog := dispatchKernel(b, k.kernel)
-		b.Run(k.name, func(b *testing.B) { benchRun(b, prog, 2_000, nil) })
-		if k.name == "call_static" {
-			b.Run(k.name+"_hooked", func(b *testing.B) { benchRun(b, prog, 2_000, &callCounter{}) })
+		b.Run(k.name, func(b *testing.B) { benchRun(b, prog, 2_000, nil, 0) })
+		switch k.name {
+		case "arith":
+			b.Run(k.name+"_timer", func(b *testing.B) { benchRun(b, prog, 2_000, &tickCounter{}, 97) })
+		case "call_static":
+			b.Run(k.name+"_hooked", func(b *testing.B) { benchRun(b, prog, 2_000, &callCounter{}, 0) })
 		}
 	}
 }
