@@ -157,7 +157,7 @@ func Run(ctx context.Context, cfg Config) error {
 	}
 
 	srv := &http.Server{
-		Handler:           newServer(multi, plans, fed, cfg.MaxUploadBytes).handler(),
+		Handler:           newServer(multi, plans, fed, cfg.MaxUploadBytes, logf).handler(),
 		ReadTimeout:       cfg.ReadTimeout,
 		ReadHeaderTimeout: 5 * time.Second,
 		WriteTimeout:      cfg.WriteTimeout,

@@ -61,7 +61,7 @@ func FuzzIngestHostilePusher(f *testing.F) {
 		}
 		before := dcgBytes(t, store.Snapshot())
 
-		h := newServer(multi, nil, nil, 1<<16).handler()
+		h := newServer(multi, nil, nil, 1<<16, t.Logf).handler()
 		req := httptest.NewRequest("POST", api.PathIngest, bytes.NewReader(body))
 		// Set headers through the map: hostile values (control bytes,
 		// overlong strings) must reach the handler's own validation.

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"log"
 	"net/http"
 	"strconv"
 	"sync"
@@ -34,6 +33,7 @@ type server struct {
 	fed       *fedState
 	start     time.Time
 	maxUpload int64
+	logf      func(format string, args ...any) // Config.Logf, or Run's no-op
 
 	ingests      atomic.Uint64
 	ingestErrors atomic.Uint64
@@ -65,7 +65,7 @@ type planSource interface {
 	Stats() plan.ServiceStats
 }
 
-func newServer(multi *dcgstore.Multi, plans planSource, fed *fedState, maxUpload int64) *server {
+func newServer(multi *dcgstore.Multi, plans planSource, fed *fedState, maxUpload int64, logf func(string, ...any)) *server {
 	if maxUpload <= 0 {
 		maxUpload = DefaultMaxUploadBytes
 	}
@@ -75,7 +75,7 @@ func newServer(multi *dcgstore.Multi, plans planSource, fed *fedState, maxUpload
 		plans = nil
 	}
 	return &server{
-		multi: multi, plans: plans, fed: fed, start: time.Now(), maxUpload: maxUpload,
+		multi: multi, plans: plans, fed: fed, start: time.Now(), maxUpload: maxUpload, logf: logf,
 	}
 }
 
@@ -146,7 +146,7 @@ func (s *server) writeJSON(w http.ResponseWriter, v any) {
 		// Almost always the client hanging up mid-response; log the
 		// first so a systematic encode bug is visible, stay quiet after.
 		s.encodeErrOnce.Do(func() {
-			log.Printf("cbsd: response encode failed (logged once): %v", err)
+			s.logf("response encode failed (logged once): %v", err)
 		})
 	}
 }

@@ -26,7 +26,7 @@ func newTestDaemon(t *testing.T) (*httptest.Server, *dcgstore.Store) {
 	multi := dcgstore.NewMulti(8)
 	store := multi.Lookup(api.ProgramKey{})
 	cfg := Config{PlanPolicy: "new-linear", PlanFloor: 1, PlanBand: 0.25, PlanHold: 0.05}
-	ts := httptest.NewServer(newServer(multi, NewPlanService(cfg, multi, t.Logf), newFedState(), cfg.MaxUploadBytes).handler())
+	ts := httptest.NewServer(newServer(multi, NewPlanService(cfg, multi, t.Logf), newFedState(), cfg.MaxUploadBytes, t.Logf).handler())
 	t.Cleanup(ts.Close)
 	return ts, store
 }
@@ -147,7 +147,7 @@ func TestIngestRejectsOversizeBody(t *testing.T) {
 	multi := dcgstore.NewMulti(4)
 	store := multi.Lookup(api.ProgramKey{})
 	cfg := Config{MaxUploadBytes: 128}
-	ts := httptest.NewServer(newServer(multi, NewPlanService(cfg, multi, t.Logf), newFedState(), cfg.MaxUploadBytes).handler())
+	ts := httptest.NewServer(newServer(multi, NewPlanService(cfg, multi, t.Logf), newFedState(), cfg.MaxUploadBytes, t.Logf).handler())
 	t.Cleanup(ts.Close)
 
 	big := profile.NewDCG()
@@ -569,5 +569,27 @@ func TestIngestRejectsMalformedStamps(t *testing.T) {
 	}
 	if n := store.Snapshot().NumEdges(); n != 0 {
 		t.Errorf("malformed stamps merged %d edges", n)
+	}
+}
+
+// brokenWriter is a ResponseWriter whose client has hung up.
+type brokenWriter struct{ header http.Header }
+
+func (w *brokenWriter) Header() http.Header       { return w.header }
+func (w *brokenWriter) WriteHeader(int)           {}
+func (w *brokenWriter) Write([]byte) (int, error) { return 0, io.ErrClosedPipe }
+
+// A response that cannot be encoded is reported through the logger the
+// daemon was configured with — not the process-wide one, which an
+// in-process node's owner cannot capture or silence — and only once.
+func TestEncodeFailureGoesToConfiguredLoggerOnce(t *testing.T) {
+	var lines []string
+	logf := func(format string, args ...any) { lines = append(lines, fmt.Sprintf(format, args...)) }
+	h := newServer(dcgstore.NewMulti(2), nil, newFedState(), 0, logf).handler()
+	for i := 0; i < 3; i++ {
+		h.ServeHTTP(&brokenWriter{header: http.Header{}}, httptest.NewRequest(http.MethodGet, api.PathMetrics, nil))
+	}
+	if len(lines) != 1 || !strings.Contains(lines[0], "response encode failed") || !strings.Contains(lines[0], io.ErrClosedPipe.Error()) {
+		t.Fatalf("three failed responses logged %q, want one line naming the encode failure", lines)
 	}
 }
