@@ -10,8 +10,11 @@ import (
 // fuzzSeeds are small valid programs that stress what the interpreter
 // derives from the verifier's facts: a frame whose locals are exactly
 // its arguments, a method with no locals and no operands at all, a
-// closure without captures, and a recursion deep enough that the shared
-// stack must grow many times before the step limit cuts it off.
+// closure without captures, a recursion deep enough that the shared
+// stack must grow many times before the step limit cuts it off, and an
+// opcode nobody defined in code that control cannot reach — which the
+// verifier, looking only where control goes, lets stand, and whatever
+// the VM derives from a whole method must not mind.
 func fuzzSeeds(f *testing.F) [][]byte {
 	build := func(body func(pb *bytecode.ProgramBuilder) *bytecode.MethodBuilder) []byte {
 		pb := bytecode.NewProgramBuilder()
@@ -67,6 +70,15 @@ func fuzzSeeds(f *testing.F) [][]byte {
 			main := pb.NewFunc("main", 1)
 			main.Emit(bytecode.OpLoad, 0)
 			main.CallStatic(deep)
+			main.Emit(bytecode.OpReturn)
+			return main
+		}),
+		build(func(pb *bytecode.ProgramBuilder) *bytecode.MethodBuilder { // undefined opcode, unreachable
+			main := pb.NewFunc("main", 0)
+			main.Const(7)
+			main.Emit(bytecode.OpReturn)
+			main.Emit(bytecode.Opcode(255))
+			main.Const(1)
 			main.Emit(bytecode.OpReturn)
 			return main
 		}),

@@ -76,7 +76,9 @@ func (vm *VM) enter(m *bytecode.Method, site int) error {
 	vm.frames = slices.Grow(vm.frames, 1)[:n+1]
 	vm.frames[n] = Frame{M: m, Site: site, CallerPC: callerPC, base: base}
 
-	vm.table(m)
+	if vm.spans[m.ID].tab == nil {
+		vm.table(m) // a first entry counts before any hook looks; step sees to the rest
+	}
 	if vm.EntryCheckCost > 0 {
 		vm.ChargeProfiling(vm.EntryCheckCost)
 	}
@@ -108,44 +110,50 @@ func (vm *VM) bound() {
 	}
 }
 
-// step pays for what runs next and returns the pc up to which run may
-// execute on that payment. That is as much of the span at the executing
-// frame's PC as lies ahead of the step limit and the next tick: all of
-// it, unless run has just found that it does not fit. When not even its
-// first instruction does — always, under a Trace function — that one is
-// taken the slow way: step limit, trace function, its own charge, timer.
-// Either way a tick is delivered at the first instruction boundary at
-// which the clock has passed the deadline.
-func (vm *VM) step() (end int, err error) {
+// step pays for what runs next and returns the executing method's span
+// table and the pc up to which run may execute on that payment. That is
+// as much of the span at the executing frame's PC as lies ahead of the
+// step limit and the next tick: all of it, unless run has just found
+// that it does not fit. When not even its first instruction does —
+// always, under a Trace function — that one is taken the slow way: step
+// limit, trace function, its own charge, timer. Either way a tick is
+// delivered at the first instruction boundary at which the clock has
+// passed the deadline.
+func (vm *VM) step() (tab []span, end int, err error) {
 	f := vm.frame()
 	tab, pc := vm.table(f.M), f.PC
 	if uint(pc) >= uint(len(tab)) {
-		return 0, vm.trap("pc out of range")
+		return nil, 0, vm.trap("pc out of range")
 	}
 	vm.bound()
-	n, paid := int(tab[pc].n), uint32(0)
+	// Whether the first k instructions fit can only fall from true to
+	// false as k grows — their number and their summed cost do not shrink,
+	// the limit and the deadline stand still — so bisection finds the
+	// longest part that does. The whole span is tried first: after a sync
+	// point that is the usual answer.
+	n, paid := int(tab[pc].n), uint64(0)
 	lo, hi := 0, n+1 // the first lo instructions fit, the first hi do not
 	for k := n; lo+1 < hi && vm.Trace == nil; k = (lo + hi) / 2 {
 		cyc := tab[pc].cyc
 		if k < n {
 			cyc -= tab[pc+k].cyc
 		}
-		if vm.Instrs+uint64(k) <= vm.limit && vm.Cycles+uint64(cyc) < vm.deadline {
+		if vm.Instrs+uint64(k) <= vm.limit && vm.Cycles+cyc < vm.deadline {
 			lo, paid = k, cyc
 		} else {
 			hi = k
 		}
 	}
-	vm.Cycles, vm.Instrs = vm.Cycles+uint64(paid), vm.Instrs+uint64(lo)
+	vm.Cycles, vm.Instrs = vm.Cycles+paid, vm.Instrs+uint64(lo)
 	if lo == n {
-		return len(tab), nil
+		return tab, len(tab), nil
 	} else if lo > 0 {
-		return pc + lo, nil
+		return tab, pc + lo, nil
 	}
 	ins := f.M.Code[pc]
 	vm.Instrs++
 	if vm.MaxSteps > 0 && vm.Instrs > vm.MaxSteps {
-		return 0, vm.trap("step limit %d exceeded", vm.MaxSteps)
+		return nil, 0, vm.trap("step limit %d exceeded", vm.MaxSteps)
 	}
 	if vm.Trace != nil {
 		vm.Trace(f.M, pc, ins)
@@ -158,17 +166,17 @@ func (vm *VM) step() (end int, err error) {
 		}
 	}
 	vm.bound() // a tick listener may have moved either
-	return pc + 1, nil
+	return tab, pc + 1, nil
 }
 
-// load derives run's registers from the VM: the executing frame's code,
-// the span table summed from it, its pc, and its window fr of the shared
-// stack (locals, then operands up to sp). The window is spelled out at
-// its three uses: an inlined helper for it cost run's register
-// allocation 7 % of vm_bare.
-func (vm *VM) load() (code []bytecode.Instr, spans []span, pc int, fr []Value, sp int) {
+// load derives run's registers from the VM, but for the span table,
+// which step has just looked up: the executing frame's code, its pc, and
+// its window fr of the shared stack (locals, then operands up to sp).
+// The window is spelled out at its three uses: an inlined helper for it
+// cost run's register allocation 7 % of vm_bare.
+func (vm *VM) load() (code []bytecode.Instr, pc int, fr []Value, sp int) {
 	f := vm.frame()
-	return f.M.Code, vm.table(f.M), f.PC, vm.stack[f.base : f.base+f.M.NLocals+f.M.MaxStack], len(vm.stack) - f.base
+	return f.M.Code, f.PC, vm.stack[f.base : f.base+f.M.NLocals+f.M.MaxStack], len(vm.stack) - f.base
 }
 
 // sync writes run's registers back, so that what runs next sees the VM
@@ -189,7 +197,7 @@ func (vm *VM) fault(pc, sp int, code []bytecode.Instr, spans []span) *VM {
 		if len(code) < len(spans) {
 			back.cyc, back.n = back.cyc-spans[len(code)].cyc, back.n-spans[len(code)].n
 		}
-		vm.Cycles, vm.Instrs = vm.Cycles-uint64(back.cyc), vm.Instrs-uint64(back.n)
+		vm.Cycles, vm.Instrs = vm.Cycles-back.cyc, vm.Instrs-back.n
 	}
 	return vm.sync(pc, sp)
 }
@@ -208,11 +216,11 @@ func (vm *VM) fault(pc, sp int, code []bytecode.Instr, spans []span) *VM {
 // points").
 func (vm *VM) run(baseDepth int) (Value, error) {
 	for { // the VM is at an instruction boundary, PC on what runs next
-		end, err := vm.step()
+		spans, end, err := vm.step()
 		if err != nil {
 			return Value{}, err
 		}
-		code, spans, pc, fr, sp := vm.load()
+		code, pc, fr, sp := vm.load()
 		code = code[:end] // the straight line ends where what step paid for does
 		var (
 			target, site int
@@ -527,7 +535,7 @@ func (vm *VM) run(baseDepth int) (Value, error) {
 		next: // pc starts a span: pay for all of it here, or leave it to step
 			if uint(pc) < uint(len(spans)) {
 				s := spans[pc]
-				if c, i := vm.Cycles+uint64(s.cyc), vm.Instrs+uint64(s.n); i <= vm.limit && c < vm.deadline {
+				if c, i := vm.Cycles+s.cyc, vm.Instrs+s.n; i <= vm.limit && c < vm.deadline {
 					vm.Cycles, vm.Instrs = c, i
 					code = code[:len(spans)] // all of the method again, if step had cut it
 					continue

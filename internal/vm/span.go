@@ -1,10 +1,6 @@
 package vm
 
-import (
-	"math"
-
-	"gocbs/internal/bytecode"
-)
+import "gocbs/internal/bytecode"
 
 // A span is what run pays for at once: the instructions from a pc up to
 // and including the next terminator, as their summed Cost.Instr and
@@ -12,7 +8,9 @@ import (
 // each straight line — so wherever control arrives (a branch into the
 // middle of a line, a return to the instruction after a call, a restart
 // after a sync point) the table entry at that pc is what lies ahead.
-type span struct{ cyc, n uint32 }
+// Both are as wide as the counters they are added to: whatever a cost
+// model charges an instruction, the sums are the ones stepping makes.
+type span struct{ cyc, n uint64 }
 
 // endsSpan reports whether op is a terminator: after it control may
 // leave the straight line (branches, calls, returns, halt) or run leaves
@@ -45,6 +43,8 @@ func (s *summary) covers(code []bytecode.Instr) bool {
 
 // table returns m's span table, summed now — from its code and the
 // VM's cost model as they are — if the VM holds none that covers it.
+// An opcode the VM does not know is charged nothing: the verifier lets
+// one stand where control cannot reach, and only there.
 func (vm *VM) table(m *bytecode.Method) []span {
 	s := &vm.spans[m.ID]
 	if s.covers(m.Code) {
@@ -60,11 +60,10 @@ func (vm *VM) table(m *bytecode.Method) []span {
 		if endsSpan(op) {
 			cyc, n = 0, 0
 		}
-		cyc, n = cyc+vm.Cost.Instr[op], n+1
-		if cyc > math.MaxUint32 {
-			panic("vm: cost model charges one straight line 2^32 cycles")
+		if n++; op.Valid() {
+			cyc += vm.Cost.Instr[op]
 		}
-		s.tab[pc], s.first = span{uint32(cyc), uint32(n)}, &m.Code[pc] // first ends at pc 0
+		s.tab[pc], s.first = span{cyc, n}, &m.Code[pc] // first ends at pc 0
 	}
 	return s.tab
 }

@@ -709,3 +709,115 @@ func TestCleanedUpMethodIsRecounted(t *testing.T) {
 		t.Errorf("the VM that ran the method before its cleanup charges %d cycles for it afterwards, a fresh one %d", got, want)
 	}
 }
+
+// The verifier looks at an opcode only where control can reach, and the
+// decoder takes any byte: a method may carry an opcode the VM has never
+// heard of behind a return. Its span table is summed over all of the
+// method, dead code too, and must not mind.
+func TestUnknownOpcodeInDeadCodeIsNotCounted(t *testing.T) {
+	prog := func() *bytecode.Program {
+		p := linkMain(t, 0, func(_ *bytecode.ProgramBuilder, mb *bytecode.MethodBuilder) {
+			mb.Const(7)
+			mb.Emit(bytecode.OpReturn)
+			mb.Emit(bytecode.Opcode(255))
+			mb.Const(1)
+			mb.Emit(bytecode.OpReturn)
+		})
+		var buf bytes.Buffer
+		if err := bytecode.EncodeProgram(p, &buf); err != nil {
+			t.Fatal(err)
+		}
+		q, err := bytecode.DecodeProgram(&buf)
+		if err != nil {
+			t.Fatalf("the decoder turned down an unknown opcode in dead code: %v", err)
+		}
+		return q
+	}
+	for period := uint64(0); period <= 3; period++ {
+		m, err := spanPair(t, prog, func(m *vm.VM) { m.SetTimer(period) })
+		if err != nil || m.Instrs != 2 {
+			t.Errorf("timer %d: %d instructions, %v; want 2 and a result", period, m.Instrs, err)
+		}
+	}
+}
+
+// A span's charge is as wide as the clock: a cost model under which one
+// straight line costs more than 2^32 cycles, or one instruction does,
+// counts what stepping counts, with ticks inside the line and without.
+func TestDearStraightLineCountsAsStepping(t *testing.T) {
+	prog := func() *bytecode.Program {
+		return linkMain(t, 0, func(_ *bytecode.ProgramBuilder, mb *bytecode.MethodBuilder) {
+			for k := 0; k < 5; k++ {
+				mb.Emit(bytecode.OpNop)
+			}
+			mb.Const(7)
+			mb.Emit(bytecode.OpReturn)
+		})
+	}
+	const dear = 1 << 31
+	for _, period := range []uint64{0, dear - 1, dear, 3 * dear, 1 << 40} {
+		ticks := 0
+		m, err := spanPair(t, prog, func(m *vm.VM) {
+			cost := *vm.DefaultCostModel()
+			cost.Instr[bytecode.OpNop] = dear
+			m.Cost = &cost
+			m.SetProfiler(&swapper{swap: func() bool { ticks++; return false }})
+			m.SetTimer(period)
+		})
+		if err != nil {
+			t.Fatalf("timer %d: %v", period, err)
+		}
+		cost := vm.DefaultCostModel()
+		want := 5*uint64(dear) + cost.Instr[bytecode.OpConst] + cost.Instr[bytecode.OpReturn] + cost.CallOverhead
+		if m.Cycles != want {
+			t.Errorf("timer %d: Cycles = %d, want %d", period, m.Cycles, want)
+		}
+		if period > 0 && uint64(ticks) != 2*(want/period) {
+			t.Errorf("timer %d: %d ticks over two runs of %d cycles", period, ticks, want)
+		}
+	}
+}
+
+// What VM.Cost's comment says: the Instr row is summed into a method's
+// span table when the method is first entered, so a model swapped in
+// between two Runs prices the methods the first Run entered as the old
+// one did and the others as it does itself. Nothing in the repository
+// does that to a VM; this is here so that whoever changes when the
+// model is read finds out that they did.
+func TestCostModelIsReadAtFirstEntry(t *testing.T) {
+	prog := linkMain(t, 1, func(pb *bytecode.ProgramBuilder, mb *bytecode.MethodBuilder) {
+		g := pb.NewFunc("g", 0)
+		g.Const(1)
+		g.Emit(bytecode.OpReturn)
+		skip := mb.NewLabel() // main(n): if n != 0 { g() }; return 0
+		mb.Emit(bytecode.OpLoad, 0)
+		mb.Branch(bytecode.OpJumpZ, skip)
+		mb.CallStatic(g)
+		mb.Emit(bytecode.OpPop)
+		mb.Bind(skip)
+		mb.Const(0)
+		mb.Emit(bytecode.OpReturn)
+	})
+	old, doubled := vm.DefaultCostModel(), vm.DefaultCostModel()
+	for op := range doubled.Instr {
+		doubled.Instr[op] *= 2
+	}
+	m := vm.New(prog)
+	if _, err := m.Run(0); err != nil { // enters main, not g
+		t.Fatal(err)
+	}
+	before := m.Cycles
+	m.Cost = doubled
+	if _, err := m.Run(1); err != nil {
+		t.Fatal(err)
+	}
+	mainOps := []bytecode.Opcode{bytecode.OpLoad, bytecode.OpJumpZ, bytecode.OpCallStatic, bytecode.OpPop, bytecode.OpConst, bytecode.OpReturn}
+	want := 2 * old.CallOverhead // the harness's call of main, main's of g
+	for _, op := range mainOps {
+		want += old.Instr[op]
+	}
+	want += doubled.Instr[bytecode.OpConst] + doubled.Instr[bytecode.OpReturn]
+	if got := m.Cycles - before; got != want {
+		t.Errorf("main(1) after the swap cost %d cycles, want %d: main at the old prices, g at the new", got, want)
+	}
+}

@@ -150,8 +150,13 @@ const (
 // concurrent use; experiments run one VM per goroutine.
 type VM struct {
 	Prog *bytecode.Program
-	// Cost is read as each method is first entered (see span.go): replace
-	// or edit it before the first Run, not between two.
+	// Cost is set before the first Run and left alone after it. Its Instr
+	// row is summed into a method's span table when the method is first
+	// entered (see span.go), while an instruction taken singly — under
+	// Trace, or where a tick falls — and every call and allocation read
+	// the model as it is then: replaced or edited between two Runs it
+	// prices one program by two models, and nothing says so
+	// (TestCostModelIsReadAtFirstEntry pins the simplest case).
 	Cost *CostModel
 
 	// Cycles is the total modeled cycle count (workload + profiling).
@@ -213,7 +218,8 @@ type VM struct {
 }
 
 // New creates a VM for prog with the default cost model and a disabled
-// timer.
+// timer. A caller with a cost model of its own assigns Cost before the
+// VM runs anything (see the field).
 func New(prog *bytecode.Program) *VM {
 	statics := make([]Value, prog.NumStatics)
 	for i, init := range prog.StaticInit {
