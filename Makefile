@@ -14,7 +14,7 @@ SOAK_SEED ?= 0
 # replays with GEN_SEED=<printed seed>.
 GEN_SEED ?= 0
 
-.PHONY: all tier1 loc build build-cmds test test-race test-daemon test-recovery test-plan test-fleet test-federation test-mincover test-workload test-cbsbench soak soak-gen vet vet-cmds ci bench bench-vm vm-asm benchmark-smoke
+.PHONY: all tier1 loc build build-cmds test test-race test-daemon test-recovery test-plan test-fleet test-federation test-mincover test-rewrite test-workload test-cbsbench soak soak-gen vet vet-cmds ci bench bench-vm vm-asm benchmark-smoke
 
 all: tier1
 
@@ -108,11 +108,27 @@ test-mincover:
 	$(GO) test ./internal/mincover/...
 	$(GO) run ./cmd/cbsbench -study profilers -quick
 
+# The bytecode rewrite seam (bytecode.ScanFlow / Relayout / Install under
+# the inliner, cleanup and fusion), by name: the rewritten suite and ten
+# generated programs against the bytes the three separate rewriters
+# produced, mincover's classes and probe sets against the ones its own
+# scan produced, every pass order against the reference interpreter (15
+# programs) and under every observer (50 generated seeds), a failed
+# rewrite leaving its method untouched, and every mutant and fuzz seed
+# that verifies through each rewriter without a panic.
+test-rewrite:
+	$(GO) test -run 'TestRewrittenProgramsPinned|TestFuseDifferentialSuite|TestFailedRewriteLeavesMethodUntouched' ./internal/opt/
+	$(GO) test -run 'TestCFGDigestsPinned|TestGeneratedDifferentialGate' ./internal/mincover/
+	$(GO) test -run 'TestRejectedRoundLeavesMethodUntouched' ./internal/inline/
+	$(GO) test -run 'TestFailedRecompileLeavesProgramRunning' ./internal/adaptive/
+	$(GO) test -run 'TestMutatedSuiteRunsOrTraps|FuzzDecodeProgram' ./internal/bytecode/
+
 # The workload frontier: the shaped generator's determinism + shape
 # differential tests, the mjgen CLI contract (-check without -run,
 # non-zero exits with seed echo), the 50-seed differential gate every
-# generated program passes ({plain, inlined, fused} × {bare,
-# exhaustive, cbs, mincover} vs the reference interpreter, byte-exact
+# generated program passes ({plain, inlined, fused and three orders of
+# inline, cleanup and fuse together} × {bare, exhaustive, cbs,
+# mincover} vs the reference interpreter, byte-exact
 # mincover recovery, closure points demoted not exhaustive), the
 # profiler closure-site tests, the closure opcode round-trip tests,
 # the fusion closure-barrier test, and a generated-workload fleet soak.
@@ -153,7 +169,7 @@ vet:
 vet-cmds:
 	$(GO) vet ./cmd/...
 
-ci: tier1 vet vet-cmds build-cmds test-daemon test-plan test-race test-recovery test-fleet test-federation test-mincover test-workload test-cbsbench benchmark-smoke
+ci: tier1 vet vet-cmds build-cmds test-daemon test-plan test-race test-recovery test-fleet test-federation test-mincover test-rewrite test-workload test-cbsbench benchmark-smoke
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...

@@ -1,7 +1,8 @@
-// Package gocbs_test hosts the testing.B harness: one benchmark per
-// table and figure of the paper, each timing a reduced-scale run of
-// the corresponding experiment (the full-scale runs are produced by
-// cmd/cbsbench and recorded in EXPERIMENTS.md).
+// Package gocbs_test hosts the testing.B harness: BenchmarkArtifact runs
+// every table, figure and study of experiment.Artifacts at reduced scale
+// (the full-scale runs are produced by cmd/cbsbench and recorded in
+// EXPERIMENTS.md), and three microbenchmarks time what no artifact and
+// no internal/vm benchmark does.
 //
 //	go test -bench=. -benchmem
 package gocbs_test
@@ -13,6 +14,7 @@ import (
 	"gocbs/internal/experiment"
 	"gocbs/internal/inline"
 	"gocbs/internal/mj"
+	"gocbs/internal/opt"
 	"gocbs/internal/profiler"
 	"gocbs/internal/vm"
 )
@@ -30,159 +32,24 @@ func quickCfg(tb testing.TB, names ...string) experiment.Config {
 	return cfg
 }
 
-// BenchmarkTable1 regenerates the benchmark-characteristics table.
-func BenchmarkTable1(b *testing.B) {
+// BenchmarkArtifact regenerates each entry of experiment.Artifacts — the
+// list cbsbench's flags are read from — on two call-dense programs at
+// the small input: BenchmarkArtifact/table-2a, /figure-5b, /study-skew.
+func BenchmarkArtifact(b *testing.B) {
 	cfg := quickCfg(b, "jess", "javac")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiment.Table1(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkTable2A regenerates a reduced overhead/accuracy grid for
-// the Jikes RVM flavour.
-func BenchmarkTable2A(b *testing.B) {
-	cfg := quickCfg(b, "jess", "javac")
-	strides := []int{1, 7, 31}
-	samples := []int{1, 16, 256}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiment.Table2(cfg, profiler.FlavourRVM, "small", strides, samples); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkTable2B is the J9-flavour grid.
-func BenchmarkTable2B(b *testing.B) {
-	cfg := quickCfg(b, "jess", "javac")
-	strides := []int{1, 7, 31}
-	samples := []int{1, 16, 256}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiment.Table2(cfg, profiler.FlavourJ9, "small", strides, samples); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkTable3 regenerates the per-benchmark base-vs-CBS breakdown.
-func BenchmarkTable3(b *testing.B) {
-	cfg := quickCfg(b, "jess", "javac")
-	params := experiment.DefaultTable3Params()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiment.Table3(cfg, params); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFigure5Jikes regenerates the left graph of Figure 5.
-func BenchmarkFigure5Jikes(b *testing.B) {
-	cfg := quickCfg(b, "jess", "mtrt")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiment.Figure5(cfg, experiment.Figure5Jikes, "small"); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFigure5J9 regenerates the right graph of Figure 5.
-func BenchmarkFigure5J9(b *testing.B) {
-	cfg := quickCfg(b, "jess", "mtrt")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiment.Figure5(cfg, experiment.Figure5J9, "small"); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkConvergence regenerates the E8 accuracy-over-time study.
-func BenchmarkConvergence(b *testing.B) {
-	cfg := quickCfg(b, "javac")
-	bb := bench.ByName("javac")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiment.Convergence(cfg, bb, "small"); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSkewAblation regenerates the E9 initial-skip study.
-func BenchmarkSkewAblation(b *testing.B) {
-	cfg := quickCfg(b, "jess", "mpegaudio")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiment.SkewAblation(cfg, "small", 31, 16); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkComparators regenerates the E10 §3-techniques study.
-func BenchmarkComparators(b *testing.B) {
-	cfg := quickCfg(b, "jess", "javac")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiment.Comparators(cfg, "small"); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkInlinerAblation regenerates the E11 old-vs-new inliner study.
-func BenchmarkInlinerAblation(b *testing.B) {
-	cfg := quickCfg(b, "jess", "mtrt")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiment.InlinerAblation(cfg, "small"); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkContextSensitive regenerates the E12 CCT study.
-func BenchmarkContextSensitive(b *testing.B) {
-	cfg := quickCfg(b, "jess", "kawa")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiment.ContextStudy(cfg, "small"); err != nil {
-			b.Fatal(err)
-		}
+	for _, a := range experiment.Artifacts {
+		a := a
+		b.Run(a.Kind+"-"+a.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := a.Render(cfg, "small"); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
 // --- microbenchmarks of the substrate itself ---
-
-// BenchmarkInterpreter measures raw interpretation throughput.
-func BenchmarkInterpreter(b *testing.B) {
-	prog, err := bench.ByName("jess").Compile()
-	if err != nil {
-		b.Fatal(err)
-	}
-	m := vm.New(prog)
-	setup := prog.MethodByName("$Globals.setup")
-	iter := prog.MethodByName("$Globals.iter")
-	if _, err := m.Call(setup, vm.IntV(128)); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	var instrs uint64
-	for i := 0; i < b.N; i++ {
-		before := m.Instrs
-		if _, err := m.Call(iter); err != nil {
-			b.Fatal(err)
-		}
-		instrs += m.Instrs - before
-	}
-	b.ReportMetric(float64(instrs)/float64(b.N), "instrs/op")
-}
 
 // BenchmarkCBSOverheadOnVM measures the Go-level (not modeled) cost the
 // CBS profiler adds to interpretation.
@@ -229,44 +96,38 @@ func BenchmarkMJCompile(b *testing.B) {
 	}
 }
 
-// BenchmarkInlineOptimize measures the optimizer on a full program.
+// BenchmarkInlineOptimize measures the optimizer on a full program: the
+// testing.B twin of the repo benchmark's inline.trivial_ms, under the
+// profile-directed policy. fused inlines into, and out of, bodies that
+// opt.FuseProgram has already rewritten.
 func BenchmarkInlineOptimize(b *testing.B) {
 	bb := bench.ByName("javac")
-	cfg := quickCfg(b, "javac")
-	g, err := experiment.PerfectDCG(cfg, bb, bb.Small/4)
+	g, err := experiment.PerfectDCG(quickCfg(b, "javac"), bb, bb.Small/4)
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		prog, err := bb.Compile()
-		if err != nil {
-			b.Fatal(err)
+	for _, fused := range []bool{false, true} {
+		name := "plain"
+		if fused {
+			name = "fused"
 		}
-		if _, err := inline.Optimize(prog, inline.NewNewLinear(), g, inline.DefaultOptions()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkCleanupAblation regenerates the E13 peephole study.
-func BenchmarkCleanupAblation(b *testing.B) {
-	cfg := quickCfg(b, "jess", "mtrt")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiment.CleanupAblation(cfg, "small"); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkOnlineAdaptive regenerates the E14 online-system study.
-func BenchmarkOnlineAdaptive(b *testing.B) {
-	cfg := quickCfg(b, "jess", "mtrt")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiment.Online(cfg, "small"); err != nil {
-			b.Fatal(err)
-		}
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				prog, err := bb.Compile()
+				if err != nil {
+					b.Fatal(err)
+				}
+				if fused {
+					if _, err := opt.FuseProgram(prog); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StartTimer()
+				if _, err := inline.Optimize(prog, inline.NewNewLinear(), g, inline.DefaultOptions()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -1,8 +1,10 @@
 package adaptive
 
 import (
+	"reflect"
 	"testing"
 
+	"gocbs/internal/bytecode"
 	"gocbs/internal/inline"
 	"gocbs/internal/mj"
 	"gocbs/internal/profile"
@@ -223,5 +225,78 @@ func TestControllerSamplesAccessor(t *testing.T) {
 	}
 	if total == 0 {
 		t.Error("controller recorded no hotness samples")
+	}
+}
+
+// spoiled plans, for step alone, a sound inline of two and a guard on
+// the static call to one, which the inliner refuses.
+type spoiled struct{}
+
+func (spoiled) Name() string { return "spoiled" }
+
+func (spoiled) Plan(prog *bytecode.Program, m *bytecode.Method, _ *profile.DCG) []inline.Decision {
+	if m.Name != "$Globals.step" {
+		return nil
+	}
+	var ds []inline.Decision
+	for _, cs := range inline.ScanCalls(prog, m) {
+		ds = append(ds, inline.Decision{PC: cs.PC, Target: cs.Static, Guarded: cs.Static.Name == "$Globals.one"})
+	}
+	return ds
+}
+
+// A recompilation that fails records its error and changes nothing: the
+// VM the controller rides on goes on running the method as it was and
+// finishes with the result of a run that was never recompiled, and so
+// does a VM made afterwards.
+func TestFailedRecompileLeavesProgramRunning(t *testing.T) {
+	const src = `
+		int one(int x) { return x + 1; }
+		int two(int x, int y) { return x * 3 + y; }
+		int step(int i, int acc) { return acc + one(i) + two(i, acc) % 7; }
+		int main(int n) {
+			int acc = 0;
+			for (int i = 0; i < n; i = i + 1) { acc = step(i, acc) % 1000003; }
+			return acc;
+		}
+	`
+	run := func(prog *bytecode.Program, ctl *Controller) int64 {
+		t.Helper()
+		m := vm.New(prog)
+		m.MaxSteps = 100_000_000
+		if ctl != nil {
+			m.SetProfiler(ctl)
+			m.SetTimer(997)
+		}
+		v, err := m.Run(20_000)
+		if err != nil {
+			t.Fatalf("run: %v", err)
+		}
+		return v.I
+	}
+	ref, err := mj.Compile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := run(ref, nil)
+
+	prog, err := mj.Compile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctl := NewController(prog, spoiled{}, nil, inline.DefaultOptions(), 1)
+	got := run(prog, ctl)
+	if ctl.Err == nil {
+		t.Fatal("the controller never met the refused decision")
+	}
+	step, refStep := prog.MethodByName("$Globals.step"), ref.MethodByName("$Globals.step")
+	if !reflect.DeepEqual(step.Code, refStep.Code) || step.NLocals != refStep.NLocals || step.MaxStack != refStep.MaxStack {
+		t.Errorf("after %v, step is\n%s", ctl.Err, bytecode.DisasmMethod(prog, step))
+	}
+	if got != want {
+		t.Errorf("the run whose recompilation failed returned %d, an undisturbed one %d", got, want)
+	}
+	if again := run(prog, nil); again != want {
+		t.Errorf("a fresh VM on the program returned %d, an undisturbed one %d", again, want)
 	}
 }

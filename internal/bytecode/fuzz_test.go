@@ -11,10 +11,13 @@ import (
 // derives from the verifier's facts: a frame whose locals are exactly
 // its arguments, a method with no locals and no operands at all, a
 // closure without captures, a recursion deep enough that the shared
-// stack must grow many times before the step limit cuts it off, and an
+// stack must grow many times before the step limit cuts it off, an
 // opcode nobody defined in code that control cannot reach — which the
 // verifier, looking only where control goes, lets stand, and whatever
-// the VM derives from a whole method must not mind.
+// the VM derives from a whole method must not mind — and, in the same
+// place, branches to pcs the method does not have and a call to a method
+// the program does not have, in a callee small enough to be inlined:
+// whatever rewrites a method scans all of it.
 func fuzzSeeds(f *testing.F) [][]byte {
 	build := func(body func(pb *bytecode.ProgramBuilder) *bytecode.MethodBuilder) []byte {
 		pb := bytecode.NewProgramBuilder()
@@ -82,14 +85,29 @@ func fuzzSeeds(f *testing.F) [][]byte {
 			main.Emit(bytecode.OpReturn)
 			return main
 		}),
+		build(func(pb *bytecode.ProgramBuilder) *bytecode.MethodBuilder { // wild branches and a wild call, unreachable
+			seven := pb.NewFunc("seven", 0)
+			seven.Const(7)
+			seven.Emit(bytecode.OpReturn)
+			seven.Emit(bytecode.OpJumpZ, -5)
+			seven.Emit(bytecode.OpJump, 9999)
+			main := pb.NewFunc("main", 0)
+			main.CallStatic(seven)
+			main.Emit(bytecode.OpReturn)
+			main.Emit(bytecode.OpJumpCmp, 1<<30, int32(bytecode.OpLt))
+			main.Emit(bytecode.OpCallStatic, 808464432, 808464432)
+			main.Emit(bytecode.OpHalt)
+			return main
+		}),
 	}
 }
 
 // FuzzDecodeProgram: arbitrary bytes must never panic the decoder, never
 // produce a program whose methods fail verification (Decode re-verifies
 // internally, so a non-nil result is a safe program), and never produce
-// one that panics the VM: every accepted program is run, plain and
-// fused, unprofiled and under CBS.
+// one that panics the VM or a rewriter: every accepted program is run as
+// it is and through fusion, cleanup and trivial inlining, unprofiled and
+// under CBS (runAllWays).
 func FuzzDecodeProgram(f *testing.F) {
 	seeds := fuzzSeeds(f)
 	for _, s := range seeds {

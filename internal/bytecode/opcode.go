@@ -103,7 +103,7 @@ const (
 	OpHalt
 
 	// Superinstructions: fused forms of adjacent instruction sequences,
-	// emitted only by the opt.Fuse pass (never by the MJ front end).
+	// emitted only by opt.FuseProgram (never by the MJ front end).
 	// Each one executes with the exact stack, local, and trap semantics
 	// of its unfused expansion and is charged the summed cycle cost of
 	// its parts, so fused and unfused execution produce byte-identical
@@ -189,16 +189,56 @@ func (op Opcode) IsCall() bool {
 	return op == OpCallStatic || op == OpCallVirtual || op == OpCallClosure
 }
 
+// Role says what an instruction operand indexes inside its own method.
+// Code that moves instructions — into another method, or to another pc —
+// must move these operands with them; every other operand (an immediate,
+// a class, method, field or call-site id, an arity) means the same
+// wherever the instruction stands.
+type Role uint8
+
+const (
+	RoleNone  Role = iota
+	RoleLocal      // a local slot, below Method.NLocals
+	RoleConst      // an index into Method.Consts
+	RolePC         // an instruction index of the method
+)
+
+// operandRoles says which operands have a role ({A, B}; an opcode not
+// listed has none). The verifier range-checks an operand because of its
+// entry here and Rebase moves it because of the same entry. A branch is
+// an opcode whose A is a pc: the interpreter, the verifier and Relayout
+// all read the target there, so RolePC never stands in B.
+var operandRoles = [numOpcodes][2]Role{
+	OpConstL:    {RoleConst},
+	OpLoad:      {RoleLocal},
+	OpStore:     {RoleLocal},
+	OpLoadLoad:  {RoleLocal, RoleLocal},
+	OpLoadConst: {RoleLocal},
+	OpIncLocal:  {RoleLocal},
+	OpJump:      {RolePC},
+	OpJumpZ:     {RolePC},
+	OpJumpNZ:    {RolePC},
+	OpJumpCmp:   {RolePC},
+}
+
+// Roles returns the roles of op's A and B operands; an undefined opcode
+// (the verifier lets one stand where control cannot reach) has none.
+func (op Opcode) Roles() (a, b Role) {
+	if !op.Valid() {
+		return RoleNone, RoleNone
+	}
+	return operandRoles[op][0], operandRoles[op][1]
+}
+
 // IsBranch reports whether op is a jump (conditional or not).
 func (op Opcode) IsBranch() bool {
-	return op == OpJump || op == OpJumpZ || op == OpJumpNZ || op == OpJumpCmp
+	a, _ := op.Roles()
+	return a == RolePC
 }
 
 // IsCondBranch reports whether op is a conditional branch (both the
 // branch target and the fallthrough are successors).
-func (op Opcode) IsCondBranch() bool {
-	return op == OpJumpZ || op == OpJumpNZ || op == OpJumpCmp
-}
+func (op Opcode) IsCondBranch() bool { return op != OpJump && op.IsBranch() }
 
 // IsFused reports whether op is a superinstruction produced by fusion.
 func (op Opcode) IsFused() bool {

@@ -3,11 +3,13 @@ package bytecode_test
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
 	"gocbs/internal/bench"
 	"gocbs/internal/bytecode"
+	"gocbs/internal/inline"
 	"gocbs/internal/opt"
 	"gocbs/internal/profiler"
 	"gocbs/internal/vm"
@@ -46,52 +48,111 @@ func (g cycleGuard) OnYieldpoint(m *vm.VM, kind vm.YieldKind) {
 	}
 }
 
-// runAllWays executes p's entry plain and fused, unprofiled and under
-// CBS, and fails on anything but a value or a trap. what names the
-// program in failures.
+// rewriters are the three passes that rewrite a linked program in place.
+var rewriters = []struct {
+	name  string
+	apply func(*bytecode.Program) error
+}{
+	{"fused", func(p *bytecode.Program) error { _, err := opt.FuseProgram(p); return err }},
+	{"cleaned", func(p *bytecode.Program) error { _, err := opt.CleanupProgram(p); return err }},
+	{"inlined", func(p *bytecode.Program) error {
+		_, err := inline.Optimize(p, inline.Trivial{}, nil, inline.DefaultOptions())
+		return err
+	}},
+}
+
+// outcome is how one run ended: a value and an output, or a trap.
+type outcome struct {
+	val    int64
+	output []int64
+	trap   string // "" for a value; otherwise the trap's reason, without its method@pc
+}
+
+// comparable reports whether the run ended for a reason a rewrite must
+// keep: not on a budget (steps, the cycle guard's step limit of 1, stack
+// slots) that the rewritten program spends at another rate.
+func (o outcome) comparable() bool {
+	return !strings.HasPrefix(o.trap, "step limit") && !strings.HasPrefix(o.trap, "stack overflow")
+}
+
+func (o outcome) String() string {
+	if o.trap != "" {
+		return "trap: " + o.trap
+	}
+	return fmt.Sprintf("%d, %d outputs", o.val, len(o.output))
+}
+
+// runAllWays executes p's entry as it is and through each rewriter,
+// unprofiled and under CBS. Whatever Verify accepts runs to a value or a
+// trap, never a Go panic; a rewriter may refuse a program (an error is an
+// answer), but what it returns must verify again and end as the original
+// ended. what names the program in failures.
 func runAllWays(t testing.TB, p *bytecode.Program, what string) {
 	t.Helper()
-	type shape struct {
-		name string
-		prog *bytecode.Program
-	}
-	shapes := []shape{{"plain", p}}
-	// Fusion re-verifies what it wrote and refuses rather than emit code
-	// it cannot vouch for; a refusal is an answer, not a crash.
-	fused := p.Clone()
-	if _, err := opt.FuseProgram(fused); err == nil {
-		shapes = append(shapes, shape{"fused", fused})
-	}
 	args := make([]int64, p.Entry.NArgs)
 	for i := range args {
 		args[i] = 3
 	}
-	for _, sh := range shapes {
-		prog := sh.prog
-		for _, sampled := range []bool{false, true} {
-			func() {
-				way := fmt.Sprintf("%s, %s, cbs=%v", what, sh.name, sampled)
-				defer func() {
-					if r := recover(); r != nil {
-						t.Fatalf("%s: the VM panicked on verified code: %v\n%s", way, r, bytecode.DisasmProgram(prog))
-					}
-				}()
-				m := vm.New(prog)
-				m.MaxSteps = soundSteps
-				g := cycleGuard{}
-				if sampled {
-					g.cbs = profiler.NewCBS(profiler.Config{Stride: 2, SamplesPerTick: 8, Seed: 1})
-				}
-				m.SetProfiler(g)
-				m.SetTimer(5_000)
-				_, err := m.Run(args...)
-				if err != nil && !strings.HasPrefix(err.Error(), "trap at ") {
-					t.Fatalf("%s: error is not a trap: %v", way, err)
-				}
-				if m.Depth() != 0 {
-					t.Fatalf("%s: depth %d after the run (err %v)", way, m.Depth(), err)
+	run := func(way string, prog *bytecode.Program, sampled bool) (o outcome) {
+		t.Helper()
+		defer func() {
+			if r := recover(); r != nil {
+				t.Fatalf("%s: the VM panicked on verified code: %v\n%s", way, r, bytecode.DisasmProgram(prog))
+			}
+		}()
+		m := vm.New(prog)
+		m.MaxSteps = soundSteps
+		g := cycleGuard{}
+		if sampled {
+			g.cbs = profiler.NewCBS(profiler.Config{Stride: 2, SamplesPerTick: 8, Seed: 1})
+		}
+		m.SetProfiler(g)
+		m.SetTimer(5_000)
+		v, err := m.Run(args...)
+		if err != nil {
+			msg := err.Error()
+			if !strings.HasPrefix(msg, "trap at ") {
+				t.Fatalf("%s: error is not a trap: %v", way, err)
+			}
+			o.trap = msg[strings.Index(msg, ": ")+2:]
+		}
+		if m.Depth() != 0 {
+			t.Fatalf("%s: depth %d after the run (err %v)", way, m.Depth(), err)
+		}
+		o.val, o.output = v.I, m.Output
+		return o
+	}
+	var want outcome
+	for _, sampled := range []bool{false, true} {
+		want = run(fmt.Sprintf("%s, plain, cbs=%v", what, sampled), p, sampled)
+	}
+	for _, rw := range rewriters {
+		q := p.Clone()
+		err := func() (err error) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("%s, %s: the rewriter panicked on verified code: %v\n%s", what, rw.name, r, bytecode.DisasmProgram(p))
 				}
 			}()
+			return rw.apply(q)
+		}()
+		if err != nil {
+			continue
+		}
+		for _, m := range q.Methods {
+			if err := bytecode.Verify(q, m); err != nil {
+				t.Fatalf("%s, %s: the rewriter returned unverifiable code for %s: %v", what, rw.name, m.Name, err)
+			}
+		}
+		for _, sampled := range []bool{false, true} {
+			way := fmt.Sprintf("%s, %s, cbs=%v", what, rw.name, sampled)
+			got := run(way, q, sampled)
+			if !want.comparable() || !got.comparable() {
+				continue
+			}
+			if got.trap != want.trap || got.val != want.val || !reflect.DeepEqual(got.output, want.output) {
+				t.Fatalf("%s: ended in %v, the program as it was in %v\n%s\n-- rewritten:\n%s", way, got, want, bytecode.DisasmProgram(p), bytecode.DisasmProgram(q))
+			}
 		}
 	}
 }

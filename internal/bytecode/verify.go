@@ -55,23 +55,21 @@ func Verify(p *Program, m *Method) error {
 			return fmt.Errorf("pc %d: invalid opcode %d", pc, int(ins.Op))
 		}
 
+		// Operands that index the method itself, by the role table that
+		// Rebase moves them by; a pc is checked below, as a successor.
+		ra, rb := ins.Op.Roles()
+		for i, role := range [2]Role{ra, rb} {
+			v := int([2]int32{ins.A, ins.B}[i])
+			switch {
+			case role == RoleConst && (v < 0 || v >= len(m.Consts)):
+				return fmt.Errorf("pc %d: constl index %d out of range", pc, v)
+			case role == RoleLocal && (v < 0 || v >= m.NLocals):
+				return fmt.Errorf("pc %d: local %d out of range [0,%d)", pc, v, m.NLocals)
+			}
+		}
+
 		pops, pushes := stackEffect(ins.Op)
 		switch ins.Op {
-		case OpConstL:
-			if int(ins.A) < 0 || int(ins.A) >= len(m.Consts) {
-				return fmt.Errorf("pc %d: constl index %d out of range", pc, ins.A)
-			}
-		case OpLoad, OpStore, OpLoadConst, OpIncLocal:
-			if int(ins.A) < 0 || int(ins.A) >= m.NLocals {
-				return fmt.Errorf("pc %d: local %d out of range [0,%d)", pc, ins.A, m.NLocals)
-			}
-		case OpLoadLoad:
-			if int(ins.A) < 0 || int(ins.A) >= m.NLocals {
-				return fmt.Errorf("pc %d: local %d out of range [0,%d)", pc, ins.A, m.NLocals)
-			}
-			if int(ins.B) < 0 || int(ins.B) >= m.NLocals {
-				return fmt.Errorf("pc %d: local %d out of range [0,%d)", pc, ins.B, m.NLocals)
-			}
 		case OpJumpCmp:
 			if !Opcode(ins.B).IsCmp() {
 				return fmt.Errorf("pc %d: jumpcmp with non-comparison operand %d", pc, ins.B)
@@ -144,7 +142,13 @@ func Verify(p *Program, m *Method) error {
 		}
 
 		switch {
-		case ins.Op.IsReturn(), ins.Op == OpHalt:
+		case ins.Op.IsReturn():
+			// Terminal, and nothing is left behind: to its caller's stack a
+			// call is arguments in, one value out, and the inliner relies on it.
+			if nd != 0 {
+				return fmt.Errorf("pc %d (%v): %d operands left on the stack", pc, ins.Op, nd)
+			}
+		case ins.Op == OpHalt:
 			// terminal: no successors
 		case ins.Op == OpJump:
 			if err := push(int(ins.A), nd); err != nil {

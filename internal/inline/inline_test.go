@@ -1,6 +1,7 @@
 package inline
 
 import (
+	"reflect"
 	"testing"
 
 	"gocbs/internal/bytecode"
@@ -465,5 +466,76 @@ func TestDifferentialInliningOnGeneratedPrograms(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// halfBadSrc has a method, step, with two static calls in it; halfBad
+// plans both, one of them wrongly.
+const halfBadSrc = `
+	int one(int x) { return x + 1; }
+	int two(int x, int y) { return x * 3 + y; }
+	int step(int i, int acc) { return acc + one(i) + two(i, acc) % 7; }
+	int main(int n) {
+		int acc = 0;
+		for (int i = 0; i < n; i = i + 1) { acc = step(i, acc) % 1000003; }
+		return acc;
+	}
+`
+
+// halfBad plans both of step's calls, one of them wrongly. With
+// unverifiable set, one is inlined at its own call and again at the call
+// to two — an argument short, so the splice goes through and only the
+// verifier can catch what it made. Without it, two is inlined soundly
+// and the call to one gets a guard, which the splicer refuses for a
+// static call: the refused decision has the lower pc, so a rewriter
+// working from the top pc down has applied the sound one by then.
+type halfBad struct{ unverifiable bool }
+
+func (halfBad) Name() string { return "half-bad" }
+
+func (h halfBad) Plan(prog *bytecode.Program, m *bytecode.Method, _ *profile.DCG) []Decision {
+	if m.Name != "$Globals.step" {
+		return nil
+	}
+	one := prog.MethodByName("$Globals.one")
+	var ds []Decision
+	for _, cs := range ScanCalls(prog, m) {
+		switch {
+		case cs.Static == one:
+			ds = append(ds, Decision{PC: cs.PC, Target: one, Guarded: !h.unverifiable})
+		case h.unverifiable:
+			ds = append(ds, Decision{PC: cs.PC, Target: one})
+		default:
+			ds = append(ds, Decision{PC: cs.PC, Target: cs.Static})
+		}
+	}
+	return ds
+}
+
+// A round of decisions is applied whole or not at all: when one of them
+// is refused, or the method they make fails verification, the method is
+// what it was — code (the same array), constant pool, frame, size and
+// trivial mark — and the program computes what it computed.
+func TestRejectedRoundLeavesMethodUntouched(t *testing.T) {
+	for _, unverifiable := range []bool{false, true} {
+		orig, prog := compile2(t, halfBadSrc)
+		step := prog.MethodByName("$Globals.step")
+		step.Consts = append(step.Consts, 1<<40) // a pool to keep
+		before := *step
+		code := append([]bytecode.Instr(nil), step.Code...)
+		_, err := Optimize(prog, halfBad{unverifiable}, nil, DefaultOptions())
+		if err == nil {
+			t.Fatalf("unverifiable=%v: a bad decision was applied without complaint", unverifiable)
+		}
+		if &step.Code[0] != &before.Code[0] || !reflect.DeepEqual(step.Code, code) {
+			t.Errorf("unverifiable=%v: the rejected body was installed (%v):\n%s", unverifiable, err, bytecode.DisasmMethod(prog, step))
+		}
+		if !reflect.DeepEqual(step.Consts, before.Consts) || step.NLocals != before.NLocals || step.MaxStack != before.MaxStack ||
+			step.Size != before.Size || step.Trivial != before.Trivial {
+			t.Errorf("unverifiable=%v: consts %v, locals %d, max stack %d, size %d, trivial %v after a rejected round; before it %v, %d, %d, %d, %v",
+				unverifiable, step.Consts, step.NLocals, step.MaxStack, step.Size, step.Trivial,
+				before.Consts, before.NLocals, before.MaxStack, before.Size, before.Trivial)
+		}
+		assertSameBehavior(t, orig, prog, false, 500)
 	}
 }

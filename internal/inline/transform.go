@@ -9,6 +9,7 @@ package inline
 
 import (
 	"fmt"
+	"sort"
 
 	"gocbs/internal/bytecode"
 )
@@ -28,179 +29,135 @@ type Decision struct {
 	NullGuard bool
 }
 
-// Apply rewrites m by inlining each decision. Decisions must refer to
-// call instructions in m's *current* code; Apply sorts and applies
-// them highest-PC-first so earlier offsets stay valid. The rewritten
-// method is re-verified before Apply returns.
+// Apply rewrites m by inlining every decision, in one pass over its
+// body. Decisions must refer to call instructions in m's current code.
+// Locals and pool entries are handed out highest-PC-first. The rewritten
+// method is verified before it is installed: if any decision is refused,
+// or the result fails verification, m is left exactly as it was.
 func Apply(prog *bytecode.Program, m *bytecode.Method, ds []Decision) error {
 	if len(ds) == 0 {
 		return nil
 	}
-	// Sort descending by PC (insertion sort; decision lists are short).
 	sorted := append([]Decision(nil), ds...)
-	for i := 1; i < len(sorted); i++ {
-		for j := i; j > 0 && sorted[j].PC > sorted[j-1].PC; j-- {
-			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
-		}
-	}
+	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].PC > sorted[j].PC })
 	for i := 1; i < len(sorted); i++ {
 		if sorted[i].PC == sorted[i-1].PC {
 			return fmt.Errorf("inline %s: duplicate decision at pc %d", m.Name, sorted[i].PC)
 		}
 	}
+	nlocals := m.NLocals
+	consts := m.Consts[:len(m.Consts):len(m.Consts)] // appending must not write into m's array
+	splice := make(map[int][]bytecode.Instr, len(sorted))
 	for _, d := range sorted {
-		if err := splice(m, d); err != nil {
+		rep, err := replacement(m, d, nlocals, len(consts))
+		if err != nil {
 			return fmt.Errorf("inline %s at pc %d: %w", m.Name, d.PC, err)
 		}
+		splice[d.PC] = rep
+		nlocals += d.Target.NLocals
+		consts = append(consts, d.Target.Consts...)
 	}
-	m.Size = len(m.Code)
-	m.Trivial = false
-	if err := bytecode.Verify(prog, m); err != nil {
+	if err := m.Install(prog, bytecode.Relayout(m.Code, nil, splice), nlocals, consts); err != nil {
 		return fmt.Errorf("inline %s: rewritten method fails verification: %w", m.Name, err)
 	}
+	m.Trivial = false
 	return nil
 }
 
-// splice replaces the single call at d.PC with the callee body.
+// replacement builds what takes the place of the call at d.PC: the
+// callee's body with its locals moved to base, its pool indices to
+// constBase, and its pcs counted from the replacement's start, as
+// bytecode.Relayout expects of a spliced sequence.
 //
-// Replacement layout (guarded case):
+// Layout (guarded case):
 //
 //	stores:   Store argN-1 … Store arg0      (args into fresh locals)
 //	guard:    Load recv; VTEq target; JumpZ fallback
-//	body:     callee code with locals/consts remapped, returns
-//	          rewritten to jumps to end
+//	body:     callee code, returns rewritten to jumps to end
 //	fallback: Load arg0 … Load argN-1; <original call instruction>
 //	end:
 //
 // Both the inlined path and the fallback leave exactly one value on
 // the stack, so stack depths agree at end and the verifier is happy.
-func splice(m *bytecode.Method, d Decision) error {
+func replacement(m *bytecode.Method, d Decision, base, constBase int) ([]bytecode.Instr, error) {
 	if d.PC < 0 || d.PC >= len(m.Code) {
-		return fmt.Errorf("pc %d out of range [0,%d)", d.PC, len(m.Code))
+		return nil, fmt.Errorf("pc %d out of range [0,%d)", d.PC, len(m.Code))
 	}
 	ins := m.Code[d.PC]
 	callee := d.Target
 	switch ins.Op {
 	case bytecode.OpCallStatic:
 		if d.Guarded || d.NullGuard {
-			return fmt.Errorf("static call cannot be guard-inlined")
+			return nil, fmt.Errorf("static call cannot be guard-inlined")
 		}
 	case bytecode.OpCallVirtual:
 		if !d.Guarded && !d.NullGuard {
-			return fmt.Errorf("virtual call requires a guard")
+			return nil, fmt.Errorf("virtual call requires a guard")
 		}
 		if d.Guarded && d.Target.VSlot < 0 {
-			return fmt.Errorf("guarded decision targets non-virtual method %s", d.Target.Name)
+			return nil, fmt.Errorf("guarded decision targets non-virtual method %s", d.Target.Name)
 		}
 	default:
-		return fmt.Errorf("pc %d holds %v, not a call", d.PC, ins.Op)
+		return nil, fmt.Errorf("pc %d holds %v, not a call", d.PC, ins.Op)
 	}
 	if callee == m {
-		return fmt.Errorf("refusing to inline %s into itself", m.Name)
+		return nil, fmt.Errorf("refusing to inline %s into itself", m.Name)
 	}
 
-	nargs := callee.NArgs
-	base := m.NLocals
-	m.NLocals += callee.NLocals
-	constBase := len(m.Consts)
-	m.Consts = append(m.Consts, callee.Consts...)
-
-	// Pre-compute the new offset of every callee pc (OpReturnVoid
-	// expands to two instructions).
-	offsets := make([]int, len(callee.Code)+1)
-	cur := 0
-	for i, ci := range callee.Code {
-		offsets[i] = cur
+	// The body: every OpReturnVoid grown into the value it returns and
+	// a plain return, the callee's own branches following.
+	grow := map[int][]bytecode.Instr{}
+	for pc, ci := range callee.Code {
 		if ci.Op == bytecode.OpReturnVoid {
-			cur += 2
-		} else {
-			cur += 1
+			grow[pc] = []bytecode.Instr{{Op: bytecode.OpConst, A: 0}, {Op: bytecode.OpReturn}}
 		}
 	}
-	offsets[len(callee.Code)] = cur
-	bodyLen := cur
+	body := bytecode.Relayout(callee.Code, nil, grow)
 
 	// Prefix: stores, then optional guard.
-	var rep []bytecode.Instr
+	nargs := callee.NArgs
+	guarded := d.Guarded || d.NullGuard
+	rep := make([]bytecode.Instr, 0, 2*nargs+4+len(body))
 	for i := nargs - 1; i >= 0; i-- {
 		rep = append(rep, bytecode.Instr{Op: bytecode.OpStore, A: int32(base + i)})
 	}
-	guarded := d.Guarded || d.NullGuard
 	if guarded {
+		fallback := int32(nargs + 3 + len(body))
 		rep = append(rep, bytecode.Instr{Op: bytecode.OpLoad, A: int32(base)})
 		if d.NullGuard {
 			// Monomorphic: only a nil receiver must take the fallback
 			// (which re-executes the dispatch and traps).
-			rep = append(rep, bytecode.Instr{Op: bytecode.OpIsNull})
-			rep = append(rep, bytecode.Instr{Op: bytecode.OpJumpNZ, A: -1}) // patched to fallback
+			rep = append(rep,
+				bytecode.Instr{Op: bytecode.OpIsNull},
+				bytecode.Instr{Op: bytecode.OpJumpNZ, A: fallback})
 		} else {
-			rep = append(rep, bytecode.Instr{Op: bytecode.OpVTEq, A: bytecode.EncodeVTEq(d.Target.VSlot, d.Target.ID)})
-			rep = append(rep, bytecode.Instr{Op: bytecode.OpJumpZ, A: -1}) // patched to fallback
+			rep = append(rep,
+				bytecode.Instr{Op: bytecode.OpVTEq, A: bytecode.EncodeVTEq(d.Target.VSlot, d.Target.ID)},
+				bytecode.Instr{Op: bytecode.OpJumpZ, A: fallback})
 		}
 	}
 	prefixLen := len(rep)
-	guardBranchIdx := prefixLen - 1 // only meaningful when guarded
-
-	fallbackLen := 0
+	end := prefixLen + len(body)
 	if guarded {
-		fallbackLen = nargs + 1
+		end += nargs + 1
 	}
-	fallbackStart := prefixLen + bodyLen
-	end := fallbackStart + fallbackLen
 
-	// Body: remap locals, consts, branches; rewrite returns.
-	for _, ci := range callee.Code {
-		switch ci.Op {
-		case bytecode.OpLoad, bytecode.OpStore:
-			rep = append(rep, bytecode.Instr{Op: ci.Op, A: ci.A + int32(base)})
-		case bytecode.OpConstL:
-			rep = append(rep, bytecode.Instr{Op: ci.Op, A: ci.A + int32(constBase)})
-		case bytecode.OpJump, bytecode.OpJumpZ, bytecode.OpJumpNZ:
-			rep = append(rep, bytecode.Instr{Op: ci.Op, A: int32(prefixLen + offsets[ci.A]), B: ci.B})
-		case bytecode.OpReturn:
-			rep = append(rep, bytecode.Instr{Op: bytecode.OpJump, A: int32(end)})
-		case bytecode.OpReturnVoid:
-			rep = append(rep, bytecode.Instr{Op: bytecode.OpConst, A: 0})
-			rep = append(rep, bytecode.Instr{Op: bytecode.OpJump, A: int32(end)})
-		default:
-			rep = append(rep, ci)
+	bytecode.Rebase(body, int32(base), int32(constBase), int32(prefixLen))
+	for i := range body {
+		if body[i].Op == bytecode.OpReturn {
+			body[i] = bytecode.Instr{Op: bytecode.OpJump, A: int32(end)}
 		}
 	}
+	rep = append(rep, body...)
 
 	// Fallback: reload args and re-execute the original dispatch.
 	if guarded {
-		rep[guardBranchIdx].A = int32(fallbackStart)
 		for i := 0; i < nargs; i++ {
 			rep = append(rep, bytecode.Instr{Op: bytecode.OpLoad, A: int32(base + i)})
 		}
 		rep = append(rep, ins) // original call, same call-site ID
 	}
-
-	if len(rep) != end {
-		return fmt.Errorf("internal: replacement length %d != computed %d", len(rep), end)
-	}
-
-	// Rebase replacement-relative branch targets to absolute pcs and
-	// stitch the new code together, fixing caller branches that cross
-	// the splice point.
-	delta := len(rep) - 1
-	for i := range rep {
-		if rep[i].Op.IsBranch() {
-			rep[i].A += int32(d.PC)
-		}
-	}
-	newCode := make([]bytecode.Instr, 0, len(m.Code)+delta)
-	newCode = append(newCode, m.Code[:d.PC]...)
-	newCode = append(newCode, rep...)
-	newCode = append(newCode, m.Code[d.PC+1:]...)
-	for i := range newCode {
-		inReplacement := i >= d.PC && i < d.PC+len(rep)
-		if !inReplacement && newCode[i].Op.IsBranch() && int(newCode[i].A) > d.PC {
-			newCode[i].A += int32(delta)
-		}
-	}
-	m.Code = newCode
-	return nil
+	return rep, nil
 }
 
 // CallSite describes one call instruction found in a method body.
@@ -219,6 +176,11 @@ func ScanCalls(prog *bytecode.Program, m *bytecode.Method) []CallSite {
 	for pc, ins := range m.Code {
 		switch ins.Op {
 		case bytecode.OpCallStatic:
+			// The verifier checks a callee id only where control reaches:
+			// a call that names no method stands in dead code, and is no site.
+			if ins.A < 0 || int(ins.A) >= len(prog.Methods) {
+				continue
+			}
 			out = append(out, CallSite{
 				PC: pc, Op: ins.Op, Site: int(ins.B),
 				Static: prog.Methods[ins.A],

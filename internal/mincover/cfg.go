@@ -29,29 +29,12 @@ func classifyPCs(code []bytecode.Instr, allowAnchors bool) []int {
 		return cls
 	}
 
-	// Leaders: entry, branch targets, and instruction after any
-	// control transfer.
-	leader := make([]bool, n)
-	leader[0] = true
-	for pc, ins := range code {
-		switch {
-		case ins.Op.IsBranch():
-			if t := int(ins.A); t >= 0 && t < n {
-				leader[t] = true
-			}
-			if pc+1 < n {
-				leader[pc+1] = true
-			}
-		case ins.Op.IsReturn() || ins.Op == bytecode.OpHalt:
-			if pc+1 < n {
-				leader[pc+1] = true
-			}
-		}
-	}
+	// Blocks, from the one flow scan every rewriter uses.
+	flow := bytecode.ScanFlow(code)
 	blockOf := make([]int, n)
 	nb := -1
 	for pc := 0; pc < n; pc++ {
-		if leader[pc] {
+		if flow.Leader[pc] {
 			nb++
 		}
 		blockOf[pc] = nb
@@ -60,59 +43,47 @@ func classifyPCs(code []bytecode.Instr, allowAnchors bool) []int {
 	end := make([]int, nb) // last pc of each block
 	for pc := 0; pc < n; pc++ {
 		end[blockOf[pc]] = pc
+		if !flow.Reach[pc] {
+			cls[pc] = pcDead
+		}
 	}
 
-	// Successors; block nb is the virtual exit node.
+	// Successors; block nb is the virtual exit node. A block is
+	// reachable as a whole or not at all, and the exit is reachable if
+	// some reachable block leads to it.
 	exit := nb
 	succ := make([][]int, nb+1)
+	reach := make([]bool, nb+1)
 	for b := 0; b < nb; b++ {
 		last := end[b]
 		ins := code[last]
-		add := func(s int) { succ[b] = append(succ[b], s) }
+		reach[b] = flow.Reach[last]
+		add := func(s int) {
+			succ[b] = append(succ[b], s)
+			if s == exit && reach[b] {
+				reach[exit] = true
+			}
+		}
 		target := func() int {
 			if t := int(ins.A); t >= 0 && t < n {
 				return blockOf[t]
 			}
 			return exit // invalid target traps; treated as an exit path
 		}
+		next := exit // falling off the end traps: an exit path
+		if last+1 < n {
+			next = blockOf[last+1]
+		}
 		switch {
 		case ins.Op == bytecode.OpJump:
 			add(target())
 		case ins.Op.IsCondBranch():
 			add(target())
-			if last+1 < n {
-				add(blockOf[last+1])
-			} else {
-				add(exit)
-			}
+			add(next)
 		case ins.Op.IsReturn() || ins.Op == bytecode.OpHalt:
 			add(exit)
 		default:
-			if last+1 < n {
-				add(blockOf[last+1])
-			} else {
-				add(exit) // falls off the end: traps, an exit path
-			}
-		}
-	}
-
-	// Reachability from entry.
-	reach := make([]bool, nb+1)
-	var dfs func(int)
-	dfs = func(b int) {
-		if reach[b] {
-			return
-		}
-		reach[b] = true
-		for _, s := range succ[b] {
-			dfs(s)
-		}
-	}
-	dfs(0)
-
-	for pc := 0; pc < n; pc++ {
-		if !reach[blockOf[pc]] {
-			cls[pc] = pcDead
+			add(next)
 		}
 	}
 	if !allowAnchors || !reach[exit] {

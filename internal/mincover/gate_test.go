@@ -3,6 +3,7 @@ package mincover
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	"gocbs/internal/bench"
@@ -70,34 +71,46 @@ func gateRun(t *testing.T, label, src string, prog *bytecode.Program, arg int64,
 	}
 }
 
-// gateVariants compiles src three ways: as-is, trivially inlined, and
-// superinstruction-fused. Each variant is an independent compile, since
-// both rewrites mutate in place.
+// gatePasses are the rewriters a variant's name spells out, in order.
+var gatePasses = map[string]func(*bytecode.Program) error{
+	"inlined": func(p *bytecode.Program) error {
+		_, err := inline.Optimize(p, inline.Trivial{}, nil, inline.DefaultOptions())
+		return err
+	},
+	"cleaned": func(p *bytecode.Program) error { _, err := opt.CleanupProgram(p); return err },
+	"fused":   func(p *bytecode.Program) error { _, err := opt.FuseProgram(p); return err },
+}
+
+// gateVariants compiles src as it is and through each pass order the
+// rewriters must compose in: the two single passes, and three orders
+// that put the inliner behind fusion, fusion between two inlining
+// rounds, and cleanup between inlining and fusion. Each variant is an
+// independent compile, since every rewrite mutates in place.
 func gateVariants(t *testing.T, label, src string) map[string]*bytecode.Program {
 	t.Helper()
-	compile := func() *bytecode.Program {
+	out := map[string]*bytecode.Program{}
+	for _, name := range []string{"plain", "inlined", "fused", "fused+inlined", "inlined+fused+inlined", "inlined+cleaned+fused"} {
 		p, err := mj.Compile(src)
 		if err != nil {
 			t.Fatalf("%s: compile: %v\n%s", label, err, src)
 		}
-		return p
+		for _, pass := range strings.Split(name, "+") {
+			if pass == "plain" {
+				continue
+			}
+			if err := gatePasses[pass](p); err != nil {
+				t.Fatalf("%s: variant %s, %s: %v\n%s", label, name, pass, err, src)
+			}
+		}
+		out[name] = p
 	}
-	plain := compile()
-	inlined := compile()
-	if _, err := inline.Optimize(inlined, inline.Trivial{}, nil, inline.DefaultOptions()); err != nil {
-		t.Fatalf("%s: inline: %v\n%s", label, err, src)
-	}
-	fused := compile()
-	if _, err := opt.FuseProgram(fused); err != nil {
-		t.Fatalf("%s: fuse: %v\n%s", label, err, src)
-	}
-	return map[string]*bytecode.Program{"plain": plain, "inlined": inlined, "fused": fused}
+	return out
 }
 
 // TestGeneratedDifferentialGate is the gate every generated program
 // passes before the generator may ship: across ≥50 seeds cycling
 // through every shape (half plain programs, half workload-protocol
-// programs), each of {plain, inlined, fused} must match the reference
+// programs), each of gateVariants' programs must match the reference
 // interpreter's result and output under each of {bare, exhaustive,
 // cbs, mincover} observers, exhaustive and mincover must agree
 // byte-for-byte on the canonical DCG, and mincover must never observe

@@ -1,19 +1,20 @@
 // Superinstruction fusion: the dispatch-loop half of the perf
-// trajectory work. The interpreter pays a fixed Go-level overhead per
-// dispatched instruction (bounds check, step accounting, cost lookup,
-// timer poll, switch); fusing the hottest adjacent pairs from the
-// peephole window catalogue into single fused opcodes removes that
-// overhead without changing anything a profiler can observe.
+// trajectory work. What the interpreter pays per dispatched instruction
+// is the fetch and the switch — cycles, instruction counts and the timer
+// are settled a span at a time (vm/span.go) — and fusing the hottest
+// adjacent pairs from the peephole window catalogue into single fused
+// opcodes removes dispatches without changing anything a profiler can
+// observe.
 //
 // The selection rule is static and deliberately conservative: a window
 // is fused only when (a) every instruction matches one of the five
-// catalogued patterns exactly, (b) no interior pc is a branch target,
-// and (c) the window contains no call, return, yieldpoint, or
-// allocation — so a fused program executes the identical sequence of
-// observable events (calls, yieldpoints, timer ticks, traps, output)
-// at the identical modeled cycle counts as its unfused twin. The
+// catalogued patterns exactly, (b) control cannot enter it past its
+// first instruction, and (c) the window contains no call, return,
+// yieldpoint, or allocation — so a fused program executes the identical
+// sequence of observable events (calls, yieldpoints, timer ticks, traps,
+// output) at the identical modeled cycle counts as its unfused twin. The
 // differential tests in fuse_differential_test.go enforce exactly that
-// on all thirteen benchmarks.
+// on all fifteen benchmarks, before and after inlining.
 package opt
 
 import (
@@ -31,24 +32,15 @@ type FuseStats struct {
 	Removed int
 }
 
-// Fuse rewrites m in place, collapsing catalogued adjacent instruction
-// windows into superinstructions and compacting the body. It returns
-// the number of instructions eliminated. Fusion assumes the summed-cost
-// identities DefaultCostModel establishes for the fused opcodes; a
-// custom cost model that breaks them would skew fused timer phase.
-func Fuse(p *bytecode.Program, m *bytecode.Method) (int, error) {
-	st, err := FuseMethod(p, m)
-	if err != nil {
-		return 0, err
-	}
-	return st.Removed, nil
-}
-
-// FuseMethod is Fuse with per-opcode statistics.
+// FuseMethod collapses the catalogued adjacent instruction windows of m
+// into superinstructions and compacts the body; m changes only if the
+// fused body verifies. Fusion assumes the summed-cost identities
+// DefaultCostModel establishes for the fused opcodes; a custom cost
+// model that breaks them would skew fused timer phase.
 func FuseMethod(p *bytecode.Program, m *bytecode.Method) (FuseStats, error) {
 	st := FuseStats{Fused: map[bytecode.Opcode]int{}}
-	code := m.Code
-	targets := jumpTargets(m)
+	code := append([]bytecode.Instr(nil), m.Code...)
+	leader := bytecode.ScanFlow(code).Leader
 	dead := make([]bool, len(code))
 
 	// interiorFree reports whether the window (pc, pc+n] can be
@@ -56,11 +48,23 @@ func FuseMethod(p *bytecode.Program, m *bytecode.Method) (FuseStats, error) {
 	// anywhere but its head must be impossible.
 	interiorFree := func(pc, n int) bool {
 		for i := pc + 1; i <= pc+n; i++ {
-			if targets[i] {
+			if leader[i] {
 				return false
 			}
 		}
 		return true
+	}
+
+	// fuse puts super at pc in place of the n+1 instructions that start
+	// there. Only the slots it swallows are dropped (pre-existing nops
+	// keep their modeled cost, so they must survive).
+	fuse := func(pc int, super bytecode.Instr, n int) {
+		code[pc] = super
+		for i := pc + 1; i <= pc+n; i++ {
+			dead[i] = true
+		}
+		st.Fused[super.Op]++
+		st.Removed += n
 	}
 
 	for pc := 0; pc < len(code); pc++ {
@@ -72,9 +76,7 @@ func FuseMethod(p *bytecode.Program, m *bytecode.Method) (FuseStats, error) {
 			code[pc+2].Op == bytecode.OpAdd &&
 			code[pc+3].Op == bytecode.OpStore && code[pc+3].A == ins.A &&
 			interiorFree(pc, 3) {
-			code[pc] = bytecode.Instr{Op: bytecode.OpIncLocal, A: ins.A, B: code[pc+1].A}
-			dead[pc+1], dead[pc+2], dead[pc+3] = true, true, true
-			st.Fused[bytecode.OpIncLocal]++
+			fuse(pc, bytecode.Instr{Op: bytecode.OpIncLocal, A: ins.A, B: code[pc+1].A}, 3)
 			pc += 3
 			continue
 		}
@@ -90,72 +92,29 @@ func FuseMethod(p *bytecode.Program, m *bytecode.Method) (FuseStats, error) {
 			if next.Op == bytecode.OpJumpZ {
 				cmp = bytecode.NegateCmp(cmp)
 			}
-			code[pc] = bytecode.Instr{Op: bytecode.OpJumpCmp, A: next.A, B: int32(cmp)}
-			dead[pc+1] = true
-			st.Fused[bytecode.OpJumpCmp]++
-			pc++
+			fuse(pc, bytecode.Instr{Op: bytecode.OpJumpCmp, A: next.A, B: int32(cmp)}, 1)
 		// Load a; Load b -> LoadLoad a, b
 		case ins.Op == bytecode.OpLoad && next.Op == bytecode.OpLoad:
-			code[pc] = bytecode.Instr{Op: bytecode.OpLoadLoad, A: ins.A, B: next.A}
-			dead[pc+1] = true
-			st.Fused[bytecode.OpLoadLoad]++
-			pc++
+			fuse(pc, bytecode.Instr{Op: bytecode.OpLoadLoad, A: ins.A, B: next.A}, 1)
 		// Load a; Const c -> LoadConst a, c
 		case ins.Op == bytecode.OpLoad && next.Op == bytecode.OpConst:
-			code[pc] = bytecode.Instr{Op: bytecode.OpLoadConst, A: ins.A, B: next.A}
-			dead[pc+1] = true
-			st.Fused[bytecode.OpLoadConst]++
-			pc++
+			fuse(pc, bytecode.Instr{Op: bytecode.OpLoadConst, A: ins.A, B: next.A}, 1)
 		// Const c; Add -> AddConst c;  Const c; Sub -> AddConst -c
 		case ins.Op == bytecode.OpConst && next.Op == bytecode.OpAdd:
-			code[pc] = bytecode.Instr{Op: bytecode.OpAddConst, A: ins.A}
-			dead[pc+1] = true
-			st.Fused[bytecode.OpAddConst]++
-			pc++
+			fuse(pc, bytecode.Instr{Op: bytecode.OpAddConst, A: ins.A}, 1)
 		case ins.Op == bytecode.OpConst && next.Op == bytecode.OpSub && ins.A != math.MinInt32:
-			code[pc] = bytecode.Instr{Op: bytecode.OpAddConst, A: -ins.A}
-			dead[pc+1] = true
-			st.Fused[bytecode.OpAddConst]++
+			fuse(pc, bytecode.Instr{Op: bytecode.OpAddConst, A: -ins.A}, 1)
+		}
+		if dead[pc+1] {
 			pc++
 		}
 	}
 
-	// Compact: drop only the slots swallowed by fusion (pre-existing
-	// nops keep their modeled cost, so they must survive), remapping
-	// every branch target through the monotone old->new pc map.
-	n := 0
-	for pc := range code {
-		if !dead[pc] {
-			n++
-		}
-	}
-	if n == len(code) {
+	if st.Removed == 0 {
 		return st, nil
 	}
-	newPC := make([]int32, len(code)+1)
-	cur := int32(0)
-	for pc := range code {
-		newPC[pc] = cur
-		if !dead[pc] {
-			cur++
-		}
-	}
-	newPC[len(code)] = cur
-	out := make([]bytecode.Instr, 0, n)
-	for pc, ins := range code {
-		if dead[pc] {
-			continue
-		}
-		if ins.Op.IsBranch() {
-			ins.A = newPC[ins.A]
-		}
-		out = append(out, ins)
-	}
-	m.Code = out
-	m.Size = len(out)
-	st.Removed = len(code) - n
-	if err := bytecode.Verify(p, m); err != nil {
-		return st, fmt.Errorf("fusion broke %s: %w", m.Name, err)
+	if err := m.Install(p, bytecode.Relayout(code, dead, nil), m.NLocals, m.Consts); err != nil {
+		return FuseStats{}, fmt.Errorf("fusion broke %s: %w", m.Name, err)
 	}
 	return st, nil
 }

@@ -2,10 +2,13 @@ package opt
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"gocbs/internal/bench"
 	"gocbs/internal/bytecode"
+	"gocbs/internal/inline"
+	"gocbs/internal/mj"
 	"gocbs/internal/profile"
 	"gocbs/internal/profiler"
 	"gocbs/internal/vm"
@@ -45,6 +48,28 @@ func dcgBytes(t *testing.T, g *profile.DCG) []byte {
 	return buf.Bytes()
 }
 
+// refResult runs src's main under the reference AST interpreter, which
+// shares nothing with the bytecode pipeline but the parser.
+func refResult(t *testing.T, src string, arg int64) int64 {
+	t.Helper()
+	toks, err := mj.Lex(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ast, err := mj.Parse(toks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mj.Check(ast); err != nil {
+		t.Fatal(err)
+	}
+	r, err := mj.NewRefInterp(ast, 1<<40).CallFunction("main", arg)
+	if err != nil {
+		t.Fatalf("reference run: %v", err)
+	}
+	return r
+}
+
 func fusedTwin(t *testing.T, b *bench.Benchmark) (plain, fused *bytecode.Program) {
 	t.Helper()
 	plain, err := b.Compile()
@@ -82,6 +107,7 @@ func TestFuseDifferentialSuite(t *testing.T) {
 			t.Parallel()
 			size := b.Small
 			plain, fused := fusedTwin(t, b)
+			want := refResult(t, b.Source, size)
 
 			// Bare: result, output stream, and modeled cycles.
 			mp := diffRun(t, plain, size, nil, 0)
@@ -140,8 +166,49 @@ func TestFuseDifferentialSuite(t *testing.T) {
 					t.Fatalf("%v: CBS DCG differs between fused and unfused execution", fl)
 				}
 			}
+
+			// Every order the three rewriters can run in — the three the
+			// generated gate runs (mincover/gate_test.go) and the rest of
+			// the permutations — computes what the plain program computes.
+			// The inliner is the old Jikes policy on the exhaustive DCG:
+			// guarded virtual inlines as well as static ones.
+			for _, order := range passOrders {
+				p, err := b.Compile()
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, pass := range strings.Split(order, "+") {
+					switch pass {
+					case "inlined":
+						_, err = inline.Optimize(p, inline.NewOldJikes(), ep.Graph, inline.DefaultOptions())
+					case "cleaned":
+						_, err = CleanupProgram(p)
+					case "fused":
+						_, err = FuseProgram(p)
+					}
+					if err != nil {
+						t.Fatalf("%s: %s: %v", order, pass, err)
+					}
+				}
+				mo := vm.New(p)
+				mo.MaxSteps = 4_000_000_000
+				got, err := mo.Run(size)
+				if err != nil {
+					t.Fatalf("%s: run: %v", order, err)
+				}
+				if got.I != want || !eqInt64s(mo.Output, mp.Output) {
+					t.Fatalf("%s: main returned %d with %d outputs, the reference interpreter %d with %d", order, got.I, len(mo.Output), want, len(mp.Output))
+				}
+			}
 		})
 	}
+}
+
+// passOrders: the generated gate's three, then the other permutations.
+var passOrders = []string{
+	"fused+inlined", "inlined+fused+inlined", "inlined+cleaned+fused",
+	"inlined+fused+cleaned", "fused+inlined+cleaned", "fused+cleaned+inlined",
+	"cleaned+inlined+fused", "cleaned+fused+inlined",
 }
 
 // TestFuseCandidateTable exercises each superinstruction candidate in

@@ -13,28 +13,32 @@ import (
 	"gocbs/internal/bytecode"
 )
 
-// Cleanup optimizes one method in place until a fixpoint (bounded),
-// re-verifying the result. It returns the number of instructions
-// removed.
+// Cleanup optimizes one method until a fixpoint (bounded) and returns
+// the number of instructions removed. It works on a copy of the body:
+// the method changes only if something was rewritten and the result
+// verifies.
 func Cleanup(p *bytecode.Program, m *bytecode.Method) (int, error) {
-	before := len(m.Code)
+	code := append([]bytecode.Instr(nil), m.Code...)
+	rewritten := false
 	for pass := 0; pass < 8; pass++ {
-		changed := foldConstants(m)
-		changed = threadJumps(m) || changed
-		changed = simplifyBranches(m) || changed
-		removed, err := eliminateDead(p, m)
-		if err != nil {
-			return 0, err
-		}
-		if !changed && removed == 0 {
+		changed := foldConstants(code)
+		changed = threadJumps(code) || changed
+		changed = simplifyBranches(code) || changed
+		before := len(code)
+		code = eliminateDead(code)
+		if !changed && len(code) == before {
 			break
 		}
+		rewritten = true
 	}
-	m.Size = len(m.Code)
-	if err := bytecode.Verify(p, m); err != nil {
+	if !rewritten {
+		return 0, nil
+	}
+	removed := len(m.Code) - len(code)
+	if err := m.Install(p, code, m.NLocals, m.Consts); err != nil {
 		return 0, fmt.Errorf("cleanup broke %s: %w", m.Name, err)
 	}
-	return before - len(m.Code), nil
+	return removed, nil
 }
 
 // CleanupProgram runs Cleanup over every method.
@@ -50,31 +54,20 @@ func CleanupProgram(p *bytecode.Program) (int, error) {
 	return total, nil
 }
 
-// jumpTargets returns whether each pc is a branch target (needed to
-// know when a straight-line window is safe to rewrite).
-func jumpTargets(m *bytecode.Method) []bool {
-	t := make([]bool, len(m.Code)+1)
-	for _, ins := range m.Code {
-		if ins.Op.IsBranch() {
-			t[ins.A] = true
-		}
-	}
-	return t
-}
-
 // foldConstants rewrites Const a; Const b; <binop> windows into a
 // single Const when the result fits an int32 operand, replacing the
 // first two instructions with nops (removed later by eliminateDead).
-// Windows whose interior is a branch target are left alone.
-func foldConstants(m *bytecode.Method) bool {
-	targets := jumpTargets(m)
+// Windows that control can enter past their first instruction are left
+// alone.
+func foldConstants(code []bytecode.Instr) bool {
+	leader := bytecode.ScanFlow(code).Leader
 	changed := false
-	for pc := 0; pc+2 < len(m.Code); pc++ {
-		a, b, op := m.Code[pc], m.Code[pc+1], m.Code[pc+2]
+	for pc := 0; pc+2 < len(code); pc++ {
+		a, b, op := code[pc], code[pc+1], code[pc+2]
 		if a.Op != bytecode.OpConst || b.Op != bytecode.OpConst {
 			continue
 		}
-		if targets[pc+1] || targets[pc+2] {
+		if leader[pc+1] || leader[pc+2] {
 			continue
 		}
 		x, y := int64(a.A), int64(b.A)
@@ -132,22 +125,22 @@ func foldConstants(m *bytecode.Method) bool {
 		if int64(int32(v)) != v {
 			continue
 		}
-		m.Code[pc] = bytecode.Instr{Op: bytecode.OpNop}
-		m.Code[pc+1] = bytecode.Instr{Op: bytecode.OpNop}
-		m.Code[pc+2] = bytecode.Instr{Op: bytecode.OpConst, A: int32(v)}
+		code[pc] = bytecode.Instr{Op: bytecode.OpNop}
+		code[pc+1] = bytecode.Instr{Op: bytecode.OpNop}
+		code[pc+2] = bytecode.Instr{Op: bytecode.OpConst, A: int32(v)}
 		changed = true
 	}
 	return changed
 }
 
 // threadJumps retargets branches that point at unconditional jumps.
-func threadJumps(m *bytecode.Method) bool {
+func threadJumps(code []bytecode.Instr) bool {
 	changed := false
 	final := func(start int32) int32 {
 		seen := 0
 		t := start
-		for int(t) < len(m.Code) && m.Code[t].Op == bytecode.OpJump && seen < 16 {
-			nt := m.Code[t].A
+		for t >= 0 && int(t) < len(code) && code[t].Op == bytecode.OpJump && seen < 16 {
+			nt := code[t].A
 			if nt == t {
 				break // self-loop
 			}
@@ -156,12 +149,12 @@ func threadJumps(m *bytecode.Method) bool {
 		}
 		return t
 	}
-	for pc := range m.Code {
-		if !m.Code[pc].Op.IsBranch() {
+	for pc := range code {
+		if !code[pc].Op.IsBranch() {
 			continue
 		}
-		if nt := final(m.Code[pc].A); nt != m.Code[pc].A {
-			m.Code[pc].A = nt
+		if nt := final(code[pc].A); nt != code[pc].A {
+			code[pc].A = nt
 			changed = true
 		}
 	}
@@ -170,27 +163,27 @@ func threadJumps(m *bytecode.Method) bool {
 
 // simplifyBranches removes branches to the immediately following
 // instruction and folds constant conditions.
-func simplifyBranches(m *bytecode.Method) bool {
-	targets := jumpTargets(m)
+func simplifyBranches(code []bytecode.Instr) bool {
+	leader := bytecode.ScanFlow(code).Leader
 	changed := false
-	for pc := range m.Code {
-		ins := m.Code[pc]
+	for pc := range code {
+		ins := code[pc]
 		switch ins.Op {
 		case bytecode.OpJump:
 			if int(ins.A) == pc+1 {
-				m.Code[pc] = bytecode.Instr{Op: bytecode.OpNop}
+				code[pc] = bytecode.Instr{Op: bytecode.OpNop}
 				changed = true
 			}
 		case bytecode.OpJumpZ, bytecode.OpJumpNZ:
 			// Const c; JumpZ/NZ -> Jump or fallthrough.
-			if pc > 0 && m.Code[pc-1].Op == bytecode.OpConst && !targets[pc] {
-				c := m.Code[pc-1].A
+			if pc > 0 && code[pc-1].Op == bytecode.OpConst && !leader[pc] {
+				c := code[pc-1].A
 				taken := (c == 0) == (ins.Op == bytecode.OpJumpZ)
-				m.Code[pc-1] = bytecode.Instr{Op: bytecode.OpNop}
+				code[pc-1] = bytecode.Instr{Op: bytecode.OpNop}
 				if taken {
-					m.Code[pc] = bytecode.Instr{Op: bytecode.OpJump, A: ins.A}
+					code[pc] = bytecode.Instr{Op: bytecode.OpJump, A: ins.A}
 				} else {
-					m.Code[pc] = bytecode.Instr{Op: bytecode.OpNop}
+					code[pc] = bytecode.Instr{Op: bytecode.OpNop}
 				}
 				changed = true
 			}
@@ -199,76 +192,21 @@ func simplifyBranches(m *bytecode.Method) bool {
 	return changed
 }
 
-// eliminateDead removes nops and unreachable instructions, relaying
-// out the method and retargeting every branch.
-func eliminateDead(p *bytecode.Program, m *bytecode.Method) (int, error) {
-	code := m.Code
-	reach := make([]bool, len(code))
-	var work []int
-	push := func(pc int) {
-		if pc >= 0 && pc < len(code) && !reach[pc] {
-			reach[pc] = true
-			work = append(work, pc)
-		}
-	}
-	push(0)
-	for len(work) > 0 {
-		pc := work[len(work)-1]
-		work = work[:len(work)-1]
-		ins := code[pc]
-		switch {
-		case ins.Op.IsReturn(), ins.Op == bytecode.OpHalt:
-		case ins.Op == bytecode.OpJump:
-			push(int(ins.A))
-		case ins.Op.IsCondBranch():
-			push(int(ins.A))
-			push(pc + 1)
-		default:
-			push(pc + 1)
-		}
-	}
-
-	// An instruction survives if it is reachable and not a nop — except
-	// that a reachable nop that is a branch target of a surviving
-	// branch must... simpler: keep a mapping old->new where removed
-	// instructions map to the next surviving pc.
-	keep := make([]bool, len(code))
-	n := 0
+// eliminateDead returns code without its nops and its unreachable
+// instructions; a branch to a removed instruction lands on the next one
+// that survives.
+func eliminateDead(code []bytecode.Instr) []bytecode.Instr {
+	reach := bytecode.ScanFlow(code).Reach
+	del := make([]bool, len(code))
+	removed := 0
 	for pc, ins := range code {
-		keep[pc] = reach[pc] && ins.Op != bytecode.OpNop
-		if keep[pc] {
-			n++
+		if !reach[pc] || ins.Op == bytecode.OpNop {
+			del[pc] = true
+			removed++
 		}
 	}
-	if n == len(code) {
-		return 0, nil
+	if removed == 0 {
+		return code
 	}
-	if n == 0 {
-		return 0, fmt.Errorf("cleanup would delete entire body of %s", m.Name)
-	}
-	newPC := make([]int32, len(code)+1)
-	cur := int32(0)
-	for pc := range code {
-		newPC[pc] = cur
-		if keep[pc] {
-			cur++
-		}
-	}
-	newPC[len(code)] = cur
-
-	out := make([]bytecode.Instr, 0, n)
-	for pc, ins := range code {
-		if !keep[pc] {
-			continue
-		}
-		if ins.Op.IsBranch() {
-			ins.A = newPC[ins.A]
-		}
-		out = append(out, ins)
-	}
-	// The body must still end in a terminal instruction; if the old
-	// last instruction was removed as a nop, the verifier will complain
-	// — guard by appending nothing and letting Verify catch issues.
-	m.Code = out
-	return len(code) - n, nil
+	return bytecode.Relayout(code, del, nil)
 }

@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"reflect"
 	"testing"
 
 	"gocbs/internal/bytecode"
@@ -215,5 +216,48 @@ func TestCleanupIdempotent(t *testing.T) {
 	}
 	if again != 0 {
 		t.Errorf("second cleanup removed %d more instructions; pass is not a fixpoint", again)
+	}
+}
+
+// A rewrite that does not verify is not installed: the method keeps its
+// code (the same array, so a VM's span table for it stays good), its
+// size and its frame. The method here is broken before the pass sees it
+// — one local too few — so whatever the pass builds fails verification.
+func TestFailedRewriteLeavesMethodUntouched(t *testing.T) {
+	passes := map[string]func(*bytecode.Program, *bytecode.Method) error{
+		"fuse":    func(p *bytecode.Program, m *bytecode.Method) error { _, err := FuseMethod(p, m); return err },
+		"cleanup": func(p *bytecode.Program, m *bytecode.Method) error { _, err := Cleanup(p, m); return err },
+	}
+	for name, pass := range passes {
+		pb := bytecode.NewProgramBuilder()
+		mb := pb.NewFunc("main", 1)
+		acc := mb.AllocLocal()
+		mb.Const(2) // folds; const+add fuses
+		mb.Const(3)
+		mb.Emit(bytecode.OpAdd)
+		mb.Emit(bytecode.OpStore, int32(acc))
+		mb.Emit(bytecode.OpLoad, int32(acc)) // load+load fuses
+		mb.Emit(bytecode.OpLoad, 0)
+		mb.Emit(bytecode.OpAdd)
+		mb.Emit(bytecode.OpReturn)
+		pb.SetEntry(mb)
+		prog, err := pb.Link()
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := prog.Entry
+		m.NLocals--
+		before := *m
+		code := append([]bytecode.Instr(nil), m.Code...)
+		if err := pass(prog, m); err == nil {
+			t.Fatalf("%s: a method with a local out of range was rewritten without complaint", name)
+		}
+		if &m.Code[0] != &before.Code[0] || !reflect.DeepEqual(m.Code, code) {
+			t.Errorf("%s: the rejected body was installed:\n%s", name, bytecode.DisasmMethod(prog, m))
+		}
+		if m.Size != before.Size || m.NLocals != before.NLocals || m.MaxStack != before.MaxStack || m.Trivial != before.Trivial {
+			t.Errorf("%s: size %d, locals %d, max stack %d, trivial %v after a rejected rewrite; before it %d, %d, %d, %v",
+				name, m.Size, m.NLocals, m.MaxStack, m.Trivial, before.Size, before.NLocals, before.MaxStack, before.Trivial)
+		}
 	}
 }

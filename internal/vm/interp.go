@@ -492,7 +492,7 @@ func (vm *VM) run(baseDepth int) (Value, error) {
 					fr[sp] = Value{}
 					sp++
 
-				// Superinstructions (emitted by opt.Fuse): each case is the
+				// Superinstructions (emitted by opt.FuseMethod): each case is the
 				// literal composition of its unfused parts, and costs their sum.
 				case bytecode.OpLoadLoad:
 					fr[sp], fr[sp+1] = fr[ins.A], fr[ins.B]

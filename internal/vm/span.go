@@ -33,10 +33,10 @@ type summary struct {
 }
 
 // covers reports whether s was summed from code: the same array at the
-// same length. Whoever rewrites a method a VM may have entered assigns
-// it a fresh Code (the inliner, opt.Fuse, opt.Cleanup,
-// adaptive.Controller from inside a tick), which this sees; the table
-// keeps the old array reachable, so its address cannot come back.
+// same length. A linked method's Code is assigned in one place,
+// bytecode's Method.Install, which every rewriter ends in and which takes
+// a fresh array only; this sees that, and the table keeps the old array
+// reachable, so its address cannot come back.
 func (s *summary) covers(code []bytecode.Instr) bool {
 	return len(code) == len(s.tab) && len(code) > 0 && &code[0] == s.first
 }
