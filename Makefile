@@ -14,7 +14,7 @@ SOAK_SEED ?= 0
 # replays with GEN_SEED=<printed seed>.
 GEN_SEED ?= 0
 
-.PHONY: all tier1 loc build build-cmds test test-race test-daemon test-recovery test-plan test-fleet test-federation test-mincover test-rewrite test-workload test-cbsbench soak soak-gen vet vet-cmds ci bench bench-vm vm-asm benchmark-smoke
+.PHONY: all tier1 loc build build-cmds test test-race test-daemon test-recovery test-plan test-fleet test-federation test-mincover test-rewrite test-wire test-workload test-cbsbench soak soak-gen vet vet-cmds ci bench bench-vm vm-asm benchmark-smoke
 
 all: tier1
 
@@ -123,6 +123,20 @@ test-rewrite:
 	$(GO) test -run 'TestFailedRecompileLeavesProgramRunning' ./internal/adaptive/
 	$(GO) test -run 'TestMutatedSuiteRunsOrTraps|FuzzDecodeProgram' ./internal/bytecode/
 
+# The wire formats, one codec each, by name: the DCG and plan bytes
+# against the ones the encoders wrote before they were rewritten, every
+# payload of the retired generation refused where it used to be read (the
+# text DCG by both decoder spellings and by /v1/ingest, plan wire v1, the
+# version-less plan file name, a served plan for another build or none, a
+# flat route), an unstamped push sent exactly once, and the seed corpora
+# of the three fuzz targets that face those decoders.
+test-wire:
+	$(GO) test -run 'TestWireBytesPinned|TestTextPayloadRefused|FuzzReadDCG' ./internal/profile/
+	$(GO) test -run 'TestWireBytesPinned|TestReadPlanRejectsMalformed|TestServiceRestoreRefusesForeignPlan|TestFetchVersionRefusesOtherBuilds|FuzzReadPlan' ./internal/plan/
+	$(GO) test -run 'TestIngestRefusesTextProfile|TestUnversionedPathsAreNotRoutes|FuzzIngestHostilePusher' ./internal/daemon/
+	$(GO) test -run 'TestUnstampedPushIsNotRetried' ./internal/dcgstore/
+	$(GO) test -run 'TestLoadProfile' ./cmd/dcgdiff/
+
 # The workload frontier: the shaped generator's determinism + shape
 # differential tests, the mjgen CLI contract (-check without -run,
 # non-zero exits with seed echo), the 50-seed differential gate every
@@ -169,7 +183,7 @@ vet:
 vet-cmds:
 	$(GO) vet ./cmd/...
 
-ci: tier1 vet vet-cmds build-cmds test-daemon test-plan test-race test-recovery test-fleet test-federation test-mincover test-rewrite test-workload test-cbsbench benchmark-smoke
+ci: tier1 vet vet-cmds build-cmds test-daemon test-plan test-race test-recovery test-fleet test-federation test-mincover test-rewrite test-wire test-workload test-cbsbench benchmark-smoke
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...

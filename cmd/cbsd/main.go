@@ -16,8 +16,7 @@
 // and per-pusher ingest sequences — so the fleet graph survives
 // restarts and pusher retries stay deduplicated across them.
 //
-// Endpoints (all under /v1; the flat pre-versioning paths remain as
-// aliases for one release — see internal/api):
+// Endpoints (all under /v1, the only spelling; see internal/api):
 //
 //	POST /v1/ingest    merge a serialized DCG snapshot into the store
 //	                   (X-Cbs-Pusher/X-Cbs-Seq headers make it idempotent)

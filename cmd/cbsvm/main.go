@@ -101,8 +101,7 @@ func main() {
 		fatal(fmt.Errorf("pass -bench NAME or -file FILE (or -list)"))
 	}
 
-	// JIT-only configuration, as in the paper's accuracy experiments.
-	if _, err := inline.Optimize(prog, inline.Trivial{}, nil, inline.DefaultOptions()); err != nil {
+	if err := inline.JITOnly(prog); err != nil {
 		fatal(err)
 	}
 

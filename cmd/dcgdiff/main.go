@@ -4,10 +4,8 @@
 // useful for debugging profiler configurations against each other or
 // against an exhaustive profile.
 //
-// Both serialized DCG formats are accepted, in any combination: the
-// DCGB-v1 binary wire format (what cbsvm -save, cbsd /snapshot, and
-// checkpoints write today) and the legacy "dcg v1" text format, which
-// profile.ReadDCG detects by magic bytes.
+// Profiles are read in the DCGB wire format, which is what cbsvm -save,
+// cbsd /v1/snapshot and the daemon's checkpoints write.
 //
 //	cbsvm -bench jess -profiler timer -save timer.dcg
 //	cbsvm -bench jess -save cbs.dcg
@@ -85,8 +83,7 @@ func abs(x float64) float64 {
 	return x
 }
 
-// loadProfile reads a serialized DCG in either supported format
-// (DCGB-v1 binary or legacy text; ReadDCG sniffs the magic).
+// loadProfile reads a serialized DCG, naming the file in any error.
 func loadProfile(path string) (*profile.DCG, error) {
 	f, err := os.Open(path)
 	if err != nil {

@@ -18,69 +18,40 @@ func sampleDCG() *profile.DCG {
 	return g
 }
 
-// TestLoadProfileBothFormats: loadProfile round-trips the DCGB-v1
-// binary wire format and still reads the legacy text format, and both
-// decode to the identical graph.
+// TestLoadProfileBothFormats: of the two formats this tool used to
+// read, DCGB (what cbsvm -save, cbsd /v1/snapshot and checkpoints
+// write) loads bit-exactly, and the line-oriented text one is refused
+// with an error that names the file.
 func TestLoadProfileBothFormats(t *testing.T) {
 	dir := t.TempDir()
 	g := sampleDCG()
 
 	binPath := filepath.Join(dir, "p.dcgb")
-	bf, err := os.Create(binPath)
+	if err := os.WriteFile(binPath, g.Encode(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := loadProfile(binPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g.WriteTo(bf); err != nil {
-		t.Fatal(err)
+	if got.NumEdges() != g.NumEdges() || got.Total() != g.Total() {
+		t.Fatalf("loaded graph %d edges/%v weight, want %d/%v",
+			got.NumEdges(), got.Total(), g.NumEdges(), g.Total())
 	}
-	if err := bf.Close(); err != nil {
-		t.Fatal(err)
+	for _, e := range g.Edges() {
+		if math.Float64bits(got.Weight(e)) != math.Float64bits(g.Weight(e)) {
+			t.Errorf("edge %v weight %v, want bit-exact %v", e, got.Weight(e), g.Weight(e))
+		}
 	}
 
 	txtPath := filepath.Join(dir, "p.dcg")
-	tf, err := os.Create(txtPath)
-	if err != nil {
+	text := "dcg v1\nedge 1 2 3 40\nedge 4 5 6 2.5\nedge 7 8 9 0.125\n"
+	if err := os.WriteFile(txtPath, []byte(text), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g.WriteText(tf); err != nil {
-		t.Fatal(err)
-	}
-	if err := tf.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// The binary file must start with the DCGB magic (the format this
-	// tool documents), the text file with the legacy header.
-	if head, _ := os.ReadFile(binPath); string(head[:4]) != "DCGB" {
-		t.Fatalf("binary profile starts %q, want DCGB magic", head[:4])
-	}
-	if head, _ := os.ReadFile(txtPath); !strings.HasPrefix(string(head), "dcg v1") {
-		t.Fatalf("text profile does not start with the legacy header")
-	}
-
-	fromBin, err := loadProfile(binPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromTxt, err := loadProfile(txtPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, got := range []*profile.DCG{fromBin, fromTxt} {
-		if got.NumEdges() != g.NumEdges() || got.Total() != g.Total() {
-			t.Fatalf("loaded graph %d edges/%v weight, want %d/%v",
-				got.NumEdges(), got.Total(), g.NumEdges(), g.Total())
-		}
-		for _, e := range g.Edges() {
-			if math.Float64bits(got.Weight(e)) != math.Float64bits(g.Weight(e)) {
-				t.Errorf("edge %v weight %v, want bit-exact %v", e, got.Weight(e), g.Weight(e))
-			}
-		}
-	}
-	// The binary round trip is bit-exact by construction; overlap of
-	// the two decodings must be a perfect 100.
-	if ov := profile.Overlap(fromBin, fromTxt); ov < 99.999 {
-		t.Errorf("binary/text decodings overlap %v, want 100", ov)
+	if _, err := loadProfile(txtPath); err == nil ||
+		!strings.Contains(err.Error(), "p.dcg") || !strings.Contains(err.Error(), "bad profile magic") {
+		t.Errorf("text profile: err = %v, want a bad-magic error naming the file", err)
 	}
 }
 

@@ -14,12 +14,10 @@
 //
 // # Versioning
 //
-// Routes live under /v1. The pre-versioning flat paths ("/ingest",
-// "/plan", ...) were served as aliases of their /v1 equivalents for
-// one deprecation release and are now gone: the daemon answers them
-// with 404 and an error envelope naming the /v1 route to move to
-// (RetiredPaths is the hint table). New-in-v1 routes (flush, register,
-// leaves, manifest) never had an unversioned form.
+// Every route lives under /v1 and has no other spelling: a path outside
+// the table below is the mux's ordinary 404. The payloads are versioned
+// in their own headers (profile.WireVersion, plan.PlanWireVersion), one
+// version each.
 package api
 
 // Versioned endpoint paths. The daemon registers each of these;
@@ -37,9 +35,8 @@ const (
 	PathSite = "/v1/site"
 	// PathOverlap scores an uploaded reference DCG against the store
 	// with the paper's overlap metric. A read — the store is not
-	// mutated — so it is GET with a body, like Elasticsearch's _search.
-	// (POST was tolerated during the legacy-alias deprecation release
-	// and is 405 now that the aliases are gone.)
+	// mutated — so it is GET with a body, like Elasticsearch's _search;
+	// POST is 405.
 	PathOverlap = "/v1/overlap"
 	// PathDecay runs one decay epoch (POST ?factor=&prune=).
 	PathDecay = "/v1/decay"
@@ -65,23 +62,6 @@ const (
 	PathManifest = "/v1/manifest"
 )
 
-// RetiredPaths maps every retired pre-versioning path to the /v1 route
-// that replaced it. The aliases were served for one deprecation
-// release; the daemon now answers each with 404 whose error message
-// names the replacement, so a straggler's logs say where to go. This
-// table is the only place the unversioned strings exist.
-var RetiredPaths = map[string]string{
-	"/ingest":   PathIngest,
-	"/snapshot": PathSnapshot,
-	"/top":      PathTop,
-	"/site":     PathSite,
-	"/overlap":  PathOverlap,
-	"/decay":    PathDecay,
-	"/plan":     PathPlan,
-	"/metrics":  PathMetrics,
-	"/healthz":  PathHealthz,
-}
-
 // Shared header names.
 const (
 	// HeaderPusher carries the pusher's stable identity on ingest
@@ -102,8 +82,8 @@ const (
 	HeaderRelayStale = "X-Cbs-Relay-Stale"
 	// HeaderProgram names the program a pushed profile delta was
 	// collected from. With HeaderProgramVersion it keys the store's
-	// per-(program, version) graphs; both must be present together.
-	// Unstamped pushes land in the legacy merged aggregate.
+	// per-(program, version) graphs; both must be present together. A
+	// push that carries neither lands in the zero key's graph.
 	HeaderProgram = "X-Cbs-Program"
 	// HeaderProgramVersion carries the program's content-addressed
 	// version identity (bytecode.Program.Version — 16 hex chars).

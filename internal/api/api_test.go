@@ -5,7 +5,6 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -17,37 +16,6 @@ import (
 // retry tests run in microseconds.
 func fastClient(srv *httptest.Server) *Client {
 	return &Client{BaseURL: srv.URL, Backoff: time.Microsecond, MaxBackoff: 10 * time.Microsecond}
-}
-
-func TestRetiredPathsCoverEveryPreFederationRoute(t *testing.T) {
-	// Every pre-federation route must have exactly one retired
-	// unversioned path pointing at it (the 404 hint table); the
-	// federation-era routes must have none (they never existed
-	// unversioned).
-	preFederation := []string{
-		PathIngest, PathSnapshot, PathTop, PathSite, PathOverlap,
-		PathDecay, PathPlan, PathMetrics, PathHealthz,
-	}
-	hinted := make(map[string]int)
-	for retired, v1 := range RetiredPaths {
-		if strings.HasPrefix(retired, "/v1/") {
-			t.Errorf("retired path %q is already versioned", retired)
-		}
-		if "/v1"+retired != v1 {
-			t.Errorf("retired path %q -> %q: want /v1%s", retired, v1, retired)
-		}
-		hinted[v1]++
-	}
-	for _, p := range preFederation {
-		if hinted[p] != 1 {
-			t.Errorf("route %s has %d retired paths, want 1", p, hinted[p])
-		}
-	}
-	for _, p := range []string{PathFlush, PathRegister, PathLeaves} {
-		if hinted[p] != 0 {
-			t.Errorf("federation route %s must not have a retired unversioned form", p)
-		}
-	}
 }
 
 func TestErrorEnvelopeRoundTrip(t *testing.T) {
@@ -113,7 +81,7 @@ func TestPushDeltaRetriesTransientFailures(t *testing.T) {
 	defer srv.Close()
 	g := profile.NewDCG()
 	g.AddSample(profile.Edge{Caller: 1, Site: 2, Callee: 3}, 5)
-	resp, err := fastClient(srv).PushDCGKeyed("p-1", 7, ProgramKey{}, g)
+	resp, err := fastClient(srv).PushDeltaKeyed("p-1", 7, ProgramKey{}, g.Encode())
 	if err != nil {
 		t.Fatalf("PushDCG: %v", err)
 	}

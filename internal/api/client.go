@@ -179,8 +179,9 @@ func (c *Client) getJSON(path string, out any) error {
 // response — the daemon already applied this sequence on an attempt
 // whose response was lost — counts as success. The same (pusher, seq)
 // pair must always carry the same bytes. An empty pusher sends an
-// unstamped legacy push (no idempotency, still retried: the daemon's
-// merge is commutative).
+// unstamped push, which the daemon merges every time it sees it: like
+// Decay it makes exactly one attempt, because a retry after a lost
+// response would count the payload twice.
 func (c *Client) PushDeltaKeyed(pusher string, seq uint64, key ProgramKey, payload []byte) (*IngestResponse, error) {
 	hdr := http.Header{"Content-Type": {"application/octet-stream"}}
 	if pusher != "" {
@@ -192,7 +193,7 @@ func (c *Client) PushDeltaKeyed(pusher string, seq uint64, key ProgramKey, paylo
 		hdr.Set(HeaderProgramVersion, key.Version)
 	}
 	var out IngestResponse
-	err := c.do(true, func() error {
+	err := c.do(pusher != "", func() error {
 		return c.roundTrip(http.MethodPost, PathIngest, hdr, payload, func(resp *http.Response) error {
 			return json.NewDecoder(resp.Body).Decode(&out)
 		})
@@ -222,15 +223,6 @@ func (c *Client) PushManifest(key ProgramKey, manifestJSON []byte) (*ManifestRes
 		return nil, fmt.Errorf("manifest: %w", err)
 	}
 	return &out, nil
-}
-
-// PushDCGKeyed serializes g and pushes it via PushDeltaKeyed.
-func (c *Client) PushDCGKeyed(pusher string, seq uint64, key ProgramKey, g *profile.DCG) (*IngestResponse, error) {
-	var body bytes.Buffer
-	if _, err := g.WriteTo(&body); err != nil {
-		return nil, fmt.Errorf("serialize: %w", err)
-	}
-	return c.PushDeltaKeyed(pusher, seq, key, body.Bytes())
 }
 
 // FetchSnapshot retrieves the daemon's merged DCG from PathSnapshot.
@@ -319,14 +311,11 @@ func (c *Client) Site(id int) (*SiteResponse, error) {
 // Overlap scores ref against the daemon's snapshot. The request is a
 // GET with a body (a read, like a search).
 func (c *Client) Overlap(ref *profile.DCG) (*OverlapResponse, error) {
-	var body bytes.Buffer
-	if _, err := ref.WriteTo(&body); err != nil {
-		return nil, fmt.Errorf("serialize: %w", err)
-	}
+	body := ref.Encode()
 	hdr := http.Header{"Content-Type": {"application/octet-stream"}}
 	var out OverlapResponse
 	err := c.do(true, func() error {
-		return c.roundTrip(http.MethodGet, PathOverlap, hdr, body.Bytes(), func(resp *http.Response) error {
+		return c.roundTrip(http.MethodGet, PathOverlap, hdr, body, func(resp *http.Response) error {
 			return json.NewDecoder(resp.Body).Decode(&out)
 		})
 	})
@@ -362,17 +351,6 @@ func (c *Client) Metrics() (*MetricsResponse, error) {
 		return nil, fmt.Errorf("metrics: %w", err)
 	}
 	return &out, nil
-}
-
-// Healthz probes liveness.
-func (c *Client) Healthz() error {
-	err := c.do(true, func() error {
-		return c.roundTrip(http.MethodGet, PathHealthz, nil, nil, nil)
-	})
-	if err != nil {
-		return fmt.Errorf("healthz: %w", err)
-	}
-	return nil
 }
 
 // Flush forces a leaf daemon to forward its accumulated delta upstream

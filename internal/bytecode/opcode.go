@@ -240,12 +240,6 @@ func (op Opcode) IsBranch() bool {
 // branch target and the fallthrough are successors).
 func (op Opcode) IsCondBranch() bool { return op != OpJump && op.IsBranch() }
 
-// IsFused reports whether op is a superinstruction produced by fusion.
-func (op Opcode) IsFused() bool {
-	return op == OpLoadLoad || op == OpLoadConst || op == OpAddConst ||
-		op == OpIncLocal || op == OpJumpCmp
-}
-
 // IsCmp reports whether op is an integer comparison usable as the B
 // operand of an OpJumpCmp superinstruction.
 func (op Opcode) IsCmp() bool { return op >= OpEq && op <= OpGe }

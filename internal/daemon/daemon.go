@@ -321,18 +321,15 @@ func Run(ctx context.Context, cfg Config) error {
 }
 
 // NewPlanService builds the inlining-plan compiler over the live store
-// family. Programs are resolved against the built-in benchmark suite
-// (or Config.ResolveProgram) and prepared exactly the way cbsvm
-// prepares them (JIT-only: trivial same-class inlining, no
-// profile-driven decisions), so the global call-site IDs the plan keys
-// on line up with every VM's clone of the same build. Each build's plan
+// family. Programs are resolved against the built-in benchmark suite and
+// prepared with inline.JITOnly, as every VM's copy of the same build is
+// (a Config.ResolveProgram hook answers for its own). Each build's plan
 // compiles from that build's own substore when one exists (falling back
 // to the zero key's substore, where a fleet that does not stamp its
-// pushes lands), and its cache
-// invalidates on that substore's counters alone — ingest for program A
-// no longer forces program B to recompile. With a state dir, compiled
-// plans persist next to the store checkpoints and epochs survive
-// restarts.
+// pushes lands), and its cache invalidates on that substore's counters
+// alone — ingest for program A no longer forces program B to recompile.
+// With a state dir, compiled plans persist next to the store
+// checkpoints and epochs survive restarts.
 func NewPlanService(cfg Config, multi *dcgstore.Multi, logf func(string, ...any)) *plan.Service {
 	params := plan.DefaultParams()
 	if cfg.PlanPolicy != "" {
@@ -358,7 +355,7 @@ func NewPlanService(cfg Config, multi *dcgstore.Multi, logf func(string, ...any)
 			if err != nil {
 				return nil, fmt.Errorf("compile %s: %w", name, err)
 			}
-			if _, err := inline.Optimize(prog, inline.Trivial{}, nil, inline.DefaultOptions()); err != nil {
+			if err := inline.JITOnly(prog); err != nil {
 				return nil, fmt.Errorf("prepare %s: %w", name, err)
 			}
 			return prog, nil

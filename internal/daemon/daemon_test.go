@@ -125,7 +125,7 @@ func TestSigtermCheckpointAndRestart(t *testing.T) {
 	if err := client2.PushDelta("vm-durable", 3, g2); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := dcgstore.NewClient(url2).Fetch()
+	restored, err := (&api.Client{BaseURL: url2}).FetchSnapshot()
 	if err != nil {
 		t.Fatal(err)
 	}

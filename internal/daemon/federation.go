@@ -1,7 +1,6 @@
 package daemon
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -33,15 +32,6 @@ func newFedState() *fedState {
 	return &fedState{registry: federation.NewRegistry()}
 }
 
-// routes registers the federation endpoints. route also installs
-// legacy aliases, but these routes have none — they were born
-// versioned.
-func (f *fedState) routes(route func(string, http.HandlerFunc)) {
-	route(api.PathFlush, postOnly(f.handleFlush))
-	route(api.PathRegister, postOnly(f.handleRegister))
-	route(api.PathLeaves, getOnly(f.handleLeaves))
-}
-
 func (f *fedState) forwardMetrics() *api.ForwardMetrics {
 	if f.fwd == nil {
 		return nil
@@ -62,23 +52,23 @@ func (f *fedState) register() error {
 // handleFlush forces this leaf to capture and forward its accumulated
 // delta upstream now. The fleet simulator uses it as a deterministic
 // drain point; operators use it before taking a leaf down.
-func (f *fedState) handleFlush(w http.ResponseWriter, r *http.Request) {
-	if f.fwd == nil {
+func (s *server) handleFlush(w http.ResponseWriter, r *http.Request) {
+	if s.fed.fwd == nil {
 		api.WriteError(w, http.StatusNotFound, api.CodeNotFound,
 			"this daemon has no upstream (not a leaf)")
 		return
 	}
-	resp, err := f.fwd.Flush()
+	resp, err := s.fed.fwd.Flush()
 	if err != nil {
 		api.WriteErrorf(w, http.StatusBadGateway, api.CodeUpstream,
 			"flush: %d increment(s) still pending: %v", resp.Pending, err)
 		return
 	}
-	writeJSONStatic(w, resp)
+	s.writeJSON(w, resp)
 }
 
 // handleRegister accepts a leaf's registration/heartbeat.
-func (f *fedState) handleRegister(w http.ResponseWriter, r *http.Request) {
+func (s *server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var st api.LeafStatus
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&st); err != nil {
 		api.WriteErrorf(w, http.StatusBadRequest, api.CodeBadRequest, "bad leaf status: %v", err)
@@ -89,7 +79,7 @@ func (f *fedState) handleRegister(w http.ResponseWriter, r *http.Request) {
 			"bad leaf id: need 1-128 chars of [A-Za-z0-9._:-]")
 		return
 	}
-	n, ok := f.registry.Register(st)
+	n, ok := s.fed.registry.Register(st)
 	if !ok {
 		// The registry is advisory and bounded; refusing a registration
 		// costs bookkeeping, not correctness, and 503 tells the leaf's
@@ -98,22 +88,12 @@ func (f *fedState) handleRegister(w http.ResponseWriter, r *http.Request) {
 			"leaf registry full (%d entries)", n)
 		return
 	}
-	writeJSONStatic(w, api.RegisterResponse{Registered: true, Leaves: n})
+	s.writeJSON(w, api.RegisterResponse{Registered: true, Leaves: n})
 }
 
 // handleLeaves lists the leaves registered with this daemon.
-func (f *fedState) handleLeaves(w http.ResponseWriter, r *http.Request) {
-	writeJSONStatic(w, api.LeavesResponse{Leaves: f.registry.List()})
-}
-
-// writeJSONStatic is writeJSON for handlers that hang off fedState
-// (no server receiver for the encode-error-once gate; these bodies
-// are tiny and static enough that a failed encode is a hangup).
-func writeJSONStatic(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+func (s *server) handleLeaves(w http.ResponseWriter, r *http.Request) {
+	s.writeJSON(w, api.LeavesResponse{Leaves: s.fed.registry.List()})
 }
 
 // errRelayUnavailable marks a plan request a leaf could not serve: no
@@ -213,17 +193,17 @@ func (rl *planRelay) PlanForVersion(program, version string) (*plan.Plan, error)
 		e.stale = false
 		return e.plan, nil
 	}
-	p, err := plan.ReadPlan(bytes.NewReader(res.Body))
-	if err != nil {
-		rl.errors++
-		return nil, fmt.Errorf("relay: bad plan body from root: %w", err)
-	}
-	if version != "" && p.Version != version {
+	p, err := plan.Decode(res.Body, version)
+	if errors.Is(err, plan.ErrVersionMismatch) {
 		// A root must never answer a versioned request with another
 		// build's plan; refuse to cache or relay one that does.
 		rl.errors++
 		rl.versionMismatch++
-		return nil, fmt.Errorf("%w: root served version %q for %s@%s", plan.ErrUnknownVersion, p.Version, program, version)
+		return nil, fmt.Errorf("%w: root served %v", plan.ErrUnknownVersion, err)
+	}
+	if err != nil {
+		rl.errors++
+		return nil, fmt.Errorf("relay: bad plan body from root: %w", err)
 	}
 	rl.fetched++
 	rl.entries[key] = &relayEntry{etag: res.ETag, plan: p}

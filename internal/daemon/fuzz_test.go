@@ -47,6 +47,7 @@ func FuzzIngestHostilePusher(f *testing.F) {
 	f.Add("vm-1", "1", goodBody[:len(goodBody)-2]) // truncated record
 	f.Add("vm-1", "99999999999999999999", goodBody)
 	f.Add("p\x00q", "-1", []byte("DCGB garbage"))
+	f.Add("vm-1", "4", []byte("dcg v1\nedge 1 2 3 4\n"))            // the text format that predated DCGB: refused
 	f.Add("vm-1", "3", append(append([]byte{}, goodBody...), 0xFF)) // trailing junk
 
 	baseEdge := profile.Edge{Caller: 1, Site: 2, Callee: 3}
@@ -83,6 +84,9 @@ func FuzzIngestHostilePusher(f *testing.F) {
 			if !(w > 0) || math.IsInf(w, 0) || math.IsNaN(w) {
 				t.Fatalf("hostile push stored invalid weight %v at %v (status %d)", w, e, rec.Code)
 			}
+		}
+		if rec.Code == 200 && !bytes.HasPrefix(body, []byte("DCGB")) {
+			t.Fatalf("ingest accepted a body that does not start DCGB: %q", body)
 		}
 		if rec.Code != 200 {
 			if got := dcgBytes(t, snap); !bytes.Equal(got, before) {

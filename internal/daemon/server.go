@@ -40,8 +40,8 @@ type server struct {
 	mergeNanos   atomic.Int64
 
 	// ingestLat tracks whole-request ingest latency (read + decode +
-	// merge) in milliseconds; /metrics surfaces its p50/p99 and the
-	// perf trajectory (BENCH_*.json) records them.
+	// merge) in milliseconds; /metrics surfaces its p50/p99, which is
+	// where benchmark/ reads daemon.ingest_handler_p50_ms and _p99_ms.
 	ingestLat stats.Histogram
 
 	planRequests    atomic.Uint64
@@ -80,37 +80,27 @@ func newServer(multi *dcgstore.Multi, plans planSource, fed *fedState, maxUpload
 }
 
 // handler routes the daemon's endpoints. Every route lives under /v1
-// (paths and method guards from internal/api); the pre-versioning flat
-// paths finished their one-release deprecation window and now answer
-// 404 with an error envelope naming the /v1 route to use instead. Read
-// endpoints are GET-only, mutating endpoints POST-only, and violations
-// get a 405 with the error envelope.
+// (paths and method guards from internal/api) and anything else is the
+// mux's 404. Read endpoints are GET-only, mutating endpoints POST-only,
+// and violations get a 405 with the error envelope.
 func (s *server) handler() http.Handler {
 	mux := http.NewServeMux()
-	route := func(path string, h http.HandlerFunc) {
-		mux.HandleFunc(path, h)
-	}
-	for legacy, v1 := range api.RetiredPaths {
-		legacy, v1 := legacy, v1
-		mux.HandleFunc(legacy, func(w http.ResponseWriter, r *http.Request) {
-			api.WriteErrorf(w, http.StatusNotFound, api.CodeNotFound,
-				"%s is retired; use %s", legacy, v1)
-		})
-	}
-	route(api.PathIngest, postOnly(s.handleIngest))
-	route(api.PathSnapshot, getOnly(s.handleSnapshot))
-	route(api.PathTop, getOnly(s.handleTop))
-	route(api.PathSite, getOnly(s.handleSite))
-	route(api.PathOverlap, getOnly(s.handleOverlap))
-	route(api.PathManifest, postOnly(s.handleManifest))
-	route(api.PathDecay, postOnly(s.handleDecay))
-	route(api.PathPlan, getOnly(s.handlePlan))
-	route(api.PathMetrics, getOnly(s.handleMetrics))
-	route(api.PathHealthz, getOnly(func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc(api.PathIngest, postOnly(s.handleIngest))
+	mux.HandleFunc(api.PathSnapshot, getOnly(s.handleSnapshot))
+	mux.HandleFunc(api.PathTop, getOnly(s.handleTop))
+	mux.HandleFunc(api.PathSite, getOnly(s.handleSite))
+	mux.HandleFunc(api.PathOverlap, getOnly(s.handleOverlap))
+	mux.HandleFunc(api.PathManifest, postOnly(s.handleManifest))
+	mux.HandleFunc(api.PathDecay, postOnly(s.handleDecay))
+	mux.HandleFunc(api.PathPlan, getOnly(s.handlePlan))
+	mux.HandleFunc(api.PathMetrics, getOnly(s.handleMetrics))
+	mux.HandleFunc(api.PathHealthz, getOnly(func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, "ok")
 	}))
 	if s.fed != nil {
-		s.fed.routes(route)
+		mux.HandleFunc(api.PathFlush, postOnly(s.handleFlush))
+		mux.HandleFunc(api.PathRegister, postOnly(s.handleRegister))
+		mux.HandleFunc(api.PathLeaves, getOnly(s.handleLeaves))
 	}
 	return mux
 }
@@ -187,7 +177,7 @@ func (s *server) ingestStamp(w http.ResponseWriter, r *http.Request) (pusher str
 	pusher = r.Header.Get(api.HeaderPusher)
 	seqHdr := r.Header.Get(api.HeaderSeq)
 	if pusher == "" && seqHdr == "" {
-		return "", 0, true // unstamped legacy push
+		return "", 0, true // unstamped push
 	}
 	if !dcgstore.ValidPusherID(pusher) {
 		api.WriteErrorf(w, http.StatusBadRequest, api.CodeBadRequest,
@@ -214,7 +204,7 @@ func (s *server) ingestKey(w http.ResponseWriter, r *http.Request) (key api.Prog
 		Version: r.Header.Get(api.HeaderProgramVersion),
 	}
 	if key.IsZero() {
-		return key, true // unkeyed legacy push
+		return key, true // unkeyed push
 	}
 	if key.Program == "" || key.Version == "" {
 		api.WriteErrorf(w, http.StatusBadRequest, api.CodeBadRequest,
@@ -420,8 +410,7 @@ func (s *server) handleSite(w http.ResponseWriter, r *http.Request) {
 // handleOverlap scores the store's snapshot against an uploaded
 // reference DCG with the paper's overlap metric. A read — the store is
 // untouched — so the route is GET (with a request body, like a
-// search). The POST tolerance for pre-versioning clients left with the
-// legacy aliases; POST now gets the standard 405.
+// search); POST gets the standard 405.
 func (s *server) handleOverlap(w http.ResponseWriter, r *http.Request) {
 	ref, ok := s.readProfileBody(w, r)
 	if !ok {

@@ -101,7 +101,7 @@ func TestIngestSnapshotRoundTrip(t *testing.T) {
 		t.Errorf("ingest response %v", m)
 	}
 
-	back, err := dcgstore.NewClient(ts.URL).Fetch()
+	back, err := (&api.Client{BaseURL: ts.URL}).FetchSnapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +330,7 @@ func TestMultiPusherConvergence(t *testing.T) {
 		serial.Merge(g)
 	}
 
-	merged, err := dcgstore.NewClient(ts.URL).Fetch()
+	merged, err := (&api.Client{BaseURL: ts.URL}).FetchSnapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -461,34 +461,42 @@ func TestMutatingEndpointsRejectGET(t *testing.T) {
 	}
 }
 
-// TestRetiredPathsGone: the pre-versioning flat paths finished their
-// one-release deprecation window. Every retired path — whatever the
-// method — now answers 404 with the standard error envelope whose
-// message names the /v1 route to move to, so a straggler's log line is
-// its own migration guide.
-func TestRetiredPathsGone(t *testing.T) {
+// TestUnversionedPathsAreNotRoutes: /v1 is the only spelling of a route.
+// The flat paths daemons served before versioning get what any unknown
+// path gets — the mux's plain 404, no envelope, no hint.
+func TestUnversionedPathsAreNotRoutes(t *testing.T) {
 	ts, _ := newTestDaemon(t)
-	for retired, v1 := range api.RetiredPaths {
-		for _, method := range []string{http.MethodGet, http.MethodPost} {
-			req, err := http.NewRequest(method, ts.URL+retired, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			resp, err := http.DefaultClient.Do(req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if resp.StatusCode != http.StatusNotFound {
-				t.Errorf("%s %s status %d, want 404", method, retired, resp.StatusCode)
-			}
-			m := decodeJSON(t, resp)
-			if m["code"] != "not_found" {
-				t.Errorf("%s %s envelope code %v, want not_found", method, retired, m["code"])
-			}
-			if msg, _ := m["msg"].(string); !strings.Contains(msg, v1) {
-				t.Errorf("%s %s error %q does not name the replacement %s", method, retired, msg, v1)
-			}
+	for _, path := range []string{"/ingest", "/plan", "/snapshot", "/healthz", "/no-such-thing"} {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
 		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound || string(body) != "404 page not found\n" {
+			t.Errorf("GET %s: %d %q, want the mux's plain 404", path, resp.StatusCode, body)
+		}
+	}
+}
+
+// TestIngestRefusesTextProfile: the line-oriented text format that
+// predated DCGB used to be sniffed and merged by the ingest path. It is
+// a malformed payload like any other now: 400 naming the magic, nothing
+// merged, and counted as an ingest error.
+func TestIngestRefusesTextProfile(t *testing.T) {
+	ts, store := newTestDaemon(t)
+	resp, err := http.Post(ts.URL+api.PathIngest, "application/octet-stream", strings.NewReader("dcg v1\nedge 7 8 9 2\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("text ingest status %s, want 400", resp.Status)
+	}
+	if m := decodeJSON(t, resp); !strings.Contains(fmt.Sprint(m["msg"]), "bad profile magic") {
+		t.Errorf("text ingest error %v does not say bad profile magic", m)
+	}
+	if n := store.Snapshot().NumEdges(); n != 0 {
+		t.Errorf("text ingest merged %d edges", n)
 	}
 }
 

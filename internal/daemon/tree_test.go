@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"gocbs/internal/api"
-	"gocbs/internal/dcgstore"
 	"gocbs/internal/plan"
 	"gocbs/internal/profile"
 )
@@ -87,7 +86,7 @@ func TestLeafForwardsToRoot(t *testing.T) {
 	}
 
 	// The weight is at the root, once.
-	rootGraph, err := dcgstore.NewClient(rootURL).Fetch()
+	rootGraph, err := (&api.Client{BaseURL: rootURL}).FetchSnapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +108,7 @@ func TestLeafForwardsToRoot(t *testing.T) {
 	if fr.Edges != 0 || fr.Pending != 0 {
 		t.Fatalf("idle flush captured %d edges (%d pending), want 0", fr.Edges, fr.Pending)
 	}
-	rootGraph, err = dcgstore.NewClient(rootURL).Fetch()
+	rootGraph, err = (&api.Client{BaseURL: rootURL}).FetchSnapshot()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,18 +43,17 @@ func newPusherID() string {
 	return "p-" + hex.EncodeToString(b[:])
 }
 
-// Client is the delta-push view of a cbsd daemon: api.Client plus a
-// pusher identity and its sequence counter. The HTTP mechanics —
-// endpoint paths, retry/backoff/timeout, error decoding — live in
-// internal/api; this wrapper owns only what is push-specific.
+// Client is the delta-push view of a cbsd daemon: api.Client's
+// connection settings plus the build every push is stamped with. The
+// HTTP mechanics — endpoint paths, retry/backoff/timeout, error
+// decoding — live in internal/api; the pusher identity and its sequence
+// counter belong to the DeltaPusher that streams through a Client.
 type Client struct {
 	// BaseURL is the daemon root, e.g. "http://localhost:8944".
 	BaseURL string
-	// HTTPClient defaults to a client with api.DefaultTimeout.
+	// HTTPClient defaults to http.DefaultClient (no timeout);
+	// NewClient sets one with api.DefaultTimeout.
 	HTTPClient *http.Client
-	// PusherID identifies this client in the daemon's per-pusher
-	// ingest sequence; NewClient generates a random one.
-	PusherID string
 	// Retries, Backoff, MaxBackoff tune push retry behaviour; zero
 	// values select the Default* constants. Retries < 0 disables
 	// retrying.
@@ -63,20 +62,17 @@ type Client struct {
 	MaxBackoff time.Duration
 	// Key, when non-zero, stamps every push with a (program, version)
 	// identity so the daemon merges it into that build's own graph
-	// instead of the legacy shared aggregate. Set it to the pushing
-	// VM's program name and bytecode.Program.Version().
+	// instead of the unkeyed aggregate. Set it to the pushing VM's
+	// program name and bytecode.Program.Version().
 	Key api.ProgramKey
-
-	seq uint64
 }
 
-// NewClient returns a client for the daemon at baseURL with a fresh
-// pusher identity and default retry policy.
+// NewClient returns a client for the daemon at baseURL with the default
+// timeout and retry policy.
 func NewClient(baseURL string) *Client {
 	return &Client{
 		BaseURL:    baseURL,
 		HTTPClient: &http.Client{Timeout: api.DefaultTimeout},
-		PusherID:   newPusherID(),
 	}
 }
 
@@ -93,21 +89,6 @@ func (c *Client) api() *api.Client {
 	}
 }
 
-// nextSeq allocates the next sequence number. Not safe for concurrent
-// use: a pusher's sequence space is strictly ordered by design, so a
-// Client must push from one goroutine (use one Client per pusher).
-func (c *Client) nextSeq() uint64 {
-	c.seq++
-	return c.seq
-}
-
-// Push serializes g and POSTs it to the daemon's ingest endpoint as
-// the client's next sequenced increment, with capped exponential
-// backoff on transient failures.
-func (c *Client) Push(g *profile.DCG) error {
-	return c.PushDelta(c.PusherID, c.nextSeq(), g)
-}
-
 // PushDelta sends one stamped increment: g under the given (pusher,
 // sequence) identity. Transient failures (network errors, 5xx,
 // throttling) are retried with capped exponential backoff and jitter;
@@ -115,7 +96,7 @@ func (c *Client) Push(g *profile.DCG) error {
 // an attempt whose response was lost — counts as success. The same
 // (pusher, seq) pair must always carry the same graph.
 func (c *Client) PushDelta(pusher string, seq uint64, g *profile.DCG) error {
-	_, err := c.api().PushDCGKeyed(pusher, seq, c.Key, g)
+	_, err := c.api().PushDeltaKeyed(pusher, seq, c.Key, g.Encode())
 	return err
 }
 
@@ -124,12 +105,6 @@ func (c *Client) PushDelta(pusher string, seq uint64, g *profile.DCG) error {
 // build of the same program later registers. Idempotent.
 func (c *Client) RegisterManifest(man *bytecode.Manifest) (*api.ManifestResponse, error) {
 	return c.api().PushManifest(api.ProgramKey{Program: man.Program, Version: man.Version}, man.Encode())
-}
-
-// Fetch retrieves the daemon's current merged DCG from the snapshot
-// endpoint.
-func (c *Client) Fetch() (*profile.DCG, error) {
-	return c.api().FetchSnapshot()
 }
 
 // stampedDelta is one increment frozen with its sequence number. Once

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"gocbs/internal/api"
 	"gocbs/internal/profile"
 )
 
@@ -69,8 +70,8 @@ func TestClientRetriesTransientFailures(t *testing.T) {
 
 	g := profile.NewDCG()
 	g.AddSample(edge(1, 1, 1), 1)
-	if err := fastClient(ts.URL).Push(g); err != nil {
-		t.Fatalf("Push after transient failures: %v", err)
+	if err := fastClient(ts.URL).PushDelta("vm-retry", 1, g); err != nil {
+		t.Fatalf("PushDelta after transient failures: %v", err)
 	}
 	if got := calls.Load(); got != 3 {
 		t.Errorf("server saw %d attempts, want 3", got)
@@ -87,8 +88,8 @@ func TestClientDoesNotRetryPermanentErrors(t *testing.T) {
 
 	g := profile.NewDCG()
 	g.AddSample(edge(1, 1, 1), 1)
-	if err := fastClient(ts.URL).Push(g); err == nil {
-		t.Fatal("Push succeeded against a 400ing daemon")
+	if err := fastClient(ts.URL).PushDelta("vm-retry", 1, g); err == nil {
+		t.Fatal("PushDelta succeeded against a 400ing daemon")
 	}
 	if got := calls.Load(); got != 1 {
 		t.Errorf("server saw %d attempts, want 1 (4xx must not be retried)", got)
@@ -104,8 +105,8 @@ func TestClientRetryAfterDroppedResponseDoesNotDoubleCount(t *testing.T) {
 
 	g := profile.NewDCG()
 	g.AddSample(edge(1, 2, 3), 7)
-	if err := fastClient(ts.URL).Push(g); err != nil {
-		t.Fatalf("Push: %v", err)
+	if err := fastClient(ts.URL).PushDelta("vm-retry", 1, g); err != nil {
+		t.Fatalf("PushDelta: %v", err)
 	}
 	s := store.Snapshot()
 	if w := s.Weight(edge(1, 2, 3)); w != 7 {
@@ -113,6 +114,28 @@ func TestClientRetryAfterDroppedResponseDoesNotDoubleCount(t *testing.T) {
 	}
 	if d := store.Stats().Duplicates; d != 1 {
 		t.Errorf("Duplicates = %d, want 1", d)
+	}
+}
+
+// TestUnstampedPushIsNotRetried: a push with no (pusher, seq) stamp is
+// merged every time the daemon sees it, so the client must not send it
+// twice. The first response is dropped after the merge — the request a
+// retry loop cannot tell from one that never arrived — and the push has
+// to surface that error with the weight counted once, not come back
+// clean with it counted twice.
+func TestUnstampedPushIsNotRetried(t *testing.T) {
+	store := New(8)
+	ts := httptest.NewServer(ingestHandler(t, store, func(n uint64) bool { return n == 1 }))
+	defer ts.Close()
+
+	g := profile.NewDCG()
+	g.AddSample(edge(1, 2, 3), 5)
+	c := &api.Client{BaseURL: ts.URL, Backoff: time.Millisecond, MaxBackoff: 4 * time.Millisecond}
+	if _, err := c.PushDeltaKeyed("", 0, api.ProgramKey{}, g.Encode()); err == nil {
+		t.Error("unstamped push whose response was lost reported success: it was retried")
+	}
+	if w := store.Snapshot().Weight(edge(1, 2, 3)); w != 5 {
+		t.Errorf("weight = %v, want 5 (a retried unstamped push double-counts)", w)
 	}
 }
 

@@ -109,14 +109,13 @@ func (c Config) addCycles(n uint64) {
 }
 
 // compileJITOnly compiles a benchmark in the §6.2 "JIT-only"
-// configuration: all methods at the lowest optimization level, trivial
-// methods inlined at load time, every other call observable.
+// configuration (inline.JITOnly).
 func compileJITOnly(b *bench.Benchmark) (*bytecode.Program, error) {
 	prog, err := b.Compile()
 	if err != nil {
 		return nil, err
 	}
-	if _, err := inline.Optimize(prog, inline.Trivial{}, nil, inline.DefaultOptions()); err != nil {
+	if err := inline.JITOnly(prog); err != nil {
 		return nil, fmt.Errorf("%s: trivial inlining: %w", b.Name, err)
 	}
 	return prog, nil

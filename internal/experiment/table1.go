@@ -68,7 +68,3 @@ func FormatTable1(rows []Table1Row) string {
 	}
 	return sb.String()
 }
-
-// SuiteFor is a convenience for callers that need the configured
-// benchmark list.
-func SuiteFor(cfg Config) []*bench.Benchmark { return cfg.Benchmarks }

@@ -235,7 +235,7 @@ func (f *Forwarder) Flush() (api.FlushResponse, error) {
 
 	for len(f.pending) > 0 {
 		head := f.pending[0]
-		if _, err := f.upstream.PushDeltaKeyed(f.id, head.seq, head.key, encodeDCG(head.delta)); err != nil {
+		if _, err := f.upstream.PushDeltaKeyed(f.id, head.seq, head.key, head.delta.Encode()); err != nil {
 			f.errs++
 			resp.Pending = len(f.pending)
 			resp.Seq = f.ackedSeqLocked()
@@ -376,19 +376,6 @@ func (st *forwarderState) streams() []streamState {
 	return append([]streamState{{Last: st.Last, Acked: st.Acked}}, st.Keyed...)
 }
 
-func encodeDCG(g *profile.DCG) []byte {
-	var buf bytes.Buffer
-	g.WriteTo(&buf) // in-memory write cannot fail
-	return buf.Bytes()
-}
-
-func decodeDCG(b []byte) (*profile.DCG, error) {
-	if len(b) == 0 {
-		return nil, nil
-	}
-	return profile.ReadDCG(bytes.NewReader(b))
-}
-
 // persistLocked replaces the state file atomically, a no-op without a
 // StatePath.
 func (f *Forwarder) persistLocked() error {
@@ -398,16 +385,16 @@ func (f *Forwarder) persistLocked() error {
 	st := forwarderState{ID: f.id, Seq: f.seq}
 	for _, p := range f.pending {
 		st.Pending = append(st.Pending, pendingState{
-			Seq: p.seq, Program: p.key.Program, Version: p.key.Version, Delta: encodeDCG(p.delta),
+			Seq: p.seq, Program: p.key.Program, Version: p.key.Version, Delta: p.delta.Encode(),
 		})
 	}
 	// Every acked stream has a baseline (an increment is captured, which
 	// sets the baseline, before it can be acknowledged), so the
 	// baselines' keys are all the streams there are.
 	for _, k := range api.SortedKeys(f.last) {
-		ss := streamState{Program: k.Program, Version: k.Version, Last: encodeDCG(f.last[k])}
+		ss := streamState{Program: k.Program, Version: k.Version, Last: f.last[k].Encode()}
 		if g := f.acked[k]; g != nil && g.NumEdges() > 0 {
-			ss.Acked = encodeDCG(g)
+			ss.Acked = g.Encode()
 		}
 		st.setStream(ss)
 	}
@@ -439,7 +426,7 @@ func (f *Forwarder) restore(path, wantID string) error {
 	f.id = st.ID
 	f.seq = st.Seq
 	for _, p := range st.Pending {
-		d, err := decodeDCG(p.Delta)
+		d, err := profile.DecodeDCGBytes(p.Delta)
 		if err != nil {
 			return fmt.Errorf("federation: corrupt pending increment %d in %s: %w", p.Seq, path, err)
 		}
@@ -449,15 +436,16 @@ func (f *Forwarder) restore(path, wantID string) error {
 	}
 	for _, ss := range st.streams() {
 		key := api.ProgramKey{Program: ss.Program, Version: ss.Version}
-		if last, err := decodeDCG(ss.Last); err != nil {
-			return fmt.Errorf("federation: corrupt capture baseline %s in %s: %w", key.String(), path, err)
-		} else if last != nil {
-			f.last[key] = last
+		// A stream that has captured or acknowledged nothing has no bytes.
+		if len(ss.Last) > 0 {
+			if f.last[key], err = profile.DecodeDCGBytes(ss.Last); err != nil {
+				return fmt.Errorf("federation: corrupt capture baseline %s in %s: %w", key.String(), path, err)
+			}
 		}
-		if acked, err := decodeDCG(ss.Acked); err != nil {
-			return fmt.Errorf("federation: corrupt acked graph %s in %s: %w", key.String(), path, err)
-		} else if acked != nil {
-			f.acked[key] = acked
+		if len(ss.Acked) > 0 {
+			if f.acked[key], err = profile.DecodeDCGBytes(ss.Acked); err != nil {
+				return fmt.Errorf("federation: corrupt acked graph %s in %s: %w", key.String(), path, err)
+			}
 		}
 	}
 	for _, k := range st.SentManifests {

@@ -1,7 +1,6 @@
 package fleetsim
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -180,11 +179,9 @@ func (c *Config) validate() error {
 }
 
 // prepare compiles the fleet's program — the generated workload in
-// GeneratedWorkloads mode, the named benchmark otherwise — exactly the
-// way cbsvm and the daemon's plan compiler do (trivial same-class
-// inlining only), so plan call-site IDs line up across every copy, and
-// returns the setup size every actor uses with it. The result is the
-// pristine build: actors run clones.
+// GeneratedWorkloads mode, the named benchmark otherwise — prepares it
+// with inline.JITOnly, and returns the setup size every actor uses with
+// it. The result is the pristine build: actors run clones.
 func (c *Config) prepare() (*bytecode.Program, int64, error) {
 	var prog *bytecode.Program
 	var size int64
@@ -207,7 +204,7 @@ func (c *Config) prepare() (*bytecode.Program, int64, error) {
 		}
 		size = b.SizeFor("small")
 	}
-	if _, err := inline.Optimize(prog, inline.Trivial{}, nil, inline.DefaultOptions()); err != nil {
+	if err := inline.JITOnly(prog); err != nil {
 		return nil, 0, err
 	}
 	return prog, size, nil
@@ -315,7 +312,8 @@ type build struct {
 	prog *bytecode.Program
 	// key stamps this build's pushes and scopes its queries. Zero in
 	// single-build runs: unkeyed pushes into the default substore and
-	// unversioned /snapshot and /plan reads, the pre-versioning fleet.
+	// unversioned /snapshot and /plan reads, a fleet that does not say
+	// what it runs.
 	key                api.ProgramKey
 	snapPath, planPath string
 	// suffix distinguishes the second build's actor names.
@@ -474,7 +472,7 @@ func (f *fleet) getDCG(n *node, path string) (*profile.DCG, error) {
 	if err != nil {
 		return nil, err
 	}
-	return profile.ReadDCG(bytes.NewReader(raw))
+	return profile.DecodeDCGBytes(raw)
 }
 
 // flush drains every leaf's accumulated delta into the root through

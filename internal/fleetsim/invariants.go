@@ -24,18 +24,6 @@ const (
 	InvariantDivergence   = "no-puller-divergence"
 )
 
-// dcgBytes returns g's canonical wire encoding; the wire format sorts
-// edges, so byte equality is graph equality.
-func dcgBytes(g *profile.DCG) []byte {
-	var buf bytes.Buffer
-	if _, err := g.WriteTo(&buf); err != nil {
-		// WriteTo on an in-memory buffer cannot fail; a change that makes
-		// it fail should be loud here.
-		panic(fmt.Sprintf("fleetsim: encode DCG: %v", err))
-	}
-	return buf.Bytes()
-}
-
 // checkConservation is invariant (1), exactly-once delivery observed
 // end to end: after every pusher has drained, the daemon's aggregate
 // graph must equal — byte for byte — the merge of the increments each
@@ -46,8 +34,8 @@ func checkConservation(snapshot *profile.DCG, acked map[string]*profile.DCG) Ver
 	for _, g := range acked {
 		merged.Merge(g)
 	}
-	got, want := dcgBytes(snapshot), dcgBytes(merged)
-	if bytes.Equal(got, want) {
+	// The wire format sorts edges, so byte equality is graph equality.
+	if bytes.Equal(snapshot.Encode(), merged.Encode()) {
 		return Verdict{
 			Name: InvariantConservation, Passed: true,
 			Detail: fmt.Sprintf("store aggregate == sum of %d pushers' acknowledged deltas (%d edges, %.0f weight)",

@@ -65,6 +65,17 @@ func Optimize(prog *bytecode.Program, policy Policy, g *profile.DCG, opts Option
 	return rep, nil
 }
 
+// JITOnly is the load-time preparation every VM in the fleet, the
+// daemon's plan compiler and the experiment harness give a freshly
+// compiled program: the paper's §6.2 "JIT-only" configuration, trivial
+// methods inlined and every other call left observable. A plan names
+// call sites by ID, so its compiler and its appliers must all start
+// from the program this one function produces.
+func JITOnly(prog *bytecode.Program) error {
+	_, err := Optimize(prog, Trivial{}, nil, DefaultOptions())
+	return err
+}
+
 // OptimizeMethod runs plan/apply rounds on one method and returns how
 // many inlines (total, guarded) were applied.
 //

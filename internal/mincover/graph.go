@@ -114,22 +114,6 @@ func (g *Graph) IsClosurePoint(p Point) bool {
 	return pi != nil && pi.closure
 }
 
-// EdgesAt returns the indexes into g.Edges owned by point p.
-func (g *Graph) EdgesAt(p Point) []int {
-	if pi := g.info[p]; pi != nil {
-		return pi.edges
-	}
-	return nil
-}
-
-// In returns the indexes of edges targeting method m.
-func (g *Graph) In(m int) []int {
-	if m < 0 || m >= len(g.in) {
-		return nil
-	}
-	return g.in[m]
-}
-
 // Extract builds the static call graph of prog.
 //
 // Virtual dispatch is resolved conservatively with rapid type analysis:

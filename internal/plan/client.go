@@ -1,19 +1,12 @@
 package plan
 
 import (
-	"bytes"
-	"errors"
 	"fmt"
 	"net/http"
 	"time"
 
 	"gocbs/internal/api"
 )
-
-// ErrVersionMismatch marks a fetch refused because the daemon served a
-// plan compiled for a different program version than the one demanded.
-// Callers (the puller's refusal accounting) detect it with errors.Is.
-var ErrVersionMismatch = errors.New("plan version mismatch")
 
 // Client pulls plans from a cbsd daemon's plan endpoint, using ETag
 // conditional requests so an idle fleet costs the daemon one cheap 304
@@ -57,11 +50,11 @@ func (c *Client) SetHTTPClient(hc *http.Client) {
 // FetchVersion returns the daemon's current plan for one build of a
 // program and whether it changed since this client's previous fetch. An
 // empty version asks for the daemon's canonical build; a non-empty one
-// demands that exact build: a daemon that cannot
-// produce it answers 404 (surfaced as an error here), and a plan that
-// decodes with a different version is rejected on the client side too —
-// applying another build's decisions is never acceptable. A 304 Not
-// Modified returns the cached plan with changed=false.
+// demands that exact build: a daemon that cannot produce it answers 404
+// (surfaced as an error here), and a plan that decodes with any other
+// version, or none, is refused with ErrVersionMismatch on the client
+// side too — applying another build's decisions is never acceptable. A
+// 304 Not Modified returns the cached plan with changed=false.
 func (c *Client) FetchVersion(program, version string) (p *Plan, changed bool, err error) {
 	key := program + "@" + version
 	st := c.state[key]
@@ -79,16 +72,10 @@ func (c *Client) FetchVersion(program, version string) (p *Plan, changed bool, e
 		}
 		return st.plan, false, nil
 	}
-	got, err := ReadPlan(bytes.NewReader(res.Body))
+	// A refused plan must never even enter the cache.
+	got, err := Decode(res.Body, version)
 	if err != nil {
 		return nil, false, fmt.Errorf("plan fetch %s: %w", key, err)
-	}
-	// A versioned plan for a different build is refused at the wire: it
-	// must never even enter the cache. A version-LESS plan (from a
-	// pre-versioning daemon that ignored the version parameter) passes
-	// through — the caller decides whether legacy plans are acceptable.
-	if version != "" && got.Version != "" && got.Version != version {
-		return nil, false, fmt.Errorf("plan fetch %s: daemon served version %q: %w", key, got.Version, ErrVersionMismatch)
 	}
 	c.state[key] = &clientState{etag: res.ETag, plan: got}
 	changed = st == nil || st.plan == nil ||

@@ -148,11 +148,8 @@ func Compile(program string, pristine *bytecode.Program, g *profile.DCG, params 
 	// hysteresis retention nor epoch continuation may read it. The
 	// epoch restarts at 1 for the new build — epochs are scoped to a
 	// (program, version), which is also why a version flip can never
-	// flap an existing version's epoch. A version-less prior (restored
-	// from a pre-versioning state file) is likewise dropped; that one
-	// documented epoch reset buys every later restore a real identity
-	// check.
-	if prior != nil && prior.Version != version {
+	// flap an existing version's epoch.
+	if prior != nil && prior.CheckVersion(version) != nil {
 		prior = nil
 	}
 	cond := Condition(g, params.MinWeight, params.Band)

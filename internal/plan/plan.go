@@ -79,8 +79,7 @@ type Plan struct {
 	// the plan was compiled for (bytecode.Program.Version of the
 	// pristine program). Decisions name method and site IDs, which are
 	// meaningless in any other build — a puller must refuse a plan
-	// whose Version is not its own program's. Empty only on plans
-	// decoded from the pre-versioning wire format.
+	// whose Version is not its own program's (CheckVersion is that rule).
 	Version   string
 	Policy    string
 	Epoch     uint64
@@ -114,9 +113,8 @@ func (p *Plan) ContentHash() uint64 {
 	}
 	h.Write([]byte(p.Program))
 	h.Write([]byte{0})
-	// Guarded inclusion: version-less plans (decoded from the v1 wire
-	// format) must keep hashing exactly as they did when written, or
-	// every persisted plan would fail its self-check on upgrade.
+	// Guarded inclusion: a plan built without a version hashes as it
+	// did before plans carried one.
 	if p.Version != "" {
 		h.Write([]byte(p.Version))
 		h.Write([]byte{0})

@@ -2,6 +2,7 @@ package plan_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"strings"
 	"testing"
 
@@ -114,6 +115,26 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 }
 
+// wireV1 lays p out in plan wire version 1, which had no program-version
+// field: nothing reads it any more, and the tests that say so need the
+// bytes.
+func wireV1(p *plan.Plan) []byte {
+	le := binary.LittleEndian
+	b := le.AppendUint32([]byte("PLNB"), 1)
+	for _, name := range []string{p.Program, p.Policy} {
+		b = append(le.AppendUint16(b, uint16(len(name))), name...)
+	}
+	b = le.AppendUint64(b, p.Epoch)
+	b = le.AppendUint64(b, p.Hash)
+	b = le.AppendUint32(b, uint32(len(p.Decisions)))
+	for _, d := range p.Decisions {
+		b = le.AppendUint64(b, uint64(int64(d.Site)))
+		b = le.AppendUint64(b, uint64(int64(d.Callee)))
+		b = append(b, uint8(d.Kind))
+	}
+	return b
+}
+
 func TestReadPlanRejectsMalformed(t *testing.T) {
 	base := &plan.Plan{
 		Program:   "compress",
@@ -133,6 +154,7 @@ func TestReadPlanRejectsMalformed(t *testing.T) {
 		{"bad magic", []byte("DCGB\x01\x00\x00\x00"), "bad plan magic"},
 		{"profile payload", []byte("dcg v1\nedge 1 2 3 4\n"), "bad plan magic"},
 		{"version 0", append(append([]byte{}, "PLNB"...), 0, 0, 0, 0), "version 0 not supported"},
+		{"wire v1", wireV1(base), "plan wire version 1 not supported"},
 		{"future version", append(append([]byte{}, "PLNB"...), 99, 0, 0, 0), "version 99 not supported"},
 		{"truncated", good[:len(good)-5], "truncated"},
 		{"trailing data", append(append([]byte{}, good...), 0xAB), "trailing data"},

@@ -1,7 +1,6 @@
 package plan
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -253,45 +252,29 @@ func planFile(dir, program, version string) string {
 	return filepath.Join(dir, "plan-"+program+"@"+version+".plnb")
 }
 
-// legacyPlanFile is the pre-versioning persistence path.
-func legacyPlanFile(dir, program string) string {
-	return filepath.Join(dir, "plan-"+program+".plnb")
-}
-
 // restore loads the persisted prior plan for one build, if any. The
 // restored plan must prove it belongs to this exact build — name AND
-// content-addressed version — or it is discarded with a log line; the
-// old behaviour of trusting whatever plan-<program>.plnb was in the
-// state dir served stale-build decisions after an upgrade. Read errors
-// are logged and treated as "no prior": a corrupt plan file costs an
-// epoch reset, not an outage.
+// content-addressed version — or it is discarded with a log line. Read
+// errors are logged and treated as "no prior": a corrupt plan file
+// costs an epoch reset, not an outage.
 func (s *Service) restore(program, version string) *Plan {
 	if s.cfg.StateDir == "" {
 		return nil
 	}
 	path := planFile(s.cfg.StateDir, program, version)
 	b, err := os.ReadFile(path)
-	if errors.Is(err, os.ErrNotExist) {
-		// Fall back to the pre-versioning file name so an upgraded
-		// daemon still *sees* old state — and then subjects it to the
-		// same identity check instead of blindly serving it.
-		path = legacyPlanFile(s.cfg.StateDir, program)
-		b, err = os.ReadFile(path)
-	}
 	if err != nil {
 		if !errors.Is(err, os.ErrNotExist) {
 			s.cfg.Logf("plan %s@%s: read prior %s: %v", program, version, path, err)
 		}
 		return nil
 	}
-	p, err := ReadPlan(bytes.NewReader(b))
-	if err != nil {
-		s.cfg.Logf("plan %s@%s: corrupt prior %s: %v", program, version, path, err)
-		return nil
+	p, err := Decode(b, version)
+	if err == nil && p.Program != program {
+		err = fmt.Errorf("plan is for program %s", p.Program)
 	}
-	if p.Program != program || p.Version != version {
-		s.cfg.Logf("plan %s@%s: prior file %s is for %s@%s, discarding (epoch will reset)",
-			program, version, path, p.Program, p.Version)
+	if err != nil {
+		s.cfg.Logf("plan %s@%s: discarding prior %s (epoch will reset): %v", program, version, path, err)
 		return nil
 	}
 	return p

@@ -205,9 +205,8 @@ func TestServiceInvalidateForcesRecompile(t *testing.T) {
 // prior plan file is only adopted when its program name AND
 // content-addressed version match the build being compiled. A file
 // left behind by another build (or another program entirely) is
-// discarded with an epoch reset — the old behaviour of trusting
-// whatever plan-<program>.plnb contained served another build's
-// decisions after an upgrade.
+// discarded with an epoch reset, and the version-less file name
+// plan-<program>.plnb is not read at all.
 func TestServiceRestoreRefusesForeignPlan(t *testing.T) {
 	pristine := jitProgram(t, "compress")
 	b := bench.ByName("compress")
@@ -240,14 +239,25 @@ func TestServiceRestoreRefusesForeignPlan(t *testing.T) {
 		return p.Epoch
 	}
 
-	// Identity match through the legacy file name: a pre-versioning
-	// state dir whose plan really is this build's continues its epochs.
+	// The file name the service itself writes, as the positive control:
+	// this build's own plan under it continues its epochs.
+	own := "plan-compress@" + pristine.Version() + ".plnb"
+	ownDir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(ownDir, own), p2.Encode(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if e := restartEpoch(ownDir); e != p2.Epoch {
+		t.Errorf("own prior: epoch %d, want %d (prior not adopted)", e, p2.Epoch)
+	}
+
+	// The same bytes under the name daemons wrote before plans carried a
+	// version are not looked for: the epoch starts at 1.
 	legacyDir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(legacyDir, "plan-compress.plnb"), p2.Encode(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if e := restartEpoch(legacyDir); e != p2.Epoch {
-		t.Errorf("matching legacy prior: epoch %d, want %d (prior not adopted)", e, p2.Epoch)
+	if e := restartEpoch(legacyDir); e != 1 {
+		t.Errorf("plan-compress.plnb: epoch %d, want 1 (the legacy file name must be ignored)", e)
 	}
 
 	// Version mismatch: the same decisions stamped as another build.
@@ -255,7 +265,7 @@ func TestServiceRestoreRefusesForeignPlan(t *testing.T) {
 	foreign.Version = "00000000deadbeef"
 	foreign.Hash = foreign.ContentHash()
 	foreignDir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(foreignDir, "plan-compress.plnb"), foreign.Encode(), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(foreignDir, own), foreign.Encode(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if e := restartEpoch(foreignDir); e != 1 {
@@ -267,7 +277,7 @@ func TestServiceRestoreRefusesForeignPlan(t *testing.T) {
 	wrongName.Program = "mtrt"
 	wrongName.Hash = wrongName.ContentHash()
 	wrongDir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(wrongDir, "plan-compress.plnb"), wrongName.Encode(), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(wrongDir, own), wrongName.Encode(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if e := restartEpoch(wrongDir); e != 1 {

@@ -2,17 +2,18 @@ package plan
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 )
 
-// The plan wire format is versioned behind four magic bytes and, unlike
-// the profile format, is legacy-free — there never was a text plan:
+// There is one plan format, versioned behind four magic bytes:
 //
 //	"PLNB" | uint32 version |
 //	uint16 len | program bytes |
-//	uint16 len | program-version bytes   (wire v2+; may be length 0) |
+//	uint16 len | program-version bytes |
 //	uint16 len | policy bytes |
 //	uint64 epoch | uint64 content hash | uint32 decision count |
 //	  (int64 site, int64 callee, uint8 kind)*
@@ -22,18 +23,15 @@ import (
 // identical bytes — and self-checking: ReadPlan recomputes the content
 // hash over the decoded decisions and rejects a payload whose header
 // hash disagrees, so a corrupted or truncated-and-padded plan can
-// never be applied.
-//
-// Wire v2 added the program-version string: the content-addressed
-// identity of the build the decisions were extracted from. v1 payloads
-// still decode (with an empty Version) so pre-versioning persisted
-// plans and caches keep working for one release.
+// never be applied. The program version is the content-addressed
+// identity of the build the decisions were extracted from; Decode holds
+// a served plan to the one its reader runs.
 
 // planMagic introduces every serialized plan.
 var planMagic = [4]byte{'P', 'L', 'N', 'B'}
 
-// PlanWireVersion is the newest plan wire version this build writes
-// and reads.
+// PlanWireVersion is the one plan wire version this build writes and
+// reads.
 const PlanWireVersion = 2
 
 // Wire format bounds: a corrupt header cannot demand an absurd
@@ -43,82 +41,49 @@ const (
 	maxWireDecisions = 1 << 22
 )
 
-// WriteTo serializes the plan in the canonical binary wire format.
-func (p *Plan) WriteTo(w io.Writer) (int64, error) {
+// encode lays the plan out in the canonical binary wire format.
+func (p *Plan) encode() ([]byte, error) {
 	if len(p.Program) > maxWireName || len(p.Version) > maxWireName || len(p.Policy) > maxWireName {
-		return 0, fmt.Errorf("plan: name too long to serialize")
+		return nil, fmt.Errorf("plan: name too long to serialize")
 	}
 	if len(p.Decisions) > maxWireDecisions {
-		return 0, fmt.Errorf("plan: %d decisions exceed the wire limit %d", len(p.Decisions), maxWireDecisions)
+		return nil, fmt.Errorf("plan: %d decisions exceed the wire limit %d", len(p.Decisions), maxWireDecisions)
 	}
-	bw := bufio.NewWriter(w)
-	var n int64
-	write := func(v any) error {
-		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-			return err
-		}
-		n += int64(binary.Size(v))
-		return nil
+	le := binary.LittleEndian
+	const fixed, perDecision = 4 + 4 + 3*2 + 8 + 8 + 4, 8 + 8 + 1
+	b := make([]byte, 0, fixed+len(p.Program)+len(p.Version)+len(p.Policy)+perDecision*len(p.Decisions))
+	b = append(b, planMagic[:]...)
+	b = le.AppendUint32(b, PlanWireVersion)
+	for _, name := range []string{p.Program, p.Version, p.Policy} {
+		b = append(le.AppendUint16(b, uint16(len(name))), name...)
 	}
-	writeName := func(s string) error {
-		if err := write(uint16(len(s))); err != nil {
-			return err
-		}
-		if _, err := bw.WriteString(s); err != nil {
-			return err
-		}
-		n += int64(len(s))
-		return nil
-	}
-	if err := write(planMagic); err != nil {
-		return n, err
-	}
-	if err := write(uint32(PlanWireVersion)); err != nil {
-		return n, err
-	}
-	if err := writeName(p.Program); err != nil {
-		return n, err
-	}
-	if err := writeName(p.Version); err != nil {
-		return n, err
-	}
-	if err := writeName(p.Policy); err != nil {
-		return n, err
-	}
-	if err := write(p.Epoch); err != nil {
-		return n, err
-	}
-	if err := write(p.Hash); err != nil {
-		return n, err
-	}
-	if err := write(uint32(len(p.Decisions))); err != nil {
-		return n, err
-	}
+	b = le.AppendUint64(b, p.Epoch)
+	b = le.AppendUint64(b, p.Hash)
+	b = le.AppendUint32(b, uint32(len(p.Decisions)))
 	for _, d := range p.Decisions {
-		rec := struct {
-			Site   int64
-			Callee int64
-			Kind   uint8
-		}{int64(d.Site), int64(d.Callee), uint8(d.Kind)}
-		if err := write(rec); err != nil {
-			return n, err
-		}
+		b = le.AppendUint64(b, uint64(int64(d.Site)))
+		b = le.AppendUint64(b, uint64(int64(d.Callee)))
+		b = append(b, uint8(d.Kind))
 	}
-	return n, bw.Flush()
+	return b, nil
 }
 
-// Encode returns the plan's canonical wire bytes.
+// WriteTo serializes the plan to w, refusing one whose names or
+// decision count exceed the wire bounds.
+func (p *Plan) WriteTo(w io.Writer) (int64, error) {
+	b, err := p.encode()
+	if err != nil {
+		return 0, err
+	}
+	n, err := w.Write(b)
+	return int64(n), err
+}
+
+// Encode returns the plan's canonical wire bytes (none for a plan
+// WriteTo would refuse).
 func (p *Plan) Encode() []byte {
-	var buf writerBuf
-	p.WriteTo(&buf) // in-memory writes cannot fail
-	return buf.b
-}
-
-type writerBuf struct{ b []byte }
-
-func (w *writerBuf) Write(p []byte) (int, error) {
-	w.b = append(w.b, p...)
-	return len(p), nil
+	b, _ := p.encode()
+	return b
 }
 
 // ReadPlan decodes a plan from the binary wire format, rejecting bad
@@ -137,8 +102,8 @@ func ReadPlan(r io.Reader) (*Plan, error) {
 	if hdr.Magic != planMagic {
 		return nil, fmt.Errorf("bad plan magic %q: want %q", hdr.Magic[:], planMagic[:])
 	}
-	if hdr.Version == 0 || hdr.Version > PlanWireVersion {
-		return nil, fmt.Errorf("plan wire version %d not supported (this build reads 1..%d)",
+	if hdr.Version != PlanWireVersion {
+		return nil, fmt.Errorf("plan wire version %d not supported (this build reads %d)",
 			hdr.Version, PlanWireVersion)
 	}
 	readString := func(what string, allowEmpty bool) (string, error) {
@@ -160,13 +125,10 @@ func ReadPlan(r io.Reader) (*Plan, error) {
 	if p.Program, err = readString("program name", false); err != nil {
 		return nil, err
 	}
-	if hdr.Version >= 2 {
-		// The program version may be empty in principle (a v2 writer
-		// given a version-less plan), and v1 payloads have no field at
-		// all — both decode to Version "".
-		if p.Version, err = readString("program version", true); err != nil {
-			return nil, err
-		}
+	// Nothing in this repository writes an empty program version, but
+	// the format has always allowed one; Decode is what refuses it.
+	if p.Version, err = readString("program version", true); err != nil {
+		return nil, err
 	}
 	if p.Policy, err = readString("policy name", false); err != nil {
 		return nil, err
@@ -211,6 +173,40 @@ func ReadPlan(r io.Reader) (*Plan, error) {
 	}
 	if _, err := br.Peek(1); err != io.EOF {
 		return nil, fmt.Errorf("trailing data after %d decisions", mid.Count)
+	}
+	return p, nil
+}
+
+// ErrVersionMismatch marks a plan refused because it was compiled for a
+// different build of the program than the one demanded. Callers (the
+// puller's refusal accounting, the leaf relay) detect it with errors.Is.
+var ErrVersionMismatch = errors.New("plan version mismatch")
+
+// CheckVersion is the one spelling of the rule every reader of a served
+// plan applies: decisions name method and site IDs, which mean nothing
+// in any other build, so a reader that demands a version refuses a plan
+// unless it carries exactly that version — another build's and none at
+// all alike. An empty version demands nothing (a request for the
+// daemon's canonical build).
+func (p *Plan) CheckVersion(version string) error {
+	if version != "" && p.Version != version {
+		return fmt.Errorf("%w: plan epoch %d is for %s@%q, not version %s",
+			ErrVersionMismatch, p.Epoch, p.Program, p.Version, version)
+	}
+	return nil
+}
+
+// Decode reads a serialized plan and holds it to the demanded version
+// (see CheckVersion): what the pull client and the leaf relay do with
+// every 200 before the plan may enter a cache, and the service with a
+// plan file before it may be a prior.
+func Decode(body []byte, version string) (*Plan, error) {
+	p, err := ReadPlan(bytes.NewReader(body))
+	if err != nil {
+		return nil, err
+	}
+	if err := p.CheckVersion(version); err != nil {
+		return nil, err
 	}
 	return p, nil
 }

@@ -2,6 +2,7 @@ package plan_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"gocbs/internal/plan"
@@ -30,11 +31,15 @@ func FuzzReadPlan(f *testing.F) {
 		Decisions: []plan.Decision{{Site: 5, Callee: 2}},
 	})
 	f.Add(valid)
-	f.Add(valid[:len(valid)-3])                // truncated record
+	f.Add(valid[:len(valid)-3])                  // truncated record
 	f.Add(append(append([]byte{}, valid...), 1)) // trailing byte
-	f.Add([]byte("PLNB"))                      // bare magic
-	f.Add([]byte("DCGB\x01\x00\x00\x00"))      // profile magic
-	f.Add([]byte("dcg v1\nedge 1 2 3 4\n"))    // legacy profile text
+	f.Add(wireV1(&plan.Plan{                     // wire v1: refused
+		Program: "jess", Policy: "old-jikes", Epoch: 3, Hash: 0x1234,
+		Decisions: []plan.Decision{{Site: 5, Callee: 2}},
+	}))
+	f.Add([]byte("PLNB"))                   // bare magic
+	f.Add([]byte("DCGB\x01\x00\x00\x00"))   // profile magic
+	f.Add([]byte("dcg v1\nedge 1 2 3 4\n")) // legacy profile text
 	huge := append([]byte{}, valid...)
 	huge[4] = 0xFF // absurd version
 	f.Add(huge)
@@ -43,6 +48,9 @@ func FuzzReadPlan(f *testing.F) {
 		p, err := plan.ReadPlan(bytes.NewReader(data))
 		if err != nil {
 			return
+		}
+		if len(data) < 8 || binary.LittleEndian.Uint32(data[4:8]) != plan.PlanWireVersion {
+			t.Fatalf("accepted a payload of wire version other than %d", plan.PlanWireVersion)
 		}
 		// Whatever decoded must survive a canonical round trip.
 		enc := p.Encode()

@@ -5,52 +5,39 @@ import (
 	"testing"
 )
 
-// FuzzReadDCG feeds arbitrary bytes through the wire-format reader:
+// FuzzReadDCG feeds arbitrary bytes through the wire-format decoder:
 // it must never panic, and any payload it accepts must survive a
-// canonical re-serialization round trip.
+// canonical re-serialization round trip. The text seeds are the format
+// that predated DCGB; they are here to be refused.
 func FuzzReadDCG(f *testing.F) {
 	g := NewDCG()
 	g.AddSample(Edge{Caller: 1, Site: 2, Callee: 3}, 4.25)
 	g.AddSample(Edge{Caller: -1, Site: 0, Callee: 9}, 1)
-	var bin, txt bytes.Buffer
-	if _, err := g.WriteTo(&bin); err != nil {
-		f.Fatal(err)
-	}
-	if _, err := g.WriteText(&txt); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(bin.Bytes())
-	f.Add(txt.Bytes())
+	f.Add(g.Encode())
+	f.Add([]byte("dcg v1\nedge -1 0 9 1\nedge 1 2 3 4.25\n"))
 	f.Add([]byte("dcg v1\nedge 1 2 3 4\n"))
 	f.Add([]byte("DCGB"))
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := ReadDCG(bytes.NewReader(data))
-		fast, fastErr := DecodeDCGBytes(data)
-		// The streaming reader and the in-memory fast path must agree
-		// on accept/reject and on the decoded graph.
-		if (err == nil) != (fastErr == nil) {
-			t.Fatalf("ReadDCG err=%v but DecodeDCGBytes err=%v", err, fastErr)
-		}
 		if err != nil {
 			return
 		}
-		if fast.NumEdges() != got.NumEdges() || fast.Total() != got.Total() {
-			t.Fatalf("fast path decoded %d/%v, reader %d/%v",
-				fast.NumEdges(), fast.Total(), got.NumEdges(), got.Total())
+		if !bytes.HasPrefix(data, wireMagic[:]) {
+			t.Fatalf("accepted a payload that does not start %q", wireMagic[:])
 		}
-		var out bytes.Buffer
-		if _, err := got.WriteTo(&out); err != nil {
-			t.Fatalf("re-serialize: %v", err)
-		}
-		back, err := ReadDCG(&out)
+		enc := got.Encode()
+		back, err := DecodeDCGBytes(enc)
 		if err != nil {
 			t.Fatalf("re-read: %v", err)
 		}
 		if back.NumEdges() != got.NumEdges() || back.Total() != got.Total() {
 			t.Fatalf("round trip changed graph: %d/%v vs %d/%v",
 				back.NumEdges(), back.Total(), got.NumEdges(), got.Total())
+		}
+		if !bytes.Equal(back.Encode(), enc) {
+			t.Fatal("re-encoding a decoded graph is not byte-identical")
 		}
 	})
 }

@@ -78,17 +78,6 @@ func TestReadDCGRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestReadDCGSkipsCommentsAndBlanks(t *testing.T) {
-	in := "dcg v1\n# comment\n\nedge 1 2 3 4\n"
-	g, err := ReadDCG(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.NumEdges() != 1 || g.Weight(edge(1, 2, 3)) != 4 {
-		t.Errorf("parsed wrong: %v", g.Dump(nil, nil))
-	}
-}
-
 func TestTopEdges(t *testing.T) {
 	g := NewDCG()
 	g.AddSample(edge(1, 1, 1), 5)

@@ -27,22 +27,22 @@ func TestBinaryHeaderMagicAndVersion(t *testing.T) {
 	}
 }
 
-func TestReadDCGStillReadsLegacyText(t *testing.T) {
-	in := "dcg v1\nedge 1 10 2 3.5\nedge 4 11 5 1\n"
-	g, err := ReadDCG(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.NumEdges() != 2 || g.Weight(edge(1, 10, 2)) != 3.5 || g.Total() != 4.5 {
-		t.Errorf("legacy parse wrong: %v", g.Dump(nil, nil))
-	}
-	// WriteText emits the same legacy payload back.
-	var buf bytes.Buffer
-	if _, err := g.WriteText(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if buf.String() != in {
-		t.Errorf("WriteText = %q, want %q", buf.String(), in)
+// TestTextPayloadRefused: the line-oriented text format that predated
+// DCGB is not a wire format any more; both spellings of the decoder
+// answer it as they answer any other payload that does not start "DCGB".
+func TestTextPayloadRefused(t *testing.T) {
+	for _, in := range []string{
+		"dcg v1\nedge 1 10 2 3.5\nedge 4 11 5 1\n",
+		"dcg v1\n# comment\n\nedge 1 2 3 4\n",
+		"dcg v1\n",
+		"DCG",
+	} {
+		if _, err := ReadDCG(strings.NewReader(in)); err == nil || !strings.Contains(err.Error(), "bad profile magic") {
+			t.Errorf("ReadDCG(%q) = %v, want a bad-magic error", in, err)
+		}
+		if _, err := DecodeDCGBytes([]byte(in)); err == nil || !strings.Contains(err.Error(), "bad profile magic") {
+			t.Errorf("DecodeDCGBytes(%q) = %v, want a bad-magic error", in, err)
+		}
 	}
 }
 
@@ -69,8 +69,8 @@ func TestReadDCGRejectsCorruptBinary(t *testing.T) {
 		return mut(buf.Bytes())
 	}
 	cases := map[string][]byte{
-		"bad magic": mk(func(b []byte) []byte { b[0] = 'X'; return b }),
-		"version 0": mk(func(b []byte) []byte { b[4] = 0; return b }),
+		"bad magic":        mk(func(b []byte) []byte { b[0] = 'X'; return b }),
+		"version 0":        mk(func(b []byte) []byte { b[4] = 0; return b }),
 		"truncated record": mk(func(b []byte) []byte { return b[:len(b)-5] }),
 		"trailing garbage": mk(func(b []byte) []byte { return append(b, 0xAB) }),
 		"count overdeclared": mk(func(b []byte) []byte {

@@ -55,9 +55,8 @@ type Stats struct {
 	// decisions.
 	VersionRejects int
 	// StaleDecisions is the cumulative count of plan decisions that
-	// found no matching call site when a plan was applied. Non-zero
-	// only for legacy version-less plans (a versioned plan either
-	// matches this build or is refused whole).
+	// found no matching call site when a plan was applied: a plan for
+	// this build that names sites the build does not have.
 	StaleDecisions int
 	// Killed reports the divergence kill switch fired: a transformed
 	// program produced different output, the VM reverted to an
@@ -107,10 +106,8 @@ func sameSums(a, b []int64) bool {
 	return true
 }
 
-// runPullLoop is the pulling VM's main loop. pristine must be the
-// JIT-only compile of the benchmark — the same preparation every VM in
-// the fleet (and the daemon's plan compiler) uses, so the plan's
-// call-site IDs line up.
+// Run is the pulling VM's main loop. pristine must be the benchmark as
+// inline.JITOnly prepares it.
 //
 // The loop runs Rounds top-level rounds of the benchmark. Every Every
 // rounds it polls the daemon with a conditional GET; when a new plan
@@ -190,17 +187,14 @@ func Run(pristine *bytecode.Program, o Options) (Stats, error) {
 				// Transient daemon trouble must not stop the workload.
 				logf("pull: poll %d failed (running on): %v", st.Polls, err)
 			case changed:
-				if p.Version != "" && p.Version != version {
-					// A plan for a different build of this program: its
-					// decisions name that build's method and site IDs.
-					// Refuse it whole — applying the subset that happens
-					// to line up is exactly the silent misapplication
-					// this check exists to end. (Version-less plans from
-					// a pre-versioning daemon still apply, guarded by
-					// the stale-skip accounting and the kill switch.)
+				if err := p.CheckVersion(version); err != nil {
+					// The client refuses these before they reach its cache;
+					// a plan that arrives here by any other road is refused
+					// whole all the same — applying the subset of another
+					// build's decisions that happens to line up is the
+					// silent misapplication the version exists to end.
 					st.VersionRejects++
-					logf("pull: REFUSED plan epoch %d: compiled for %s@%s, this VM runs %s@%s",
-						p.Epoch, p.Program, p.Version, o.Program, version)
+					logf("pull: REFUSED plan: %v (this VM runs %s@%s)", err, o.Program, version)
 					break
 				}
 				candidate := pristine.Clone()

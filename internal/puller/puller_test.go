@@ -134,7 +134,7 @@ func findDivergingDecision(t *testing.T, program string, prog *bytecode.Program,
 		// the test needs one that is not.
 		for _, tw := range dist[1:] {
 			p := &plan.Plan{
-				Program: program, Policy: "new-linear", Epoch: 99,
+				Program: program, Version: prog.Version(), Policy: "new-linear", Epoch: 99,
 				Decisions: []plan.Decision{{Site: site, Callee: tw.Callee, Kind: plan.KindNullGuard}},
 			}
 			p.Hash = p.ContentHash()

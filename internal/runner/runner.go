@@ -79,9 +79,6 @@ func New(workers int) *Pool {
 	return &Pool{workers: workers, start: time.Now()}
 }
 
-// Workers returns the pool's worker count.
-func (p *Pool) Workers() int { return p.workers }
-
 // SetHook installs a function called (serialized) after every job
 // completes. Install before the first Map call.
 func (p *Pool) SetHook(h func(Progress)) { p.hook = h }

@@ -45,12 +45,6 @@ type Object struct {
 	Fn *bytecode.Method
 }
 
-// IsArray reports whether o is an array object.
-func (o *Object) IsArray() bool { return o != nil && o.Class == nil && o.Fn == nil }
-
-// IsClosure reports whether o is a closure object.
-func (o *Object) IsClosure() bool { return o != nil && o.Fn != nil }
-
 // YieldKind identifies which yieldpoint fired.
 type YieldKind uint8
 
