@@ -14,7 +14,7 @@ SOAK_SEED ?= 0
 # replays with GEN_SEED=<printed seed>.
 GEN_SEED ?= 0
 
-.PHONY: all tier1 loc build build-cmds test test-race test-daemon test-recovery test-plan test-fleet test-federation test-mincover test-rewrite test-wire test-workload test-cbsbench soak soak-gen vet vet-cmds ci bench bench-vm vm-asm benchmark-smoke
+.PHONY: all tier1 loc build build-cmds test test-race test-daemon test-recovery test-plan test-fleet test-federation test-mincover test-rewrite test-wire test-vm test-workload test-cbsbench soak soak-gen vet vet-cmds ci bench bench-vm vm-asm benchmark-smoke
 
 all: tier1
 
@@ -137,6 +137,21 @@ test-wire:
 	$(GO) test -run 'TestUnstampedPushIsNotRetried' ./internal/dcgstore/
 	$(GO) test -run 'TestLoadProfile' ./cmd/dcgdiff/
 
+# The interpreter's exactness, by name: the VM as its own oracle (a no-op
+# Trace function steps the method's own code an instruction at a time;
+# without one the VM pays by the span and dispatches on its execution
+# image) over the suite, every observer, timer and step limit; the window
+# catalogue's dispatch gate and every row's share; a tick and a step limit
+# on every part of every window, a trap in any part of one, a branch into
+# one; the stack limit on the call run makes in its registers; the VM
+# state at every hook and the rewritten programs against the lines pinned
+# before the state moved into locals and the rewriters onto one seam; and
+# every mutant and fuzz seed that verifies, stepped against the image.
+test-vm:
+	$(GO) test -run 'TestSteppedEqualsCharged|TestImageDispatches|TestWindowsKernelHoldsEveryRow|TestTickInsideEveryWindow|TestStepLimitInsideEveryWindow|TestTrapInsideWindow|TestBranchIntoWindow|TestStackLimitHoldsInRegisters|TestObserverDigestsPinned' ./internal/vm/
+	$(GO) test -run 'TestRewrittenProgramsPinned|TestFuseDifferentialSuite' ./internal/opt/
+	$(GO) test -run 'TestMutatedSuiteRunsOrTraps|FuzzDecodeProgram' ./internal/bytecode/
+
 # The workload frontier: the shaped generator's determinism + shape
 # differential tests, the mjgen CLI contract (-check without -run,
 # non-zero exits with seed echo), the 50-seed differential gate every
@@ -183,7 +198,7 @@ vet:
 vet-cmds:
 	$(GO) vet ./cmd/...
 
-ci: tier1 vet vet-cmds build-cmds test-daemon test-plan test-race test-recovery test-fleet test-federation test-mincover test-rewrite test-wire test-workload test-cbsbench benchmark-smoke
+ci: tier1 vet vet-cmds build-cmds test-daemon test-plan test-race test-recovery test-fleet test-federation test-mincover test-rewrite test-wire test-vm test-workload test-cbsbench benchmark-smoke
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...
@@ -192,7 +207,9 @@ bench:
 # for the 15 suite programs and BenchmarkDispatch/<opcode class>, each
 # reporting ns/instr and allocs/op. These are the twins of the repo
 # benchmark's vm.mcyc_per_s.<program> and vm.ns_per_instr.<class> rows:
-# add -cpuprofile to land on the lines those rows name.
+# add -cpuprofile to land on the lines those rows name. Dispatch/windows,
+# beside arith, is a kernel in which every row of the execution image's
+# window catalogue runs: what fusing in place saves per instruction.
 bench-vm:
 	$(GO) test -run=^$$ -bench='Interpreter|Dispatch' ./internal/vm/
 
@@ -202,8 +219,15 @@ bench-vm:
 # chain that ends in the switch's jump-table JMP, which the non-terminator
 # cases jump back to — and the register-to-register MOVs and Go-stack
 # accesses among them (PR 16 with go1.24: 16, 0 and 4; at its parent the
-# chain was split in two, ~30 with 10-16 moves). Informational: the
-# numbers belong to one toolchain, so this is not in ci.
+# chain was split in two, ~30 with 10-16 moves. PR 20, the execution
+# image's 17 more cases: 17, 0 and 5 — the pc store as before and four
+# loads the register allocator places at the loop head and overwrites
+# before use, spans' three words as before and now baseDepth, which comes
+# with the two windows that read their jump's target from code[pc]; with
+# those two off it is 16, 0 and 4. A tuple assignment of two Values in
+# one case, or a continue in one, puts a store of sp or three moves on
+# every dispatch: this is where that shows). Informational: the numbers
+# belong to one toolchain, so this is not in ci.
 vm-asm:
 	@mkdir -p .bench_build
 	@$(GO) build -gcflags=-S ./internal/vm 2>&1 | awk '/^gocbs\/internal\/vm\.\(\*VM\)\.run STEXT/ {p=1; print; next} /^[^\t]/ {p=0} p' > .bench_build/vm-run.S

@@ -61,11 +61,15 @@ var rewriters = []struct {
 	}},
 }
 
-// outcome is how one run ended: a value and an output, or a trap.
+// outcome is how one run ended: a value and an output, or a trap, and
+// what the VM had counted by then.
 type outcome struct {
 	val    int64
 	output []int64
 	trap   string // "" for a value; otherwise the trap's reason, without its method@pc
+	at     string // the trap's method@pc
+
+	cycles, instrs, calls uint64
 }
 
 // comparable reports whether the run ended for a reason a rewrite must
@@ -84,16 +88,19 @@ func (o outcome) String() string {
 
 // runAllWays executes p's entry as it is and through each rewriter,
 // unprofiled and under CBS. Whatever Verify accepts runs to a value or a
-// trap, never a Go panic; a rewriter may refuse a program (an error is an
-// answer), but what it returns must verify again and end as the original
-// ended. what names the program in failures.
+// trap, never a Go panic, and the same one with the same counts whether
+// the VM takes it an instruction at a time (under a Trace function, from
+// the method's own code) or a span at a time from its execution image; a
+// rewriter may refuse a program (an error is an answer), but what it
+// returns must verify again and end as the original ended. what names
+// the program in failures.
 func runAllWays(t testing.TB, p *bytecode.Program, what string) {
 	t.Helper()
 	args := make([]int64, p.Entry.NArgs)
 	for i := range args {
 		args[i] = 3
 	}
-	run := func(way string, prog *bytecode.Program, sampled bool) (o outcome) {
+	run := func(way string, prog *bytecode.Program, sampled, stepped bool) (o outcome) {
 		t.Helper()
 		defer func() {
 			if r := recover(); r != nil {
@@ -102,6 +109,9 @@ func runAllWays(t testing.TB, p *bytecode.Program, what string) {
 		}()
 		m := vm.New(prog)
 		m.MaxSteps = soundSteps
+		if stepped {
+			m.Trace = func(*bytecode.Method, int, bytecode.Instr) {}
+		}
 		g := cycleGuard{}
 		if sampled {
 			g.cbs = profiler.NewCBS(profiler.Config{Stride: 2, SamplesPerTick: 8, Seed: 1})
@@ -114,17 +124,22 @@ func runAllWays(t testing.TB, p *bytecode.Program, what string) {
 			if !strings.HasPrefix(msg, "trap at ") {
 				t.Fatalf("%s: error is not a trap: %v", way, err)
 			}
-			o.trap = msg[strings.Index(msg, ": ")+2:]
+			o.at, o.trap, _ = strings.Cut(strings.TrimPrefix(msg, "trap at "), ": ")
 		}
 		if m.Depth() != 0 {
 			t.Fatalf("%s: depth %d after the run (err %v)", way, m.Depth(), err)
 		}
 		o.val, o.output = v.I, m.Output
+		o.cycles, o.instrs, o.calls = m.Cycles, m.Instrs, m.Calls
 		return o
 	}
 	var want outcome
 	for _, sampled := range []bool{false, true} {
-		want = run(fmt.Sprintf("%s, plain, cbs=%v", what, sampled), p, sampled)
+		way := fmt.Sprintf("%s, plain, cbs=%v", what, sampled)
+		want = run(way, p, sampled, false)
+		if oracle := run(way+", stepped", p, sampled, true); !reflect.DeepEqual(want, oracle) {
+			t.Fatalf("%s: from the execution image %+v, stepped %+v\n%s", way, want, oracle, bytecode.DisasmProgram(p))
+		}
 	}
 	for _, rw := range rewriters {
 		q := p.Clone()
@@ -146,7 +161,7 @@ func runAllWays(t testing.TB, p *bytecode.Program, what string) {
 		}
 		for _, sampled := range []bool{false, true} {
 			way := fmt.Sprintf("%s, %s, cbs=%v", what, rw.name, sampled)
-			got := run(way, q, sampled)
+			got := run(way, q, sampled, false)
 			if !want.comparable() || !got.comparable() {
 				continue
 			}

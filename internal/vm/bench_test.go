@@ -49,7 +49,7 @@ func BenchmarkInterpreter(b *testing.B) {
 // the loop body, which works on the locals acc (1) and i (2) plus any
 // the kernel allocated. Eight copies make one trip, so the class under
 // test is most of what executes.
-func dispatchKernel(b *testing.B, kernel func(pb *bytecode.ProgramBuilder, mb *bytecode.MethodBuilder) func()) *bytecode.Program {
+func dispatchKernel(b testing.TB, kernel func(pb *bytecode.ProgramBuilder, mb *bytecode.MethodBuilder) func()) *bytecode.Program {
 	b.Helper()
 	pb := bytecode.NewProgramBuilder()
 	mb := pb.NewFunc("main", 1)
@@ -97,6 +97,86 @@ func leaf(pb *bytecode.ProgramBuilder, cb *bytecode.ClassBuilder, name string) *
 	return f
 }
 
+// windowsKernel is a loop body in which every row of the execution
+// image's window catalogue runs (TestWindowsKernelHoldsEveryRow): field,
+// static and array traffic, masked sums and the three shapes of compare
+// and branch, with pops and stores between them where the stack needs it.
+func windowsKernel(pb *bytecode.ProgramBuilder, mb *bytecode.MethodBuilder) func() {
+	const acc, i = 1, 2
+	cell := pb.NewClass("Cell", nil)
+	x := int32(cell.AddField("x", false))
+	g, s := int32(pb.AddStaticInit("g", 0)), int32(pb.AddStaticInit("s", 5))
+	obj, arr, t, k := int32(mb.AllocLocal()), int32(mb.AllocLocal()), int32(mb.AllocLocal()), int32(mb.AllocLocal())
+	mb.Emit(bytecode.OpNew, int32(cell.ID()))
+	mb.Emit(bytecode.OpStore, obj)
+	mb.Const(4)
+	mb.Emit(bytecode.OpNewArr)
+	mb.Emit(bytecode.OpDup)
+	mb.Emit(bytecode.OpStore, arr)
+	mb.Emit(bytecode.OpPutStatic, g)
+	mb.Const(1)
+	mb.Emit(bytecode.OpStore, k)
+	return func() {
+		next := func(op bytecode.Opcode) { // a conditional branch to the instruction behind it
+			l := mb.NewLabel()
+			mb.Branch(op, l)
+			mb.Bind(l)
+		}
+		mb.Emit(bytecode.OpLoad, obj) // load·getfield
+		mb.Emit(bytecode.OpGetField, x)
+		mb.Emit(bytecode.OpPop)
+		mb.Emit(bytecode.OpLoad, obj) // getfield·load, add·store
+		mb.Emit(bytecode.OpGetField, x)
+		mb.Emit(bytecode.OpLoad, i)
+		mb.Emit(bytecode.OpAdd)
+		mb.Emit(bytecode.OpStore, t)
+		mb.Emit(bytecode.OpLoad, t) // load·load, add·const·and, store·load
+		mb.Emit(bytecode.OpLoad, acc)
+		mb.Emit(bytecode.OpAdd)
+		mb.Const(0xFFFFF)
+		mb.Emit(bytecode.OpAnd)
+		mb.Emit(bytecode.OpStore, acc)
+		mb.Emit(bytecode.OpLoad, arr) // load·aload
+		mb.Emit(bytecode.OpLoad, k)
+		mb.Emit(bytecode.OpALoad)
+		mb.Const(3) // const·and, const·add (and its const·sub)
+		mb.Emit(bytecode.OpAnd)
+		mb.Const(5)
+		mb.Emit(bytecode.OpAdd)
+		mb.Const(2)
+		mb.Emit(bytecode.OpSub)
+		mb.Emit(bytecode.OpPop)
+		mb.Emit(bytecode.OpGetStatic, g) // getstatic·load·aload
+		mb.Emit(bytecode.OpLoad, k)
+		mb.Emit(bytecode.OpALoad)
+		mb.Emit(bytecode.OpPop)
+		mb.Emit(bytecode.OpGetStatic, s) // getstatic·load, cmp·jump
+		mb.Emit(bytecode.OpLoad, k)
+		mb.Emit(bytecode.OpLt)
+		next(bytecode.OpJumpNZ)
+		mb.Emit(bytecode.OpLoad, k) // load·getstatic, arrlen·cmp·jump
+		mb.Emit(bytecode.OpGetStatic, g)
+		mb.Emit(bytecode.OpArrLen)
+		mb.Emit(bytecode.OpGe)
+		next(bytecode.OpJumpZ)
+		mb.Emit(bytecode.OpLoad, i) // const·cmp·jump
+		mb.Const(3)
+		mb.Emit(bytecode.OpEq)
+		next(bytecode.OpJumpZ)
+		mb.Emit(bytecode.OpLoad, acc) // load·const
+		mb.Const(7)
+		mb.Emit(bytecode.OpMul)
+		mb.Emit(bytecode.OpPop)
+		l := mb.NewLabel() // inclocal·jump
+		mb.Emit(bytecode.OpLoad, t)
+		mb.Const(1)
+		mb.Emit(bytecode.OpAdd)
+		mb.Emit(bytecode.OpStore, t)
+		mb.Branch(bytecode.OpJump, l)
+		mb.Bind(l)
+	}
+}
+
 // callCounter is the cheapest possible CallListener: with it installed
 // every call leaves the interpreter's registers for the hook.
 type callCounter struct{ calls uint64 }
@@ -119,7 +199,8 @@ func (c *tickCounter) OnTimerTick(*vm.VM) { c.ticks++ }
 // charging by span adds: arith_timer is arith again with a tick due every
 // 97 cycles, inside almost every one of its hundred-instruction lines, so
 // it is what stepping round a tick costs; short_spans is all branches,
-// one span check for every one or two instructions.
+// one span check for every one or two instructions. windows is made of
+// the execution image's catalogue, every row of it: what a window saves.
 func BenchmarkDispatch(b *testing.B) {
 	const acc, i = 1, 2
 	kernels := []struct {
@@ -204,6 +285,7 @@ func BenchmarkDispatch(b *testing.B) {
 				mb.Emit(bytecode.OpStore, acc)
 			}
 		}},
+		{"windows", windowsKernel},
 		{"short_spans", func(_ *bytecode.ProgramBuilder, mb *bytecode.MethodBuilder) func() {
 			return func() { // three branches to the next instruction: spans of 2, 2 and 1
 				a, b, c := mb.NewLabel(), mb.NewLabel(), mb.NewLabel()

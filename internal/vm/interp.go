@@ -62,10 +62,13 @@ func (vm *VM) enter(m *bytecode.Method, site int) error {
 	}
 	base := len(vm.stack) - m.NArgs
 	need := base + m.NLocals + m.MaxStack
-	if need > maxStackSlots {
+	if need > vm.maxStack {
 		return vm.trap("stack overflow calling %s", m.Name)
 	}
-	vm.stack = slices.Grow(vm.stack, need-len(vm.stack))[:base+m.NLocals]
+	// Grow rounds the capacity up; it is cut back to the limit, so that a
+	// frame run finds room for without coming here is within it too.
+	grown := slices.Grow(vm.stack, need-len(vm.stack))
+	vm.stack = grown[: base+m.NLocals : min(cap(grown), vm.maxStack)]
 	// A loop and an indexed store, not clear and append: for a handful
 	// of slots and one pointer-bearing Frame those go through memclr
 	// and typedmemmove, 10 ns a call where this is 2.
@@ -94,11 +97,15 @@ func (vm *VM) enter(m *bytecode.Method, site int) error {
 // frame returns the executing activation record.
 func (vm *VM) frame() *Frame { return &vm.frames[len(vm.frames)-1] }
 
-// bound sets what a span's charge is tested against until the next
-// sync point: the step limit (0 while tracing, so that nothing fits) and
-// the timer's deadline. step calls it on the way in, after whatever hook
-// brought run to a sync point, and again after the one hook of its own.
+// bound sets what run tests between two sync points, where it makes no
+// call and so nothing can change under it: what a span's charge is tested
+// against — the step limit (0 while tracing, so that nothing fits) and
+// the timer's deadline — and whether a call and a return have anybody
+// watching them. step calls it on the way in, after whatever hook brought
+// run to a sync point, and again after the one hook of its own.
 func (vm *VM) bound() {
+	vm.quietCall = vm.callH == nil && vm.entryH == nil && vm.EntryCheckCost == 0 && vm.ControlWord == ControlNone
+	vm.quietReturn = vm.ControlWord == ControlNone || !vm.EpilogueYieldpoints
 	vm.limit, vm.deadline = math.MaxUint64, math.MaxUint64
 	if vm.Trace != nil {
 		vm.limit = 0
@@ -110,20 +117,23 @@ func (vm *VM) bound() {
 	}
 }
 
-// step pays for what runs next and returns the executing method's span
-// table and the pc up to which run may execute on that payment. That is
-// as much of the span at the executing frame's PC as lies ahead of the
-// step limit and the next tick: all of it, unless run has just found
-// that it does not fit. When not even its first instruction does —
-// always, under a Trace function — that one is taken the slow way: step
-// limit, trace function, its own charge, timer. Either way a tick is
-// delivered at the first instruction boundary at which the clock has
-// passed the deadline.
-func (vm *VM) step() (tab []span, end int, err error) {
+// step pays for what runs next and returns the code run may execute on
+// that payment and the executing method's span table. That is as much of
+// the span at the executing frame's PC as lies ahead of the step limit
+// and the next tick: all of it, unless run has just found that it does
+// not fit, and then the code is the method's execution image. A part of
+// the span is the method's own code cut where the payment ends, for a
+// window of the image might reach beyond. When not even the span's first
+// instruction fits — always, under a Trace function — that one is taken
+// the slow way: step limit, trace function, its own charge, timer. Either
+// way a tick is delivered at the first instruction boundary at which the
+// clock has passed the deadline.
+func (vm *VM) step() (code []bytecode.Instr, tab []span, err error) {
 	f := vm.frame()
-	tab, pc := vm.table(f.M), f.PC
+	s, pc := vm.table(f.M), f.PC
+	tab = s.tab
 	if uint(pc) >= uint(len(tab)) {
-		return nil, 0, vm.trap("pc out of range")
+		return nil, nil, vm.trap("pc out of range")
 	}
 	vm.bound()
 	// Whether the first k instructions fit can only fall from true to
@@ -146,14 +156,14 @@ func (vm *VM) step() (tab []span, end int, err error) {
 	}
 	vm.Cycles, vm.Instrs = vm.Cycles+paid, vm.Instrs+uint64(lo)
 	if lo == n {
-		return tab, len(tab), nil
+		return s.img, tab, nil
 	} else if lo > 0 {
-		return tab, pc + lo, nil
+		return f.M.Code[:pc+lo], tab, nil
 	}
 	ins := f.M.Code[pc]
 	vm.Instrs++
 	if vm.MaxSteps > 0 && vm.Instrs > vm.MaxSteps {
-		return nil, 0, vm.trap("step limit %d exceeded", vm.MaxSteps)
+		return nil, nil, vm.trap("step limit %d exceeded", vm.MaxSteps)
 	}
 	if vm.Trace != nil {
 		vm.Trace(f.M, pc, ins)
@@ -165,18 +175,23 @@ func (vm *VM) step() (tab []span, end int, err error) {
 			vm.tick.OnTimerTick(vm)
 		}
 	}
-	vm.bound() // a tick listener may have moved either
-	return tab, pc + 1, nil
+	vm.bound() // a tick listener may have moved any of it
+	if pc+1 == len(tab) {
+		// A method's last instruction heads no window: the image has it as
+		// it is, and run knows a cut line by its being shorter than the table.
+		return s.img, tab, nil
+	}
+	return f.M.Code[:pc+1], tab, nil
 }
 
-// load derives run's registers from the VM, but for the span table,
-// which step has just looked up: the executing frame's code, its pc, and
+// load derives run's registers from the VM, but for the code and the
+// span table, which step has just looked up: the executing frame's pc and
 // its window fr of the shared stack (locals, then operands up to sp).
 // The window is spelled out at its three uses: an inlined helper for it
 // cost run's register allocation 7 % of vm_bare.
-func (vm *VM) load() (code []bytecode.Instr, pc int, fr []Value, sp int) {
+func (vm *VM) load() (pc int, fr []Value, sp int) {
 	f := vm.frame()
-	return f.M.Code, f.PC, vm.stack[f.base : f.base+f.M.NLocals+f.M.MaxStack], len(vm.stack) - f.base
+	return f.PC, vm.stack[f.base : f.base+f.M.NLocals+f.M.MaxStack], len(vm.stack) - f.base
 }
 
 // sync writes run's registers back, so that what runs next sees the VM
@@ -216,12 +231,11 @@ func (vm *VM) fault(pc, sp int, code []bytecode.Instr, spans []span) *VM {
 // points").
 func (vm *VM) run(baseDepth int) (Value, error) {
 	for { // the VM is at an instruction boundary, PC on what runs next
-		spans, end, err := vm.step()
+		code, spans, err := vm.step() // the straight line ends where what step paid for does
 		if err != nil {
 			return Value{}, err
 		}
-		code, pc, fr, sp := vm.load()
-		code = code[:end] // the straight line ends where what step paid for does
+		pc, fr, sp := vm.load()
 		var (
 			target, site int
 			callee       *bytecode.Method
@@ -321,6 +335,15 @@ func (vm *VM) run(baseDepth int) (Value, error) {
 					pc++
 					goto next
 
+				case xGetFieldLoad: // getfield A; load B, or the getfield alone when it traps
+					if o := fr[sp-1].R; o != nil && uint(ins.A) < uint(len(o.Fields)) {
+						fr[sp-1] = o.Fields[ins.A]
+						fr[sp] = fr[ins.B]
+						sp++
+						pc++
+						break
+					}
+					fallthrough
 				case bytecode.OpGetField:
 					o := fr[sp-1].R
 					if o == nil {
@@ -383,6 +406,18 @@ func (vm *VM) run(baseDepth int) (Value, error) {
 						return Value{}, vm.fault(pc, sp, code, spans).trap("array index %d out of range [0,%d)", idx, len(arr.Elems))
 					}
 					arr.Elems[idx] = fr[sp+2]
+				case xArrLenCmpJump: // arrlen; <cmp>; jumpnz A, the comparison in B; or the arrlen alone when it traps
+					if arr := fr[sp-1].R; arr != nil {
+						pc += 2
+						sp -= 2
+						if compare(bytecode.Opcode(ins.B), fr[sp], IntV(int64(len(arr.Elems)))) {
+							target = int(ins.A)
+							goto branch
+						}
+						pc++
+						goto next
+					}
+					fallthrough
 				case bytecode.OpArrLen:
 					arr := fr[sp-1].R
 					if arr == nil {
@@ -442,7 +477,7 @@ func (vm *VM) run(baseDepth int) (Value, error) {
 						sp--
 						rv = fr[sp]
 					}
-					if n := len(vm.frames) - 1; n > baseDepth && (vm.ControlWord == ControlNone || !vm.EpilogueYieldpoints) {
+					if n := len(vm.frames) - 1; n > baseDepth && vm.quietReturn {
 						// No yieldpoint, and the caller is interpreted: if the VM's
 						// table for it still covers its code, pop to it in registers.
 						// The stack is cut at the callee's base, where its first
@@ -450,7 +485,7 @@ func (vm *VM) run(baseDepth int) (Value, error) {
 						f, top := &vm.frames[n-1], vm.frames[n].base
 						if s := &vm.spans[f.M.ID]; s.covers(f.M.Code) {
 							vm.frames = vm.frames[:n]
-							code, spans, pc = f.M.Code, s.tab, f.PC+1
+							code, spans, pc = s.img, s.tab, f.PC+1
 							fr, sp = vm.stack[f.base:f.base+f.M.NLocals+f.M.MaxStack], top-f.base
 							fr[sp] = rv
 							sp++
@@ -492,10 +527,12 @@ func (vm *VM) run(baseDepth int) (Value, error) {
 					fr[sp] = Value{}
 					sp++
 
-				// Superinstructions (emitted by opt.FuseMethod): each case is the
-				// literal composition of its unfused parts, and costs their sum.
+				// Superinstructions: each case is the literal composition of its
+				// unfused parts, and costs their sum. These five are public
+				// (opt.FuseMethod emits them, and any program may carry them).
 				case bytecode.OpLoadLoad:
-					fr[sp], fr[sp+1] = fr[ins.A], fr[ins.B]
+					fr[sp] = fr[ins.A]
+					fr[sp+1] = fr[ins.B]
 					sp += 2
 				case bytecode.OpLoadConst:
 					fr[sp], fr[sp+1] = fr[ins.A], IntV(int64(ins.B))
@@ -506,6 +543,9 @@ func (vm *VM) run(baseDepth int) (Value, error) {
 					// Like Load;Const;Add;Store, the result is a pure integer:
 					// any reference interpretation of the local is dropped.
 					fr[ins.A] = IntV(fr[ins.A].I + int64(ins.B))
+				case xCmpJump: // <cmp>; jumpnz A: the branch is the window's second instruction
+					pc++
+					fallthrough
 				case bytecode.OpJumpCmp:
 					sp -= 2
 					if compare(bytecode.Opcode(ins.B), fr[sp], fr[sp+1]) {
@@ -514,6 +554,97 @@ func (vm *VM) run(baseDepth int) (Value, error) {
 					}
 					pc++
 					goto next
+
+				// The windows of the execution image (image.go): the VM's own
+				// superinstructions, each its parts in their order and stepping
+				// over them. One that ends in a jump has pc on the jump when it
+				// branches, and reads the target there if it has no operand left.
+				case xIncLocalJump: // load A; const B; add; store A; jump
+					fr[ins.A] = IntV(fr[ins.A].I + int64(ins.B))
+					pc += 4
+					target = int(code[pc].A)
+					goto branch
+				case xConstCmpJump: // const A; <cmp>; jumpnz, the comparison in B
+					pc += 2
+					sp--
+					if compare(bytecode.Opcode(ins.B), fr[sp], IntV(int64(ins.A))) {
+						target = int(code[pc].A)
+						goto branch
+					}
+					pc++
+					goto next
+				case xLoadGetStatic: // load A; getstatic B
+					fr[sp] = fr[ins.A]
+					fr[sp+1] = vm.statics[ins.B]
+					sp += 2
+					pc++
+				case xLoadLoad: // load A; load B
+					fr[sp] = fr[ins.A]
+					fr[sp+1] = fr[ins.B]
+					sp += 2
+					pc++
+				case xLoadConst: // load A; const B
+					fr[sp], fr[sp+1] = fr[ins.A], IntV(int64(ins.B))
+					sp += 2
+					pc++
+				case xAddConst: // const A; add, or const -A; sub
+					fr[sp-1] = IntV(fr[sp-1].I + int64(ins.A))
+					pc++
+				case xAddAndConst: // add; const A; and
+					sp--
+					fr[sp-1] = IntV((fr[sp-1].I + fr[sp].I) & int64(ins.A))
+					pc += 2
+				case xAddStore: // add; store A
+					sp -= 2
+					fr[ins.A] = IntV(fr[sp].I + fr[sp+1].I)
+					pc++
+				case xAndConst: // const A; and
+					fr[sp-1] = IntV(fr[sp-1].I & int64(ins.A))
+					pc++
+				case xStoreLoad: // store A; load B
+					fr[ins.A] = fr[sp-1]
+					fr[sp-1] = fr[ins.B]
+					pc++
+				case xGetStaticLoad: // getstatic A; load B
+					fr[sp], fr[sp+1] = vm.statics[ins.A], fr[ins.B]
+					sp += 2
+					pc++
+				// A window with a part that can trap runs whole only when none
+				// does. Otherwise what comes before that part is done here and the
+				// rest left to the method's own code, where it traps at its own pc.
+				case xLoadGetField: // load A; getfield B
+					v := fr[ins.A]
+					if o := v.R; o != nil && uint(ins.B) < uint(len(o.Fields)) {
+						v = o.Fields[ins.B]
+						pc++
+					} else {
+						code = vm.frame().M.Code
+					}
+					fr[sp] = v
+					sp++
+				case xGetStaticLoadALoad: // getstatic A; load B; aload
+					arr, idx := vm.statics[ins.A], fr[ins.B]
+					if arr.R != nil && uint64(idx.I) < uint64(len(arr.R.Elems)) {
+						fr[sp] = arr.R.Elems[idx.I]
+						sp++
+						pc += 2
+						break
+					}
+					fr[sp] = arr
+					fr[sp+1] = idx
+					sp += 2
+					pc++
+					code = vm.frame().M.Code
+				case xLoadALoad: // load A; aload
+					v := fr[ins.A]
+					if arr := fr[sp-1].R; arr != nil && uint64(v.I) < uint64(len(arr.Elems)) {
+						fr[sp-1] = arr.Elems[v.I]
+						pc++
+						break
+					}
+					fr[sp] = v
+					sp++
+					code = vm.frame().M.Code
 
 				case bytecode.OpPrint:
 					sp--
@@ -526,8 +657,8 @@ func (vm *VM) run(baseDepth int) (Value, error) {
 					vm.stack, vm.frames = vm.stack[:vm.frames[baseDepth].base], vm.frames[:baseDepth]
 					return Value{}, nil
 
-				default:
-					return Value{}, vm.fault(pc, sp, code, spans).trap("unimplemented opcode %v", ins.Op)
+				default: // a number the VM has no case for: the image's xUndefined, that is
+					return Value{}, vm.fault(pc, sp, code, spans).undefined()
 				}
 				pc++
 			}
@@ -537,7 +668,9 @@ func (vm *VM) run(baseDepth int) (Value, error) {
 				s := spans[pc]
 				if c, i := vm.Cycles+s.cyc, vm.Instrs+s.n; i <= vm.limit && c < vm.deadline {
 					vm.Cycles, vm.Instrs = c, i
-					code = code[:len(spans)] // all of the method again, if step had cut it
+					if len(code) < len(spans) { // step had cut it: all of the method again, as its image
+						code = vm.spans[vm.frame().M.ID].img
+					}
 					continue
 				}
 			}
@@ -556,8 +689,7 @@ func (vm *VM) run(baseDepth int) (Value, error) {
 			goto next
 
 		call: // a call instruction at pc, its arguments pushed
-			if f, n, s := vm.frame(), len(vm.frames), &vm.spans[callee.ID]; vm.callH == nil && vm.entryH == nil && vm.EntryCheckCost == 0 &&
-				vm.ControlWord == ControlNone && s.covers(callee.Code) && n < cap(vm.frames) &&
+			if f, n, s := vm.frame(), len(vm.frames), &vm.spans[callee.ID]; vm.quietCall && s.covers(callee.Code) && n < cap(vm.frames) &&
 				f.base+sp-callee.NArgs+callee.NLocals+callee.MaxStack <= cap(vm.stack) {
 				// Nobody is watching and nothing has to grow: what is left of
 				// enter is the frame push, done here in registers.
@@ -567,7 +699,7 @@ func (vm *VM) run(baseDepth int) (Value, error) {
 				base := f.base + sp - callee.NArgs
 				vm.frames = vm.frames[:n+1]
 				vm.frames[n] = Frame{M: callee, Site: site, CallerPC: pc, base: base}
-				code, spans, pc = callee.Code, s.tab, 0
+				code, spans, pc = s.img, s.tab, 0
 				fr, sp = vm.stack[base:base+callee.NLocals+callee.MaxStack], callee.NLocals
 				for i := callee.NArgs; i < sp; i++ {
 					fr[i] = Value{}
@@ -581,6 +713,13 @@ func (vm *VM) run(baseDepth int) (Value, error) {
 			break
 		}
 	}
+}
+
+// undefined is the trap for an opcode run has no case for, named as the
+// method's own code has it: the image, where run met it, has xUndefined.
+func (vm *VM) undefined() error {
+	f := vm.frame()
+	return vm.trap("unimplemented opcode %v", f.M.Code[f.PC].Op)
 }
 
 func castClassName(o *Object) string {

@@ -26,34 +26,36 @@ func endsSpan(op bytecode.Opcode) bool {
 	return op.IsBranch() || op.IsCall() || op.IsReturn()
 }
 
-// summary is one method's span table and the code it was summed from.
+// summary is one method's span table, its execution image (image.go)
+// and the code both were made from.
 type summary struct {
 	tab   []span
+	img   []bytecode.Instr
 	first *bytecode.Instr // &code[0]
 }
 
-// covers reports whether s was summed from code: the same array at the
+// covers reports whether s was made from code: the same array at the
 // same length. A linked method's Code is assigned in one place,
 // bytecode's Method.Install, which every rewriter ends in and which takes
-// a fresh array only; this sees that, and the table keeps the old array
+// a fresh array only; this sees that, and the summary keeps the old array
 // reachable, so its address cannot come back.
 func (s *summary) covers(code []bytecode.Instr) bool {
 	return len(code) == len(s.tab) && len(code) > 0 && &code[0] == s.first
 }
 
-// table returns m's span table, summed now — from its code and the
+// table returns the VM's summary of m, made now — from m's code and the
 // VM's cost model as they are — if the VM holds none that covers it.
 // An opcode the VM does not know is charged nothing: the verifier lets
 // one stand where control cannot reach, and only there.
-func (vm *VM) table(m *bytecode.Method) []span {
+func (vm *VM) table(m *bytecode.Method) *summary {
 	s := &vm.spans[m.ID]
 	if s.covers(m.Code) {
-		return s.tab
+		return s
 	}
 	if s.tab == nil {
 		vm.nExec++
 	}
-	*s = summary{tab: make([]span, len(m.Code))}
+	*s = summary{tab: make([]span, len(m.Code)), img: image(m.Code)}
 	var cyc, n uint64
 	for pc := len(m.Code) - 1; pc >= 0; pc-- {
 		op := m.Code[pc].Op
@@ -65,5 +67,5 @@ func (vm *VM) table(m *bytecode.Method) []span {
 		}
 		s.tab[pc], s.first = span{cyc, n}, &m.Code[pc] // first ends at pc 0
 	}
-	return s.tab
+	return s
 }

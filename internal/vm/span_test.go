@@ -177,16 +177,24 @@ func spanRun(t *testing.T, prog *bytecode.Program, size int64, o spanObserver, t
 	return out
 }
 
-// cuts finds, from a trace, three step limits past spanCutAfter: one
+// cuts finds, from a trace, four step limits past spanCutAfter: one
 // that traps the first instruction of a span, one an instruction in
-// the middle of one, one the instruction that ends one.
+// the middle of one, one the instruction that ends one, and one the
+// second instruction of a window of the execution image.
 type cuts struct {
-	n                   uint64
-	midSpan             bool // the previous instruction did not end its span
-	first, middle, last uint64
+	probe  *vm.VM // any VM for the program: its images are every VM's
+	widths map[bytecode.Opcode]int
+
+	n                           uint64
+	midSpan                     bool // the previous instruction did not end its span
+	first, middle, last, window uint64
 }
 
-func (c *cuts) trace(_ *bytecode.Method, _ int, ins bytecode.Instr) {
+func newCuts(prog *bytecode.Program) *cuts {
+	return &cuts{probe: vm.New(prog), widths: windowWidths()}
+}
+
+func (c *cuts) trace(m *bytecode.Method, pc int, ins bytecode.Instr) {
 	c.n++
 	ends := endsSpan(ins.Op)
 	if c.n > spanCutAfter {
@@ -197,6 +205,9 @@ func (c *cuts) trace(_ *bytecode.Method, _ int, ins bytecode.Instr) {
 			c.middle = c.n - 1
 		case c.last == 0 && c.midSpan && ends:
 			c.last = c.n - 1
+		}
+		if c.window == 0 && c.midSpan && c.widths[c.probe.ImageOf(m)[pc-1].Op] > 1 {
+			c.window = c.n - 1
 		}
 	}
 	c.midSpan = !ends
@@ -237,11 +248,14 @@ func spanSize(bm *bench.Benchmark) int64 {
 // TestSteppedEqualsCharged runs the 15 suite programs × {plain, fused,
 // trivially inlined} × {bare, exhaustive, CBS-RVM, CBS-J9, mincover,
 // adaptive controller} × timer period {1, 3, 97, default} × step limit
-// {none, and three that trap the first, a middle and the last
-// instruction of a span}, each stepped and charged, and requires the
-// same outcome of both: result or trap text, output, every counter,
-// the VM state seen at every tick and yieldpoint, samples taken and the
-// canonical bytes of the DCG.
+// {none, three that trap the first, a middle and the last instruction of
+// a span, and one that traps the second instruction of a window}, each
+// stepped and charged — from the method's own code under a Trace
+// function, and from its execution image without — and requires the same
+// outcome of both: result or trap text, output, every counter, the VM
+// state seen at every tick and yieldpoint, samples taken and the
+// canonical bytes of the DCG. (A tick at every offset of every window:
+// TestTickInsideEveryWindow.)
 func TestSteppedEqualsCharged(t *testing.T) {
 	benchmarks, timers := bench.All(), []uint64{1, 3, 97, spanDefaultTimer}
 	if raceLite || testing.Short() {
@@ -265,16 +279,16 @@ func TestSteppedEqualsCharged(t *testing.T) {
 						if timer < 97 {
 							ceiling = spanCeiling
 						}
-						var c cuts
+						c := newCuts(master)
 						want := spanRun(t, master.Clone(), size, o, timer, ceiling, c.trace)
 						if want.trap != "" && ceiling == 0 {
 							t.Fatalf("%s/%s/timer=%d: stepped run: %s", shape, o.name, timer, want.trap)
 						}
-						if c.first == 0 || c.middle == 0 || c.last == 0 {
+						if c.first == 0 || c.middle == 0 || c.last == 0 || c.window == 0 {
 							t.Fatalf("%s/%s/timer=%d: no cuts in %d instructions: %+v", shape, o.name, timer, c.n, c)
 						}
 						noop := func(*bytecode.Method, int, bytecode.Instr) {}
-						for i, limit := range []uint64{ceiling, c.first, c.middle, c.last} {
+						for i, limit := range []uint64{ceiling, c.first, c.middle, c.last, c.window} {
 							if i > 0 {
 								want = spanRun(t, master.Clone(), size, o, timer, limit, noop)
 								if want.trap == "" {

@@ -150,7 +150,11 @@ type VM struct {
 	// Trace, or where a tick falls — and every call and allocation read
 	// the model as it is then: replaced or edited between two Runs it
 	// prices one program by two models, and nothing says so
-	// (TestCostModelIsReadAtFirstEntry pins the simplest case).
+	// (TestCostModelIsReadAtFirstEntry pins the simplest case). The model
+	// prices the instruction set only: a window of the execution image
+	// (image.go) has no row in it and runs inside a span paid for at its
+	// parts' prices, as the five fused opcodes a program may carry are
+	// priced at theirs.
 	Cost *CostModel
 
 	// Cycles is the total modeled cycle count (workload + profiling).
@@ -204,11 +208,15 @@ type VM struct {
 	stack   []Value
 
 	// limit and deadline are what a span's charge is tested against
-	// between sync points (see bound); spans holds a table per method
-	// entered, by method ID.
-	limit, deadline uint64
-	spans           []summary
-	nExec           int // methods entered at least once
+	// between sync points, quietCall and quietReturn whether a call and a
+	// return may push and pop their frame in run's registers (see bound);
+	// spans holds a span table and an execution image per method entered,
+	// by method ID.
+	limit, deadline        uint64
+	quietCall, quietReturn bool
+	spans                  []summary
+	nExec                  int // methods entered at least once
+	maxStack               int // maxStackSlots, but in tests
 }
 
 // New creates a VM for prog with the default cost model and a disabled
@@ -224,6 +232,7 @@ func New(prog *bytecode.Program) *VM {
 		Cost:                DefaultCostModel(),
 		statics:             statics,
 		spans:               make([]summary, len(prog.Methods)),
+		maxStack:            maxStackSlots,
 		EpilogueYieldpoints: true,
 	}
 }
