@@ -153,3 +153,33 @@ func TestEdgeHashSpreadsConsecutiveIDs(t *testing.T) {
 		t.Errorf("64 consecutive edges landed on only %d of 8 shards", len(hit))
 	}
 }
+
+// TestSnapshotTotalReproducible pins that an unchanged store reads the
+// same: after decay has made the weights fractional, every Snapshot
+// must carry the bit-identical Total (float addition is not
+// associative, so a total re-summed in map-iteration order moves in the
+// last ulp from call to call), and Stats must report that same total.
+// plan.Compile's thresholds divide by it, so a total that flickers can
+// flap a decision on a graph nobody touched.
+func TestSnapshotTotalReproducible(t *testing.T) {
+	s := New(0)
+	g := profile.NewDCG()
+	for i := 0; i < 400; i++ {
+		g.AddSample(edge(i%37, i, (i*7)%41), 1+float64(i%13)+float64(i)/7)
+	}
+	s.MergeDCG(g)
+	s.Decay(0.7, 0)
+	s.Decay(0.7, 0)
+
+	want := s.Snapshot().Total()
+	for i := 1; i < 50; i++ {
+		if got := s.Snapshot().Total(); got != want {
+			t.Fatalf("snapshot %d of an unchanged store: Total() = %v (%#x), first snapshot read %v (%#x)",
+				i, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+	if got := s.Stats().TotalWeight; got != want {
+		t.Errorf("Stats().TotalWeight = %v (%#x), Snapshot().Total() = %v (%#x)",
+			got, math.Float64bits(got), want, math.Float64bits(want))
+	}
+}
