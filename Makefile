@@ -14,7 +14,7 @@ SOAK_SEED ?= 0
 # replays with GEN_SEED=<printed seed>.
 GEN_SEED ?= 0
 
-.PHONY: all tier1 loc build build-cmds test test-race test-daemon test-recovery test-plan test-fleet test-federation test-mincover test-rewrite test-wire test-vm test-workload test-cbsbench soak soak-gen vet vet-cmds ci bench bench-vm vm-asm benchmark-smoke
+.PHONY: all tier1 loc build build-cmds test test-race test-daemon test-recovery test-plan test-fleet test-federation test-mincover test-rewrite test-wire test-vm test-workload test-cbsbench soak soak-gen vet vet-cmds ci bench bench-vm bench-store vm-asm benchmark-smoke
 
 all: tier1
 
@@ -39,7 +39,7 @@ build-cmds:
 
 # Race coverage for the concurrent layers: the parallel experiment
 # runner, the experiments that fan out over it, the profilers the jobs
-# drive, the sharded concurrent DCG store (its soak test is the
+# drive, the concurrent DCG store (its soak test is the
 # K-writers-vs-serial-reference check plus the decay-race property
 # test), the inline transform's clone isolation soak, the plan
 # service's version-cached compilation, the in-process daemon, the
@@ -212,6 +212,16 @@ bench:
 # window catalogue runs: what fusing in place saves per instruction.
 bench-vm:
 	$(GO) test -run=^$$ -bench='Interpreter|Dispatch' ./internal/vm/
+
+# The store layer alone, as testing.B: BenchmarkStoreMergeDCGFrom (13,
+# 100 and 410-edge deltas into a 1 500-edge store, serial and two
+# pushers at GOMAXPROCS 2), BenchmarkStoreSnapshot and
+# BenchmarkStoreCheckpointState. The twins of the repo benchmark's
+# dcgstore.merge_us_p50, dcgstore.snapshot_us_p50 and the in-memory part
+# of dcgstore.checkpoint_save_ms. Informational, not a gate: compare the
+# minimum of five alternating runs of a parent and a change binary.
+bench-store:
+	$(GO) test -run=^$$ -bench=Store -benchmem ./internal/dcgstore/
 
 # What the compiler made of the interpreter's straight line: writes
 # (*VM).run's assembly to .bench_build/vm-run.S and counts the machine

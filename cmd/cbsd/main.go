@@ -1,12 +1,16 @@
 // Command cbsd is the DCG aggregation daemon: a long-running HTTP
 // service that ingests dynamic call graph snapshots pushed by profiling
-// VMs (cbsvm -push), merges them into a sharded concurrent store, and
-// serves query endpoints over the fleet-wide graph — the centralized
-// "exploit" half of the paper's collect-and-exploit loop, scaled from
-// one VM to many.
+// VMs (cbsvm -push), merges them into one call graph per (program,
+// version) build, and serves query endpoints over the fleet-wide graph —
+// the centralized "exploit" half of the paper's collect-and-exploit
+// loop, scaled from one VM to many. Each build's store is a graph, a
+// ledger of per-pusher sequence marks and a mutex (internal/dcgstore):
+// a push is tens to a few hundred edges, builds do not share a store,
+// and every reader takes a whole consistent copy, so there is nothing
+// to tune and no -shards flag (passing one is a flag error).
 //
 //	cbsd -addr :8944
-//	cbsd -addr :8944 -shards 64 -decay 0.5 -decay-every 30s
+//	cbsd -addr :8944 -decay 0.5 -decay-every 30s
 //	cbsd -addr :8944 -state-dir /var/lib/cbsd -checkpoint-every 30s
 //
 // With -state-dir the daemon is durable: the store is checkpointed to
@@ -66,7 +70,6 @@ import (
 func main() {
 	var cfg daemon.Config
 	flag.StringVar(&cfg.Addr, "addr", ":8944", "listen address")
-	flag.IntVar(&cfg.Shards, "shards", dcgstore.DefaultShards, "store shard count (rounded up to a power of two)")
 	flag.Float64Var(&cfg.Decay, "decay", 0, "periodic decay factor in (0,1]; 0 disables background decay")
 	flag.DurationVar(&cfg.DecayEvery, "decay-every", time.Minute, "interval between background decay epochs")
 	flag.Float64Var(&cfg.DecayPrune, "decay-prune", 1e-6, "drop edges whose decayed weight falls below this")

@@ -124,7 +124,6 @@ type MetricsResponse struct {
 	SamplesIngested float64 `json:"samples_ingested"`
 	Merges          uint64  `json:"merges"`
 	DecayEpoch      uint64  `json:"decay_epoch"`
-	Shards          int     `json:"shards"`
 	Pushers         int     `json:"pushers"`
 	Ingests         uint64  `json:"ingests"`
 	IngestErrors    uint64  `json:"ingest_errors"`

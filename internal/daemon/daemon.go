@@ -32,7 +32,10 @@ import (
 // tests and the fleet simulator can drive the full daemon lifecycle
 // in-process.
 type Config struct {
-	Addr            string
+	Addr string
+	// Shards is accepted and ignored: the store has no shards. It stays
+	// only because the frozen benchmark/fleet.go sets it; ROADMAP item 5
+	// (the benchmark PR) deletes it.
 	Shards          int
 	Decay           float64
 	DecayEvery      time.Duration
@@ -104,7 +107,7 @@ func Run(ctx context.Context, cfg Config) error {
 		logf = func(string, ...any) {}
 	}
 
-	multi := dcgstore.NewMulti(cfg.Shards)
+	multi := dcgstore.NewMulti(0)
 	if cfg.StateDir != "" {
 		loaded, err := dcgstore.RestoreMultiCheckpoint(multi, cfg.StateDir)
 		if err != nil {
@@ -168,8 +171,8 @@ func Run(ctx context.Context, cfg Config) error {
 	if err != nil {
 		return err
 	}
-	logf("cbsd listening on %s (%d shards, decay %s, state %s)",
-		ln.Addr(), multi.Stats().Shards, decayDesc(cfg.Decay, cfg.DecayEvery), stateDesc(cfg))
+	logf("cbsd listening on %s (decay %s, state %s)",
+		ln.Addr(), decayDesc(cfg.Decay, cfg.DecayEvery), stateDesc(cfg))
 	if cfg.Ready != nil {
 		cfg.Ready <- ln.Addr().String()
 	}

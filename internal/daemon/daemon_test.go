@@ -25,7 +25,6 @@ func startDaemon(t *testing.T, ctx context.Context, stateDir string) (string, <-
 	ready := make(chan string, 1)
 	cfg := Config{
 		Addr:            "127.0.0.1:0",
-		Shards:          8,
 		StateDir:        stateDir,
 		CheckpointEvery: time.Hour, // only the shutdown checkpoint matters here
 		ReadTimeout:     10 * time.Second,
@@ -154,7 +153,7 @@ func TestRunRefusesCorruptCheckpoint(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	err := Run(ctx, Config{Addr: "127.0.0.1:0", Shards: 4, StateDir: stateDir, Logf: t.Logf})
+	err := Run(ctx, Config{Addr: "127.0.0.1:0", StateDir: stateDir, Logf: t.Logf})
 	if err == nil {
 		t.Fatal("run accepted a corrupt checkpoint")
 	}

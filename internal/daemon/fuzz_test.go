@@ -67,10 +67,10 @@ func FuzzIngestHostilePusher(f *testing.F) {
 		// Set headers through the map: hostile values (control bytes,
 		// overlong strings) must reach the handler's own validation.
 		if pusher != "" {
-			req.Header[dcgstore.HeaderPusher] = []string{pusher}
+			req.Header[api.HeaderPusher] = []string{pusher}
 		}
 		if seq != "" {
-			req.Header[dcgstore.HeaderSeq] = []string{seq}
+			req.Header[api.HeaderSeq] = []string{seq}
 		}
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, req)

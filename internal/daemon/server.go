@@ -24,9 +24,11 @@ const DefaultMaxUploadBytes = 256 << 20
 
 // server is the cbsd HTTP surface over a dcgstore.Multi: one substore
 // per (program, version) build for stamped pushes, and the zero key's
-// for unstamped ones. All handlers are safe for concurrent use: mutation
-// goes through the substores' sharded locks and the counters here are
-// atomics.
+// for unstamped ones. All handlers are safe for concurrent use: every
+// mutation and every read of a graph is one critical section of that
+// substore's one mutex (two builds never share it; a push is 13–410
+// edges, so the section is short, and no handler reads a graph except
+// as a whole consistent copy), and the counters here are atomics.
 type server struct {
 	multi     *dcgstore.Multi
 	plans     planSource
@@ -534,7 +536,6 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		SamplesIngested:         st.SamplesIngested,
 		Merges:                  st.Merges,
 		DecayEpoch:              st.Epoch,
-		Shards:                  st.Shards,
 		Pushers:                 st.Pushers,
 		Ingests:                 ingests,
 		IngestErrors:            s.ingestErrors.Load(),

@@ -245,7 +245,7 @@ func TestDecayEndpoint(t *testing.T) {
 	if m["epoch"].(float64) != 1 || m["pruned_edges"].(float64) != 1 {
 		t.Errorf("decay response %v", m)
 	}
-	if w := store.Weight(edge(1, 1, 1)); w != 50 {
+	if w := store.Snapshot().Weight(edge(1, 1, 1)); w != 50 {
 		t.Errorf("post-decay weight %v", w)
 	}
 	if resp, _ := http.Post(ts.URL+api.PathDecay+"?factor=7", "", nil); resp.StatusCode != http.StatusBadRequest {
@@ -272,7 +272,7 @@ func TestMetricsAndHealthz(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := decodeJSON(t, mresp)
-	for _, key := range []string{"edges", "total_weight", "samples_ingested", "merges", "ingests", "merge_ms_total", "merge_ms_mean", "uptime_s", "shards", "decay_epoch", "ingest_errors"} {
+	for _, key := range []string{"edges", "total_weight", "samples_ingested", "merges", "ingests", "merge_ms_total", "merge_ms_mean", "uptime_s", "decay_epoch", "ingest_errors"} {
 		if _, ok := m[key]; !ok {
 			t.Errorf("metrics missing %q", key)
 		}
@@ -456,7 +456,7 @@ func TestMutatingEndpointsRejectGET(t *testing.T) {
 	if m["code"] != "method_not_allowed" {
 		t.Errorf("GET /decay envelope code %v, want method_not_allowed", m["code"])
 	}
-	if w := store.Weight(edge(1, 1, 1)); w != 100 {
+	if w := store.Snapshot().Weight(edge(1, 1, 1)); w != 100 {
 		t.Errorf("GET /decay mutated the store: weight %v, want 100", w)
 	}
 }
@@ -512,10 +512,10 @@ func postStamped(t *testing.T, url string, g *profile.DCG, pusher, seq string) *
 		t.Fatal(err)
 	}
 	if pusher != "" {
-		req.Header.Set(dcgstore.HeaderPusher, pusher)
+		req.Header.Set(api.HeaderPusher, pusher)
 	}
 	if seq != "" {
-		req.Header.Set(dcgstore.HeaderSeq, seq)
+		req.Header.Set(api.HeaderSeq, seq)
 	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {

@@ -22,9 +22,6 @@ func startTreeDaemon(t *testing.T, ctx context.Context, cfg Config) (string, <-c
 	t.Helper()
 	ready := make(chan string, 1)
 	cfg.Addr = "127.0.0.1:0"
-	if cfg.Shards == 0 {
-		cfg.Shards = 4
-	}
 	cfg.ReadTimeout = 10 * time.Second
 	cfg.WriteTimeout = 10 * time.Second
 	cfg.Ready = ready

@@ -49,12 +49,14 @@ import (
 //
 // Every file is replaced atomically (atomicfile.Write), so a crash
 // mid-write leaves the previous file untouched. Per substore the
-// (graph, marks) pair is captured atomically (Store.CheckpointState)
-// and the marks are renamed into place before the graph, so a crash
-// between the two leaves marks from a *newer* checkpoint than the
-// graph. That order is the safe one: a too-new high-water mark can only
-// drop a retried increment, an undercount no worse than the
-// already-documented loss of the window since the last durable graph.
+// (graph, marks) pair is captured atomically (Store.CheckpointState
+// copies both inside one critical section of the store's one mutex, the
+// same one every merge advances its mark under) and the marks are
+// renamed into place before the graph, so a crash between the two
+// leaves marks from a *newer* checkpoint than the graph. That order is
+// the safe one: a too-new high-water mark can only drop a retried
+// increment, an undercount no worse than the already-documented loss of
+// the window since the last durable graph.
 // The opposite order (new graph, old marks) would let a post-restart
 // retry double-count an increment the graph already contains, which is
 // corruption. The index is written last — it is the file that commits a

@@ -38,7 +38,7 @@ func TestCheckpointRoundTripIsByteIdentical(t *testing.T) {
 		inc.AddSample(edge(7, 8, 9), 0.25)
 		s.MergeDCGFrom("p-a", 3, inc)
 		s.MergeDCGFrom("p-b", 11, inc)
-		s.AddSample(edge(5, 5, 5), 2) // unsequenced weight persists too
+		mergeEdge(s, edge(5, 5, 5), 2) // unsequenced weight persists too
 		mustSave(t, dir, m)
 
 		// A restarted store restored from the checkpoint serves the same
@@ -101,7 +101,7 @@ func TestRestoreGraphWithoutSequencesTolerated(t *testing.T) {
 func TestRestoreRejectsCorruptFiles(t *testing.T) {
 	eachStream(t, func(t *testing.T, key api.ProgramKey) {
 		m := NewMulti(4)
-		m.For(key).AddSample(edge(1, 1, 1), 1)
+		mergeEdge(m.For(key), edge(1, 1, 1), 1)
 		// Corrupt graph: must fail loudly, not load garbage weights. Then
 		// the same for the sequence file.
 		for _, tc := range []struct {
@@ -127,9 +127,9 @@ func TestSaveCheckpointReplacesAtomically(t *testing.T) {
 	eachStream(t, func(t *testing.T, key api.ProgramKey) {
 		dir := t.TempDir()
 		m := NewMulti(4)
-		m.For(key).AddSample(edge(1, 1, 1), 1)
+		mergeEdge(m.For(key), edge(1, 1, 1), 1)
 		mustSave(t, dir, m)
-		m.For(key).AddSample(edge(2, 2, 2), 2)
+		mergeEdge(m.For(key), edge(2, 2, 2), 2)
 		mustSave(t, dir, m)
 		fresh := NewMulti(4)
 		if _, err := RestoreMultiCheckpoint(fresh, dir); err != nil {

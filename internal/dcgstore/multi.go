@@ -39,8 +39,6 @@ const MaxProgramKeys = 256
 // Multi is a set of Stores keyed by (program, version). Safe for
 // concurrent use.
 type Multi struct {
-	shards int
-
 	mu sync.RWMutex
 	// subs holds every substore, the zero key's included.
 	subs      map[api.ProgramKey]*Store
@@ -61,12 +59,13 @@ type Multi struct {
 	now     func() time.Time
 }
 
-// NewMulti returns a Multi whose substores use at least shards shards,
-// holding the zero key's (empty) substore.
+// NewMulti returns a Multi holding the zero key's (empty) substore. The
+// shards argument is accepted and ignored (a Store has none); it stays
+// only because the frozen benchmark/fleet.go passes one, and ROADMAP
+// item 5 (the benchmark PR) deletes it with DefaultShards.
 func NewMulti(shards int) *Multi {
 	return &Multi{
-		shards:    shards,
-		subs:      map[api.ProgramKey]*Store{{}: New(shards)},
+		subs:      map[api.ProgramKey]*Store{{}: New()},
 		manifests: make(map[api.ProgramKey]*bytecode.Manifest),
 		carried:   make(map[api.ProgramKey]*profile.DCG),
 		latest:    make(map[string]string),
@@ -94,12 +93,11 @@ func (m *Multi) all() []substore {
 }
 
 // Stats sums every substore, so a fleet that stamps its pushes shows up
-// in the daemon's figures. As cheap as Store.Stats (published snapshots
-// and counters, no shard locks). Shards is per substore, Epoch the
-// furthest any substore has decayed (DecayAll ages them together; a
-// substore created later starts at 0), and Pushers counts sequence
-// streams: a pusher ID that has pushed under two builds counts once per
-// build.
+// in the daemon's figures. As cheap as Store.Stats (counters read under
+// each substore's mutex, no graph copied). Epoch is the furthest any
+// substore has decayed (DecayAll ages them together; a substore created
+// later starts at 0), and Pushers counts sequence streams: a pusher ID
+// that has pushed under two builds counts once per build.
 func (m *Multi) Stats() Stats {
 	all := m.all()
 	st := all[0].store.Stats()
@@ -159,7 +157,7 @@ func (m *Multi) forLocked(key api.ProgramKey) *Store {
 	if !validKey(key) || m.buildsLocked() >= MaxProgramKeys {
 		return nil
 	}
-	s := New(m.shards)
+	s := New()
 	m.subs[key] = s
 	m.touched[key] = m.now()
 	if m.latest[key.Program] == "" {

@@ -65,7 +65,7 @@ func TestCrossVersionAliasingRegression(t *testing.T) {
 	fromB := dcgOf([4]int{1, 0, 3, 40})
 
 	// Old behaviour: one shared store, name-only identity.
-	flat := New(4)
+	flat := New()
 	flat.MergeDCGFrom("vm-a", 1, fromA)
 	flat.MergeDCGFrom("vm-b", 1, fromB)
 	merged := flat.Snapshot()

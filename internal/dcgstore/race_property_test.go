@@ -8,17 +8,14 @@ import (
 	"gocbs/internal/profile"
 )
 
-// TestSnapshotNeverSplitsMerge is the regression test for cross-shard
-// merge atomicity. One writer repeatedly merges the same multi-shard
-// graph G; concurrent Snapshot calls must only ever observe an exact
-// multiple of G — per edge and in total. Before MergeDCG locked all
-// touched shards simultaneously, a snapshot could catch a merge with
-// some shards applied and others not, and this test caught it.
+// TestSnapshotNeverSplitsMerge is the regression test for merge
+// atomicity. One writer repeatedly merges the same 32-edge graph G;
+// concurrent Snapshot calls must only ever observe an exact multiple of
+// G — per edge and in total. A merge and a snapshot are one critical
+// section each; this holds whatever layout the store has to that.
 func TestSnapshotNeverSplitsMerge(t *testing.T) {
-	s := New(8)
+	s := New()
 
-	// A graph guaranteed to span several shards: enough distinct edges
-	// that at least two land in different shards no matter the hash.
 	g := profile.NewDCG()
 	const edges = 32
 	for i := 0; i < edges; i++ {
@@ -63,7 +60,7 @@ func TestSnapshotNeverSplitsMerge(t *testing.T) {
 }
 
 // TestDecayRacingWritersProperty is the decay-epoch property test:
-// concurrent AddSample writers, Snapshot readers, and a decayer run
+// concurrent single-edge writers, Snapshot readers, and a decayer run
 // against one store, and every observation must satisfy
 //
 //   - internal consistency: a snapshot's total equals the sum of its
@@ -85,7 +82,7 @@ func TestDecayRacingWritersProperty(t *testing.T) {
 		decayEpochs   = 5
 		snapshotReads = 200
 	)
-	s := New(8)
+	s := New()
 
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
@@ -94,7 +91,7 @@ func TestDecayRacingWritersProperty(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
 				e := profile.Edge{Caller: w, Site: i % 97, Callee: (i * 7) % 89}
-				s.AddSample(e, sampleWeight)
+				mergeEdge(s, e, sampleWeight)
 			}
 		}(w)
 	}
@@ -127,7 +124,7 @@ func TestDecayRacingWritersProperty(t *testing.T) {
 	}()
 	wg.Wait()
 
-	if got := s.Epoch(); got != decayEpochs {
+	if got := s.Stats().Epoch; got != decayEpochs {
 		t.Fatalf("epochs completed = %d, want %d", got, decayEpochs)
 	}
 	ingested := float64(writers*perWriter) * sampleWeight

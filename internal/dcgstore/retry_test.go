@@ -38,11 +38,11 @@ func ingestHandler(t testing.TB, store *Store, dropResponse func(n uint64) bool)
 			return
 		}
 		var seq uint64
-		pusher := r.Header.Get(HeaderPusher)
+		pusher := r.Header.Get(api.HeaderPusher)
 		if pusher != "" {
-			seq, err = strconv.ParseUint(r.Header.Get(HeaderSeq), 10, 64)
+			seq, err = strconv.ParseUint(r.Header.Get(api.HeaderSeq), 10, 64)
 			if err != nil {
-				t.Errorf("ingest: bad %s: %v", HeaderSeq, err)
+				t.Errorf("ingest: bad %s: %v", api.HeaderSeq, err)
 				http.Error(w, err.Error(), http.StatusBadRequest)
 				return
 			}
@@ -97,7 +97,7 @@ func TestClientDoesNotRetryPermanentErrors(t *testing.T) {
 }
 
 func TestClientRetryAfterDroppedResponseDoesNotDoubleCount(t *testing.T) {
-	store := New(8)
+	store := New()
 	// Drop the very first response: the increment lands, the ack is
 	// lost, the client retries the same stamp, the store deduplicates.
 	ts := httptest.NewServer(ingestHandler(t, store, func(n uint64) bool { return n == 1 }))
@@ -124,7 +124,7 @@ func TestClientRetryAfterDroppedResponseDoesNotDoubleCount(t *testing.T) {
 // to surface that error with the weight counted once, not come back
 // clean with it counted twice.
 func TestUnstampedPushIsNotRetried(t *testing.T) {
-	store := New(8)
+	store := New()
 	ts := httptest.NewServer(ingestHandler(t, store, func(n uint64) bool { return n == 1 }))
 	defer ts.Close()
 
@@ -150,7 +150,7 @@ func TestFlakyPusherSoak(t *testing.T) {
 		K     = 8  // pushers
 		steps = 25 // pushes per pusher
 	)
-	store := New(DefaultShards)
+	store := New()
 	ts := httptest.NewServer(ingestHandler(t, store, func(n uint64) bool { return n%3 == 0 }))
 	defer ts.Close()
 
@@ -212,7 +212,7 @@ func TestFlakyPusherSoak(t *testing.T) {
 // daemon is down stay queued with their original stamps and all land,
 // in order, once it recovers.
 func TestDeltaPusherQueuesAcrossOutage(t *testing.T) {
-	store := New(8)
+	store := New()
 	var down atomic.Bool
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if down.Load() {
@@ -264,7 +264,7 @@ func TestDeltaPusherQueuesAcrossOutage(t *testing.T) {
 // consecutive failures, and Flush delivers everything once the daemon
 // is healthy again.
 func TestTickPusherRetriesAndGiveUp(t *testing.T) {
-	store := New(8)
+	store := New()
 	var down atomic.Bool
 	var calls atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

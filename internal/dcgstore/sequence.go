@@ -1,9 +1,8 @@
 package dcgstore
 
 import (
-	"sync"
+	"maps"
 
-	"gocbs/internal/api"
 	"gocbs/internal/profile"
 )
 
@@ -22,22 +21,13 @@ import (
 // lost) and is dropped instead of re-merged. Unstamped merges keep the
 // old at-most-once semantics.
 //
-// The high-water marks are part of the checkpoint (see persist.go):
+// The high-water marks are part of the checkpoint (see checkpoint.go):
 // restoring a graph without its sequences would let a post-restart
 // retry double-count, and restoring sequences ahead of the graph would
-// reject a legitimate increment. CheckpointState captures both under
-// an exclusive lock so they always agree.
-
-// Ingest headers shared by the push client and the cbsd daemon. The
-// canonical definitions live in internal/api; these aliases keep the
-// many existing dcgstore.Header* references compiling.
-const (
-	// HeaderPusher carries the pusher's stable ID on ingest requests.
-	HeaderPusher = api.HeaderPusher
-	// HeaderSeq carries the increment's sequence number (uint64 >= 1,
-	// strictly increasing per pusher).
-	HeaderSeq = api.HeaderSeq
-)
+// reject a legitimate increment. The marks live under the same mutex as
+// the graph: a mark is checked and advanced in the critical section
+// that applies its increment, and CheckpointState copies both in one,
+// so the two always agree.
 
 // maxPusherIDLen bounds pusher IDs so a hostile client cannot grow the
 // sequence table (or the checkpoint's sequence file) without bound per
@@ -64,88 +54,51 @@ func ValidPusherID(id string) bool {
 	return true
 }
 
-// pusherSeq is one pusher's dedup state. Its mutex serializes the
-// check-merge-advance critical section for that pusher only, so
-// distinct pushers merge concurrently (shard striping still applies).
-type pusherSeq struct {
-	mu   sync.Mutex
-	high uint64
-}
-
-// pusherState returns the tracked state for id, creating it on first
-// use.
-func (s *Store) pusherState(id string) *pusherSeq {
-	s.seqMu.Lock()
-	defer s.seqMu.Unlock()
-	ps := s.pushers[id]
-	if ps == nil {
-		ps = &pusherSeq{}
-		s.pushers[id] = ps
-	}
-	return ps
-}
-
 // MergeDCGFrom merges g as increment seq from pusher (both taken from
 // the /ingest headers) and reports whether the increment was applied.
-// An empty pusher ID falls back to a plain unsequenced MergeDCG
-// (always applied). A sequence at or below the pusher's high-water
-// mark is a duplicate of an increment that already landed — the merge
-// is skipped and false is returned, fixing the double count a
-// retrying pusher would otherwise cause. Safe for concurrent use;
-// increments from the same pusher serialize, distinct pushers do not.
+// An empty pusher ID is an unsequenced merge: always applied, no mark
+// kept. A sequence at or below the pusher's high-water mark is a
+// duplicate of an increment that already landed — the merge is skipped
+// and false is returned, fixing the double count a retrying pusher
+// would otherwise cause. An applied increment counts one merge even
+// when g is nil or empty: the plan cache keys on Version, and a push
+// that moved a mark must not look like no push. Safe for concurrent
+// use.
 func (s *Store) MergeDCGFrom(pusher string, seq uint64, g *profile.DCG) bool {
-	if pusher == "" {
-		s.MergeDCG(g)
-		return true
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if pusher != "" {
+		if seq <= s.marks[pusher] {
+			s.duplicates++
+			return false
+		}
+		s.marks[pusher] = seq
 	}
-	s.ckptMu.RLock()
-	defer s.ckptMu.RUnlock()
-	ps := s.pusherState(pusher)
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	if seq <= ps.high {
-		s.duplicates.Add(1)
-		return false
+	if g != nil {
+		s.graph.Merge(g)
+		s.ingested += g.Total()
 	}
-	s.MergeDCG(g)
-	ps.high = seq
+	s.merges++
 	return true
-}
-
-// Sequences returns a copy of every pusher's high-water mark.
-func (s *Store) Sequences() map[string]uint64 {
-	s.seqMu.Lock()
-	defer s.seqMu.Unlock()
-	out := make(map[string]uint64, len(s.pushers))
-	for id, ps := range s.pushers {
-		ps.mu.Lock()
-		out[id] = ps.high
-		ps.mu.Unlock()
-	}
-	return out
 }
 
 // RestoreSequences seeds high-water marks from a loaded checkpoint.
 // Existing marks are only ever raised, so restoring cannot reopen a
 // window for an already-deduplicated increment.
 func (s *Store) RestoreSequences(seqs map[string]uint64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	for id, high := range seqs {
-		ps := s.pusherState(id)
-		ps.mu.Lock()
-		if high > ps.high {
-			ps.high = high
-		}
-		ps.mu.Unlock()
+		s.marks[id] = max(s.marks[id], high)
 	}
 }
 
 // CheckpointState returns a mutually consistent (graph, sequences)
-// pair: the exclusive lock excludes every in-flight sequenced merge,
-// so the snapshot contains an increment if and only if the sequence
-// map records it. Unsequenced merges may still interleave — they carry
-// no exactness contract.
+// pair, both copied inside one critical section of the store's mutex —
+// the one every merge checks and advances its mark in — so the graph
+// contains an increment if and only if the sequence map records it.
 func (s *Store) CheckpointState() (*profile.DCG, map[string]uint64) {
-	s.ckptMu.Lock()
-	defer s.ckptMu.Unlock()
-	return s.Snapshot(), s.Sequences()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.graph.Clone(), maps.Clone(s.marks)
 }

@@ -9,7 +9,7 @@ import (
 )
 
 func TestMergeDCGFromDeduplicatesRetries(t *testing.T) {
-	s := New(4)
+	s := New()
 	inc := profile.NewDCG()
 	inc.AddSample(edge(1, 2, 3), 5)
 
@@ -20,8 +20,7 @@ func TestMergeDCGFromDeduplicatesRetries(t *testing.T) {
 	if s.MergeDCGFrom("p-a", 1, inc) {
 		t.Error("retried seq 1 applied twice")
 	}
-	s.Sync()
-	if w := s.Weight(edge(1, 2, 3)); w != 5 {
+	if w := s.Snapshot().Weight(edge(1, 2, 3)); w != 5 {
 		t.Errorf("weight after retry = %v, want 5", w)
 	}
 	// The next sequence goes through; an older one never does.
@@ -35,8 +34,7 @@ func TestMergeDCGFromDeduplicatesRetries(t *testing.T) {
 	if !s.MergeDCGFrom("p-b", 1, inc) {
 		t.Error("other pusher's seq 1 rejected")
 	}
-	s.Sync()
-	if w := s.Weight(edge(1, 2, 3)); w != 15 {
+	if w := s.Snapshot().Weight(edge(1, 2, 3)); w != 15 {
 		t.Errorf("final weight = %v, want 15", w)
 	}
 	st := s.Stats()
@@ -46,7 +44,7 @@ func TestMergeDCGFromDeduplicatesRetries(t *testing.T) {
 }
 
 func TestMergeDCGFromUnstampedAlwaysApplies(t *testing.T) {
-	s := New(4)
+	s := New()
 	inc := profile.NewDCG()
 	inc.AddSample(edge(1, 1, 1), 1)
 	for i := 0; i < 3; i++ {
@@ -54,9 +52,23 @@ func TestMergeDCGFromUnstampedAlwaysApplies(t *testing.T) {
 			t.Fatal("unstamped merge rejected")
 		}
 	}
-	s.Sync()
-	if w := s.Weight(edge(1, 1, 1)); w != 3 {
+	if w := s.Snapshot().Weight(edge(1, 1, 1)); w != 3 {
 		t.Errorf("weight = %v, want 3 (unstamped merges are at-least-once by design)", w)
+	}
+	// A nil or empty graph is still a merge: it counts and it bumps
+	// Version, which is all the plan cache looks at to decide whether a
+	// store has seen a push since the plan it holds.
+	for _, g := range []*profile.DCG{nil, profile.NewDCG()} {
+		before, _ := s.Version()
+		if !s.MergeDCGFrom("", 0, g) {
+			t.Fatalf("unstamped merge of %v rejected", g)
+		}
+		if after, _ := s.Version(); after != before+1 {
+			t.Errorf("merge of %v moved Version from %d to %d, want +1", g, before, after)
+		}
+	}
+	if st := s.Stats(); st.Merges != 5 || st.SamplesIngested != 3 || st.Pushers != 0 {
+		t.Errorf("Stats = %+v, want 5 merges, 3 ingested, no pushers", st)
 	}
 }
 
@@ -77,14 +89,14 @@ func TestValidPusherID(t *testing.T) {
 }
 
 func TestRestoreSequencesOnlyRaises(t *testing.T) {
-	s := New(4)
+	s := New()
 	inc := profile.NewDCG()
 	inc.AddSample(edge(1, 1, 1), 1)
 	s.MergeDCGFrom("p", 5, inc)
 	s.RestoreSequences(map[string]uint64{"p": 3, "q": 7})
-	got := s.Sequences()
+	_, got := s.CheckpointState()
 	if got["p"] != 5 || got["q"] != 7 {
-		t.Errorf("Sequences = %v, want p:5 q:7", got)
+		t.Errorf("restored marks = %v, want p:5 q:7", got)
 	}
 }
 
@@ -98,7 +110,7 @@ func TestConcurrentSequencedIngestWithRetries(t *testing.T) {
 		K    = 12 // pushers
 		incs = 60 // increments per pusher
 	)
-	s := New(DefaultShards)
+	s := New()
 
 	// Each pusher k sends increments touching a pusher-specific edge
 	// plus a shared edge, every one re-sent 3 times.
@@ -154,7 +166,7 @@ func TestConcurrentSequencedIngestWithRetries(t *testing.T) {
 // the other.
 func TestCheckpointStateIsMutuallyConsistent(t *testing.T) {
 	const K = 8
-	s := New(8)
+	s := New()
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for k := 0; k < K; k++ {

@@ -10,8 +10,8 @@ import (
 )
 
 // TestConcurrentSoak is the store's race soak: K goroutines hammer the
-// store with a mix of single samples, bulk merges, lock-free reads,
-// snapshots, and syncs, and the final state must equal a serial
+// store with a mix of single-edge and bulk merges while readers take
+// snapshots, stats and versions, and the final state must equal a serial
 // reference merge of exactly the same contributions. Run under
 // `go test -race` (wired into `make test-race`).
 func TestConcurrentSoak(t *testing.T) {
@@ -20,7 +20,7 @@ func TestConcurrentSoak(t *testing.T) {
 		M     = 400 // distinct edges per writer batch space
 		batch = 50  // merges per writer
 	)
-	s := New(DefaultShards)
+	s := New()
 
 	// Pre-generate each writer's work deterministically so the serial
 	// reference can replay it.
@@ -49,22 +49,19 @@ func TestConcurrentSoak(t *testing.T) {
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
-	// Concurrent readers: exercise the lock-free read path and the
-	// consistent snapshot path while writers run.
+	// Concurrent readers: exercise every read the store offers while
+	// writers run.
 	for r := 0; r < 4; r++ {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			probe := profile.Edge{Caller: r, Site: r, Callee: r}
 			for {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				_ = s.Weight(probe)
-				_ = s.TotalWeight()
-				_ = s.NumEdges()
+				_ = s.Stats()
 				if r == 0 {
 					snap := s.Snapshot()
 					// A consistent snapshot's total must equal the sum
@@ -78,7 +75,7 @@ func TestConcurrentSoak(t *testing.T) {
 						return
 					}
 				} else {
-					s.Sync()
+					s.Version()
 				}
 			}
 		}(r)
@@ -89,7 +86,7 @@ func TestConcurrentSoak(t *testing.T) {
 		go func(k int) {
 			defer writers.Done()
 			for i, e := range jobs[k].singles {
-				s.AddSample(e, float64(1+i%3))
+				mergeEdge(s, e, float64(1+i%3))
 			}
 			for _, g := range jobs[k].bulks {
 				s.MergeDCG(g)
@@ -137,7 +134,7 @@ func TestConcurrentSoak(t *testing.T) {
 // checks invariants (no negative weights, snapshot self-consistency)
 // rather than exact values, since epoch timing is scheduling-dependent.
 func TestConcurrentDecaySoak(t *testing.T) {
-	s := New(8)
+	s := New()
 	var wg sync.WaitGroup
 	for k := 0; k < 8; k++ {
 		wg.Add(1)
@@ -169,7 +166,7 @@ func TestConcurrentDecaySoak(t *testing.T) {
 	if d := sum - snap.Total(); d > 1e-6 || d < -1e-6 {
 		t.Errorf("snapshot sum %v vs total %v", sum, snap.Total())
 	}
-	if s.Epoch() == 0 {
+	if s.Stats().Epoch == 0 {
 		t.Error("no decay epoch completed")
 	}
 }

@@ -73,7 +73,7 @@ func PlanLoop(cfg Config, input string, pushers int) ([]PlanLoopRow, error) {
 
 		// Collect: K pusher VMs profile under CBS and their graphs
 		// aggregate in a store, deterministically (fixed merge order).
-		store := dcgstore.New(0)
+		store := dcgstore.New()
 		for k := 0; k < pushers; k++ {
 			prog, err := cfg.prepare(b)
 			if err != nil {

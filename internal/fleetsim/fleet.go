@@ -724,7 +724,6 @@ func Run(cfg Config) (*Report, error) {
 	// not timers: the cadences are set far beyond the soak's length.
 	base := daemon.Config{
 		Addr:            "127.0.0.1:0",
-		Shards:          8,
 		CheckpointEvery: time.Hour,
 		ReadTimeout:     10 * time.Second,
 		WriteTimeout:    10 * time.Second,

@@ -10,6 +10,7 @@ package profile
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 )
@@ -93,12 +94,7 @@ func (g *DCG) Edges() []Edge {
 
 // Clone returns a deep copy of the graph.
 func (g *DCG) Clone() *DCG {
-	c := NewDCG()
-	for e, w := range g.weights {
-		c.weights[e] = w
-	}
-	c.total = g.total
-	return c
+	return &DCG{weights: maps.Clone(g.weights), total: g.total}
 }
 
 // Merge adds every edge of other into g. Edges carrying no weight are
