@@ -1,0 +1,220 @@
+package vm_test
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"fmt"
+	"os"
+	"strings"
+	"testing"
+
+	"gocbs/internal/bench"
+	"gocbs/internal/bytecode"
+	"gocbs/internal/inline"
+	"gocbs/internal/mincover"
+	"gocbs/internal/profile"
+	"gocbs/internal/profiler"
+	"gocbs/internal/vm"
+)
+
+const countedFile = "testdata/counted_graphs.txt"
+
+// counting is one profiler whose whole work at a call is counting it:
+// the graph it builds and how the run is closed (mincover's recovery).
+type counting struct {
+	name    string
+	charged bool // a counted call costs Cost.InstrumentationCost
+	make    func(prog *bytecode.Program) (vm.Profiler, *profile.DCG, func() error)
+}
+
+var countingProfilers = []counting{
+	{"exhaustive", false, func(*bytecode.Program) (vm.Profiler, *profile.DCG, func() error) {
+		e := profiler.NewExhaustive()
+		return e, e.Graph, nil
+	}},
+	{"exhaustive-instrumented", true, func(*bytecode.Program) (vm.Profiler, *profile.DCG, func() error) {
+		e := profiler.NewInstrumented()
+		return e, e.Graph, nil
+	}},
+	{"mincover", true, func(prog *bytecode.Program) (vm.Profiler, *profile.DCG, func() error) {
+		mc := mincover.New(prog)
+		return mc, mc.Graph, mc.Finalize
+	}},
+}
+
+func dcgBytes(t *testing.T, g *profile.DCG) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := g.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// countedRun runs prog's entry under c with the given step limit and
+// checks what holds of any counted run, cut or not: the graph is read as
+// the harness reads it, straight after Run, and holds every call the VM
+// counted (all of them for the exhaustive pair, trap included; the probed
+// ones for mincover), each paid for once. It returns the VM, the graph's
+// canonical bytes as they stood then, and the graph after the run was
+// closed (for mincover on a completed run, the recovered one).
+func countedRun(t *testing.T, key string, prog *bytecode.Program, size int64, c counting, maxSteps uint64) (*vm.VM, []byte, *profile.DCG) {
+	t.Helper()
+	m := vm.New(prog)
+	m.MaxSteps = maxSteps
+	p, g, finish := c.make(prog)
+	m.SetProfiler(p)
+	_, err := m.Run(size)
+	if (err != nil) != (maxSteps > 0) {
+		t.Fatalf("%s: err = %v with MaxSteps %d", key, err, maxSteps)
+	}
+	raw := dcgBytes(t, g)
+	if finish == nil && g.Total() != float64(m.Calls) {
+		t.Errorf("%s: graph holds %v calls, the VM made %d", key, g.Total(), m.Calls)
+	}
+	want := uint64(0)
+	if c.charged {
+		want = m.Cost.InstrumentationCost * uint64(g.Total())
+	}
+	if m.ProfilingCycles != want {
+		t.Errorf("%s: %d profiling cycles for %v counted calls, want %d", key, m.ProfilingCycles, g.Total(), want)
+	}
+	if finish != nil && err == nil {
+		if err := finish(); err != nil {
+			t.Fatalf("%s: %v", key, err)
+		}
+	}
+	return m, raw, g
+}
+
+// TestCountedGraphIsComplete pins what the three counting profilers
+// collect — the canonical DCG bytes and the VM's four counters — over the
+// 15 suite programs, plain and trivially inlined, on a completed run and
+// on one cut by the step limit half-way, and requires of every cell what
+// countedRun checks and, of a completed mincover run, the exhaustive
+// graph to the byte. The file was written while each of these profilers
+// was a CallListener called at every call; however calls are counted,
+// every line stays as it is.
+func TestCountedGraphIsComplete(t *testing.T) {
+	var got []string
+	for _, bm := range bench.All() {
+		size := spanSize(bm)
+		for _, shape := range []string{"plain", "inlined"} {
+			prog, err := bm.Compile()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if shape == "inlined" {
+				if _, err := inline.Optimize(prog, inline.Trivial{}, nil, inline.DefaultOptions()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var exhaustive []byte
+			for _, c := range countingProfilers {
+				key := bm.Name + "/" + shape + "/" + c.name
+				line := func(run string, m *vm.VM, dcg []byte) {
+					sum := sha256.Sum256(dcg)
+					got = append(got, fmt.Sprintf("%s/%s dcg=%x cycles=%d profiling=%d instrs=%d calls=%d",
+						key, run, sum[:12], m.Cycles, m.ProfilingCycles, m.Instrs, m.Calls))
+				}
+				m, raw, g := countedRun(t, key+"/complete", prog, size, c, 0)
+				line("complete", m, raw)
+				switch c.name {
+				case "exhaustive":
+					exhaustive = raw
+				case "mincover":
+					if !bytes.Equal(dcgBytes(t, g), exhaustive) {
+						t.Errorf("%s: the recovered graph is not the exhaustive one", key)
+					}
+				}
+				cut, raw, _ := countedRun(t, key+"/cut", prog, size, c, m.Instrs/2)
+				line("cut", cut, raw)
+			}
+		}
+	}
+	if t.Failed() {
+		return
+	}
+	text := strings.Join(got, "\n") + "\n"
+	if *updateGolden {
+		if err := os.WriteFile(countedFile, []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(countedFile)
+	if err != nil {
+		t.Fatalf("%v (run with -update-golden at a commit whose profilers are the reference)", err)
+	}
+	wantLines := strings.Split(strings.TrimSuffix(string(want), "\n"), "\n")
+	if len(wantLines) != len(got) {
+		t.Fatalf("%d cells, %d pinned lines", len(got), len(wantLines))
+	}
+	for i, line := range got {
+		if wantLines[i] != line {
+			t.Errorf("counted graph moved:\n got  %s\n want %s", line, wantLines[i])
+		}
+	}
+}
+
+// TestCountedGraphAcrossAttachAndCalls covers the two ways a counting
+// profiler meets a VM that is not fresh: attached after a bare run, when
+// the VM already holds a summary of every method made with nobody
+// counting, and read between two harness calls on one VM, when the second
+// call's counts must add to the first's.
+func TestCountedGraphAcrossAttachAndCalls(t *testing.T) {
+	bm := bench.ByName("javac")
+	prog, err := bm.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := spanSize(bm)
+	for _, c := range countingProfilers {
+		fresh, _, want := countedRun(t, c.name+"/fresh", prog, size, c, 0)
+
+		m := vm.New(prog)
+		if _, err := m.Run(size); err != nil {
+			t.Fatal(err)
+		}
+		calls, cycles := m.Calls, m.Cycles
+		p, g, finish := c.make(prog)
+		m.SetProfiler(p)
+		if _, err := m.Run(size); err != nil {
+			t.Fatal(err)
+		}
+		if finish != nil {
+			if err := finish(); err != nil {
+				t.Fatalf("%s: attached late: %v", c.name, err)
+			}
+		}
+		if m.Calls-calls != fresh.Calls || m.Cycles-cycles != fresh.Cycles || m.ProfilingCycles != fresh.ProfilingCycles {
+			t.Errorf("%s: attached late: %d calls, %d cycles, %d profiling; a fresh VM counts %d, %d, %d", c.name,
+				m.Calls-calls, m.Cycles-cycles, m.ProfilingCycles, fresh.Calls, fresh.Cycles, fresh.ProfilingCycles)
+		}
+		if !bytes.Equal(dcgBytes(t, g), dcgBytes(t, want)) {
+			t.Errorf("%s: attached after a bare run, the graph is not the one a fresh VM collects", c.name)
+		}
+	}
+
+	for _, c := range countingProfilers[:2] {
+		m := vm.New(prog)
+		p, g, _ := c.make(prog)
+		m.SetProfiler(p)
+		if _, err := m.Call(prog.MethodByName("$Globals.setup"), vm.IntV(size)); err != nil {
+			t.Fatal(err)
+		}
+		var totals []float64
+		for i := 0; i < 2; i++ {
+			if _, err := m.Call(prog.MethodByName("$Globals.iter")); err != nil {
+				t.Fatal(err)
+			}
+			if g.Total() != float64(m.Calls) {
+				t.Errorf("%s: after iteration %d the graph holds %v calls, the VM made %d", c.name, i, g.Total(), m.Calls)
+			}
+			totals = append(totals, g.Total())
+		}
+		if totals[1] <= totals[0] {
+			t.Errorf("%s: the second iteration left the graph at %v calls, from %v", c.name, totals[1], totals[0])
+		}
+	}
+}

@@ -19,7 +19,7 @@ import (
 	"gocbs/internal/vm"
 )
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/observer_digests.txt from this interpreter")
+var updateGolden = flag.Bool("update-golden", false, "rewrite the pinned files under testdata from this interpreter")
 
 const (
 	goldenFile  = "testdata/observer_digests.txt"
