@@ -145,10 +145,14 @@ test-wire:
 # on every part of every window, a trap in any part of one, a branch into
 # one; the stack limit on the call run makes in its registers; the VM
 # state at every hook and the rewritten programs against the lines pinned
-# before the state moved into locals and the rewriters onto one seam; and
-# every mutant and fuzz seed that verifies, stepped against the image.
+# before the state moved into locals and the rewriters onto one seam; what
+# the counting profilers collect against the lines pinned while they were
+# call listeners, the share of counted calls that leave run's registers,
+# and what a VM with several profilers pays for the ones that watch no
+# call; and every mutant and fuzz seed that verifies, stepped against the
+# image.
 test-vm:
-	$(GO) test -run 'TestSteppedEqualsCharged|TestImageDispatches|TestWindowsKernelHoldsEveryRow|TestTickInsideEveryWindow|TestStepLimitInsideEveryWindow|TestTrapInsideWindow|TestBranchIntoWindow|TestStackLimitHoldsInRegisters|TestObserverDigestsPinned' ./internal/vm/
+	$(GO) test -run 'TestSteppedEqualsCharged|TestImageDispatches|TestWindowsKernelHoldsEveryRow|TestTickInsideEveryWindow|TestStepLimitInsideEveryWindow|TestTrapInsideWindow|TestBranchIntoWindow|TestStackLimitHoldsInRegisters|TestObserverDigestsPinned|TestCountedGraph|TestCountedCallsStayInRegisters|TestSetProfilerWiresOnlyWhatPartsImplement|TestStructTailIsCold' ./internal/vm/
 	$(GO) test -run 'TestRewrittenProgramsPinned|TestFuseDifferentialSuite' ./internal/opt/
 	$(GO) test -run 'TestMutatedSuiteRunsOrTraps|FuzzDecodeProgram' ./internal/bytecode/
 
@@ -210,6 +214,13 @@ bench:
 # add -cpuprofile to land on the lines those rows name. Dispatch/windows,
 # beside arith, is a kernel in which every row of the execution image's
 # window catalogue runs: what fusing in place saves per instruction.
+# call_static_counted and call_virtual_counted (eight receiver classes in
+# turn at every call point, beside its bare twin call_virtual_rotating)
+# run under the instrumented exhaustive profiler, a vm.CallCounter: the
+# path profiler.exhaustive.ns_per_call pays for; call_static_hooked is the
+# round trip a call listener still costs. BenchmarkInterpreterPair runs
+# two VMs made back to back on two goroutines: false sharing between
+# their structs shows there and nowhere else.
 bench-vm:
 	$(GO) test -run=^$$ -bench='Interpreter|Dispatch' ./internal/vm/
 

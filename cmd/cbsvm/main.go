@@ -210,7 +210,7 @@ func main() {
 		}
 		push = dcgstore.NewTickPusher(client, graph, *pushEvery)
 		push.GiveUpAfter = *pushGiveUp
-		m.SetProfiler(profiler.Combine(mainProf, push))
+		m.SetProfiler(mainProf, push)
 	} else {
 		m.SetProfiler(mainProf)
 	}

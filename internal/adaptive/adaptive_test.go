@@ -90,7 +90,7 @@ func TestOnlineControllerOptimizesHotMethods(t *testing.T) {
 
 	m := vm.New(prog)
 	m.MaxSteps = 200_000_000
-	m.SetProfiler(profiler.Combine(cbs, ctl))
+	m.SetProfiler(cbs, ctl)
 	m.SetTimer(100_000)
 
 	hot := prog.MethodByName("$Globals.hot")
@@ -151,7 +151,7 @@ func TestAdaptiveRunDeterministic(t *testing.T) {
 		ctl := NewController(prog, inline.NewNewLinear(), cbs.Graph, inline.DefaultOptions(), 2)
 		m := vm.New(prog)
 		m.MaxSteps = 200_000_000
-		m.SetProfiler(profiler.Combine(cbs, ctl))
+		m.SetProfiler(cbs, ctl)
 		m.SetTimer(100_000)
 		if _, err := m.Run(500_000); err != nil {
 			t.Fatal(err)

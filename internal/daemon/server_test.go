@@ -307,7 +307,7 @@ func TestMultiPusherConvergence(t *testing.T) {
 		})
 		push := dcgstore.NewTickPusher(dcgstore.NewClient(ts.URL), c.Graph, 40)
 		m := vm.New(prog)
-		m.SetProfiler(profiler.Combine(c, push))
+		m.SetProfiler(c, push)
 		m.SetTimer(50_000)
 		if _, err := m.Run(b.SizeFor("small")); err != nil {
 			return nil, err

@@ -54,7 +54,7 @@ func Online(cfg Config, input string) ([]OnlineRow, error) {
 		ctl := adaptive.NewController(prog, inline.NewNewLinear(), cbs.Graph, inline.DefaultOptions(), 2)
 		m := vm.New(prog)
 		m.MaxSteps = cfg.MaxSteps
-		m.SetProfiler(profiler.Combine(cbs, ctl))
+		m.SetProfiler(cbs, ctl)
 		m.SetTimer(cfg.TimerPeriod)
 
 		setup := prog.MethodByName("$Globals.setup")

@@ -8,14 +8,15 @@ import (
 	"gocbs/internal/vm"
 )
 
-// Profiler is the minimum-coverage profile source: a vm.Profiler that
-// pays instrumentation cost only at the cover's probed points and
-// reconstructs the complete DCG at Finalize time by solving the
-// conservation system. The recovered graph lands in the same live
-// *profile.DCG the probes increment, so delta pushers attached to
-// Graph see probed weight during the run and the derived remainder
-// after Finalize — everything downstream (DCGB-v1 encoding, dcgstore,
-// plans, federation) works unchanged.
+// Profiler is the minimum-coverage profile source: a vm.CallCounter
+// whose counted points are the cover's probed ones — the VM counts a call
+// there and leaves every other call unwatched — and which reconstructs
+// the complete DCG at Finalize time by solving the conservation system.
+// The recovered graph lands in the same live *profile.DCG the probes
+// increment, so delta pushers attached to Graph see probed weight during
+// the run and the derived remainder after Finalize — everything
+// downstream (DCGB-v1 encoding, dcgstore, plans, federation) works
+// unchanged.
 type Profiler struct {
 	Cover *Cover
 	Graph *profile.DCG
@@ -27,11 +28,10 @@ type Profiler struct {
 	Unexpected uint64
 
 	// harness[m] counts invocations of method m pushed directly by the
-	// host via vm.Call (frames with no call site), recognized by
-	// TopCallEdge reporting no edge. These carry no modeled cost: the
-	// harness knows its own invocation counts without any VM-side
-	// instrumentation, just as the zero-cost Exhaustive baseline knows
-	// its samples.
+	// host via vm.Call (frames with no call site), which the VM folds
+	// with site -1. These carry no modeled cost: the harness knows its
+	// own invocation counts without any VM-side instrumentation, just
+	// as the zero-cost Exhaustive baseline knows its samples.
 	harness []float64
 
 	edgeSet   map[profile.Edge]bool
@@ -40,9 +40,8 @@ type Profiler struct {
 }
 
 var (
-	_ vm.Profiler      = (*Profiler)(nil)
-	_ vm.CallListener  = (*Profiler)(nil)
-	_ vm.EntryListener = (*Profiler)(nil)
+	_ vm.Profiler    = (*Profiler)(nil)
+	_ vm.CallCounter = (*Profiler)(nil)
 )
 
 // New computes a minimal cover for prog and wraps it in a ready-to-run
@@ -70,33 +69,30 @@ func FromCover(c *Cover) *Profiler {
 // Name implements vm.Profiler.
 func (p *Profiler) Name() string { return "mincover" }
 
-// OnCall implements vm.CallListener: unprobed points return
-// immediately and free; probed points pay the same per-call
-// instrumentation cost the exhaustive-instrumented profiler models,
-// and record the edge.
-func (p *Profiler) OnCall(m *vm.VM, caller *bytecode.Method, site int, callee *bytecode.Method) {
-	if !p.Cover.Probed[Point{Method: caller.ID, Site: site}] {
-		return
-	}
-	m.ChargeProfiling(m.Cost.InstrumentationCost)
-	e := profile.Edge{Caller: caller.ID, Site: site, Callee: callee.ID}
-	if !p.edgeSet[e] {
-		p.Unexpected++
-	}
-	p.Graph.AddSample(e, 1)
+// Counts implements vm.CallCounter: the cover's probed points, each call
+// at one paying the instrumentation cost the exhaustive-instrumented
+// profiler models. The VM asks once per call instruction; a call at an
+// unprobed point has nobody watching it, free in the model and on the clock.
+func (p *Profiler) Counts(caller *bytecode.Method, site int, c *vm.CostModel) (uint64, bool) {
+	return c.InstrumentationCost, p.Cover.Probed[Point{Method: caller.ID, Site: site}]
 }
 
-// OnEntry implements vm.EntryListener, counting harness-pushed frames
-// (vm.Call invocations) per method. Entries that arrived through a
-// call instruction are already covered by the edge system and are
-// ignored here.
-func (p *Profiler) OnEntry(m *vm.VM, meth *bytecode.Method) {
-	if _, _, _, ok := m.TopCallEdge(); ok {
+// Fold implements vm.CallCounter: n calls along a probed edge, or, with
+// site -1, n harness-pushed entries of callee (vm.Call invocations;
+// entries that arrived through a call instruction are covered by the
+// edge system).
+func (p *Profiler) Fold(caller, site, callee int, n uint64) {
+	if site < 0 {
+		if callee >= 0 && callee < len(p.harness) {
+			p.harness[callee] += float64(n)
+		}
 		return
 	}
-	if meth.ID >= 0 && meth.ID < len(p.harness) {
-		p.harness[meth.ID]++
+	e := profile.Edge{Caller: caller, Site: site, Callee: callee}
+	if !p.edgeSet[e] {
+		p.Unexpected += n
 	}
+	p.Graph.AddSample(e, float64(n))
 }
 
 // Finalize solves the conservation system from the probe counts

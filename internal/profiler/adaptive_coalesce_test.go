@@ -5,12 +5,13 @@ import (
 
 	"gocbs/internal/adaptive"
 	"gocbs/internal/inline"
+	"gocbs/internal/vm"
 )
 
 // TestCBSWindowSurvivesCoalescedTicksUnderAdaptive mirrors
 // TestCBSWindowSurvivesCoalescedTicks through the adaptive path: the
 // timer tick is shared between the CBS profiler and the online adaptive
-// controller via Combine, so the controller samples hotness and
+// controller installed beside it, so the controller samples hotness and
 // recompiles methods off the same ticks that keep the CBS window open.
 // Neither the extra tick consumer nor a mid-run recompilation may reset
 // the still-open window's countdown state.
@@ -19,7 +20,13 @@ func TestCBSWindowSurvivesCoalescedTicksUnderAdaptive(t *testing.T) {
 	c := NewCBS(Config{Stride: 3, SamplesPerTick: 1 << 30, Flavour: FlavourRVM, Seed: 1})
 	ctl := adaptive.NewController(adv.prog, inline.NewNewLinear(), c.Graph, inline.DefaultOptions(), 2)
 
-	m := runAdversary(t, adv, Combine(c, ctl), 30_000, 20_000, false)
+	m := vm.New(adv.prog)
+	m.MaxSteps = 200_000_000
+	m.SetProfiler(c, ctl)
+	m.SetTimer(30_000)
+	if _, err := m.Run(20_000); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
 	if ctl.Err != nil {
 		t.Fatalf("controller error: %v", ctl.Err)
 	}

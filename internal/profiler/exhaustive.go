@@ -12,7 +12,10 @@ import (
 // charges no cycles. With Instrumented == true it models Vortex-style
 // PIC counters (§3.1): every call pays an instrumentation cost, which
 // reproduces the paper's report of 15–50% overhead for exhaustive
-// counter collection.
+// counter collection. Either way it is a vm.CallCounter with every call
+// point counted: the VM bumps a counter at the call, as the modelled
+// system does, and Graph holds every call made so far whenever the VM
+// is not running (see vm.CallCounter for when counts are folded in).
 type Exhaustive struct {
 	Graph *profile.DCG
 	// Instrumented charges vm.Cost.InstrumentationCost per call.
@@ -20,8 +23,8 @@ type Exhaustive struct {
 }
 
 var (
-	_ vm.Profiler     = (*Exhaustive)(nil)
-	_ vm.CallListener = (*Exhaustive)(nil)
+	_ vm.Profiler    = (*Exhaustive)(nil)
+	_ vm.CallCounter = (*Exhaustive)(nil)
 )
 
 // NewExhaustive returns a zero-overhead perfect profiler.
@@ -42,12 +45,19 @@ func (e *Exhaustive) Name() string {
 	return "exhaustive"
 }
 
-// OnCall implements vm.CallListener.
-func (e *Exhaustive) OnCall(m *vm.VM, caller *bytecode.Method, site int, callee *bytecode.Method) {
+// Counts implements vm.CallCounter: every call point is counted.
+func (e *Exhaustive) Counts(_ *bytecode.Method, _ int, c *vm.CostModel) (uint64, bool) {
 	if e.Instrumented {
-		m.ChargeProfiling(m.Cost.InstrumentationCost)
+		return c.InstrumentationCost, true
 	}
-	e.Graph.AddSample(profile.Edge{Caller: caller.ID, Site: site, Callee: callee.ID}, 1)
+	return 0, true
+}
+
+// Fold implements vm.CallCounter. Harness entries are no DCG edge.
+func (e *Exhaustive) Fold(caller, site, callee int, n uint64) {
+	if site >= 0 {
+		e.Graph.AddSample(profile.Edge{Caller: caller, Site: site, Callee: callee}, float64(n))
+	}
 }
 
 // ExhaustiveCCT records the full calling context of every dynamic call,

@@ -1,10 +1,13 @@
 package vm_test
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 
 	"gocbs/internal/bench"
 	"gocbs/internal/bytecode"
+	"gocbs/internal/profiler"
 	"gocbs/internal/vm"
 )
 
@@ -40,6 +43,41 @@ func BenchmarkInterpreter(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.Run(bm.Name, func(b *testing.B) { benchRun(b, prog, bm.Small, nil, 0) })
+	}
+}
+
+// BenchmarkInterpreterPair runs each suite program's main(small) on two
+// VMs made one after the other, each on a goroutine of its own, as a
+// fleet's pushers and the repo benchmark's plan_loop do: what one VM's
+// hot fields cost the other when the allocator puts them in one cache
+// line (TestStructTailIsCold). Compare with BenchmarkInterpreter at
+// GOMAXPROCS 2: ns/instr here counts both VMs' instructions, so two VMs
+// that do not disturb each other read half of one VM's figure.
+func BenchmarkInterpreterPair(b *testing.B) {
+	for _, bm := range bench.All() {
+		prog, err := bm.Compile()
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(bm.Name, func(b *testing.B) {
+			ms := [2]*vm.VM{vm.New(prog.Clone()), vm.New(prog.Clone())}
+			b.ResetTimer()
+			var wg sync.WaitGroup
+			for _, m := range ms {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < b.N; i++ {
+						if _, err := m.Run(bm.Small); err != nil {
+							b.Error(err)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(ms[0].Instrs+ms[1].Instrs), "ns/instr")
+		})
 	}
 }
 
@@ -177,13 +215,13 @@ func windowsKernel(pb *bytecode.ProgramBuilder, mb *bytecode.MethodBuilder) func
 	}
 }
 
-// callCounter is the cheapest possible CallListener: with it installed
+// callListener is the cheapest possible CallListener: with it installed
 // every call leaves the interpreter's registers for the hook.
-type callCounter struct{ calls uint64 }
+type callListener struct{ calls uint64 }
 
-func (c *callCounter) Name() string { return "call-counter" }
+func (c *callListener) Name() string { return "call-listener" }
 
-func (c *callCounter) OnCall(*vm.VM, *bytecode.Method, int, *bytecode.Method) { c.calls++ }
+func (c *callListener) OnCall(*vm.VM, *bytecode.Method, int, *bytecode.Method) { c.calls++ }
 
 // tickCounter is the cheapest possible TickListener.
 type tickCounter struct{ ticks uint64 }
@@ -195,7 +233,12 @@ func (c *tickCounter) OnTimerTick(*vm.VM) { c.ticks++ }
 // BenchmarkDispatch times one opcode class at a time, as the repo
 // benchmark's microkernels do from outside (vm.ns_per_instr.<class>);
 // call_static_hooked is call_static again with a CallListener installed,
-// the path profiler.exhaustive.ns_per_call pays for. Two rows price what
+// the round trip out of the registers that the calling-context collector
+// still pays; call_static_counted is it under the instrumented exhaustive
+// profiler, a CallCounter, the path profiler.exhaustive.ns_per_call pays
+// for; call_virtual_counted is call_virtual_rotating, whose every call
+// point sees eight receiver classes in turn, counted the same way: the
+// case a counter with room for one callee per point loses. Two rows price what
 // charging by span adds: arith_timer is arith again with a tick due every
 // 97 cycles, inside almost every one of its hundred-instruction lines, so
 // it is what stepping round a tick costs; short_spans is all branches,
@@ -285,6 +328,32 @@ func BenchmarkDispatch(b *testing.B) {
 				mb.Emit(bytecode.OpStore, acc)
 			}
 		}},
+		{"call_virtual_rotating", func(pb *bytecode.ProgramBuilder, mb *bytecode.MethodBuilder) func() {
+			base := pb.NewClass("Base", nil)
+			leaf(pb, base, "inc")
+			recvs := int32(mb.AllocLocal())
+			mb.Const(8)
+			mb.Emit(bytecode.OpNewArr)
+			mb.Emit(bytecode.OpStore, recvs)
+			for k := int32(0); k < 8; k++ {
+				sub := pb.NewClass(fmt.Sprint("Sub", k), base)
+				leaf(pb, sub, "inc")
+				mb.Emit(bytecode.OpLoad, recvs)
+				mb.Const(int64(k))
+				mb.Emit(bytecode.OpNew, int32(sub.ID()))
+				mb.Emit(bytecode.OpAStore)
+			}
+			return func() { // acc = recvs[i&7].inc(acc)
+				mb.Emit(bytecode.OpLoad, recvs)
+				mb.Emit(bytecode.OpLoad, i)
+				mb.Const(7)
+				mb.Emit(bytecode.OpAnd)
+				mb.Emit(bytecode.OpALoad)
+				mb.Emit(bytecode.OpLoad, acc)
+				mb.CallVirtual(base, "inc")
+				mb.Emit(bytecode.OpStore, acc)
+			}
+		}},
 		{"windows", windowsKernel},
 		{"short_spans", func(_ *bytecode.ProgramBuilder, mb *bytecode.MethodBuilder) func() {
 			return func() { // three branches to the next instruction: spans of 2, 2 and 1
@@ -320,7 +389,10 @@ func BenchmarkDispatch(b *testing.B) {
 		case "arith":
 			b.Run(k.name+"_timer", func(b *testing.B) { benchRun(b, prog, 2_000, &tickCounter{}, 97) })
 		case "call_static":
-			b.Run(k.name+"_hooked", func(b *testing.B) { benchRun(b, prog, 2_000, &callCounter{}, 0) })
+			b.Run(k.name+"_hooked", func(b *testing.B) { benchRun(b, prog, 2_000, &callListener{}, 0) })
+			b.Run(k.name+"_counted", func(b *testing.B) { benchRun(b, prog, 2_000, profiler.NewInstrumented(), 0) })
+		case "call_virtual_rotating":
+			b.Run("call_virtual_counted", func(b *testing.B) { benchRun(b, prog, 2_000, profiler.NewInstrumented(), 0) })
 		}
 	}
 }

@@ -8,10 +8,13 @@ import (
 	"strings"
 	"testing"
 
+	"gocbs/internal/adaptive"
 	"gocbs/internal/bench"
 	"gocbs/internal/bytecode"
+	"gocbs/internal/dcgstore"
 	"gocbs/internal/inline"
 	"gocbs/internal/mincover"
+	"gocbs/internal/mj"
 	"gocbs/internal/profile"
 	"gocbs/internal/profiler"
 	"gocbs/internal/vm"
@@ -217,4 +220,149 @@ func TestCountedGraphAcrossAttachAndCalls(t *testing.T) {
 			t.Errorf("%s: the second iteration left the graph at %v calls, from %v", c.name, totals[1], totals[0])
 		}
 	}
+}
+
+// adversary compiles one mjgen program of the given shape with a driver
+// appended that runs its main n times inside one harness call: a few
+// hundred calls a run are too few to bound a share on.
+func adversary(t *testing.T, shape string) *bytecode.Program {
+	t.Helper()
+	src := mj.GenerateShaped(1, 4, shape) + `
+int drive(int n) {
+	int acc = 0;
+	for (int di = 0; di < n; di = di + 1) { acc = acc ^ main(di + 1); }
+	return acc;
+}
+`
+	prog, err := mj.Compile(src)
+	if err != nil {
+		t.Fatalf("%s: %v", shape, err)
+	}
+	return prog
+}
+
+// TestCountedCallsStayInRegisters is the deterministic stand-in for a
+// wall-clock gate on counted calls: over the eight call-dense programs of
+// the repo benchmark's vm_profiled workload, trivially inlined as there,
+// with no timer, and over a megamorphic and a deep-hierarchy program from
+// mjgen, it bounds how many calls leave run's registers for enter. Under
+// the instrumented exhaustive profiler and under mincover, on a fresh VM,
+// at most 1 % of the counted calls do — the first of each (point, callee)
+// pair, whatever the number of a point's targets; and in a second run on
+// the same VM, with every method entered and the stack grown, no call at
+// a point mincover does not probe does. -v prints the table, with the
+// size of the counters the VM made.
+func TestCountedCallsStayInRegisters(t *testing.T) {
+	type subject struct {
+		name  string
+		prog  *bytecode.Program
+		entry string
+		arg   int64
+	}
+	var subjects []subject
+	for _, name := range []string{"javac", "kawa", "phases", "ipsixql", "jess", "jack", "closures", "jbb"} {
+		bm := bench.ByName(name)
+		prog, err := bm.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := inline.Optimize(prog, inline.Trivial{}, nil, inline.DefaultOptions()); err != nil {
+			t.Fatal(err)
+		}
+		subjects = append(subjects, subject{name, prog, prog.Entry.Name, bm.Small})
+	}
+	for _, shape := range []string{mj.ShapeMegamorphic, mj.ShapeDeepVirt} {
+		subjects = append(subjects, subject{"mjgen-" + shape, adversary(t, shape), "$Globals.drive", 200})
+	}
+	t.Logf("%-18s %-24s %9s %9s %7s %7s %9s %9s", "program", "profiler", "calls", "counted", "slow", "share%", "uncounted", "row bytes")
+	for _, s := range subjects {
+		for _, c := range countingProfilers[1:] {
+			m := vm.New(s.prog)
+			p, g, _ := c.make(s.prog)
+			m.SetProfiler(p)
+			entry := s.prog.MethodByName(s.entry)
+			if _, err := m.Call(entry, vm.IntV(s.arg)); err != nil {
+				t.Fatalf("%s/%s: %v", s.name, c.name, err)
+			}
+			counted := uint64(g.Total())
+			slow, slowCounted := m.SlowCalls()
+			share := 100 * float64(slowCounted) / float64(counted)
+			if share > 1 {
+				t.Errorf("%s/%s: %d of %d counted calls took enter (%.2f %%), want at most 1 %%", s.name, c.name, slowCounted, counted, share)
+			}
+			if _, err := m.Call(entry, vm.IntV(s.arg)); err != nil {
+				t.Fatalf("%s/%s: second run: %v", s.name, c.name, err)
+			}
+			slow2, slowCounted2 := m.SlowCalls()
+			uncounted := (slow2 - slow) - (slowCounted2 - slowCounted)
+			if uncounted != 0 {
+				t.Errorf("%s/%s: %d calls nobody counts took enter in a second run", s.name, c.name, uncounted)
+			}
+			t.Logf("%-18s %-24s %9d %9d %7d %7.3f %9d %9d", s.name, c.name, m.Calls/2, counted, slowCounted, share, uncounted, m.CounterRowBytes())
+		}
+	}
+}
+
+// graphReader is a tick listener that holds a counting profiler's graph
+// to the VM's call counter: what a pusher would read at a tick.
+type graphReader struct {
+	t     *testing.T
+	graph *profile.DCG
+	ticks int
+}
+
+func (r *graphReader) Name() string { return "graph-reader" }
+
+func (r *graphReader) OnTimerTick(m *vm.VM) {
+	r.ticks++
+	if r.graph.Total() != float64(m.Calls) {
+		r.t.Errorf("tick %d: the graph holds %v calls of %d", r.ticks, r.graph.Total(), m.Calls)
+	}
+}
+
+// TestSetProfilerWiresOnlyWhatPartsImplement holds a VM with several
+// profilers to what it pays for them: parts that watch no call leave calls
+// in run's registers (a sampler with a pusher or with the adaptive
+// controller, the two combinations outside tests), a call listener among
+// them does not, a CallCounter among them counts and is folded before the
+// other parts' tick, and two of them are refused.
+func TestSetProfilerWiresOnlyWhatPartsImplement(t *testing.T) {
+	prog, _ := goldenProgram(t, "javac", false)
+	cbs := profiler.NewCBS(profiler.Config{Stride: 3, SamplesPerTick: 16, Seed: 7})
+	for name, parts := range map[string][]vm.Profiler{
+		"cbs+pusher":     {cbs, dcgstore.NewTickPusher(dcgstore.NewClient("http://127.0.0.1:0"), cbs.Graph, 0)},
+		"cbs+controller": {cbs, adaptive.NewController(prog, inline.NewNewLinear(), cbs.Graph, inline.DefaultOptions(), 2)},
+		"cbs+counter":    {cbs, profiler.NewInstrumented()},
+	} {
+		m := vm.New(prog)
+		m.SetProfiler(parts...)
+		m.SetTimer(goldenTimer)
+		if !m.QuietCall() {
+			t.Errorf("%s: calls leave run's registers with the control word at zero", name)
+		}
+	}
+	m := vm.New(prog)
+	m.SetProfiler(cbs, &callListener{})
+	if m.QuietCall() {
+		t.Error("cbs+listener: calls stay in run's registers past a call listener")
+	}
+
+	e := profiler.NewInstrumented()
+	reader := &graphReader{t: t, graph: e.Graph}
+	m = vm.New(prog)
+	m.SetProfiler(e, reader)
+	m.SetTimer(goldenTimer)
+	if _, err := m.Run(spanSize(bench.ByName("javac"))); err != nil {
+		t.Fatal(err)
+	}
+	if reader.ticks == 0 || e.Graph.Total() != float64(m.Calls) || m.ProfilingCycles != m.Cost.InstrumentationCost*m.Calls {
+		t.Errorf("counter+reader: %d ticks, graph %v of %d calls, %d profiling cycles", reader.ticks, e.Graph.Total(), m.Calls, m.ProfilingCycles)
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Error("SetProfiler took two CallCounters")
+		}
+	}()
+	m.SetProfiler(profiler.NewExhaustive(), mincover.New(prog))
 }

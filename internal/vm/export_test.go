@@ -2,7 +2,8 @@ package vm
 
 import "gocbs/internal/bytecode"
 
-// What the tests outside the package may see of the execution image.
+// What the tests outside the package may see of the execution image and
+// of how calls are made.
 
 // ImageOf returns the VM's execution image of m, made now if need be.
 func (vm *VM) ImageOf(m *bytecode.Method) []bytecode.Instr { return vm.table(m).img }
@@ -36,4 +37,28 @@ func (vm *VM) RunToTrap(args ...int64) (frames, slots int, err error) {
 		_, err = vm.run(0)
 	}
 	return len(vm.frames), len(vm.stack), err
+}
+
+// QuietCall reports what bound decides for the VM as it stands: whether a
+// call may push its frame in run's registers.
+func (vm *VM) QuietCall() bool {
+	vm.bound()
+	return vm.quietCall
+}
+
+// SlowCalls returns how many calls have gone through enter, and how many
+// of them were counted there for a CallCounter.
+func (vm *VM) SlowCalls() (calls, counted uint64) { return vm.slowCalls, vm.slowCounts }
+
+// CounterRowBytes returns the size of the counters the VM holds for a
+// CallCounter, over every method it has a summary of.
+func (vm *VM) CounterRowBytes() (bytes int) {
+	for _, s := range vm.spans {
+		for _, r := range s.rows {
+			if r != nil {
+				bytes += 8 * len(r.n)
+			}
+		}
+	}
+	return bytes
 }

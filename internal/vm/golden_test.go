@@ -74,14 +74,11 @@ func observe(d *digest, m *vm.VM, event ...uint64) {
 
 // recorder implements all four listeners: it digests the VM state at
 // every hook invocation, then forwards the event to the wrapped
-// profiler if that one listens for it.
+// profilers that listen for it, in their order.
 type recorder struct {
 	d      digest
 	events uint64
-	tick   vm.TickListener
-	yield  vm.YieldListener
-	call   vm.CallListener
-	entry  vm.EntryListener
+	parts  []vm.Profiler
 }
 
 var (
@@ -91,15 +88,25 @@ var (
 	_ vm.EntryListener = (*recorder)(nil)
 )
 
-func newRecorder(inner vm.Profiler) *recorder {
-	r := &recorder{d: newDigest()}
-	if inner != nil {
-		r.tick, _ = inner.(vm.TickListener)
-		r.yield, _ = inner.(vm.YieldListener)
-		r.call, _ = inner.(vm.CallListener)
-		r.entry, _ = inner.(vm.EntryListener)
+func newRecorder(parts ...vm.Profiler) *recorder {
+	return &recorder{d: newDigest(), parts: parts}
+}
+
+// profilers is what goes on the VM: the recorder, and beside it the
+// counting half of a wrapped profiler that has one. The VM then has a
+// call listener and a counter, and every hook must still see the state it
+// saw when the wrapped profiler did its counting in OnCall.
+func (r *recorder) profilers() []vm.Profiler {
+	on := []vm.Profiler{r}
+	for _, p := range r.parts {
+		if c, ok := p.(vm.CallCounter); ok {
+			on = append(on, struct {
+				vm.Profiler
+				vm.CallCounter
+			}{p, c})
+		}
 	}
-	return r
+	return on
 }
 
 func (r *recorder) Name() string { return "recorder" }
@@ -107,71 +114,79 @@ func (r *recorder) Name() string { return "recorder" }
 func (r *recorder) OnTimerTick(m *vm.VM) {
 	r.events++
 	observe(&r.d, m, 1)
-	if r.tick != nil {
-		r.tick.OnTimerTick(m)
+	for _, p := range r.parts {
+		if t, ok := p.(vm.TickListener); ok {
+			t.OnTimerTick(m)
+		}
 	}
 }
 
 func (r *recorder) OnYieldpoint(m *vm.VM, kind vm.YieldKind) {
 	r.events++
 	observe(&r.d, m, 2, uint64(kind))
-	if r.yield != nil {
-		r.yield.OnYieldpoint(m, kind)
+	for _, p := range r.parts {
+		if y, ok := p.(vm.YieldListener); ok {
+			y.OnYieldpoint(m, kind)
+		}
 	}
 }
 
 func (r *recorder) OnCall(m *vm.VM, caller *bytecode.Method, site int, callee *bytecode.Method) {
 	r.events++
 	observe(&r.d, m, 3, methodID(caller), uint64(int64(site)), methodID(callee))
-	if r.call != nil {
-		r.call.OnCall(m, caller, site, callee)
+	for _, p := range r.parts {
+		if c, ok := p.(vm.CallListener); ok {
+			c.OnCall(m, caller, site, callee)
+		}
 	}
 }
 
 func (r *recorder) OnEntry(m *vm.VM, meth *bytecode.Method) {
 	r.events++
 	observe(&r.d, m, 4, methodID(meth))
-	if r.entry != nil {
-		r.entry.OnEntry(m, meth)
+	for _, p := range r.parts {
+		if e, ok := p.(vm.EntryListener); ok {
+			e.OnEntry(m, meth)
+		}
 	}
 }
 
-// observer is one way of watching a run: the profiler to install, the
-// graph it builds (nil if none), and the VM settings that go with it.
+// observer is one way of watching a run: the profilers to install, the
+// graph they build (nil if none), and the VM settings that go with it.
 type observer struct {
 	name  string
 	timer uint64
 	noEpi bool // J9: no epilogue yieldpoints
-	make  func(prog *bytecode.Program) (vm.Profiler, *profile.DCG)
+	make  func(prog *bytecode.Program) ([]vm.Profiler, *profile.DCG)
 }
 
 func cbsObserver(name string, fl profiler.Flavour) observer {
 	return observer{name: name, timer: goldenTimer, noEpi: fl == profiler.FlavourJ9,
-		make: func(*bytecode.Program) (vm.Profiler, *profile.DCG) {
+		make: func(*bytecode.Program) ([]vm.Profiler, *profile.DCG) {
 			c := profiler.NewCBS(profiler.Config{Stride: 3, SamplesPerTick: 16, Flavour: fl, Seed: 7})
-			return c, c.Graph
+			return []vm.Profiler{c}, c.Graph
 		}}
 }
 
 var goldenObservers = []observer{
-	{name: "bare", make: func(*bytecode.Program) (vm.Profiler, *profile.DCG) { return nil, nil }},
-	{name: "exhaustive", make: func(*bytecode.Program) (vm.Profiler, *profile.DCG) {
+	{name: "bare", make: func(*bytecode.Program) ([]vm.Profiler, *profile.DCG) { return nil, nil }},
+	{name: "exhaustive", make: func(*bytecode.Program) ([]vm.Profiler, *profile.DCG) {
 		e := profiler.NewExhaustive()
-		return e, e.Graph
+		return []vm.Profiler{e}, e.Graph
 	}},
 	cbsObserver("cbs-rvm", profiler.FlavourRVM),
 	cbsObserver("cbs-j9", profiler.FlavourJ9),
-	{name: "whaley", timer: goldenTimer, make: func(*bytecode.Program) (vm.Profiler, *profile.DCG) {
+	{name: "whaley", timer: goldenTimer, make: func(*bytecode.Program) ([]vm.Profiler, *profile.DCG) {
 		w := profiler.NewWhaley()
-		return w, w.Graph
+		return []vm.Profiler{w}, w.Graph
 	}},
 	// The online controller recompiles off-stack methods from inside
 	// OnTimerTick and charges compile cycles there: the one observer
 	// that swaps code and moves the clock under the interpreter.
-	{name: "adaptive", timer: goldenTimer, make: func(prog *bytecode.Program) (vm.Profiler, *profile.DCG) {
+	{name: "adaptive", timer: goldenTimer, make: func(prog *bytecode.Program) ([]vm.Profiler, *profile.DCG) {
 		c := profiler.NewCBS(profiler.Config{Stride: 3, SamplesPerTick: 16, Seed: 7})
 		ctl := adaptive.NewController(prog, inline.NewNewLinear(), c.Graph, inline.DefaultOptions(), 2)
-		return profiler.Combine(c, ctl), c.Graph
+		return []vm.Profiler{c, ctl}, c.Graph
 	}},
 }
 
@@ -227,7 +242,7 @@ func finish(t *testing.T, d *digest, m *vm.VM, v vm.Value, err error, g *profile
 // and digests (method, pc, op, Cycles, Instrs) before every instruction.
 func goldenRun(t *testing.T, name string, o observer, fused bool, maxSteps uint64) (hooks, trace string) {
 	t.Helper()
-	setup := func() (*vm.VM, vm.Profiler, *profile.DCG, int64) {
+	setup := func() (*vm.VM, []vm.Profiler, *profile.DCG, int64) {
 		prog, size := goldenProgram(t, name, fused)
 		m := vm.New(prog)
 		m.MaxSteps = maxSteps
@@ -235,18 +250,16 @@ func goldenRun(t *testing.T, name string, o observer, fused bool, maxSteps uint6
 		p, g := o.make(prog)
 		return m, p, g, size
 	}
-	start := func(m *vm.VM, p vm.Profiler, timer uint64) {
-		if p != nil {
-			m.SetProfiler(p)
-		}
+	start := func(m *vm.VM, p []vm.Profiler, timer uint64) {
+		m.SetProfiler(p...)
 		if timer > 0 {
 			m.SetTimer(timer)
 		}
 	}
 
 	m, p, g, size := setup()
-	rec := newRecorder(p)
-	start(m, rec, o.timer)
+	rec := newRecorder(p...)
+	start(m, rec.profilers(), o.timer)
 	wantTrap := maxSteps == goldenSteps
 	v, err := m.Run(size)
 	if (err != nil) != wantTrap {

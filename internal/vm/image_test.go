@@ -417,7 +417,7 @@ func TestStackLimitHoldsInRegisters(t *testing.T) {
 		case "stepped":
 			m.Trace = func(*bytecode.Method, int, bytecode.Instr) {}
 		case "watched":
-			m.SetProfiler(&callCounter{})
+			m.SetProfiler(&callListener{})
 		}
 		_, err := m.Run(1)
 		if err == nil || err.Error() != "trap at $Globals.rec@1: stack overflow calling $Globals.rec" {

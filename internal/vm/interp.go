@@ -36,6 +36,7 @@ func (vm *VM) Call(m *bytecode.Method, args ...Value) (Value, error) {
 	if err == nil {
 		v, err = vm.run(baseDepth)
 	}
+	vm.fold() // the caller may look at what a CallCounter keeps
 	if err != nil {
 		// The error names the faulting location; the activations between
 		// it and this call are dead, and a reused VM must not see them.
@@ -55,10 +56,17 @@ func (vm *VM) enter(m *bytecode.Method, site int) error {
 	callerPC := -1
 	if site >= 0 {
 		vm.Calls++
-		if vm.callH != nil {
-			vm.callH.OnCall(vm, vm.frame().M, site, m)
+		vm.slowCalls++
+		for _, c := range vm.calls {
+			c.OnCall(vm, vm.frame().M, site, m)
 		}
-		callerPC = vm.frame().PC
+		f := vm.frame()
+		if vm.counter != nil {
+			if r := vm.table(f.M).rows[f.PC]; r != nil {
+				vm.count(r, m)
+			}
+		}
+		callerPC = f.PC
 	}
 	base := len(vm.stack) - m.NArgs
 	need := base + m.NLocals + m.MaxStack
@@ -85,8 +93,11 @@ func (vm *VM) enter(m *bytecode.Method, site int) error {
 	if vm.EntryCheckCost > 0 {
 		vm.ChargeProfiling(vm.EntryCheckCost)
 	}
-	if vm.entryH != nil {
-		vm.entryH.OnEntry(vm, m)
+	for _, e := range vm.entries {
+		e.OnEntry(vm, m)
+	}
+	if site < 0 && vm.counter != nil {
+		vm.counter.Fold(-1, -1, m.ID, 1)
 	}
 	if vm.ControlWord != 0 {
 		vm.takeYieldpoint(YieldPrologue)
@@ -104,7 +115,7 @@ func (vm *VM) frame() *Frame { return &vm.frames[len(vm.frames)-1] }
 // watching them. step calls it on the way in, after whatever hook brought
 // run to a sync point, and again after the one hook of its own.
 func (vm *VM) bound() {
-	vm.quietCall = vm.callH == nil && vm.entryH == nil && vm.EntryCheckCost == 0 && vm.ControlWord == ControlNone
+	vm.quietCall = len(vm.calls)+len(vm.entries) == 0 && vm.EntryCheckCost == 0 && vm.ControlWord == ControlNone
 	vm.quietReturn = vm.ControlWord == ControlNone || !vm.EpilogueYieldpoints
 	vm.limit, vm.deadline = math.MaxUint64, math.MaxUint64
 	if vm.Trace != nil {
@@ -171,8 +182,11 @@ func (vm *VM) step() (code []bytecode.Instr, tab []span, err error) {
 	vm.chargeWork(vm.Cost.Instr[ins.Op])
 	for vm.TimerPeriod > 0 && vm.Cycles >= vm.nextTimer {
 		vm.nextTimer += vm.TimerPeriod
-		if vm.tick != nil {
-			vm.tick.OnTimerTick(vm)
+		if len(vm.pending) > 0 {
+			vm.fold() // a tick listener may read what a CallCounter keeps
+		}
+		for _, t := range vm.ticks {
+			t.OnTimerTick(vm)
 		}
 	}
 	vm.bound() // a tick listener may have moved any of it
@@ -692,7 +706,18 @@ func (vm *VM) run(baseDepth int) (Value, error) {
 			if f, n, s := vm.frame(), len(vm.frames), &vm.spans[callee.ID]; vm.quietCall && s.covers(callee.Code) && n < cap(vm.frames) &&
 				f.base+sp-callee.NArgs+callee.NLocals+callee.MaxStack <= cap(vm.stack) {
 				// Nobody is watching and nothing has to grow: what is left of
-				// enter is the frame push, done here in registers.
+				// enter is the frame push, done here in registers, and at a
+				// counted point the count, once enter has seen the pair (count).
+				if vm.counter != nil {
+					if r := vm.spans[f.M.ID].rows[pc]; r != nil {
+						k := uint(callee.ID - r.off)
+						if k >= uint(len(r.n)) || r.n[k] == 0 {
+							goto slow
+						}
+						r.n[k]++
+						vm.Cycles, vm.ProfilingCycles = vm.Cycles+r.cost, vm.ProfilingCycles+r.cost
+					}
+				}
 				vm.Calls++
 				vm.Cycles += dispatch + vm.Cost.CallOverhead
 				f.PC = pc
@@ -706,6 +731,7 @@ func (vm *VM) run(baseDepth int) (Value, error) {
 				}
 				goto next
 			}
+		slow:
 			vm.Cycles += dispatch
 			if err := vm.sync(pc, sp).enter(callee, site); err != nil {
 				return Value{}, err

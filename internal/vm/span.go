@@ -26,12 +26,58 @@ func endsSpan(op bytecode.Opcode) bool {
 	return op.IsBranch() || op.IsCall() || op.IsReturn()
 }
 
-// summary is one method's span table, its execution image (image.go)
-// and the code both were made from.
+// summary is one method's span table, its execution image (image.go),
+// the code both were made from and, under a CallCounter, the row of every
+// call instruction it counts, by pc.
 type summary struct {
 	tab   []span
 	img   []bytecode.Instr
 	first *bytecode.Instr // &code[0]
+	rows  []*row
+}
+
+// A row holds the counters of one counted call point, by callee ID less
+// off: one for a static call, and otherwise one per method, made when the
+// point first runs, so a count is exact whatever the point's targets.
+type row struct {
+	caller, site, off int
+	cost              uint64 // of one count, in profiling cycles
+	n                 []uint64
+}
+
+// counted names a counter that has moved since the last fold.
+type counted struct {
+	r *row
+	k int
+}
+
+// count is the slow half of counting: the first call of a (point, callee)
+// pair since the last fold comes through enter to here, where the point's
+// counters are made and the pair is listed for the next fold; run counts
+// the calls after it in its registers, on a counter it finds nonzero.
+// Either way the count is charged where it is made.
+func (vm *VM) count(r *row, callee *bytecode.Method) {
+	if r.n == nil {
+		r.n = make([]uint64, len(vm.Prog.Methods))
+	}
+	k := callee.ID - r.off
+	if r.n[k] == 0 {
+		vm.pending = append(vm.pending, counted{r, k})
+	}
+	r.n[k]++
+	vm.slowCounts++
+	vm.ChargeProfiling(r.cost)
+}
+
+// fold hands the CallCounter every count made since the last fold. A row
+// listed here outlives its summary, so replacing one folds nothing.
+func (vm *VM) fold() {
+	for _, c := range vm.pending {
+		n := &c.r.n[c.k]
+		vm.counter.Fold(c.r.caller, c.r.site, c.r.off+c.k, *n)
+		*n = 0
+	}
+	vm.pending = vm.pending[:0]
 }
 
 // covers reports whether s was made from code: the same array at the
@@ -56,11 +102,22 @@ func (vm *VM) table(m *bytecode.Method) *summary {
 		vm.nExec++
 	}
 	*s = summary{tab: make([]span, len(m.Code)), img: image(m.Code)}
+	if vm.counter != nil {
+		s.rows = make([]*row, len(m.Code))
+	}
 	var cyc, n uint64
 	for pc := len(m.Code) - 1; pc >= 0; pc-- {
 		op := m.Code[pc].Op
 		if endsSpan(op) {
 			cyc, n = 0, 0
+		}
+		if ins := m.Code[pc]; s.rows != nil && op.IsCall() {
+			if cost, ok := vm.counter.Counts(m, int(ins.B), vm.Cost); ok {
+				s.rows[pc] = &row{caller: m.ID, site: int(ins.B), cost: cost}
+				if op == bytecode.OpCallStatic {
+					s.rows[pc].off, s.rows[pc].n = int(ins.A), make([]uint64, 1)
+				}
+			}
 		}
 		if n++; op.Valid() {
 			cyc += vm.Cost.Instr[op]

@@ -3,6 +3,7 @@ package vm_test
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	"gocbs/internal/adaptive"
@@ -61,17 +62,20 @@ func (p tickYield) OnTimerTick(m *vm.VM) { p.r.OnTimerTick(m) }
 func (p tickYield) OnYieldpoint(m *vm.VM, kind vm.YieldKind) { p.r.OnYieldpoint(m, kind) }
 
 // newProbe puts a recorder over parts: all of it when one of them
-// watches calls or entries, its tick and yieldpoint half otherwise.
-func newProbe(parts ...vm.Profiler) (vm.Profiler, *recorder) {
-	r := newRecorder(profiler.Combine(parts...))
+// watches calls or entries, its tick and yieldpoint half otherwise, and
+// either way beside it the counting half of a part that has one.
+func newProbe(parts ...vm.Profiler) ([]vm.Profiler, *recorder) {
+	r := newRecorder(parts...)
+	on := r.profilers()
 	for _, part := range parts {
 		_, calls := part.(vm.CallListener)
 		_, entries := part.(vm.EntryListener)
 		if calls || entries {
-			return r, r
+			return on, r
 		}
 	}
-	return tickYield{r}, r
+	on[0] = tickYield{r}
+	return on, r
 }
 
 // watched is what one observer puts on a VM: the profilers under the
@@ -101,6 +105,10 @@ var spanObservers = []spanObserver{
 	{name: "bare", make: func(*bytecode.Program) watched { return watched{} }},
 	{name: "exhaustive", make: func(*bytecode.Program) watched {
 		e := profiler.NewExhaustive()
+		return watched{parts: []vm.Profiler{e}, graph: e.Graph}
+	}},
+	{name: "exhaustive-instrumented", make: func(*bytecode.Program) watched {
+		e := profiler.NewInstrumented()
 		return watched{parts: []vm.Profiler{e}, graph: e.Graph}
 	}},
 	spanCBS("cbs-rvm", profiler.FlavourRVM),
@@ -144,7 +152,7 @@ func spanRun(t *testing.T, prog *bytecode.Program, size int64, o spanObserver, t
 	m.Trace = trace
 	w := o.make(prog)
 	p, rec := newProbe(w.parts...)
-	m.SetProfiler(p)
+	m.SetProfiler(p...)
 	m.SetTimer(timer)
 	v, err := m.Run(size)
 
@@ -166,6 +174,9 @@ func spanRun(t *testing.T, prog *bytecode.Program, size int64, o spanObserver, t
 		out.samples = w.samples()
 	}
 	if w.graph != nil {
+		if strings.HasPrefix(o.name, "exhaustive") && w.graph.Total() != float64(m.Calls) {
+			t.Errorf("%s: the graph holds %v calls of %d", o.name, w.graph.Total(), m.Calls)
+		}
 		var buf bytes.Buffer
 		if _, err := w.graph.WriteTo(&buf); err != nil {
 			t.Fatal(err)
@@ -246,7 +257,7 @@ func spanSize(bm *bench.Benchmark) int64 {
 }
 
 // TestSteppedEqualsCharged runs the 15 suite programs × {plain, fused,
-// trivially inlined} × {bare, exhaustive, CBS-RVM, CBS-J9, mincover,
+// trivially inlined} × {bare, exhaustive, exhaustive-instrumented, CBS-RVM, CBS-J9, mincover,
 // adaptive controller} × timer period {1, 3, 97, default} × step limit
 // {none, three that trap the first, a middle and the last instruction of
 // a span, and one that traps the second instruction of a window}, each
