@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -234,6 +235,84 @@ func TestCheckpointDropsEvictedBuildFiles(t *testing.T) {
 	for _, other := range []string{"forward-state.json", "plan-compress@00000000000000a1.plnb", "graph-notes.txt"} {
 		if _, err := os.Stat(filepath.Join(dir, other)); err != nil {
 			t.Errorf("checkpoint removed a file it does not own: %v", err)
+		}
+	}
+}
+
+// TestCheckpointRestoresEverything pins what a checkpoint is for,
+// through the public surface only, so it holds whatever the files look
+// like: the golden store family plus a second program one of whose
+// builds was evicted, saved and restored into a fresh Multi. Per key the
+// snapshot bytes, the ledger (a retried (pusher, seq) is dropped, seq+1
+// admitted), the manifest and the carried graph come back; so do the
+// build list and every program's latest version; the evicted build does
+// not.
+func TestCheckpointRestoresEverything(t *testing.T) {
+	m := goldenMulti(t)
+	dbOld := api.ProgramKey{Program: "db", Version: "00000000000000d1"}
+	dbNew := api.ProgramKey{Program: "db", Version: "00000000000000d2"}
+	m.For(dbOld).MergeDCGFrom("vm-4", 5, dcgOf([4]int{2, 3, 4, 9}))
+	if _, _, err := m.RegisterManifest(&bytecode.Manifest{Program: dbNew.Program, Version: dbNew.Version,
+		Methods: []bytecode.MethodFingerprint{{Name: "$Globals.main", Hash: 0xd2}}}); err != nil {
+		t.Fatal(err)
+	}
+	m.For(dbNew).MergeDCGFrom("vm-4", 6, dcgOf([4]int{0, 0, 0, 3}))
+	// An hour on, compress v1 still has a straggler and db's old build
+	// does not: only the latter retires.
+	now := time.Now().Add(time.Hour)
+	m.SetClock(func() time.Time { return now })
+	m.For(goldenV1)
+	if n := m.EvictRetired(time.Minute); n != 1 || m.Lookup(dbOld) != nil {
+		t.Fatalf("evicted %d builds, want db's old one alone", n)
+	}
+
+	dir := t.TempDir()
+	mustSave(t, dir, m)
+	r := NewMulti(4)
+	if ok, err := RestoreMultiCheckpoint(r, dir); err != nil || !ok {
+		t.Fatalf("restore = %v, %v", ok, err)
+	}
+
+	if got, want := r.Keys(), m.Keys(); !slices.Equal(got, want) {
+		t.Fatalf("restored builds %v, want %v", got, want)
+	}
+	if r.Lookup(dbOld) != nil || r.Manifest(dbOld) != nil || r.Carried(dbOld) != nil {
+		t.Error("the evicted build came back")
+	}
+	for _, program := range []string{"compress", "db", "never-seen"} {
+		if got, want := r.LatestVersion(program), m.LatestVersion(program); got != want {
+			t.Errorf("latest version of %s restored as %q, want %q", program, got, want)
+		}
+	}
+	marks := map[api.ProgramKey]map[string]uint64{
+		{}:       {"legacy-vm": 2},
+		goldenV1: {"vm-1": 3},
+		goldenV2: {"vm-2": 7, "vm-3": 1},
+		dbNew:    {"vm-4": 6},
+	}
+	for _, key := range append([]api.ProgramKey{{}}, m.Keys()...) {
+		name := key.String()
+		if !bytes.Equal(r.Lookup(key).Snapshot().Encode(), m.Lookup(key).Snapshot().Encode()) {
+			t.Errorf("%q: restored snapshot differs from the one checkpointed", name)
+		}
+		mm, rm := m.Manifest(key), r.Manifest(key)
+		if (mm == nil) != (rm == nil) || mm != nil && !bytes.Equal(mm.Encode(), rm.Encode()) {
+			t.Errorf("%q: manifest restored as %v, want %v", name, rm, mm)
+		}
+		mc, rc := m.Carried(key), r.Carried(key)
+		if (mc == nil) != (rc == nil) || mc != nil && !bytes.Equal(mc.Encode(), rc.Encode()) {
+			t.Errorf("%q: carried graph restored as %v, want %v", name, rc, mc)
+		}
+		if got := r.Lookup(key).Stats().Pushers; got != len(marks[key]) {
+			t.Errorf("%q: restored %d sequence streams, want %d", name, got, len(marks[key]))
+		}
+		for pusher, seq := range marks[key] {
+			if r.Lookup(key).MergeDCGFrom(pusher, seq, dcgOf([4]int{9, 9, 9, 1})) {
+				t.Errorf("%q: retry of %s's increment %d applied after restore", name, pusher, seq)
+			}
+			if !r.Lookup(key).MergeDCGFrom(pusher, seq+1, dcgOf([4]int{9, 9, 9, 1})) {
+				t.Errorf("%q: %s's increment %d refused after restore", name, pusher, seq+1)
+			}
 		}
 	}
 }
