@@ -55,13 +55,15 @@ test-daemon:
 	$(GO) test ./internal/daemon/...
 
 # Durability and exactly-once delivery, under the race detector: the
-# checkpoint round trip and the golden state dir / forwarder state
-# written by an earlier commit, sequence dedup, the flaky-pusher soak (a
-# daemon that drops responses while pushers retry), the forwarder's
-# restart and failed-persist rollback, and the SIGTERM kill-and-restart
-# lifecycle.
+# checkpoint round trip and the golden checkpoint file / forwarder state
+# written by an earlier commit, a save of the next generation that fails
+# part-way (Generation), manifest registration order across a restart
+# (RegistrationOrder), FuzzRestoreCheckpoint's seed corpus, sequence
+# dedup, the flaky-pusher soak (a daemon that drops responses while
+# pushers retry), the forwarder's restart and failed-persist rollback,
+# and the SIGTERM kill-and-restart lifecycle.
 test-recovery:
-	$(GO) test -race -run 'Checkpoint|Restore|Golden|Sequence|Sequenced|Duplicate|Dedup|Flaky|Retr|Outage|GiveUp|Sigterm|Corrupt|Restart|PersistFailure|Transient' ./internal/dcgstore/... ./internal/daemon/... ./internal/federation/...
+	$(GO) test -race -run 'Checkpoint|Restore|Golden|Generation|RegistrationOrder|Sequence|Sequenced|Duplicate|Dedup|Flaky|Retr|Outage|GiveUp|Sigterm|Corrupt|Restart|PersistFailure|Transient' ./internal/dcgstore/... ./internal/daemon/... ./internal/federation/...
 
 # The fleet PGO loop: plan wire round trip + rejection paths, the
 # fuzz seed corpus, stability/determinism properties, the K-pusher/

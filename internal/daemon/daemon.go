@@ -106,6 +106,9 @@ func Run(ctx context.Context, cfg Config) error {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
+	if cfg.CheckpointEvery <= 0 {
+		cfg.CheckpointEvery = dcgstore.DefaultCheckpointEvery
+	}
 
 	multi := dcgstore.NewMulti(0)
 	if cfg.StateDir != "" {
@@ -254,12 +257,8 @@ func Run(ctx context.Context, cfg Config) error {
 		})
 	}
 	if cfg.StateDir != "" {
-		every := cfg.CheckpointEvery
-		if every <= 0 {
-			every = dcgstore.DefaultCheckpointEvery
-		}
 		background(func() {
-			tick(every, func() {
+			tick(cfg.CheckpointEvery, func() {
 				// A periodic failure is retried at the next tick, not fatal:
 				// transient disk pressure should not kill the daemon.
 				if err := dcgstore.SaveMultiCheckpoint(cfg.StateDir, multi); err != nil {
@@ -273,7 +272,7 @@ func Run(ctx context.Context, cfg Config) error {
 		// (A leaf has no compiler — its relay cache is refreshed by the
 		// downstream pulls themselves.)
 		if planSvc != nil {
-			background(func() { tick(every, planSvc.RefreshAll) })
+			background(func() { tick(cfg.CheckpointEvery, planSvc.RefreshAll) })
 		}
 	}
 

@@ -3,11 +3,15 @@ package daemon
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
 	"os/signal"
 	"path/filepath"
+	"slices"
+	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -97,10 +101,8 @@ func TestSigtermCheckpointAndRestart(t *testing.T) {
 	case <-time.After(20 * time.Second):
 		t.Fatal("daemon did not shut down after SIGTERM")
 	}
-	for _, f := range []string{dcgstore.CheckpointGraphFile, dcgstore.CheckpointSeqFile} {
-		if _, err := os.Stat(filepath.Join(stateDir, f)); err != nil {
-			t.Fatalf("checkpoint file %s missing after SIGTERM: %v", f, err)
-		}
+	if _, err := os.Stat(filepath.Join(stateDir, dcgstore.CheckpointFile)); err != nil {
+		t.Fatalf("no checkpoint after SIGTERM: %v", err)
 	}
 
 	// Second incarnation, same state dir.
@@ -143,18 +145,56 @@ func TestSigtermCheckpointAndRestart(t *testing.T) {
 	}
 }
 
-// TestRunRefusesCorruptCheckpoint: booting against an unreadable state
-// dir must fail loudly rather than serve an empty store that a later
-// checkpoint would overwrite the good state with.
+// TestRunRefusesCorruptCheckpoint: booting against a state dir it
+// cannot read — a corrupt checkpoint, or the many-file layout of an
+// earlier cbsd with no checkpoint.json — must fail loudly, naming the
+// file, rather than serve an empty store that a later checkpoint would
+// overwrite the good state with.
 func TestRunRefusesCorruptCheckpoint(t *testing.T) {
-	stateDir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(stateDir, dcgstore.CheckpointGraphFile), []byte("garbage"), 0o644); err != nil {
+	for _, name := range []string{dcgstore.CheckpointFile, "versions.json", "store.dcgb"} {
+		stateDir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(stateDir, name), []byte("garbage"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		err := Run(ctx, Config{Addr: "127.0.0.1:0", StateDir: stateDir, Logf: t.Logf})
+		cancel()
+		if err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("run on a state dir holding a bad %s returned %v, want an error naming it", name, err)
+		}
+	}
+}
+
+// TestListeningLineNamesTheCheckpointInterval: with no CheckpointEvery
+// the daemon checkpoints every DefaultCheckpointEvery, and says so — it
+// used to log "every 0s".
+func TestListeningLineNamesTheCheckpointInterval(t *testing.T) {
+	var mu sync.Mutex
+	var lines []string
+	ctx, cancel := context.WithCancel(context.Background())
+	ready := make(chan string, 1)
+	done := make(chan error, 1)
+	go func() {
+		done <- Run(ctx, Config{Addr: "127.0.0.1:0", StateDir: t.TempDir(), Ready: ready,
+			Logf: func(format string, args ...any) {
+				mu.Lock()
+				defer mu.Unlock()
+				lines = append(lines, fmt.Sprintf(format, args...))
+			}})
+	}()
+	select {
+	case <-ready:
+	case err := <-done:
+		t.Fatalf("daemon exited before serving: %v", err)
+	}
+	cancel()
+	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	err := Run(ctx, Config{Addr: "127.0.0.1:0", StateDir: stateDir, Logf: t.Logf})
-	if err == nil {
-		t.Fatal("run accepted a corrupt checkpoint")
+	mu.Lock()
+	defer mu.Unlock()
+	want := "every " + dcgstore.DefaultCheckpointEvery.String()
+	if !slices.ContainsFunc(lines, func(l string) bool { return strings.Contains(l, "listening") && strings.Contains(l, want) }) {
+		t.Errorf("no listening line says %q:\n%s", want, strings.Join(lines, "\n"))
 	}
 }

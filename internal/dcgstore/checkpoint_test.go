@@ -2,6 +2,8 @@ package dcgstore
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
@@ -79,49 +81,73 @@ func TestRestoreMissingCheckpointIsFreshStart(t *testing.T) {
 	}
 }
 
-func TestRestoreGraphWithoutSequencesTolerated(t *testing.T) {
+// TestRestoreRejectsCorruptFiles: a checkpoint that is wrong anywhere —
+// in either stream's element or around them — fails loudly, names the
+// file, and loads nothing: not the elements before the bad one, not the
+// succession table.
+func TestRestoreRejectsCorruptFiles(t *testing.T) {
 	eachStream(t, func(t *testing.T, key api.ProgramKey) {
-		dir := t.TempDir()
-		m := NewMulti(4)
-		m.For(key).MergeDCGFrom("p", 1, dcgOf([4]int{1, 1, 1, 1}))
-		mustSave(t, dir, m)
-		if err := os.Remove(filepath.Join(dir, checkpointFile(seqsFile, key))); err != nil {
-			t.Fatal(err)
+		saved := checkpointBytes(t, goldenMulti(t))
+		// Each case edits the decoded envelope; cs is the stream's element.
+		cases := map[string]func(cp *checkpoint, cs *checkpointStore){
+			"graph is not a DCG":   func(_ *checkpoint, cs *checkpointStore) { cs.Graph = []byte("not a DCG") },
+			"graph is truncated":   func(_ *checkpoint, cs *checkpointStore) { cs.Graph = cs.Graph[:len(cs.Graph)-3] },
+			"no graph":             func(_ *checkpoint, cs *checkpointStore) { cs.Graph = nil },
+			"bad pusher id":        func(_ *checkpoint, cs *checkpointStore) { cs.Marks["two words"] = 1 },
+			"carried is not a DCG": func(_ *checkpoint, cs *checkpointStore) { cs.Carried = []byte("DCGB?") },
+			"manifest is not one":  func(_ *checkpoint, cs *checkpointStore) { cs.Manifest = json.RawMessage(`{"methods":7}`) },
+			"manifest of another build": func(_ *checkpoint, cs *checkpointStore) {
+				cs.Manifest = (&bytecode.Manifest{Program: "compress", Version: "00000000000000ff"}).Encode()
+			},
+			"bad program":                       func(_ *checkpoint, cs *checkpointStore) { cs.Program = "a/b" },
+			"bad version":                       func(_ *checkpoint, cs *checkpointStore) { cs.Version = "not hex" },
+			"listed twice":                      listedTwice,
+			"bad succession":                    func(cp *checkpoint, _ *checkpointStore) { cp.Latest["compress"] = "not hex" },
+			"unnamed program":                   func(cp *checkpoint, _ *checkpointStore) { cp.Latest[""] = goldenV1.Version },
+			"more builds than the ledger holds": overfull,
 		}
-		fresh := NewMulti(4)
-		loaded, err := RestoreMultiCheckpoint(fresh, dir)
-		if err != nil || !loaded {
-			t.Fatalf("restore without seq file = %v, %v", loaded, err)
+		files := map[string][]byte{"garbage": []byte("garbage"), "cut short": saved[:len(saved)/2], "empty": nil}
+		for name, edit := range cases {
+			files[name] = edited(t, saved, key, edit)
 		}
-		if st := fresh.Lookup(key).Stats(); st.Edges != 1 || st.Pushers != 0 {
-			t.Errorf("restored %d edges, %d sequence streams; want 1, 0", st.Edges, st.Pushers)
+		for name, data := range files {
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, CheckpointFile), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			r := NewMulti(4)
+			_, err := RestoreMultiCheckpoint(r, dir)
+			if err == nil {
+				t.Errorf("%s: loaded without error", name)
+			} else if !strings.Contains(err.Error(), CheckpointFile) {
+				t.Errorf("%s: error %q does not name %s", name, err, CheckpointFile)
+			}
+			if st := r.Stats(); st.Edges != 0 || st.Pushers != 0 || r.NumKeys() != 0 || r.LatestVersion("compress") != "" {
+				t.Errorf("%s: the refused checkpoint left %d edges, %d marks, %d builds behind", name, st.Edges, st.Pushers, r.NumKeys())
+			}
 		}
 	})
 }
 
-func TestRestoreRejectsCorruptFiles(t *testing.T) {
-	eachStream(t, func(t *testing.T, key api.ProgramKey) {
-		m := NewMulti(4)
-		mergeEdge(m.For(key), edge(1, 1, 1), 1)
-		// Corrupt graph: must fail loudly, not load garbage weights. Then
-		// the same for the sequence file.
-		for _, tc := range []struct {
-			kind fileKind
-			junk string
-		}{{graphFile, "not a DCG"}, {seqsFile, "cbsd-seq v1\nbroken"}} {
-			dir := t.TempDir()
-			mustSave(t, dir, m)
-			name := checkpointFile(tc.kind, key)
-			if err := os.WriteFile(filepath.Join(dir, name), []byte(tc.junk), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := RestoreMultiCheckpoint(NewMulti(4), dir); err == nil {
-				t.Errorf("corrupt %s loaded without error", name)
-			} else if !strings.Contains(err.Error(), name) {
-				t.Errorf("error %q does not name the corrupt file %s", err, name)
-			}
+// TestRestoreRefusesEarlierLayout: a state dir that holds the files of
+// the many-file checkpoint and no checkpoint.json is not a fresh start —
+// a daemon that took it for one would checkpoint an empty store beside
+// the history it could not read.
+func TestRestoreRefusesEarlierLayout(t *testing.T) {
+	for _, old := range []string{"versions.json", "store.dcgb"} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, old), []byte("x"), 0o644); err != nil {
+			t.Fatal(err)
 		}
-	})
+		if ok, err := RestoreMultiCheckpoint(NewMulti(4), dir); ok || err == nil || !strings.Contains(err.Error(), old) {
+			t.Errorf("a dir holding only %s restored as %v, %v; want an error naming the file", old, ok, err)
+		}
+		// Beside a checkpoint.json they are somebody's leftovers.
+		mustSave(t, dir, goldenMulti(t))
+		if ok, err := RestoreMultiCheckpoint(NewMulti(4), dir); !ok || err != nil {
+			t.Errorf("%s beside a checkpoint: restore = %v, %v", old, ok, err)
+		}
+	}
 }
 
 func TestSaveCheckpointReplacesAtomically(t *testing.T) {
@@ -139,25 +165,76 @@ func TestSaveCheckpointReplacesAtomically(t *testing.T) {
 		if !bytes.Equal(dcgBytesOf(t, fresh.Lookup(key).Snapshot()), dcgBytesOf(t, m.Lookup(key).Snapshot())) {
 			t.Error("second checkpoint did not replace the first")
 		}
-		// No temp droppings left behind: the zero key's pair, the index,
-		// and the build's pair are all there is.
-		want := map[string]bool{CheckpointGraphFile: true, CheckpointSeqFile: true, MultiIndexFile: true,
-			checkpointFile(graphFile, key): true, checkpointFile(seqsFile, key): true}
-		entries, err := os.ReadDir(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, e := range entries {
-			if !want[e.Name()] {
-				t.Errorf("unexpected file %q in state dir", e.Name())
-			}
-		}
+		mustHoldOnly(t, dir, CheckpointFile)
 	})
 }
 
+// mustHoldOnly asserts dir holds exactly the named files: a checkpoint
+// is one file and leaves no temp droppings.
+func mustHoldOnly(t *testing.T, dir string, names ...string) {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, e := range entries {
+		got = append(got, e.Name())
+	}
+	slices.Sort(names)
+	if !slices.Equal(got, names) {
+		t.Errorf("state dir holds %v, want %v", got, names)
+	}
+}
+
+// checkpointBytes returns the checkpoint file m saves.
+func checkpointBytes(t testing.TB, m *Multi) []byte {
+	t.Helper()
+	dir := t.TempDir()
+	if err := SaveMultiCheckpoint(dir, m); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, CheckpointFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// edited returns the checkpoint file saved after edit has had its way
+// with the decoded envelope and with key's element of it.
+func edited(t testing.TB, saved []byte, key api.ProgramKey, edit func(cp *checkpoint, cs *checkpointStore)) []byte {
+	t.Helper()
+	var cp checkpoint
+	if err := json.Unmarshal(saved, &cp); err != nil {
+		t.Fatal(err)
+	}
+	for i := range cp.Stores {
+		if cp.Stores[i].Program == key.Program && cp.Stores[i].Version == key.Version {
+			edit(&cp, &cp.Stores[i])
+			break
+		}
+	}
+	data, err := json.Marshal(cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// listedTwice and overfull are two edits both the corrupt-file test and
+// the fuzz corpus want.
+func listedTwice(cp *checkpoint, cs *checkpointStore) { cp.Stores = append(cp.Stores, *cs) }
+
+func overfull(cp *checkpoint, cs *checkpointStore) {
+	for i := 0; i <= MaxProgramKeys; i++ {
+		cp.Stores = append(cp.Stores, checkpointStore{Program: "p", Version: fmt.Sprintf("%x", i), Graph: cs.Graph})
+	}
+}
+
 // TestCheckpointDropsEvictedBuildFiles: eviction reaches the state dir.
-// An evicted build's files are removed by the next checkpoint, and when
-// a straggler re-creates an evicted key cold, the manifest and carried
+// The next checkpoint has no element for an evicted build, and when a
+// straggler re-creates an evicted key cold, the manifest and carried
 // graph of its earlier life do not come back on restart — Carried(key)
 // must never report a graph the substore did not merge (snapshot ==
 // carried + Σ acked).
@@ -191,7 +268,15 @@ func TestCheckpointDropsEvictedBuildFiles(t *testing.T) {
 		t.Fatalf("evicted %d builds, want 2", n)
 	}
 	m.For(keys[1]).MergeDCGFrom("straggler", 1, dcgOf([4]int{1, 0, 2, 1}))
+	// Files that are not the checkpoint's are left alone.
+	others := []string{"forward-state.json", "plan-compress@00000000000000a1.plnb", "graph-notes.txt"}
+	for _, other := range others {
+		if err := os.WriteFile(filepath.Join(dir, other), []byte("x"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 	mustSave(t, dir, m)
+	mustHoldOnly(t, dir, append(others, CheckpointFile)...)
 
 	r := NewMulti(4)
 	if _, err := RestoreMultiCheckpoint(r, dir); err != nil {
@@ -209,33 +294,8 @@ func TestCheckpointDropsEvictedBuildFiles(t *testing.T) {
 	if r.Manifest(keys[2]) == nil || r.Carried(keys[2]) == nil {
 		t.Error("live build lost its manifest or carried graph")
 	}
-	// The dir lists no file for a key absent from the index, and no
-	// manifest/carried file the restored Multi does not hold.
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		if strings.Contains(e.Name(), keys[0].String()) {
-			t.Errorf("file %s of an evicted build is still in the state dir", e.Name())
-		}
-	}
-	for _, stale := range []string{checkpointFile(manifestFile, keys[1]), checkpointFile(carriedFile, keys[1])} {
-		if _, err := os.Stat(filepath.Join(dir, stale)); !os.IsNotExist(err) {
-			t.Errorf("stale %s still in the state dir (stat err %v)", stale, err)
-		}
-	}
-	// Files that are not the checkpoint's are left alone.
-	for _, other := range []string{"forward-state.json", "plan-compress@00000000000000a1.plnb", "graph-notes.txt"} {
-		if err := os.WriteFile(filepath.Join(dir, other), []byte("x"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mustSave(t, dir, m)
-	for _, other := range []string{"forward-state.json", "plan-compress@00000000000000a1.plnb", "graph-notes.txt"} {
-		if _, err := os.Stat(filepath.Join(dir, other)); err != nil {
-			t.Errorf("checkpoint removed a file it does not own: %v", err)
-		}
+	if data, err := os.ReadFile(filepath.Join(dir, CheckpointFile)); err != nil || bytes.Contains(data, []byte(keys[0].Version)) {
+		t.Errorf("the checkpoint still names the evicted build %s (read err %v)", keys[0].String(), err)
 	}
 }
 

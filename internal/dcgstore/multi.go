@@ -1,7 +1,9 @@
 package dcgstore
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -41,22 +43,37 @@ const MaxProgramKeys = 256
 type Multi struct {
 	mu sync.RWMutex
 	// subs holds every substore, the zero key's included.
-	subs      map[api.ProgramKey]*Store
-	manifests map[api.ProgramKey]*bytecode.Manifest
-	// manifestOrder keeps registration order — succession matters when
-	// manifests are relayed upstream (a root registering v2 before v1
-	// would get the carry-forward direction wrong).
-	manifestOrder []api.ProgramKey
-	carried       map[api.ProgramKey]*profile.DCG
-	latest        map[string]string // program -> most recently registered version
-	// touched records the last write-path access (push-side For,
-	// manifest registration) per substore; EvictRetired uses it to find
-	// versions the fleet has moved off of. Read paths do not touch —
-	// the merged snapshot visits every key and would pin retired
-	// versions forever.
-	touched map[api.ProgramKey]time.Time
+	subs   map[api.ProgramKey]*substore
+	latest map[string]string // program -> most recently registered version
+	// events numbers substore creations and manifest registrations; see
+	// substore.order.
+	events  int
 	evicted uint64
 	now     func() time.Time
+}
+
+// substore is everything a Multi keeps for one key: EvictRetired drops
+// one of these, a checkpoint writes one element for each.
+type substore struct {
+	key   api.ProgramKey
+	store *Store
+	// manifest is the registered manifest, nil until there is one, and
+	// carried the graph carried forward into store at that registration,
+	// nil when nothing was. Neither is written to after it is set.
+	manifest *bytecode.Manifest
+	carried  *profile.DCG
+	// touched is the last write-path access (push-side For, manifest
+	// registration); EvictRetired uses it to find versions the fleet has
+	// moved off of. Read paths do not touch — the merged snapshot visits
+	// every key and would pin retired versions forever.
+	touched time.Time
+	// order is Multi.events as of the substore's creation, and again as
+	// of its manifest's registration. Sorting by it lists registered
+	// builds in registration order — succession matters when manifests
+	// are relayed upstream (a root registering v2 before v1 would get the
+	// carry-forward direction wrong) — and is the order of a checkpoint's
+	// elements, which is how it survives a restart. The zero key's is 0.
+	order int
 }
 
 // NewMulti returns a Multi holding the zero key's (empty) substore. The
@@ -65,30 +82,34 @@ type Multi struct {
 // item 5 (the benchmark PR) deletes it with DefaultShards.
 func NewMulti(shards int) *Multi {
 	return &Multi{
-		subs:      map[api.ProgramKey]*Store{{}: New()},
-		manifests: make(map[api.ProgramKey]*bytecode.Manifest),
-		carried:   make(map[api.ProgramKey]*profile.DCG),
-		latest:    make(map[string]string),
-		touched:   make(map[api.ProgramKey]time.Time),
-		now:       time.Now,
+		subs:   map[api.ProgramKey]*substore{{}: {store: New()}},
+		latest: make(map[string]string),
+		now:    time.Now,
 	}
-}
-
-// substore is one entry of a Multi, as the walks over all of them see it.
-type substore struct {
-	key   api.ProgramKey
-	store *Store
 }
 
 // all lists every substore in canonical key order (api.SortedKeys: the
-// zero key first, then builds). Never empty.
-func (m *Multi) all() []substore {
+// zero key first, then builds). Never empty. Without the lock only key
+// and store, which never change, may be read from an entry.
+func (m *Multi) all() []*substore {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	out := make([]substore, 0, len(m.subs))
+	return m.allLocked()
+}
+
+func (m *Multi) allLocked() []*substore {
+	out := make([]*substore, 0, len(m.subs))
 	for _, k := range api.SortedKeys(m.subs) {
-		out = append(out, substore{k, m.subs[k]})
+		out = append(out, m.subs[k])
 	}
+	return out
+}
+
+// byOrderLocked lists every substore by ascending order: the zero key,
+// then builds as they were created or, once registered, registered.
+func (m *Multi) byOrderLocked() []*substore {
+	out := m.allLocked()
+	slices.SortFunc(out, func(a, b *substore) int { return cmp.Compare(a.order, b.order) })
 	return out
 }
 
@@ -132,40 +153,49 @@ func validKey(key api.ProgramKey) bool {
 	return api.ValidProgramVersion(key.Version)
 }
 
-// Lookup returns the substore for key, or nil if it does not exist.
-func (m *Multi) Lookup(key api.ProgramKey) *Store {
+// get returns a copy of key's entry, all nil when there is none.
+func (m *Multi) get(key api.ProgramKey) (sub substore) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return m.subs[key]
+	if p := m.subs[key]; p != nil {
+		sub = *p
+	}
+	return sub
 }
+
+// Lookup returns the substore for key, or nil if it does not exist.
+func (m *Multi) Lookup(key api.ProgramKey) *Store { return m.get(key).store }
 
 // For returns the substore for key, creating it on first use. Returns
 // nil when the key is malformed or the substore ledger is full.
 func (m *Multi) For(key api.ProgramKey) *Store {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.forLocked(key)
+	if sub := m.forLocked(key); sub != nil {
+		return sub.store
+	}
+	return nil
 }
 
-func (m *Multi) forLocked(key api.ProgramKey) *Store {
-	if s := m.subs[key]; s != nil {
-		m.touched[key] = m.now()
-		return s
+func (m *Multi) forLocked(key api.ProgramKey) *substore {
+	sub := m.subs[key]
+	if sub == nil {
+		// Only builds are ever created here (the zero key exists from
+		// NewMulti on), so only builds are validated and capped.
+		if !validKey(key) || m.buildsLocked() >= MaxProgramKeys {
+			return nil
+		}
+		m.events++
+		sub = &substore{key: key, store: New(), order: m.events}
+		m.subs[key] = sub
+		if m.latest[key.Program] == "" {
+			// First sighting of this program establishes succession; a
+			// manifest registration for a newer build will advance it.
+			m.latest[key.Program] = key.Version
+		}
 	}
-	// Only builds are ever created here (the zero key exists from
-	// NewMulti on), so only builds are validated and capped.
-	if !validKey(key) || m.buildsLocked() >= MaxProgramKeys {
-		return nil
-	}
-	s := New()
-	m.subs[key] = s
-	m.touched[key] = m.now()
-	if m.latest[key.Program] == "" {
-		// First sighting of this program establishes succession; a
-		// manifest registration for a newer build will advance it.
-		m.latest[key.Program] = key.Version
-	}
-	return s
+	sub.touched = m.now()
+	return sub
 }
 
 // buildsLocked counts the (program, version) substores: every entry but
@@ -195,25 +225,19 @@ func (m *Multi) LatestVersion(program string) string {
 }
 
 // Manifest returns the registered manifest for key, nil when none.
-func (m *Multi) Manifest(key api.ProgramKey) *bytecode.Manifest {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.manifests[key]
-}
+func (m *Multi) Manifest(key api.ProgramKey) *bytecode.Manifest { return m.get(key).manifest }
 
 // ManifestsInOrder returns the registered manifests in registration
 // order — what a federation leaf relays upstream so the root registers
 // builds in the same succession and its carry-forward runs the same
-// direction. (After a restore the order is the checkpoint index's
-// canonical key order; the relay sent-set persists separately, so only
-// never-relayed manifests are affected.)
+// direction. A restart keeps the order.
 func (m *Multi) ManifestsInOrder() []*bytecode.Manifest {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	out := make([]*bytecode.Manifest, 0, len(m.manifestOrder))
-	for _, k := range m.manifestOrder {
-		if man := m.manifests[k]; man != nil {
-			out = append(out, man)
+	var out []*bytecode.Manifest
+	for _, sub := range m.byOrderLocked() {
+		if sub.manifest != nil {
+			out = append(out, sub.manifest)
 		}
 	}
 	return out
@@ -224,13 +248,10 @@ func (m *Multi) ManifestsInOrder() []*bytecode.Manifest {
 // per-version conservation invariant is: substore snapshot == carried
 // graph + the exact sum of acknowledged deltas.
 func (m *Multi) Carried(key api.ProgramKey) *profile.DCG {
-	m.mu.RLock()
-	g := m.carried[key]
-	m.mu.RUnlock()
-	if g == nil {
-		return nil
+	if c := m.get(key).carried; c != nil {
+		return c.Clone()
 	}
-	return g.Clone()
+	return nil
 }
 
 // RegisterManifest records one build's method/site manifest and, when a
@@ -246,33 +267,26 @@ func (m *Multi) RegisterManifest(man *bytecode.Manifest) (carriedEdges int, carr
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.manifests[key] != nil {
-		m.touched[key] = m.now()
-		if c := m.carried[key]; c != nil {
-			return c.NumEdges(), c.Total(), nil
-		}
-		return 0, 0, nil
-	}
 	sub := m.forLocked(key)
 	if sub == nil {
 		return 0, 0, fmt.Errorf("dcgstore: program ledger full (%d keys)", m.buildsLocked())
 	}
-	prevVer := m.latest[man.Program]
-	if prevVer != "" && prevVer != man.Version {
-		prevKey := api.ProgramKey{Program: man.Program, Version: prevVer}
-		if prevM, prevS := m.manifests[prevKey], m.subs[prevKey]; prevM != nil && prevS != nil {
-			carried := CarryForward(prevS.Snapshot(), prevM, man)
-			if carried.NumEdges() > 0 {
-				sub.MergeDCG(carried)
-				m.carried[key] = carried
-				carriedEdges, carriedWeight = carried.NumEdges(), carried.Total()
+	if sub.manifest == nil {
+		prev := m.subs[api.ProgramKey{Program: man.Program, Version: m.latest[man.Program]}]
+		if prev != nil && prev != sub && prev.manifest != nil {
+			if c := CarryForward(prev.store.Snapshot(), prev.manifest, man); c.NumEdges() > 0 {
+				sub.store.MergeDCG(c)
+				sub.carried = c
 			}
 		}
+		m.events++
+		sub.manifest, sub.order = man, m.events
+		m.latest[man.Program] = man.Version
 	}
-	m.manifests[key] = man
-	m.manifestOrder = append(m.manifestOrder, key)
-	m.latest[man.Program] = man.Version
-	return carriedEdges, carriedWeight, nil
+	if sub.carried != nil {
+		return sub.carried.NumEdges(), sub.carried.Total(), nil
+	}
+	return 0, 0, nil
 }
 
 // Snapshots returns every substore's consistent snapshot by key — what
@@ -316,8 +330,8 @@ func (m *Multi) DecayAll(factor, prune float64) int {
 // ttl. The latest version of every program is always kept, however
 // idle, as is a program's sole version (never superseded = not
 // retired) and the zero key's substore. Eviction drops the substore,
-// its manifest, and its carried-forward graph (and the next checkpoint
-// drops their files); the version can still come back cold if a
+// its manifest, and its carried-forward graph (the next checkpoint has
+// no element for it); the version can still come back cold if a
 // straggler pushes under it again, which is exactly the slot the cap
 // in forLocked guards. Returns how many substores were evicted.
 func (m *Multi) EvictRetired(ttl time.Duration) int {
@@ -325,31 +339,16 @@ func (m *Multi) EvictRetired(ttl time.Duration) int {
 	defer m.mu.Unlock()
 	cutoff := m.now().Add(-ttl)
 	n := 0
-	for key := range m.subs {
+	for key, sub := range m.subs {
 		// The zero key is never retired either: no version is ever
 		// latest for the empty program name, so it reads as "latest".
-		if m.latest[key.Program] == key.Version {
-			continue
-		}
-		if t, ok := m.touched[key]; ok && t.After(cutoff) {
+		if m.latest[key.Program] == key.Version || sub.touched.After(cutoff) {
 			continue
 		}
 		delete(m.subs, key)
-		delete(m.touched, key)
-		delete(m.carried, key)
-		delete(m.manifests, key)
 		n++
 	}
-	if n > 0 {
-		order := m.manifestOrder[:0]
-		for _, key := range m.manifestOrder {
-			if m.manifests[key] != nil {
-				order = append(order, key)
-			}
-		}
-		m.manifestOrder = order
-		m.evicted += uint64(n)
-	}
+	m.evicted += uint64(n)
 	return n
 }
 

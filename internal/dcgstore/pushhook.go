@@ -8,8 +8,8 @@ import (
 // TickPusher streams a profiler's growing DCG to a cbsd daemon from
 // inside a running VM: every Every timer ticks it pushes the delta
 // accumulated since the previous push. Install it alongside the
-// collecting profiler via profiler.Combine, and call Flush after the
-// run for the final increment.
+// collecting profiler (vm.SetProfiler(collector, pusher)), and call
+// Flush after the run for the final increment.
 //
 // A failed push no longer disables the pusher: the increment stays
 // queued in the underlying DeltaPusher (frozen with its sequence

@@ -30,14 +30,13 @@ import (
 // so the two always agree.
 
 // maxPusherIDLen bounds pusher IDs so a hostile client cannot grow the
-// sequence table (or the checkpoint's sequence file) without bound per
-// entry.
+// sequence table (or the checkpoint's marks) without bound per entry.
 const maxPusherIDLen = 128
 
 // ValidPusherID reports whether id is acceptable as a pusher identity:
 // non-empty, at most maxPusherIDLen bytes, and limited to a charset
-// that survives the line-oriented sequence checkpoint file (no spaces
-// or control characters).
+// that is the same in a header, a log line and the checkpoint (no
+// spaces or control characters).
 func ValidPusherID(id string) bool {
 	if id == "" || len(id) > maxPusherIDLen {
 		return false
