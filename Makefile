@@ -14,7 +14,7 @@ SOAK_SEED ?= 0
 # replays with GEN_SEED=<printed seed>.
 GEN_SEED ?= 0
 
-.PHONY: all tier1 loc build build-cmds test test-race test-daemon test-recovery test-plan test-fleet test-federation test-mincover test-rewrite test-wire test-vm test-workload test-cbsbench soak soak-gen vet vet-cmds ci bench bench-vm bench-store vm-asm benchmark-smoke
+.PHONY: all tier1 loc build build-cmds test test-race test-daemon test-recovery test-plan test-fleet test-federation test-mincover test-rewrite test-wire test-vm test-workload test-cbsbench soak soak-gen vet vet-cmds ci bench bench-vm bench-store bench-plan vm-asm benchmark-smoke
 
 all: tier1
 
@@ -42,7 +42,7 @@ build-cmds:
 # drive, the concurrent DCG store (its soak test is the
 # K-writers-vs-serial-reference check plus the decay-race property
 # test), the inline transform's clone isolation soak, the plan
-# service's version-cached compilation, the in-process daemon, the
+# service's cached compilation, the in-process daemon, the
 # pulling VM, and the chaos fleet simulator.
 test-race:
 	$(GO) test -race ./internal/runner/... ./internal/experiment/... ./internal/profiler/... ./internal/bytecode/... ./internal/dcgstore/... ./internal/inline/... ./internal/mj/... ./internal/plan/... ./internal/daemon/... ./internal/puller/... ./internal/fleetsim/... ./internal/federation/... ./internal/api/... ./internal/mincover/...
@@ -235,6 +235,17 @@ bench-vm:
 # minimum of five alternating runs of a parent and a change binary.
 bench-store:
 	$(GO) test -run=^$$ -bench=Store -benchmem ./internal/dcgstore/
+
+# The plan service alone, as testing.B: BenchmarkServicePull — a pull
+# after a push that moved nothing the policy sees (unchanged: snapshot,
+# one pass over the edges, no compile) beside one after a push that did
+# (moved: condition and compile) for compress, jess and javac over a
+# real store — and BenchmarkCondition. The twins of the repo benchmark's
+# daemon.plan_304_us_p50 and plan.compile_ms_p50 / plan.compile_ms.javac.
+# Informational, not a gate: compare the minimum of five alternating
+# runs of a parent and a change binary.
+bench-plan:
+	$(GO) test -run=^$$ -bench='ServicePull|Condition' -benchmem ./internal/plan/
 
 # What the compiler made of the interpreter's straight line: writes
 # (*VM).run's assembly to .bench_build/vm-run.S and counts the machine

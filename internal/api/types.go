@@ -157,9 +157,17 @@ type LatencyMetrics struct {
 
 // PlanMetrics covers the plan service (root) or plan relay (leaf).
 type PlanMetrics struct {
-	Programs      int    `json:"programs"`
-	Computed      uint64 `json:"computed"`
-	Unchanged     uint64 `json:"unchanged"`
+	Programs int `json:"programs"`
+	// Computed and Unchanged count compilations (a new epoch; the prior
+	// verbatim). Skipped counts pulls that came after a push but found
+	// the conditioned graph where the cached plan was compiled from it,
+	// and compiled nothing. A pull that is none of the three found the
+	// store's counters unmoved.
+	Computed  uint64 `json:"computed"`
+	Unchanged uint64 `json:"unchanged"`
+	Skipped   uint64 `json:"skipped"`
+	// CompileErrors counts compilations that failed, not requests for a
+	// program or build that does not exist (RequestErrors has those).
 	CompileErrors uint64 `json:"compile_errors"`
 	Requests      uint64 `json:"requests"`
 	NotModified   uint64 `json:"not_modified"`

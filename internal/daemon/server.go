@@ -461,10 +461,13 @@ func planETag(p *plan.Plan) string {
 // handlePlan serves the current inlining plan for ?program= in the
 // binary plan wire format. The response carries a strong ETag, so a
 // polling VM that already holds the latest plan pays one conditional
-// GET answered 304 — no recompile (the plan service caches by store
-// version), no body. On a leaf the plan source is the upstream relay,
-// so pullers keep hitting their leaf while compilation happens only at
-// the root.
+// GET answered 304, no body. What the daemon pays for it is what the
+// graph's movement costs (plan.Service): nothing while the build's
+// store stands still, one snapshot and one pass over its edges while
+// pushes leave the conditioned graph where it was, a compile only when
+// an edge crossed the floor or a grid point. On a leaf the plan source
+// is the upstream relay, so pullers keep hitting their leaf while
+// compilation happens only at the root.
 func (s *server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	s.planRequests.Add(1)
 	if s.plans == nil {
@@ -557,6 +560,7 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			Programs:          ps.Programs,
 			Computed:          ps.Computed,
 			Unchanged:         ps.Unchanged,
+			Skipped:           ps.Skipped,
 			CompileErrors:     ps.Errors,
 			Requests:          s.planRequests.Load(),
 			NotModified:       s.planNotModified.Load(),

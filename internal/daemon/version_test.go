@@ -80,6 +80,24 @@ func TestPlanCacheScopedPerProgram(t *testing.T) {
 		t.Errorf("computed %v + unchanged %v = %v after a related push, want exactly 2 recompiles",
 			computed, unchanged, computed+unchanged)
 	}
+	if m.Plan.Skipped != 0 {
+		t.Errorf("plan.skipped = %v, want 0: every pull so far followed a push that moved the graph or none at all", m.Plan.Skipped)
+	}
+
+	// A related push that leaves the conditioned graph where it was —
+	// half a sample on an edge of its own stays under the floor — costs
+	// the next pull a look at the graph and no compile.
+	faint := profile.NewDCG()
+	faint.AddSample(edge(900, 9000, 901), 0.5)
+	if err := dcgstore.NewClient(ts.URL).PushDelta("vm-a", 3, faint); err != nil {
+		t.Fatal(err)
+	}
+	fetchPlanBytes(t, ts.URL)
+	m = fetchMetrics(t, ts.URL)
+	if m.Plan.Skipped != 1 || m.Plan.Computed != computed || m.Plan.Unchanged != unchanged {
+		t.Errorf("after a sub-floor push: skipped %v computed %v unchanged %v, want 1, %v, %v",
+			m.Plan.Skipped, m.Plan.Computed, m.Plan.Unchanged, computed, unchanged)
+	}
 }
 
 // exhaustiveFor collects an exhaustive profile of one benchmark under

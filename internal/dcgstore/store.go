@@ -111,8 +111,11 @@ func (s *Store) Decay(factor, prune float64) int {
 
 // Version returns the store's mutation counters: merges applied and
 // decay epochs completed. Nothing else changes the graph, so an
-// unchanged (merges, epochs) pair means an unchanged graph, which lets
-// the plan service serve cached plans without re-snapshotting it.
+// unchanged (merges, epochs) pair means an unchanged graph, and the plan
+// service serves its cached plan without a snapshot. The converse does
+// not hold — every acknowledged push moves the pair, an empty one too —
+// so on a changed pair the service snapshots and compares what the
+// policy would see of the graph before it compiles anything.
 func (s *Store) Version() (merges, epochs uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -1,0 +1,170 @@
+package plan_test
+
+import (
+	"sync"
+	"testing"
+
+	"gocbs/internal/bench"
+	"gocbs/internal/bytecode"
+	"gocbs/internal/dcgstore"
+	"gocbs/internal/plan"
+	"gocbs/internal/profile"
+	"gocbs/internal/profiler"
+	"gocbs/internal/vm"
+)
+
+var benchPrograms = []string{"compress", "jess", "javac"}
+
+// benchService is a plan.Service over a real store holding the
+// exhaustive graph of one small run of name, its first plan compiled.
+func benchService(tb testing.TB, name string) (*plan.Service, *dcgstore.Store, *profile.DCG) {
+	tb.Helper()
+	b := bench.ByName(name)
+	pristine, err := jitProgramErr(b)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ex := profiler.NewExhaustive()
+	m := vm.New(pristine.Clone())
+	m.SetProfiler(ex)
+	if _, err := m.Run(b.Small); err != nil {
+		tb.Fatal(err)
+	}
+	store := dcgstore.New()
+	store.MergeDCG(ex.Graph)
+	svc := plan.NewService(plan.ServiceConfig{
+		Source:         func(_, _ string) *profile.DCG { return store.Snapshot() },
+		Version:        func(_, _ string) (uint64, uint64) { return store.Version() },
+		CompileProgram: func(_, _ string) (*bytecode.Program, error) { return pristine, nil },
+		Params:         plan.DefaultParams(),
+	})
+	if _, err := svc.PlanForVersion(name, ""); err != nil {
+		tb.Fatal(err)
+	}
+	return svc, store, ex.Graph
+}
+
+// BenchmarkServicePull times one plan pull that follows a push, the
+// testing.B twin of the repo benchmark's daemon.plan_304_us_p50 (the
+// handler's share of it) and, on the moved side, plan.compile_ms_p50.
+// unchanged: the push moved the store's counters and nothing the policy
+// sees (an empty delta), so the pull snapshots, finds the conditioned
+// graph where the cached plan left it, and compiles nothing. moved: the
+// push doubled every weight or a decay halved it, three grid points
+// either way, so the pull conditions and compiles. The push is inside
+// the timed loop on both sides (a counter bump; a merge or a decay of
+// the whole graph, about a hundredth of the compile it provokes).
+func BenchmarkServicePull(b *testing.B) {
+	for _, name := range benchPrograms {
+		b.Run("unchanged/"+name, func(b *testing.B) {
+			svc, store, _ := benchService(b, name)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				store.MergeDCG(nil)
+				if _, err := svc.PlanForVersion(name, ""); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			if st := svc.Stats(); st.Skipped != uint64(b.N) {
+				b.Fatalf("%d of %d pulls skipped", st.Skipped, b.N)
+			}
+		})
+		b.Run("moved/"+name, func(b *testing.B) {
+			svc, store, graph := benchService(b, name)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i%2 == 0 {
+					store.MergeDCG(graph)
+				} else {
+					store.Decay(0.5, 0)
+				}
+				if _, err := svc.PlanForVersion(name, ""); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			if st := svc.Stats(); st.Skipped != 0 {
+				b.Fatalf("%d of %d pulls skipped", st.Skipped, b.N)
+			}
+		})
+	}
+}
+
+// BenchmarkCondition times the stability layer alone on the same
+// graphs: the part of plan.compile_ms_p50 a miss pays before the
+// inliner runs.
+func BenchmarkCondition(b *testing.B) {
+	params := plan.DefaultParams()
+	for _, name := range benchPrograms {
+		_, _, graph := benchService(b, name)
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if plan.Condition(graph, params.MinWeight, params.Band).NumEdges() == 0 {
+					b.Fatal("conditioned graph is empty")
+				}
+			}
+		})
+	}
+}
+
+// TestSkippedPullAllocatesOnlyTheSnapshot: a pull answered from an equal
+// conditioned graph builds nothing of its own — no sorted edge list, no
+// conditioned graph, no clone of the program.
+func TestSkippedPullAllocatesOnlyTheSnapshot(t *testing.T) {
+	svc, store, _ := benchService(t, "javac")
+	snapshot := testing.AllocsPerRun(20, func() { store.Snapshot() })
+	pull := testing.AllocsPerRun(20, func() {
+		store.MergeDCG(nil)
+		if _, err := svc.PlanForVersion("javac", ""); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if pull > snapshot {
+		t.Errorf("a skipped pull allocates %v times, the snapshot it takes %v", pull, snapshot)
+	}
+	if st := svc.Stats(); st.Skipped != 21 {
+		t.Errorf("%d of 21 pulls skipped", st.Skipped)
+	}
+}
+
+// TestServiceConcurrentPulls: pullers, a pusher and a metrics reader on
+// one service at once (run under -race): every pull is answered, and
+// every pull is counted at most once.
+func TestServiceConcurrentPulls(t *testing.T) {
+	svc, store, graph := benchService(t, "compress")
+	const pullers, pulls = 4, 50
+	var wg sync.WaitGroup
+	for i := 0; i < pullers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < pulls; j++ {
+				if p, err := svc.PlanForVersion("compress", ""); err != nil || p == nil {
+					t.Errorf("pull: plan %v, err %v", p, err)
+					return
+				}
+				svc.Stats()
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for j := 0; j < pulls; j++ {
+			if j%10 == 0 {
+				store.MergeDCG(graph)
+			} else {
+				store.MergeDCG(nil)
+			}
+		}
+	}()
+	wg.Wait()
+	st := svc.Stats()
+	if n := st.Computed + st.Unchanged + st.Skipped; st.Errors != 0 || n > pullers*pulls+1 {
+		t.Errorf("stats = %+v after %d pulls", st, pullers*pulls+1)
+	}
+}

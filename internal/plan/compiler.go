@@ -64,35 +64,45 @@ func PolicyByName(name string) (inline.Policy, error) {
 	}
 }
 
-// Condition applies the stability layer to a raw aggregated graph:
-// edges below the floor are dropped, and surviving weights snap to a
-// geometric grid anchored at the floor. The grid is memoryless — a
-// weight quantizes the same way regardless of any previous snapshot —
-// which is what keeps conditioning restart-stable: a daemon that
-// reloads its checkpoint conditions the restored graph exactly as the
-// previous incarnation conditioned the live one.
-//
-// The result is rebuilt in canonical edge order (see
-// profile.DCG.FilterBelow), so every derived quantity downstream —
+// grid is the stability layer as a map on one weight: an edge below the
+// floor is dropped, a heavier one snaps to a geometric grid anchored at
+// the floor (logStep 0: no snapping). It is memoryless — a weight lands
+// on the same grid point whatever any previous snapshot held — so a
+// daemon that reloads its checkpoint conditions the restored graph
+// exactly as the previous incarnation conditioned the live one.
+type grid struct{ floor, logStep float64 }
+
+func newGrid(minWeight, band float64) grid {
+	return grid{
+		floor:   max(minWeight, math.SmallestNonzeroFloat64),
+		logStep: math.Log1p(max(band, 0)),
+	}
+}
+
+// weight returns what an edge of raw weight w weighs once conditioned,
+// 0 if the floor drops it. Condition and the plan service's comparison
+// both go through it, so they cannot disagree on a grid point.
+func (q grid) weight(_ profile.Edge, w float64) float64 {
+	if !(w >= q.floor) {
+		return 0
+	}
+	if q.logStep == 0 {
+		return w
+	}
+	idx := math.Round(math.Log(w/q.floor) / q.logStep)
+	return q.floor * math.Exp(idx*q.logStep)
+}
+
+// Condition applies the stability layer (see grid) to a raw aggregated
+// graph. The result is rebuilt in canonical edge order (see
+// profile.DCG.MapWeights), so every derived quantity downstream —
 // totals, site shares, policy thresholds — is a deterministic function
 // of the edge multiset alone.
 func Condition(g *profile.DCG, minWeight, band float64) *profile.DCG {
 	if g == nil {
 		return profile.NewDCG()
 	}
-	floor := minWeight
-	if floor <= 0 {
-		floor = math.SmallestNonzeroFloat64
-	}
-	out := g.FilterBelow(floor)
-	if band <= 0 {
-		return out
-	}
-	logStep := math.Log1p(band)
-	return out.MapWeights(func(_ profile.Edge, w float64) float64 {
-		idx := math.Round(math.Log(w/floor) / logStep)
-		return floor * math.Exp(idx*logStep)
-	})
+	return g.MapWeights(newGrid(minWeight, band).weight)
 }
 
 // kindOf maps an applied inline decision to its plan kind.
@@ -137,22 +147,33 @@ func Extract(pristine *bytecode.Program, policy inline.Policy, g *profile.DCG, o
 // decision set equals the prior's, the prior is returned *verbatim* —
 // same epoch, same hash, byte-identical serialization. Only a genuine
 // decision change mints a new epoch.
+//
+// So compiling a graph with the plan it compiled to as prior returns
+// that prior — same elected set, and what the first compile retained is
+// what the second finds warm — which lets the plan service skip it.
 func Compile(program string, pristine *bytecode.Program, g *profile.DCG, params Params, prior *Plan) (*Plan, error) {
+	return compileConditioned(program, pristine, pristine.Version(),
+		Condition(g, params.MinWeight, params.Band), params, prior)
+}
+
+// compileConditioned is Compile given the conditioned graph and
+// pristine.Version(), an encode and a hash of the whole program that the
+// plan service did once when it resolved the build.
+func compileConditioned(program string, pristine *bytecode.Program, version string, cond *profile.DCG, params Params, prior *Plan) (*Plan, error) {
 	policy, err := PolicyByName(params.Policy)
 	if err != nil {
 		return nil, err
 	}
-	version := pristine.Version()
 	// A prior compiled for a different build is not a prior at all: its
 	// decisions name that build's method and site IDs, so neither
 	// hysteresis retention nor epoch continuation may read it. The
 	// epoch restarts at 1 for the new build — epochs are scoped to a
 	// (program, version), which is also why a version flip can never
-	// flap an existing version's epoch.
-	if prior != nil && prior.CheckVersion(version) != nil {
+	// flap an existing version's epoch. Nor is one for another program
+	// or compiled under another policy.
+	if prior != nil && (prior.CheckVersion(version) != nil || prior.Program != program || prior.Policy != params.Policy) {
 		prior = nil
 	}
-	cond := Condition(g, params.MinWeight, params.Band)
 	decisions, err := Extract(pristine, policy, cond, params.Opts)
 	if err != nil {
 		return nil, fmt.Errorf("plan %s: %w", program, err)
@@ -164,33 +185,26 @@ func Compile(program string, pristine *bytecode.Program, g *profile.DCG, params 
 	// before, and guarded kinds keep their fallback dispatch — so
 	// holding it costs nothing while preventing epoch churn from
 	// weights oscillating around a policy threshold.
-	if prior != nil && prior.Program == program && prior.Policy == params.Policy {
-		bySite := map[int]bool{}
+	if prior != nil {
+		elected := map[int]bool{}
 		for _, d := range decisions {
-			bySite[d.Site] = true
+			elected[d.Site] = true
 		}
-		retained := false
 		for _, d := range prior.Decisions {
-			if bySite[d.Site] {
-				continue
-			}
-			if cond.SiteWeightPercent(d.Site) >= params.HoldSharePct {
+			if !elected[d.Site] && cond.SiteWeightPercent(d.Site) >= params.HoldSharePct {
 				decisions = append(decisions, d)
-				retained = true
 			}
 		}
-		if retained {
-			if decisions, err = canonicalize(decisions); err != nil {
-				return nil, err
-			}
+		if decisions, err = canonicalize(decisions); err != nil {
+			return nil, err
 		}
 	}
 
 	p := &Plan{Program: program, Version: version, Policy: params.Policy, Epoch: 1, Decisions: decisions}
-	if prior != nil && prior.Equal(p) {
-		return prior, nil
-	}
-	if prior != nil && prior.Program == program && prior.Policy == params.Policy {
+	if prior != nil {
+		if prior.Equal(p) {
+			return prior, nil
+		}
 		p.Epoch = prior.Epoch + 1
 	}
 	p.Hash = p.ContentHash()

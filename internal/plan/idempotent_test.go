@@ -146,14 +146,20 @@ func TestCompileReturnsItsOwnResultVerbatim(t *testing.T) {
 }
 
 // twoPassCondition is Condition as it was written before it became one
-// pass: filter below the floor, then map the survivors onto the grid,
-// each step rebuilding the graph in canonical edge order.
+// pass: filter below the floor (profile.DCG.FilterBelow, as it read),
+// then map the survivors onto the grid, each step rebuilding the graph
+// in canonical edge order.
 func twoPassCondition(g *profile.DCG, minWeight, band float64) *profile.DCG {
 	floor := minWeight
 	if floor <= 0 {
 		floor = math.SmallestNonzeroFloat64
 	}
-	out := g.FilterBelow(floor)
+	out := profile.NewDCG()
+	for _, e := range g.Edges() {
+		if w := g.Weight(e); w >= floor {
+			out.AddSample(e, w)
+		}
+	}
 	if band <= 0 {
 		return out
 	}

@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"regexp"
+	"slices"
 	"sort"
 )
 
@@ -136,16 +137,8 @@ func (p *Plan) Equal(o *Plan) bool {
 	if p == nil || o == nil {
 		return p == o
 	}
-	if p.Program != o.Program || p.Version != o.Version ||
-		p.Policy != o.Policy || len(p.Decisions) != len(o.Decisions) {
-		return false
-	}
-	for i := range p.Decisions {
-		if p.Decisions[i] != o.Decisions[i] {
-			return false
-		}
-	}
-	return true
+	return p.Program == o.Program && p.Version == o.Version &&
+		p.Policy == o.Policy && slices.Equal(p.Decisions, o.Decisions)
 }
 
 // programNameRE limits program names to a filesystem- and URL-safe

@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"sync/atomic"
 
 	"gocbs/internal/atomicfile"
 	"gocbs/internal/bytecode"
@@ -37,9 +36,9 @@ type ServiceConfig struct {
 	// Version returns the mutation counters (merges applied, decay
 	// epochs) of the graph Source would return for this program build.
 	// A pair that has not changed means that graph has not changed, so
-	// the cached plan is served without recompiling — and counters
+	// the cached plan is served without asking Source — and counters
 	// scoped to the program are what keep ingest for program A from
-	// invalidating program B's cached plan.
+	// costing program B's pulls a snapshot.
 	Version func(program, version string) (merges, epochs uint64)
 	// CompileProgram resolves a program name to the pristine program a
 	// plan is extracted from. version is the requested build identity:
@@ -74,12 +73,7 @@ type Service struct {
 	// unversioned requests resolve to.
 	entries   map[string]*entry
 	canonical map[string]string
-
-	// Counters for /metrics.
-	computed        atomic.Uint64 // compilations that produced a new epoch
-	unchanged       atomic.Uint64 // recompilations that returned the prior verbatim
-	errors          atomic.Uint64
-	versionMismatch atomic.Uint64 // requests refused with ErrUnknownVersion
+	stats     ServiceStats // the counters; Stats fills in Programs
 }
 
 type entry struct {
@@ -87,10 +81,11 @@ type entry struct {
 	version  string
 	pristine *bytecode.Program
 	plan     *Plan
-	// merges/epochs are the store version the cached plan was compiled
-	// from.
+	// cond is the conditioned graph plan was compiled from, set only by
+	// a compile that succeeded (nil beside a nil or a restored plan);
+	// merges/epochs the store version last seen to condition to it.
+	cond           *profile.DCG
 	merges, epochs uint64
-	valid          bool
 }
 
 // NewService returns a plan service; it validates nothing until the
@@ -108,10 +103,11 @@ func NewService(cfg ServiceConfig) *Service {
 
 // ServiceStats is a snapshot of the service counters.
 type ServiceStats struct {
-	Programs  int
-	Computed  uint64
-	Unchanged uint64
-	Errors    uint64
+	Programs int
+	// Computed and Unchanged count compilations (a new epoch; the prior
+	// verbatim), Skipped pulls after which the conditioned graph had not
+	// moved, Errors compilations that failed — not requests refused.
+	Computed, Unchanged, Skipped, Errors uint64
 	// VersionMismatches counts requests refused because the requested
 	// program version is not one this daemon can compile.
 	VersionMismatches uint64
@@ -120,25 +116,22 @@ type ServiceStats struct {
 // Stats returns the current counters.
 func (s *Service) Stats() ServiceStats {
 	s.mu.Lock()
-	n := len(s.entries)
-	s.mu.Unlock()
-	return ServiceStats{
-		Programs:          n,
-		Computed:          s.computed.Load(),
-		Unchanged:         s.unchanged.Load(),
-		Errors:            s.errors.Load(),
-		VersionMismatches: s.versionMismatch.Load(),
-	}
+	defer s.mu.Unlock()
+	st := s.stats
+	st.Programs = len(s.entries)
+	return st
 }
 
 // PlanForVersion returns the current plan for one build of a program,
-// recompiling only when that build's aggregated graph has changed since
-// the cached plan was compiled. An empty version asks for the daemon's
-// canonical build; a non-empty one demands that exact build: if the resolver cannot produce it the request fails with
-// ErrUnknownVersion instead of serving a plan whose decisions would
-// silently misapply. The first request for a build compiles its
-// pristine bytecode and, with a state dir, restores the persisted prior
-// plan so epochs continue across restarts.
+// recompiling only when that build's conditioned graph — what the
+// policy sees of the aggregated one — has changed since the cached plan
+// was compiled. An empty version asks for the daemon's canonical build;
+// a non-empty one demands that exact build: if the resolver cannot
+// produce it the request fails with ErrUnknownVersion instead of
+// serving a plan whose decisions would silently misapply. The first
+// request for a build compiles its pristine bytecode and, with a state
+// dir, restores the persisted prior plan so epochs continue across
+// restarts.
 func (s *Service) PlanForVersion(program, version string) (*Plan, error) {
 	if !ValidProgramName(program) {
 		return nil, fmt.Errorf("%w: invalid program name %q", ErrUnknownProgram, program)
@@ -146,11 +139,14 @@ func (s *Service) PlanForVersion(program, version string) (*Plan, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	p, err := s.planForLocked(program, version)
-	if err != nil {
-		if errors.Is(err, ErrUnknownVersion) {
-			s.versionMismatch.Add(1)
-		}
-		s.errors.Add(1)
+	switch {
+	case err == nil:
+	case errors.Is(err, ErrUnknownVersion):
+		s.stats.VersionMismatches++
+	case errors.Is(err, ErrUnknownProgram):
+		// The requester's mistake; nothing failed to compile.
+	default:
+		s.stats.Errors++
 	}
 	return p, err
 }
@@ -160,10 +156,7 @@ func (s *Service) planForLocked(program, version string) (*Plan, error) {
 	if actual == "" {
 		actual = s.canonical[program]
 	}
-	var e *entry
-	if actual != "" {
-		e = s.entries[program+"@"+actual]
-	}
+	e := s.entries[program+"@"+actual]
 	if e == nil {
 		pristine, err := s.cfg.CompileProgram(program, version)
 		if err != nil {
@@ -188,21 +181,35 @@ func (s *Service) planForLocked(program, version string) (*Plan, error) {
 			s.entries[program+"@"+got] = e
 		}
 	}
+	// Two levels, cheapest first: unmoved counters mean an unmoved graph;
+	// and most pushes leave every edge on its grid point, where compiling
+	// the same conditioned graph would return e.plan itself (see Compile).
 	merges, epochs := s.cfg.Version(e.program, e.version)
-	if e.valid && e.merges == merges && e.epochs == epochs {
+	if e.cond != nil && e.merges == merges && e.epochs == epochs {
 		return e.plan, nil
 	}
+	g := s.cfg.Source(e.program, e.version)
+	if g == nil {
+		g = profile.NewDCG()
+	}
+	q := newGrid(s.cfg.Params.MinWeight, s.cfg.Params.Band)
+	if e.cond != nil && g.MapsTo(e.cond, q.weight) {
+		e.merges, e.epochs = merges, epochs
+		s.stats.Skipped++
+		return e.plan, nil
+	}
+	cond := g.MapWeights(q.weight)
 	prior := e.plan
-	p, err := Compile(e.program, e.pristine, s.cfg.Source(e.program, e.version), s.cfg.Params, prior)
+	p, err := compileConditioned(e.program, e.pristine, e.version, cond, s.cfg.Params, prior)
 	if err != nil {
 		return nil, err
 	}
-	e.plan, e.merges, e.epochs, e.valid = p, merges, epochs, true
+	e.plan, e.cond, e.merges, e.epochs = p, cond, merges, epochs
 	if p == prior {
-		s.unchanged.Add(1)
+		s.stats.Unchanged++
 		return p, nil
 	}
-	s.computed.Add(1)
+	s.stats.Computed++
 	s.cfg.Logf("plan %s@%s: epoch %d, %d decisions, hash %016x",
 		e.program, e.version, p.Epoch, len(p.Decisions), p.Hash)
 	if err := s.persist(e.program, e.version, p); err != nil {
@@ -218,29 +225,15 @@ func (s *Service) planForLocked(program, version string) (*Plan, error) {
 // pullers usually receive precomputed plans.
 func (s *Service) RefreshAll() {
 	s.mu.Lock()
-	type pv struct{ program, version string }
-	builds := make([]pv, 0, len(s.entries))
+	builds := make([]*entry, 0, len(s.entries))
 	for _, e := range s.entries {
-		builds = append(builds, pv{e.program, e.version})
+		builds = append(builds, e)
 	}
 	s.mu.Unlock()
 	for _, b := range builds {
 		if _, err := s.PlanForVersion(b.program, b.version); err != nil {
 			s.cfg.Logf("plan refresh %s@%s: %v", b.program, b.version, err)
 		}
-	}
-}
-
-// Invalidate marks every cached plan stale without discarding priors,
-// forcing the next request to recompile. Decay changes the graph
-// without going through a merge, so cbsd calls this after manual
-// /decay requests (background decay bumps the epoch counter, which the
-// version check already observes).
-func (s *Service) Invalidate() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, e := range s.entries {
-		e.valid = false
 	}
 }
 

@@ -81,8 +81,9 @@ func TestServiceCachesUntilStoreChanges(t *testing.T) {
 		t.Errorf("cached request took %d extra snapshots", fs.snapshots-before)
 	}
 
-	// Version bump with unchanged content: recompiles, but the prior
-	// is returned verbatim and counted as unchanged.
+	// Version bump with unchanged content: one snapshot to see that the
+	// conditioned graph stands where p1 was compiled from it, and then
+	// no compile — skipped, not unchanged.
 	fs.merges++
 	p3, err := svc.PlanForVersion("compress", "")
 	if err != nil {
@@ -90,6 +91,23 @@ func TestServiceCachesUntilStoreChanges(t *testing.T) {
 	}
 	if p3 != p1 {
 		t.Error("identical graph minted a new plan after a version bump")
+	}
+	if fs.snapshots != before+1 {
+		t.Errorf("version bump took %d snapshots, want exactly 1", fs.snapshots-before)
+	}
+	if st := svc.Stats(); st.Skipped != 1 || st.Computed != 1 || st.Unchanged != 0 {
+		t.Errorf("after a version bump over an equal graph: stats = %+v, want 1 skipped, 1 computed, 0 unchanged", st)
+	}
+	// A bump that moves weights, but none off its grid point or over
+	// the floor, skips too.
+	fs.graph = fs.graph.MapWeights(func(_ profile.Edge, w float64) float64 { return w * (1 + 1e-9) })
+	fs.graph.AddSample(profile.Edge{Caller: 999, Site: 9999, Callee: 998}, plan.DefaultParams().MinWeight/2)
+	fs.merges++
+	if p, err := svc.PlanForVersion("compress", ""); err != nil || p != p1 {
+		t.Errorf("sub-band drift: plan %p err %v, want the cached %p", p, err, p1)
+	}
+	if st := svc.Stats(); st.Skipped != 2 {
+		t.Errorf("sub-band drift: skipped = %d, want 2", st.Skipped)
 	}
 
 	// A real graph change — the profile vanishing entirely — mints a
@@ -107,9 +125,28 @@ func TestServiceCachesUntilStoreChanges(t *testing.T) {
 		t.Errorf("changed graph: epoch %d, want %d", p4.Epoch, p1.Epoch+1)
 	}
 
-	st := svc.Stats()
-	if st.Programs != 1 || st.Computed < 1 || st.Unchanged < 1 {
-		t.Errorf("stats = %+v, want 1 program, >=1 computed, >=1 unchanged", st)
+	// The profile comes back: the elected set is p1's again, under a
+	// third epoch. One more real change that elects nothing new — the
+	// same graph at twice the weight, every edge three grid points up —
+	// is compiled and returns its prior: unchanged, not skipped.
+	fs.graph = exhaustiveGraph(t, pristine.Clone(), b.Small, 3)
+	fs.merges++
+	p5, err := svc.PlanForVersion("compress", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p5.Epoch != 3 || p5.Hash != p1.Hash {
+		t.Errorf("profile restored: epoch %d hash %016x, want epoch 3 hash %016x", p5.Epoch, p5.Hash, p1.Hash)
+	}
+	fs.graph.Merge(fs.graph.Clone())
+	fs.merges++
+	if p, err := svc.PlanForVersion("compress", ""); err != nil || p != p5 {
+		t.Errorf("doubled graph: plan %p err %v, want the prior %p verbatim", p, err, p5)
+	}
+
+	want := plan.ServiceStats{Programs: 1, Computed: 3, Unchanged: 1, Skipped: 2}
+	if st := svc.Stats(); st != want {
+		t.Errorf("stats = %+v, want %+v", st, want)
 	}
 }
 
@@ -122,8 +159,44 @@ func TestServiceUnknownProgram(t *testing.T) {
 	if _, err := svc.PlanForVersion("../escape", ""); !errors.Is(err, plan.ErrUnknownProgram) {
 		t.Errorf("invalid name: err = %v, want ErrUnknownProgram", err)
 	}
-	if st := svc.Stats(); st.Errors == 0 {
-		t.Error("error counter did not advance")
+}
+
+// TestCompileErrorsCountsOnlyCompiles: ServiceStats.Errors is what
+// /v1/metrics reports as plan.compile_errors. A request for a program
+// or a build that does not exist is the requester's mistake — servers
+// count it as a refused request, and the second kind as a version
+// mismatch too — and must not read as a compiler failing.
+func TestCompileErrorsCountsOnlyCompiles(t *testing.T) {
+	fs := &fakeStore{graph: profile.NewDCG()}
+	svc := fs.service(t, "")
+	for _, name := range []string{"no-such-benchmark", "../escape"} {
+		if _, err := svc.PlanForVersion(name, ""); !errors.Is(err, plan.ErrUnknownProgram) {
+			t.Errorf("%s: err = %v, want ErrUnknownProgram", name, err)
+		}
+	}
+	if _, err := svc.PlanForVersion("compress", "00000000deadbeef"); !errors.Is(err, plan.ErrUnknownVersion) {
+		t.Errorf("foreign build: err = %v, want ErrUnknownVersion", err)
+	}
+	if st := svc.Stats(); st.Errors != 0 || st.VersionMismatches != 1 {
+		t.Errorf("after three refused requests: %d compile errors and %d version mismatches, want 0 and 1", st.Errors, st.VersionMismatches)
+	}
+
+	// A compile that does fail is counted, every time it is tried.
+	broken := plan.NewService(plan.ServiceConfig{
+		Source:  func(_, _ string) *profile.DCG { return profile.NewDCG() },
+		Version: func(_, _ string) (uint64, uint64) { return 1, 0 },
+		CompileProgram: func(name, _ string) (*bytecode.Program, error) {
+			return jitProgramErr(bench.ByName(name))
+		},
+		Params: plan.Params{Policy: "no-such-policy"},
+	})
+	for i := 1; i <= 2; i++ {
+		if _, err := broken.PlanForVersion("compress", ""); err == nil {
+			t.Fatal("a plan compiled under a policy that does not exist")
+		}
+		if st := broken.Stats(); st.Errors != uint64(i) || st.Skipped != 0 {
+			t.Errorf("failed compile %d: %d compile errors, %d skipped; want %d and 0", i, st.Errors, st.Skipped, i)
+		}
 	}
 }
 
@@ -180,24 +253,6 @@ func TestServiceEpochSurvivesRestart(t *testing.T) {
 	}
 	if p4.Epoch != p3.Epoch+1 {
 		t.Errorf("post-restart change: epoch %d, want %d", p4.Epoch, p3.Epoch+1)
-	}
-}
-
-func TestServiceInvalidateForcesRecompile(t *testing.T) {
-	pristine := jitProgram(t, "compress")
-	b := bench.ByName("compress")
-	fs := &fakeStore{graph: exhaustiveGraph(t, pristine.Clone(), b.Small, 3), merges: 1}
-	svc := fs.service(t, "")
-	if _, err := svc.PlanForVersion("compress", ""); err != nil {
-		t.Fatal(err)
-	}
-	before := fs.snapshots
-	svc.Invalidate()
-	if _, err := svc.PlanForVersion("compress", ""); err != nil {
-		t.Fatal(err)
-	}
-	if fs.snapshots == before {
-		t.Error("Invalidate did not force a recompile")
 	}
 }
 

@@ -9,8 +9,10 @@
 package profile
 
 import (
+	"cmp"
 	"fmt"
 	"maps"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -72,24 +74,25 @@ func (g *DCG) Total() float64 { return g.total }
 // NumEdges returns the number of distinct edges observed.
 func (g *DCG) NumEdges() int { return len(g.weights) }
 
-// Edges returns all edges in a deterministic order (sorted by caller,
-// site, callee).
+// Edges returns all edges in canonical order.
 func (g *DCG) Edges() []Edge {
 	es := make([]Edge, 0, len(g.weights))
 	for e := range g.weights {
 		es = append(es, e)
 	}
-	sort.Slice(es, func(i, j int) bool {
-		a, b := es[i], es[j]
-		if a.Caller != b.Caller {
-			return a.Caller < b.Caller
-		}
-		if a.Site != b.Site {
-			return a.Site < b.Site
-		}
-		return a.Callee < b.Callee
-	})
+	slices.SortFunc(es, compareEdges)
 	return es
+}
+
+// compareEdges is the canonical edge order: caller, site, callee.
+func compareEdges(a, b Edge) int {
+	if c := cmp.Compare(a.Caller, b.Caller); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Site, b.Site); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Callee, b.Callee)
 }
 
 // Clone returns a deep copy of the graph.
@@ -127,33 +130,35 @@ func (g *DCG) DeltaSince(prev *DCG) *DCG {
 	return d
 }
 
-// FilterBelow returns a copy of g without edges lighter than min. The
-// copy is rebuilt in canonical edge order, so its total weight is a
-// deterministic function of the surviving edge multiset — two graphs
-// with the same edges filter to byte-identically-summing copies
-// regardless of the insertion order that built them (float addition is
-// not associative, so map-order accumulation would not guarantee
-// that). Plan compilation relies on this to keep thresholds stable.
-func (g *DCG) FilterBelow(min float64) *DCG {
-	c := NewDCG()
-	for _, e := range g.Edges() {
-		if w := g.weights[e]; w >= min {
-			c.AddSample(e, w)
-		}
-	}
-	return c
-}
-
 // MapWeights returns a copy of g with every weight replaced by
 // f(edge, weight); edges mapped to a non-positive weight are dropped.
-// Like FilterBelow, the copy is rebuilt in canonical edge order so the
-// resulting total is deterministic.
+// The copy is rebuilt in canonical edge order, so its total depends on
+// the surviving edges and weights alone, not on the insertion order that
+// built g (float addition is not associative): plan thresholds rely on it.
 func (g *DCG) MapWeights(f func(e Edge, w float64) float64) *DCG {
 	c := NewDCG()
 	for _, e := range g.Edges() {
 		c.AddSample(e, f(e, g.weights[e]))
 	}
 	return c
+}
+
+// MapsTo reports whether g.MapWeights(f) would hold exactly other's
+// edges at exactly other's weights, without building it: set equality
+// needs neither an order nor a total, so nothing is sorted or allocated.
+func (g *DCG) MapsTo(other *DCG, f func(e Edge, w float64) float64) bool {
+	n := 0
+	for e, w := range g.weights {
+		if w = f(e, w); w <= 0 {
+			continue
+		}
+		// An edge other lacks reads 0 there, which no kept weight is.
+		if other.weights[e] != w {
+			return false
+		}
+		n++
+	}
+	return n == len(other.weights)
 }
 
 // TargetWeight is one callee's share of a call site's samples.
@@ -221,12 +226,7 @@ func (g *DCG) siteEdges(site int) []Edge {
 			es = append(es, e)
 		}
 	}
-	sort.Slice(es, func(i, j int) bool {
-		if es[i].Caller != es[j].Caller {
-			return es[i].Caller < es[j].Caller
-		}
-		return es[i].Callee < es[j].Callee
-	})
+	slices.SortFunc(es, compareEdges)
 	return es
 }
 

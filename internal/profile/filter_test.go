@@ -5,28 +5,6 @@ import (
 	"testing"
 )
 
-func TestFilterBelow(t *testing.T) {
-	g := NewDCG()
-	g.AddSample(Edge{Caller: 1, Site: 1, Callee: 2}, 10)
-	g.AddSample(Edge{Caller: 1, Site: 2, Callee: 3}, 0.5)
-	g.AddSample(Edge{Caller: 2, Site: 3, Callee: 4}, 1)
-
-	f := g.FilterBelow(1)
-	if f.NumEdges() != 2 {
-		t.Fatalf("FilterBelow kept %d edges, want 2", f.NumEdges())
-	}
-	if w := f.Weight(Edge{Caller: 1, Site: 2, Callee: 3}); w != 0 {
-		t.Errorf("sub-floor edge survived with weight %v", w)
-	}
-	if f.Total() != 11 {
-		t.Errorf("filtered total = %v, want 11", f.Total())
-	}
-	// The receiver is untouched.
-	if g.NumEdges() != 3 || g.Total() != 11.5 {
-		t.Errorf("FilterBelow mutated its receiver: %d edges, total %v", g.NumEdges(), g.Total())
-	}
-}
-
 func TestMapWeights(t *testing.T) {
 	g := NewDCG()
 	g.AddSample(Edge{Caller: 1, Site: 1, Callee: 2}, 8)
@@ -48,6 +26,51 @@ func TestMapWeights(t *testing.T) {
 	})
 	if dropped.NumEdges() != 1 || dropped.Total() != 8 {
 		t.Errorf("drop-mapping kept %d edges, total %v; want 1 edge, total 8", dropped.NumEdges(), dropped.Total())
+	}
+	// The receiver is untouched.
+	if g.NumEdges() != 2 || g.Total() != 10 {
+		t.Errorf("MapWeights mutated its receiver: %d edges, total %v", g.NumEdges(), g.Total())
+	}
+}
+
+// TestMapsTo: MapsTo(other, f) is MapWeights(f) compared edge for edge
+// with other, whichever way the two differ.
+func TestMapsTo(t *testing.T) {
+	g := NewDCG()
+	g.AddSample(Edge{Caller: 1, Site: 1, Callee: 2}, 8)
+	g.AddSample(Edge{Caller: 1, Site: 2, Callee: 3}, 2)
+	g.AddSample(Edge{Caller: 2, Site: 3, Callee: 4}, 0.5)
+	f := func(_ Edge, w float64) float64 {
+		if w < 1 {
+			return 0
+		}
+		return math.Floor(w / 2)
+	}
+	want := g.MapWeights(f)
+	if !g.MapsTo(want, f) {
+		t.Fatal("a graph does not map to its own MapWeights")
+	}
+	if g.MapsTo(want, func(_ Edge, w float64) float64 { return w }) {
+		t.Error("the identity maps to the halved graph")
+	}
+
+	for what, change := range map[string]func(*DCG){
+		"an edge heavier":    func(o *DCG) { o.AddSample(Edge{Caller: 1, Site: 1, Callee: 2}, 1) },
+		"an edge more":       func(o *DCG) { o.AddSample(Edge{Caller: 9, Site: 9, Callee: 9}, 1) },
+		"a dropped edge had": func(o *DCG) { o.AddSample(Edge{Caller: 2, Site: 3, Callee: 4}, 1) },
+	} {
+		other := want.Clone()
+		change(other)
+		if g.MapsTo(other, f) {
+			t.Errorf("maps to a graph with %s", what)
+		}
+	}
+	// One edge fewer on the other side, by a map that keeps it here.
+	if g.MapsTo(want, func(_ Edge, w float64) float64 { return math.Floor(w/2) + 1 }) {
+		t.Error("maps to a graph that lacks an edge the map keeps")
+	}
+	if empty := NewDCG(); !empty.MapsTo(NewDCG(), f) || empty.MapsTo(want, f) || g.MapsTo(empty, f) {
+		t.Error("the empty graph maps to the empty graph and to nothing else")
 	}
 }
 
@@ -76,9 +99,15 @@ func TestSiteAggregationOrderIndependent(t *testing.T) {
 		b.AddSample(edges[i].e, edges[i].w)
 	}
 
-	fa, fb := a.FilterBelow(0.15), b.FilterBelow(0.15)
+	below := func(_ Edge, w float64) float64 {
+		if w < 0.15 {
+			return 0
+		}
+		return w
+	}
+	fa, fb := a.MapWeights(below), b.MapWeights(below)
 	if math.Float64bits(fa.Total()) != math.Float64bits(fb.Total()) {
-		t.Errorf("FilterBelow totals differ: %x vs %x",
+		t.Errorf("MapWeights totals differ: %x vs %x",
 			math.Float64bits(fa.Total()), math.Float64bits(fb.Total()))
 	}
 	for _, site := range []int{7, 9} {
