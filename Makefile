@@ -14,7 +14,7 @@ SOAK_SEED ?= 0
 # replays with GEN_SEED=<printed seed>.
 GEN_SEED ?= 0
 
-.PHONY: all tier1 loc build build-cmds test test-race test-daemon test-recovery test-plan test-fleet test-federation test-mincover test-rewrite test-wire test-vm test-workload test-cbsbench soak soak-gen vet vet-cmds ci bench bench-vm bench-store bench-plan vm-asm benchmark-smoke
+.PHONY: all tier1 loc build build-cmds test test-race test-daemon test-recovery test-plan test-fleet test-federation test-mincover test-rewrite test-wire test-vm test-workload test-cbsbench soak soak-gen vet vet-cmds ci bench bench-vm bench-store bench-plan bench-daemon vm-asm benchmark-smoke
 
 all: tier1
 
@@ -246,6 +246,24 @@ bench-store:
 # runs of a parent and a change binary.
 bench-plan:
 	$(GO) test -run=^$$ -bench='ServicePull|Condition' -benchmem ./internal/plan/
+
+# The daemon's handlers alone, as testing.B, driven in-process in the
+# repo benchmark's shape: BenchmarkIngestHandler (one stamped, keyed
+# push of a real delta), BenchmarkMetricsHandler (one /v1/metrics scrape
+# of a daemon that has served 1e3 and 1e5 pushes) and
+# BenchmarkTopHandler, over BenchmarkHistogramObserve (serial, and every goroutine on the one
+# mutex: read it at -cpu 2), BenchmarkHistogramSummary after 1e3, 1e5
+# and 1e6 observations and BenchmarkTopEdges. The twins of the repo
+# benchmark's daemon.ingest_handler_p50_ms, daemon.metrics_ms_p50 and
+# daemon.top_ms_p50. A scrape
+# reports a fixed number of figures, so after_1e5 must read within 2x
+# of after_1e3 (before PR 26 it was ~30x). Informational, not a gate:
+# compare the minimum of five alternating runs of a parent and a change
+# binary.
+bench-daemon:
+	$(GO) test -run=^$$ -bench=Histogram -benchmem -cpu 1,2 ./internal/stats/
+	$(GO) test -run=^$$ -bench=TopEdges -benchmem ./internal/profile/
+	$(GO) test -run=^$$ -bench='IngestHandler|MetricsHandler|TopHandler' -benchmem -benchtime=2000x ./internal/daemon/
 
 # What the compiler made of the interpreter's straight line: writes
 # (*VM).run's assembly to .bench_build/vm-run.S and counts the machine

@@ -41,15 +41,15 @@ type server struct {
 	ingestErrors atomic.Uint64
 	mergeNanos   atomic.Int64
 
-	// ingestLat tracks whole-request ingest latency (read + decode +
-	// merge) in milliseconds; /metrics surfaces its p50/p99, which is
-	// where benchmark/ reads daemon.ingest_handler_p50_ms and _p99_ms.
+	// ingestLat is the handler's milliseconds per push that reached the
+	// store, applied or duplicate — read, decode, merge and reply; a
+	// refused push is in ingestErrors and not timed. /v1/metrics serves
+	// its p50/p99 since boot: daemon.ingest_handler_p50_ms and _p99_ms.
 	ingestLat stats.Histogram
 
 	planRequests    atomic.Uint64
 	planNotModified atomic.Uint64
 	planErrors      atomic.Uint64
-	manifests       atomic.Uint64
 
 	// encodeErrOnce gates the one log line writeJSON emits for encode
 	// failures (per-connection write errors would otherwise spam).
@@ -234,9 +234,6 @@ func (s *server) ingestKey(w http.ResponseWriter, r *http.Request) (key api.Prog
 // being merged again.
 func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	reqStart := time.Now()
-	defer func() {
-		s.ingestLat.Observe(float64(time.Since(reqStart).Nanoseconds()) / 1e6)
-	}()
 	pusher, seq, ok := s.ingestStamp(w, r)
 	if !ok {
 		s.ingestErrors.Add(1)
@@ -276,6 +273,7 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		StoreEdges:   st.Edges,
 		StoreWeight:  st.TotalWeight,
 	})
+	s.ingestLat.Observe(float64(time.Since(reqStart).Nanoseconds()) / 1e6)
 }
 
 // handleManifest accepts one build's method/site manifest (POSTed as
@@ -298,7 +296,6 @@ func (s *server) handleManifest(w http.ResponseWriter, r *http.Request) {
 		api.WriteErrorf(w, http.StatusServiceUnavailable, api.CodeCapacity, "manifest: %v", err)
 		return
 	}
-	s.manifests.Add(1)
 	s.writeJSON(w, api.ManifestResponse{
 		Registered:    true,
 		CarriedEdges:  edges,
@@ -359,9 +356,8 @@ func (s *server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleTop returns the k heaviest edges of the current snapshot. k is
-// clamped to the store's edge count before any allocation, so an
-// attacker-chosen k cannot force an arbitrarily large preallocation.
+// handleTop returns the k heaviest edges of the current snapshot. An
+// attacker-chosen k allocates nothing extra: TopEdges clamps it first.
 func (s *server) handleTop(w http.ResponseWriter, r *http.Request) {
 	k := 20
 	if q := r.URL.Query().Get("k"); q != "" {
@@ -376,11 +372,9 @@ func (s *server) handleTop(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	if k > g.NumEdges() {
-		k = g.NumEdges()
-	}
-	edges := make([]api.Edge, 0, k)
-	for _, e := range g.TopEdges(k) {
+	top := g.TopEdges(k)
+	edges := make([]api.Edge, 0, len(top))
+	for _, e := range top {
 		edges = append(edges, api.Edge{
 			Caller: e.Caller, Site: e.Site, Callee: e.Callee,
 			Weight: g.Weight(e), Percent: g.Percent(e),

@@ -21,14 +21,20 @@ import (
 
 func edge(c, s, t int) profile.Edge { return profile.Edge{Caller: c, Site: s, Callee: t} }
 
+// newTestHandler is a root daemon's handler over an empty store family,
+// plan service on.
+func newTestHandler(tb testing.TB) (http.Handler, *dcgstore.Multi) {
+	multi := dcgstore.NewMulti(8)
+	cfg := Config{PlanPolicy: "new-linear", PlanFloor: 1, PlanBand: 0.25, PlanHold: 0.05}
+	return newServer(multi, NewPlanService(cfg, multi, tb.Logf), newFedState(), cfg.MaxUploadBytes, tb.Logf).handler(), multi
+}
+
 func newTestDaemon(t *testing.T) (*httptest.Server, *dcgstore.Store) {
 	t.Helper()
-	multi := dcgstore.NewMulti(8)
-	store := multi.Lookup(api.ProgramKey{})
-	cfg := Config{PlanPolicy: "new-linear", PlanFloor: 1, PlanBand: 0.25, PlanHold: 0.05}
-	ts := httptest.NewServer(newServer(multi, NewPlanService(cfg, multi, t.Logf), newFedState(), cfg.MaxUploadBytes, t.Logf).handler())
+	h, multi := newTestHandler(t)
+	ts := httptest.NewServer(h)
 	t.Cleanup(ts.Close)
-	return ts, store
+	return ts, multi.Lookup(api.ProgramKey{})
 }
 
 func postProfile(t *testing.T, url string, g *profile.DCG) *http.Response {
@@ -599,5 +605,64 @@ func TestEncodeFailureGoesToConfiguredLoggerOnce(t *testing.T) {
 	}
 	if len(lines) != 1 || !strings.Contains(lines[0], "response encode failed") || !strings.Contains(lines[0], io.ErrClosedPipe.Error()) {
 		t.Fatalf("three failed responses logged %q, want one line naming the encode failure", lines)
+	}
+}
+
+// TestIngestLatCountsIngestsOnly: ingest_lat times pushes that reached
+// the store, applied or duplicate. A push refused at the door — a bad
+// stamp, half a build key, a body that is not a profile — takes
+// microseconds and is already counted in ingest_errors; observing it too
+// let a burst of 400s drag ingest_lat.p50 toward zero while real pushes
+// were as slow as ever.
+func TestIngestLatCountsIngestsOnly(t *testing.T) {
+	ts, _ := newTestDaemon(t)
+	g := profile.NewDCG()
+	g.AddSample(edge(1, 2, 3), 10)
+	for seq := 1; seq <= 10; seq++ {
+		postStamped(t, ts.URL, g, "vm-1", fmt.Sprint(seq)).Body.Close()
+	}
+	postStamped(t, ts.URL, g, "vm-1", "10").Body.Close() // a retry: duplicate, still an ingest
+
+	refused := []*http.Request{}
+	for _, hdr := range [][2]string{
+		{api.HeaderPusher, "no spaces allowed"},
+		{api.HeaderSeq, "0"},
+		{api.HeaderProgram, "compress"}, // no version beside it
+	} {
+		var body bytes.Buffer
+		if _, err := g.WriteTo(&body); err != nil {
+			t.Fatal(err)
+		}
+		req, err := http.NewRequest(http.MethodPost, ts.URL+api.PathIngest, &body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set(hdr[0], hdr[1])
+		refused = append(refused, req)
+	}
+	for _, body := range []string{"not a profile", "DCGB"} {
+		req, err := http.NewRequest(http.MethodPost, ts.URL+api.PathIngest, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		refused = append(refused, req)
+	}
+	for _, req := range refused {
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("refused push answered %s, want 400", resp.Status)
+		}
+	}
+
+	m := fetchMetrics(t, ts.URL)
+	if m.Ingests != 11 || m.IngestErrors != 5 || m.IngestDups != 1 {
+		t.Errorf("ingests %d, ingest_errors %d, duplicates %d; want 11, 5, 1", m.Ingests, m.IngestErrors, m.IngestDups)
+	}
+	if m.IngestLat == nil || uint64(m.IngestLat.Count) != m.Ingests {
+		t.Errorf("ingest_lat %+v, want count %d: one observation per ingest, none per refusal", m.IngestLat, m.Ingests)
 	}
 }

@@ -247,13 +247,9 @@ func (g *DCG) Sites() []int {
 // Dump renders the graph sorted by descending weight, resolving IDs
 // through name functions (either may be nil).
 func (g *DCG) Dump(methodName func(int) string, siteName func(int) string) string {
-	es := g.Edges()
-	sort.SliceStable(es, func(i, j int) bool {
-		return g.weights[es[i]] > g.weights[es[j]]
-	})
 	var b strings.Builder
 	fmt.Fprintf(&b, "DCG: %d edges, total weight %.0f\n", g.NumEdges(), g.total)
-	for _, e := range es {
+	for _, e := range g.TopEdges(0) {
 		caller := fmt.Sprintf("m%d", e.Caller)
 		callee := fmt.Sprintf("m%d", e.Callee)
 		site := fmt.Sprintf("s%d", e.Site)

@@ -1,11 +1,12 @@
 package profile
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Profiles persist so collected DCGs can be saved by one tool run and
@@ -129,16 +130,29 @@ func DecodeDCGBytes(data []byte) (*DCG, error) {
 	return g, nil
 }
 
-// TopEdges returns the k heaviest edges (all edges if k <= 0 or k
-// exceeds the edge count), heaviest first with deterministic
-// tie-breaking.
+// TopEdges returns the k heaviest edges (all of them if k <= 0 or k
+// exceeds their number), heaviest first, ties in canonical edge order.
 func (g *DCG) TopEdges(k int) []Edge {
-	es := g.Edges()
-	sort.SliceStable(es, func(i, j int) bool {
-		return g.weights[es[i]] > g.weights[es[j]]
+	type weighted struct {
+		Edge
+		w float64
+	}
+	ws := make([]weighted, 0, len(g.weights))
+	for e, w := range g.weights {
+		ws = append(ws, weighted{e, w})
+	}
+	slices.SortFunc(ws, func(a, b weighted) int {
+		if c := cmp.Compare(b.w, a.w); c != 0 {
+			return c
+		}
+		return compareEdges(a.Edge, b.Edge)
 	})
-	if k > 0 && k < len(es) {
-		es = es[:k]
+	if k <= 0 || k > len(ws) {
+		k = len(ws)
+	}
+	es := make([]Edge, k)
+	for i := range es {
+		es[i] = ws[i].Edge
 	}
 	return es
 }

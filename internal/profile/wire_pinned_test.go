@@ -11,10 +11,7 @@ import (
 	"testing"
 
 	"gocbs/internal/bench"
-	"gocbs/internal/inline"
 	"gocbs/internal/profile"
-	"gocbs/internal/profiler"
-	"gocbs/internal/vm"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/wire_bytes.txt from this encoder")
@@ -41,20 +38,7 @@ func TestWireBytesPinned(t *testing.T) {
 		lines = append(lines, fmt.Sprintf("%s %d %x", name, buf.Len(), sha256.Sum256(buf.Bytes())))
 	}
 	for _, b := range bench.All() {
-		prog, err := b.Compile()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := inline.Optimize(prog, inline.Trivial{}, nil, inline.DefaultOptions()); err != nil {
-			t.Fatal(err)
-		}
-		ex := profiler.NewExhaustive()
-		m := vm.New(prog)
-		m.SetProfiler(ex)
-		if _, err := m.Run(b.Small); err != nil {
-			t.Fatalf("%s: %v", b.Name, err)
-		}
-		pin(b.Name, ex.Graph)
+		pin(b.Name, suiteGraph(t, b, false))
 	}
 	hand := profile.NewDCG()
 	hand.AddSample(profile.Edge{Caller: -1, Site: 0, Callee: 9}, 1)
