@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -217,5 +218,37 @@ func TestRegisterAndLeaves(t *testing.T) {
 	}
 	if len(ls.Leaves) != 1 || ls.Leaves[0] != st {
 		t.Fatalf("leaves = %+v", ls.Leaves)
+	}
+}
+
+// TestValidProgramVersion is the whole contract of a wire-supplied
+// build version: 1 to 64 lowercase hex digits and nothing else.
+func TestValidProgramVersion(t *testing.T) {
+	hex64 := strings.Repeat("0123456789abcdef", 4)
+	for _, tc := range []struct {
+		v    string
+		want bool
+	}{
+		{"", false},
+		{"0", true},
+		{"f", true},
+		{"9f86d081884c7d65", true}, // what Program.Version emits
+		{hex64, true},
+		{hex64 + "0", false},
+		{"9F86D081884C7D65", false},
+		{"9f86d081884c7d6F", false},
+		{"g", false},
+		{"9f86d081884c7d6g", false},
+		{"9f86 d081", false},
+		{"9f86/../d081", false},
+		{"0x9f86", false},
+		{"9f86d081884c7d65\n", false},
+		{"\n", false},
+		{"9f86\x00", false},
+		{"９ｆ", false}, // full-width digits are not hex
+	} {
+		if got := ValidProgramVersion(tc.v); got != tc.want {
+			t.Errorf("ValidProgramVersion(%q) = %t, want %t", tc.v, got, tc.want)
+		}
 	}
 }

@@ -43,9 +43,9 @@ var Artifacts = []Artifact{
 	{"study", "entrycheck", "explicit entry check vs overloaded control word", rendered(EntryCheckStudy, FormatEntryCheck)},
 	{"study", "context", "calling-context-tree extension (E12)", rendered(ContextStudy, FormatContext)},
 	{"study", "profilers", "exhaustive vs CBS vs mincover accuracy/overhead", rendered(ProfilerStudy, FormatProfilers)},
-	{"study", "planloop", "fleet PGO loop: K pushers -> plan -> puller",
-		rendered(func(cfg Config, input string) ([]PlanLoopRow, error) {
-			return PlanLoop(cfg, input, DefaultPlanLoopPushers)
+	{"study", "planloop", "fleet PGO loop and its loss ladder: K pushers -> plan chain -> puller",
+		rendered(func(cfg Config, input string) (PlanLoopResult, error) {
+			return PlanLoop(cfg, input, DefaultPlanLoopParams())
 		}, FormatPlanLoop)},
 	{"study", "fleetsoak", "chaos soak: fleet vs faults, invariant-gated",
 		rendered(func(cfg Config, _ string) (*fleetsim.Report, error) { return FleetSoak(cfg) }, (*fleetsim.Report).Format)},

@@ -2,187 +2,426 @@ package experiment
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"gocbs/internal/adaptive"
 	"gocbs/internal/bench"
+	"gocbs/internal/bytecode"
 	"gocbs/internal/dcgstore"
 	"gocbs/internal/inline"
 	"gocbs/internal/plan"
+	"gocbs/internal/profile"
 	"gocbs/internal/profiler"
+	"gocbs/internal/puller"
 	"gocbs/internal/runner"
 	"gocbs/internal/vm"
 )
 
 // PlanLoop is the fleet PGO study: the closed collect-and-exploit loop
-// the plan service enables, measured end to end. For each benchmark,
-// K pusher VMs profile warmup iterations under CBS (distinct seeds —
-// distinct sampling noise, as K real machines would have) and their
-// graphs are aggregated in a dcgstore, exactly as cbsd aggregates
-// pushed deltas. The store's snapshot is compiled into an inlining
-// plan, a puller VM applies that plan to its own JIT-only clone, and
-// steady-state cycles per iteration are compared against
+// the plan service enables, replayed in process round by round exactly
+// as the repo benchmark's plan_loop workload drives it live. Per
+// program, K pusher VMs run under CBS (pass s, pusher k: seed
+// Seed+s·K+k) and push what they sampled since their last push into a
+// dcgstore after every round; the store's snapshot is compiled with the
+// previous round's plan as prior, as the daemon's plan service does; a
+// changed plan is applied to a clone of the JIT-only program, replayed
+// for one round against the pristine checksums, and goes live only if
+// they agree. Speedups are modelled cycles of one round against the
+// JIT-only program's.
 //
-//   - baseline: the JIT-only configuration (trivial inlines only), and
-//   - local: the same VM inlining from its own exhaustive local
-//     profile — the best any single machine can do without the fleet.
+// What the loop loses against a local exhaustive profile is read off a
+// ladder, each rung one change away from the one above:
 //
-// The paper's claim, transported to the fleet setting: sampled CBS
-// profiles are accurate enough that the centrally compiled plan
-// recovers (nearly) all of the speedup an exhaustive local profile
-// would buy.
+//	local      the VM's own exhaustive profile through adaptive.Recompile
+//	           — the best a single machine does without the fleet: 100 %
+//	exh/raw    the same graph through plan.Compile, no floor, no band
+//	exh/cond   the same graph through plan.Compile as the daemon
+//	           conditions it: what the stability layer costs
+//	cbs/raw    the merged CBS graph after the last round, no prior plan,
+//	cbs/cond   unconditioned and conditioned: what sampling costs
+//	live       the plan the prior chain serves after the last round: what
+//	           hysteresis retention costs
+//	no-hold    the same chain with HoldSharePct 100, retaining nothing
+//
+// and the first ReplayPasses passes are then continued to ReplayRounds
+// rounds, to see whether the plan converges where the profile does.
 
-// DefaultPlanLoopPushers is the fleet size K the study simulates.
-const DefaultPlanLoopPushers = 4
-
-// PlanLoopRow reports one benchmark's loop results.
-type PlanLoopRow struct {
-	Name    string
-	Pushers int
-
-	PlanDecisions int
-	PlanEpoch     uint64
-
-	BaselineIterCycles uint64
-	PlanIterCycles     uint64
-	LocalIterCycles    uint64
-
-	// PlanSpeedupPct is the steady-state speedup of the plan-guided VM
-	// over the JIT-only baseline; LocalSpeedupPct is the same for the
-	// local-exhaustive inliner.
-	PlanSpeedupPct  float64
-	LocalSpeedupPct float64
+// PlanLoopParams sizes the loop.
+type PlanLoopParams struct {
+	Pushers      int   // K VMs profiling each program
+	Iters        int   // iter() calls a VM makes per round
+	Rounds       int   // rounds a program gets to reach a good plan
+	Passes       int   // sampling histories the ladder averages over
+	ReplayPasses int   // the first so many passes run on to
+	ReplayRounds int   // this many rounds
+	Seed         int64 // base CBS seed
 }
 
-// PlanLoop runs the study with K pushers per benchmark (K <= 0 selects
-// DefaultPlanLoopPushers). One runner job per benchmark; every job is
-// a pure function of (benchmark, seeds), so results are deterministic
-// at any parallelism.
-func PlanLoop(cfg Config, input string, pushers int) ([]PlanLoopRow, error) {
-	if pushers <= 0 {
-		pushers = DefaultPlanLoopPushers
-	}
-	seed := int64(42)
-	if len(cfg.Seeds) > 0 {
-		seed = cfg.Seeds[0]
-	}
+// DefaultPlanLoopParams is the repo benchmark's plan_loop sizing at the
+// seed its recorded rows were taken at, so the study's live rung is
+// that workload's quality_pct.
+func DefaultPlanLoopParams() PlanLoopParams {
+	return PlanLoopParams{Pushers: 2, Iters: 2, Rounds: 6, Passes: 5, ReplayPasses: 2, ReplayRounds: 40, Seed: 1}
+}
+
+// A plan is good once it buys planLoopGoodShare of the local-exhaustive
+// speedup; a program whose local speedup is under planLoopMinLocalPct
+// has nothing to recover and is not counted in rounds-to-good.
+const (
+	planLoopGoodShare   = 0.95
+	planLoopMinLocalPct = 1.0
+)
+
+// PlanChainResult is what one parameterisation of the plan service made
+// of a program's pushes.
+type PlanChainResult struct {
+	SpeedupPct   float64 // live program after Rounds rounds, mean over passes
+	RoundsToGood float64 // first round with a good plan live, Rounds+1 if never, mean over passes
+	// Pass 0 alone, after Rounds rounds:
+	Decisions, Swaps, Killed int
+	Epoch                    uint64
+	GoodRound                int // Rounds+1 if never
+	// The replayed passes:
+	ReplaySpeedupPct float64 // live program after ReplayRounds rounds, mean
+	ReplaySwaps      int     // plans swapped in after round Rounds, summed
+}
+
+// PlanLoopRow is one program's ladder.
+type PlanLoopRow struct {
+	Name                    string
+	BaseCycles, LocalCycles uint64 // one round, JIT-only and locally recompiled
+	LocalSpeedupPct         float64
+
+	ExhaustiveRawPct, ExhaustiveCondPct float64
+	SampledRawPct, SampledCondPct       float64 // mean over passes
+	Samples                             float64 // merged graph's weight after Rounds rounds, pass 0
+	Live, NoHold                        PlanChainResult
+}
+
+// Eligible reports whether the program has a speedup worth recovering.
+func (r PlanLoopRow) Eligible() bool { return r.LocalSpeedupPct >= planLoopMinLocalPct }
+
+// PlanLoopResult is the study's output.
+type PlanLoopResult struct {
+	Params PlanLoopParams
+	Rows   []PlanLoopRow
+}
+
+// PlanLoop runs the study. One runner job per benchmark; every job is a
+// pure function of (benchmark, params), so results are deterministic at
+// any parallelism. cfg.Seeds is not read: the passes are the seeds.
+func PlanLoop(cfg Config, input string, lp PlanLoopParams) (PlanLoopResult, error) {
 	pool := cfg.startPool()
-	return runner.Map(pool, cfg.Benchmarks, func(_ int, b *bench.Benchmark) (PlanLoopRow, error) {
-		size := b.SizeFor(input)
-		warmup, measure := b.SteadyIters, b.SteadyIters
-
-		// Collect: K pusher VMs profile under CBS and their graphs
-		// aggregate in a store, deterministically (fixed merge order).
-		store := dcgstore.New()
-		for k := 0; k < pushers; k++ {
-			prog, err := cfg.prepare(b)
-			if err != nil {
-				return PlanLoopRow{}, err
-			}
-			pc := profiler.Config{Stride: 3, SamplesPerTick: 16, Flavour: profiler.FlavourRVM, Seed: seed + int64(k)}
-			g, err := profilePhase(cfg, prog, b, size, pc, warmup)
-			if err != nil {
-				return PlanLoopRow{}, fmt.Errorf("%s pusher %d: %w", b.Name, k, err)
-			}
-			store.MergeDCG(g)
-		}
-
-		// Plan: compile the aggregated graph against a pristine clone,
-		// as the daemon does.
-		pristine, err := cfg.prepare(b)
+	rows, err := runner.Map(pool, cfg.Benchmarks, func(_ int, b *bench.Benchmark) (PlanLoopRow, error) {
+		row, err := planLoopProgram(cfg, b, b.SizeFor(input), lp)
 		if err != nil {
-			return PlanLoopRow{}, err
+			return row, fmt.Errorf("%s: %w", b.Name, err)
 		}
-		p, err := plan.Compile(b.Name, pristine, store.Snapshot(), plan.DefaultParams(), nil)
-		if err != nil {
-			return PlanLoopRow{}, fmt.Errorf("%s plan: %w", b.Name, err)
-		}
-
-		// Exploit: the puller applies the fleet plan to its own clone.
-		planned, err := cfg.prepare(b)
-		if err != nil {
-			return PlanLoopRow{}, err
-		}
-		if _, err := plan.Apply(planned, p, inline.DefaultOptions()); err != nil {
-			return PlanLoopRow{}, fmt.Errorf("%s apply: %w", b.Name, err)
-		}
-		planPer, err := steadyState(cfg, planned, size, measure)
-		if err != nil {
-			return PlanLoopRow{}, err
-		}
-
-		// Baseline: JIT-only, no plan.
-		baseline, err := cfg.prepare(b)
-		if err != nil {
-			return PlanLoopRow{}, err
-		}
-		basePer, err := steadyState(cfg, baseline, size, measure)
-		if err != nil {
-			return PlanLoopRow{}, err
-		}
-
-		// Local: one VM inlining from its own exhaustive profile.
-		local, err := cfg.prepare(b)
-		if err != nil {
-			return PlanLoopRow{}, err
-		}
-		e := profiler.NewExhaustive()
-		m := vm.New(local)
-		m.MaxSteps = cfg.MaxSteps
-		m.SetProfiler(e)
-		if _, err := m.Call(local.MethodByName("$Globals.setup"), vm.IntV(size)); err != nil {
-			return PlanLoopRow{}, err
-		}
-		for i := 0; i < warmup; i++ {
-			if _, err := m.Call(local.MethodByName("$Globals.iter")); err != nil {
-				return PlanLoopRow{}, err
-			}
-		}
-		cfg.addCycles(m.Cycles)
-		if _, err := adaptive.Recompile(local, vm.DefaultCostModel(), inline.NewNewLinear(), e.Graph, inline.DefaultOptions()); err != nil {
-			return PlanLoopRow{}, err
-		}
-		localPer, err := steadyState(cfg, local, size, measure)
-		if err != nil {
-			return PlanLoopRow{}, err
-		}
-
-		return PlanLoopRow{
-			Name:               b.Name,
-			Pushers:            pushers,
-			PlanDecisions:      len(p.Decisions),
-			PlanEpoch:          p.Epoch,
-			BaselineIterCycles: basePer,
-			PlanIterCycles:     planPer,
-			LocalIterCycles:    localPer,
-			PlanSpeedupPct:     speedup(basePer, planPer),
-			LocalSpeedupPct:    speedup(basePer, localPer),
-		}, nil
+		return row, nil
 	})
+	return PlanLoopResult{Params: lp, Rows: rows}, err
+}
+
+// loopSubject is a program and the references its plans are judged by.
+type loopSubject struct {
+	cfg      Config
+	name     string
+	pristine *bytecode.Program
+	size     int64
+	iters    int
+	sums     []int64 // the pristine program's per-iteration checksums
+	base     uint64  // its cycles for one round
+}
+
+// try applies a plan to a clone and replays one round, as the pulling VM
+// does before a swap: ok is false when the plan does not apply cleanly
+// or changes a checksum.
+func (s *loopSubject) try(p *plan.Plan) (cycles uint64, ok bool) {
+	candidate := s.pristine.Clone()
+	if res, err := plan.Apply(candidate, p, inline.DefaultOptions()); err != nil || res.SkippedStale != 0 {
+		return 0, false
+	}
+	sums, cycles, err := puller.RunRound(candidate, s.size, s.iters)
+	s.cfg.addCycles(cycles)
+	return cycles, err == nil && slices.Equal(sums, s.sums)
+}
+
+// fresh is the speedup of the plan a graph compiles to with no prior.
+func (s *loopSubject) fresh(g *profile.DCG, params plan.Params) (float64, error) {
+	p, err := plan.Compile(s.name, s.pristine, g, params, nil)
+	if err != nil {
+		return 0, err
+	}
+	cycles, ok := s.try(p)
+	if !ok {
+		return 0, fmt.Errorf("a plan compiled from its own program's profile failed verification")
+	}
+	return speedup(s.base, cycles), nil
+}
+
+// planChain is one plan service and its pulling VM: the prior it
+// compiles against and the cycles of the program currently live.
+type planChain struct {
+	params        plan.Params
+	prior         *plan.Plan
+	cycles        uint64
+	swaps, killed int
+	good          int // first round a good plan was live
+	swapsAtRounds int
+}
+
+// pull is one puller round: compile the snapshot against the prior and,
+// if the plan changed, verify and swap.
+func (c *planChain) pull(s *loopSubject, snapshot *profile.DCG) error {
+	p, err := plan.Compile(s.name, s.pristine, snapshot, c.params, c.prior)
+	if err != nil {
+		return err
+	}
+	if p != c.prior {
+		c.prior = p
+		if cycles, ok := s.try(p); ok {
+			c.cycles = cycles
+			c.swaps++
+		} else {
+			c.killed++
+		}
+	}
+	return nil
+}
+
+func planLoopProgram(cfg Config, b *bench.Benchmark, size int64, lp PlanLoopParams) (PlanLoopRow, error) {
+	row := PlanLoopRow{Name: b.Name}
+	pristine, err := cfg.prepare(b)
+	if err != nil {
+		return row, err
+	}
+	s := &loopSubject{cfg: cfg, name: b.Name, pristine: pristine, size: size, iters: lp.Iters}
+	if s.sums, s.base, err = puller.RunRound(pristine, size, lp.Iters); err != nil {
+		return row, err
+	}
+	row.BaseCycles = s.base
+
+	// Local: one VM inlining from its own exhaustive profile of
+	// SteadyIters iterations.
+	local := pristine.Clone()
+	x := profiler.NewExhaustive()
+	m := vm.New(local)
+	m.MaxSteps = cfg.MaxSteps
+	m.SetProfiler(x)
+	if _, err := m.Call(local.MethodByName("$Globals.setup"), vm.IntV(size)); err != nil {
+		return row, err
+	}
+	for i := 0; i < b.SteadyIters; i++ {
+		if _, err := m.Call(local.MethodByName("$Globals.iter")); err != nil {
+			return row, err
+		}
+	}
+	cfg.addCycles(m.Cycles)
+	if _, err := adaptive.Recompile(local, vm.DefaultCostModel(), inline.NewNewLinear(), x.Graph, inline.DefaultOptions()); err != nil {
+		return row, err
+	}
+	sums, localCycles, err := puller.RunRound(local, size, lp.Iters)
+	if err != nil || !slices.Equal(sums, s.sums) {
+		return row, fmt.Errorf("the locally recompiled program diverged (err %v)", err)
+	}
+	row.LocalCycles = localCycles
+	row.LocalSpeedupPct = speedup(s.base, localCycles)
+	target := planLoopGoodShare * row.LocalSpeedupPct
+
+	live := plan.DefaultParams()
+	raw := live
+	raw.MinWeight, raw.Band = 0, 0
+	noHold := live
+	noHold.HoldSharePct = 100
+
+	if row.ExhaustiveRawPct, err = s.fresh(x.Graph, raw); err != nil {
+		return row, err
+	}
+	if row.ExhaustiveCondPct, err = s.fresh(x.Graph, live); err != nil {
+		return row, err
+	}
+
+	passes := float64(lp.Passes)
+	for pass := 0; pass < lp.Passes; pass++ {
+		store := dcgstore.New()
+		pushers := make([]*loopPusher, lp.Pushers)
+		for k := range pushers {
+			seed := lp.Seed + int64(pass*lp.Pushers+k)
+			if pushers[k], err = newLoopPusher(cfg, pristine.Clone(), size, seed); err != nil {
+				return row, err
+			}
+		}
+		chains := []*planChain{{params: live}, {params: noHold}}
+		for _, c := range chains {
+			c.cycles, c.good = s.base, lp.Rounds+1
+		}
+		results := []*PlanChainResult{&row.Live, &row.NoHold}
+
+		rounds := lp.Rounds
+		if pass < lp.ReplayPasses {
+			rounds = max(rounds, lp.ReplayRounds)
+		}
+		for round := 1; round <= rounds; round++ {
+			for _, p := range pushers {
+				if err := p.round(store, lp.Iters); err != nil {
+					return row, err
+				}
+			}
+			snapshot := store.Snapshot()
+			for _, c := range chains {
+				if err := c.pull(s, snapshot); err != nil {
+					return row, err
+				}
+				if row.Eligible() && round < c.good && round <= lp.Rounds && speedup(s.base, c.cycles) >= target {
+					c.good = round
+				}
+			}
+			if round != lp.Rounds {
+				continue
+			}
+			for i, c := range chains {
+				results[i].SpeedupPct += speedup(s.base, c.cycles) / passes
+				c.swapsAtRounds = c.swaps
+				if pass == 0 {
+					results[i].Decisions, results[i].Epoch = len(c.prior.Decisions), c.prior.Epoch
+					results[i].Swaps, results[i].Killed = c.swaps, c.killed
+				}
+			}
+			sampledRaw, err := s.fresh(snapshot, raw)
+			if err != nil {
+				return row, err
+			}
+			sampledCond, err := s.fresh(snapshot, live)
+			if err != nil {
+				return row, err
+			}
+			row.SampledRawPct += sampledRaw / passes
+			row.SampledCondPct += sampledCond / passes
+			if pass == 0 {
+				row.Samples = snapshot.Total()
+			}
+		}
+		for i, c := range chains {
+			results[i].RoundsToGood += float64(c.good) / passes
+			if pass == 0 {
+				results[i].GoodRound = c.good
+			}
+			if pass < lp.ReplayPasses {
+				results[i].ReplaySpeedupPct += speedup(s.base, c.cycles) / float64(lp.ReplayPasses)
+				results[i].ReplaySwaps += c.swaps - c.swapsAtRounds
+			}
+		}
+	}
+	return row, nil
+}
+
+// loopPusher is one fleet VM on the collecting side: a program under
+// CBS that pushes what it sampled since its last push.
+type loopPusher struct {
+	cfg  Config
+	m    *vm.VM
+	iter *bytecode.Method
+	cbs  *profiler.CBS
+	prev *profile.DCG
+}
+
+func newLoopPusher(cfg Config, prog *bytecode.Program, size, seed int64) (*loopPusher, error) {
+	c := profiler.NewCBS(profiler.Config{Stride: 3, SamplesPerTick: 16, Flavour: profiler.FlavourRVM, Seed: seed})
+	m := vm.New(prog)
+	m.MaxSteps = cfg.MaxSteps
+	m.SetProfiler(c)
+	m.SetTimer(cfg.TimerPeriod)
+	if _, err := m.Call(prog.MethodByName("$Globals.setup"), vm.IntV(size)); err != nil {
+		return nil, err
+	}
+	return &loopPusher{cfg: cfg, m: m, iter: prog.MethodByName("$Globals.iter"), cbs: c}, nil
+}
+
+func (p *loopPusher) round(store *dcgstore.Store, iters int) error {
+	before := p.m.Cycles
+	for i := 0; i < iters; i++ {
+		if _, err := p.m.Call(p.iter); err != nil {
+			return err
+		}
+	}
+	p.cfg.addCycles(p.m.Cycles - before)
+	store.MergeDCG(p.cbs.Graph.DeltaSince(p.prev))
+	p.prev = p.cbs.Graph.Clone()
+	return nil
 }
 
 // FormatPlanLoop renders the study.
-func FormatPlanLoop(rows []PlanLoopRow) string {
+func FormatPlanLoop(res PlanLoopResult) string {
+	lp, rows := res.Params, res.Rows
 	var sb strings.Builder
-	pushers := DefaultPlanLoopPushers
-	if len(rows) > 0 {
-		pushers = rows[0].Pushers
+	fmt.Fprintf(&sb, "Fleet PGO loop: %d CBS pushers x %d iter() a round x %d rounds -> store -> plan chain -> pulling VM; %d passes, CBS seeds %d..%d\n",
+		lp.Pushers, lp.Iters, lp.Rounds, lp.Passes, lp.Seed, lp.Seed+int64(lp.Passes*lp.Pushers)-1)
+	fmt.Fprintf(&sb, "Speedup of one round over JIT-only, modelled cycles, %%; each rung of the ladder is one change from the one to its left\n")
+	fmt.Fprintf(&sb, "%-10s %7s %8s %8s %8s %8s %8s %8s | %5s %4s %6s %7s\n",
+		"Benchmark", "local", "exh/raw", "exh/cond", "cbs/raw", "cbs/cond", "live", "no-hold", "good@", "dec", "epochs", "samples")
+	rungs := func(r PlanLoopRow) []float64 {
+		return []float64{r.LocalSpeedupPct, r.ExhaustiveRawPct, r.ExhaustiveCondPct, r.SampledRawPct, r.SampledCondPct,
+			r.Live.SpeedupPct, r.NoHold.SpeedupPct, r.Live.ReplaySpeedupPct, r.NoHold.ReplaySpeedupPct}
 	}
-	fmt.Fprintf(&sb, "Fleet PGO loop: %d CBS pushers -> aggregated plan -> pulling VM, steady-state speedup vs JIT-only\n", pushers)
-	fmt.Fprintf(&sb, "%-12s %10s %12s %12s %14s\n", "Benchmark", "decisions", "plan", "local-exact", "plan recovers")
-	var planAvg, localAvg float64
+	mean := make([]float64, len(rungs(PlanLoopRow{})))
+	var eligible, converged, decisions, swaps, killed int
+	var epochs uint64
+	var toGood, toGoodNoHold float64
 	for _, r := range rows {
-		recovered := 100.0
-		if r.LocalSpeedupPct > 0 {
-			recovered = r.PlanSpeedupPct / r.LocalSpeedupPct * 100
+		v := rungs(r)
+		for i := range mean {
+			mean[i] += v[i] / float64(len(rows))
 		}
-		fmt.Fprintf(&sb, "%-12s %10d %11.2f%% %11.2f%% %13.1f%%\n",
-			r.Name, r.PlanDecisions, r.PlanSpeedupPct, r.LocalSpeedupPct, recovered)
-		planAvg += r.PlanSpeedupPct
-		localAvg += r.LocalSpeedupPct
+		good := "-"
+		if r.Eligible() {
+			eligible++
+			toGood += r.Live.RoundsToGood
+			toGoodNoHold += r.NoHold.RoundsToGood
+			good = fmt.Sprintf("%.1f", r.Live.RoundsToGood)
+			if r.Live.GoodRound <= lp.Rounds {
+				converged++
+			}
+		}
+		decisions += r.Live.Decisions
+		epochs += r.Live.Epoch
+		swaps += r.Live.Swaps
+		killed += r.Live.Killed
+		fmt.Fprintf(&sb, "%-10s %7.2f %8.2f %8.2f %8.2f %8.2f %8.2f %8.2f | %5s %4d %6d %7.0f\n",
+			r.Name, v[0], v[1], v[2], v[3], v[4], v[5], v[6], good, r.Live.Decisions, r.Live.Epoch, r.Samples)
 	}
-	if n := float64(len(rows)); n > 0 {
-		fmt.Fprintf(&sb, "%-12s %10s %11.2f%% %11.2f%%\n", "average", "", planAvg/n, localAvg/n)
+	if len(rows) == 0 {
+		return sb.String()
+	}
+	recovered := func(v float64) float64 {
+		if mean[0] <= 0 {
+			return 0
+		}
+		return v / mean[0] * 100
+	}
+	fmt.Fprintf(&sb, "%-10s %7.3f %8.3f %8.3f %8.3f %8.3f %8.3f %8.3f\n", "mean", mean[0], mean[1], mean[2], mean[3], mean[4], mean[5], mean[6])
+	fmt.Fprintf(&sb, "%-10s %7.3f %8.3f %8.3f %8.3f %8.3f %8.3f %8.3f   %% of local\n", "recovered",
+		recovered(mean[0]), recovered(mean[1]), recovered(mean[2]), recovered(mean[3]), recovered(mean[4]), recovered(mean[5]), recovered(mean[6]))
+	if eligible > 0 {
+		toGood /= float64(eligible)
+		toGoodNoHold /= float64(eligible)
+	}
+	fmt.Fprintf(&sb, "rounds to a good plan (>= %.0f %% of local, %d programs with >= %.0f %% to recover): live %.2f, no-hold %.2f; pass 0: %d converged, %d decisions, %d epochs, %d swaps, %d killed\n",
+		planLoopGoodShare*100, eligible, planLoopMinLocalPct, toGood, toGoodNoHold, converged, decisions, epochs, swaps, killed)
+
+	if lp.ReplayPasses > 0 && lp.ReplayRounds > lp.Rounds {
+		fmt.Fprintf(&sb, "\nReplay: the first %d passes continued to %d rounds; speedup then (mean) and plans swapped in after round %d (summed)\n",
+			lp.ReplayPasses, lp.ReplayRounds, lp.Rounds)
+		fmt.Fprintf(&sb, "%-10s %8s %8s %8s %8s\n", "Benchmark", "live", "swaps", "no-hold", "swaps")
+		var liveSwaps, noHoldSwaps int
+		for _, r := range rows {
+			fmt.Fprintf(&sb, "%-10s %8.2f %8d %8.2f %8d\n", r.Name,
+				r.Live.ReplaySpeedupPct, r.Live.ReplaySwaps, r.NoHold.ReplaySpeedupPct, r.NoHold.ReplaySwaps)
+			liveSwaps += r.Live.ReplaySwaps
+			noHoldSwaps += r.NoHold.ReplaySwaps
+		}
+		fmt.Fprintf(&sb, "%-10s %8.3f %8d %8.3f %8d\n", "mean", mean[7], liveSwaps, mean[8], noHoldSwaps)
+		fmt.Fprintf(&sb, "%-10s %8.3f %8s %8.3f %8s   %% of local\n", "recovered", recovered(mean[7]), "", recovered(mean[8]), "")
 	}
 	return sb.String()
 }
