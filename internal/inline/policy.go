@@ -146,32 +146,38 @@ func boundPlan(m *bytecode.Method, plan []Decision, maxSize int) []Decision {
 	return kept
 }
 
-// guardBreakeven returns the minimum dominant-target share (0–100) at
-// which a method-test-guarded inline breaks even under the default
-// cost model. The guard's fast path saves the call instruction (2),
-// dispatch (4), and call overhead (11) but pays the argument stores
-// (nargs), the receiver reload + method test + branch (5); the slow
-// path pays the stores, the guard, and the argument reloads on top of
-// the full dispatch (2·nargs + 5 extra). Solving
-// share·win = (1−share)·loss gives the threshold; a 5-point safety
-// margin keeps marginal sites out (the paper's production inliners
-// embed the same economics in their tuned thresholds).
+// guardBreakeven returns the dominant-target share (0–100) at which a
+// method-test-guarded inline breaks even under the default cost model.
+// The guard's fast path saves the call instruction (2), dispatch (4),
+// and call overhead (11) but pays the argument stores (nargs), the
+// receiver reload + method test + branch (5); the slow path pays the
+// stores, the guard, and the argument reloads on top of the full
+// dispatch (2·nargs + 5 extra). Solving share·win = (1−share)·loss gives
+// the threshold.
 func guardBreakeven(nargs int) float64 {
 	win := 12 - nargs
 	if win <= 0 {
 		return 200 // arity so high the guard can never pay off
 	}
 	loss := 2*nargs + 5
-	return float64(loss)/float64(loss+win)*100 + 5
+	return float64(loss) / float64(loss+win) * 100
+}
+
+// GuardPays reports whether a method-test guard on target, taken by
+// share (0–100) of its site's calls, clears the cost model's break-even
+// by margin points. The policies elect with a 5-point margin, which
+// keeps marginal sites out (the paper's production inliners embed the
+// same economics in their tuned thresholds); the plan compiler releases
+// a guard it holds at margin 0, so the margin is the whole hysteresis
+// band and the two lines cannot drift apart.
+func GuardPays(share float64, target *bytecode.Method, margin float64) bool {
+	return share >= guardBreakeven(target.NArgs)+margin
 }
 
 // guardShareOK applies both the policy's distribution rule (the
 // paper's 40% cutoff) and the cost model's break-even share.
 func guardShareOK(policyShare, share float64, target *bytecode.Method) bool {
-	if share <= policyShare {
-		return false
-	}
-	return share >= guardBreakeven(target.NArgs)
+	return share > policyShare && GuardPays(share, target, 5)
 }
 
 // dominantTarget returns the heaviest callee at a site and its share

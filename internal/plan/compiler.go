@@ -179,21 +179,33 @@ func compileConditioned(program string, pristine *bytecode.Program, version stri
 		return nil, fmt.Errorf("plan %s: %w", program, err)
 	}
 
-	// Hysteresis retention: a prior decision whose site the new graph
-	// no longer elects survives as long as the site is still warm. The
-	// retained decision is known-safe — it was applied to this program
-	// before, and guarded kinds keep their fallback dispatch — so
-	// holding it costs nothing while preventing epoch churn from
-	// weights oscillating around a policy threshold.
+	// Hysteresis retention: a prior decision whose site the new graph no
+	// longer elects survives while the site is still warm — and, if it
+	// is guarded, while the cost model does not say it loses: its callee
+	// is still the site's heaviest target, at or above the guard's
+	// break-even share. That is the election test less the policy's
+	// cutoff and the election margin, so a guard is elected above one
+	// line and released below a lower one. A static or null-guard
+	// inline has no slow path to lose on and is held by warmth alone.
+	// Holding is otherwise free — the decision was applied to this
+	// program before — and prevents epoch churn from weights oscillating
+	// around a policy threshold.
 	if prior != nil {
 		elected := map[int]bool{}
 		for _, d := range decisions {
 			elected[d.Site] = true
 		}
 		for _, d := range prior.Decisions {
-			if !elected[d.Site] && cond.SiteWeightPercent(d.Site) >= params.HoldSharePct {
-				decisions = append(decisions, d)
+			if elected[d.Site] || cond.SiteWeightPercent(d.Site) < params.HoldSharePct {
+				continue
 			}
+			if d.Kind == KindGuarded {
+				top := cond.SiteDistribution(d.Site)[0]
+				if top.Callee != d.Callee || d.Callee >= len(pristine.Methods) || !inline.GuardPays(top.Percent, pristine.Methods[d.Callee], 0) {
+					continue
+				}
+			}
+			decisions = append(decisions, d)
 		}
 		if decisions, err = canonicalize(decisions); err != nil {
 			return nil, err

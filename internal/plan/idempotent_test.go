@@ -88,7 +88,7 @@ func withExtra(base *plan.Plan, extra plan.Decision) *plan.Plan {
 // its prior is exactly what the second finds warm on the same graph.
 func TestCompileReturnsItsOwnResultVerbatim(t *testing.T) {
 	params := plan.DefaultParams()
-	var retained, dropped int
+	var retained, dropped, released int
 	for _, pp := range propertyPrograms(t) {
 		base, err := plan.Compile(pp.name, pp.pristine, pp.graph, params, nil)
 		if err != nil {
@@ -112,6 +112,22 @@ func TestCompileReturnsItsOwnResultVerbatim(t *testing.T) {
 		// A site the graph does not hold at all: the decision is dropped
 		// and a new epoch minted.
 		priors["cold"] = withExtra(base, plan.Decision{Site: coldSite, Kind: plan.KindStatic})
+		// A guard the cost model says loses on this graph, at a site as
+		// warm as any: on a callee that is not its site's heaviest, and
+		// on the heaviest where its share is under break-even. Released
+		// under a new epoch like the cold one.
+		for _, site := range cond.Sites() {
+			dist := cond.SiteDistribution(site)
+			if decided[site] || len(dist) < 2 || cond.SiteWeightPercent(site) < params.HoldSharePct {
+				continue
+			}
+			if priors["second"] == nil {
+				priors["second"] = withExtra(base, plan.Decision{Site: site, Callee: dist[1].Callee, Kind: plan.KindGuarded})
+			}
+			if priors["losing"] == nil && dist[0].Percent < guardBreakevenOracle(pp.pristine.Methods[dist[0].Callee].NArgs) {
+				priors["losing"] = withExtra(base, plan.Decision{Site: site, Callee: dist[0].Callee, Kind: plan.KindGuarded})
+			}
+		}
 
 		for what, prior := range priors {
 			first, err := plan.Compile(pp.name, pp.pristine, pp.graph, params, prior)
@@ -129,6 +145,11 @@ func TestCompileReturnsItsOwnResultVerbatim(t *testing.T) {
 					t.Errorf("%s: a decision on a cold site was not dropped under a new epoch", pp.name)
 				}
 				dropped++
+			case "second", "losing":
+				if first == prior || first.Epoch != prior.Epoch+1 || !first.Equal(base) {
+					t.Errorf("%s/%s: a guard the cost model says loses was not released under a new epoch", pp.name, what)
+				}
+				released++
 			}
 			again, err := plan.Compile(pp.name, pp.pristine, pp.graph, params, first)
 			if err != nil {
@@ -140,8 +161,8 @@ func TestCompileReturnsItsOwnResultVerbatim(t *testing.T) {
 			}
 		}
 	}
-	if retained < 40 || dropped < 65 {
-		t.Errorf("%d programs exercised retention and %d a cold drop; the property is under-tested", retained, dropped)
+	if retained < 40 || dropped < 65 || released < 30 {
+		t.Errorf("%d programs exercised retention, %d a cold drop and %d priors a losing guard; the property is under-tested", retained, dropped, released)
 	}
 }
 
