@@ -240,12 +240,17 @@ bench-store:
 # after a push that moved nothing the policy sees (unchanged: snapshot,
 # one pass over the edges, no compile) beside one after a push that did
 # (moved: condition and compile) for compress, jess and javac over a
-# real store — and BenchmarkCondition. The twins of the repo benchmark's
-# daemon.plan_304_us_p50 and plan.compile_ms_p50 / plan.compile_ms.javac.
-# Informational, not a gate: compare the minimum of five alternating
-# runs of a parent and a change binary.
+# real store — BenchmarkCondition, and BenchmarkCompileWithPrior: javac's
+# merged CBS graph compiled with no prior and with an earlier plan of the
+# same chain as prior, which holds decisions the graph no longer elects
+# (held says how many): what retention — a site-weight lookup per prior
+# decision and a site distribution per held guard — adds to a compile.
+# The twins of the repo benchmark's daemon.plan_304_us_p50 and
+# plan.compile_ms_p50 / plan.compile_ms.javac. Informational, not a
+# gate: compare the minimum of five alternating runs of a parent and a
+# change binary.
 bench-plan:
-	$(GO) test -run=^$$ -bench='ServicePull|Condition' -benchmem ./internal/plan/
+	$(GO) test -run=^$$ -bench='ServicePull|Condition|CompileWithPrior' -benchmem ./internal/plan/
 
 # The daemon's handlers alone, as testing.B, driven in-process in the
 # repo benchmark's shape: BenchmarkIngestHandler (one stamped, keyed

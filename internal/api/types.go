@@ -1,7 +1,6 @@
 package api
 
 import (
-	"regexp"
 	"sort"
 
 	"gocbs/internal/profile"
@@ -45,11 +44,20 @@ func SortedKeys[V any](m map[ProgramKey]V) []ProgramKey {
 	return keys
 }
 
-var versionRE = regexp.MustCompile(`^[0-9a-f]{1,64}$`)
-
 // ValidProgramVersion bounds a wire-supplied version string: lowercase
-// hex, 1-64 chars (the generator emits exactly 16).
-func ValidProgramVersion(v string) bool { return versionRE.MatchString(v) }
+// hex, 1-64 chars (the generator emits exactly 16). Every keyed request
+// passes through it.
+func ValidProgramVersion(v string) bool {
+	if len(v) < 1 || len(v) > 64 {
+		return false
+	}
+	for i := 0; i < len(v); i++ {
+		if c := v[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
+}
 
 // ManifestResponse acknowledges one registered program-version
 // manifest.

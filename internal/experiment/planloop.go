@@ -164,10 +164,11 @@ func (s *loopSubject) fresh(g *profile.DCG, params plan.Params) (float64, error)
 // compiles against and the cycles of the program currently live.
 type planChain struct {
 	params        plan.Params
+	res           *PlanChainResult // where the chain's figures accumulate
 	prior         *plan.Plan
 	cycles        uint64
 	swaps, killed int
-	good          int // first round a good plan was live
+	good          int // first round a good plan was live, Rounds+1 while none has been
 	swapsAtRounds int
 }
 
@@ -252,11 +253,10 @@ func planLoopProgram(cfg Config, b *bench.Benchmark, size int64, lp PlanLoopPara
 				return row, err
 			}
 		}
-		chains := []*planChain{{params: live}, {params: noHold}}
+		chains := []*planChain{{params: live, res: &row.Live}, {params: noHold, res: &row.NoHold}}
 		for _, c := range chains {
 			c.cycles, c.good = s.base, lp.Rounds+1
 		}
-		results := []*PlanChainResult{&row.Live, &row.NoHold}
 
 		rounds := lp.Rounds
 		if pass < lp.ReplayPasses {
@@ -273,19 +273,19 @@ func planLoopProgram(cfg Config, b *bench.Benchmark, size int64, lp PlanLoopPara
 				if err := c.pull(s, snapshot); err != nil {
 					return row, err
 				}
-				if row.Eligible() && round < c.good && round <= lp.Rounds && speedup(s.base, c.cycles) >= target {
+				if row.Eligible() && round < c.good && speedup(s.base, c.cycles) >= target {
 					c.good = round
 				}
 			}
 			if round != lp.Rounds {
 				continue
 			}
-			for i, c := range chains {
-				results[i].SpeedupPct += speedup(s.base, c.cycles) / passes
+			for _, c := range chains {
+				c.res.SpeedupPct += speedup(s.base, c.cycles) / passes
 				c.swapsAtRounds = c.swaps
 				if pass == 0 {
-					results[i].Decisions, results[i].Epoch = len(c.prior.Decisions), c.prior.Epoch
-					results[i].Swaps, results[i].Killed = c.swaps, c.killed
+					c.res.Decisions, c.res.Epoch = len(c.prior.Decisions), c.prior.Epoch
+					c.res.Swaps, c.res.Killed = c.swaps, c.killed
 				}
 			}
 			sampledRaw, err := s.fresh(snapshot, raw)
@@ -302,14 +302,14 @@ func planLoopProgram(cfg Config, b *bench.Benchmark, size int64, lp PlanLoopPara
 				row.Samples = snapshot.Total()
 			}
 		}
-		for i, c := range chains {
-			results[i].RoundsToGood += float64(c.good) / passes
+		for _, c := range chains {
+			c.res.RoundsToGood += float64(c.good) / passes
 			if pass == 0 {
-				results[i].GoodRound = c.good
+				c.res.GoodRound = c.good
 			}
 			if pass < lp.ReplayPasses {
-				results[i].ReplaySpeedupPct += speedup(s.base, c.cycles) / float64(lp.ReplayPasses)
-				results[i].ReplaySwaps += c.swaps - c.swapsAtRounds
+				c.res.ReplaySpeedupPct += speedup(s.base, c.cycles) / float64(lp.ReplayPasses)
+				c.res.ReplaySwaps += c.swaps - c.swapsAtRounds
 			}
 		}
 	}

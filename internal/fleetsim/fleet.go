@@ -357,6 +357,7 @@ type pullerRun struct {
 	name string
 	st   puller.Stats
 	err  error
+	done chan struct{} // closed when the VM has run its last round
 }
 
 // fleet is the per-run state Run threads through its phases.
@@ -536,10 +537,11 @@ func (f *fleet) startPuller(name string, prog *bytecode.Program, rounds int, bas
 	pc := plan.NewClient(baseURL)
 	pc.SetHTTPClient(&http.Client{Transport: rt, Timeout: 10 * time.Second})
 	pristine := prog.Clone()
-	run := &pullerRun{name: name}
+	run := &pullerRun{name: name, done: make(chan struct{})}
 	f.pullers.Add(1)
 	go func() {
 		defer f.pullers.Done()
+		defer close(run.done)
 		run.st, run.err = puller.Run(pristine, puller.Options{
 			Program: f.cfg.Program,
 			Size:    f.size,
@@ -650,6 +652,13 @@ func (f *fleet) restart(n int, victim *node) error {
 	snapBefore, planBefore, err := f.capture(victim, "pre-restart")
 	if err != nil {
 		return err
+	}
+	// The refusal probe free-runs from the flip with a poll per round,
+	// and its verdict needs one of them answered: a poll refused by the
+	// closed port is over in microseconds, so on a loaded box it can
+	// spend them all inside this window. It ends before the daemon goes.
+	if f.probe != nil {
+		<-f.probe.done
 	}
 	if err := f.stopNode(victim); err != nil {
 		return fmt.Errorf("%s shutdown (restart %d): %w", victim.name, n, err)

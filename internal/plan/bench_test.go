@@ -111,6 +111,60 @@ func BenchmarkCondition(b *testing.B) {
 	}
 }
 
+// BenchmarkCompileWithPrior times plan.Compile on the retention path:
+// javac's merged CBS graph after 2 × 12 pushes, compiled with no prior
+// (fresh) and with the plan the chain served eight pushes earlier
+// (prior), which holds decisions the later graph does not elect — each
+// a SiteWeightPercent and, for a guard, a SiteDistribution of its site.
+// held is how many the compile retained; the difference between the two
+// rows is what retention adds to plan.compile_ms.javac.
+func BenchmarkCompileWithPrior(b *testing.B) {
+	const name = "javac"
+	params := plan.DefaultParams()
+	pristine := jitProgram(b, name)
+	store := dcgstore.New()
+	pushers := []*cbsPusher{
+		newCBSPusher(b, pristine.Clone(), bench.ByName(name).Small, 1),
+		newCBSPusher(b, pristine.Clone(), bench.ByName(name).Small, 2),
+	}
+	var prior *plan.Plan
+	for i := 0; i < 12; i++ {
+		for _, p := range pushers {
+			p.push(b, store)
+		}
+		if i < 4 {
+			var err error
+			if prior, err = plan.Compile(name, pristine, store.Snapshot(), params, prior); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	snapshot := store.Snapshot()
+	fresh, err := plan.Compile(name, pristine, snapshot, params, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name  string
+		prior *plan.Plan
+	}{{"fresh", nil}, {"prior", prior}} {
+		b.Run(bc.name+"/"+name, func(b *testing.B) {
+			b.ReportAllocs()
+			var got *plan.Plan
+			for i := 0; i < b.N; i++ {
+				if got, err = plan.Compile(name, pristine, snapshot, params, bc.prior); err != nil {
+					b.Fatal(err)
+				}
+			}
+			held := len(got.Decisions) - len(fresh.Decisions)
+			if bc.prior != nil && held == 0 {
+				b.Fatal("the prior holds nothing on this graph; the row times no retention")
+			}
+			b.ReportMetric(float64(held), "held")
+		})
+	}
+}
+
 // TestSkippedPullAllocatesOnlyTheSnapshot: a pull answered from an equal
 // conditioned graph builds nothing of its own — no sorted edge list, no
 // conditioned graph, no clone of the program.

@@ -29,8 +29,9 @@ type Params struct {
 	// no longer elects it but its call site still carries at least this
 	// share (0–100) of the conditioned graph's weight. Adding a
 	// decision requires clearing the policy's thresholds; dropping one
-	// additionally requires the site to have gone genuinely cold —
-	// asymmetric thresholds are what make this hysteresis.
+	// requires the site to have gone genuinely cold or, for a guard, the
+	// cost model to say it loses (see compileConditioned) — asymmetric
+	// thresholds are what make this hysteresis.
 	HoldSharePct float64
 	// Opts bounds the underlying optimizer.
 	Opts inline.Options
@@ -150,10 +151,23 @@ func Extract(pristine *bytecode.Program, policy inline.Policy, g *profile.DCG, o
 //
 // So compiling a graph with the plan it compiled to as prior returns
 // that prior — same elected set, and what the first compile retained is
-// what the second finds warm — which lets the plan service skip it.
+// what the second finds warm and paying, retention being a function of
+// the conditioned graph and the decision alone — which lets the plan
+// service skip it.
 func Compile(program string, pristine *bytecode.Program, g *profile.DCG, params Params, prior *Plan) (*Plan, error) {
 	return compileConditioned(program, pristine, pristine.Version(),
 		Condition(g, params.MinWeight, params.Band), params, prior)
+}
+
+// guardStillPays is the release test for a held guard: d's callee is
+// the heaviest target of its site in cond, at a share that at least
+// breaks even. A prior read from disk may name any site and callee.
+func guardStillPays(pristine *bytecode.Program, cond *profile.DCG, d Decision) bool {
+	dist := cond.SiteDistribution(d.Site)
+	if len(dist) == 0 || dist[0].Callee != d.Callee || d.Callee < 0 || d.Callee >= len(pristine.Methods) {
+		return false
+	}
+	return inline.GuardPays(dist[0].Percent, pristine.Methods[d.Callee], 0)
 }
 
 // compileConditioned is Compile given the conditioned graph and
@@ -199,11 +213,8 @@ func compileConditioned(program string, pristine *bytecode.Program, version stri
 			if elected[d.Site] || cond.SiteWeightPercent(d.Site) < params.HoldSharePct {
 				continue
 			}
-			if d.Kind == KindGuarded {
-				top := cond.SiteDistribution(d.Site)[0]
-				if top.Callee != d.Callee || d.Callee >= len(pristine.Methods) || !inline.GuardPays(top.Percent, pristine.Methods[d.Callee], 0) {
-					continue
-				}
+			if d.Kind == KindGuarded && !guardStillPays(pristine, cond, d) {
+				continue
 			}
 			decisions = append(decisions, d)
 		}

@@ -18,7 +18,7 @@ import (
 // jitProgram compiles a benchmark in the JIT-only configuration the
 // whole pipeline assumes (trivial inlines applied, every other call
 // observable and therefore plannable).
-func jitProgram(t *testing.T, name string) *bytecode.Program {
+func jitProgram(t testing.TB, name string) *bytecode.Program {
 	t.Helper()
 	b := bench.ByName(name)
 	if b == nil {

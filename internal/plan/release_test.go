@@ -141,13 +141,29 @@ func TestGuardReleasedBelowBreakeven(t *testing.T) {
 		}
 	}
 
-	// A site gone cold releases every kind, as before.
 	cold := base.MapWeights(func(e profile.Edge, w float64) float64 {
 		if e.Site == site {
 			return 0
 		}
 		return w
 	})
+	// With the hold share at zero warmth holds anything, a site the
+	// graph no longer has included; a guard there has no heaviest callee
+	// to stand on, nor has one whose callee the program does not have.
+	zero := params
+	zero.HoldSharePct = 0
+	for _, p := range []*plan.Plan{
+		prior(plan.KindGuarded, first),
+		withExtra(fresh, plan.Decision{Site: 1 << 20, Callee: first, Kind: plan.KindGuarded}),
+		withExtra(fresh, plan.Decision{Site: site, Callee: len(pristine.Methods), Kind: plan.KindGuarded}),
+		withExtra(fresh, plan.Decision{Site: site, Callee: -1, Kind: plan.KindGuarded}),
+	} {
+		if got := mustCompile(t, pristine, cold, zero, p); !got.Equal(mustCompile(t, pristine, cold, zero, nil)) {
+			t.Errorf("hold share 0: a guard on %+v survived a graph without its site", p.Decisions)
+		}
+	}
+
+	// A site gone cold releases every kind, as before.
 	for _, k := range []plan.Kind{plan.KindStatic, plan.KindGuarded, plan.KindNullGuard} {
 		if got := mustCompile(t, pristine, cold, params, prior(k, first)); !got.Equal(mustCompile(t, pristine, cold, params, nil)) {
 			t.Errorf("a %v decision survived its site going cold", k)

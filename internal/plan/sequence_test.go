@@ -28,7 +28,7 @@ type cbsPusher struct {
 	prev *profile.DCG
 }
 
-func newCBSPusher(t *testing.T, prog *bytecode.Program, size, seed int64) *cbsPusher {
+func newCBSPusher(t testing.TB, prog *bytecode.Program, size, seed int64) *cbsPusher {
 	t.Helper()
 	c := profiler.NewCBS(profiler.Config{Stride: 3, SamplesPerTick: 16, Flavour: profiler.FlavourRVM, Seed: seed})
 	m := vm.New(prog)
@@ -41,7 +41,7 @@ func newCBSPusher(t *testing.T, prog *bytecode.Program, size, seed int64) *cbsPu
 }
 
 // push runs one more iteration and merges the delta it sampled.
-func (p *cbsPusher) push(t *testing.T, store *dcgstore.Store) {
+func (p *cbsPusher) push(t testing.TB, store *dcgstore.Store) {
 	t.Helper()
 	if _, err := p.m.Call(p.iter); err != nil {
 		t.Fatal(err)
