@@ -67,7 +67,7 @@ var pinnedDigests = map[string]string{
 	"study entrycheck":  "703378b8944f487b3d930ddc94a95d7803de5864d9e11df9821766dbaae392ba",
 	"study context":     "d2b50b30c4502cfa402f488191b214dcf40a188035b03a53514f9a597283a2ff",
 	"study profilers":   "333bb1f0fd3916381551a0eb67fb9c686332790449e05500eda17613d45b632a",
-	"study planloop":    "2613890de7e536f646357d146a40d6ffa5fecdcd8f9984f4db4fe0ddf3b63ec0",
+	"study planloop":    "7254d9d093ab5f4a3d5aa43dc60e95a92f6bdcfc734fa982aee90f7f824b0851",
 }
 
 var pinnedRenders = map[string]func(cfg Config, input string) (string, error){

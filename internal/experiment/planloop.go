@@ -96,6 +96,8 @@ type PlanLoopRow struct {
 	ExhaustiveRawPct, ExhaustiveCondPct float64
 	SampledRawPct, SampledCondPct       float64 // mean over passes
 	Samples                             float64 // merged graph's weight after Rounds rounds, pass 0
+	Windows                             uint64  // ticks that opened a window by then, all pushers, pass 0
+	OverlapPct                          float64 // of that graph with the local exhaustive one, mean over passes
 	Live, NoHold                        PlanChainResult
 }
 
@@ -298,8 +300,12 @@ func planLoopProgram(cfg Config, b *bench.Benchmark, size int64, lp PlanLoopPara
 			}
 			row.SampledRawPct += sampledRaw / passes
 			row.SampledCondPct += sampledCond / passes
+			row.OverlapPct += canonicalOverlap(snapshot, x.Graph) / passes
 			if pass == 0 {
 				row.Samples = snapshot.Total()
+				for _, p := range pushers {
+					row.Windows += p.cbs.Windows
+				}
 			}
 		}
 		for _, c := range chains {
@@ -314,6 +320,17 @@ func planLoopProgram(cfg Config, b *bench.Benchmark, size int64, lp PlanLoopPara
 		}
 	}
 	return row, nil
+}
+
+// canonicalOverlap is profile.Overlap summed in a's canonical edge order:
+// Overlap sums in map order, which moves the last ulp from run to run,
+// and a ladder row is compared whole.
+func canonicalOverlap(a, b *profile.DCG) float64 {
+	var sum float64
+	for _, e := range a.Edges() {
+		sum += min(a.Percent(e), b.Percent(e))
+	}
+	return sum
 }
 
 // loopPusher is one fleet VM on the collecting side: a program under
@@ -358,16 +375,16 @@ func FormatPlanLoop(res PlanLoopResult) string {
 	fmt.Fprintf(&sb, "Fleet PGO loop: %d CBS pushers x %d iter() a round x %d rounds -> store -> plan chain -> pulling VM; %d passes, CBS seeds %d..%d\n",
 		lp.Pushers, lp.Iters, lp.Rounds, lp.Passes, lp.Seed, lp.Seed+int64(lp.Passes*lp.Pushers)-1)
 	fmt.Fprintf(&sb, "Speedup of one round over JIT-only, modelled cycles, %%; each rung of the ladder is one change from the one to its left\n")
-	fmt.Fprintf(&sb, "%-10s %7s %8s %8s %8s %8s %8s %8s | %5s %4s %6s %7s\n",
-		"Benchmark", "local", "exh/raw", "exh/cond", "cbs/raw", "cbs/cond", "live", "no-hold", "good@", "dec", "epochs", "samples")
+	fmt.Fprintf(&sb, "%-10s %7s %8s %8s %8s %8s %8s %8s | %5s %4s %6s %7s %7s %7s\n",
+		"Benchmark", "local", "exh/raw", "exh/cond", "cbs/raw", "cbs/cond", "live", "no-hold", "good@", "dec", "epochs", "samples", "windows", "overlap")
 	rungs := func(r PlanLoopRow) []float64 {
 		return []float64{r.LocalSpeedupPct, r.ExhaustiveRawPct, r.ExhaustiveCondPct, r.SampledRawPct, r.SampledCondPct,
 			r.Live.SpeedupPct, r.NoHold.SpeedupPct, r.Live.ReplaySpeedupPct, r.NoHold.ReplaySpeedupPct}
 	}
 	mean := make([]float64, len(rungs(PlanLoopRow{})))
 	var eligible, converged, decisions, swaps, killed int
-	var epochs uint64
-	var toGood, toGoodNoHold float64
+	var epochs, windows uint64
+	var toGood, toGoodNoHold, overlap float64
 	for _, r := range rows {
 		v := rungs(r)
 		for i := range mean {
@@ -387,8 +404,10 @@ func FormatPlanLoop(res PlanLoopResult) string {
 		epochs += r.Live.Epoch
 		swaps += r.Live.Swaps
 		killed += r.Live.Killed
-		fmt.Fprintf(&sb, "%-10s %7.2f %8.2f %8.2f %8.2f %8.2f %8.2f %8.2f | %5s %4d %6d %7.0f\n",
-			r.Name, v[0], v[1], v[2], v[3], v[4], v[5], v[6], good, r.Live.Decisions, r.Live.Epoch, r.Samples)
+		windows += r.Windows
+		overlap += r.OverlapPct / float64(len(rows))
+		fmt.Fprintf(&sb, "%-10s %7.2f %8.2f %8.2f %8.2f %8.2f %8.2f %8.2f | %5s %4d %6d %7.0f %7d %7.2f\n",
+			r.Name, v[0], v[1], v[2], v[3], v[4], v[5], v[6], good, r.Live.Decisions, r.Live.Epoch, r.Samples, r.Windows, r.OverlapPct)
 	}
 	if len(rows) == 0 {
 		return sb.String()
@@ -408,6 +427,8 @@ func FormatPlanLoop(res PlanLoopResult) string {
 	}
 	fmt.Fprintf(&sb, "rounds to a good plan (>= %.0f %% of local, %d programs with >= %.0f %% to recover): live %.2f, no-hold %.2f; pass 0: %d converged, %d decisions, %d epochs, %d swaps, %d killed\n",
 		planLoopGoodShare*100, eligible, planLoopMinLocalPct, toGood, toGoodNoHold, converged, decisions, epochs, swaps, killed)
+
+	fmt.Fprintf(&sb, "merged graph after round %d against the local exhaustive one: overlap %.3f %% (mean), %d windows in pass 0\n", lp.Rounds, overlap, windows)
 
 	if lp.ReplayPasses > 0 && lp.ReplayRounds > lp.Rounds {
 		fmt.Fprintf(&sb, "\nReplay: the first %d passes continued to %d rounds; speedup then (mean) and plans swapped in after round %d (summed)\n",

@@ -111,8 +111,13 @@ type CBS struct {
 	skipped     int
 	samplesLeft int
 
-	// Ticks, WindowEvents, and SamplesTaken are exported diagnostics.
+	// What the sampler did, exported diagnostics. Every tick either opens
+	// a window or finds the previous one still open and is lost, so
+	// Ticks == Windows + Coalesced, plus one while a tick is armed (RVM
+	// flavour: seen, its first yieldpoint not yet taken).
 	Ticks        uint64
+	Windows      uint64
+	Coalesced    uint64
 	WindowEvents uint64
 	SamplesTaken uint64
 }
@@ -174,7 +179,8 @@ func (c *CBS) initialSkip() int {
 func (c *CBS) OnTimerTick(m *vm.VM) {
 	c.Ticks++
 	if c.active || c.armed {
-		return // previous window still open; tick coalesced
+		c.Coalesced++ // previous window still open: the tick is lost
+		return
 	}
 	if c.cfg.Flavour == FlavourRVM {
 		c.armed = true
@@ -185,6 +191,7 @@ func (c *CBS) OnTimerTick(m *vm.VM) {
 }
 
 func (c *CBS) openWindow(m *vm.VM) {
+	c.Windows++
 	c.active = true
 	c.skipped = c.initialSkip()
 	c.samplesLeft = c.cfg.SamplesPerTick

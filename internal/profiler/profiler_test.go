@@ -473,6 +473,30 @@ func TestCBSWindowSurvivesCoalescedTicks(t *testing.T) {
 	}
 }
 
+// TestTicksAreWindowsPlusCoalesced: every tick opens a window or finds
+// one open and is lost, in both flavours, with windows that close before
+// the next tick, windows that outlive several, and one that never closes.
+func TestTicksAreWindowsPlusCoalesced(t *testing.T) {
+	adv := buildAdversary(t, 100)
+	for _, fl := range []Flavour{FlavourRVM, FlavourJ9} {
+		for _, samples := range []int{4, 600, 1 << 30} {
+			c := NewCBS(Config{Stride: 3, SamplesPerTick: samples, Flavour: fl, Seed: 5})
+			runAdversary(t, adv, c, 30_000, 20_000, fl == FlavourJ9)
+			armed := uint64(0)
+			if c.armed {
+				armed = 1
+			}
+			if c.Ticks < 10 || c.Windows == 0 || c.Ticks != c.Windows+c.Coalesced+armed {
+				t.Errorf("%v, %d samples a tick: %d ticks, %d windows, %d coalesced, armed %d",
+					fl, samples, c.Ticks, c.Windows, c.Coalesced, armed)
+			}
+			if samples == 4 && c.Coalesced != 0 || samples > 4 && c.Coalesced == 0 {
+				t.Errorf("%v, %d samples a tick: %d coalesced of %d ticks", fl, samples, c.Coalesced, c.Ticks)
+			}
+		}
+	}
+}
+
 func TestJ9WindowOpensAtTickWithoutYieldpoint(t *testing.T) {
 	// J9 flavour opens the window directly at the timer tick (the
 	// "interrupt" sets the overloaded entry flag); RVM waits for the
