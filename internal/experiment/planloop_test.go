@@ -2,8 +2,13 @@ package experiment
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
+
+	"gocbs/internal/dcgstore"
+	"gocbs/internal/profiler"
+	"gocbs/internal/vm"
 )
 
 // smallLoop is the loop cut down for the structural tests: one pass,
@@ -72,5 +77,59 @@ func TestPlanLoopDeterministicAcrossParallelism(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("parallel run diverged:\n%+v\nvs\n%+v", a, b)
+	}
+}
+
+// windowWatch records the clock whenever the CBS installed before it has
+// opened a window.
+type windowWatch struct {
+	cbs  *profiler.CBS
+	seen uint64
+	at   []uint64
+}
+
+func (*windowWatch) Name() string { return "window-watch" }
+
+func (w *windowWatch) OnYieldpoint(m *vm.VM, _ vm.YieldKind) {
+	if w.cbs.Windows != w.seen {
+		w.seen = w.cbs.Windows
+		w.at = append(w.at, m.Cycles)
+	}
+}
+
+// TestPushersDoNotShareWindows: two pushers of one build, at the
+// consecutive seeds a fleet gives them, open their windows at different
+// points of the program. The modelled program is deterministic, so with
+// ticks at exactly k·TimerPeriod both opened every window at the same
+// cycle — the first yieldpoint after the tick — and K pushers sampled one
+// aliasing pattern K times.
+func TestPushersDoNotShareWindows(t *testing.T) {
+	cfg := testCfg(t, "jess")
+	b := cfg.Benchmarks[0]
+	pristine, err := cfg.prepare(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stamps [2][]uint64
+	for k := range stamps {
+		p, err := newLoopPusher(cfg, pristine.Clone(), b.SizeFor("small"), int64(1+k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := &windowWatch{cbs: p.cbs, seen: p.cbs.Windows}
+		p.m.SetProfiler(p.cbs, w)
+		if err := p.round(dcgstore.New(), 24); err != nil {
+			t.Fatal(err)
+		}
+		if len(w.at) < 4 {
+			t.Fatalf("seed %d: %d windows in 24 iterations, want a handful", 1+k, len(w.at))
+		}
+		stamps[k] = w.at
+	}
+	for _, c := range stamps[0] {
+		if slices.Contains(stamps[1], c) {
+			t.Errorf("both pushers opened a window at cycle %d (seed 1: %v, seed 2: %v)", c, stamps[0], stamps[1])
+			break
+		}
 	}
 }
