@@ -244,13 +244,15 @@ bench-store:
 # merged CBS graph compiled with no prior and with an earlier plan of the
 # same chain as prior, which holds decisions the graph no longer elects
 # (held says how many): what retention — a site-weight lookup per prior
-# decision and a site distribution per held guard — adds to a compile.
+# decision and one more inline.Evidence once a held guard asks — adds to
+# a compile; BenchmarkSiteEstimate is that table alone, built from the
+# same graph and asked for every site's dominant target.
 # The twins of the repo benchmark's daemon.plan_304_us_p50 and
 # plan.compile_ms_p50 / plan.compile_ms.javac. Informational, not a
 # gate: compare the minimum of five alternating runs of a parent and a
 # change binary.
 bench-plan:
-	$(GO) test -run=^$$ -bench='ServicePull|Condition|CompileWithPrior' -benchmem ./internal/plan/
+	$(GO) test -run=^$$ -bench='ServicePull|Condition|CompileWithPrior|SiteEstimate' -benchmem ./internal/plan/
 
 # The daemon's handlers alone, as testing.B, driven in-process in the
 # repo benchmark's shape: BenchmarkIngestHandler (one stamped, keyed

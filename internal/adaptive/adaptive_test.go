@@ -234,7 +234,7 @@ type spoiled struct{}
 
 func (spoiled) Name() string { return "spoiled" }
 
-func (spoiled) Plan(prog *bytecode.Program, m *bytecode.Method, _ *profile.DCG) []inline.Decision {
+func (spoiled) Plan(prog *bytecode.Program, m *bytecode.Method, _ *inline.Evidence) []inline.Decision {
 	if m.Name != "$Globals.step" {
 		return nil
 	}

@@ -273,7 +273,7 @@ func TestOldJikesIgnoresNonHotVirtuals(t *testing.T) {
 	g.AddSample(profile.Edge{Caller: main.ID, Site: virtSite, Callee: apply.ID}, 1)
 	g.AddSample(profile.Edge{Caller: main.ID, Site: staticSite, Callee: helper.ID}, 999)
 
-	plan := NewOldJikes().Plan(prog, main, g)
+	plan := NewOldJikes().Plan(prog, main, NewEvidence(prog, g))
 	for _, d := range plan {
 		if d.Guarded {
 			t.Errorf("old inliner guard-inlined a non-hot virtual site")
@@ -284,7 +284,7 @@ func TestOldJikesIgnoresNonHotVirtuals(t *testing.T) {
 	// No — at 0.1% weight the threshold is small but the site's
 	// distribution is 100% Double; NewLinear requires share > 40% and
 	// size <= threshold(0.1) ≈ MinSize. Double.apply is tiny, so yes.
-	newPlan := NewNewLinear().Plan(prog, main, g)
+	newPlan := NewNewLinear().Plan(prog, main, NewEvidence(prog, g))
 	foundGuard := false
 	for _, d := range newPlan {
 		if d.Guarded {
@@ -320,7 +320,7 @@ func TestJ9DynamicColdSuppression(t *testing.T) {
 	// is non-zero) suppresses the inline.
 	g := profile.NewDCG()
 	g.AddSample(profile.Edge{Caller: 999, Site: 999, Callee: 998}, 100)
-	if plan := NewJ9Dynamic().Plan(prog, main, g); len(plan) != 0 {
+	if plan := NewJ9Dynamic().Plan(prog, main, NewEvidence(prog, g)); len(plan) != 0 {
 		t.Errorf("dynamic policy should suppress inlining at cold sites, got %d decisions", len(plan))
 	}
 
@@ -332,7 +332,7 @@ func TestJ9DynamicColdSuppression(t *testing.T) {
 	g2 := profile.NewDCG()
 	tiny := prog.MethodByName("$Globals.tiny")
 	g2.AddSample(profile.Edge{Caller: main.ID, Site: site, Callee: tiny.ID}, 100)
-	if plan := NewJ9Dynamic().Plan(prog, main, g2); len(plan) == 0 {
+	if plan := NewJ9Dynamic().Plan(prog, main, NewEvidence(prog, g2)); len(plan) == 0 {
 		t.Error("dynamic policy should inline at hot sites")
 	}
 }
@@ -493,7 +493,7 @@ type halfBad struct{ unverifiable bool }
 
 func (halfBad) Name() string { return "half-bad" }
 
-func (h halfBad) Plan(prog *bytecode.Program, m *bytecode.Method, _ *profile.DCG) []Decision {
+func (h halfBad) Plan(prog *bytecode.Program, m *bytecode.Method, _ *Evidence) []Decision {
 	if m.Name != "$Globals.step" {
 		return nil
 	}

@@ -1,9 +1,6 @@
 package inline
 
-import (
-	"gocbs/internal/bytecode"
-	"gocbs/internal/profile"
-)
+import "gocbs/internal/bytecode"
 
 // Trivial is the load-time policy used by the accuracy experiments'
 // JIT-only baseline (§6.2): it inlines only trivial methods — bodies
@@ -15,7 +12,7 @@ type Trivial struct{}
 func (Trivial) Name() string { return "trivial" }
 
 // Plan implements Policy.
-func (Trivial) Plan(prog *bytecode.Program, m *bytecode.Method, _ *profile.DCG) []Decision {
+func (Trivial) Plan(prog *bytecode.Program, m *bytecode.Method, _ *Evidence) []Decision {
 	var ds []Decision
 	for _, cs := range ScanCalls(prog, m) {
 		if cs.Op == bytecode.OpCallStatic && cs.Static.Trivial && cs.Static != m {
@@ -46,10 +43,10 @@ func NewOldJikes() *OldJikes {
 func (*OldJikes) Name() string { return "old-jikes" }
 
 // Plan implements Policy.
-func (p *OldJikes) Plan(prog *bytecode.Program, m *bytecode.Method, g *profile.DCG) []Decision {
+func (p *OldJikes) Plan(prog *bytecode.Program, m *bytecode.Method, ev *Evidence) []Decision {
 	var ds []Decision
 	for _, cs := range ScanCalls(prog, m) {
-		hot := g != nil && g.SiteWeightPercent(cs.Site) > p.HotEdgePercent
+		hot := ev.SiteWeightPercent(cs.Site) > p.HotEdgePercent
 		switch cs.Op {
 		case bytecode.OpCallStatic:
 			limit := p.StaticSizeLimit
@@ -63,7 +60,7 @@ func (p *OldJikes) Plan(prog *bytecode.Program, m *bytecode.Method, g *profile.D
 			if !hot {
 				continue // non-hot profile data ignored
 			}
-			target, share, ok := dominantTarget(prog, g, cs.Site)
+			target, share, ok := ev.Dominant(cs.Site)
 			if !ok || target == m || !guardShareOK(50, share, target) {
 				continue
 			}
@@ -107,21 +104,17 @@ func (p *NewLinear) threshold(weightPct float64) int {
 }
 
 // Plan implements Policy.
-func (p *NewLinear) Plan(prog *bytecode.Program, m *bytecode.Method, g *profile.DCG) []Decision {
+func (p *NewLinear) Plan(prog *bytecode.Program, m *bytecode.Method, ev *Evidence) []Decision {
 	var ds []Decision
 	for _, cs := range ScanCalls(prog, m) {
-		var w float64
-		if g != nil {
-			w = g.SiteWeightPercent(cs.Site)
-		}
-		limit := p.threshold(w)
+		limit := p.threshold(ev.SiteWeightPercent(cs.Site))
 		switch cs.Op {
 		case bytecode.OpCallStatic:
 			if cs.Static != m && len(cs.Static.Code) <= limit {
 				ds = append(ds, Decision{PC: cs.PC, Target: cs.Static})
 			}
 		case bytecode.OpCallVirtual:
-			if target, share, ok := dominantTarget(prog, g, cs.Site); ok {
+			if target, share, ok := ev.Dominant(cs.Site); ok {
 				if guardShareOK(p.GuardShare, share, target) && target != m && len(target.Code) <= limit {
 					ds = append(ds, Decision{PC: cs.PC, Target: target, Guarded: true})
 					continue
@@ -157,7 +150,7 @@ func NewJ9Static() *J9Static {
 func (*J9Static) Name() string { return "j9-static" }
 
 // Plan implements Policy.
-func (p *J9Static) Plan(prog *bytecode.Program, m *bytecode.Method, _ *profile.DCG) []Decision {
+func (p *J9Static) Plan(prog *bytecode.Program, m *bytecode.Method, _ *Evidence) []Decision {
 	var ds []Decision
 	for _, cs := range ScanCalls(prog, m) {
 		switch cs.Op {
@@ -207,13 +200,13 @@ func NewJ9Dynamic() *J9Dynamic {
 func (*J9Dynamic) Name() string { return "j9-dynamic" }
 
 // Plan implements Policy.
-func (p *J9Dynamic) Plan(prog *bytecode.Program, m *bytecode.Method, g *profile.DCG) []Decision {
-	if g == nil || g.Total() == 0 {
-		return p.Static.Plan(prog, m, nil)
+func (p *J9Dynamic) Plan(prog *bytecode.Program, m *bytecode.Method, ev *Evidence) []Decision {
+	if ev.Total() == 0 {
+		return p.Static.Plan(prog, m, ev)
 	}
 	var ds []Decision
 	for _, cs := range ScanCalls(prog, m) {
-		w := g.SiteWeightPercent(cs.Site)
+		w := ev.SiteWeightPercent(cs.Site)
 		if w < p.ColdPercent {
 			continue // cold: static heuristics overridden, no inlining
 		}
@@ -231,7 +224,7 @@ func (p *J9Dynamic) Plan(prog *bytecode.Program, m *bytecode.Method, g *profile.
 			}
 		case bytecode.OpCallVirtual:
 			if hot {
-				if target, share, ok := dominantTarget(prog, g, cs.Site); ok &&
+				if target, share, ok := ev.Dominant(cs.Site); ok &&
 					guardShareOK(p.GuardShare, share, target) && target != m &&
 					len(target.Code) <= staticLimit {
 					ds = append(ds, Decision{PC: cs.PC, Target: target, Guarded: true})

@@ -5,12 +5,12 @@ import (
 	"gocbs/internal/profile"
 )
 
-// Policy decides which call sites of a method to inline, given a
-// dynamic call graph (which may be nil or empty for purely static
+// Policy decides which call sites of a method to inline, given what a
+// dynamic call graph says of them (nothing, for purely static
 // heuristics).
 type Policy interface {
 	Name() string
-	Plan(prog *bytecode.Program, m *bytecode.Method, g *profile.DCG) []Decision
+	Plan(prog *bytecode.Program, m *bytecode.Method, ev *Evidence) []Decision
 }
 
 // Options bounds the optimizer.
@@ -50,8 +50,9 @@ type Report struct {
 // (they are inlined into callers, and calling them is already cheap).
 func Optimize(prog *bytecode.Program, policy Policy, g *profile.DCG, opts Options) (Report, error) {
 	var rep Report
+	ev := NewEvidence(prog, g)
 	for _, m := range prog.Methods {
-		n, guarded, err := OptimizeMethod(prog, policy, g, m, opts)
+		n, guarded, err := optimizeMethod(prog, policy, ev, m, opts)
 		if err != nil {
 			return rep, err
 		}
@@ -84,11 +85,15 @@ func JITOnly(prog *bytecode.Program) error {
 // which only executes when the guard has already failed, so re-inlining
 // it with the same guard would be a pure pessimization.
 func OptimizeMethod(prog *bytecode.Program, policy Policy, g *profile.DCG, m *bytecode.Method, opts Options) (int, int, error) {
+	return optimizeMethod(prog, policy, NewEvidence(prog, g), m, opts)
+}
+
+func optimizeMethod(prog *bytecode.Program, policy Policy, ev *Evidence, m *bytecode.Method, opts Options) (int, int, error) {
 	total, guarded := 0, 0
 	guardedSites := map[int]bool{}
 	siteOf := func(pc int) int { return int(m.Code[pc].B) }
 	for depth := 0; depth < opts.MaxDepth; depth++ {
-		plan := policy.Plan(prog, m, g)
+		plan := policy.Plan(prog, m, ev)
 		kept := plan[:0]
 		for _, d := range plan {
 			if (d.Guarded || d.NullGuard) && guardedSites[siteOf(d.PC)] {
@@ -169,7 +174,8 @@ func guardBreakeven(nargs int) float64 {
 // keeps marginal sites out (the paper's production inliners embed the
 // same economics in their tuned thresholds); the plan compiler releases
 // a guard it holds at margin 0, so the margin is the whole hysteresis
-// band and the two lines cannot drift apart.
+// band and the two lines cannot drift apart. The share is an estimate
+// with its evidence counted in (Evidence.Dominant), never a raw ratio.
 func GuardPays(share float64, target *bytecode.Method, margin float64) bool {
 	return share >= guardBreakeven(target.NArgs)+margin
 }
@@ -180,20 +186,117 @@ func guardShareOK(policyShare, share float64, target *bytecode.Method) bool {
 	return share > policyShare && GuardPays(share, target, 5)
 }
 
-// dominantTarget returns the heaviest callee at a site and its share
-// (0–100) of the site's samples; ok is false when the site is absent
-// from the profile.
-func dominantTarget(prog *bytecode.Program, g *profile.DCG, site int) (m *bytecode.Method, share float64, ok bool) {
+// familyPrior is α, what a site's method family does elsewhere counted
+// as so many samples at the site. A sampled graph holds one or two
+// samples on many sites, and one sample reads "100 %": with k_c of a
+// site's n samples on callee c, and π_c the share of c in all the weight
+// the graph holds on c's family (the root class of its hierarchy and its
+// vtable slot: slot numbers are per hierarchy), the site's share of c is
+// (k_c + α·π_c)/(n + α) — its own ratio when n ≫ α, mostly what the same
+// call does at its other sites when n is 1. The value sits on a plateau
+// (EXPERIMENTS E16); a prior uniform over the slot's implementations
+// un-elects the sites that are monomorphic in practice.
+const familyPrior = 4
+
+// Evidence is a profile as one Optimize or OptimizeMethod call reads it:
+// what the graph holds per call site and per method family, summed once
+// in canonical edge order. It is not kept beyond the call: the adaptive
+// system recompiles from a graph that is still growing.
+type Evidence struct {
+	prog     *bytecode.Program
+	total    float64
+	sites    map[int]*siteEvidence
+	callees  map[int]float64    // weight on a virtual method, all sites
+	families map[family]float64 // weight on a family's methods, all sites
+}
+
+type family struct {
+	root *bytecode.Class
+	slot int
+}
+
+type siteEvidence struct {
+	n       float64
+	targets []profile.TargetWeight // one a callee, Callee and Weight set
+}
+
+// familyOf returns the family of method id, if it names a virtual method.
+func familyOf(prog *bytecode.Program, id int) (family, bool) {
+	if id < 0 || id >= len(prog.Methods) || prog.Methods[id].VSlot < 0 || prog.Methods[id].Class == nil {
+		return family{}, false
+	}
+	root := prog.Methods[id].Class
+	for root.Super != nil {
+		root = root.Super
+	}
+	return family{root, prog.Methods[id].VSlot}, true
+}
+
+// NewEvidence reads g (nil: no profile) for prog.
+func NewEvidence(prog *bytecode.Program, g *profile.DCG) *Evidence {
+	ev := &Evidence{prog: prog, sites: map[int]*siteEvidence{}, callees: map[int]float64{}, families: map[family]float64{}}
 	if g == nil {
+		return ev
+	}
+	ev.total = g.Total()
+	for _, e := range g.Edges() {
+		w := g.Weight(e)
+		s := ev.sites[e.Site]
+		if s == nil {
+			s = &siteEvidence{}
+			ev.sites[e.Site] = s
+		}
+		s.n += w
+		i := 0
+		for i < len(s.targets) && s.targets[i].Callee != e.Callee {
+			i++
+		}
+		if i == len(s.targets) {
+			s.targets = append(s.targets, profile.TargetWeight{Callee: e.Callee})
+		}
+		s.targets[i].Weight += w
+		if f, ok := familyOf(prog, e.Callee); ok {
+			ev.callees[e.Callee] += w
+			ev.families[f] += w
+		}
+	}
+	return ev
+}
+
+// Total returns the graph's total weight.
+func (ev *Evidence) Total() float64 { return ev.total }
+
+// SiteWeightPercent returns the share (0–100) of the graph's weight on
+// the call site, across all its targets.
+func (ev *Evidence) SiteWeightPercent(site int) float64 {
+	s := ev.sites[site]
+	if s == nil || ev.total == 0 {
+		return 0
+	}
+	return s.n / ev.total * 100
+}
+
+// Dominant returns the callee with the largest share of a site's calls
+// and that share (0–100), as estimated from the site's samples and its
+// family's (see familyPrior); ok is false when the graph holds nothing on
+// the site, or nothing on a method of the program.
+func (ev *Evidence) Dominant(site int) (m *bytecode.Method, share float64, ok bool) {
+	s := ev.sites[site]
+	if s == nil || s.n <= 0 {
 		return nil, 0, false
 	}
-	dist := g.SiteDistribution(site)
-	if len(dist) == 0 {
-		return nil, 0, false
+	for _, t := range s.targets {
+		if t.Callee < 0 || t.Callee >= len(ev.prog.Methods) {
+			continue
+		}
+		prior := t.Weight / s.n // a callee of no family: the site's own ratio
+		if f, ok := familyOf(ev.prog, t.Callee); ok {
+			prior = ev.callees[t.Callee] / ev.families[f]
+		}
+		est := (t.Weight + familyPrior*prior) / (s.n + familyPrior) * 100
+		if m == nil || est > share || est == share && t.Callee < m.ID {
+			m, share = ev.prog.Methods[t.Callee], est
+		}
 	}
-	top := dist[0]
-	if top.Callee < 0 || top.Callee >= len(prog.Methods) {
-		return nil, 0, false
-	}
-	return prog.Methods[top.Callee], top.Percent, true
+	return m, share, m != nil
 }

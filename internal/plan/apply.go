@@ -5,7 +5,6 @@ import (
 
 	"gocbs/internal/bytecode"
 	"gocbs/internal/inline"
-	"gocbs/internal/profile"
 )
 
 // planPolicy adapts a Plan into an inline.Policy: instead of consulting
@@ -35,7 +34,7 @@ func (p *planPolicy) Name() string {
 // needs — are skipped rather than failing the whole application: a
 // plan is advisory, and a VM must stay healthy under a plan compiled
 // for a slightly different build of the program.
-func (p *planPolicy) Plan(prog *bytecode.Program, m *bytecode.Method, _ *profile.DCG) []inline.Decision {
+func (p *planPolicy) Plan(prog *bytecode.Program, m *bytecode.Method, _ *inline.Evidence) []inline.Decision {
 	var ds []inline.Decision
 	for _, cs := range inline.ScanCalls(prog, m) {
 		d, ok := p.bySite[cs.Site]

@@ -7,6 +7,7 @@ import (
 	"gocbs/internal/bench"
 	"gocbs/internal/bytecode"
 	"gocbs/internal/dcgstore"
+	"gocbs/internal/inline"
 	"gocbs/internal/plan"
 	"gocbs/internal/profile"
 	"gocbs/internal/profiler"
@@ -111,35 +112,42 @@ func BenchmarkCondition(b *testing.B) {
 	}
 }
 
-// BenchmarkCompileWithPrior times plan.Compile on the retention path:
-// javac's merged CBS graph after 2 × 12 pushes, compiled with no prior
-// (fresh) and with the plan the chain served eight pushes earlier
-// (prior), which holds decisions the later graph does not elect — each
-// a SiteWeightPercent and, for a guard, a SiteDistribution of its site.
-// held is how many the compile retained; the difference between the two
-// rows is what retention adds to plan.compile_ms.javac.
-func BenchmarkCompileWithPrior(b *testing.B) {
+// javacMerged is javac's merged CBS graph after 2 × 12 pushes and the
+// plan the prior chain served eight pushes earlier, which holds decisions
+// the later graph does not elect.
+func javacMerged(b *testing.B) (pristine *bytecode.Program, snapshot *profile.DCG, prior *plan.Plan) {
 	const name = "javac"
-	params := plan.DefaultParams()
-	pristine := jitProgram(b, name)
+	pristine = jitProgram(b, name)
 	store := dcgstore.New()
 	pushers := []*cbsPusher{
 		newCBSPusher(b, pristine.Clone(), bench.ByName(name).Small, 1),
 		newCBSPusher(b, pristine.Clone(), bench.ByName(name).Small, 2),
 	}
-	var prior *plan.Plan
 	for i := 0; i < 12; i++ {
 		for _, p := range pushers {
 			p.push(b, store)
 		}
 		if i < 4 {
 			var err error
-			if prior, err = plan.Compile(name, pristine, store.Snapshot(), params, prior); err != nil {
+			if prior, err = plan.Compile(name, pristine, store.Snapshot(), plan.DefaultParams(), prior); err != nil {
 				b.Fatal(err)
 			}
 		}
 	}
-	snapshot := store.Snapshot()
+	return pristine, store.Snapshot(), prior
+}
+
+// BenchmarkCompileWithPrior times plan.Compile on the retention path:
+// javacMerged's graph compiled with no prior (fresh) and with its prior
+// plan — a SiteWeightPercent of the conditioned graph for each decision
+// the graph does not elect and, once one of them is a guard, one more
+// inline.Evidence of it. held is how many the compile retained; the
+// difference between the two rows is what retention adds to
+// plan.compile_ms.javac.
+func BenchmarkCompileWithPrior(b *testing.B) {
+	const name = "javac"
+	params := plan.DefaultParams()
+	pristine, snapshot, prior := javacMerged(b)
 	fresh, err := plan.Compile(name, pristine, snapshot, params, nil)
 	if err != nil {
 		b.Fatal(err)
@@ -163,6 +171,28 @@ func BenchmarkCompileWithPrior(b *testing.B) {
 			b.ReportMetric(float64(held), "held")
 		})
 	}
+}
+
+// BenchmarkSiteEstimate times what one compile pays to know its graph:
+// an inline.Evidence of javacMerged's conditioned graph — one sort of the
+// edges, the per-site and per-family sums — and the dominant target of
+// every site it holds, each asked once.
+func BenchmarkSiteEstimate(b *testing.B) {
+	params := plan.DefaultParams()
+	pristine, snapshot, _ := javacMerged(b)
+	cond := plan.Condition(snapshot, params.MinWeight, params.Band)
+	sites := cond.Sites()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ev := inline.NewEvidence(pristine, cond)
+		for _, site := range sites {
+			if _, _, ok := ev.Dominant(site); !ok {
+				b.Fatalf("site %d has no dominant target", site)
+			}
+		}
+	}
+	b.ReportMetric(float64(len(sites)), "sites")
 }
 
 // TestSkippedPullAllocatesOnlyTheSnapshot: a pull answered from an equal

@@ -160,14 +160,12 @@ func Compile(program string, pristine *bytecode.Program, g *profile.DCG, params 
 }
 
 // guardStillPays is the release test for a held guard: d's callee is
-// the heaviest target of its site in cond, at a share that at least
-// breaks even. A prior read from disk may name any site and callee.
-func guardStillPays(pristine *bytecode.Program, cond *profile.DCG, d Decision) bool {
-	dist := cond.SiteDistribution(d.Site)
-	if len(dist) == 0 || dist[0].Callee != d.Callee || d.Callee < 0 || d.Callee >= len(pristine.Methods) {
-		return false
-	}
-	return inline.GuardPays(dist[0].Percent, pristine.Methods[d.Callee], 0)
+// still its site's dominant target in the conditioned graph, at an
+// estimated share that at least breaks even. A prior read from disk may
+// name any site and callee.
+func guardStillPays(ev *inline.Evidence, d Decision) bool {
+	target, share, ok := ev.Dominant(d.Site)
+	return ok && target.ID == d.Callee && inline.GuardPays(share, target, 0)
 }
 
 // compileConditioned is Compile given the conditioned graph and
@@ -209,12 +207,18 @@ func compileConditioned(program string, pristine *bytecode.Program, version stri
 		for _, d := range decisions {
 			elected[d.Site] = true
 		}
+		var ev *inline.Evidence // of cond, once a held guard asks
 		for _, d := range prior.Decisions {
 			if elected[d.Site] || cond.SiteWeightPercent(d.Site) < params.HoldSharePct {
 				continue
 			}
-			if d.Kind == KindGuarded && !guardStillPays(pristine, cond, d) {
-				continue
+			if d.Kind == KindGuarded {
+				if ev == nil {
+					ev = inline.NewEvidence(pristine, cond)
+				}
+				if !guardStillPays(ev, d) {
+					continue
+				}
 			}
 			decisions = append(decisions, d)
 		}

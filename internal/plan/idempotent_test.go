@@ -113,19 +113,24 @@ func TestCompileReturnsItsOwnResultVerbatim(t *testing.T) {
 		// and a new epoch minted.
 		priors["cold"] = withExtra(base, plan.Decision{Site: coldSite, Kind: plan.KindStatic})
 		// A guard the cost model says loses on this graph, at a site as
-		// warm as any: on a callee that is not its site's heaviest, and
-		// on the heaviest where its share is under break-even. Released
-		// under a new epoch like the cold one.
+		// warm as any: on a callee that is not its site's dominant one,
+		// and on the dominant one where its estimated share is under
+		// break-even. Released under a new epoch like the cold one.
 		for _, site := range cond.Sites() {
 			dist := cond.SiteDistribution(site)
 			if decided[site] || len(dist) < 2 || cond.SiteWeightPercent(site) < params.HoldSharePct {
 				continue
 			}
+			top, share, _ := dominantOracle(pp.pristine, cond, site)
 			if priors["second"] == nil {
-				priors["second"] = withExtra(base, plan.Decision{Site: site, Callee: dist[1].Callee, Kind: plan.KindGuarded})
+				other := dist[0].Callee
+				if other == top {
+					other = dist[1].Callee
+				}
+				priors["second"] = withExtra(base, plan.Decision{Site: site, Callee: other, Kind: plan.KindGuarded})
 			}
-			if priors["losing"] == nil && dist[0].Percent < guardBreakevenOracle(pp.pristine.Methods[dist[0].Callee].NArgs) {
-				priors["losing"] = withExtra(base, plan.Decision{Site: site, Callee: dist[0].Callee, Kind: plan.KindGuarded})
+			if priors["losing"] == nil && share < guardBreakevenOracle(pp.pristine.Methods[top].NArgs) {
+				priors["losing"] = withExtra(base, plan.Decision{Site: site, Callee: top, Kind: plan.KindGuarded})
 			}
 		}
 

@@ -103,8 +103,9 @@ type CBS struct {
 	// Tree accumulates full call paths when cfg.FullStack is set.
 	Tree *profile.CCT
 
-	rng *rng
-	rr  int // round-robin cursor
+	rng     *rng
+	rr      int    // round-robin cursor
+	tickKey uint64 // Seed hashed: where this sampler's ticks fall (PlaceTick)
 
 	armed       bool // tick seen, window not yet opened (RVM flavour)
 	active      bool
@@ -125,6 +126,7 @@ type CBS struct {
 var (
 	_ vm.Profiler      = (*CBS)(nil)
 	_ vm.TickListener  = (*CBS)(nil)
+	_ vm.TickPlacer    = (*CBS)(nil)
 	_ vm.YieldListener = (*CBS)(nil)
 )
 
@@ -137,9 +139,10 @@ func NewCBS(cfg Config) *CBS {
 		cfg.SamplesPerTick = 1
 	}
 	c := &CBS{
-		cfg:   cfg,
-		Graph: profile.NewDCG(),
-		rng:   newRNG(cfg.Seed),
+		cfg:     cfg,
+		Graph:   profile.NewDCG(),
+		rng:     newRNG(cfg.Seed),
+		tickKey: mix64(uint64(cfg.Seed)),
 	}
 	if cfg.FullStack {
 		c.Tree = profile.NewCCT()
@@ -169,6 +172,18 @@ func (c *CBS) initialSkip() int {
 	default:
 		return 1 + c.rng.intn(c.cfg.Stride)
 	}
+}
+
+// PlaceTick implements vm.TickPlacer: tick k falls uniformly within its
+// period, by a hash of (Seed, k). The modelled program is deterministic,
+// so ticks at exactly k·period open the windows of every VM of a build at
+// the same program points, and K VMs repeat one aliasing pattern K times
+// (§4's argument for the random skip, one level up); where a real timer
+// interrupt lands is the paper's run-to-run variation. The skip stream is
+// left alone, and the seed is hashed first: a fleet's seeds are
+// consecutive, and xorshift64*'s first output for seed 2 is twice seed 1's.
+func (c *CBS) PlaceTick(k, period uint64) uint64 {
+	return mix64(c.tickKey+k) % period
 }
 
 // OnTimerTick implements vm.TickListener: the timer interrupt sets the

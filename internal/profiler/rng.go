@@ -12,9 +12,11 @@
 package profiler
 
 // rng is a small deterministic xorshift64* generator. Profilers use it
-// for the randomized initial skip count; seeding it differently is the
-// only source of run-to-run variation in the whole system, mirroring
-// the paper's median-of-10 methodology.
+// for the randomized initial skip count. A profiler's seed is the only
+// source of run-to-run variation in the whole system, mirroring the
+// paper's median-of-10 methodology: it draws the skips here and, hashed
+// through mix64 into a stream of its own, places the timer ticks
+// (CBS.PlaceTick).
 type rng struct{ s uint64 }
 
 func newRNG(seed int64) *rng {
@@ -39,4 +41,13 @@ func (r *rng) intn(n int) int {
 		return 0
 	}
 	return int(r.next() % uint64(n))
+}
+
+// mix64 is splitmix64's output function: a bijection of 64 bits whose
+// outputs for consecutive inputs are unrelated.
+func mix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	return x ^ x>>31
 }

@@ -124,6 +124,9 @@ func (vm *VM) bound() {
 		vm.limit = vm.MaxSteps
 	}
 	if vm.TimerPeriod > 0 {
+		if vm.nextTimer == 0 {
+			vm.placeTick()
+		}
 		vm.deadline = vm.nextTimer
 	}
 }
@@ -181,7 +184,8 @@ func (vm *VM) step() (code []bytecode.Instr, tab []span, err error) {
 	}
 	vm.chargeWork(vm.Cost.Instr[ins.Op])
 	for vm.TimerPeriod > 0 && vm.Cycles >= vm.nextTimer {
-		vm.nextTimer += vm.TimerPeriod
+		vm.tickN, vm.tickDue = vm.tickN+1, vm.tickDue+vm.TimerPeriod
+		vm.placeTick()
 		if len(vm.pending) > 0 {
 			vm.fold() // a tick listener may read what a CallCounter keeps
 		}

@@ -9,7 +9,9 @@
 // and profiler seed, every run executes the identical instruction
 // stream and charges the identical cycles, so profile accuracy and
 // overhead are exactly reproducible. The paper's run-to-run variation
-// (median of 10) is recovered by varying only the profiler's RNG seed.
+// (median of 10) is recovered by varying only the profiler's seed: its
+// initial skips and where in each period its timer ticks fall
+// (TickPlacer).
 package vm
 
 import (
@@ -94,6 +96,19 @@ type Profiler interface {
 // typically sets the VM's control word to request yieldpoints.
 type TickListener interface {
 	OnTimerTick(vm *VM)
+}
+
+// TickPlacer is a profiler that says where in its period each tick
+// falls: a timer that fires at exactly k·period opens every VM's windows
+// at the same points of a deterministic program, and a real interrupt
+// lands where it lands. Tick k (from 1) is due PlaceTick(k, period)
+// cycles, a value below period, after (k−½)·period: still one tick a
+// period, so tick counts and what ticks cost hold. The answer is a
+// function of its arguments alone (the VM may ask twice); the first
+// placer among a VM's profilers places for all of them, and with none a
+// tick is due at k·period.
+type TickPlacer interface {
+	PlaceTick(k, period uint64) uint64
 }
 
 // YieldListener is notified when a yieldpoint is taken (control word
@@ -248,8 +263,11 @@ type VM struct {
 	entries  []EntryListener
 	ticks    []TickListener
 	yields   []YieldListener
-	nExec    int // methods entered at least once
-	maxStack int // maxStackSlots, but in tests
+	placer   TickPlacer
+	tickN    uint64 // the next tick's number, from 1
+	tickDue  uint64 // tickN periods after SetTimer: where it falls unplaced
+	nExec    int    // methods entered at least once
+	maxStack int    // maxStackSlots, but in tests
 }
 
 // New creates a VM for prog with the default cost model and a disabled
@@ -281,10 +299,13 @@ func New(prog *bytecode.Program) *VM {
 // summary is dropped: its counted points are the old counter's.
 func (vm *VM) SetProfiler(parts ...Profiler) {
 	vm.fold()
-	vm.ticks, vm.yields, vm.calls, vm.entries, vm.counter = nil, nil, nil, nil, nil
+	vm.ticks, vm.yields, vm.calls, vm.entries, vm.counter, vm.placer = nil, nil, nil, nil, nil, nil
 	for _, p := range parts {
 		if t, ok := p.(TickListener); ok {
 			vm.ticks = append(vm.ticks, t)
+		}
+		if pl, ok := p.(TickPlacer); ok && vm.placer == nil {
+			vm.placer = pl
 		}
 		if y, ok := p.(YieldListener); ok {
 			vm.yields = append(vm.yields, y)
@@ -305,12 +326,26 @@ func (vm *VM) SetProfiler(parts ...Profiler) {
 	for i := range vm.spans {
 		vm.spans[i].first = nil // covers nothing: table makes it again
 	}
+	vm.nextTimer = 0 // the pending tick is the new placer's to place
 }
 
 // SetTimer enables the virtual timer with the given period in cycles.
+// Tick k is due k periods from now, or where the profilers' TickPlacer
+// puts it within half a period of that: bound works the deadline out from
+// the placer and period it finds, so SetTimer and SetProfiler may come in
+// either order.
 func (vm *VM) SetTimer(period uint64) {
 	vm.TimerPeriod = period
-	vm.nextTimer = vm.Cycles + period
+	vm.tickN, vm.tickDue, vm.nextTimer = 1, vm.Cycles+period, 0
+}
+
+// placeTick sets nextTimer, the deadline of tick tickN, which no placement
+// puts at cycle 0: that value stands for "not placed yet".
+func (vm *VM) placeTick() {
+	vm.nextTimer = vm.tickDue
+	if vm.placer != nil {
+		vm.nextTimer += vm.placer.PlaceTick(vm.tickN, vm.TimerPeriod) - vm.TimerPeriod/2
+	}
 }
 
 // Static returns the value of the named static slot.
