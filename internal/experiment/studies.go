@@ -25,7 +25,8 @@ type ConvergencePoint struct {
 	CBS     float64
 }
 
-// convergenceProbe snapshots a CBS profiler's accuracy every tick.
+// convergenceProbe, installed after a CBS profiler, snapshots its
+// accuracy every tick.
 type convergenceProbe struct {
 	inner   *profiler.CBS
 	perfect *profile.DCG
@@ -33,14 +34,11 @@ type convergenceProbe struct {
 }
 
 func (p *convergenceProbe) OnTimerTick(m *vm.VM) {
-	p.inner.OnTimerTick(m)
 	p.points = append(p.points, ConvergencePoint{
 		MCycles: float64(m.Cycles) / 1e6,
 		Timer:   profile.Accuracy(p.inner.Graph, p.perfect),
 	})
 }
-
-func (p *convergenceProbe) OnYieldpoint(m *vm.VM, k vm.YieldKind) { p.inner.OnYieldpoint(m, k) }
 
 // Name implements vm.Profiler.
 func (p *convergenceProbe) Name() string { return "convergence-probe" }
@@ -64,7 +62,7 @@ func Convergence(cfg Config, b *bench.Benchmark, input string) ([]ConvergencePoi
 		probe := &convergenceProbe{inner: profiler.NewCBS(pc), perfect: perfect}
 		m := vm.New(prog)
 		m.MaxSteps = cfg.MaxSteps
-		m.SetProfiler(probe)
+		m.SetProfiler(probe.inner, probe)
 		m.SetTimer(cfg.TimerPeriod)
 		if _, err := m.Run(size); err != nil {
 			return nil, err

@@ -93,9 +93,10 @@ func newRecorder(parts ...vm.Profiler) *recorder {
 }
 
 // profilers is what goes on the VM: the recorder, and beside it the
-// counting half of a wrapped profiler that has one. The VM then has a
-// call listener and a counter, and every hook must still see the state it
-// saw when the wrapped profiler did its counting in OnCall.
+// counting half of a wrapped profiler that has one and the tick-placing
+// half of one that places, so that the wrapped run is the run. The VM
+// then has a call listener and a counter, and every hook must still see
+// the state it saw when the wrapped profiler did its counting in OnCall.
 func (r *recorder) profilers() []vm.Profiler {
 	on := []vm.Profiler{r}
 	for _, p := range r.parts {
@@ -104,6 +105,12 @@ func (r *recorder) profilers() []vm.Profiler {
 				vm.Profiler
 				vm.CallCounter
 			}{p, c})
+		}
+		if pl, ok := p.(vm.TickPlacer); ok {
+			on = append(on, struct {
+				vm.Profiler
+				vm.TickPlacer
+			}{p, pl})
 		}
 	}
 	return on
