@@ -17,17 +17,17 @@ func TestScenarioDigestsPinned(t *testing.T) {
 		digest string
 	}{
 		{"-vms 8 -rounds 4 -seed 1 -restarts 1",
-			Config{VMs: 8, Rounds: 4, Seed: 1, Restarts: 1}, "3f1c413e26370d20"},
+			Config{VMs: 8, Rounds: 4, Seed: 1, Restarts: 1}, "3885f94e6e946a96"},
 		{"-vms 16 -leaves 4 -rounds 4 -seed 1 -restarts 2",
-			Config{VMs: 16, Leaves: 4, Rounds: 4, Seed: 1, Restarts: 2}, "0d286a0d366721a8"},
+			Config{VMs: 16, Leaves: 4, Rounds: 4, Seed: 1, Restarts: 2}, "e539a64f891e9b43"},
 		{"-vms 8 -rounds 4 -seed 7 -restarts 1",
-			Config{VMs: 8, Rounds: 4, Seed: 7, Restarts: 1}, "0064a2e1cd1f929f"},
+			Config{VMs: 8, Rounds: 4, Seed: 7, Restarts: 1}, "1fb418ca6c2355d0"},
 		{"-vms 8 -leaves 2 -rounds 4 -seed 7 -restarts 1",
-			Config{VMs: 8, Leaves: 2, Rounds: 4, Seed: 7, Restarts: 1}, "c8692a5911ff63ed"},
+			Config{VMs: 8, Leaves: 2, Rounds: 4, Seed: 7, Restarts: 1}, "abbb48af07dbf4fa"},
 		{"-vms 16 -rounds 6 -seed 42 -restarts 1 -gen-seed 17 -gen-shape closureheavy -profilers cbs,exhaustive,mincover",
 			Config{VMs: 16, Rounds: 6, Seed: 42, Restarts: 1,
 				GeneratedWorkloads: true, GenSeed: 17, GenSize: 3, GenShape: "closureheavy",
-				Profilers: []string{"cbs", "exhaustive", "mincover"}}, "ef6ed30586e53c6c"},
+				Profilers: []string{"cbs", "exhaustive", "mincover"}}, "1019b906486d43e1"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tc.cfg.Faults = all
