@@ -15,7 +15,8 @@ const ladderGolden = "testdata/planloop_ladder.txt"
 // plan_loop workload at its recorded seed. The "recovered" cell under
 // "live" is that workload's quality_pct to the digit (68.213 when the
 // file was written, at the commit before retention asked the cost
-// model), and "rounds to a good plan", converged, decisions, epochs,
+// model; 87.177 since ticks are placed and a share has a count behind
+// it), and "rounds to a good plan", converged, decisions, epochs,
 // swaps and killed are its traced rows: the in-process loop and
 // benchmark/loop.go agree. A change to the plan compiler's retention
 // moves the live column and the replay's; one that moves a column to the
