@@ -24,6 +24,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"hash/fnv"
 	"os"
 
 	"gocbs/internal/api"
@@ -50,7 +51,7 @@ func main() {
 	stride := flag.Int("stride", 3, "CBS stride")
 	samples := flag.Int("samples", 16, "CBS samples per timer tick")
 	flavour := flag.String("flavour", "rvm", "VM flavour: rvm or j9")
-	seed := flag.Int64("seed", 42, "profiler RNG seed")
+	seed := flag.Int64("seed", 42, "profiler RNG seed; with -push and no -seed, derived from the pusher ID and printed")
 	timer := flag.Uint64("timer", experiment.DefaultTimerPeriod, "virtual timer period in cycles")
 	top := flag.Int("top", 20, "number of DCG edges to print")
 	saveProfile := flag.String("save", "", "write the collected DCG to this file")
@@ -138,6 +139,21 @@ func main() {
 		fl = profiler.FlavourJ9
 	}
 
+	// The VMs of a fleet must not sample in lock-step: two pushers on one
+	// seed push the same graph twice. A pusher that was given no seed
+	// takes one from its identity, which is random per process, and says
+	// which, so that a failing run is replayed with -seed.
+	var pusherID string
+	if *pushURL != "" {
+		pusherID = dcgstore.NewPusherID()
+		seedGiven := false
+		flag.Visit(func(f *flag.Flag) { seedGiven = seedGiven || f.Name == "seed" })
+		if !seedGiven {
+			*seed = seedOfPusher(pusherID)
+			fmt.Fprintf(os.Stderr, "pusher %s: profiler seed %d (replay with -seed %d)\n", pusherID, *seed, *seed)
+		}
+	}
+
 	// The perfect profile for accuracy scoring.
 	perfect := profiler.NewExhaustive()
 	{
@@ -208,7 +224,7 @@ func main() {
 				fmt.Fprintf(os.Stderr, "manifest registration skipped: %v\n", err)
 			}
 		}
-		push = dcgstore.NewTickPusher(client, graph, *pushEvery)
+		push = dcgstore.NewTickPusher(client, pusherID, graph, *pushEvery)
 		push.GiveUpAfter = *pushGiveUp
 		m.SetProfiler(mainProf, push)
 	} else {
@@ -282,6 +298,14 @@ func main() {
 			}
 		}
 	}
+}
+
+// seedOfPusher derives a profiler seed from a pusher identity: FNV-1a
+// of the ID, kept positive so it prints as it is typed back.
+func seedOfPusher(id string) int64 {
+	h := fnv.New64a()
+	h.Write([]byte(id))
+	return int64(h.Sum64() >> 1)
 }
 
 func fatal(err error) {

@@ -85,7 +85,7 @@ func TestPlanEndToEnd(t *testing.T) {
 			Stride: 3, SamplesPerTick: 16,
 			Flavour: profiler.FlavourRVM, Seed: int64(100 + k),
 		})
-		push := dcgstore.NewTickPusher(dcgstore.NewClient(ts.URL), c.Graph, 40)
+		push := dcgstore.NewTickPusher(dcgstore.NewClient(ts.URL), "", c.Graph, 40)
 		m := vm.New(prog)
 		m.SetProfiler(c, push)
 		m.SetTimer(50_000)

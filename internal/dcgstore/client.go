@@ -29,11 +29,11 @@ const (
 	DefaultMaxBackoff = api.DefaultMaxBackoff
 )
 
-// newPusherID returns a fresh random pusher identity. IDs are random
+// NewPusherID returns a fresh random pusher identity. IDs are random
 // (not host-derived) so two pushers never collide in the daemon's
 // sequence table: a colliding restarted pusher would have its early
 // increments dropped as duplicates of the previous incarnation's.
-func newPusherID() string {
+func NewPusherID() string {
 	var b [8]byte
 	if _, err := crand.Read(b[:]); err != nil {
 		// Fall back to the global PRNG; uniqueness is what matters and
@@ -154,10 +154,10 @@ func NewDeltaPusher(client *Client) *DeltaPusher {
 // an empty or invalid id falls back to a fresh random one. Fixed IDs
 // are for deterministic harnesses (the fleet simulator names its
 // pushers after their seed); production pushers want NewDeltaPusher's
-// random identity — see newPusherID for why collisions are dangerous.
+// random identity — see NewPusherID for why collisions are dangerous.
 func NewDeltaPusherWithID(client *Client, id string) *DeltaPusher {
 	if !ValidPusherID(id) {
-		id = newPusherID()
+		id = NewPusherID()
 	}
 	return &DeltaPusher{client: client, id: id, acked: profile.NewDCG()}
 }

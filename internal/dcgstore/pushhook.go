@@ -49,13 +49,14 @@ var (
 )
 
 // NewTickPusher returns a pusher streaming graph to client every
-// `every` ticks.
-func NewTickPusher(client *Client, graph *profile.DCG, every int) *TickPusher {
+// `every` ticks under the identity id (see NewDeltaPusherWithID; "" for
+// a fresh one).
+func NewTickPusher(client *Client, id string, graph *profile.DCG, every int) *TickPusher {
 	return &TickPusher{
 		Every:       every,
 		GiveUpAfter: DefaultGiveUpAfter,
 		graph:       graph,
-		pusher:      NewDeltaPusher(client),
+		pusher:      NewDeltaPusherWithID(client, id),
 	}
 }
 

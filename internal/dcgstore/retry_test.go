@@ -280,7 +280,7 @@ func TestTickPusherRetriesAndGiveUp(t *testing.T) {
 	c := fastClient(ts.URL)
 	c.Retries = -1
 	g := profile.NewDCG()
-	tp := NewTickPusher(c, g, 1)
+	tp := NewTickPusher(c, "", g, 1)
 	tp.GiveUpAfter = 3
 
 	down.Store(true)

@@ -330,7 +330,7 @@ func TestSetProfilerWiresOnlyWhatPartsImplement(t *testing.T) {
 	prog, _ := goldenProgram(t, "javac", false)
 	cbs := profiler.NewCBS(profiler.Config{Stride: 3, SamplesPerTick: 16, Seed: 7})
 	for name, parts := range map[string][]vm.Profiler{
-		"cbs+pusher":     {cbs, dcgstore.NewTickPusher(dcgstore.NewClient("http://127.0.0.1:0"), cbs.Graph, 0)},
+		"cbs+pusher":     {cbs, dcgstore.NewTickPusher(dcgstore.NewClient("http://127.0.0.1:0"), "", cbs.Graph, 0)},
 		"cbs+controller": {cbs, adaptive.NewController(prog, inline.NewNewLinear(), cbs.Graph, inline.DefaultOptions(), 2)},
 		"cbs+counter":    {cbs, profiler.NewInstrumented()},
 	} {
