@@ -70,7 +70,7 @@ var pinnedDigests = map[string]string{
 	"study entrycheck":  "703378b8944f487b3d930ddc94a95d7803de5864d9e11df9821766dbaae392ba",
 	"study context":     "bb6a6001422bdf60dbda2a0f0cc4aef4dc712b68bf309efd0db4d14e1a6ea1fe",
 	"study profilers":   "7d0ccc45b0b1d4d57d5dfc2b2d0cda75288c6e10ecda1369908d6049b7788cc3",
-	"study planloop":    "a1404c6addab10230f3a0f206fdc3df633ef01c9ef462bf074bd8d1385475b67",
+	"study planloop":    "913140b18d35448592354e6cf4c3b03e4f548539f72c481985595cbb0af67bb5",
 }
 
 var pinnedRenders = map[string]func(cfg Config, input string) (string, error){

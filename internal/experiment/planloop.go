@@ -79,9 +79,10 @@ type PlanChainResult struct {
 	SpeedupPct   float64 // live program after Rounds rounds, mean over passes
 	RoundsToGood float64 // first round with a good plan live, Rounds+1 if never, mean over passes
 	// Pass 0 alone, after Rounds rounds:
-	Decisions, Swaps, Killed int
-	Epoch                    uint64
-	GoodRound                int // Rounds+1 if never
+	Decisions, Swaps int
+	Epoch            uint64
+	GoodRound        int // Rounds+1 if never
+	Killed           int // plans that failed to apply or verify, every pass and round
 	// The replayed passes:
 	ReplaySpeedupPct float64 // live program after ReplayRounds rounds, mean
 	ReplaySwaps      int     // plans swapped in after round Rounds, summed
@@ -287,7 +288,7 @@ func planLoopProgram(cfg Config, b *bench.Benchmark, size int64, lp PlanLoopPara
 				c.swapsAtRounds = c.swaps
 				if pass == 0 {
 					c.res.Decisions, c.res.Epoch = len(c.prior.Decisions), c.prior.Epoch
-					c.res.Swaps, c.res.Killed = c.swaps, c.killed
+					c.res.Swaps = c.swaps
 				}
 			}
 			sampledRaw, err := s.fresh(snapshot, raw)
@@ -310,6 +311,7 @@ func planLoopProgram(cfg Config, b *bench.Benchmark, size int64, lp PlanLoopPara
 		}
 		for _, c := range chains {
 			c.res.RoundsToGood += float64(c.good) / passes
+			c.res.Killed += c.killed
 			if pass == 0 {
 				c.res.GoodRound = c.good
 			}
@@ -425,7 +427,7 @@ func FormatPlanLoop(res PlanLoopResult) string {
 		toGood /= float64(eligible)
 		toGoodNoHold /= float64(eligible)
 	}
-	fmt.Fprintf(&sb, "rounds to a good plan (>= %.0f %% of local, %d programs with >= %.0f %% to recover): live %.2f, no-hold %.2f; pass 0: %d converged, %d decisions, %d epochs, %d swaps, %d killed\n",
+	fmt.Fprintf(&sb, "rounds to a good plan (>= %.0f %% of local, %d programs with >= %.0f %% to recover): live %.2f, no-hold %.2f; pass 0: %d converged, %d decisions, %d epochs, %d swaps; %d killed in any pass\n",
 		planLoopGoodShare*100, eligible, planLoopMinLocalPct, toGood, toGoodNoHold, converged, decisions, epochs, swaps, killed)
 
 	fmt.Fprintf(&sb, "merged graph after round %d against the local exhaustive one: overlap %.3f %% (mean), %d windows in pass 0\n", lp.Rounds, overlap, windows)

@@ -218,3 +218,61 @@ func methodName(prog *bytecode.Program, id int) string {
 	}
 	return prog.Methods[id].Name
 }
+
+// TestHeldDecisionsApply: what retention holds must still apply. A guard
+// on a recursive call — javac's Bin.check checking its left operand, the
+// callee the site's own method — is never elected in that method (a
+// method is not inlined into itself) but can be where Bin.check's body
+// has been spliced into a caller; once the graph stops electing that
+// outer inline, the nested decision has no place left to apply, and a
+// plan that still held it reached the pulling VM with a stale decision
+// (plan_loop, seed 1, fourth pass: "plan epoch 4 does not apply
+// cleanly"). It is released with the decision that carried it.
+func TestHeldDecisionsApply(t *testing.T) {
+	pristine := jitProgram(t, "javac")
+	x := exhaustiveGraph(t, pristine.Clone(), bench.ByName("javac").Small, 2)
+	params := plan.DefaultParams()
+	fresh := mustCompileFor(t, "javac", pristine, x, params, nil)
+	check := pristine.MethodByName("Bin.check")
+	site := -1
+	for _, s := range x.Sites() {
+		if top, _, ok := dominantOracle(pristine, x, s); ok && top == check.ID && pristine.SiteOwner[s] == check && guardedAt(fresh, s) < 0 {
+			site = s
+		}
+	}
+	if site < 0 {
+		t.Fatal("javac has no unelected site in Bin.check that mostly calls Bin.check")
+	}
+	// Put the recursive receiver between the two lines of a 1-argument
+	// guard (38.9 % holds, 43.9 % elects), as a sampled graph did.
+	var own, rest float64
+	for _, tw := range x.SiteDistribution(site) {
+		if tw.Callee == check.ID {
+			own += tw.Weight
+		} else {
+			rest += tw.Weight
+		}
+	}
+	// and make it rare everywhere else, so that no caller inlines it.
+	g := x.MapWeights(func(e profile.Edge, w float64) float64 {
+		switch {
+		case e.Callee != check.ID:
+			return w
+		case e.Site == site:
+			return w * (0.415 * rest / 0.585) / own
+		default:
+			return w / 8
+		}
+	})
+	base := mustCompileFor(t, "javac", pristine, g, params, nil)
+	if top, share, _ := dominantOracle(pristine, plan.Condition(g, params.MinWeight, params.Band), site); top != check.ID || share < 39.5 || share > 43.5 || guardedAt(base, site) >= 0 {
+		t.Fatalf("site %d: %s at %.1f %%, elected %v; the case tests nothing", site, pristine.Methods[top].Name, share, guardedAt(base, site) >= 0)
+	}
+	held := withExtra(base, plan.Decision{Site: site, Callee: check.ID, Kind: plan.KindGuarded})
+	got := mustCompileFor(t, "javac", pristine, g, params, held)
+	res, err := plan.Apply(pristine.Clone(), got, params.Opts)
+	if err != nil || res.SkippedStale != 0 {
+		t.Errorf("the plan served over a prior holding %s at site %d (%s) applies with err %v and %d stale decisions",
+			check.Name, site, pristine.SiteDescription(site), err, res.SkippedStale)
+	}
+}

@@ -186,7 +186,8 @@ func mustCompile(t *testing.T, pristine *bytecode.Program, g *profile.DCG, param
 // every guarded decision of every plan a prior chain serves names its
 // site's dominant callee at an estimated share at or above the guard's
 // break-even in the conditioned graph the plan was compiled from —
-// elected or retained.
+// elected or retained — and every served plan applies to the build it
+// was compiled for with no decision left over.
 // The chains are TestPlanSequencePinned's (javac, phases and closures
 // under 2 × 44 pushes of real CBS deltas and a decay) and the same
 // schedule over generated megamorphic and phaseshift workloads, whose
@@ -239,6 +240,9 @@ func TestServedGuardsPayInTheirGraph(t *testing.T) {
 			}
 			for _, loss := range guardsThatLose(s.pristine, plan.Condition(snapshot, params.MinWeight, params.Band), p) {
 				t.Errorf("%s %s, epoch %d: %s", s.name, what, p.Epoch, loss)
+			}
+			if res, err := plan.Apply(s.pristine.Clone(), p, params.Opts); err != nil || res.SkippedStale != 0 {
+				t.Errorf("%s %s, epoch %d: applies with err %v and %d stale decisions", s.name, what, p.Epoch, err, res.SkippedStale)
 			}
 		}
 		for i := 0; i < pushes && !t.Failed(); i++ {
