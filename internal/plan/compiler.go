@@ -201,11 +201,10 @@ func compileConditioned(program string, pristine *bytecode.Program, version stri
 	// inline has no slow path to lose on and is held by warmth alone.
 	// Holding is otherwise free — the decision was applied to this
 	// program before — and prevents epoch churn from weights oscillating
-	// around a policy threshold. The one decision that is not held is an
-	// inline of a method at a call site of its own: it was elected where
-	// that method's body had been spliced into a caller and applies
-	// nowhere else, so without the decision that carried it the pulling
-	// VM would find it stale.
+	// around a policy threshold. Never held: an inline of a method at a
+	// call site of its own, elected where that method's body had been
+	// spliced into a caller and applicable nowhere else — without the
+	// decision that carried it the pulling VM would find it stale.
 	if prior != nil {
 		elected := map[int]bool{}
 		for _, d := range decisions {

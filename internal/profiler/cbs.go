@@ -112,10 +112,9 @@ type CBS struct {
 	skipped     int
 	samplesLeft int
 
-	// What the sampler did, exported diagnostics. Every tick either opens
-	// a window or finds the previous one still open and is lost, so
-	// Ticks == Windows + Coalesced, plus one while a tick is armed (RVM
-	// flavour: seen, its first yieldpoint not yet taken).
+	// What the sampler did. Every tick opens a window or finds the last
+	// one still open and is lost: Ticks == Windows + Coalesced, plus one
+	// while a tick is armed (RVM: seen, its first yieldpoint not yet taken).
 	Ticks        uint64
 	Windows      uint64
 	Coalesced    uint64

@@ -15,8 +15,7 @@ package profiler
 // for the randomized initial skip count. A profiler's seed is the only
 // source of run-to-run variation in the whole system, mirroring the
 // paper's median-of-10 methodology: it draws the skips here and, hashed
-// through mix64 into a stream of its own, places the timer ticks
-// (CBS.PlaceTick).
+// through mix64 into a stream of its own, places the ticks (PlaceTick).
 type rng struct{ s uint64 }
 
 func newRNG(seed int64) *rng {

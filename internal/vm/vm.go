@@ -10,8 +10,7 @@
 // stream and charges the identical cycles, so profile accuracy and
 // overhead are exactly reproducible. The paper's run-to-run variation
 // (median of 10) is recovered by varying only the profiler's seed: its
-// initial skips and where in each period its timer ticks fall
-// (TickPlacer).
+// initial skips and where in its period each tick falls (TickPlacer).
 package vm
 
 import (
@@ -339,8 +338,8 @@ func (vm *VM) SetTimer(period uint64) {
 	vm.tickN, vm.tickDue, vm.nextTimer = 1, vm.Cycles+period, 0
 }
 
-// placeTick sets nextTimer, the deadline of tick tickN, which no placement
-// puts at cycle 0: that value stands for "not placed yet".
+// placeTick sets nextTimer, the deadline of tick tickN; no placement puts
+// it at cycle 0, which stands for "not placed yet".
 func (vm *VM) placeTick() {
 	vm.nextTimer = vm.tickDue
 	if vm.placer != nil {
