@@ -215,8 +215,8 @@ func compileConditioned(program string, pristine *bytecode.Program, version stri
 			if elected[d.Site] || cond.SiteWeightPercent(d.Site) < params.HoldSharePct {
 				continue
 			}
-			if d.Site < len(pristine.SiteOwner) && pristine.SiteOwner[d.Site].ID == d.Callee {
-				continue // a recursive call: see below
+			if d.Site >= 0 && d.Site < len(pristine.SiteOwner) && pristine.SiteOwner[d.Site].ID == d.Callee {
+				continue // a call of the site's own method: see above
 			}
 			if d.Kind == KindGuarded {
 				if ev == nil {
