@@ -49,10 +49,12 @@ test-race:
 
 # The cbsd aggregation daemon's httptest-based endpoint tests, the
 # hostile-pusher fuzz corpus, and the runner-driven multi-pusher
-# convergence test (the daemon lives in internal/daemon; cmd/cbsd is a
-# thin main).
+# convergence test (the daemon lives in internal/daemon), then cmd/cbsd's
+# flag handling through the real binary: a retired flag is a flag error,
+# a -role that contradicts -upstream stops it.
 test-daemon:
 	$(GO) test ./internal/daemon/...
+	$(GO) test ./cmd/cbsd/
 
 # Durability and exactly-once delivery, under the race detector: the
 # checkpoint round trip and the golden checkpoint file / forwarder state
@@ -68,10 +70,14 @@ test-recovery:
 # The fleet PGO loop: plan wire round trip + rejection paths, the
 # fuzz seed corpus, stability/determinism properties, the K-pusher/
 # 1-puller end-to-end test against a live daemon, and the pulling VM's
-# divergence kill switch.
+# divergence kill switch. Then the pins a change to the plan path must
+# not move beside TestPlanSequencePinned (run with ./internal/plan/):
+# the ladder of the in-process plan loop, the fleet soak's scenario
+# digests and the /v1/metrics body.
 test-plan:
 	$(GO) test ./internal/plan/...
 	$(GO) test -run 'Fuzz' ./internal/plan/...
+	$(GO) test -run 'TestPlanLoopLadderPinned|TestScenarioDigestsPinned|TestMetricsShapePinned' ./internal/experiment/ ./internal/fleetsim/ ./internal/daemon/
 	$(GO) test -run 'TestPlan' ./internal/daemon/...
 	$(GO) test -run 'TestPull' ./internal/puller/...
 

@@ -24,6 +24,8 @@
 //
 //	POST /v1/ingest    merge a serialized DCG snapshot into the store
 //	                   (X-Cbs-Pusher/X-Cbs-Seq headers make it idempotent)
+//	POST /v1/manifest  register a build's method/site manifest, carrying
+//	                   an earlier build's edges forward by fingerprint
 //	GET  /v1/snapshot  stream the merged DCG (binary wire format)
 //	GET  /v1/top?k=N   heaviest N edges as JSON
 //	GET  /v1/site?id=N receiver-target distribution at one call site
@@ -79,11 +81,7 @@ func main() {
 	flag.DurationVar(&cfg.WriteTimeout, "write-timeout", 60*time.Second, "HTTP server write timeout")
 	flag.Int64Var(&cfg.MaxUploadBytes, "max-upload", daemon.DefaultMaxUploadBytes, "largest accepted ingest/overlap body in bytes (413 beyond)")
 	flag.DurationVar(&cfg.VersionTTL, "version-ttl", 0, "evict a retired program version's graph after this much write-idle time (0 keeps retired versions)")
-	defaults := plan.DefaultParams()
-	flag.StringVar(&cfg.PlanPolicy, "plan-policy", defaults.Policy, "inline policy plans are compiled under (new-linear, old-jikes, j9-static, j9-dynamic)")
-	flag.Float64Var(&cfg.PlanFloor, "plan-floor", defaults.MinWeight, "plan stability: drop edges below this weight before planning")
-	flag.Float64Var(&cfg.PlanBand, "plan-band", defaults.Band, "plan stability: geometric weight-quantization band (0 disables)")
-	flag.Float64Var(&cfg.PlanHold, "plan-hold", defaults.HoldSharePct, "plan stability: retain a prior decision while its site holds at least this %% of graph weight")
+	flag.StringVar(&cfg.PlanPolicy, "plan-policy", plan.DefaultParams().Policy, "inline policy plans are compiled under (new-linear, old-jikes, j9-static, j9-dynamic)")
 	flag.StringVar(&cfg.Upstream, "upstream", "", "root daemon base URL; set to run as a federation leaf")
 	flag.StringVar(&cfg.UpstreamID, "upstream-id", "", "leaf identity for the upstream sequence stream (default: persisted, else random)")
 	flag.StringVar(&cfg.SelfURL, "self-url", "", "base URL this leaf advertises when registering with the root")

@@ -35,6 +35,7 @@ import (
 	"gocbs/internal/inline"
 	"gocbs/internal/mincover"
 	"gocbs/internal/mj"
+	"gocbs/internal/plan"
 	"gocbs/internal/profile"
 	"gocbs/internal/profiler"
 	"gocbs/internal/puller"
@@ -64,7 +65,6 @@ func main() {
 	pullRounds := flag.Int("pull-rounds", 6, "with -pull-plan: total top-level benchmark rounds to run")
 	pullEvery := flag.Int("pull-every", 2, "with -pull-plan: poll the daemon every N rounds")
 	pullIters := flag.Int("pull-iters", 2, "with -pull-plan: benchmark iterations per round")
-	pullVerify := flag.Bool("pull-verify", true, "with -pull-plan: replay a candidate plan's output against the unoptimized program before swapping it in")
 	flag.Parse()
 
 	if *list {
@@ -117,9 +117,8 @@ func main() {
 			fatal(fmt.Errorf("-pull-plan and -push are mutually exclusive; run pushers and pullers as separate VMs"))
 		}
 		st, err := puller.Run(prog, puller.Options{
-			URL: *pullURL, Program: *benchName, Size: runArg,
+			Client: plan.NewClient(*pullURL), Program: *benchName, Size: runArg,
 			Rounds: *pullRounds, Every: *pullEvery, Iters: *pullIters,
-			Verify: *pullVerify, Opts: inline.DefaultOptions(),
 			Logf: func(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) },
 		})
 		if err != nil {

@@ -40,22 +40,22 @@ func compileCycles(cost *vm.CostModel, codeSize int) uint64 {
 }
 
 // Recompile optimizes every method of prog with the policy and a
-// collected profile, returning compile statistics. It mutates prog in
-// place; callers wanting a baseline must compile a fresh program.
+// collected profile, returning compile statistics (each method compiled
+// once, at compileCycles of its final size). It mutates prog in place;
+// callers wanting a baseline must compile a fresh program.
 func Recompile(prog *bytecode.Program, cost *vm.CostModel, policy inline.Policy, g *profile.DCG, opts inline.Options) (CompileStats, error) {
-	var st CompileStats
-	for _, m := range prog.Methods {
-		n, guarded, err := inline.OptimizeMethod(prog, policy, g, m, opts)
-		if err != nil {
-			return st, fmt.Errorf("recompile %s: %w", m.Name, err)
-		}
-		st.MethodsCompiled++
-		st.InlinesApplied += n
-		st.GuardedInlines += guarded
-		st.TotalCodeSize += len(m.Code)
-		st.CompileCycles += compileCycles(cost, len(m.Code))
+	n := len(prog.Methods)
+	rep, err := inline.Optimize(prog, policy, g, opts)
+	if err != nil {
+		return CompileStats{}, fmt.Errorf("recompile: %w", err)
 	}
-	return st, nil
+	return CompileStats{
+		MethodsCompiled: n,
+		CompileCycles:   uint64(n)*cost.CompileBase + cost.CompilePerInstr*uint64(rep.TotalCodeSize),
+		TotalCodeSize:   rep.TotalCodeSize,
+		InlinesApplied:  rep.InlinesApplied,
+		GuardedInlines:  rep.GuardedInlines,
+	}, nil
 }
 
 // RecompileWithCleanup runs Recompile and then the peephole cleanup
@@ -72,12 +72,9 @@ func RecompileWithCleanup(prog *bytecode.Program, cost *vm.CostModel, policy inl
 	if err != nil {
 		return st, err
 	}
-	// Recompute compile cost on the slimmer code.
+	// Compile cost is charged on the slimmer code.
 	st.TotalCodeSize -= removed
-	st.CompileCycles = 0
-	for _, m := range prog.Methods {
-		st.CompileCycles += compileCycles(cost, len(m.Code))
-	}
+	st.CompileCycles -= cost.CompilePerInstr * uint64(removed)
 	return st, nil
 }
 

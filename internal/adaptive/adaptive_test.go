@@ -43,6 +43,22 @@ func TestRecompileChargesCompileCycles(t *testing.T) {
 	if st.CompileCycles == 0 || st.InlinesApplied == 0 {
 		t.Errorf("stats look empty: %+v", st)
 	}
+	chargedAsItStands(t, prog, cost, st)
+}
+
+// chargedAsItStands: a recompile charges every method of prog once, at
+// compileCycles of the code it holds now.
+func chargedAsItStands(t *testing.T, prog *bytecode.Program, cost *vm.CostModel, st CompileStats) {
+	t.Helper()
+	var size int
+	var cycles uint64
+	for _, m := range prog.Methods {
+		size += len(m.Code)
+		cycles += compileCycles(cost, len(m.Code))
+	}
+	if st.TotalCodeSize != size || st.CompileCycles != cycles {
+		t.Errorf("charged %d instructions, %d cycles; the methods hold %d, which cost %d", st.TotalCodeSize, st.CompileCycles, size, cycles)
+	}
 }
 
 func TestRecompileLessInliningCheaper(t *testing.T) {
@@ -192,6 +208,7 @@ func TestRecompileWithCleanupShrinksAndPreserves(t *testing.T) {
 	if stB.CompileCycles >= stA.CompileCycles {
 		t.Errorf("cleanup should reduce modeled compile cycles: %d vs %d", stB.CompileCycles, stA.CompileCycles)
 	}
+	chargedAsItStands(t, progB, cost, stB)
 	vB := vm.New(progB)
 	vB.MaxSteps = 100_000_000
 	got, err := vB.Run(2000)

@@ -89,15 +89,6 @@ func ByName(name string) *Benchmark {
 	return nil
 }
 
-// Names returns all benchmark names sorted as registered.
-func Names() []string {
-	names := make([]string, len(registry))
-	for i, b := range registry {
-		names[i] = b.Name
-	}
-	return names
-}
-
 // Subset returns benchmarks whose names are in the given list,
 // preserving registry order; unknown names are reported.
 func Subset(names []string) ([]*Benchmark, error) {

@@ -15,13 +15,13 @@ import (
 func TestSuiteComplete(t *testing.T) {
 	want := []string{"compress", "jess", "db", "javac", "mpegaudio", "mtrt",
 		"jack", "ipsixql", "xerces", "daikon", "kawa", "jbb", "soot", "closures", "phases"}
-	names := Names()
-	if len(names) != len(want) {
-		t.Fatalf("suite has %d benchmarks, want %d", len(names), len(want))
+	all := All()
+	if len(all) != len(want) {
+		t.Fatalf("suite has %d benchmarks, want %d", len(all), len(want))
 	}
 	for i, n := range want {
-		if names[i] != n {
-			t.Errorf("benchmark %d = %s, want %s", i, names[i], n)
+		if all[i].Name != n {
+			t.Errorf("benchmark %d = %s, want %s", i, all[i].Name, n)
 		}
 	}
 }

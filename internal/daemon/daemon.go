@@ -45,9 +45,6 @@ type Config struct {
 	ReadTimeout     time.Duration
 	WriteTimeout    time.Duration
 	PlanPolicy      string
-	PlanFloor       float64
-	PlanBand        float64
-	PlanHold        float64
 
 	// VersionTTL, when positive, garbage-collects retired (program,
 	// version) substores: once a newer version is active for a program,
@@ -336,15 +333,6 @@ func NewPlanService(cfg Config, multi *dcgstore.Multi, logf func(string, ...any)
 	params := plan.DefaultParams()
 	if cfg.PlanPolicy != "" {
 		params.Policy = cfg.PlanPolicy
-	}
-	if cfg.PlanFloor != 0 {
-		params.MinWeight = cfg.PlanFloor
-	}
-	if cfg.PlanBand != 0 {
-		params.Band = cfg.PlanBand
-	}
-	if cfg.PlanHold != 0 {
-		params.HoldSharePct = cfg.PlanHold
 	}
 	resolve := cfg.ResolveProgram
 	if resolve == nil {

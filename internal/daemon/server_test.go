@@ -25,7 +25,7 @@ func edge(c, s, t int) profile.Edge { return profile.Edge{Caller: c, Site: s, Ca
 // plan service on.
 func newTestHandler(tb testing.TB) (http.Handler, *dcgstore.Multi) {
 	multi := dcgstore.NewMulti(8)
-	cfg := Config{PlanPolicy: "new-linear", PlanFloor: 1, PlanBand: 0.25, PlanHold: 0.05}
+	cfg := Config{PlanPolicy: "new-linear"}
 	return newServer(multi, NewPlanService(cfg, multi, tb.Logf), newFedState(), cfg.MaxUploadBytes, tb.Logf).handler(), multi
 }
 

@@ -48,7 +48,7 @@ func TestLeafForwardsToRoot(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
-	rootCfg := Config{PlanPolicy: "new-linear", PlanFloor: 1, PlanBand: 0.25, PlanHold: 0.05}
+	rootCfg := Config{PlanPolicy: "new-linear"}
 	rootURL, rootDone := startTreeDaemon(t, ctx, rootCfg)
 
 	leafURL, leafDone := startTreeDaemon(t, ctx, Config{

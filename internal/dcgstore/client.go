@@ -144,27 +144,18 @@ type DeltaPusher struct {
 	Pushes int
 }
 
-// NewDeltaPusher returns a pusher that streams to client under its own
-// fresh pusher identity (so several DeltaPushers may share a Client).
-func NewDeltaPusher(client *Client) *DeltaPusher {
-	return NewDeltaPusherWithID(client, "")
-}
-
 // NewDeltaPusherWithID returns a pusher under a caller-chosen identity;
-// an empty or invalid id falls back to a fresh random one. Fixed IDs
-// are for deterministic harnesses (the fleet simulator names its
-// pushers after their seed); production pushers want NewDeltaPusher's
-// random identity — see NewPusherID for why collisions are dangerous.
+// an empty or invalid id falls back to a fresh random one (so several
+// DeltaPushers may share a Client). Fixed IDs are for deterministic
+// harnesses (the fleet simulator names its pushers after their seed);
+// production pushers pass "" for a random identity — see NewPusherID
+// for why collisions are dangerous.
 func NewDeltaPusherWithID(client *Client, id string) *DeltaPusher {
 	if !ValidPusherID(id) {
 		id = NewPusherID()
 	}
 	return &DeltaPusher{client: client, id: id, acked: profile.NewDCG()}
 }
-
-// PusherID returns the identity this pusher's increments are stamped
-// with.
-func (p *DeltaPusher) PusherID() string { return p.id }
 
 // Pending reports how many stamped increments await acknowledgement.
 func (p *DeltaPusher) Pending() int { return len(p.pending) }

@@ -165,7 +165,7 @@ func TestFlakyPusherSoak(t *testing.T) {
 			// A third of responses vanish; give the retry loop enough
 			// budget that an unlucky streak cannot fail the soak.
 			c.Retries = 30
-			pusher := NewDeltaPusher(c)
+			pusher := NewDeltaPusherWithID(c, "")
 			g := profile.NewDCG()
 			for i := 0; i < steps; i++ {
 				for j := 0; j < 12; j++ {
@@ -225,7 +225,7 @@ func TestDeltaPusherQueuesAcrossOutage(t *testing.T) {
 
 	c := fastClient(ts.URL)
 	c.Retries = -1 // fail fast so the queue, not the retry loop, carries the outage
-	pusher := NewDeltaPusher(c)
+	pusher := NewDeltaPusherWithID(c, "")
 	g := profile.NewDCG()
 
 	down.Store(true)

@@ -35,14 +35,16 @@ import (
 //
 //	local      the VM's own exhaustive profile through adaptive.Recompile
 //	           — the best a single machine does without the fleet: 100 %
-//	exh/raw    the same graph through plan.Compile, no floor, no band
+//	exh/raw    the policy's own decisions on the same graph (plan.Extract
+//	           on plan.Condition(g, 0, 0)): no floor, no band
 //	exh/cond   the same graph through plan.Compile as the daemon
 //	           conditions it: what the stability layer costs
 //	cbs/raw    the merged CBS graph after the last round, no prior plan,
 //	cbs/cond   unconditioned and conditioned: what sampling costs
 //	live       the plan the prior chain serves after the last round: what
 //	           hysteresis retention costs
-//	no-hold    the same chain with HoldSharePct 100, retaining nothing
+//	no-hold    the same chain compiled with no prior, retaining nothing;
+//	           it swaps when the decision set changes (Plan.Equal)
 //
 // and the first ReplayPasses passes are then continued to ReplayRounds
 // rounds, to see whether the plan converges where the profile does.
@@ -73,16 +75,15 @@ const (
 	planLoopMinLocalPct = 1.0
 )
 
-// PlanChainResult is what one parameterisation of the plan service made
-// of a program's pushes.
+// PlanChainResult is what one plan chain made of a program's pushes.
 type PlanChainResult struct {
 	SpeedupPct   float64 // live program after Rounds rounds, mean over passes
 	RoundsToGood float64 // first round with a good plan live, Rounds+1 if never, mean over passes
 	// Pass 0 alone, after Rounds rounds:
 	Decisions, Swaps int
-	Epoch            uint64
-	GoodRound        int // Rounds+1 if never
-	Killed           int // plans that failed to apply or verify, every pass and round
+	Epoch            uint64 // plans minted, one per change of the decision set
+	GoodRound        int    // Rounds+1 if never
+	Killed           int    // plans that failed to apply or verify, every pass and round
 	// The replayed passes:
 	ReplaySpeedupPct float64 // live program after ReplayRounds rounds, mean
 	ReplaySwaps      int     // plans swapped in after round Rounds, summed
@@ -150,9 +151,17 @@ func (s *loopSubject) try(p *plan.Plan) (cycles uint64, ok bool) {
 	return cycles, err == nil && slices.Equal(sums, s.sums)
 }
 
-// fresh is the speedup of the plan a graph compiles to with no prior.
-func (s *loopSubject) fresh(g *profile.DCG, params plan.Params) (float64, error) {
-	p, err := plan.Compile(s.name, s.pristine, g, params, nil)
+// fresh is the speedup of the plan a graph compiles to with no prior or,
+// raw, of the policy's own decisions on the graph as given.
+func (s *loopSubject) fresh(g *profile.DCG, raw bool) (float64, error) {
+	var p *plan.Plan
+	var err error
+	if raw {
+		p = &plan.Plan{Program: s.name}
+		p.Decisions, err = plan.Extract(s.pristine, inline.NewNewLinear(), plan.Condition(g, 0, 0), inline.DefaultOptions())
+	} else {
+		p, err = plan.Compile(s.name, s.pristine, g, plan.DefaultParams(), nil)
+	}
 	if err != nil {
 		return 0, err
 	}
@@ -163,10 +172,11 @@ func (s *loopSubject) fresh(g *profile.DCG, params plan.Params) (float64, error)
 	return speedup(s.base, cycles), nil
 }
 
-// planChain is one plan service and its pulling VM: the prior it
-// compiles against and the cycles of the program currently live.
+// planChain is one plan service and its pulling VM: the plan last
+// served, which the live chain compiles against as its prior and the
+// no-hold chain does not, and the cycles of the program currently live.
 type planChain struct {
-	params        plan.Params
+	noHold        bool
 	res           *PlanChainResult // where the chain's figures accumulate
 	prior         *plan.Plan
 	cycles        uint64
@@ -175,14 +185,18 @@ type planChain struct {
 	swapsAtRounds int
 }
 
-// pull is one puller round: compile the snapshot against the prior and,
-// if the plan changed, verify and swap.
+// pull is one puller round: compile the snapshot and, if the decisions
+// changed, verify and swap.
 func (c *planChain) pull(s *loopSubject, snapshot *profile.DCG) error {
-	p, err := plan.Compile(s.name, s.pristine, snapshot, c.params, c.prior)
+	prior := c.prior
+	if c.noHold {
+		prior = nil
+	}
+	p, err := plan.Compile(s.name, s.pristine, snapshot, plan.DefaultParams(), prior)
 	if err != nil {
 		return err
 	}
-	if p != c.prior {
+	if !p.Equal(c.prior) {
 		c.prior = p
 		if cycles, ok := s.try(p); ok {
 			c.cycles = cycles
@@ -233,16 +247,10 @@ func planLoopProgram(cfg Config, b *bench.Benchmark, size int64, lp PlanLoopPara
 	row.LocalSpeedupPct = speedup(s.base, localCycles)
 	target := planLoopGoodShare * row.LocalSpeedupPct
 
-	live := plan.DefaultParams()
-	raw := live
-	raw.MinWeight, raw.Band = 0, 0
-	noHold := live
-	noHold.HoldSharePct = 100
-
-	if row.ExhaustiveRawPct, err = s.fresh(x.Graph, raw); err != nil {
+	if row.ExhaustiveRawPct, err = s.fresh(x.Graph, true); err != nil {
 		return row, err
 	}
-	if row.ExhaustiveCondPct, err = s.fresh(x.Graph, live); err != nil {
+	if row.ExhaustiveCondPct, err = s.fresh(x.Graph, false); err != nil {
 		return row, err
 	}
 
@@ -256,7 +264,7 @@ func planLoopProgram(cfg Config, b *bench.Benchmark, size int64, lp PlanLoopPara
 				return row, err
 			}
 		}
-		chains := []*planChain{{params: live, res: &row.Live}, {params: noHold, res: &row.NoHold}}
+		chains := []*planChain{{res: &row.Live}, {noHold: true, res: &row.NoHold}}
 		for _, c := range chains {
 			c.cycles, c.good = s.base, lp.Rounds+1
 		}
@@ -287,15 +295,15 @@ func planLoopProgram(cfg Config, b *bench.Benchmark, size int64, lp PlanLoopPara
 				c.res.SpeedupPct += speedup(s.base, c.cycles) / passes
 				c.swapsAtRounds = c.swaps
 				if pass == 0 {
-					c.res.Decisions, c.res.Epoch = len(c.prior.Decisions), c.prior.Epoch
+					c.res.Decisions, c.res.Epoch = len(c.prior.Decisions), uint64(c.swaps+c.killed)
 					c.res.Swaps = c.swaps
 				}
 			}
-			sampledRaw, err := s.fresh(snapshot, raw)
+			sampledRaw, err := s.fresh(snapshot, true)
 			if err != nil {
 				return row, err
 			}
-			sampledCond, err := s.fresh(snapshot, live)
+			sampledCond, err := s.fresh(snapshot, false)
 			if err != nil {
 				return row, err
 			}

@@ -548,7 +548,6 @@ func (f *fleet) startPuller(name string, prog *bytecode.Program, rounds int, bas
 			Rounds:  rounds,
 			Every:   1,
 			Iters:   1,
-			Verify:  true,
 			Client:  pc,
 			Observe: observe,
 			Logf:    f.cfg.Logf,
@@ -744,9 +743,6 @@ func Run(cfg Config) (*Report, error) {
 		f.root.name = "root"
 		f.root.cfg.StateDir = filepath.Join(stateDir, "root")
 	}
-	// Sensitive plan params so short soaks with small graphs still
-	// produce non-empty plans (mirrors the daemon package's tests).
-	f.root.cfg.PlanFloor, f.root.cfg.PlanBand, f.root.cfg.PlanHold = 1, 0.25, 0.05
 	f.root.cfg.ResolveProgram = f.resolve
 	for i := 0; i < cfg.Leaves; i++ {
 		n := &node{name: fmt.Sprintf("leaf-%02d", i), host: LeafHost(i), cfg: base}

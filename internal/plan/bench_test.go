@@ -98,13 +98,12 @@ func BenchmarkServicePull(b *testing.B) {
 // graphs: the part of plan.compile_ms_p50 a miss pays before the
 // inliner runs.
 func BenchmarkCondition(b *testing.B) {
-	params := plan.DefaultParams()
 	for _, name := range benchPrograms {
 		_, _, graph := benchService(b, name)
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if plan.Condition(graph, params.MinWeight, params.Band).NumEdges() == 0 {
+				if plan.Condition(graph, plan.Floor, plan.Band).NumEdges() == 0 {
 					b.Fatal("conditioned graph is empty")
 				}
 			}
@@ -178,9 +177,8 @@ func BenchmarkCompileWithPrior(b *testing.B) {
 // edges, the per-site and per-family sums — and the dominant target of
 // every site it holds, each asked once.
 func BenchmarkSiteEstimate(b *testing.B) {
-	params := plan.DefaultParams()
 	pristine, snapshot, _ := javacMerged(b)
-	cond := plan.Condition(snapshot, params.MinWeight, params.Band)
+	cond := plan.Condition(snapshot, plan.Floor, plan.Band)
 	sites := cond.Sites()
 	b.ReportAllocs()
 	b.ResetTimer()

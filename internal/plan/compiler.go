@@ -9,44 +9,35 @@ import (
 	"gocbs/internal/profile"
 )
 
-// Params configures plan compilation: which inline policy decides, and
-// the stability layer that keeps snapshot-to-snapshot weight jitter
-// from flapping decisions.
+// Params configures plan compilation: which inline policy decides.
 type Params struct {
 	// Policy names the inline policy (see PolicyByName).
 	Policy string
-	// MinWeight is the minimum-weight floor: edges lighter than this
-	// are dropped before the policy sees the graph, so edges that
-	// flicker in and out of existence at negligible weight cannot
-	// change the plan.
-	MinWeight float64
-	// Band is the hysteresis band: surviving weights are snapped to a
-	// geometric grid with ratio (1+Band), so a weight must move by
-	// roughly a whole band before the policy sees any change at all.
-	// Zero disables quantization.
-	Band float64
-	// HoldSharePct keeps a prior decision alive when the current graph
-	// no longer elects it but its call site still carries at least this
-	// share (0–100) of the conditioned graph's weight. Adding a
-	// decision requires clearing the policy's thresholds; dropping one
-	// requires the site to have gone genuinely cold or, for a guard, the
-	// cost model to say it loses (see compileConditioned) — asymmetric
-	// thresholds are what make this hysteresis.
-	HoldSharePct float64
-	// Opts bounds the underlying optimizer.
-	Opts inline.Options
 }
 
 // DefaultParams returns the compilation parameters cbsd serves with.
 func DefaultParams() Params {
-	return Params{
-		Policy:       "new-linear",
-		MinWeight:    1,
-		Band:         0.25,
-		HoldSharePct: 0.05,
-		Opts:         inline.DefaultOptions(),
-	}
+	return Params{Policy: "new-linear"}
 }
+
+// The stability layer, tuned once like the policies' thresholds: every
+// served plan, restored epoch and skipped recompile (see Service) is a
+// function of these three numbers.
+const (
+	// floorWeight drops edges lighter than one sample before the policy
+	// sees the graph, so edges that flicker in and out of existence at
+	// negligible weight cannot change the plan.
+	floorWeight = 1
+	// gridBand snaps surviving weights to a geometric grid with ratio
+	// 1+gridBand: a weight must move by about a whole band before the
+	// policy sees any change at all.
+	gridBand = 0.25
+	// holdPct keeps a prior decision the graph no longer elects while its
+	// call site carries at least this share (0–100) of the conditioned
+	// weight, a guard only while it still pays (see compileConditioned):
+	// election and release at different lines are the hysteresis.
+	holdPct = 0.05
+)
 
 // PolicyByName resolves the profile-directed inline policies a plan
 // can be compiled under.
@@ -94,11 +85,12 @@ func (q grid) weight(_ profile.Edge, w float64) float64 {
 	return q.floor * math.Exp(idx*q.logStep)
 }
 
-// Condition applies the stability layer (see grid) to a raw aggregated
-// graph. The result is rebuilt in canonical edge order (see
-// profile.DCG.MapWeights), so every derived quantity downstream —
-// totals, site shares, policy thresholds — is a deterministic function
-// of the edge multiset alone.
+// Condition applies a stability layer (see grid) to a raw aggregated
+// graph: Compile's is floorWeight and gridBand, and Condition(g, 0, 0)
+// keeps every edge that weighs anything at its weight. The result is
+// rebuilt in canonical edge order (see profile.DCG.MapWeights), so every
+// derived quantity downstream — totals, site shares, policy thresholds —
+// is a deterministic function of the edge multiset alone.
 func Condition(g *profile.DCG, minWeight, band float64) *profile.DCG {
 	if g == nil {
 		return profile.NewDCG()
@@ -155,8 +147,7 @@ func Extract(pristine *bytecode.Program, policy inline.Policy, g *profile.DCG, o
 // the conditioned graph and the decision alone — which lets the plan
 // service skip it.
 func Compile(program string, pristine *bytecode.Program, g *profile.DCG, params Params, prior *Plan) (*Plan, error) {
-	return compileConditioned(program, pristine, pristine.Version(),
-		Condition(g, params.MinWeight, params.Band), params, prior)
+	return compileConditioned(program, pristine, pristine.Version(), Condition(g, floorWeight, gridBand), params, prior)
 }
 
 // guardStillPays is the release test for a held guard: d's callee is
@@ -186,7 +177,7 @@ func compileConditioned(program string, pristine *bytecode.Program, version stri
 	if prior != nil && (prior.CheckVersion(version) != nil || prior.Program != program || prior.Policy != params.Policy) {
 		prior = nil
 	}
-	decisions, err := Extract(pristine, policy, cond, params.Opts)
+	decisions, err := Extract(pristine, policy, cond, inline.DefaultOptions())
 	if err != nil {
 		return nil, fmt.Errorf("plan %s: %w", program, err)
 	}
@@ -212,7 +203,7 @@ func compileConditioned(program string, pristine *bytecode.Program, version stri
 		}
 		var ev *inline.Evidence // of cond, once a held guard asks
 		for _, d := range prior.Decisions {
-			if elected[d.Site] || cond.SiteWeightPercent(d.Site) < params.HoldSharePct {
+			if elected[d.Site] || cond.SiteWeightPercent(d.Site) < holdPct {
 				continue
 			}
 			if d.Site >= 0 && d.Site < len(pristine.SiteOwner) && pristine.SiteOwner[d.Site].ID == d.Callee {

@@ -8,6 +8,7 @@ import (
 
 	"gocbs/internal/bench"
 	"gocbs/internal/bytecode"
+	"gocbs/internal/inline"
 	"gocbs/internal/plan"
 	"gocbs/internal/profile"
 )
@@ -103,8 +104,7 @@ func sampledLike(x *profile.DCG, site, callee int, samples, total float64) *prof
 // Neither is elected now, and a prior that holds one is released; with
 // the site's own weight at 40 samples the same share is believed.
 func TestOneSampleDoesNotElect(t *testing.T) {
-	params := plan.DefaultParams()
-	params.MinWeight, params.Band = 0, 0 // the graphs below carry fractions of a sample
+	params := plan.DefaultParams() // compiled as given: the graphs below carry fractions of a sample
 	for _, tc := range []struct {
 		program, owner, callee string
 		receivers              int
@@ -133,17 +133,17 @@ func TestOneSampleDoesNotElect(t *testing.T) {
 		if _, share, _ := dominantOracle(pristine, thin, site); share >= guardBreakevenOracle(callee.NArgs) {
 			t.Fatalf("%s: %v samples of %s estimate to %.1f %%, a share that pays; the case tests nothing", name, tc.samples, tc.callee, share)
 		}
-		fresh := mustCompileFor(t, tc.program, pristine, thin, params, nil)
+		fresh := mustCompileRaw(t, tc.program, pristine, thin, params, nil)
 		if got := guardedAt(fresh, site); got >= 0 {
 			t.Errorf("%s: %v samples of %v elected a guard on %s", name, tc.samples, tc.total, pristine.Methods[got].Name)
 		}
 		held := withExtra(fresh, plan.Decision{Site: site, Callee: callee.ID, Kind: plan.KindGuarded})
-		if got := mustCompileFor(t, tc.program, pristine, thin, params, held); !got.Equal(fresh) {
+		if got := mustCompileRaw(t, tc.program, pristine, thin, params, held); !got.Equal(fresh) {
 			t.Errorf("%s: a guard on %s held on %v samples of %v was not released", name, tc.callee, tc.samples, tc.total)
 		}
 
 		thick := sampledLike(x, site, callee.ID, 40*tc.samples, 40*tc.total)
-		if got := guardedAt(mustCompileFor(t, tc.program, pristine, thick, params, nil), site); got != callee.ID {
+		if got := guardedAt(mustCompileRaw(t, tc.program, pristine, thick, params, nil), site); got != callee.ID {
 			t.Errorf("%s: %v samples of %v, all %s, elected %d", name, 40*tc.samples, 40*tc.total, tc.callee, got)
 		}
 	}
@@ -152,6 +152,16 @@ func TestOneSampleDoesNotElect(t *testing.T) {
 func mustCompileFor(t *testing.T, program string, pristine *bytecode.Program, g *profile.DCG, params plan.Params, prior *plan.Plan) *plan.Plan {
 	t.Helper()
 	p, err := plan.Compile(program, pristine, g, params, prior)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// mustCompileRaw compiles g as given: no floor, no grid.
+func mustCompileRaw(t *testing.T, program string, pristine *bytecode.Program, g *profile.DCG, params plan.Params, prior *plan.Plan) *plan.Plan {
+	t.Helper()
+	p, err := plan.CompileConditioned(program, pristine, plan.Condition(g, 0, 0), params, prior)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,9 +198,9 @@ func TestEstimateIsRawShareAtScale(t *testing.T) {
 		scaled := pp.graph.MapWeights(func(_ profile.Edge, w float64) float64 { return w * (1 << 20) })
 		for _, policy := range []string{"new-linear", "old-jikes", "j9-dynamic"} {
 			params := plan.DefaultParams()
-			params.Policy, params.MinWeight, params.Band = policy, 0, 0
-			got := mustCompileFor(t, pp.name, pp.pristine, pp.graph, params, nil)
-			want := mustCompileFor(t, pp.name, pp.pristine, scaled, params, nil)
+			params.Policy = policy
+			got := mustCompileRaw(t, pp.name, pp.pristine, pp.graph, params, nil)
+			want := mustCompileRaw(t, pp.name, pp.pristine, scaled, params, nil)
 			for _, site := range pp.graph.Sites() {
 				a, b := guardedAt(got, site), guardedAt(want, site)
 				calls := math.Round(pp.graph.SiteWeightPercent(site) * pp.graph.Total() / 100)
@@ -265,12 +275,12 @@ func TestHeldDecisionsApply(t *testing.T) {
 		}
 	})
 	base := mustCompileFor(t, "javac", pristine, g, params, nil)
-	if top, share, _ := dominantOracle(pristine, plan.Condition(g, params.MinWeight, params.Band), site); top != check.ID || share < 39.5 || share > 43.5 || guardedAt(base, site) >= 0 {
+	if top, share, _ := dominantOracle(pristine, plan.Condition(g, plan.Floor, plan.Band), site); top != check.ID || share < 39.5 || share > 43.5 || guardedAt(base, site) >= 0 {
 		t.Fatalf("site %d: %s at %.1f %%, elected %v; the case tests nothing", site, pristine.Methods[top].Name, share, guardedAt(base, site) >= 0)
 	}
 	held := withExtra(base, plan.Decision{Site: site, Callee: check.ID, Kind: plan.KindGuarded})
 	got := mustCompileFor(t, "javac", pristine, g, params, held)
-	res, err := plan.Apply(pristine.Clone(), got, params.Opts)
+	res, err := plan.Apply(pristine.Clone(), got, inline.DefaultOptions())
 	if err != nil || res.SkippedStale != 0 {
 		t.Errorf("the plan served over a prior holding %s at site %d (%s) applies with err %v and %d stale decisions",
 			check.Name, site, pristine.SiteDescription(site), err, res.SkippedStale)

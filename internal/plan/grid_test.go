@@ -1,0 +1,108 @@
+package plan
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+
+	"gocbs/internal/profile"
+)
+
+// TestGridDecidesEverySkip is the property a skipped recompile rests on
+// (see Service.planForLocked): a graph maps to its own conditioned graph
+// under the served grid, and a graph that differs from it in one edge
+// still maps to that conditioned graph exactly when the edge keeps its
+// grid point. So an edge that crosses a grid line or the floor, appears
+// above the floor, or vanishes from above it forces a compile, and one
+// that moves inside its grid cell, or anywhere below the floor, does not.
+// The graphs are random: weights below, at and far above the floor,
+// whole, decayed and sub-normal, over a few dozen edges that share sites.
+func TestGridDecidesEverySkip(t *testing.T) {
+	served := newGrid(floorWeight, gridBand)
+	rng := rand.New(rand.NewSource(29))
+	randomWeight := func() float64 {
+		switch rng.Intn(6) {
+		case 0:
+			return rng.Float64() * floorWeight // below the floor
+		case 1:
+			return floorWeight
+		case 2:
+			return float64(1 + rng.Intn(40))
+		case 3:
+			return float64(1+rng.Intn(1<<20)) * 0.37 // decayed
+		case 4:
+			return 5e-324
+		default:
+			return math.Exp(rng.Float64() * 40)
+		}
+	}
+	randomEdge := func() profile.Edge {
+		return profile.Edge{Caller: rng.Intn(8), Site: rng.Intn(12), Callee: rng.Intn(8)}
+	}
+	// with returns g with e at weight w, 0 removing it.
+	with := func(g *profile.DCG, e profile.Edge, w float64) *profile.DCG {
+		out := g.MapWeights(func(f profile.Edge, v float64) float64 {
+			if f == e {
+				return w
+			}
+			return v
+		})
+		if g.Weight(e) == 0 && w > 0 {
+			out.AddSample(e, w)
+		}
+		return out
+	}
+	kinds := map[string]int{}
+	// check holds moved, g with e moved, to the answer the grid gives:
+	// it maps to g's conditioned graph iff it skips.
+	check := func(g, moved, cond *profile.DCG, e profile.Edge, kind string, skips bool) {
+		t.Helper()
+		if moved.MapsTo(cond, served.weight) != skips {
+			t.Fatalf("%v %s, from %v to %v: maps to the conditioned graph %v, want %v",
+				e, kind, g.Weight(e), moved.Weight(e), !skips, skips)
+		}
+		kinds[kind]++
+	}
+
+	for trial := 0; trial < 300; trial++ {
+		g := profile.NewDCG()
+		for n := rng.Intn(40); n > 0; n-- {
+			g.AddSample(randomEdge(), randomWeight())
+		}
+		cond := Condition(g, floorWeight, gridBand)
+		if !g.MapsTo(cond, served.weight) {
+			t.Fatalf("trial %d: a graph does not map to its own conditioned graph", trial)
+		}
+		for _, e := range g.Edges() {
+			w := g.Weight(e)
+			q := served.weight(e, w)
+			if q == 0 {
+				check(g, with(g, e, w*rng.Float64()), cond, e, "moves below the floor", true)
+				check(g, with(g, e, floorWeight*(1+rng.Float64())), cond, e, "crosses the floor", false)
+				check(g, with(g, e, 0), cond, e, "vanishes from below the floor", true)
+				continue
+			}
+			check(g, with(g, e, (w+q)/2), cond, e, "moves inside its cell", true)
+			check(g, with(g, e, q*(1+gridBand)), cond, e, "crosses a grid line", false)
+			check(g, with(g, e, q/(1+gridBand)), cond, e, "crosses a grid line", false)
+			check(g, with(g, e, floorWeight*rng.Float64()), cond, e, "crosses the floor", false)
+			check(g, with(g, e, 0), cond, e, "vanishes", false)
+		}
+		for i := 0; i < 4; i++ {
+			e, w := randomEdge(), randomWeight()
+			switch {
+			case g.Weight(e) != 0:
+			case w >= floorWeight:
+				check(g, with(g, e, w), cond, e, "appears", false)
+			default:
+				check(g, with(g, e, w), cond, e, "appears below the floor", true)
+			}
+		}
+	}
+	for _, kind := range []string{"moves inside its cell", "moves below the floor", "crosses a grid line", "crosses the floor",
+		"vanishes", "vanishes from below the floor", "appears", "appears below the floor"} {
+		if kinds[kind] < 20 {
+			t.Errorf("%d edges %s; the property is under-tested (%v)", kinds[kind], kind, kinds)
+		}
+	}
+}

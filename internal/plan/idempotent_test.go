@@ -101,10 +101,10 @@ func TestCompileReturnsItsOwnResultVerbatim(t *testing.T) {
 		priors := map[string]*plan.Plan{"nil": nil}
 		// A site the policy did not elect but the hold share keeps: a
 		// prior that decided it has that decision retained.
-		cond := plan.Condition(pp.graph, params.MinWeight, params.Band)
+		cond := plan.Condition(pp.graph, plan.Floor, plan.Band)
 		coldSite := 1 << 20
 		for _, site := range cond.Sites() {
-			if !decided[site] && cond.SiteWeightPercent(site) >= params.HoldSharePct {
+			if !decided[site] && cond.SiteWeightPercent(site) >= plan.HoldPct {
 				priors["retained"] = withExtra(base, plan.Decision{Site: site, Kind: plan.KindStatic})
 				break
 			}
@@ -118,7 +118,7 @@ func TestCompileReturnsItsOwnResultVerbatim(t *testing.T) {
 		// break-even. Released under a new epoch like the cold one.
 		for _, site := range cond.Sites() {
 			dist := cond.SiteDistribution(site)
-			if decided[site] || len(dist) < 2 || cond.SiteWeightPercent(site) < params.HoldSharePct {
+			if decided[site] || len(dist) < 2 || cond.SiteWeightPercent(site) < plan.HoldPct {
 				continue
 			}
 			top, share, _ := dominantOracle(pp.pristine, cond, site)

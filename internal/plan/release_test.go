@@ -66,8 +66,6 @@ func TestGuardReleasedBelowBreakeven(t *testing.T) {
 	pristine := jitProgram(t, "db")
 	b := bench.ByName("db")
 	base := exhaustiveGraph(t, pristine.Clone(), b.Small, 2)
-	params := plan.DefaultParams()
-	params.Band = 0
 
 	site, receivers := -1, []profile.TargetWeight(nil)
 	for _, s := range base.Sites() {
@@ -99,10 +97,7 @@ func TestGuardReleasedBelowBreakeven(t *testing.T) {
 			return w
 		})
 	}
-	fresh, err := plan.Compile("db", pristine, base, params, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fresh := mustCompile(t, pristine, base, nil)
 	prior := func(k plan.Kind, callee int) *plan.Plan {
 		return withExtra(fresh, plan.Decision{Site: site, Callee: callee, Kind: k})
 	}
@@ -124,12 +119,12 @@ func TestGuardReleasedBelowBreakeven(t *testing.T) {
 		{"null-guard prior at 25 % each: held by warmth", [4]float64{25, 25, 25, 25}, prior(plan.KindNullGuard, first), true},
 	} {
 		g := withShares(tc.shares)
-		for _, d := range mustCompile(t, pristine, g, params, nil).Decisions {
+		for _, d := range mustCompile(t, pristine, g, nil).Decisions {
 			if d.Site == site {
 				t.Fatalf("%s: the policy elects site %d by itself; the case tests nothing", tc.name, site)
 			}
 		}
-		got := mustCompile(t, pristine, g, params, tc.prior)
+		got := mustCompile(t, pristine, g, tc.prior)
 		if tc.held && got != tc.prior {
 			t.Errorf("%s: released (epoch %d -> %d, %d -> %d decisions)", tc.name, tc.prior.Epoch, got.Epoch, len(tc.prior.Decisions), len(got.Decisions))
 		}
@@ -138,7 +133,7 @@ func TestGuardReleasedBelowBreakeven(t *testing.T) {
 		}
 		// Either way the answer is a fixed point: what a plan service
 		// skips a recompile on.
-		if again := mustCompile(t, pristine, g, params, got); again != got {
+		if again := mustCompile(t, pristine, g, got); again != got {
 			t.Errorf("%s: recompiling with the result as prior minted epoch %d over %d", tc.name, again.Epoch, got.Epoch)
 		}
 	}
@@ -149,33 +144,36 @@ func TestGuardReleasedBelowBreakeven(t *testing.T) {
 		}
 		return w
 	})
-	// With the hold share at zero warmth holds anything, a site the
-	// graph no longer has included; a guard there has no heaviest callee
-	// to stand on, nor has one whose callee the program does not have.
-	zero := params
-	zero.HoldSharePct = 0
-	for _, p := range []*plan.Plan{
-		prior(plan.KindGuarded, first),
-		withExtra(fresh, plan.Decision{Site: 1 << 20, Callee: first, Kind: plan.KindGuarded}),
-		withExtra(fresh, plan.Decision{Site: site, Callee: len(pristine.Methods), Kind: plan.KindGuarded}),
-		withExtra(fresh, plan.Decision{Site: site, Callee: -1, Kind: plan.KindGuarded}),
-	} {
-		if got := mustCompile(t, pristine, cold, zero, p); !got.Equal(mustCompile(t, pristine, cold, zero, nil)) {
-			t.Errorf("hold share 0: a guard on %+v survived a graph without its site", p.Decisions)
+	// A site gone cold releases every kind, as before.
+	for _, k := range []plan.Kind{plan.KindStatic, plan.KindGuarded, plan.KindNullGuard} {
+		if got := mustCompile(t, pristine, cold, prior(k, first)); !got.Equal(mustCompile(t, pristine, cold, nil)) {
+			t.Errorf("a %v decision survived its site going cold", k)
 		}
 	}
 
-	// A site gone cold releases every kind, as before.
-	for _, k := range []plan.Kind{plan.KindStatic, plan.KindGuarded, plan.KindNullGuard} {
-		if got := mustCompile(t, pristine, cold, params, prior(k, first)); !got.Equal(mustCompile(t, pristine, cold, params, nil)) {
-			t.Errorf("a %v decision survived its site going cold", k)
+	// A prior read from disk may name any callee, and a pusher may send
+	// any: a guard stands on its site's heaviest callee, so one on a
+	// callee the program does not have, or at a site whose only callee
+	// the program does not have, is released however warm the site.
+	stray := 1 << 20
+	warm := withShares([4]float64{57, 20, 14, 9})
+	warm.AddSample(profile.Edge{Caller: pristine.SiteOwner[site].ID, Site: stray, Callee: len(pristine.Methods)}, siteWeight)
+	for _, p := range []*plan.Plan{
+		withExtra(fresh, plan.Decision{Site: stray, Callee: first, Kind: plan.KindGuarded}),
+		withExtra(fresh, plan.Decision{Site: site, Callee: len(pristine.Methods), Kind: plan.KindGuarded}),
+		withExtra(fresh, plan.Decision{Site: site, Callee: -1, Kind: plan.KindGuarded}),
+	} {
+		if got := mustCompile(t, pristine, warm, p); !got.Equal(mustCompile(t, pristine, warm, nil)) {
+			t.Errorf("a guard on %+v survived with no callee of the program to stand on", p.Decisions)
 		}
 	}
 }
 
-func mustCompile(t *testing.T, pristine *bytecode.Program, g *profile.DCG, params plan.Params, prior *plan.Plan) *plan.Plan {
+// mustCompile compiles db's graph g without the grid, so that a share
+// the test sets is the share the compiler reads.
+func mustCompile(t *testing.T, pristine *bytecode.Program, g *profile.DCG, prior *plan.Plan) *plan.Plan {
 	t.Helper()
-	p, err := plan.Compile("db", pristine, g, params, prior)
+	p, err := plan.CompileConditioned("db", pristine, plan.Condition(g, plan.Floor, 0), plan.DefaultParams(), prior)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,10 +236,10 @@ func TestServedGuardsPayInTheirGraph(t *testing.T) {
 					guards++
 				}
 			}
-			for _, loss := range guardsThatLose(s.pristine, plan.Condition(snapshot, params.MinWeight, params.Band), p) {
+			for _, loss := range guardsThatLose(s.pristine, plan.Condition(snapshot, plan.Floor, plan.Band), p) {
 				t.Errorf("%s %s, epoch %d: %s", s.name, what, p.Epoch, loss)
 			}
-			if res, err := plan.Apply(s.pristine.Clone(), p, params.Opts); err != nil || res.SkippedStale != 0 {
+			if res, err := plan.Apply(s.pristine.Clone(), p, inline.DefaultOptions()); err != nil || res.SkippedStale != 0 {
 				t.Errorf("%s %s, epoch %d: applies with err %v and %d stale decisions", s.name, what, p.Epoch, err, res.SkippedStale)
 			}
 		}

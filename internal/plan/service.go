@@ -49,7 +49,7 @@ type ServiceConfig struct {
 	// ErrUnknownProgram for names that do not exist. The result is
 	// owned by the service (it is cloned before every mutation).
 	CompileProgram func(name, version string) (*bytecode.Program, error)
-	// Params selects the policy and stability parameters.
+	// Params selects the policy.
 	Params Params
 	// StateDir, when non-empty, persists each build's latest plan to
 	// plan-<program>@<version>.plnb so epochs survive restarts: a
@@ -192,7 +192,7 @@ func (s *Service) planForLocked(program, version string) (*Plan, error) {
 	if g == nil {
 		g = profile.NewDCG()
 	}
-	q := newGrid(s.cfg.Params.MinWeight, s.cfg.Params.Band)
+	q := newGrid(floorWeight, gridBand)
 	if e.cond != nil && g.MapsTo(e.cond, q.weight) {
 		e.merges, e.epochs = merges, epochs
 		s.stats.Skipped++

@@ -101,7 +101,7 @@ func TestServiceCachesUntilStoreChanges(t *testing.T) {
 	// A bump that moves weights, but none off its grid point or over
 	// the floor, skips too.
 	fs.graph = fs.graph.MapWeights(func(_ profile.Edge, w float64) float64 { return w * (1 + 1e-9) })
-	fs.graph.AddSample(profile.Edge{Caller: 999, Site: 9999, Callee: 998}, plan.DefaultParams().MinWeight/2)
+	fs.graph.AddSample(profile.Edge{Caller: 999, Site: 9999, Callee: 998}, plan.Floor/2)
 	fs.merges++
 	if p, err := svc.PlanForVersion("compress", ""); err != nil || p != p1 {
 		t.Errorf("sub-band drift: plan %p err %v, want the cached %p", p, err, p1)

@@ -28,8 +28,8 @@ func TestSubFloorJitterKeepsPlanIdentical(t *testing.T) {
 	// Jitter: brand-new edges below the floor, including one at a site
 	// the plan already decides.
 	jittered := g.Clone()
-	jittered.AddSample(profile.Edge{Caller: 999, Site: 9999, Callee: 998}, params.MinWeight/2)
-	jittered.AddSample(profile.Edge{Caller: 997, Site: p1.Decisions[0].Site, Callee: 996}, params.MinWeight/3)
+	jittered.AddSample(profile.Edge{Caller: 999, Site: 9999, Callee: 998}, plan.Floor/2)
+	jittered.AddSample(profile.Edge{Caller: 997, Site: p1.Decisions[0].Site, Callee: 996}, plan.Floor/3)
 
 	// Recompiling against the jittered snapshot with p1 as prior must
 	// return p1 verbatim — no new epoch, no new hash, same bytes.
@@ -96,10 +96,10 @@ func TestHysteresisRetention(t *testing.T) {
 	}
 	// A warm site the policy did not elect: present in the conditioned
 	// graph with share above the hold threshold.
-	cond := plan.Condition(g, params.MinWeight, params.Band)
+	cond := plan.Condition(g, plan.Floor, plan.Band)
 	warmSite := -1
 	for _, site := range cond.Sites() {
-		if !decided[site] && cond.SiteWeightPercent(site) >= params.HoldSharePct {
+		if !decided[site] && cond.SiteWeightPercent(site) >= plan.HoldPct {
 			warmSite = site
 			break
 		}

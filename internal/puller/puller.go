@@ -7,6 +7,7 @@ package puller
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"gocbs/internal/bytecode"
 	"gocbs/internal/inline"
@@ -19,21 +20,18 @@ import (
 // repeatedly and periodically asks a cbsd daemon for the inlining plan
 // compiled from the whole fleet's aggregated profile.
 type Options struct {
-	URL     string // cbsd base URL
 	Program string // benchmark name, also the plan key
 	Size    int64  // setup argument
 
 	Rounds int // total top-level rounds to run
 	Every  int // poll the daemon every N rounds (>=1)
 	Iters  int // $Globals.iter calls per round
-	Verify bool
 
-	Opts inline.Options
 	Logf func(format string, args ...any)
 
-	// Client, when non-nil, replaces the plan client Run would build
-	// from URL — the seam the fleet simulator uses to route polls
-	// through a fault-injecting transport.
+	// Client, required, pulls the plans: plan.NewClient(url) for a daemon
+	// at url, or one whose transport the fleet simulator injects faults
+	// into.
 	Client *plan.Client
 	// Observe, when non-nil, is called once per successful poll with
 	// the plan the daemon served (new or cached) and once more, with
@@ -94,26 +92,15 @@ func RunRound(prog *bytecode.Program, size int64, iters int) ([]int64, uint64, e
 	return sums, m.Cycles - start, nil
 }
 
-func sameSums(a, b []int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Run is the pulling VM's main loop. pristine must be the benchmark as
 // inline.JITOnly prepares it.
 //
 // The loop runs Rounds top-level rounds of the benchmark. Every Every
 // rounds it polls the daemon with a conditional GET; when a new plan
 // epoch arrives, the plan is applied to a fresh clone of the pristine
-// program and — with Verify — the candidate first replays one round
-// and must reproduce the unoptimized reference checksums exactly.
+// program (under inline.DefaultOptions, the bounds the plan compiler
+// extracts under) and the candidate first replays one round, which must
+// reproduce the unoptimized reference checksums exactly.
 // Only then is it hot-swapped in as the active program for subsequent
 // rounds. Heap state never crosses a swap: objects hold vtable
 // pointers into the program that allocated them, so swaps happen only
@@ -138,12 +125,6 @@ func Run(pristine *bytecode.Program, o Options) (Stats, error) {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	// A zero Options would cap every inline budget at zero and make the
-	// whole loop a silent no-op.
-	if o.Opts.MaxDepth == 0 {
-		o.Opts = inline.DefaultOptions()
-	}
-
 	// Reference round on the unoptimized program: the ground truth
 	// every transformed round must reproduce, and the baseline cycle
 	// count speedups are judged against.
@@ -153,10 +134,6 @@ func Run(pristine *bytecode.Program, o Options) (Stats, error) {
 	}
 	st := Stats{BaseCycles: baseCycles, LastCycles: baseCycles}
 
-	client := o.Client
-	if client == nil {
-		client = plan.NewClient(o.URL)
-	}
 	observe := o.Observe
 	if observe == nil {
 		observe = func(*plan.Plan, bool) {}
@@ -170,7 +147,7 @@ func Run(pristine *bytecode.Program, o Options) (Stats, error) {
 	for round := 0; round < o.Rounds; round++ {
 		if !st.Killed && round%o.Every == 0 {
 			st.Polls++
-			p, changed, err := client.FetchVersion(o.Program, version)
+			p, changed, err := o.Client.FetchVersion(o.Program, version)
 			if err == nil {
 				observe(p, false)
 			}
@@ -198,7 +175,7 @@ func Run(pristine *bytecode.Program, o Options) (Stats, error) {
 					break
 				}
 				candidate := pristine.Clone()
-				rep, err := plan.Apply(candidate, p, o.Opts)
+				rep, err := plan.Apply(candidate, p, inline.DefaultOptions())
 				if err != nil {
 					logf("pull: plan epoch %d does not apply (keeping current code): %v", p.Epoch, err)
 					break
@@ -210,14 +187,11 @@ func Run(pristine *bytecode.Program, o Options) (Stats, error) {
 					logf("pull: plan epoch %d: %d of %d decisions skipped as stale for this build",
 						p.Epoch, rep.SkippedStale, len(p.Decisions))
 				}
-				if o.Verify {
-					sums, _, err := RunRound(candidate, o.Size, o.Iters)
-					if err != nil || !sameSums(sums, ref) {
-						st.Killed = true
-						active = pristine.Clone()
-						logf("pull: KILL SWITCH — plan epoch %d diverges from unoptimized output (err=%v); reverted to baseline, pulling disabled", p.Epoch, err)
-						break
-					}
+				if sums, _, err := RunRound(candidate, o.Size, o.Iters); err != nil || !slices.Equal(sums, ref) {
+					st.Killed = true
+					active = pristine.Clone()
+					logf("pull: KILL SWITCH — plan epoch %d diverges from unoptimized output (err=%v); reverted to baseline, pulling disabled", p.Epoch, err)
+					break
 				}
 				active = candidate
 				st.Swaps++
@@ -231,9 +205,10 @@ func Run(pristine *bytecode.Program, o Options) (Stats, error) {
 		if err != nil {
 			return st, fmt.Errorf("round %d: %w", round, err)
 		}
-		if !sameSums(sums, ref) {
+		if !slices.Equal(sums, ref) {
 			// Belt and braces: divergence surfacing only in the live
-			// round (e.g. -pull-verify off) trips the same kill switch.
+			// round, which the verify round did not show, trips the same
+			// kill switch.
 			st.Killed = true
 			active = pristine.Clone()
 			logf("pull: KILL SWITCH — live round %d diverged; reverted to baseline, pulling disabled", round)

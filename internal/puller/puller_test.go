@@ -3,6 +3,7 @@ package puller
 import (
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"sync/atomic"
 	"testing"
@@ -89,8 +90,8 @@ func TestPullLoopAppliesFleetPlan(t *testing.T) {
 	ts, requests, notModified := planServer(t, p)
 
 	st, err := Run(pristine, Options{
-		URL: ts.URL, Program: "compress", Size: b.Small,
-		Rounds: 4, Every: 2, Iters: 2, Verify: true,
+		Client: plan.NewClient(ts.URL), Program: "compress", Size: b.Small,
+		Rounds: 4, Every: 2, Iters: 2,
 		Logf: t.Logf,
 	})
 	if err != nil {
@@ -144,7 +145,7 @@ func findDivergingDecision(t *testing.T, program string, prog *bytecode.Program,
 				continue
 			}
 			sums, _, err := RunRound(victim, size, iters)
-			if err != nil || !sameSums(sums, ref) {
+			if err != nil || !slices.Equal(sums, ref) {
 				t.Logf("diverging vector: site %d null-guard-inlines minority callee %d (%.1f%% of receivers)",
 					site, tw.Callee, tw.Percent)
 				return p
@@ -172,8 +173,8 @@ func TestPullLoopKillSwitch(t *testing.T) {
 	ts, _, _ := planServer(t, bad)
 
 	st, err := Run(pristine, Options{
-		URL: ts.URL, Program: "mtrt", Size: b.Small,
-		Rounds: 3, Every: 1, Iters: 2, Verify: true,
+		Client: plan.NewClient(ts.URL), Program: "mtrt", Size: b.Small,
+		Rounds: 3, Every: 1, Iters: 2,
 		Logf: t.Logf,
 	})
 	if err != nil {
@@ -199,8 +200,8 @@ func TestPullLoopKillSwitch(t *testing.T) {
 func TestPullLoopSurvivesDeadDaemon(t *testing.T) {
 	b, pristine := jitBench(t, "compress")
 	st, err := Run(pristine, Options{
-		URL: "http://127.0.0.1:1", Program: "compress", Size: b.Small,
-		Rounds: 2, Every: 1, Iters: 1, Verify: true,
+		Client: plan.NewClient("http://127.0.0.1:1"), Program: "compress", Size: b.Small,
+		Rounds: 2, Every: 1, Iters: 1,
 		Logf: t.Logf,
 	})
 	if err != nil {
@@ -240,8 +241,8 @@ func TestPullLoopRefusesWrongVersionPlan(t *testing.T) {
 	}
 
 	st, err := Run(upgraded, Options{
-		URL: ts.URL, Program: "compress", Size: b.Small,
-		Rounds: 4, Every: 1, Iters: 1, Verify: true,
+		Client: plan.NewClient(ts.URL), Program: "compress", Size: b.Small,
+		Rounds: 4, Every: 1, Iters: 1,
 		Logf: t.Logf,
 	})
 	if err != nil {

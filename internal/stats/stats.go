@@ -1,10 +1,9 @@
-// Package stats provides small statistical helpers shared by the
-// experiment harness: central tendency, spread, and number formatting
-// for the generated tables.
+// Package stats provides small statistical helpers: central tendency
+// and range for the experiment harness and the repo benchmark, and the
+// fixed-bucket latency Histogram the daemon reports.
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -81,29 +80,3 @@ func Max(xs []float64) float64 {
 	}
 	return m
 }
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	mu := Mean(xs)
-	var ss float64
-	for _, x := range xs {
-		d := x - mu
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(xs)))
-}
-
-// Pct formats a fraction (e.g. 0.0123) as a percentage string with the
-// given number of decimals (e.g. "1.2%").
-func Pct(frac float64, decimals int) string {
-	return fmt.Sprintf("%.*f%%", decimals, frac*100)
-}
-
-// F1 formats a float with one decimal place.
-func F1(x float64) string { return fmt.Sprintf("%.1f", x) }
-
-// F2 formats a float with two decimal places.
-func F2(x float64) string { return fmt.Sprintf("%.2f", x) }

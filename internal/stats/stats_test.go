@@ -57,27 +57,6 @@ func TestMinMax(t *testing.T) {
 	}
 }
 
-func TestStdDev(t *testing.T) {
-	if StdDev([]float64{5}) != 0 {
-		t.Error("stddev of one element should be 0")
-	}
-	if !almost(StdDev([]float64{2, 4, 4, 4, 5, 5, 7, 9}), 2) {
-		t.Errorf("stddev = %v, want 2", StdDev([]float64{2, 4, 4, 4, 5, 5, 7, 9}))
-	}
-}
-
-func TestFormatting(t *testing.T) {
-	if Pct(0.0123, 1) != "1.2%" {
-		t.Errorf("Pct = %q", Pct(0.0123, 1))
-	}
-	if F1(1.25) != "1.2" && F1(1.25) != "1.3" {
-		t.Errorf("F1 = %q", F1(1.25))
-	}
-	if F2(3.14159) != "3.14" {
-		t.Errorf("F2 = %q", F2(3.14159))
-	}
-}
-
 // Properties: median and mean are bounded by min/max; median is
 // order-independent.
 func TestCentralTendencyProperties(t *testing.T) {

@@ -356,16 +356,6 @@ func (vm *VM) Static(name string) (Value, error) {
 	return vm.statics[i], nil
 }
 
-// SetStatic stores into the named static slot.
-func (vm *VM) SetStatic(name string, v Value) error {
-	i := vm.Prog.StaticSlot(name)
-	if i < 0 {
-		return fmt.Errorf("no static named %q", name)
-	}
-	vm.statics[i] = v
-	return nil
-}
-
 // MethodsExecuted returns how many distinct methods have been entered.
 func (vm *VM) MethodsExecuted() int { return vm.nExec }
 

@@ -147,9 +147,6 @@ func TestCallErrors(t *testing.T) {
 	if _, err := m.Static("nope"); err == nil {
 		t.Error("Static with unknown name should fail")
 	}
-	if err := m.SetStatic("nope", IntV(1)); err == nil {
-		t.Error("SetStatic with unknown name should fail")
-	}
 }
 
 func TestTrapMessagesIncludeLocation(t *testing.T) {
