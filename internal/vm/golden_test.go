@@ -1,7 +1,6 @@
 package vm_test
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"os"
@@ -218,7 +217,8 @@ func goldenProgram(t *testing.T, name string, fused bool) (*bytecode.Program, in
 }
 
 // finish folds the end state of a run into d: result or trap text,
-// counters, output stream and the canonical bytes of the collected DCG.
+// counters, output stream and the canonical edge records of the
+// collected DCG.
 func finish(t *testing.T, d *digest, m *vm.VM, v vm.Value, err error, g *profile.DCG) {
 	t.Helper()
 	if err != nil {
@@ -231,11 +231,7 @@ func finish(t *testing.T, d *digest, m *vm.VM, v vm.Value, err error, g *profile
 		d.add(uint64(o))
 	}
 	if g != nil {
-		var buf bytes.Buffer
-		if _, err := g.WriteTo(&buf); err != nil {
-			t.Fatal(err)
-		}
-		for _, c := range buf.Bytes() {
+		for _, c := range dcgBytes(g) {
 			d.add(uint64(c))
 		}
 	}
@@ -300,7 +296,8 @@ func goldenRun(t *testing.T, name string, o observer, fused bool, maxSteps uint6
 // single hook invocation and before every single instruction, over four
 // programs × six observers × {plain, fused}, plus a step-limit trap.
 // The file was written at the commit before the interpreter's state
-// moved into locals; an interpreter change that keeps behaviour leaves
+// moved into locals (its graphs re-hashed over edge records when the wire
+// header grew a field); an interpreter change that keeps behaviour leaves
 // every line as it is. The adaptive observer runs on plain code only:
 // fusion is a final pass, and the inliner does not rewrite
 // superinstructions.
