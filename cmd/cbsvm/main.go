@@ -258,8 +258,8 @@ func main() {
 	fmt.Printf("calls:     %d; DCG edges: %d of %d (perfect)\n",
 		m.Calls, graph.NumEdges(), perfect.Graph.NumEdges())
 	if c, ok := mainProf.(*profiler.CBS); ok {
-		fmt.Printf("sampler:   %d ticks: %d opened a window, %d coalesced; %d samples\n",
-			c.Ticks, c.Windows, c.Coalesced, c.SamplesTaken)
+		fmt.Printf("sampler:   %d ticks: %.0f opened a window, %d coalesced; %d samples\n",
+			c.Ticks, c.Graph.Windows(), c.Coalesced, c.SamplesTaken)
 	}
 	fmt.Printf("accuracy:  %.1f (overlap with exhaustive profile)\n",
 		profile.Accuracy(graph, perfect.Graph))

@@ -39,8 +39,8 @@ func main() {
 		os.Exit(1)
 	}
 
-	fmt.Printf("%-24s %8d edges, total weight %.0f\n", flag.Arg(0), a.NumEdges(), a.Total())
-	fmt.Printf("%-24s %8d edges, total weight %.0f\n", flag.Arg(1), b.NumEdges(), b.Total())
+	fmt.Printf("%-24s %s\n", flag.Arg(0), a.Summary())
+	fmt.Printf("%-24s %s\n", flag.Arg(1), b.Summary())
 	fmt.Printf("overlap: %.2f / 100\n\n", profile.Overlap(a, b))
 
 	type diff struct {

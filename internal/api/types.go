@@ -93,10 +93,14 @@ type Edge struct {
 	Percent float64 `json:"percent"`
 }
 
-// TopResponse lists the k heaviest edges of the current snapshot.
+// TopResponse lists the k heaviest edges of the current snapshot, with
+// its total weight and the sampling windows that filled it (DCG.Windows:
+// how many draws a site's share stands on, 0 if its pushers do not count
+// them).
 type TopResponse struct {
 	Edges       []Edge  `json:"edges"`
 	TotalWeight float64 `json:"total_weight"`
+	Windows     float64 `json:"windows"`
 }
 
 // SiteResponse is one call site's receiver-target distribution — the

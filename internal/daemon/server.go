@@ -380,7 +380,7 @@ func (s *server) handleTop(w http.ResponseWriter, r *http.Request) {
 			Weight: g.Weight(e), Percent: g.Percent(e),
 		})
 	}
-	s.writeJSON(w, api.TopResponse{Edges: edges, TotalWeight: g.Total()})
+	s.writeJSON(w, api.TopResponse{Edges: edges, TotalWeight: g.Total(), Windows: g.Windows()})
 }
 
 // handleSite returns the receiver-target distribution at one call

@@ -167,16 +167,17 @@ func (p *DeltaPusher) Pending() int { return len(p.pending) }
 // simulator's conservation checker asserts.
 func (p *DeltaPusher) Acknowledged() *profile.DCG { return p.acked.Clone() }
 
-// Push captures the weight cur has accumulated since the previous Push
+// Push captures the weight cur has accumulated since the previous capture
 // (all of cur on the first call) as a new stamped increment, then
 // sends every pending increment in order. On failure the unsent tail
 // stays queued for the next call; the capture still happened, so no
 // weight is ever re-captured or lost. cur is cloned, so the caller's
 // graph may keep growing immediately.
 func (p *DeltaPusher) Push(cur *profile.DCG) error {
-	delta := cur.DeltaSince(p.last)
-	p.last = cur.Clone()
-	if delta.NumEdges() > 0 {
+	// A delta with no edge is not sent, and the capture does not advance:
+	// windows it counted go with the next one that has an edge.
+	if delta := cur.DeltaSince(p.last); delta.NumEdges() > 0 {
+		p.last = cur.Clone()
 		p.seq++
 		p.pending = append(p.pending, stampedDelta{seq: p.seq, delta: delta})
 	}

@@ -370,7 +370,8 @@ func (m *Multi) SetClock(now func() time.Time) {
 // CarryForward computes the profile mass of old that remains valid in
 // the build described by newM: edges whose caller, callee, and site
 // owner all have name+body-identical methods in both manifests, with
-// method and site IDs remapped to the new build's numbering. Edges
+// method and site IDs remapped to the new build's numbering, and old's
+// window count: the edges kept are what those windows drew there. Edges
 // touching any changed method are dropped — their shape may have
 // changed, and a wrong edge is worse than a cold one.
 func CarryForward(old *profile.DCG, oldM, newM *bytecode.Manifest) *profile.DCG {
@@ -378,6 +379,7 @@ func CarryForward(old *profile.DCG, oldM, newM *bytecode.Manifest) *profile.DCG 
 	if old == nil || oldM == nil || newM == nil {
 		return out
 	}
+	out.SetWindows(old.Windows())
 	newByName := make(map[string]int, len(newM.Methods))
 	for i, f := range newM.Methods {
 		if f.Name != "" {

@@ -98,7 +98,7 @@ type PlanLoopRow struct {
 	ExhaustiveRawPct, ExhaustiveCondPct float64
 	SampledRawPct, SampledCondPct       float64 // mean over passes
 	Samples                             float64 // merged graph's weight after Rounds rounds, pass 0
-	Windows                             uint64  // ticks that opened a window by then, all pushers, pass 0
+	Windows                             float64 // the merged graph's window count then (DCG.Windows), pass 0
 	OverlapPct                          float64 // of that graph with the local exhaustive one, mean over passes
 	Live, NoHold                        PlanChainResult
 }
@@ -311,10 +311,7 @@ func planLoopProgram(cfg Config, b *bench.Benchmark, size int64, lp PlanLoopPara
 			row.SampledCondPct += sampledCond / passes
 			row.OverlapPct += canonicalOverlap(snapshot, x.Graph) / passes
 			if pass == 0 {
-				row.Samples = snapshot.Total()
-				for _, p := range pushers {
-					row.Windows += p.cbs.Windows
-				}
+				row.Samples, row.Windows = snapshot.Total(), snapshot.Windows()
 			}
 		}
 		for _, c := range chains {
@@ -393,8 +390,8 @@ func FormatPlanLoop(res PlanLoopResult) string {
 	}
 	mean := make([]float64, len(rungs(PlanLoopRow{})))
 	var eligible, converged, decisions, swaps, killed int
-	var epochs, windows uint64
-	var toGood, toGoodNoHold, overlap float64
+	var epochs uint64
+	var toGood, toGoodNoHold, overlap, windows float64
 	for _, r := range rows {
 		v := rungs(r)
 		for i := range mean {
@@ -416,7 +413,7 @@ func FormatPlanLoop(res PlanLoopResult) string {
 		killed += r.Live.Killed
 		windows += r.Windows
 		overlap += r.OverlapPct / float64(len(rows))
-		fmt.Fprintf(&sb, "%-10s %7.2f %8.2f %8.2f %8.2f %8.2f %8.2f %8.2f | %5s %4d %6d %7.0f %7d %7.2f\n",
+		fmt.Fprintf(&sb, "%-10s %7.2f %8.2f %8.2f %8.2f %8.2f %8.2f %8.2f | %5s %4d %6d %7.0f %7.0f %7.2f\n",
 			r.Name, v[0], v[1], v[2], v[3], v[4], v[5], v[6], good, r.Live.Decisions, r.Live.Epoch, r.Samples, r.Windows, r.OverlapPct)
 	}
 	if len(rows) == 0 {
@@ -438,7 +435,7 @@ func FormatPlanLoop(res PlanLoopResult) string {
 	fmt.Fprintf(&sb, "rounds to a good plan (>= %.0f %% of local, %d programs with >= %.0f %% to recover): live %.2f, no-hold %.2f; pass 0: %d converged, %d decisions, %d epochs, %d swaps; %d killed in any pass\n",
 		planLoopGoodShare*100, eligible, planLoopMinLocalPct, toGood, toGoodNoHold, converged, decisions, epochs, swaps, killed)
 
-	fmt.Fprintf(&sb, "merged graph after round %d against the local exhaustive one: overlap %.3f %% (mean), %d windows in pass 0\n", lp.Rounds, overlap, windows)
+	fmt.Fprintf(&sb, "merged graph after round %d against the local exhaustive one: overlap %.3f %% (mean), %.0f windows in pass 0\n", lp.Rounds, overlap, windows)
 
 	if lp.ReplayPasses > 0 && lp.ReplayRounds > lp.Rounds {
 		fmt.Fprintf(&sb, "\nReplay: the first %d passes continued to %d rounds; speedup then (mean) and plans swapped in after round %d (summed)\n",

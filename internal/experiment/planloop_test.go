@@ -84,15 +84,15 @@ func TestPlanLoopDeterministicAcrossParallelism(t *testing.T) {
 // opened a window.
 type windowWatch struct {
 	cbs  *profiler.CBS
-	seen uint64
+	seen float64
 	at   []uint64
 }
 
 func (*windowWatch) Name() string { return "window-watch" }
 
 func (w *windowWatch) OnYieldpoint(m *vm.VM, _ vm.YieldKind) {
-	if w.cbs.Windows != w.seen {
-		w.seen = w.cbs.Windows
+	if w.cbs.Graph.Windows() != w.seen {
+		w.seen = w.cbs.Graph.Windows()
 		w.at = append(w.at, m.Cycles)
 	}
 }
@@ -116,7 +116,7 @@ func TestPushersDoNotShareWindows(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		w := &windowWatch{cbs: p.cbs, seen: p.cbs.Windows}
+		w := &windowWatch{cbs: p.cbs, seen: p.cbs.Graph.Windows()}
 		p.m.SetProfiler(p.cbs, w)
 		if err := p.round(dcgstore.New(), 24); err != nil {
 			t.Fatal(err)

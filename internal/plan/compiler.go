@@ -72,9 +72,11 @@ func newGrid(minWeight, band float64) grid {
 }
 
 // weight returns what an edge of raw weight w weighs once conditioned,
-// 0 if the floor drops it. Condition and the plan service's comparison
-// both go through it, so they cannot disagree on a grid point.
-func (q grid) weight(_ profile.Edge, w float64) float64 {
+// 0 if the floor drops it.
+func (q grid) weight(_ profile.Edge, w float64) float64 { return q.snap(w) }
+
+// snap is weight of any count: a window count is snapped the same way.
+func (q grid) snap(w float64) float64 {
 	if !(w >= q.floor) {
 		return 0
 	}
@@ -85,17 +87,34 @@ func (q grid) weight(_ profile.Edge, w float64) float64 {
 	return q.floor * math.Exp(idx*q.logStep)
 }
 
+// condition maps every edge weight and the window count of g through
+// weight. Condition and the plan service's miss path build with it and
+// the service's skip asks conditionsTo, so they cannot disagree on a grid
+// point.
+func (q grid) condition(g *profile.DCG) *profile.DCG {
+	c := g.MapWeights(q.weight)
+	c.SetWindows(q.snap(g.Windows()))
+	return c
+}
+
+// conditionsTo reports whether condition(g) would equal cond, without
+// building it (see profile.DCG.MapsTo).
+func (q grid) conditionsTo(g, cond *profile.DCG) bool {
+	return q.snap(g.Windows()) == cond.Windows() && g.MapsTo(cond, q.weight)
+}
+
 // Condition applies a stability layer (see grid) to a raw aggregated
 // graph: Compile's is floorWeight and gridBand, and Condition(g, 0, 0)
 // keeps every edge that weighs anything at its weight. The result is
 // rebuilt in canonical edge order (see profile.DCG.MapWeights), so every
 // derived quantity downstream — totals, site shares, policy thresholds —
-// is a deterministic function of the edge multiset alone.
+// is a deterministic function of the edge multiset and the window count
+// alone.
 func Condition(g *profile.DCG, minWeight, band float64) *profile.DCG {
 	if g == nil {
 		return profile.NewDCG()
 	}
-	return g.MapWeights(newGrid(minWeight, band).weight)
+	return newGrid(minWeight, band).condition(g)
 }
 
 // kindOf maps an applied inline decision to its plan kind.

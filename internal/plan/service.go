@@ -193,12 +193,12 @@ func (s *Service) planForLocked(program, version string) (*Plan, error) {
 		g = profile.NewDCG()
 	}
 	q := newGrid(floorWeight, gridBand)
-	if e.cond != nil && g.MapsTo(e.cond, q.weight) {
+	if e.cond != nil && q.conditionsTo(g, e.cond) {
 		e.merges, e.epochs = merges, epochs
 		s.stats.Skipped++
 		return e.plan, nil
 	}
-	cond := g.MapWeights(q.weight)
+	cond := q.condition(g)
 	prior := e.plan
 	p, err := compileConditioned(e.program, e.pristine, e.version, cond, s.cfg.Params, prior)
 	if err != nil {

@@ -11,6 +11,7 @@ import (
 func TestBinaryHeaderMagicAndVersion(t *testing.T) {
 	g := NewDCG()
 	g.AddSample(edge(1, 2, 3), 7)
+	g.SetWindows(3)
 	var buf bytes.Buffer
 	if _, err := g.WriteTo(&buf); err != nil {
 		t.Fatal(err)
@@ -24,6 +25,27 @@ func TestBinaryHeaderMagicAndVersion(t *testing.T) {
 	}
 	if n := binary.LittleEndian.Uint64(b[8:16]); n != 1 {
 		t.Fatalf("edge count = %d, want 1", n)
+	}
+	if w := math.Float64frombits(binary.LittleEndian.Uint64(b[16:24])); w != 3 {
+		t.Fatalf("windows = %v, want 3", w)
+	}
+}
+
+// TestVersion1Decodes: the format before the window count still reads,
+// as the same edges and no count, and writes back as the current version.
+func TestVersion1Decodes(t *testing.T) {
+	g := NewDCG()
+	g.AddSample(edge(1, 2, 3), 7)
+	g.AddSample(edge(-1, 5, 4), 0.5)
+	v2 := g.Encode()
+	v1 := append(append([]byte{}, v2[:16]...), v2[wireHdrSize:]...)
+	binary.LittleEndian.PutUint32(v1[4:8], 1)
+	got, err := DecodeDCGBytes(v1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Windows() != 0 || !bytes.Equal(got.Encode(), v2) {
+		t.Errorf("version 1 decoded to %s, want %s", got.Summary(), g.Summary())
 	}
 }
 
@@ -78,13 +100,30 @@ func TestReadDCGRejectsCorruptBinary(t *testing.T) {
 			return b
 		}),
 		"nan weight": mk(func(b []byte) []byte {
-			binary.LittleEndian.PutUint64(b[16+24:], math.Float64bits(math.NaN()))
+			binary.LittleEndian.PutUint64(b[wireHdrSize+24:], math.Float64bits(math.NaN()))
 			return b
 		}),
 		"negative weight": mk(func(b []byte) []byte {
-			binary.LittleEndian.PutUint64(b[16+24:], math.Float64bits(-1))
+			binary.LittleEndian.PutUint64(b[wireHdrSize+24:], math.Float64bits(-1))
 			return b
 		}),
+		"nan windows": mk(func(b []byte) []byte {
+			binary.LittleEndian.PutUint64(b[16:24], math.Float64bits(math.NaN()))
+			return b
+		}),
+		"negative windows": mk(func(b []byte) []byte {
+			binary.LittleEndian.PutUint64(b[16:24], math.Float64bits(-1))
+			return b
+		}),
+		"infinite windows": mk(func(b []byte) []byte {
+			binary.LittleEndian.PutUint64(b[16:24], math.Float64bits(math.Inf(1)))
+			return b
+		}),
+		"version 1 header, version 2 body": mk(func(b []byte) []byte {
+			b[4] = 1
+			return b
+		}),
+		"truncated windows": mk(func(b []byte) []byte { return b[:20] }),
 		"absurd edge count": mk(func(b []byte) []byte {
 			binary.LittleEndian.PutUint64(b[8:16], 1<<40)
 			return b

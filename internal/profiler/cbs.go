@@ -98,7 +98,8 @@ func TimerOnly(fl Flavour) Config {
 type CBS struct {
 	cfg Config
 
-	// Graph accumulates the sampled dynamic call graph.
+	// Graph accumulates the sampled dynamic call graph and counts the
+	// windows that filled it (DCG.Windows).
 	Graph *profile.DCG
 	// Tree accumulates full call paths when cfg.FullStack is set.
 	Tree *profile.CCT
@@ -113,10 +114,10 @@ type CBS struct {
 	samplesLeft int
 
 	// What the sampler did. Every tick opens a window or finds the last
-	// one still open and is lost: Ticks == Windows + Coalesced, plus one
-	// while a tick is armed (RVM: seen, its first yieldpoint not yet taken).
+	// one still open and is lost: Ticks == Graph.Windows() + Coalesced,
+	// plus one while a tick is armed (RVM: seen, its first yieldpoint not
+	// yet taken).
 	Ticks        uint64
-	Windows      uint64
 	Coalesced    uint64
 	WindowEvents uint64
 	SamplesTaken uint64
@@ -205,7 +206,7 @@ func (c *CBS) OnTimerTick(m *vm.VM) {
 }
 
 func (c *CBS) openWindow(m *vm.VM) {
-	c.Windows++
+	c.Graph.SetWindows(c.Graph.Windows() + 1)
 	c.active = true
 	c.skipped = c.initialSkip()
 	c.samplesLeft = c.cfg.SamplesPerTick

@@ -487,9 +487,9 @@ func TestTicksAreWindowsPlusCoalesced(t *testing.T) {
 			if c.armed {
 				armed = 1
 			}
-			if c.Ticks < 10 || c.Windows == 0 || c.Ticks != c.Windows+c.Coalesced+armed {
-				t.Errorf("%v, %d samples a tick: %d ticks, %d windows, %d coalesced, armed %d",
-					fl, samples, c.Ticks, c.Windows, c.Coalesced, armed)
+			if c.Ticks < 10 || c.Graph.Windows() == 0 || c.Ticks != uint64(c.Graph.Windows())+c.Coalesced+armed {
+				t.Errorf("%v, %d samples a tick: %d ticks, %v windows, %d coalesced, armed %d",
+					fl, samples, c.Ticks, c.Graph.Windows(), c.Coalesced, armed)
 			}
 			if samples == 4 && c.Coalesced != 0 || samples > 4 && c.Coalesced == 0 {
 				t.Errorf("%v, %d samples a tick: %d coalesced of %d ticks", fl, samples, c.Coalesced, c.Ticks)
