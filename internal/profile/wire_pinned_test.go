@@ -19,11 +19,13 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/wire_byte
 const wireGolden = "testdata/wire_bytes.txt"
 
 // TestWireBytesPinned holds the DCG encoder to the bytes it wrote at
-// the commit before it was rewritten: the exhaustive DCG of every suite
-// program (JIT-only, small input, one run of main) and a hand-built
-// graph with the values an encoder can get wrong — negative ids, a
-// sub-normal weight, a weight of 2^60. internal/plan's test of the same
-// name compiles its plans from the same graphs.
+// the commit before it was rewritten, as regenerated at the one version
+// bump since (v2: the window count in the header): the exhaustive DCG of
+// every suite program (JIT-only, small input, one run of main) and a
+// hand-built graph with the values an encoder can get wrong — negative
+// ids, a sub-normal weight, a weight of 2^60, a decayed window count.
+// internal/plan's test of the same name compiles its plans from the same
+// graphs.
 func TestWireBytesPinned(t *testing.T) {
 	var lines []string
 	pin := func(name string, g *profile.DCG) {
@@ -45,6 +47,7 @@ func TestWireBytesPinned(t *testing.T) {
 	hand.AddSample(profile.Edge{Caller: -7, Site: -3, Callee: -2}, 5e-324)
 	hand.AddSample(profile.Edge{Caller: 3, Site: math.MaxInt32, Callee: 4}, 1<<60)
 	hand.AddSample(profile.Edge{Caller: 3, Site: 2, Callee: 4}, 4.25)
+	hand.SetWindows(2.5)
 	pin("hand", hand)
 	pin("empty", profile.NewDCG())
 	text := strings.Join(lines, "\n") + "\n"
