@@ -87,7 +87,7 @@ func TestRestoreMissingCheckpointIsFreshStart(t *testing.T) {
 // succession table.
 func TestRestoreRejectsCorruptFiles(t *testing.T) {
 	eachStream(t, func(t *testing.T, key api.ProgramKey) {
-		saved := checkpointBytes(t, goldenMulti(t))
+		saved := checkpointBytes(t, goldenMulti(t, true))
 		// Each case edits the decoded envelope; cs is the stream's element.
 		cases := map[string]func(cp *checkpoint, cs *checkpointStore){
 			"graph is not a DCG":   func(_ *checkpoint, cs *checkpointStore) { cs.Graph = []byte("not a DCG") },
@@ -143,7 +143,7 @@ func TestRestoreRefusesEarlierLayout(t *testing.T) {
 			t.Errorf("a dir holding only %s restored as %v, %v; want an error naming the file", old, ok, err)
 		}
 		// Beside a checkpoint.json they are somebody's leftovers.
-		mustSave(t, dir, goldenMulti(t))
+		mustSave(t, dir, goldenMulti(t, true))
 		if ok, err := RestoreMultiCheckpoint(NewMulti(4), dir); !ok || err != nil {
 			t.Errorf("%s beside a checkpoint: restore = %v, %v", old, ok, err)
 		}
@@ -308,7 +308,7 @@ func TestCheckpointDropsEvictedBuildFiles(t *testing.T) {
 // build list and every program's latest version; the evicted build does
 // not.
 func TestCheckpointRestoresEverything(t *testing.T) {
-	m := goldenMulti(t)
+	m := goldenMulti(t, true)
 	dbOld := api.ProgramKey{Program: "db", Version: "00000000000000d1"}
 	dbNew := api.ProgramKey{Program: "db", Version: "00000000000000d2"}
 	m.For(dbOld).MergeDCGFrom("vm-4", 5, dcgOf([4]int{2, 3, 4, 9}))

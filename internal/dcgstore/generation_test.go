@@ -100,7 +100,7 @@ func (f failAfter) WriteTo(w io.Writer) (int64, error) {
 // latest version of B beside A's.
 func TestCheckpointGenerationIsAllOrNothing(t *testing.T) {
 	dir := t.TempDir()
-	m := goldenMulti(t)
+	m := goldenMulti(t, true)
 	mustSave(t, dir, m)
 	genA := checkpointBytes(t, m)
 
