@@ -44,12 +44,13 @@ func goldenForwarder(t *testing.T, leaf *dcgstore.Multi, rootURL, statePath stri
 // captured from. Phase 1 (acknowledged as seqs 1-2): weight on the
 // unstamped stream and on build A, whose manifest is relayed. Phase 2
 // (captured as seqs 3-5, never acknowledged): more weight on both, and
-// a first capture for build B.
+// a first capture for build B. Every push counts one sampling window.
 func goldenLeaf(t *testing.T, phases int) *dcgstore.Multi {
 	t.Helper()
 	graph := func(c, s, e int, w float64) *profile.DCG {
 		g := profile.NewDCG()
 		g.AddSample(edge(c, s, e), w)
+		g.SetWindows(1)
 		return g
 	}
 	leaf := dcgstore.NewMulti(4)
