@@ -256,7 +256,7 @@ func TestOldJikesIgnoresNonHotVirtuals(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Build a profile where the virtual site is present but cool
-	// (below 1% of total weight).
+	// (below 1% of total weight): 20 samples, all Double, beside 2 980.
 	g := profile.NewDCG()
 	main := prog.MethodByName("$Globals.main")
 	apply := prog.MethodByName("Double.apply")
@@ -270,8 +270,8 @@ func TestOldJikesIgnoresNonHotVirtuals(t *testing.T) {
 			staticSite = cs.Site
 		}
 	}
-	g.AddSample(profile.Edge{Caller: main.ID, Site: virtSite, Callee: apply.ID}, 1)
-	g.AddSample(profile.Edge{Caller: main.ID, Site: staticSite, Callee: helper.ID}, 999)
+	g.AddSample(profile.Edge{Caller: main.ID, Site: virtSite, Callee: apply.ID}, 20)
+	g.AddSample(profile.Edge{Caller: main.ID, Site: staticSite, Callee: helper.ID}, 2980)
 
 	plan := NewOldJikes().Plan(prog, main, NewEvidence(prog, g))
 	for _, d := range plan {
@@ -280,10 +280,13 @@ func TestOldJikesIgnoresNonHotVirtuals(t *testing.T) {
 		}
 	}
 
-	// The new inliner, with the same profile, does guard-inline it?
-	// No — at 0.1% weight the threshold is small but the site's
-	// distribution is 100% Double; NewLinear requires share > 40% and
-	// size <= threshold(0.1) ≈ MinSize. Double.apply is tiny, so yes.
+	// The new inliner, with the same profile, does guard-inline it: at
+	// 0.67% weight the threshold is small but the site's distribution is
+	// 100% Double on 20 samples (an estimate of 89%: the site is alone in
+	// its family, so its prior is uniform over Op's three apply methods);
+	// NewLinear requires share > 40% and size <= threshold(0.67) ≈
+	// MinSize. Double.apply is tiny, so yes. One sample would not do: a
+	// site alone in its family shrinks toward uniform, not toward itself.
 	newPlan := NewNewLinear().Plan(prog, main, NewEvidence(prog, g))
 	foundGuard := false
 	for _, d := range newPlan {

@@ -14,12 +14,16 @@ import (
 )
 
 // dominantOracle is the share a guard is judged on, written out here
-// rather than imported (see guardBreakevenOracle): with k_c of a site's n
-// samples on callee c, and π_c the share of c in all the weight g holds
-// on the virtual methods of c's family — the root class of its hierarchy
-// and its vtable slot — the site's share of c is (k_c + 4·π_c)/(n + 4),
-// and the dominant target the callee where that is largest. ok is false
-// when g holds nothing on the site.
+// rather than imported (see guardBreakevenOracle). With k_c of a site's n
+// samples on callee c, the graph's W windows (0: not counted) capping the
+// site's evidence at n' = min(n, W) draws and k_c at k_c·n'/n, and π_c
+// the prior of c — the rest of its family: with w_c the weight g holds on
+// c, F its weight on the virtual methods of c's family (the root class of
+// its hierarchy and its vtable slot), n_f the site's own weight on them
+// and I the family's implementations, π_c = (w_c − k_c + 4/I)/(F − n_f + 4)
+// — the site's share of c is (k_c·n'/n + 4·π_c)/(n' + 4), and the
+// dominant target the callee where that is largest. ok is false when g
+// holds nothing on the site.
 func dominantOracle(pristine *bytecode.Program, g *profile.DCG, site int) (callee int, share float64, ok bool) {
 	type family struct {
 		root *bytecode.Class
@@ -32,18 +36,32 @@ func dominantOracle(pristine *bytecode.Program, g *profile.DCG, site int) (calle
 		}
 		return family{root, pristine.Methods[id].VSlot}
 	}
-	here, anywhere, families := map[int]float64{}, map[int]float64{}, map[family]float64{}
+	impls := map[family]float64{}
+	for _, m := range pristine.Methods {
+		if m.VSlot >= 0 {
+			impls[familyOf(m.ID)]++
+		}
+	}
+	here, anywhere, families, ownFamilies := map[int]float64{}, map[int]float64{}, map[family]float64{}, map[family]float64{}
 	var n float64
 	for _, e := range g.Edges() {
 		w := g.Weight(e)
+		virtual := pristine.Methods[e.Callee].VSlot >= 0
 		if e.Site == site {
 			here[e.Callee] += w
 			n += w
+			if virtual {
+				ownFamilies[familyOf(e.Callee)] += w
+			}
 		}
-		if pristine.Methods[e.Callee].VSlot >= 0 {
+		if virtual {
 			anywhere[e.Callee] += w
 			families[familyOf(e.Callee)] += w
 		}
+	}
+	draws := n
+	if w := g.Windows(); w > 0 && w < n {
+		draws = w
 	}
 	callees := make([]int, 0, len(here))
 	for c := range here {
@@ -53,9 +71,10 @@ func dominantOracle(pristine *bytecode.Program, g *profile.DCG, site int) (calle
 	for _, c := range callees {
 		pi := here[c] / n
 		if pristine.Methods[c].VSlot >= 0 {
-			pi = anywhere[c] / families[familyOf(c)]
+			f := familyOf(c)
+			pi = (max(anywhere[c]-here[c], 0) + 4/impls[f]) / (max(families[f]-ownFamilies[f], 0) + 4)
 		}
-		if est := (here[c] + 4*pi) / (n + 4) * 100; est > share {
+		if est := (here[c]*draws/n + 4*pi) / (draws + 4) * 100; est > share {
 			callee, share, ok = c, est, true
 		}
 	}
@@ -145,6 +164,54 @@ func TestOneSampleDoesNotElect(t *testing.T) {
 		thick := sampledLike(x, site, callee.ID, 40*tc.samples, 40*tc.total)
 		if got := guardedAt(mustCompileRaw(t, tc.program, pristine, thick, params, nil), site); got != callee.ID {
 			t.Errorf("%s: %v samples of %v, all %s, elected %d", name, 40*tc.samples, 40*tc.total, tc.callee, got)
+		}
+	}
+}
+
+// TestOneWindowDoesNotElect is phases' burst. The program's one
+// Shape.area site calls four receivers a quarter each over a run, one at
+// a time within a phase; a timer tick whose window falls inside a Hex
+// phase takes its 16 samples there, three calls apart, and they read
+// "100 %" Hex.area. They are one draw of the site — a guard elected on
+// them lost 4.3 % of phases in the plan loop — so from one window the
+// guard is not elected and one held is released. The same 16 samples
+// from 16 windows or more are 16 draws, and elect.
+func TestOneWindowDoesNotElect(t *testing.T) {
+	pristine := jitProgram(t, "phases")
+	x := exhaustiveGraph(t, pristine.Clone(), bench.ByName("phases").Small, 2)
+	hex := pristine.MethodByName("Hex.area")
+	site := -1
+	for _, s := range x.Sites() {
+		dist := x.SiteDistribution(s)
+		if len(dist) == 4 && slices.ContainsFunc(dist, func(tw profile.TargetWeight) bool { return tw.Callee == hex.ID }) {
+			site = s
+		}
+	}
+	if site < 0 {
+		t.Fatal("phases has no four-receiver site that calls Hex.area")
+	}
+	params := plan.DefaultParams()
+	burst := func(windows float64) *profile.DCG {
+		g := sampledLike(x, site, hex.ID, 16, 16)
+		g.SetWindows(windows)
+		return g
+	}
+
+	one := burst(1)
+	if _, share, _ := dominantOracle(pristine, one, site); share >= guardBreakevenOracle(hex.NArgs) {
+		t.Fatalf("16 samples of Hex.area in one window estimate to %.1f %%, a share that pays; the case tests nothing", share)
+	}
+	fresh := mustCompileRaw(t, "phases", pristine, one, params, nil)
+	if got := guardedAt(fresh, site); got >= 0 {
+		t.Errorf("one window of 16 samples elected a guard on %s", pristine.Methods[got].Name)
+	}
+	held := withExtra(fresh, plan.Decision{Site: site, Callee: hex.ID, Kind: plan.KindGuarded})
+	if got := mustCompileRaw(t, "phases", pristine, one, params, held); !got.Equal(fresh) {
+		t.Error("a guard on Hex.area held on one window of 16 samples was not released")
+	}
+	for _, windows := range []float64{16, 64} {
+		if got := guardedAt(mustCompileRaw(t, "phases", pristine, burst(windows), params, nil), site); got != hex.ID {
+			t.Errorf("16 samples of Hex.area from %v windows elected %d, want a guard on it", windows, got)
 		}
 	}
 }

@@ -9,14 +9,16 @@ import (
 )
 
 // TestGridDecidesEverySkip is the property a skipped recompile rests on
-// (see Service.planForLocked): a graph maps to its own conditioned graph
-// under the served grid, and a graph that differs from it in one edge
-// still maps to that conditioned graph exactly when the edge keeps its
-// grid point. So an edge that crosses a grid line or the floor, appears
-// above the floor, or vanishes from above it forces a compile, and one
-// that moves inside its grid cell, or anywhere below the floor, does not.
-// The graphs are random: weights below, at and far above the floor,
-// whole, decayed and sub-normal, over a few dozen edges that share sites.
+// (see Service.planForLocked): a graph conditions to its own conditioned
+// graph under the served grid, and a graph that differs from it in one
+// edge, or in its window count, still conditions to that graph exactly
+// when the edge or the count keeps its grid point. So an edge that crosses
+// a grid line or the floor, appears above the floor, or vanishes from
+// above it forces a compile, and one that moves inside its grid cell, or
+// anywhere below the floor, does not; and so does a window count. The
+// graphs are random: weights and counts below, at and far above the
+// floor, whole, decayed and sub-normal, over a few dozen edges that share
+// sites.
 func TestGridDecidesEverySkip(t *testing.T) {
 	served := newGrid(floorWeight, gridBand)
 	rng := rand.New(rand.NewSource(29))
@@ -54,14 +56,25 @@ func TestGridDecidesEverySkip(t *testing.T) {
 	}
 	kinds := map[string]int{}
 	// check holds moved, g with e moved, to the answer the grid gives:
-	// it maps to g's conditioned graph iff it skips.
+	// it conditions to g's conditioned graph iff it skips.
 	check := func(g, moved, cond *profile.DCG, e profile.Edge, kind string, skips bool) {
 		t.Helper()
-		if moved.MapsTo(cond, served.weight) != skips {
-			t.Fatalf("%v %s, from %v to %v: maps to the conditioned graph %v, want %v",
+		if served.conditionsTo(moved, cond) != skips {
+			t.Fatalf("%v %s, from %v to %v: conditions to the conditioned graph %v, want %v",
 				e, kind, g.Weight(e), moved.Weight(e), !skips, skips)
 		}
 		kinds[kind]++
+	}
+	// checkWindows is check for a window count moved from g's to w.
+	checkWindows := func(g, cond *profile.DCG, w float64, kind string, skips bool) {
+		t.Helper()
+		moved := g.Clone()
+		moved.SetWindows(w)
+		if served.conditionsTo(moved, cond) != skips {
+			t.Fatalf("window count %s, from %v to %v: conditions to the conditioned graph %v, want %v",
+				kind, g.Windows(), w, !skips, skips)
+		}
+		kinds["windows "+kind]++
 	}
 
 	for trial := 0; trial < 300; trial++ {
@@ -69,9 +82,22 @@ func TestGridDecidesEverySkip(t *testing.T) {
 		for n := rng.Intn(40); n > 0; n-- {
 			g.AddSample(randomEdge(), randomWeight())
 		}
+		if rng.Intn(4) > 0 {
+			g.SetWindows(randomWeight())
+		}
 		cond := Condition(g, floorWeight, gridBand)
-		if !g.MapsTo(cond, served.weight) {
-			t.Fatalf("trial %d: a graph does not map to its own conditioned graph", trial)
+		if !served.conditionsTo(g, cond) {
+			t.Fatalf("trial %d: a graph does not condition to its own conditioned graph", trial)
+		}
+		w := g.Windows()
+		if q := served.snap(w); q == 0 {
+			checkWindows(g, cond, w*rng.Float64(), "moves below the floor", true)
+			checkWindows(g, cond, floorWeight*(1+rng.Float64()), "crosses the floor", false)
+		} else {
+			checkWindows(g, cond, (w+q)/2, "moves inside its cell", true)
+			checkWindows(g, cond, q*(1+gridBand), "crosses a grid line", false)
+			checkWindows(g, cond, q/(1+gridBand), "crosses a grid line", false)
+			checkWindows(g, cond, 0, "vanishes", false)
 		}
 		for _, e := range g.Edges() {
 			w := g.Weight(e)
@@ -100,7 +126,8 @@ func TestGridDecidesEverySkip(t *testing.T) {
 		}
 	}
 	for _, kind := range []string{"moves inside its cell", "moves below the floor", "crosses a grid line", "crosses the floor",
-		"vanishes", "vanishes from below the floor", "appears", "appears below the floor"} {
+		"vanishes", "vanishes from below the floor", "appears", "appears below the floor",
+		"windows moves inside its cell", "windows moves below the floor", "windows crosses a grid line", "windows crosses the floor", "windows vanishes"} {
 		if kinds[kind] < 20 {
 			t.Errorf("%d edges %s; the property is under-tested (%v)", kinds[kind], kind, kinds)
 		}
