@@ -197,6 +197,7 @@ func TestTopSiteAndOverlapEndpoints(t *testing.T) {
 	g.AddSample(edge(1, 10, 2), 60)
 	g.AddSample(edge(1, 10, 3), 30)
 	g.AddSample(edge(4, 11, 5), 10)
+	g.SetWindows(6)
 	postProfile(t, ts.URL+api.PathIngest, g).Body.Close()
 
 	resp, err := http.Get(ts.URL + api.PathTop + "?k=2")
@@ -204,6 +205,9 @@ func TestTopSiteAndOverlapEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := decodeJSON(t, resp)
+	if m["windows"].(float64) != 6 {
+		t.Errorf("top reports %v windows, the store holds 6", m["windows"])
+	}
 	edges := m["edges"].([]any)
 	if len(edges) != 2 {
 		t.Fatalf("top k=2 returned %d edges", len(edges))

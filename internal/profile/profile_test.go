@@ -217,9 +217,12 @@ func TestCloneAndMerge(t *testing.T) {
 func TestDumpContainsEdges(t *testing.T) {
 	g := NewDCG()
 	g.AddSample(edge(1, 4, 2), 3)
+	g.SetWindows(2)
 	out := g.Dump(func(id int) string { return map[int]string{1: "main", 2: "work"}[id] }, nil)
-	if want := "main"; !contains(out, want) {
-		t.Errorf("dump missing %q:\n%s", want, out)
+	for _, want := range []string{"main", "DCG: 1 edges, total weight 3, 2 windows\n"} {
+		if !contains(out, want) {
+			t.Errorf("dump missing %q:\n%s", want, out)
+		}
 	}
 }
 
