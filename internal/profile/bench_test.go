@@ -30,3 +30,73 @@ func BenchmarkTopEdges(b *testing.B) {
 		})
 	}
 }
+
+// cbsSuite is every suite program's CBS graph (small input, seed 1, a
+// tick every 20 000 cycles) and the number of edges they hold together.
+func cbsSuite(b *testing.B) ([]*profile.DCG, float64) {
+	var graphs []*profile.DCG
+	var edges float64
+	for _, bm := range bench.All() {
+		g := suiteGraph(b, bm, true)
+		graphs = append(graphs, g)
+		edges += float64(g.NumEdges())
+	}
+	return graphs, edges
+}
+
+// perKedge reports the benchmark's time per op in microseconds per
+// thousand edges, the unit of the repo benchmark's profile rows.
+func perKedge(b *testing.B, edges float64) {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e3/float64(b.N)/(edges/1000), "us/kedge")
+}
+
+var bytesSink []byte
+
+// BenchmarkEncode is the twin of profile.encode_us_per_kedge: every suite
+// program's CBS graph encoded once per op.
+func BenchmarkEncode(b *testing.B) {
+	graphs, edges := cbsSuite(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, g := range graphs {
+			bytesSink = g.Encode()
+		}
+	}
+	perKedge(b, edges)
+}
+
+// BenchmarkDecode is the twin of profile.decode_us_per_kedge: the same
+// graphs' bytes decoded once per op.
+func BenchmarkDecode(b *testing.B) {
+	graphs, edges := cbsSuite(b)
+	bodies := make([][]byte, len(graphs))
+	for i, g := range graphs {
+		bodies[i] = g.Encode()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, body := range bodies {
+			if _, err := profile.DecodeDCGBytes(body); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	perKedge(b, edges)
+}
+
+// BenchmarkMerge is the twin of profile.merge_us_per_kedge: the same
+// graphs merged into one empty accumulator once per op.
+func BenchmarkMerge(b *testing.B) {
+	graphs, edges := cbsSuite(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		acc := profile.NewDCG()
+		for _, g := range graphs {
+			acc.Merge(g)
+		}
+	}
+	perKedge(b, edges)
+}
