@@ -2,6 +2,7 @@ package daemon
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -90,20 +91,65 @@ func (d *loadedDaemon) get(tb testing.TB, path string) {
 	}
 }
 
-func (d *loadedDaemon) push(tb testing.TB) {
+// next stamps the next push: its delta, pusher and sequence number.
+func (d *loadedDaemon) next() (delta keyedDelta, pusher string, seq uint64) {
 	slot := d.pushes % len(d.seqs)
-	delta := d.deltas[d.pushes%len(d.deltas)]
 	d.seqs[slot]++
 	d.pushes++
+	return d.deltas[(d.pushes-1)%len(d.deltas)], d.pushers[slot], d.seqs[slot]
+}
+
+func (d *loadedDaemon) push(tb testing.TB) *httptest.ResponseRecorder {
+	delta, pusher, seq := d.next()
 	req := httptest.NewRequest(http.MethodPost, api.PathIngest, bytes.NewReader(delta.body))
-	req.Header.Set(api.HeaderPusher, d.pushers[slot])
-	req.Header.Set(api.HeaderSeq, strconv.FormatUint(d.seqs[slot], 10))
+	req.Header.Set(api.HeaderPusher, pusher)
+	req.Header.Set(api.HeaderSeq, strconv.FormatUint(seq, 10))
 	req.Header.Set(api.HeaderProgram, delta.key.Program)
 	req.Header.Set(api.HeaderProgramVersion, delta.key.Version)
 	rec := httptest.NewRecorder()
 	d.h.ServeHTTP(rec, req)
 	if rec.Code != http.StatusOK {
 		tb.Fatalf("push %d: %d %s", d.pushes, rec.Code, rec.Body)
+	}
+	return rec
+}
+
+// TestIngestAckIsCompact: a push is acknowledged in json.Marshal's
+// layout and the newline an Encoder ends with, not indented: its reader
+// is the pusher's client. The operator reads stay indented
+// (TestMetricsShapePinned).
+func TestIngestAckIsCompact(t *testing.T) {
+	d := newLoadedDaemon(t, 0)
+	for range d.deltas {
+		body := d.push(t).Body.Bytes()
+		var resp api.IngestResponse
+		if err := json.Unmarshal(body, &resp); err != nil {
+			t.Fatalf("ack %q: %v", body, err)
+		}
+		want, err := json.Marshal(resp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(body) != string(want)+"\n" {
+			t.Fatalf("ack %q, want %q", body, string(want)+"\n")
+		}
+	}
+}
+
+// maxIngestAllocs is what one push through the handler allocates at
+// most, request and recorder included (go1.24): 41 before the ack was
+// compact and the decoded graph's map was sized from its header.
+const maxIngestAllocs = 31
+
+// TestIngestHandlerAllocs holds BenchmarkIngestHandler's allocations to
+// maxIngestAllocs.
+func TestIngestHandlerAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops buffers at random")
+	}
+	d := newLoadedDaemon(t, 1000)
+	if a := testing.AllocsPerRun(200, func() { d.push(t) }); a > maxIngestAllocs {
+		t.Errorf("a push allocates %v times, want at most %d", a, maxIngestAllocs)
 	}
 }
 

@@ -130,10 +130,18 @@ func postOnly(h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-func (s *server) writeJSON(w http.ResponseWriter, v any) {
+// writeJSON answers an operator read (metrics, top, site, leaves, …):
+// indented, for a person at curl.
+func (s *server) writeJSON(w http.ResponseWriter, v any) { s.encodeJSON(w, v, "  ") }
+
+// encodeJSON writes v as one JSON value and a newline, each level
+// indented by indent. An empty indent is json.Marshal's compact layout,
+// which is how a push is acknowledged: its reader is the pusher's client,
+// and indenting its six fields cost more than merging a small delta.
+func (s *server) encodeJSON(w http.ResponseWriter, v any, indent string) {
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
+	enc.SetIndent("", indent)
 	if err := enc.Encode(v); err != nil {
 		// Almost always the client hanging up mid-response; log the
 		// first so a systematic encode bug is visible, stay quiet after.
@@ -265,14 +273,14 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	s.ingests.Add(1)
 	st := sub.Stats()
-	s.writeJSON(w, api.IngestResponse{
+	s.encodeJSON(w, api.IngestResponse{
 		Applied:      applied,
 		Duplicate:    !applied,
 		MergedEdges:  g.NumEdges(),
 		MergedWeight: g.Total(),
 		StoreEdges:   st.Edges,
 		StoreWeight:  st.TotalWeight,
-	})
+	}, "")
 	s.ingestLat.Observe(float64(time.Since(reqStart).Nanoseconds()) / 1e6)
 }
 

@@ -599,16 +599,24 @@ func (w *brokenWriter) Write([]byte) (int, error) { return 0, io.ErrClosedPipe }
 
 // A response that cannot be encoded is reported through the logger the
 // daemon was configured with — not the process-wide one, which an
-// in-process node's owner cannot capture or silence — and only once.
+// in-process node's owner cannot capture or silence — and only once. An
+// operator read and a push's compact ack are written by the same code.
 func TestEncodeFailureGoesToConfiguredLoggerOnce(t *testing.T) {
-	var lines []string
-	logf := func(format string, args ...any) { lines = append(lines, fmt.Sprintf(format, args...)) }
-	h := newServer(dcgstore.NewMulti(2), nil, newFedState(), 0, logf).handler()
-	for i := 0; i < 3; i++ {
-		h.ServeHTTP(&brokenWriter{header: http.Header{}}, httptest.NewRequest(http.MethodGet, api.PathMetrics, nil))
-	}
-	if len(lines) != 1 || !strings.Contains(lines[0], "response encode failed") || !strings.Contains(lines[0], io.ErrClosedPipe.Error()) {
-		t.Fatalf("three failed responses logged %q, want one line naming the encode failure", lines)
+	g := profile.NewDCG()
+	g.AddSample(edge(1, 2, 3), 10)
+	for _, r := range []struct {
+		method, path string
+		body         []byte
+	}{{http.MethodGet, api.PathMetrics, nil}, {http.MethodPost, api.PathIngest, g.Encode()}} {
+		var lines []string
+		logf := func(format string, args ...any) { lines = append(lines, fmt.Sprintf(format, args...)) }
+		h := newServer(dcgstore.NewMulti(2), nil, newFedState(), 0, logf).handler()
+		for i := 0; i < 3; i++ {
+			h.ServeHTTP(&brokenWriter{header: http.Header{}}, httptest.NewRequest(r.method, r.path, bytes.NewReader(r.body)))
+		}
+		if len(lines) != 1 || !strings.Contains(lines[0], "response encode failed") || !strings.Contains(lines[0], io.ErrClosedPipe.Error()) {
+			t.Fatalf("three failed %s responses logged %q, want one line naming the encode failure", r.path, lines)
+		}
 	}
 }
 

@@ -93,7 +93,8 @@ func ReadDCG(r io.Reader) (*DCG, error) {
 // finite and a window count that is negative or not finite. Records are
 // decoded straight out of the slice, so the daemon can decode a pooled
 // request buffer and return it to its pool with nothing retained: the
-// resulting DCG never aliases data.
+// resulting DCG never aliases data. Its map is made once, at the edge count
+// the header declares.
 func DecodeDCGBytes(data []byte) (*DCG, error) {
 	if len(data) == 0 {
 		return nil, fmt.Errorf("empty profile")
@@ -131,8 +132,9 @@ func DecodeDCGBytes(data []byte) (*DCG, error) {
 	if uint64(len(body)) > edges*wireRecSize {
 		return nil, fmt.Errorf("trailing data after %d edges", edges)
 	}
-	g := NewDCG()
-	g.windows = windows
+	// Only now is edges proved against the body: a hostile count sizes
+	// nothing.
+	g := &DCG{weights: make(map[Edge]float64, edges), windows: windows}
 	for i := uint64(0); i < edges; i++ {
 		rec := body[i*wireRecSize:][:wireRecSize]
 		w := math.Float64frombits(binary.LittleEndian.Uint64(rec[24:32]))
