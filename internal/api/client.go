@@ -129,7 +129,9 @@ func (c *Client) do(idempotent bool, attemptFn func() error) error {
 
 // roundTrip makes one attempt: build the request, send it, and convert
 // a non-2xx status into an *HTTPError. handle consumes the successful
-// response body.
+// response body. The request carries header itself, as the caller built
+// it with canonical keys: every attempt only reads it (http.Client
+// copies a request's header before it changes one).
 func (c *Client) roundTrip(method, path string, header http.Header, body []byte, handle func(*http.Response) error) error {
 	var rd io.Reader
 	if body != nil {
@@ -139,10 +141,8 @@ func (c *Client) roundTrip(method, path string, header http.Header, body []byte,
 	if err != nil {
 		return err
 	}
-	for k, vs := range header {
-		for _, v := range vs {
-			req.Header.Add(k, v)
-		}
+	if header != nil {
+		req.Header = header
 	}
 	resp, err := c.httpClient().Do(req)
 	if err != nil {
@@ -195,7 +195,7 @@ func (c *Client) PushDeltaKeyed(pusher string, seq uint64, key ProgramKey, paylo
 	var out IngestResponse
 	err := c.do(pusher != "", func() error {
 		return c.roundTrip(http.MethodPost, PathIngest, hdr, payload, func(resp *http.Response) error {
-			return json.NewDecoder(resp.Body).Decode(&out)
+			return readIngestAck(resp.Body, &out)
 		})
 	})
 	if err != nil {
