@@ -1,7 +1,6 @@
 package api
 
 import (
-	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -52,63 +51,6 @@ var ingestAcks = []struct {
 	{"misspelled-literal", `{"applied":tru}`, ""},
 	{"missing-comma", `{"applied":true "duplicate":false}`, ""},
 	{"trailing-comma", `{"applied":true,}`, ""},
-}
-
-// parsedAcks names the ingestAcks parseIngestAck must take itself: what
-// a daemon of this build or an older one, and the test fakes, answer. The
-// rest are encoding/json's.
-var parsedAcks = map[string]bool{
-	"indented": true, "indented-duplicate": true, "compact": true, "compact-no-newline": true,
-	"applied-only": true, "applied-duplicate": true, "duplicate-applied": true, "empty-object": true,
-	"any-order-any-space": true, "last-duplicate-key-wins": true, "exponents": true,
-	"trailing-bytes": true, "trailing-object": true,
-}
-
-// TestIngestAckParsed: the acks a daemon sends take the parser's path,
-// and nothing else does.
-func TestIngestAckParsed(t *testing.T) {
-	for _, tc := range ingestAcks {
-		var got IngestResponse
-		end, ok := parseIngestAck([]byte(tc.ack+tc.trailer), &got)
-		if ok != parsedAcks[tc.name] {
-			t.Errorf("%s: parser took it %t, want %t", tc.name, ok, parsedAcks[tc.name])
-		}
-		if ok && end != len(tc.ack) {
-			t.Errorf("%s: object ends at %d, want %d", tc.name, end, len(tc.ack))
-		}
-	}
-}
-
-// FuzzIngestAck: wherever parseIngestAck takes an object, json.Unmarshal
-// takes it too and reads the same IngestResponse; and readIngestAck reads
-// any body as json.Decoder does.
-func FuzzIngestAck(f *testing.F) {
-	for _, tc := range ingestAcks {
-		f.Add([]byte(tc.ack + tc.trailer))
-	}
-	// strconv takes these numbers; JSON does not.
-	for _, v := range []string{"NaN", "-Inf", "Infinity", "0x1p-2", "0x10", "1_0", "1_0.5", "+1", ".5", "5."} {
-		f.Add([]byte(`{"applied":true,"merged_edges":` + v + `}`))
-		f.Add([]byte(`{"store_weight":` + v + `,"duplicate":false}`))
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var parsed IngestResponse
-		if end, ok := parseIngestAck(data, &parsed); ok {
-			var want IngestResponse
-			if err := json.Unmarshal(data[:end], &want); err != nil {
-				t.Fatalf("parser took %q, json.Unmarshal refuses it: %v", data[:end], err)
-			}
-			if parsed != want {
-				t.Fatalf("parser read %q as %+v, json.Unmarshal as %+v", data[:end], parsed, want)
-			}
-		}
-		var got, want IngestResponse
-		err := readIngestAck(bytes.NewReader(data), &got)
-		wantErr := json.NewDecoder(bytes.NewReader(data)).Decode(&want)
-		if (err == nil) != (wantErr == nil) || got != want {
-			t.Fatalf("readIngestAck(%q) = %+v, %v; json.Decoder %+v, %v", data, got, err, want, wantErr)
-		}
-	})
 }
 
 // TestIngestAckDecodes holds PushDeltaKeyed to json.Unmarshal on every

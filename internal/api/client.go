@@ -195,7 +195,7 @@ func (c *Client) PushDeltaKeyed(pusher string, seq uint64, key ProgramKey, paylo
 	var out IngestResponse
 	err := c.do(pusher != "", func() error {
 		return c.roundTrip(http.MethodPost, PathIngest, hdr, payload, func(resp *http.Response) error {
-			return readIngestAck(resp.Body, &out)
+			return json.NewDecoder(resp.Body).Decode(&out)
 		})
 	})
 	if err != nil {
