@@ -138,12 +138,15 @@ test-rewrite:
 # to be read (the text DCG by both decoder spellings and by /v1/ingest,
 # plan wire v1, the version-less plan file name, a served plan for
 # another build or none, a flat route), every daemon path README.md names
-# a route of internal/api, an unstamped push sent exactly once, and the
+# a route of internal/api, an unstamped push sent exactly once, the
+# ingest ack the daemon writes compact and the push client reads as
+# json.Unmarshal does (any ack an older or newer daemon may send), and the
 # seed corpora of the three fuzz targets that face those decoders.
 test-wire:
 	$(GO) test -run 'TestWireBytesPinned|TestVersion1Decodes|TestTextPayloadRefused|FuzzReadDCG' ./internal/profile/
 	$(GO) test -run 'TestWireBytesPinned|TestReadPlanRejectsMalformed|TestServiceRestoreRefusesForeignPlan|TestFetchVersionRefusesOtherBuilds|FuzzReadPlan' ./internal/plan/
-	$(GO) test -run 'TestIngestRefusesTextProfile|TestUnversionedPathsAreNotRoutes|TestReadmePathsAreRoutes|FuzzIngestHostilePusher' ./internal/daemon/
+	$(GO) test -run 'TestIngestRefusesTextProfile|TestUnversionedPathsAreNotRoutes|TestReadmePathsAreRoutes|FuzzIngestHostilePusher|TestIngestAckIsCompact' ./internal/daemon/
+	$(GO) test -run 'TestIngestAckDecodes' ./internal/api/
 	$(GO) test -run 'TestUnstampedPushIsNotRetried' ./internal/dcgstore/
 	$(GO) test -run 'TestLoadProfile' ./cmd/dcgdiff/
 
@@ -264,22 +267,31 @@ bench-profile:
 # (held says how many): what retention — a site-weight lookup per prior
 # decision and one more inline.Evidence once a held guard asks — adds to
 # a compile; BenchmarkSiteEstimate is that table alone, built from the
-# same graph and asked for every site's dominant target.
-# The twins of the repo benchmark's daemon.plan_304_us_p50 and
-# plan.compile_ms_p50 / plan.compile_ms.javac. Informational, not a
-# gate: compare the minimum of five alternating runs of a parent and a
-# change binary.
+# same graph and asked for every site's dominant target. Then what a
+# served plan costs after the compile, one step each for compress, jess
+# and javac: BenchmarkPlanEncode, BenchmarkPlanDecode (ReadPlan),
+# BenchmarkPlanApply (on a clone, the clone off the clock) and
+# BenchmarkPullerVerifyRound (RunRound of the applied program, two
+# iterations at the small input).
+# The twins of the repo benchmark's daemon.plan_304_us_p50,
+# plan.compile_ms_p50 / plan.compile_ms.javac, plan.encode_us_p50,
+# plan.decode_us_p50, plan.apply_ms_p50 and puller.verify_round_ms.
+# Informational, not a gate: compare the minimum of five alternating
+# runs of a parent and a change binary.
 bench-plan:
-	$(GO) test -run=^$$ -bench='ServicePull|Condition|CompileWithPrior|SiteEstimate' -benchmem ./internal/plan/
+	$(GO) test -run=^$$ -bench='ServicePull|Condition|CompileWithPrior|SiteEstimate|PlanEncode|PlanDecode|PlanApply|PullerVerifyRound' -benchmem ./internal/plan/
 
 # The daemon's handlers alone, as testing.B, driven in-process in the
 # repo benchmark's shape: BenchmarkIngestHandler (one stamped, keyed
-# push of a real delta), BenchmarkMetricsHandler (one /v1/metrics scrape
-# of a daemon that has served 1e3 and 1e5 pushes) and
-# BenchmarkTopHandler, over BenchmarkHistogramObserve (serial, and every goroutine on the one
+# push of a real delta), BenchmarkPushRoundTrip (the same push as a
+# pusher makes it: api.Client.PushDeltaKeyed over loopback, ack read),
+# BenchmarkMetricsHandler (one /v1/metrics scrape of a daemon that has
+# served 1e3 and 1e5 pushes) and BenchmarkTopHandler, over
+# BenchmarkHistogramObserve (serial, and every goroutine on the one
 # mutex: read it at -cpu 2), BenchmarkHistogramSummary after 1e3, 1e5
 # and 1e6 observations and BenchmarkTopEdges. The twins of the repo
-# benchmark's daemon.ingest_handler_p50_ms, daemon.metrics_ms_p50 and
+# benchmark's daemon.ingest_handler_p50_ms, api.push_rtt_p50_ms and
+# fleet_ingest's latency_ms, daemon.metrics_ms_p50 and
 # daemon.top_ms_p50. A scrape
 # reports a fixed number of figures, so after_1e5 must read within 2x
 # of after_1e3 (before PR 26 it was ~30x). Informational, not a gate:
@@ -288,7 +300,7 @@ bench-plan:
 bench-daemon:
 	$(GO) test -run=^$$ -bench=Histogram -benchmem -cpu 1,2 ./internal/stats/
 	$(GO) test -run=^$$ -bench=TopEdges -benchmem ./internal/profile/
-	$(GO) test -run=^$$ -bench='IngestHandler|MetricsHandler|TopHandler' -benchmem -benchtime=2000x ./internal/daemon/
+	$(GO) test -run=^$$ -bench='IngestHandler|PushRoundTrip|MetricsHandler|TopHandler' -benchmem -benchtime=2000x ./internal/daemon/
 
 # What the compiler made of the interpreter's straight line: writes
 # (*VM).run's assembly to .bench_build/vm-run.S and counts the machine

@@ -223,6 +223,28 @@ func BenchmarkIngestHandler(b *testing.B) {
 	}
 }
 
+// BenchmarkPushRoundTrip is one push as a pusher makes it:
+// api.Client.PushDeltaKeyed of a real delta, stamped and keyed, to the
+// handler over loopback, ack read. The twin of the repo benchmark's
+// api.push_rtt_p50_ms and fleet_ingest's latency_ms; its gap to
+// BenchmarkIngestHandler is the client and the socket.
+func BenchmarkPushRoundTrip(b *testing.B) {
+	d := newLoadedDaemon(b, 1000)
+	srv := httptest.NewServer(d.h)
+	defer srv.Close()
+	tr := &http.Transport{MaxIdleConnsPerHost: 2}
+	defer tr.CloseIdleConnections()
+	c := &api.Client{BaseURL: srv.URL, HTTPClient: &http.Client{Transport: tr}, Retries: -1}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		delta, pusher, seq := d.next()
+		if ack, err := c.PushDeltaKeyed(pusher, seq, delta.key, delta.body); err != nil || !ack.Applied {
+			b.Fatalf("push %d: %+v, %v", d.pushes, ack, err)
+		}
+	}
+}
+
 // BenchmarkTopHandler is /v1/top?k=20 over the merged view of three
 // builds: the handler under daemon.top_ms_p50.
 func BenchmarkTopHandler(b *testing.B) {

@@ -1,6 +1,8 @@
 package plan_test
 
 import (
+	"bytes"
+	"slices"
 	"sync"
 	"testing"
 
@@ -11,6 +13,7 @@ import (
 	"gocbs/internal/plan"
 	"gocbs/internal/profile"
 	"gocbs/internal/profiler"
+	"gocbs/internal/puller"
 	"gocbs/internal/vm"
 )
 
@@ -191,6 +194,100 @@ func BenchmarkSiteEstimate(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(len(sites)), "sites")
+}
+
+// verifyIters is how many iterations a puller's verify round replays in
+// the repo benchmark's plan_loop.
+const verifyIters = 2
+
+// BenchmarkPlanEncode, BenchmarkPlanDecode, BenchmarkPlanApply and
+// BenchmarkPullerVerifyRound time, one step each, what a served plan costs
+// from the daemon's encode to the puller's go-ahead, on the plan
+// benchService serves for each of benchPrograms. They are the twins of
+// the repo benchmark's plan.encode_us_p50, plan.decode_us_p50 (ReadPlan),
+// plan.apply_ms_p50 (Apply on a clone, the clone off the clock as it is
+// its own span there) and puller.verify_round_ms (RunRound of the applied
+// program at the small input).
+func BenchmarkPlanEncode(b *testing.B) {
+	for _, name := range benchPrograms {
+		_, p := servedPlan(b, name)
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				planBytes = p.Encode()
+			}
+			b.ReportMetric(float64(len(planBytes)), "bytes")
+		})
+	}
+}
+
+var planBytes []byte
+
+func BenchmarkPlanDecode(b *testing.B) {
+	for _, name := range benchPrograms {
+		_, p := servedPlan(b, name)
+		body := p.Encode()
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := plan.ReadPlan(bytes.NewReader(body)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+func BenchmarkPlanApply(b *testing.B) {
+	for _, name := range benchPrograms {
+		pristine, p := servedPlan(b, name)
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				candidate := pristine.Clone()
+				b.StartTimer()
+				if res, err := plan.Apply(candidate, p, inline.DefaultOptions()); err != nil || res.SkippedStale != 0 {
+					b.Fatalf("apply: %v, %d stale", err, res.SkippedStale)
+				}
+			}
+		})
+	}
+}
+
+func BenchmarkPullerVerifyRound(b *testing.B) {
+	for _, name := range benchPrograms {
+		pristine, p := servedPlan(b, name)
+		candidate := pristine.Clone()
+		if _, err := plan.Apply(candidate, p, inline.DefaultOptions()); err != nil {
+			b.Fatal(err)
+		}
+		size := bench.ByName(name).Small
+		want, _, err := puller.RunRound(pristine, size, verifyIters)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sums, _, err := puller.RunRound(candidate, size, verifyIters)
+				if err != nil || !slices.Equal(sums, want) {
+					b.Fatalf("verify round: checksums %v, want %v (err %v)", sums, want, err)
+				}
+			}
+		})
+	}
+}
+
+// servedPlan is the plan benchService serves for name, beside the
+// pristine program it applies to.
+func servedPlan(b *testing.B, name string) (*bytecode.Program, *plan.Plan) {
+	svc, _, _ := benchService(b, name)
+	p, err := svc.PlanForVersion(name, "")
+	if err != nil {
+		b.Fatal(err)
+	}
+	return jitProgram(b, name), p
 }
 
 // TestSkippedPullAllocatesOnlyTheSnapshot: a pull answered from an equal
