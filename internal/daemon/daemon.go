@@ -34,8 +34,8 @@ import (
 type Config struct {
 	Addr string
 	// Shards is accepted and ignored: the store has no shards. It stays
-	// only because the frozen benchmark/fleet.go sets it; ROADMAP item 5
-	// (the benchmark PR) deletes it.
+	// only because the frozen benchmark/fleet.go sets it; the next
+	// benchmark PR deletes it.
 	Shards          int
 	Decay           float64
 	DecayEvery      time.Duration

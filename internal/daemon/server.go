@@ -158,8 +158,10 @@ func (s *server) encodeJSON(w http.ResponseWriter, v any, indent string) {
 //
 // This is the ingest fast path: the body is slurped into a pooled
 // buffer and batch-decoded in place (profile.DecodeDCGBytes retains
-// nothing from the slice), so steady-state ingest does zero
-// body-buffer allocation and no per-record decode overhead.
+// nothing from the slice), so steady-state ingest allocates no body
+// buffer. What decode allocates is the graph: the DCG and its map, made
+// once at the edge count the header declares (the length check proves
+// that count first), so the map never grows by doubling.
 func (s *server) readProfileBody(w http.ResponseWriter, r *http.Request) (*profile.DCG, bool) {
 	buf := dcgstore.DecodeBuffers.Get()
 	defer dcgstore.DecodeBuffers.Put(buf)

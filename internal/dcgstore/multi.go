@@ -78,8 +78,8 @@ type substore struct {
 
 // NewMulti returns a Multi holding the zero key's (empty) substore. The
 // shards argument is accepted and ignored (a Store has none); it stays
-// only because the frozen benchmark/fleet.go passes one, and ROADMAP
-// item 5 (the benchmark PR) deletes it with DefaultShards.
+// only because the frozen benchmark/fleet.go passes one, and the next
+// benchmark PR deletes it with DefaultShards.
 func NewMulti(shards int) *Multi {
 	return &Multi{
 		subs:   map[api.ProgramKey]*substore{{}: {store: New()}},

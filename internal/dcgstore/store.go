@@ -27,8 +27,8 @@ import (
 )
 
 // DefaultShards is accepted and ignored: the store has no shards. It
-// stays only because the frozen benchmark/fleet.go names it; ROADMAP
-// item 5 (the benchmark PR) deletes it with its uses there.
+// stays only because the frozen benchmark/fleet.go names it; the next
+// benchmark PR deletes it with its uses there.
 const DefaultShards = 32
 
 // Stats is a point-in-time summary of a store.
