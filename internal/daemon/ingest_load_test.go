@@ -94,9 +94,10 @@ func (d *loadedDaemon) get(tb testing.TB, path string) {
 // next stamps the next push: its delta, pusher and sequence number.
 func (d *loadedDaemon) next() (delta keyedDelta, pusher string, seq uint64) {
 	slot := d.pushes % len(d.seqs)
+	delta = d.deltas[d.pushes%len(d.deltas)]
 	d.seqs[slot]++
 	d.pushes++
-	return d.deltas[(d.pushes-1)%len(d.deltas)], d.pushers[slot], d.seqs[slot]
+	return delta, d.pushers[slot], d.seqs[slot]
 }
 
 func (d *loadedDaemon) push(tb testing.TB) *httptest.ResponseRecorder {

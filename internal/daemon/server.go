@@ -130,14 +130,14 @@ func postOnly(h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// writeJSON answers an operator read (metrics, top, site, leaves, …):
-// indented, for a person at curl.
+// writeJSON answers every JSON request but a push: indented, for a person
+// at curl.
 func (s *server) writeJSON(w http.ResponseWriter, v any) { s.encodeJSON(w, v, "  ") }
 
 // encodeJSON writes v as one JSON value and a newline, each level
 // indented by indent. An empty indent is json.Marshal's compact layout,
 // which is how a push is acknowledged: its reader is the pusher's client,
-// and indenting its six fields cost more than merging a small delta.
+// and every VM pays the ack's bytes on every push.
 func (s *server) encodeJSON(w http.ResponseWriter, v any, indent string) {
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
