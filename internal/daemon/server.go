@@ -58,23 +58,29 @@ type server struct {
 
 // planSource is what the plan endpoint needs from whoever compiles or
 // relays plans: the root daemon's plan.Service compiles them from the
-// aggregated store; a leaf's planRelay serves its upstream cache. Both
-// also surface service-level stats for /metrics. version "" asks for
-// the source's canonical build of the program; a non-empty version
-// demands that exact build or plan.ErrUnknownVersion.
+// aggregated store; a leaf's planRelay serves its upstream cache.
+// servePlan's version "" asks for the source's canonical build of the
+// program; a non-empty version demands that exact build or
+// plan.ErrUnknownVersion. stale marks a plan served although the source
+// could not refresh it. Stats is the source's half of /metrics' plan
+// section; the server fills in the request counters.
 type planSource interface {
-	PlanForVersion(program, version string) (*plan.Plan, error)
-	Stats() plan.ServiceStats
+	servePlan(program, version string) (p *plan.Plan, stale bool, err error)
+	Stats() api.PlanMetrics
+}
+
+// compiledPlans is the root's planSource: a plan the service serves is
+// never stale.
+type compiledPlans struct{ *plan.Service }
+
+func (c compiledPlans) servePlan(program, version string) (*plan.Plan, bool, error) {
+	p, err := c.PlanForVersion(program, version)
+	return p, false, err
 }
 
 func newServer(multi *dcgstore.Multi, plans planSource, fed *fedState, maxUpload int64, logf func(string, ...any)) *server {
 	if maxUpload <= 0 {
 		maxUpload = DefaultMaxUploadBytes
-	}
-	// An interface holding a nil *plan.Service must read as "no plan
-	// source", not panic inside the handler.
-	if svc, ok := plans.(*plan.Service); ok && svc == nil {
-		plans = nil
 	}
 	return &server{
 		multi: multi, plans: plans, fed: fed, start: time.Now(), maxUpload: maxUpload, logf: logf,
@@ -490,7 +496,7 @@ func (s *server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		api.WriteErrorf(w, http.StatusBadRequest, api.CodeBadRequest, "bad version %q", version)
 		return
 	}
-	p, err := s.plans.PlanForVersion(program, version)
+	p, stale, err := s.plans.servePlan(program, version)
 	if err != nil {
 		s.planErrors.Add(1)
 		switch {
@@ -513,7 +519,7 @@ func (s *server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("ETag", etag)
 	w.Header().Set(api.HeaderPlanEpoch, strconv.FormatUint(p.Epoch, 10))
 	w.Header().Set(api.HeaderPlanPolicy, p.Policy)
-	if relay, ok := s.plans.(*planRelay); ok && relay.ServedStale(program, version) {
+	if stale {
 		w.Header().Set(api.HeaderRelayStale, "1")
 	}
 	if r.Header.Get("If-None-Match") == etag {
@@ -560,20 +566,10 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.plans != nil {
 		ps := s.plans.Stats()
-		m.Plan = &api.PlanMetrics{
-			Programs:          ps.Programs,
-			Computed:          ps.Computed,
-			Unchanged:         ps.Unchanged,
-			Skipped:           ps.Skipped,
-			CompileErrors:     ps.Errors,
-			Requests:          s.planRequests.Load(),
-			NotModified:       s.planNotModified.Load(),
-			RequestErrors:     s.planErrors.Load(),
-			VersionMismatches: ps.VersionMismatches,
-		}
-		if relay, ok := s.plans.(*planRelay); ok {
-			m.Plan.RelayRefreshes, m.Plan.RelayStale = relay.Counters()
-		}
+		ps.Requests = s.planRequests.Load()
+		ps.NotModified = s.planNotModified.Load()
+		ps.RequestErrors = s.planErrors.Load()
+		m.Plan = &ps
 	}
 	if s.fed != nil {
 		m.Forward = s.fed.forwardMetrics()

@@ -26,7 +26,7 @@ func edge(c, s, t int) profile.Edge { return profile.Edge{Caller: c, Site: s, Ca
 func newTestHandler(tb testing.TB) (http.Handler, *dcgstore.Multi) {
 	multi := dcgstore.NewMulti(8)
 	cfg := Config{PlanPolicy: "new-linear"}
-	return newServer(multi, NewPlanService(cfg, multi, tb.Logf), newFedState(), cfg.MaxUploadBytes, tb.Logf).handler(), multi
+	return newServer(multi, compiledPlans{NewPlanService(cfg, multi, tb.Logf)}, newFedState(), cfg.MaxUploadBytes, tb.Logf).handler(), multi
 }
 
 func newTestDaemon(t *testing.T) (*httptest.Server, *dcgstore.Store) {
@@ -153,7 +153,7 @@ func TestIngestRejectsOversizeBody(t *testing.T) {
 	multi := dcgstore.NewMulti(4)
 	store := multi.Lookup(api.ProgramKey{})
 	cfg := Config{MaxUploadBytes: 128}
-	ts := httptest.NewServer(newServer(multi, NewPlanService(cfg, multi, t.Logf), newFedState(), cfg.MaxUploadBytes, t.Logf).handler())
+	ts := httptest.NewServer(newServer(multi, compiledPlans{NewPlanService(cfg, multi, t.Logf)}, newFedState(), cfg.MaxUploadBytes, t.Logf).handler())
 	t.Cleanup(ts.Close)
 
 	big := profile.NewDCG()

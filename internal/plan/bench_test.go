@@ -343,7 +343,7 @@ func TestServiceConcurrentPulls(t *testing.T) {
 	}()
 	wg.Wait()
 	st := svc.Stats()
-	if n := st.Computed + st.Unchanged + st.Skipped; st.Errors != 0 || n > pullers*pulls+1 {
+	if n := st.Computed + st.Unchanged + st.Skipped; st.CompileErrors != 0 || n > pullers*pulls+1 {
 		t.Errorf("stats = %+v after %d pulls", st, pullers*pulls+1)
 	}
 }

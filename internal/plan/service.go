@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"sync"
 
+	"gocbs/internal/api"
 	"gocbs/internal/atomicfile"
 	"gocbs/internal/bytecode"
 	"gocbs/internal/profile"
@@ -73,7 +74,7 @@ type Service struct {
 	// unversioned requests resolve to.
 	entries   map[string]*entry
 	canonical map[string]string
-	stats     ServiceStats // the counters; Stats fills in Programs
+	stats     api.PlanMetrics // the service's counters; Stats fills in Programs
 }
 
 type entry struct {
@@ -101,20 +102,10 @@ func NewService(cfg ServiceConfig) *Service {
 	}
 }
 
-// ServiceStats is a snapshot of the service counters.
-type ServiceStats struct {
-	Programs int
-	// Computed and Unchanged count compilations (a new epoch; the prior
-	// verbatim), Skipped pulls after which the conditioned graph had not
-	// moved, Errors compilations that failed — not requests refused.
-	Computed, Unchanged, Skipped, Errors uint64
-	// VersionMismatches counts requests refused because the requested
-	// program version is not one this daemon can compile.
-	VersionMismatches uint64
-}
-
-// Stats returns the current counters.
-func (s *Service) Stats() ServiceStats {
+// Stats returns the service's counters: Programs, Computed, Unchanged,
+// Skipped, CompileErrors and VersionMismatches. The request counters are
+// the server's to fill in.
+func (s *Service) Stats() api.PlanMetrics {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := s.stats
@@ -146,7 +137,7 @@ func (s *Service) PlanForVersion(program, version string) (*Plan, error) {
 	case errors.Is(err, ErrUnknownProgram):
 		// The requester's mistake; nothing failed to compile.
 	default:
-		s.stats.Errors++
+		s.stats.CompileErrors++
 	}
 	return p, err
 }

@@ -3,6 +3,7 @@ package plan
 import (
 	"testing"
 
+	"gocbs/internal/api"
 	"gocbs/internal/bench"
 	"gocbs/internal/bytecode"
 	"gocbs/internal/inline"
@@ -64,7 +65,7 @@ func TestFailedCompileRemembersNothing(t *testing.T) {
 		t.Errorf("after a failed compile the same graph was served epoch %d with %d decisions, want epoch 2 and fewer than %d",
 			p2.Epoch, len(p2.Decisions), len(p1.Decisions))
 	}
-	want := ServiceStats{Programs: 1, Computed: 2, Errors: 1}
+	want := api.PlanMetrics{Programs: 1, Computed: 2, CompileErrors: 1}
 	if st := svc.Stats(); st != want {
 		t.Errorf("stats = %+v, want %+v", st, want)
 	}

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"gocbs/internal/api"
 	"gocbs/internal/bench"
 	"gocbs/internal/bytecode"
 	"gocbs/internal/inline"
@@ -144,7 +145,7 @@ func TestServiceCachesUntilStoreChanges(t *testing.T) {
 		t.Errorf("doubled graph: plan %p err %v, want the prior %p verbatim", p, err, p5)
 	}
 
-	want := plan.ServiceStats{Programs: 1, Computed: 3, Unchanged: 1, Skipped: 2}
+	want := api.PlanMetrics{Programs: 1, Computed: 3, Unchanged: 1, Skipped: 2}
 	if st := svc.Stats(); st != want {
 		t.Errorf("stats = %+v, want %+v", st, want)
 	}
@@ -161,7 +162,7 @@ func TestServiceUnknownProgram(t *testing.T) {
 	}
 }
 
-// TestCompileErrorsCountsOnlyCompiles: ServiceStats.Errors is what
+// TestCompileErrorsCountsOnlyCompiles: Stats().CompileErrors is what
 // /v1/metrics reports as plan.compile_errors. A request for a program
 // or a build that does not exist is the requester's mistake — servers
 // count it as a refused request, and the second kind as a version
@@ -177,8 +178,8 @@ func TestCompileErrorsCountsOnlyCompiles(t *testing.T) {
 	if _, err := svc.PlanForVersion("compress", "00000000deadbeef"); !errors.Is(err, plan.ErrUnknownVersion) {
 		t.Errorf("foreign build: err = %v, want ErrUnknownVersion", err)
 	}
-	if st := svc.Stats(); st.Errors != 0 || st.VersionMismatches != 1 {
-		t.Errorf("after three refused requests: %d compile errors and %d version mismatches, want 0 and 1", st.Errors, st.VersionMismatches)
+	if st := svc.Stats(); st.CompileErrors != 0 || st.VersionMismatches != 1 {
+		t.Errorf("after three refused requests: %d compile errors and %d version mismatches, want 0 and 1", st.CompileErrors, st.VersionMismatches)
 	}
 
 	// A compile that does fail is counted, every time it is tried.
@@ -194,8 +195,8 @@ func TestCompileErrorsCountsOnlyCompiles(t *testing.T) {
 		if _, err := broken.PlanForVersion("compress", ""); err == nil {
 			t.Fatal("a plan compiled under a policy that does not exist")
 		}
-		if st := broken.Stats(); st.Errors != uint64(i) || st.Skipped != 0 {
-			t.Errorf("failed compile %d: %d compile errors, %d skipped; want %d and 0", i, st.Errors, st.Skipped, i)
+		if st := broken.Stats(); st.CompileErrors != uint64(i) || st.Skipped != 0 {
+			t.Errorf("failed compile %d: %d compile errors, %d skipped; want %d and 0", i, st.CompileErrors, st.Skipped, i)
 		}
 	}
 }
