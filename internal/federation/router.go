@@ -1,5 +1,5 @@
 // Package federation implements the two-level cbsd aggregation tier:
-// program-keyed routing of pushers onto leaf daemons (Router), the
+// rendezvous routing of keys onto leaf daemons (Router), the
 // leaf's exactly-once upstream forwarder (Forwarder), and the root's
 // leaf ledger (Registry). A leaf is just a big pusher: it forwards its
 // merged weight upstream as stamped increments over the same
@@ -12,17 +12,18 @@ import (
 	"sort"
 )
 
-// Router assigns programs to leaves with rendezvous (highest-random-
-// weight) hashing: a program lands on the leaf whose hash(leaf,
-// program) score is highest. Unlike mod-N hashing, removing or adding
-// a leaf only re-routes the programs whose winning leaf changed —
-// every other program keeps its leaf, which keeps pusher sequence
-// streams pinned and re-route churn minimal (the property
-// TestRoutingStableUnderLeafChanges pins down).
+// Router assigns keys to leaves with rendezvous (highest-random-
+// weight) hashing: a key lands on the leaf whose hash(leaf, key) score
+// is highest. Unlike mod-N hashing, removing or adding a leaf only
+// re-routes the keys whose winning leaf changed — every other key keeps
+// its leaf, which keeps pusher sequence streams pinned and re-route
+// churn minimal (the property TestRoutingStableUnderLeafChanges pins
+// down).
 //
-// Routing is by program, not pusher: all pushers of one program share
-// a leaf, so that leaf's store holds the program's whole graph and the
-// root never needs cross-leaf reassembly per program.
+// Nothing in cbsd or cbsvm routes: a pusher pushes to the one URL it is
+// given. The fleet simulator is the one caller, and it routes by pusher
+// name, so one program's pushers may sit on different leaves and only
+// the root holds the program's whole graph.
 type Router struct {
 	leaves []string
 }

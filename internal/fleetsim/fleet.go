@@ -377,11 +377,11 @@ type fleet struct {
 	root   *node
 	leaves []*node
 	front  []*node
-	// shard routes each pusher to its front node with the same
-	// rendezvous router production uses: the key is the pusher's name
-	// (each pusher is one VM running one program instance), so a
-	// leaf-set change would re-route only the keys that hashed to the
-	// changed leaf.
+	// shard routes each pusher to its front node by rendezvous hashing
+	// of the pusher's name (each pusher is one VM running one program
+	// instance), so a leaf-set change would re-route only the keys that
+	// hashed to the changed leaf. Production has no router: a cbsvm
+	// pushes to the one URL it is given.
 	shard *federation.Router
 
 	// builds is fixed before the first daemon starts (the daemons'
