@@ -99,12 +99,16 @@ test-fleet:
 # (rendezvous routing stable under leaf churn and spread over
 # same-length keys; forwarder crash/restart exactness; re-routed
 # pusher never double-counts at the root), the live two-daemon
-# leaf→root tree, and a short fixed-seed federated chaos soak —
+# leaf→root tree, the leaf's plan relay (stale serve, no-cache 503,
+# relayed 404, its metrics), a leaf's shutdown behind a root that never
+# answers, the relay and plan.Client taking no lock across a round trip
+# (under -race), and a short fixed-seed federated chaos soak —
 # 16 VMs sharded over 4 leaves + 1 root, leaf kills mid-merge,
 # conservation checked fleet-wide at the root.
 test-federation:
 	$(GO) test ./internal/api/... ./internal/federation/...
-	$(GO) test -run 'TestLeafForwardsToRoot|TestTree' ./internal/daemon/... ./internal/fleetsim/...
+	$(GO) test -run 'TestLeaf|TestTree|TestRelay|TestPlanRelay' ./internal/daemon/... ./internal/fleetsim/...
+	$(GO) test -race -run 'TestClientDoesNotSerializeAcrossBuilds|TestPlanRelayDoesNotSerializeAcrossPrograms' ./internal/plan/ ./internal/daemon/
 	$(GO) run ./cmd/cbsload -vms 16 -leaves 4 -rounds 4 -seed $(FLEET_SEED) -faults all -restarts 2
 
 # Minimum-coverage instrumentation: the unit tests, the 15-benchmark
