@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -210,52 +211,82 @@ func TestFlakyPusherSoak(t *testing.T) {
 
 // TestDeltaPusherQueuesAcrossOutage: increments captured while the
 // daemon is down stay queued with their original stamps and all land,
-// in order, once it recovers.
+// in order, once it recovers. Every request carries the pusher's
+// identity, and a keyed client's build on every one of them: the exact
+// header sequence is pinned, failed attempts included.
 func TestDeltaPusherQueuesAcrossOutage(t *testing.T) {
-	store := New()
-	var down atomic.Bool
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if down.Load() {
-			http.Error(w, "down", http.StatusServiceUnavailable)
-			return
-		}
-		ingestHandler(t, store, nil).ServeHTTP(w, r)
-	}))
-	defer ts.Close()
+	for name, key := range map[string]api.ProgramKey{
+		"unkeyed": {},
+		"keyed":   {Program: "compress", Version: "00000000aaaaaaaa"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			store := New()
+			var (
+				down atomic.Bool
+				mu   sync.Mutex
+				seen []string
+			)
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				mu.Lock()
+				seen = append(seen, fmt.Sprintf("%s %s %s %s", r.Header.Get(api.HeaderPusher), r.Header.Get(api.HeaderSeq),
+					r.Header.Get(api.HeaderProgram), r.Header.Get(api.HeaderProgramVersion)))
+				mu.Unlock()
+				if down.Load() {
+					http.Error(w, "down", http.StatusServiceUnavailable)
+					return
+				}
+				ingestHandler(t, store, nil).ServeHTTP(w, r)
+			}))
+			defer ts.Close()
 
-	c := fastClient(ts.URL)
-	c.Retries = -1 // fail fast so the queue, not the retry loop, carries the outage
-	pusher := NewDeltaPusherWithID(c, "")
-	g := profile.NewDCG()
+			c := fastClient(ts.URL)
+			c.Retries = -1 // fail fast so the queue, not the retry loop, carries the outage
+			c.Key = key
+			pusher := NewDeltaPusherWithID(c, "vm-outage")
+			g := profile.NewDCG()
 
-	down.Store(true)
-	for i := 1; i <= 3; i++ {
-		g.AddSample(edge(i, i, i), float64(i))
-		if err := pusher.Push(g); err == nil {
-			t.Fatal("Push succeeded against a down daemon")
-		}
-	}
-	if pusher.Pending() != 3 {
-		t.Fatalf("Pending = %d, want 3", pusher.Pending())
-	}
+			down.Store(true)
+			for i := 1; i <= 3; i++ {
+				g.AddSample(edge(i, i, i), float64(i))
+				if err := pusher.Push(g); err == nil {
+					t.Fatal("Push succeeded against a down daemon")
+				}
+			}
+			if pusher.Pending() != 3 {
+				t.Fatalf("Pending = %d, want 3", pusher.Pending())
+			}
 
-	down.Store(false)
-	g.AddSample(edge(4, 4, 4), 4)
-	if err := pusher.Push(g); err != nil {
-		t.Fatalf("Push after recovery: %v", err)
-	}
-	if pusher.Pending() != 0 || pusher.Pushes != 4 {
-		t.Errorf("after recovery Pending=%d Pushes=%d, want 0/4", pusher.Pending(), pusher.Pushes)
-	}
-	var gb, sb bytes.Buffer
-	if _, err := store.Snapshot().WriteTo(&gb); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := g.WriteTo(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(gb.Bytes(), sb.Bytes()) {
-		t.Error("store after outage differs from the source graph")
+			down.Store(false)
+			g.AddSample(edge(4, 4, 4), 4)
+			if err := pusher.Push(g); err != nil {
+				t.Fatalf("Push after recovery: %v", err)
+			}
+			if pusher.Pending() != 0 || pusher.Pushes != 4 {
+				t.Errorf("after recovery Pending=%d Pushes=%d, want 0/4", pusher.Pending(), pusher.Pushes)
+			}
+			var gb, sb bytes.Buffer
+			if _, err := store.Snapshot().WriteTo(&gb); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := g.WriteTo(&sb); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(gb.Bytes(), sb.Bytes()) {
+				t.Error("store after outage differs from the source graph")
+			}
+
+			// Three pushes into the outage each try the oldest increment once;
+			// the recovery push sends the queue in order.
+			var want []string
+			for _, seq := range []int{1, 1, 1, 1, 2, 3, 4} {
+				want = append(want, fmt.Sprintf("vm-outage %d %s %s", seq, key.Program, key.Version))
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if !slices.Equal(seen, want) {
+				t.Errorf("requests carried\n  %q\nwant\n  %q", seen, want)
+			}
+		})
 	}
 }
 
