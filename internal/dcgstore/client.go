@@ -107,20 +107,23 @@ func (c *Client) RegisterManifest(man *bytecode.Manifest) (*api.ManifestResponse
 	return c.api().PushManifest(api.ProgramKey{Program: man.Program, Version: man.Version}, man.Encode())
 }
 
-// stampedDelta is one increment frozen with its sequence number. Once
-// stamped, the payload never changes: the daemon may have applied it
-// on an attempt whose response was lost, so re-sending different bytes
-// under the same sequence would desynchronize pusher and daemon.
+// stampedDelta is one increment frozen with its sequence number, bound
+// for the daemon's graph of key. Once stamped, the payload never
+// changes: the daemon may have applied it on an attempt whose response
+// was lost, so re-sending different bytes under the same sequence would
+// desynchronize pusher and daemon.
 type stampedDelta struct {
 	seq   uint64
+	key   api.ProgramKey
 	delta *profile.DCG
 }
 
-// DeltaPusher streams a monotonically growing DCG to a daemon as
-// non-overlapping increments: each Push captures only the weight added
-// since the previous Push, so the daemon's merge of all increments
+// DeltaPusher streams monotonically growing DCGs to a daemon as
+// non-overlapping increments: each capture takes only the weight added
+// since the previous one, so the daemon's merge of all increments
 // equals the source graph exactly (no double counting). Workers use it
-// to push periodic snapshots mid-run plus one final flush.
+// to push periodic snapshots mid-run plus one final flush; a leaf's
+// Forwarder runs one stream per build through it.
 //
 // Delivery is exactly-once: every increment is stamped with this
 // pusher's identity and a strictly increasing sequence number, and
@@ -132,13 +135,21 @@ type stampedDelta struct {
 type DeltaPusher struct {
 	client *Client
 	id     string
-	seq    uint64
-	last   *profile.DCG
+	// seq is the last stamped sequence number. One counter stamps every
+	// key: the daemon deduplicates per build against a per-pusher
+	// high-water mark, and each key sees a strictly increasing
+	// subsequence of one counter.
+	seq uint64
+	// last is each key's graph at its previous capture. Baselines are
+	// replaced, never mutated, so a shallow copy of the map is a
+	// rollback point.
+	last map[api.ProgramKey]*profile.DCG
 	// pending holds unacknowledged increments in sequence order.
 	pending []stampedDelta
-	// acked accumulates every increment the daemon acknowledged; it is
-	// by construction the exact graph the daemon owes this pusher.
-	acked *profile.DCG
+	// acked accumulates, per key, every increment the daemon
+	// acknowledged; it is by construction the exact graph the daemon
+	// owes this pusher for that key.
+	acked map[api.ProgramKey]*profile.DCG
 	// Pushes counts increments acknowledged by the daemon (empty
 	// deltas are skipped).
 	Pushes int
@@ -154,7 +165,12 @@ func NewDeltaPusherWithID(client *Client, id string) *DeltaPusher {
 	if !ValidPusherID(id) {
 		id = NewPusherID()
 	}
-	return &DeltaPusher{client: client, id: id, acked: profile.NewDCG()}
+	return &DeltaPusher{
+		client: client,
+		id:     id,
+		last:   make(map[api.ProgramKey]*profile.DCG),
+		acked:  make(map[api.ProgramKey]*profile.DCG),
+	}
 }
 
 // Pending reports how many stamped increments await acknowledgement.
@@ -165,36 +181,67 @@ func (p *DeltaPusher) Pending() int { return len(p.pending) }
 // whose push succeeded. Under exactly-once delivery the daemon's store
 // owes this pusher precisely this graph, which is what the fleet
 // simulator's conservation checker asserts.
-func (p *DeltaPusher) Acknowledged() *profile.DCG { return p.acked.Clone() }
+func (p *DeltaPusher) Acknowledged() *profile.DCG { return p.acknowledged(p.client.Key) }
 
-// Push captures the weight cur has accumulated since the previous capture
-// (all of cur on the first call) as a new stamped increment, then
-// sends every pending increment in order. On failure the unsent tail
-// stays queued for the next call; the capture still happened, so no
-// weight is ever re-captured or lost. cur is cloned, so the caller's
-// graph may keep growing immediately.
-func (p *DeltaPusher) Push(cur *profile.DCG) error {
-	// A delta with no edge is not sent, and the capture does not advance:
-	// windows it counted go with the next one that has an edge.
-	if delta := cur.DeltaSince(p.last); delta.NumEdges() > 0 {
-		p.last = cur.Clone()
-		p.seq++
-		p.pending = append(p.pending, stampedDelta{seq: p.seq, delta: delta})
+// acknowledged returns a clone of key's acknowledged graph; an empty
+// graph when the daemon has acknowledged nothing for key.
+func (p *DeltaPusher) acknowledged(key api.ProgramKey) *profile.DCG {
+	if g := p.acked[key]; g != nil {
+		return g.Clone()
 	}
-	return p.flush()
+	return profile.NewDCG()
 }
 
-// flush sends pending increments oldest-first, stopping at the first
-// failure.
-func (p *DeltaPusher) flush() error {
+// Push captures the weight cur has accumulated since the previous capture
+// (all of cur on the first call) as a new stamped increment for the
+// client's Key, then sends every pending increment in order. On failure
+// the unsent tail stays queued for the next call; the capture still
+// happened, so no weight is ever re-captured or lost. cur is cloned, so
+// the caller's graph may keep growing immediately.
+func (p *DeltaPusher) Push(cur *profile.DCG) error {
+	p.capture(map[api.ProgramKey]*profile.DCG{p.client.Key: cur})
+	return p.send(nil)
+}
+
+// capture stamps, key by key in api.SortedKeys order, the weight each
+// graph of cur has accumulated since that key's previous capture, queues
+// the increments and returns them. A delta with no edge is not stamped
+// and its key's capture does not advance: windows it counted go with
+// the next one that has an edge.
+func (p *DeltaPusher) capture(cur map[api.ProgramKey]*profile.DCG) []stampedDelta {
+	n := len(p.pending)
+	for _, k := range api.SortedKeys(cur) {
+		delta := cur[k].DeltaSince(p.last[k])
+		if delta.NumEdges() == 0 {
+			continue
+		}
+		p.last[k] = cur[k].Clone()
+		p.seq++
+		p.pending = append(p.pending, stampedDelta{seq: p.seq, key: k, delta: delta})
+	}
+	return p.pending[n:]
+}
+
+// send pushes pending increments oldest-first, each under its own key,
+// stopping at the first failure. afterAck, when non-nil, runs after
+// every acknowledged increment, and an error from it stops the loop too.
+func (p *DeltaPusher) send(afterAck func() error) error {
 	for len(p.pending) > 0 {
 		head := p.pending[0]
-		if err := p.client.PushDelta(p.id, head.seq, head.delta); err != nil {
+		if _, err := p.client.api().PushDeltaKeyed(p.id, head.seq, head.key, head.delta.Encode()); err != nil {
 			return err
 		}
 		p.pending = p.pending[1:]
-		p.acked.Merge(head.delta)
+		if p.acked[head.key] == nil {
+			p.acked[head.key] = profile.NewDCG()
+		}
+		p.acked[head.key].Merge(head.delta)
 		p.Pushes++
+		if afterAck != nil {
+			if err := afterAck(); err != nil {
+				return err
+			}
+		}
 	}
 	return nil
 }

@@ -12,7 +12,7 @@ import (
 	"gocbs/internal/profile"
 )
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden-checkpoint.json from goldenMulti")
+var updateGolden = flag.Bool("update-golden", false, "rewrite the golden file of each test run: testdata/golden-checkpoint.json from goldenMulti, testdata/forward-state.json from the forwarder scenario")
 
 const (
 	goldenCheckpoint = "testdata/golden-checkpoint.json"
