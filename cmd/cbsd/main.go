@@ -108,9 +108,6 @@ func main() {
 	default:
 		log.Fatalf("cbsd: -role %q must be 'root' or 'leaf'", *role)
 	}
-	if cfg.UpstreamID != "" && !dcgstore.ValidPusherID(cfg.UpstreamID) {
-		log.Fatalf("cbsd: -upstream-id %q invalid: need 1-128 chars of [A-Za-z0-9._:-]", cfg.UpstreamID)
-	}
 	cfg.Logf = log.Printf
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

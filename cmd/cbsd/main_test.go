@@ -5,6 +5,8 @@ import (
 	"errors"
 	"os"
 	"os/exec"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -59,6 +61,28 @@ func TestRoleContradictingUpstreamFails(t *testing.T) {
 	} {
 		if code, stderr := runCbsd(t, args...); code != 1 || !strings.Contains(stderr, "-role") {
 			t.Errorf("cbsd %v: exit %d, want 1 naming -role\n%s", args, code, stderr)
+		}
+	}
+}
+
+// TestBadUpstreamIDFails: an -upstream-id the root would refuse as a
+// pusher identity stops the leaf before it listens, whether it comes
+// from the flag or from the state dir's forward-state.json.
+func TestBadUpstreamIDFails(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "forward-state.json"), []byte(`{"id":"leaf 0","seq":0}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	leaf := []string{"-addr", "127.0.0.1:0", "-upstream", "http://127.0.0.1:1"}
+	for _, tc := range []struct {
+		args []string
+		id   string
+	}{
+		{append(leaf, "-upstream-id", "has space"), "has space"},
+		{append(leaf, "-state-dir", dir), "leaf 0"},
+	} {
+		if code, stderr := runCbsd(t, tc.args...); code != 1 || !strings.Contains(stderr, strconv.Quote(tc.id)) {
+			t.Errorf("cbsd %v: exit %d, want 1 naming %q\n%s", tc.args, code, tc.id, stderr)
 		}
 	}
 }
