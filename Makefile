@@ -45,13 +45,13 @@ build-cmds:
 # service's cached compilation, the in-process daemon, the
 # pulling VM, and the chaos fleet simulator.
 test-race:
-	$(GO) test -race ./internal/runner/... ./internal/experiment/... ./internal/profiler/... ./internal/bytecode/... ./internal/dcgstore/... ./internal/inline/... ./internal/mj/... ./internal/plan/... ./internal/daemon/... ./internal/puller/... ./internal/fleetsim/... ./internal/federation/... ./internal/api/... ./internal/mincover/...
+	$(GO) test -race ./internal/runner/... ./internal/experiment/... ./internal/profiler/... ./internal/bytecode/... ./internal/dcgstore/... ./internal/inline/... ./internal/mj/... ./internal/plan/... ./internal/daemon/... ./internal/puller/... ./internal/fleetsim/... ./internal/api/... ./internal/mincover/...
 
 # The cbsd aggregation daemon's httptest-based endpoint tests, the
 # hostile-pusher fuzz corpus, and the runner-driven multi-pusher
 # convergence test (the daemon lives in internal/daemon), then cmd/cbsd's
 # flag handling through the real binary: a retired flag is a flag error,
-# a -role that contradicts -upstream stops it.
+# a -role that contradicts -upstream or a bad -upstream-id stops it.
 test-daemon:
 	$(GO) test ./internal/daemon/...
 	$(GO) test ./cmd/cbsd/
@@ -63,9 +63,10 @@ test-daemon:
 # (RegistrationOrder), FuzzRestoreCheckpoint's seed corpus, sequence
 # dedup, the flaky-pusher soak (a daemon that drops responses while
 # pushers retry), the forwarder's restart and failed-persist rollback,
-# and the SIGTERM kill-and-restart lifecycle.
+# the state files its restore refuses and FuzzRestoreForwardState's seed
+# corpus, and the SIGTERM kill-and-restart lifecycle.
 test-recovery:
-	$(GO) test -race -run 'Checkpoint|Restore|Golden|Generation|RegistrationOrder|Sequence|Sequenced|Duplicate|Dedup|Flaky|Retr|Outage|GiveUp|Sigterm|Corrupt|Restart|PersistFailure|Transient' ./internal/dcgstore/... ./internal/daemon/... ./internal/federation/...
+	$(GO) test -race -run 'Checkpoint|Restore|Golden|Generation|RegistrationOrder|Sequence|Sequenced|Duplicate|Dedup|Flaky|Retr|Outage|GiveUp|Sigterm|Corrupt|Restart|PersistFailure|Transient' ./internal/dcgstore/... ./internal/daemon/...
 
 # The fleet PGO loop: plan wire round trip + rejection paths, the
 # fuzz seed corpus, stability/determinism properties, the K-pusher/
@@ -95,19 +96,21 @@ test-fleet:
 	$(GO) run ./cmd/cbsload -vms 8 -rounds 4 -seed $(FLEET_SEED) -faults all -restarts 1
 
 # The federated aggregation tier: the api surface (routes, envelope,
-# client retry policy), the federation package's property tests
-# (rendezvous routing stable under leaf churn and spread over
-# same-length keys; forwarder crash/restart exactness; re-routed
-# pusher never double-counts at the root), the live two-daemon
+# client retry policy), the leaf forwarder's property tests in
+# internal/dcgstore (crash/restart exactness, failed-persist rollback,
+# keyed builds and manifests relayed, the golden state file and the
+# files restore refuses; a re-routed pusher never double-counts at the
+# root), the root's leaf registry, the live two-daemon
 # leaf→root tree, the leaf's plan relay (stale serve, no-cache 503,
 # relayed 404, its metrics), a leaf's shutdown behind a root that never
 # answers, the relay and plan.Client taking no lock across a round trip
 # (under -race), and a short fixed-seed federated chaos soak —
-# 16 VMs sharded over 4 leaves + 1 root, leaf kills mid-merge,
+# 16 VMs round-robin over 4 leaves + 1 root, leaf kills mid-merge,
 # conservation checked fleet-wide at the root.
 test-federation:
-	$(GO) test ./internal/api/... ./internal/federation/...
-	$(GO) test -run 'TestLeaf|TestTree|TestRelay|TestPlanRelay' ./internal/daemon/... ./internal/fleetsim/...
+	$(GO) test ./internal/api/...
+	$(GO) test -run 'TestForwarder|TestGoldenForwardState|TestReRouted|FuzzRestoreForwardState' ./internal/dcgstore/
+	$(GO) test -run 'TestLeaf|TestTree|TestRelay|TestPlanRelay|TestRegistry' ./internal/daemon/... ./internal/fleetsim/...
 	$(GO) test -race -run 'TestClientDoesNotSerializeAcrossBuilds|TestPlanRelayDoesNotSerializeAcrossPrograms' ./internal/plan/ ./internal/daemon/
 	$(GO) run ./cmd/cbsload -vms 16 -leaves 4 -rounds 4 -seed $(FLEET_SEED) -faults all -restarts 2
 

@@ -20,7 +20,7 @@
 //	cbsload -vms 8 -gen-seed 17 -gen-shape closureheavy  # generated workload
 //
 // With -leaves N the soak runs against a federated aggregation tree:
-// the pusher fleet is rendezvous-sharded across N leaf daemons that
+// the pusher fleet is spread round-robin over N leaf daemons that
 // forward merged deltas into one root, restarts kill leaves instead of
 // the (only) daemon, and the conservation invariant is checked
 // fleet-wide against the root's aggregate.

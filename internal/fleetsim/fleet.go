@@ -16,7 +16,6 @@ import (
 	"gocbs/internal/bytecode"
 	"gocbs/internal/daemon"
 	"gocbs/internal/dcgstore"
-	"gocbs/internal/federation"
 	"gocbs/internal/inline"
 	"gocbs/internal/mincover"
 	"gocbs/internal/mj"
@@ -33,8 +32,8 @@ import (
 //	scenario         topology            schedule events            verdicts
 //	flat (default)   one daemon          restart the daemon         the four base checkers
 //	tree (Leaves>0)  root + N leaves,    flush leaves every round;  the four base checkers,
-//	                 pushers sharded     restart one leaf (round-   conservation read at the
-//	                 by rendezvous hash  robin), unflushed          root, fleet-wide
+//	                 pushers and         restart one leaf (round-   conservation read at the
+//	                 pullers round-robin robin), unflushed          root, fleet-wide
 //	upgrade          one daemon, two     flip half the pushers to   conservation and plan
 //	(Upgrade)        builds keyed by     build 2 at Rounds/2;       epochs per build (@ver),
 //	                 (program, version)  restarts only after it     restart, divergence, plus
@@ -48,7 +47,7 @@ import (
 // off and get /v1/flush'd at round boundaries over the direct
 // (chaos-free) client — so the upstream sequence streams advance at
 // seed-determined points, not timer-determined ones. The leaf→root
-// retry path itself is proven under fire by internal/federation's
+// retry path itself is proven under fire by dcgstore's forwarder
 // tests; what the tree adds is the end-to-end composition: pusher
 // exactly-once into the leaf, leaf exactly-once into the root, leaf
 // kill/restart in the middle.
@@ -65,9 +64,9 @@ type Config struct {
 	Rounds        int
 	ItersPerRound int
 	// Leaves, when positive, runs the soak against a federated tree —
-	// one root plus this many leaf daemons, with the pusher fleet
-	// rendezvous-sharded across the leaves and pullers polling the
-	// leaves' plan relays. 0 keeps the single-daemon topology.
+	// one root plus this many leaf daemons, with pusher k pushing to and
+	// puller k polling the plan relay of leaf k mod Leaves. 0 keeps the
+	// single-daemon topology.
 	Leaves int
 	// Seed drives every random decision in the run: the fault schedule
 	// and the pushers' CBS sampling.
@@ -371,18 +370,14 @@ type fleet struct {
 	// root holds the aggregate every verdict reads; leaves (none in a
 	// single-daemon run) forward into it. front is the tier the actors
 	// address and the restart schedule kills: the leaves, or the root
-	// when there are none. The root of a tree never restarts (leaf
-	// restarts are the interesting failure; the single-daemon run
-	// already covers aggregator restarts).
+	// when there are none. Actor k of a kind talks to front[k%len(front)]
+	// (production routes nothing: a cbsvm pushes to the one URL it is
+	// given). The root of a tree never restarts (leaf restarts are the
+	// interesting failure; the single-daemon run already covers
+	// aggregator restarts).
 	root   *node
 	leaves []*node
 	front  []*node
-	// shard routes each pusher to its front node by rendezvous hashing
-	// of the pusher's name (each pusher is one VM running one program
-	// instance), so a leaf-set change would re-route only the keys that
-	// hashed to the changed leaf. Production has no router: a cbsvm
-	// pushes to the one URL it is given.
-	shard *federation.Router
 
 	// builds is fixed before the first daemon starts (the daemons'
 	// program resolver reads it); live is the prefix launched so far.
@@ -559,7 +554,8 @@ func (f *fleet) startPuller(name string, prog *bytecode.Program, rounds int, bas
 // launch brings build b live: its manifest registers (keyed builds
 // only; a successor's registration is where carry-forward fires),
 // pushers lo..hi-1 start on it with seeds seed+k, and its pullers
-// start, spread round-robin over the front tier, for the given rounds.
+// start for the given rounds; both spread round-robin over the front
+// tier.
 func (f *fleet) launch(b *build, lo, hi int, seed int64, rounds int) error {
 	cfg := &f.cfg
 	if !b.key.IsZero() {
@@ -579,7 +575,7 @@ func (f *fleet) launch(b *build, lo, hi int, seed int64, rounds int) error {
 		if len(cfg.Profilers) > 0 {
 			kind = cfg.Profilers[k%len(cfg.Profilers)]
 		}
-		a, err := f.newPusher(name, b.prog, b.key, kind, seed+int64(k), "http://"+f.shard.Route(name))
+		a, err := f.newPusher(name, b.prog, b.key, kind, seed+int64(k), "http://"+f.front[k%len(f.front)].host)
 		if err != nil {
 			return err
 		}
@@ -775,11 +771,6 @@ func Run(cfg Config) (*Report, error) {
 	if len(f.front) == 0 {
 		f.front = []*node{f.root}
 	}
-	hosts := make([]string, len(f.front))
-	for i, n := range f.front {
-		hosts[i] = n.host
-	}
-	f.shard = federation.NewRouter(hosts)
 	cfg.Logf("fleetsim: %s up at %s, %d leaves, state %s", f.root.name, f.root.addr, cfg.Leaves, stateDir)
 
 	if err := f.launch(f.builds[0], 0, cfg.VMs, cfg.Seed, cfg.Rounds); err != nil {

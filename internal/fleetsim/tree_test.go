@@ -7,7 +7,7 @@ import (
 )
 
 // TestTreeSoakAllFaults is the federation acceptance scenario at full
-// width: 16 pusher VMs rendezvous-sharded across 4 leaf daemons
+// width: 16 pusher VMs spread round-robin over 4 leaf daemons
 // forwarding into 1 root, under every fault kind, with leaf
 // kill/restart cycles mid-run — and all four invariants must pass.
 // The conservation check here is fleet-wide: the ROOT's aggregate must
