@@ -69,9 +69,8 @@ func BenchmarkCBSOverheadOnVM(b *testing.B) {
 				m.SetProfiler(profiler.NewCBS(profiler.Config{Stride: 3, SamplesPerTick: 16, Seed: 1}))
 				m.SetTimer(1_000_000)
 			}
-			setup := prog.MethodByName("$Globals.setup")
-			iter := prog.MethodByName("$Globals.iter")
-			if _, err := m.Call(setup, vm.IntV(128)); err != nil {
+			iter, err := bench.Setup(m, 128)
+			if err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()

@@ -84,6 +84,10 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 	}
+	if *input != "small" && *input != "large" {
+		fmt.Fprintf(stderr, "cbsbench: unknown input %q; valid: small, large\n", *input)
+		return 2
+	}
 	if len(run) == 0 {
 		fs.Usage()
 		return 2

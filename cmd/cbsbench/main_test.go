@@ -39,6 +39,7 @@ func TestUnknownNameExitsTwoNamingIt(t *testing.T) {
 		{"-study", "typo", "convergence, skew, comparators"},
 		{"-table", "2", "1, 2a, 2b, 3"},
 		{"-figure", "6", "5a, 5b"},
+		{"-input", "typo", "small, large"},
 	} {
 		code, out, errb := runCLI(t, "-quick", tc.flag, tc.value)
 		if code != 2 || out != "" {
@@ -93,7 +94,7 @@ func TestAllVisitsTheTableAndWritesNoFile(t *testing.T) {
 	if strings.Join(got, ",") != strings.Join(want, ",") {
 		t.Errorf("-all ran %v\nwant the table, in order: %v", got, want)
 	}
-	if !strings.Contains(out, "Table 2B: J9 flavour") || !strings.Contains(out, "[PASS]") {
+	if !strings.Contains(out, "Table 2B: J9 flavour") || !strings.Contains(out, "Fleet PGO loop:") {
 		t.Errorf("stdout lacks artifacts from both ends of the table:\n%s", out)
 	}
 	left, err := os.ReadDir(dir)
@@ -109,9 +110,9 @@ func TestAllVisitsTheTableAndWritesNoFile(t *testing.T) {
 // -progress must still take effect when given beside it.
 func TestFlagsApplyAfterQuick(t *testing.T) {
 	quick := mustConfig(t, true, "", 3)
-	if !quick.Quick || len(quick.Seeds) != 1 || len(quick.Benchmarks) != 4 {
-		t.Errorf("-quick: quick=%v seeds=%v benchmarks=%d, want the one-seed four-benchmark config",
-			quick.Quick, quick.Seeds, len(quick.Benchmarks))
+	if len(quick.Seeds) != 1 || len(quick.Benchmarks) != 4 {
+		t.Errorf("-quick: seeds=%v benchmarks=%d, want the one-seed four-benchmark config",
+			quick.Seeds, len(quick.Benchmarks))
 	}
 	if quick.Parallel != 3 {
 		t.Errorf("-quick -parallel 3: Parallel = %d", quick.Parallel)
@@ -123,8 +124,8 @@ func TestFlagsApplyAfterQuick(t *testing.T) {
 	if len(full.Samples) != len(experiment.FullSamples) || len(full.Benchmarks) != 1 {
 		t.Errorf("-quick -full -benchmarks jess: %d sample rows, %d benchmarks", len(full.Samples), len(full.Benchmarks))
 	}
-	if def := mustConfig(t, false, "", 2); def.Quick || len(def.Seeds) != 3 || def.Parallel != 2 {
-		t.Errorf("default config: quick=%v seeds=%v parallel=%d", def.Quick, def.Seeds, def.Parallel)
+	if def := mustConfig(t, false, "", 2); len(def.Seeds) != 3 || def.Parallel != 2 {
+		t.Errorf("default config: seeds=%v parallel=%d", def.Seeds, def.Parallel)
 	}
 	if _, err := config(false, false, "nosuchbench", 1); err == nil {
 		t.Error("unknown benchmark accepted")

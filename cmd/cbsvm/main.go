@@ -15,10 +15,11 @@
 // timer ticks plus a final flush, so the daemon's merge of all
 // increments equals this run's final graph exactly. Each increment is
 // stamped with a (pusher, sequence) pair, making delivery idempotent:
-// transient failures are retried with backoff (-push-retries,
-// -push-backoff), undelivered increments stay queued for the next
-// tick, and a retry whose first attempt actually landed is
-// deduplicated by the daemon instead of double-counted.
+// transient failures are retried with backoff, undelivered increments
+// stay queued for the next tick, and a retry whose first attempt
+// actually landed is deduplicated by the daemon instead of
+// double-counted. After dcgstore.DefaultGiveUpAfter failed ticks in a
+// row, periodic pushing stops and only the final flush is tried.
 package main
 
 import (
@@ -49,8 +50,9 @@ func main() {
 	arg := flag.Int64("arg", 0, "integer argument passed to main (with -file)")
 	size := flag.String("size", "small", "input size for -bench: small or large")
 	prof := flag.String("profiler", "cbs", "profiler: cbs, timer, whaley, patching, exhaustive, mincover")
-	stride := flag.Int("stride", 3, "CBS stride")
-	samples := flag.Int("samples", 16, "CBS samples per timer tick")
+	def := profiler.DefaultCBS(profiler.FlavourRVM)
+	stride := flag.Int("stride", def.Stride, "CBS stride")
+	samples := flag.Int("samples", def.SamplesPerTick, "CBS samples per timer tick")
 	flavour := flag.String("flavour", "rvm", "VM flavour: rvm or j9")
 	seed := flag.Int64("seed", 42, "profiler RNG seed; with -push and no -seed, derived from the pusher ID and printed")
 	timer := flag.Uint64("timer", experiment.DefaultTimerPeriod, "virtual timer period in cycles")
@@ -58,14 +60,19 @@ func main() {
 	saveProfile := flag.String("save", "", "write the collected DCG to this file")
 	pushURL := flag.String("push", "", "stream the DCG to a cbsd daemon at this base URL")
 	pushEvery := flag.Int("push-every", 50, "with -push: push a delta snapshot every N timer ticks (0 = final push only)")
-	pushRetries := flag.Int("push-retries", dcgstore.DefaultRetries, "with -push: retries per push on transient failures (-1 disables)")
-	pushBackoff := flag.Duration("push-backoff", dcgstore.DefaultBackoff, "with -push: initial retry backoff (doubles per retry, jittered)")
-	pushGiveUp := flag.Int("push-give-up", dcgstore.DefaultGiveUpAfter, "with -push: stop periodic pushing after N consecutive failed ticks (0 = never)")
 	pullURL := flag.String("pull-plan", "", "run in plan-pulling mode against a cbsd daemon at this base URL (requires -bench)")
 	pullRounds := flag.Int("pull-rounds", 6, "with -pull-plan: total top-level benchmark rounds to run")
 	pullEvery := flag.Int("pull-every", 2, "with -pull-plan: poll the daemon every N rounds")
 	pullIters := flag.Int("pull-iters", 2, "with -pull-plan: benchmark iterations per round")
 	flag.Parse()
+	flavours := map[string]profiler.Flavour{"rvm": profiler.FlavourRVM, "j9": profiler.FlavourJ9}
+	fl, ok := flavours[*flavour]
+	if !ok {
+		fatal(fmt.Errorf("-flavour %q: valid values are rvm, j9", *flavour))
+	}
+	if *size != "small" && *size != "large" {
+		fatal(fmt.Errorf("-size %q: valid values are small, large", *size))
+	}
 
 	if *list {
 		for _, b := range bench.All() {
@@ -133,11 +140,6 @@ func main() {
 		return
 	}
 
-	fl := profiler.FlavourRVM
-	if *flavour == "j9" {
-		fl = profiler.FlavourJ9
-	}
-
 	// The VMs of a fleet must not sample in lock-step: two pushers on one
 	// seed push the same graph twice. A pusher that was given no seed
 	// takes one from its identity, which is random per process, and says
@@ -164,9 +166,7 @@ func main() {
 	}
 
 	m := vm.New(prog)
-	if fl == profiler.FlavourJ9 {
-		m.EpilogueYieldpoints = false
-	}
+	m.EpilogueYieldpoints = fl.EpilogueYieldpoints()
 	var graph *profile.DCG
 	var mainProf vm.Profiler
 	var mc *mincover.Profiler
@@ -207,8 +207,6 @@ func main() {
 	var push *dcgstore.TickPusher
 	if *pushURL != "" {
 		client := dcgstore.NewClient(*pushURL)
-		client.Retries = *pushRetries
-		client.Backoff = *pushBackoff
 		if *benchName != "" {
 			// Suite benchmarks have a fleet-wide canonical identity:
 			// stamp every push with (name, content version) so the daemon
@@ -224,7 +222,6 @@ func main() {
 			}
 		}
 		push = dcgstore.NewTickPusher(client, pusherID, graph, *pushEvery)
-		push.GiveUpAfter = *pushGiveUp
 		m.SetProfiler(mainProf, push)
 	} else {
 		m.SetProfiler(mainProf)

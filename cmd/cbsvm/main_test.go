@@ -3,12 +3,14 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"os/exec"
 	"regexp"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -52,16 +54,57 @@ func fakeDaemon(t *testing.T) (url string, pushes func() []push) {
 	}
 }
 
-func runCbsvm(t *testing.T, args ...string) (stderr string) {
+// execCbsvm runs cbsvm in a child process and returns its exit code and
+// stderr.
+func execCbsvm(t *testing.T, args ...string) (code int, stderr string) {
 	t.Helper()
 	cmd := exec.Command(os.Args[0], args...)
 	cmd.Env = append(os.Environ(), "CBSVM_AS_MAIN=1")
 	var errb bytes.Buffer
 	cmd.Stderr = &errb
-	if err := cmd.Run(); err != nil {
-		t.Fatalf("cbsvm %v: %v\n%s", args, err, errb.String())
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if err != nil && !errors.As(err, &exit) {
+		t.Fatalf("cbsvm %v: %v", args, err)
 	}
-	return errb.String()
+	return cmd.ProcessState.ExitCode(), errb.String()
+}
+
+func runCbsvm(t *testing.T, args ...string) (stderr string) {
+	t.Helper()
+	code, stderr := execCbsvm(t, args...)
+	if code != 0 {
+		t.Fatalf("cbsvm %v: exit %d\n%s", args, code, stderr)
+	}
+	return stderr
+}
+
+// TestMisspeltSizeOrFlavourFails: -size lrage ran the small input and
+// -flavour J9 the RVM flavour, each without a word. A value the flag
+// does not know stops cbsvm before it runs anything, naming the flag and
+// what it takes.
+func TestMisspeltSizeOrFlavourFails(t *testing.T) {
+	for _, tc := range []struct{ flag, value, valid string }{
+		{"-size", "lrage", "small, large"},
+		{"-flavour", "J9", "rvm, j9"},
+	} {
+		code, stderr := execCbsvm(t, "-bench", "compress", tc.flag, tc.value)
+		if code != 1 || !strings.Contains(stderr, tc.flag+` "`+tc.value+`"`) || !strings.Contains(stderr, tc.valid) {
+			t.Errorf("cbsvm %s %s: exit %d, want 1 naming the flag and %s\n%s", tc.flag, tc.value, code, tc.valid, stderr)
+		}
+	}
+}
+
+// TestPushRetryPolicyIsNotAFlag: a pusher retries, backs off and gives
+// up by dcgstore's and api's defaults. Passing one of the flags that
+// used to set them is a flag error, not a setting.
+func TestPushRetryPolicyIsNotAFlag(t *testing.T) {
+	for _, args := range [][]string{{"-push-retries", "2"}, {"-push-backoff", "1s"}, {"-push-give-up", "3"}} {
+		code, stderr := execCbsvm(t, append([]string{"-bench", "compress"}, args...)...)
+		if code != 2 || !strings.Contains(stderr, "flag provided but not defined: "+args[0]) {
+			t.Errorf("cbsvm %v: exit %d, want 2 with a flag error\n%s", args, code, stderr)
+		}
+	}
 }
 
 var seedLine = regexp.MustCompile(`pusher (p-[0-9a-f]{16}): profiler seed (\d+) \(replay with -seed (\d+)\)`)

@@ -38,10 +38,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cbs := profiler.NewCBS(profiler.Config{
-		Stride: 3, SamplesPerTick: 16, Seed: 9,
-		FullStack: true, // capture whole stacks -> calling-context tree
-	})
+	pc := profiler.DefaultCBS(profiler.FlavourRVM)
+	pc.Seed = 9
+	pc.FullStack = true // capture whole stacks -> calling-context tree
+	cbs := profiler.NewCBS(pc)
 	m := vm.New(prog)
 	m.SetProfiler(cbs)
 	m.SetTimer(150_000)

@@ -37,12 +37,14 @@ func main() {
 	base := steadyCycles(b, nil, nil)
 	fmt.Printf("%-28s %12d cycles/iteration\n", "baseline (static inlining):", base)
 
+	cbs := profiler.DefaultCBS(profiler.FlavourRVM)
+	cbs.Seed = 42
 	for _, cfg := range []struct {
 		label string
 		pc    profiler.Config
 	}{
 		{"timer-only profile:", profiler.TimerOnly(profiler.FlavourRVM)},
-		{"cbs (stride 3, samples 16):", profiler.Config{Stride: 3, SamplesPerTick: 16, Seed: 42}},
+		{"cbs (stride 3, samples 16):", cbs},
 	} {
 		g := collectProfile(b, cfg.pc)
 		per := steadyCycles(b, inline.NewNewLinear(), g)
@@ -64,9 +66,8 @@ func collectProfile(b *bench.Benchmark, pc profiler.Config) *profile.DCG {
 	m := vm.New(prog)
 	m.SetProfiler(c)
 	m.SetTimer(timerPeriod)
-	setup := prog.MethodByName("$Globals.setup")
-	iter := prog.MethodByName("$Globals.iter")
-	if _, err := m.Call(setup, vm.IntV(b.Small)); err != nil {
+	iter, err := bench.Setup(m, b.Small)
+	if err != nil {
 		log.Fatal(err)
 	}
 	for i := 0; i < b.SteadyIters; i++ {
@@ -94,9 +95,8 @@ func steadyCycles(b *bench.Benchmark, policy inline.Policy, g *profile.DCG) uint
 		log.Fatal(err)
 	}
 	m := vm.New(prog)
-	setup := prog.MethodByName("$Globals.setup")
-	iter := prog.MethodByName("$Globals.iter")
-	if _, err := m.Call(setup, vm.IntV(b.Small)); err != nil {
+	iter, err := bench.Setup(m, b.Small)
+	if err != nil {
 		log.Fatal(err)
 	}
 	start := m.Cycles

@@ -38,7 +38,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cbs := profiler.NewCBS(profiler.Config{Stride: 3, SamplesPerTick: 16, Seed: 1})
+	pc := profiler.DefaultCBS(profiler.FlavourRVM)
+	pc.Seed = 1
+	cbs := profiler.NewCBS(pc)
 	m := vm.New(prog)
 	m.SetProfiler(cbs)
 	m.SetTimer(3_000_000)
@@ -80,9 +82,8 @@ func main() {
 	}
 	measure := func(p *bytecode.Program) uint64 {
 		mm := vm.New(p)
-		setup := p.MethodByName("$Globals.setup")
-		iter := p.MethodByName("$Globals.iter")
-		if _, err := mm.Call(setup, vm.IntV(b.Small)); err != nil {
+		iter, err := bench.Setup(mm, b.Small)
+		if err != nil {
 			log.Fatal(err)
 		}
 		start := mm.Cycles

@@ -46,7 +46,9 @@ func main() {
 	// 2. Create a VM and attach the paper's counter-based sampler:
 	//    every timer tick opens a window in which every 3rd call event
 	//    is sampled, 16 samples per tick (the Table 3 configuration).
-	cbs := profiler.NewCBS(profiler.Config{Stride: 3, SamplesPerTick: 16, Seed: 1})
+	pc := profiler.DefaultCBS(profiler.FlavourRVM)
+	pc.Seed = 1
+	cbs := profiler.NewCBS(pc)
 	m := vm.New(prog)
 	m.SetProfiler(cbs)
 	m.SetTimer(200_000) // virtual timer period in modeled cycles

@@ -12,15 +12,18 @@
 //
 // The programs use only deterministic pseudo-randomness (an LCG in MJ
 // itself), so every run of a given program and size executes the
-// identical call stream.
+// identical call stream. Setup is how a driver begins one under that
+// protocol.
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
 	"gocbs/internal/bytecode"
 	"gocbs/internal/mj"
+	"gocbs/internal/vm"
 )
 
 // Benchmark is one suite entry.
@@ -55,6 +58,20 @@ func (b *Benchmark) SizeFor(input string) int64 {
 		return b.Large
 	}
 	return b.Small
+}
+
+// Setup begins the program m runs under the protocol: it calls
+// setup(size) on m and returns iter, for the caller to time.
+func Setup(m *vm.VM, size int64) (*bytecode.Method, error) {
+	setup := m.Prog.MethodByName("$Globals.setup")
+	iter := m.Prog.MethodByName("$Globals.iter")
+	if setup == nil || iter == nil {
+		return nil, errors.New("program does not follow the setup/iter benchmark protocol")
+	}
+	if _, err := m.Call(setup, vm.IntV(size)); err != nil {
+		return nil, err
+	}
+	return iter, nil
 }
 
 // rngPrelude is the shared deterministic LCG every program embeds.

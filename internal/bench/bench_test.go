@@ -218,9 +218,8 @@ func TestSteadyStateProtocol(t *testing.T) {
 	}
 	m := vm.New(prog)
 	m.MaxSteps = 2_000_000_000
-	setup := prog.MethodByName("$Globals.setup")
-	iter := prog.MethodByName("$Globals.iter")
-	if _, err := m.Call(setup, vm.IntV(64)); err != nil {
+	iter, err := Setup(m, 64)
+	if err != nil {
 		t.Fatalf("setup: %v", err)
 	}
 	before := m.Cycles

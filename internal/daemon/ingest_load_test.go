@@ -37,10 +37,10 @@ func realDeltas(tb testing.TB, name string, n int) []keyedDelta {
 	m := vm.New(prog)
 	m.SetProfiler(cbs)
 	m.SetTimer(20_000)
-	if _, err := m.Call(prog.MethodByName("$Globals.setup"), vm.IntV(b.SizeFor("small"))); err != nil {
+	iter, err := bench.Setup(m, b.SizeFor("small"))
+	if err != nil {
 		tb.Fatal(err)
 	}
-	iter := prog.MethodByName("$Globals.iter")
 	prev := cbs.Graph.Clone()
 	var out []keyedDelta
 	for len(out) < n {

@@ -16,6 +16,7 @@ import (
 	"gocbs/internal/inline"
 	"gocbs/internal/plan"
 	"gocbs/internal/profiler"
+	"gocbs/internal/puller"
 	"gocbs/internal/runner"
 	"gocbs/internal/vm"
 )
@@ -39,20 +40,11 @@ func jitClone(t *testing.T, b *bench.Benchmark) *bytecode.Program {
 // returns the per-iteration checksums plus the cycles spent iterating.
 func steadyCycles(t *testing.T, prog *bytecode.Program, size int64, iters int) ([]int64, uint64) {
 	t.Helper()
-	m := vm.New(prog)
-	if _, err := m.Call(prog.MethodByName("$Globals.setup"), vm.IntV(size)); err != nil {
+	sums, cycles, err := puller.RunRound(prog, size, iters)
+	if err != nil {
 		t.Fatal(err)
 	}
-	start := m.Cycles
-	sums := make([]int64, iters)
-	for i := range sums {
-		v, err := m.Call(prog.MethodByName("$Globals.iter"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		sums[i] = v.I
-	}
-	return sums, m.Cycles - start
+	return sums, cycles
 }
 
 // TestPlanEndToEnd is the acceptance test for the fleet PGO loop: K

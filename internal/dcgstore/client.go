@@ -13,22 +13,6 @@ import (
 	"gocbs/internal/profile"
 )
 
-// Push retry defaults, aliased from the unified api client so every
-// consumer shares one policy. Retrying a push is safe because every
-// push is stamped with a (pusher ID, sequence) pair and the daemon
-// deduplicates increments it already applied (see sequence.go), so an
-// increment whose response was lost cannot be double-counted.
-const (
-	// DefaultRetries is how many times a failed push is retried after
-	// the first attempt.
-	DefaultRetries = api.DefaultRetries
-	// DefaultBackoff is the first retry's base delay; each further
-	// retry doubles it.
-	DefaultBackoff = api.DefaultBackoff
-	// DefaultMaxBackoff caps the exponential growth.
-	DefaultMaxBackoff = api.DefaultMaxBackoff
-)
-
 // NewPusherID returns a fresh random pusher identity. IDs are random
 // (not host-derived) so two pushers never collide in the daemon's
 // sequence table: a colliding restarted pusher would have its early
@@ -55,8 +39,10 @@ type Client struct {
 	// NewClient sets one with api.DefaultTimeout.
 	HTTPClient *http.Client
 	// Retries, Backoff, MaxBackoff tune push retry behaviour; zero
-	// values select the Default* constants. Retries < 0 disables
-	// retrying.
+	// values select api's Default* constants, and Retries < 0 disables
+	// retrying. A retry never counts twice: the push carries its
+	// (pusher ID, sequence) stamp and the daemon drops an increment it
+	// already applied (see sequence.go).
 	Retries    int
 	Backoff    time.Duration
 	MaxBackoff time.Duration

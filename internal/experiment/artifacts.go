@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"gocbs/internal/bench"
-	"gocbs/internal/fleetsim"
 	"gocbs/internal/profiler"
 )
 
@@ -47,8 +46,6 @@ var Artifacts = []Artifact{
 		rendered(func(cfg Config, input string) (PlanLoopResult, error) {
 			return PlanLoop(cfg, input, DefaultPlanLoopParams())
 		}, FormatPlanLoop)},
-	{"study", "fleetsoak", "chaos soak: fleet vs faults, invariant-gated",
-		rendered(func(cfg Config, _ string) (*fleetsim.Report, error) { return FleetSoak(cfg) }, (*fleetsim.Report).Format)},
 }
 
 // rendered joins an experiment to its formatter.

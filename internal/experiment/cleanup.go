@@ -31,7 +31,7 @@ type CleanupRow struct {
 
 // CleanupAblation measures the E13 rows.
 func CleanupAblation(cfg Config, input string) ([]CleanupRow, error) {
-	pc := profiler.Config{Stride: 3, SamplesPerTick: 16, Flavour: profiler.FlavourRVM}
+	pc := profiler.DefaultCBS(profiler.FlavourRVM)
 	if len(cfg.Seeds) > 0 {
 		pc.Seed = cfg.Seeds[0]
 	}
@@ -56,7 +56,7 @@ func CleanupAblation(cfg Config, input string) ([]CleanupRow, error) {
 		if err != nil {
 			return build{}, fmt.Errorf("%s: %w", b.Name, err)
 		}
-		g, err := profilePhase(cfg, prog, b, size, pc, b.SteadyIters)
+		g, err := profilePhase(cfg, prog, size, pc, b.SteadyIters)
 		if err != nil {
 			return build{}, fmt.Errorf("%s: %w", b.Name, err)
 		}

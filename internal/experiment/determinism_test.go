@@ -20,9 +20,6 @@ func TestParallelOutputByteIdentical(t *testing.T) {
 	}
 	for _, a := range Artifacts {
 		id := a.Kind + " " + a.Name
-		if a.Name == "fleetsoak" {
-			continue // its report carries wall-clock figures
-		}
 		if raceLite && !raceSet[id] {
 			continue
 		}
@@ -62,9 +59,7 @@ func TestArtifactTableMatchesPins(t *testing.T) {
 		id := a.Kind + " " + a.Name
 		want, ok := pinnedDigests[id]
 		if !ok {
-			if a.Name != "fleetsoak" {
-				t.Errorf("%s has no pinned digest", id)
-			}
+			t.Errorf("%s has no pinned digest", id)
 			continue
 		}
 		seen++

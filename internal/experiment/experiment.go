@@ -49,8 +49,6 @@ type Config struct {
 	// Samples is Table 2's samples-per-tick row set; nil means
 	// DefaultSamples (cbsbench -full passes FullSamples).
 	Samples []int
-	// Quick is set by QuickConfig; the fleet soak sizes itself by it.
-	Quick bool
 
 	// Parallel is the worker count experiment jobs fan out over;
 	// 0 or 1 runs the serial path. Any setting produces byte-identical
@@ -85,7 +83,6 @@ func DefaultConfig() Config {
 func QuickConfig() Config {
 	c := DefaultConfig()
 	c.Seeds = []int64{42}
-	c.Quick = true
 	return c
 }
 
@@ -132,6 +129,64 @@ func (c Config) prepare(b *bench.Benchmark) (*bytecode.Program, error) {
 	return compileJITOnly(b)
 }
 
+// newVM is the one place a study makes a VM: prog, as prepare returns
+// it, under the given profiler parts, capped at c.MaxSteps. A CBS part
+// brings its flavour's epilogue rule, and the timer runs at
+// c.TimerPeriod exactly when some part listens for its ticks.
+func (c Config) newVM(prog *bytecode.Program, parts ...vm.Profiler) *vm.VM {
+	m := vm.New(prog)
+	m.MaxSteps = c.MaxSteps
+	m.SetProfiler(parts...)
+	for _, p := range parts {
+		if cbs, ok := p.(*profiler.CBS); ok {
+			m.EpilogueYieldpoints = cbs.Config().Flavour.EpilogueYieldpoints()
+		}
+		if _, ok := p.(vm.TickListener); ok {
+			m.SetTimer(c.TimerPeriod)
+		}
+	}
+	return m
+}
+
+// run runs m's program once through main(size) and meters its cycles.
+func (c Config) run(m *vm.VM, size int64) error {
+	if _, err := m.Run(size); err != nil {
+		return err
+	}
+	c.addCycles(m.Cycles)
+	return nil
+}
+
+// session is a suite program begun on a VM under the setup/iter
+// protocol (bench.Setup), for a study that times iterations.
+type session struct {
+	cfg  Config
+	m    *vm.VM
+	iter *bytecode.Method
+}
+
+// start runs setup(size) on m, metered, and returns the session.
+func (c Config) start(m *vm.VM, size int64) (*session, error) {
+	iter, err := bench.Setup(m, size)
+	if err != nil {
+		return nil, err
+	}
+	c.addCycles(m.Cycles)
+	return &session{cfg: c, m: m, iter: iter}, nil
+}
+
+// iters calls iter() n times and returns, metered, the cycles they took.
+func (s *session) iters(n int) (uint64, error) {
+	before := s.m.Cycles
+	for i := 0; i < n; i++ {
+		if _, err := s.m.Call(s.iter); err != nil {
+			return 0, err
+		}
+	}
+	s.cfg.addCycles(s.m.Cycles - before)
+	return s.m.Cycles - before, nil
+}
+
 // PerfectDCG runs a benchmark exhaustively in the JIT-only
 // configuration and returns the ground-truth call graph.
 func PerfectDCG(cfg Config, b *bench.Benchmark, size int64) (*profile.DCG, error) {
@@ -140,13 +195,9 @@ func PerfectDCG(cfg Config, b *bench.Benchmark, size int64) (*profile.DCG, error
 		return nil, err
 	}
 	e := profiler.NewExhaustive()
-	m := vm.New(prog)
-	m.MaxSteps = cfg.MaxSteps
-	m.SetProfiler(e)
-	if _, err := m.Run(size); err != nil {
+	if err := cfg.run(cfg.newVM(prog, e), size); err != nil {
 		return nil, fmt.Errorf("%s perfect run: %w", b.Name, err)
 	}
-	cfg.addCycles(m.Cycles)
 	return e.Graph, nil
 }
 
@@ -171,17 +222,10 @@ func measureOneSeed(cfg Config, b *bench.Benchmark, size int64, pc profiler.Conf
 		return seedMeas{}, err
 	}
 	c := profiler.NewCBS(pc)
-	m := vm.New(prog)
-	m.MaxSteps = cfg.MaxSteps
-	if pc.Flavour == profiler.FlavourJ9 {
-		m.EpilogueYieldpoints = false
-	}
-	m.SetProfiler(c)
-	m.SetTimer(cfg.TimerPeriod)
-	if _, err := m.Run(size); err != nil {
+	m := cfg.newVM(prog, c)
+	if err := cfg.run(m, size); err != nil {
 		return seedMeas{}, fmt.Errorf("%s cbs run: %w", b.Name, err)
 	}
-	cfg.addCycles(m.Cycles)
 	return seedMeas{
 		ovh: m.Overhead() * 100,
 		acc: profile.Accuracy(c.Graph, perfect),

@@ -55,47 +55,27 @@ func (f Figure5VM) String() string {
 // profilePhase runs warmup iterations under a profiler and returns the
 // DCG it collected. The profiled program is the same one later
 // optimized, so call-site IDs line up.
-func profilePhase(cfg Config, prog *bytecode.Program, b *bench.Benchmark, size int64, pc profiler.Config, warmupIters int) (*profile.DCG, error) {
+func profilePhase(cfg Config, prog *bytecode.Program, size int64, pc profiler.Config, warmupIters int) (*profile.DCG, error) {
 	c := profiler.NewCBS(pc)
-	m := vm.New(prog)
-	m.MaxSteps = cfg.MaxSteps
-	if pc.Flavour == profiler.FlavourJ9 {
-		m.EpilogueYieldpoints = false
-	}
-	m.SetProfiler(c)
-	m.SetTimer(cfg.TimerPeriod)
-	setup := prog.MethodByName("$Globals.setup")
-	iter := prog.MethodByName("$Globals.iter")
-	if _, err := m.Call(setup, vm.IntV(size)); err != nil {
+	s, err := cfg.start(cfg.newVM(prog, c), size)
+	if err != nil {
 		return nil, err
 	}
-	for i := 0; i < warmupIters; i++ {
-		if _, err := m.Call(iter); err != nil {
-			return nil, err
-		}
+	if _, err := s.iters(warmupIters); err != nil {
+		return nil, err
 	}
-	cfg.addCycles(m.Cycles)
 	return c.Graph, nil
 }
 
 // steadyState measures cycles per iteration on an (already optimized)
 // program with profiling off.
 func steadyState(cfg Config, prog *bytecode.Program, size int64, iters int) (uint64, error) {
-	m := vm.New(prog)
-	m.MaxSteps = cfg.MaxSteps
-	setup := prog.MethodByName("$Globals.setup")
-	iter := prog.MethodByName("$Globals.iter")
-	if _, err := m.Call(setup, vm.IntV(size)); err != nil {
+	s, err := cfg.start(cfg.newVM(prog), size)
+	if err != nil {
 		return 0, err
 	}
-	start := m.Cycles
-	for i := 0; i < iters; i++ {
-		if _, err := m.Call(iter); err != nil {
-			return 0, err
-		}
-	}
-	cfg.addCycles(m.Cycles)
-	return (m.Cycles - start) / uint64(iters), nil
+	cycles, err := s.iters(iters)
+	return cycles / uint64(iters), err
 }
 
 // buildOptimized compiles a fresh copy, profiles it (unless pc is nil),
@@ -107,7 +87,7 @@ func buildOptimized(cfg Config, b *bench.Benchmark, size int64, policy inline.Po
 	}
 	var g *profile.DCG
 	if pc != nil {
-		g, err = profilePhase(cfg, prog, b, size, *pc, warmup)
+		g, err = profilePhase(cfg, prog, size, *pc, warmup)
 		if err != nil {
 			return 0, adaptive.CompileStats{}, err
 		}
@@ -142,7 +122,7 @@ func Figure5(cfg Config, which Figure5VM, input string) ([]Figure5Row, error) {
 		basePolicy = inline.NewNewLinear()
 		profPolicy = inline.NewNewLinear()
 		flavour = profiler.FlavourRVM
-		cbsCfg = profiler.Config{Stride: 3, SamplesPerTick: 16, Flavour: flavour}
+		cbsCfg = profiler.DefaultCBS(flavour)
 	default:
 		basePolicy = inline.NewJ9Static()
 		profPolicy = inline.NewJ9Dynamic()

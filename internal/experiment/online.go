@@ -9,7 +9,6 @@ import (
 	"gocbs/internal/inline"
 	"gocbs/internal/profiler"
 	"gocbs/internal/runner"
-	"gocbs/internal/vm"
 )
 
 // E14: the online adaptive system. Unlike Figure 5's two-phase
@@ -50,30 +49,23 @@ func Online(cfg Config, input string) ([]OnlineRow, error) {
 		if err != nil {
 			return OnlineRow{}, err
 		}
-		cbs := profiler.NewCBS(profiler.Config{Stride: 3, SamplesPerTick: 16, Flavour: profiler.FlavourRVM, Seed: seed})
+		pc := profiler.DefaultCBS(profiler.FlavourRVM)
+		pc.Seed = seed
+		cbs := profiler.NewCBS(pc)
 		ctl := adaptive.NewController(prog, inline.NewNewLinear(), cbs.Graph, inline.DefaultOptions(), 2)
-		m := vm.New(prog)
-		m.MaxSteps = cfg.MaxSteps
-		m.SetProfiler(cbs, ctl)
-		m.SetTimer(cfg.TimerPeriod)
-
-		setup := prog.MethodByName("$Globals.setup")
-		iter := prog.MethodByName("$Globals.iter")
-		if _, err := m.Call(setup, vm.IntV(size)); err != nil {
+		s, err := cfg.start(cfg.newVM(prog, cbs, ctl), size)
+		if err != nil {
 			return OnlineRow{}, fmt.Errorf("%s setup: %w", b.Name, err)
 		}
-		perIter := make([]uint64, 0, iters)
-		for i := 0; i < iters; i++ {
-			before := m.Cycles
-			if _, err := m.Call(iter); err != nil {
+		perIter := make([]uint64, iters)
+		for i := range perIter {
+			if perIter[i], err = s.iters(1); err != nil {
 				return OnlineRow{}, fmt.Errorf("%s iter %d: %w", b.Name, i, err)
 			}
-			perIter = append(perIter, m.Cycles-before)
 		}
 		if ctl.Err != nil {
 			return OnlineRow{}, fmt.Errorf("%s controller: %w", b.Name, ctl.Err)
 		}
-		cfg.addCycles(m.Cycles)
 
 		mean3 := func(xs []uint64) uint64 {
 			var s uint64

@@ -15,8 +15,7 @@ import (
 // written at the commit before cbsbench's arms became one table, by
 // calling the experiment and Format functions exactly as
 // cmd/cbsbench/main.go did then; a changed digest means an artifact's
-// stdout moved. fleetsoak is left out: its report carries wall-clock
-// figures. planloop's digest is of the loss ladder the study became
+// stdout moved. planloop's digest is of the loss ladder the study became
 // (TestPlanLoopLadderPinned holds the whole suite's, readably): it moves
 // with the plan compiler's retention rule, and says so there. Every
 // artifact that prints what a CBS sampled — all but table 1 and study

@@ -224,18 +224,13 @@ func planLoopProgram(cfg Config, b *bench.Benchmark, size int64, lp PlanLoopPara
 	// SteadyIters iterations.
 	local := pristine.Clone()
 	x := profiler.NewExhaustive()
-	m := vm.New(local)
-	m.MaxSteps = cfg.MaxSteps
-	m.SetProfiler(x)
-	if _, err := m.Call(local.MethodByName("$Globals.setup"), vm.IntV(size)); err != nil {
+	sess, err := cfg.start(cfg.newVM(local, x), size)
+	if err != nil {
 		return row, err
 	}
-	for i := 0; i < b.SteadyIters; i++ {
-		if _, err := m.Call(local.MethodByName("$Globals.iter")); err != nil {
-			return row, err
-		}
+	if _, err := sess.iters(b.SteadyIters); err != nil {
+		return row, err
 	}
-	cfg.addCycles(m.Cycles)
 	if _, err := adaptive.Recompile(local, vm.DefaultCostModel(), inline.NewNewLinear(), x.Graph, inline.DefaultOptions()); err != nil {
 		return row, err
 	}
@@ -343,33 +338,26 @@ func canonicalOverlap(a, b *profile.DCG) float64 {
 // loopPusher is one fleet VM on the collecting side: a program under
 // CBS that pushes what it sampled since its last push.
 type loopPusher struct {
-	cfg  Config
-	m    *vm.VM
-	iter *bytecode.Method
+	*session
 	cbs  *profiler.CBS
 	prev *profile.DCG
 }
 
 func newLoopPusher(cfg Config, prog *bytecode.Program, size, seed int64) (*loopPusher, error) {
-	c := profiler.NewCBS(profiler.Config{Stride: 3, SamplesPerTick: 16, Flavour: profiler.FlavourRVM, Seed: seed})
-	m := vm.New(prog)
-	m.MaxSteps = cfg.MaxSteps
-	m.SetProfiler(c)
-	m.SetTimer(cfg.TimerPeriod)
-	if _, err := m.Call(prog.MethodByName("$Globals.setup"), vm.IntV(size)); err != nil {
+	pc := profiler.DefaultCBS(profiler.FlavourRVM)
+	pc.Seed = seed
+	c := profiler.NewCBS(pc)
+	s, err := cfg.start(cfg.newVM(prog, c), size)
+	if err != nil {
 		return nil, err
 	}
-	return &loopPusher{cfg: cfg, m: m, iter: prog.MethodByName("$Globals.iter"), cbs: c}, nil
+	return &loopPusher{session: s, cbs: c}, nil
 }
 
 func (p *loopPusher) round(store *dcgstore.Store, iters int) error {
-	before := p.m.Cycles
-	for i := 0; i < iters; i++ {
-		if _, err := p.m.Call(p.iter); err != nil {
-			return err
-		}
+	if _, err := p.iters(iters); err != nil {
+		return err
 	}
-	p.cfg.addCycles(p.m.Cycles - before)
 	store.MergeDCG(p.cbs.Graph.DeltaSince(p.prev))
 	p.prev = p.cbs.Graph.Clone()
 	return nil

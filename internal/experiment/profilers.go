@@ -10,7 +10,6 @@ import (
 	"gocbs/internal/profile"
 	"gocbs/internal/profiler"
 	"gocbs/internal/runner"
-	"gocbs/internal/vm"
 )
 
 // ProfilerRow is one benchmark's three-way profile-source comparison.
@@ -50,18 +49,14 @@ func ProfilerStudy(cfg Config, input string) ([]ProfilerRow, error) {
 		if err != nil {
 			return ProfilerRow{}, err
 		}
-		m := vm.New(prog)
-		m.MaxSteps = cfg.MaxSteps
-		m.SetProfiler(profiler.NewInstrumented())
-		if _, err := m.Run(size); err != nil {
+		m := cfg.newVM(prog, profiler.NewInstrumented())
+		if err := cfg.run(m, size); err != nil {
 			return ProfilerRow{}, fmt.Errorf("%s instrumented: %w", b.Name, err)
 		}
-		cfg.addCycles(m.Cycles)
 		exhaustivePct := m.Overhead() * 100
 
 		// CBS at the paper's default operating point, median over seeds.
-		cbs, err := MeasureCBS(cfg, b, size,
-			profiler.Config{Stride: 3, SamplesPerTick: 16, Flavour: profiler.FlavourRVM}, perfect)
+		cbs, err := MeasureCBS(cfg, b, size, profiler.DefaultCBS(profiler.FlavourRVM), perfect)
 		if err != nil {
 			return ProfilerRow{}, err
 		}
@@ -72,10 +67,8 @@ func ProfilerStudy(cfg Config, input string) ([]ProfilerRow, error) {
 			return ProfilerRow{}, err
 		}
 		mc := mincover.New(mprog)
-		mv := vm.New(mprog)
-		mv.MaxSteps = cfg.MaxSteps
-		mv.SetProfiler(mc)
-		if _, err := mv.Run(size); err != nil {
+		mv := cfg.newVM(mprog, mc)
+		if err := cfg.run(mv, size); err != nil {
 			return ProfilerRow{}, fmt.Errorf("%s mincover: %w", b.Name, err)
 		}
 		if err := mc.Finalize(); err != nil {
@@ -84,7 +77,6 @@ func ProfilerStudy(cfg Config, input string) ([]ProfilerRow, error) {
 		if mc.Unexpected != 0 {
 			return ProfilerRow{}, fmt.Errorf("%s mincover: %d edges outside the static graph", b.Name, mc.Unexpected)
 		}
-		cfg.addCycles(mv.Cycles)
 		c := mc.Cover
 		return ProfilerRow{
 			Name:             b.Name,

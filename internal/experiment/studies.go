@@ -60,24 +60,18 @@ func Convergence(cfg Config, b *bench.Benchmark, input string) ([]ConvergencePoi
 			return nil, err
 		}
 		probe := &convergenceProbe{inner: profiler.NewCBS(pc), perfect: perfect}
-		m := vm.New(prog)
-		m.MaxSteps = cfg.MaxSteps
-		m.SetProfiler(probe.inner, probe)
-		m.SetTimer(cfg.TimerPeriod)
-		if _, err := m.Run(size); err != nil {
+		if err := cfg.run(cfg.newVM(prog, probe.inner, probe), size); err != nil {
 			return nil, err
 		}
-		cfg.addCycles(m.Cycles)
 		return probe.points, nil
 	}
 	seed := int64(42)
 	if len(cfg.Seeds) > 0 {
 		seed = cfg.Seeds[0]
 	}
-	series, err := runner.Map(pool, []profiler.Config{
-		{Stride: 1, SamplesPerTick: 1, Flavour: profiler.FlavourRVM, Seed: seed},
-		{Stride: 3, SamplesPerTick: 16, Flavour: profiler.FlavourRVM, Seed: seed},
-	}, func(_ int, pc profiler.Config) ([]ConvergencePoint, error) {
+	timerCfg, cbsCfg := profiler.TimerOnly(profiler.FlavourRVM), profiler.DefaultCBS(profiler.FlavourRVM)
+	timerCfg.Seed, cbsCfg.Seed = seed, seed
+	series, err := runner.Map(pool, []profiler.Config{timerCfg, cbsCfg}, func(_ int, pc profiler.Config) ([]ConvergencePoint, error) {
 		return runSeries(pc)
 	})
 	if err != nil {
@@ -225,63 +219,36 @@ func Comparators(cfg Config, input string) ([]ComparatorRow, error) {
 		b := cfg.Benchmarks[j.bi]
 		size := b.SizeFor(input)
 		perfect := perfects[j.bi]
-		runWith := func(p vm.Profiler) (*vm.VM, error) {
-			prog, err := cfg.prepare(b)
-			if err != nil {
-				return nil, err
+		if name := order[j.ti]; name == "timer-only" || name == "cbs(3,16)" {
+			pc := profiler.DefaultCBS(profiler.FlavourRVM)
+			if name == "timer-only" {
+				pc = profiler.TimerOnly(profiler.FlavourRVM)
 			}
-			m := vm.New(prog)
-			m.MaxSteps = cfg.MaxSteps
-			m.SetProfiler(p)
-			m.SetTimer(cfg.TimerPeriod)
-			if _, err := m.Run(size); err != nil {
-				return nil, err
-			}
-			cfg.addCycles(m.Cycles)
-			return m, nil
+			res, err := MeasureCBS(cfg, b, size, pc, perfect)
+			return pair{res.OverheadPct, res.Accuracy}, err
 		}
+		prog, err := cfg.prepare(b)
+		if err != nil {
+			return pair{}, err
+		}
+		var p vm.Profiler
+		var g *profile.DCG
 		switch order[j.ti] {
 		case "exhaustive-instrumented":
 			inst := profiler.NewInstrumented()
-			m, err := runWith(inst)
-			if err != nil {
-				return pair{}, err
-			}
-			return pair{m.Overhead() * 100, profile.Accuracy(inst.Graph, perfect)}, nil
+			p, g = inst, inst.Graph
 		case "whaley":
 			wh := profiler.NewWhaley()
-			m, err := runWith(wh)
-			if err != nil {
-				return pair{}, err
-			}
-			return pair{m.Overhead() * 100, profile.Accuracy(wh.Graph, perfect)}, nil
-		case "code-patching":
-			prog, err := cfg.prepare(b)
-			if err != nil {
-				return pair{}, err
-			}
+			p, g = wh, wh.Graph
+		default: // code-patching
 			pt := profiler.NewPatching(len(prog.Methods), 100, 64)
-			mp := vm.New(prog)
-			mp.MaxSteps = cfg.MaxSteps
-			mp.SetProfiler(pt)
-			if _, err := mp.Run(size); err != nil {
-				return pair{}, err
-			}
-			cfg.addCycles(mp.Cycles)
-			return pair{mp.Overhead() * 100, profile.Accuracy(pt.Graph, perfect)}, nil
-		case "timer-only":
-			res, err := MeasureCBS(cfg, b, size, profiler.TimerOnly(profiler.FlavourRVM), perfect)
-			if err != nil {
-				return pair{}, err
-			}
-			return pair{res.OverheadPct, res.Accuracy}, nil
-		default: // cbs(3,16)
-			res, err := MeasureCBS(cfg, b, size, profiler.Config{Stride: 3, SamplesPerTick: 16, Flavour: profiler.FlavourRVM}, perfect)
-			if err != nil {
-				return pair{}, err
-			}
-			return pair{res.OverheadPct, res.Accuracy}, nil
+			p, g = pt, pt.Graph
 		}
+		m := cfg.newVM(prog, p)
+		if err := cfg.run(m, size); err != nil {
+			return pair{}, err
+		}
+		return pair{m.Overhead() * 100, profile.Accuracy(g, perfect)}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -335,7 +302,7 @@ type InlinerRow struct {
 // profiles.
 func InlinerAblation(cfg Config, input string) ([]InlinerRow, error) {
 	timerCfg := profiler.TimerOnly(profiler.FlavourRVM)
-	cbsCfg := profiler.Config{Stride: 3, SamplesPerTick: 16, Flavour: profiler.FlavourRVM}
+	cbsCfg := profiler.DefaultCBS(profiler.FlavourRVM)
 	if len(cfg.Seeds) > 0 {
 		timerCfg.Seed = cfg.Seeds[0]
 		cbsCfg.Seed = cfg.Seeds[0]
@@ -460,32 +427,19 @@ func ContextStudy(cfg Config, input string) ([]ContextRow, error) {
 				return runResult{}, err
 			}
 			ex := profiler.NewExhaustiveCCT()
-			m := vm.New(prog)
-			m.MaxSteps = cfg.MaxSteps
-			m.SetProfiler(ex)
-			if _, err := m.Run(size); err != nil {
-				return runResult{}, err
-			}
-			cfg.addCycles(m.Cycles)
-			return runResult{ex: ex}, nil
+			err = cfg.run(cfg.newVM(prog, ex), size)
+			return runResult{ex: ex}, err
 		default:
 			prog, err := cfg.prepare(b)
 			if err != nil {
 				return runResult{}, err
 			}
-			c := profiler.NewCBS(profiler.Config{
-				Stride: 3, SamplesPerTick: 16,
-				Flavour: profiler.FlavourRVM, Seed: seed, FullStack: true,
-			})
-			m := vm.New(prog)
-			m.MaxSteps = cfg.MaxSteps
-			m.SetProfiler(c)
-			m.SetTimer(cfg.TimerPeriod)
-			if _, err := m.Run(size); err != nil {
-				return runResult{}, err
-			}
-			cfg.addCycles(m.Cycles)
-			return runResult{cbs: c, ovh: m.Overhead() * 100}, nil
+			pc := profiler.DefaultCBS(profiler.FlavourRVM)
+			pc.Seed, pc.FullStack = seed, true
+			c := profiler.NewCBS(pc)
+			m := cfg.newVM(prog, c)
+			err = cfg.run(m, size)
+			return runResult{cbs: c, ovh: m.Overhead() * 100}, err
 		}
 	})
 	if err != nil {
@@ -560,17 +514,12 @@ func EntryCheckStudy(cfg Config, input string) ([]EntryCheckRow, error) {
 		if err != nil {
 			return 0, err
 		}
-		c := profiler.NewCBS(profiler.Config{Stride: 3, SamplesPerTick: 16, Flavour: profiler.FlavourRVM, Seed: seed})
-		m := vm.New(prog)
-		m.MaxSteps = cfg.MaxSteps
+		pc := profiler.DefaultCBS(profiler.FlavourRVM)
+		pc.Seed = seed
+		m := cfg.newVM(prog, profiler.NewCBS(pc))
 		m.EntryCheckCost = j.cost
-		m.SetProfiler(c)
-		m.SetTimer(cfg.TimerPeriod)
-		if _, err := m.Run(size); err != nil {
-			return 0, err
-		}
-		cfg.addCycles(m.Cycles)
-		return m.Overhead() * 100, nil
+		err = cfg.run(m, size)
+		return m.Overhead() * 100, err
 	})
 	if err != nil {
 		return nil, err

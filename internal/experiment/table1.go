@@ -6,7 +6,6 @@ import (
 
 	"gocbs/internal/bench"
 	"gocbs/internal/runner"
-	"gocbs/internal/vm"
 )
 
 // Table1Row is one benchmark characteristics entry (the analog of the
@@ -39,12 +38,10 @@ func Table1(cfg Config) ([]Table1Row, error) {
 		if err != nil {
 			return Table1Row{}, err
 		}
-		m := vm.New(prog)
-		m.MaxSteps = cfg.MaxSteps
-		if _, err := m.Run(k.b.SizeFor(k.input)); err != nil {
+		m := cfg.newVM(prog)
+		if err := cfg.run(m, k.b.SizeFor(k.input)); err != nil {
 			return Table1Row{}, fmt.Errorf("%s-%s: %w", k.b.Name, k.input, err)
 		}
-		cfg.addCycles(m.Cycles)
 		return Table1Row{
 			Name:    k.b.Name,
 			Input:   k.input,

@@ -276,10 +276,9 @@ func (a *pusherActor) finish() error {
 func newPusherProfiler(kind string, seed int64, prog *bytecode.Program) (vm.Profiler, *profile.DCG, func() error, error) {
 	switch kind {
 	case "", "cbs":
-		cbs := profiler.NewCBS(profiler.Config{
-			Stride: 3, SamplesPerTick: 16,
-			Flavour: profiler.FlavourRVM, Seed: seed,
-		})
+		pc := profiler.DefaultCBS(profiler.FlavourRVM)
+		pc.Seed = seed
+		cbs := profiler.NewCBS(pc)
 		return cbs, cbs.Graph, nil, nil
 	case "exhaustive":
 		e := profiler.NewInstrumented()
@@ -499,12 +498,8 @@ func (f *fleet) newPusher(name string, prog *bytecode.Program, key api.ProgramKe
 	m := vm.New(p)
 	m.SetProfiler(prof)
 	m.SetTimer(50_000)
-	setup := p.MethodByName("$Globals.setup")
-	iter := p.MethodByName("$Globals.iter")
-	if setup == nil || iter == nil {
-		return nil, fmt.Errorf("%s does not follow the setup/iter protocol", f.cfg.Program)
-	}
-	if _, err := m.Call(setup, vm.IntV(f.size)); err != nil {
+	iter, err := bench.Setup(m, f.size)
+	if err != nil {
 		return nil, fmt.Errorf("%s setup: %w", name, err)
 	}
 	client := &dcgstore.Client{

@@ -113,8 +113,7 @@ func (r *Report) JSON() []byte {
 	return b
 }
 
-// Format renders the human-readable summary cbsload and the fleetsoak
-// study print.
+// Format renders the human-readable summary cbsload prints.
 func (r *Report) Format() string {
 	var sb strings.Builder
 	d, tm := &r.Deterministic, &r.Timing

@@ -10,6 +10,7 @@ import (
 	"gocbs/internal/inline"
 	"gocbs/internal/profile"
 	"gocbs/internal/profiler"
+	"gocbs/internal/puller"
 	"gocbs/internal/vm"
 )
 
@@ -35,21 +36,8 @@ func jitOnlyProgram(t *testing.T, name string) *bytecode.Program {
 // and returns the per-iteration checksums. It returns errors rather
 // than failing t because the soak calls it from worker goroutines.
 func iterChecksums(prog *bytecode.Program, size int64, iters int) ([]int64, error) {
-	m := vm.New(prog)
-	setup := prog.MethodByName("$Globals.setup")
-	iter := prog.MethodByName("$Globals.iter")
-	if _, err := m.Call(setup, vm.IntV(size)); err != nil {
-		return nil, err
-	}
-	out := make([]int64, iters)
-	for i := range out {
-		v, err := m.Call(iter)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v.I
-	}
-	return out, nil
+	sums, _, err := puller.RunRound(prog, size, iters)
+	return sums, err
 }
 
 func encodeProgram(t *testing.T, p *bytecode.Program) []byte {
@@ -80,9 +68,8 @@ func TestTransformRaceCloneIsolation(t *testing.T) {
 		e := profiler.NewExhaustive()
 		m := vm.New(prog)
 		m.SetProfiler(e)
-		setup := prog.MethodByName("$Globals.setup")
-		iter := prog.MethodByName("$Globals.iter")
-		if _, err := m.Call(setup, vm.IntV(size)); err != nil {
+		iter, err := bench.Setup(m, size)
+		if err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < 3; i++ {

@@ -12,6 +12,7 @@ import (
 	"gocbs/internal/plan"
 	"gocbs/internal/profile"
 	"gocbs/internal/profiler"
+	"gocbs/internal/puller"
 	"gocbs/internal/vm"
 )
 
@@ -41,11 +42,12 @@ func exhaustiveGraph(t *testing.T, prog *bytecode.Program, size int64, iters int
 	e := profiler.NewExhaustive()
 	m := vm.New(prog)
 	m.SetProfiler(e)
-	if _, err := m.Call(prog.MethodByName("$Globals.setup"), vm.IntV(size)); err != nil {
+	iter, err := bench.Setup(m, size)
+	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < iters; i++ {
-		if _, err := m.Call(prog.MethodByName("$Globals.iter")); err != nil {
+		if _, err := m.Call(iter); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -56,20 +58,11 @@ func exhaustiveGraph(t *testing.T, prog *bytecode.Program, size int64, iters int
 // per-iteration checksums and total cycles.
 func runChecksums(t *testing.T, prog *bytecode.Program, size int64, iters int) ([]int64, uint64) {
 	t.Helper()
-	m := vm.New(prog)
-	if _, err := m.Call(prog.MethodByName("$Globals.setup"), vm.IntV(size)); err != nil {
+	sums, cycles, err := puller.RunRound(prog, size, iters)
+	if err != nil {
 		t.Fatal(err)
 	}
-	start := m.Cycles
-	out := make([]int64, iters)
-	for i := range out {
-		v, err := m.Call(prog.MethodByName("$Globals.iter"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		out[i] = v.I
-	}
-	return out, m.Cycles - start
+	return sums, cycles
 }
 
 func compilePlan(t *testing.T, program string, pristine *bytecode.Program, g *profile.DCG, prior *plan.Plan) *plan.Plan {

@@ -34,10 +34,11 @@ func newCBSPusher(t testing.TB, prog *bytecode.Program, size, seed int64) *cbsPu
 	m := vm.New(prog)
 	m.SetProfiler(c)
 	m.SetTimer(20_000)
-	if _, err := m.Call(prog.MethodByName("$Globals.setup"), vm.IntV(size)); err != nil {
+	iter, err := bench.Setup(m, size)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return &cbsPusher{id: fmt.Sprintf("vm-seed%d", seed), m: m, iter: prog.MethodByName("$Globals.iter"), cbs: c}
+	return &cbsPusher{id: fmt.Sprintf("vm-seed%d", seed), m: m, iter: iter, cbs: c}
 }
 
 // push runs one more iteration and merges the delta it sampled.

@@ -20,7 +20,7 @@ const (
 	// FlavourJ9 models the J9 implementation (§5.2): an overloaded
 	// method-entry check only — the window opens directly at the timer
 	// tick, only entries are counted and sampled, and returns execute
-	// no yieldpoint at all (pair with vm.EpilogueYieldpoints = false).
+	// no yieldpoint at all (see EpilogueYieldpoints).
 	FlavourJ9
 )
 
@@ -30,6 +30,11 @@ func (f Flavour) String() string {
 	}
 	return "JikesRVM"
 }
+
+// EpilogueYieldpoints is what a VM modelling this flavour sets
+// vm.VM.EpilogueYieldpoints to: J9 checks on method entry only, so its
+// returns execute no yieldpoint (§5.2).
+func (f Flavour) EpilogueYieldpoints() bool { return f != FlavourJ9 }
 
 // SkipPolicy selects how the initial skip count for each profiling
 // window is chosen from [1..STRIDE] (§4: randomized so all calls in
@@ -85,6 +90,13 @@ type Config struct {
 // Stride=1, Samples=1 (§6.2).
 func TimerOnly(fl Flavour) Config {
 	return Config{Stride: 1, SamplesPerTick: 1, Flavour: fl}
+}
+
+// DefaultCBS returns the operating point CBS runs at wherever a study
+// does not sweep it: Stride=3, Samples=16, the paper's Jikes RVM choice
+// (§6.2, Table 3).
+func DefaultCBS(fl Flavour) Config {
+	return Config{Stride: 3, SamplesPerTick: 16, Flavour: fl}
 }
 
 // CBS is the paper's counter-based sampling profiler (Figure 3).

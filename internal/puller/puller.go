@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"slices"
 
+	"gocbs/internal/bench"
 	"gocbs/internal/bytecode"
 	"gocbs/internal/inline"
 	"gocbs/internal/plan"
@@ -67,17 +68,13 @@ type Stats struct {
 	LastCycles uint64
 }
 
-// runRound executes one top-level round — setup(size) then iters
+// RunRound executes one top-level round — setup(size) then iters
 // iterations on a fresh VM — and returns the per-iteration checksums
 // and the cycles spent iterating (setup excluded, steady state only).
 func RunRound(prog *bytecode.Program, size int64, iters int) ([]int64, uint64, error) {
 	m := vm.New(prog)
-	setup := prog.MethodByName("$Globals.setup")
-	iter := prog.MethodByName("$Globals.iter")
-	if setup == nil || iter == nil {
-		return nil, 0, fmt.Errorf("program does not follow the setup/iter benchmark protocol")
-	}
-	if _, err := m.Call(setup, vm.IntV(size)); err != nil {
+	iter, err := bench.Setup(m, size)
+	if err != nil {
 		return nil, 0, err
 	}
 	start := m.Cycles

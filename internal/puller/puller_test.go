@@ -39,11 +39,12 @@ func exhaustiveSetupIter(t *testing.T, prog *bytecode.Program, size int64, iters
 	e := profiler.NewExhaustive()
 	m := vm.New(prog)
 	m.SetProfiler(e)
-	if _, err := m.Call(prog.MethodByName("$Globals.setup"), vm.IntV(size)); err != nil {
+	iter, err := bench.Setup(m, size)
+	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < iters; i++ {
-		if _, err := m.Call(prog.MethodByName("$Globals.iter")); err != nil {
+		if _, err := m.Call(iter); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -211,12 +211,13 @@ func TestCountedGraphAcrossAttachAndCalls(t *testing.T) {
 		m := vm.New(prog)
 		p, g, _ := c.make(prog)
 		m.SetProfiler(p)
-		if _, err := m.Call(prog.MethodByName("$Globals.setup"), vm.IntV(size)); err != nil {
+		iter, err := bench.Setup(m, size)
+		if err != nil {
 			t.Fatal(err)
 		}
 		var totals []float64
 		for i := 0; i < 2; i++ {
-			if _, err := m.Call(prog.MethodByName("$Globals.iter")); err != nil {
+			if _, err := m.Call(iter); err != nil {
 				t.Fatal(err)
 			}
 			if g.Total() != float64(m.Calls) {
