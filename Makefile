@@ -24,12 +24,16 @@ tier1:
 	$(GO) test ./...
 
 # Non-test Go lines per internal/* package and their total: the number
-# ROADMAP item 3's acceptance and every simplicity PR quote.
+# ROADMAP item 3's acceptance and every simplicity PR quote. The last two
+# lines are the whole repo's non-test and test Go lines, the ratio
+# ROADMAP's re-anchors quote.
 loc:
 	@for d in internal/*/; do \
 		printf '%6d  %s\n' $$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l) $$d; \
 	done
 	@printf '%6d  total\n' $$(find internal -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)
+	@printf '%6d  repo non-test Go\n' $$(find . -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)
+	@printf '%6d  repo _test.go\n' $$(find . -name '*_test.go' | xargs cat | wc -l)
 
 build:
 	$(GO) build ./...
