@@ -14,7 +14,7 @@ SOAK_SEED ?= 0
 # replays with GEN_SEED=<printed seed>.
 GEN_SEED ?= 0
 
-.PHONY: all tier1 loc build build-cmds test test-race test-daemon test-recovery test-plan test-fleet test-federation test-mincover test-rewrite test-wire test-vm test-workload test-cbsbench soak soak-gen vet vet-cmds ci bench bench-vm bench-store bench-profile bench-plan bench-daemon vm-asm benchmark-smoke
+.PHONY: all tier1 loc build build-cmds test test-race test-daemon test-recovery test-plan test-fleet test-federation test-mincover test-rewrite test-wire test-vm test-workload test-cbsbench soak soak-gen vet vet-cmds ci bench bench-vm bench-mj bench-store bench-profile bench-plan bench-daemon vm-asm benchmark-smoke
 
 all: tier1
 
@@ -247,6 +247,15 @@ bench:
 # their structs shows there and nowhere else.
 bench-vm:
 	$(GO) test -run=^$$ -bench='Interpreter|Dispatch' ./internal/vm/
+
+# The MJ reference interpreter alone, as testing.B: BenchmarkRefInterp/<program>
+# runs main of each of the 15 suite programs at the small input under
+# mj.NewRefInterp, reporting ns/op and allocs/op: the twin of the repo
+# benchmark's mj.ref_interp_ms, which is most of vm_bare's and
+# vm_profiled's setup_s. Informational, not a gate: compare the minimum
+# of five alternating runs of a parent and a change binary.
+bench-mj:
+	$(GO) test -run=^$$ -bench=RefInterp -benchmem ./internal/mj/
 
 # The store layer alone, as testing.B: BenchmarkStoreMergeDCGFrom (13,
 # 100 and 410-edge deltas into a 1 500-edge store, serial and two
