@@ -267,15 +267,16 @@ bench-mj:
 bench-store:
 	$(GO) test -run=^$$ -bench=Store -benchmem ./internal/dcgstore/
 
-# The profile layer alone, as testing.B: BenchmarkEncode, BenchmarkDecode
-# and BenchmarkMerge run every suite program's CBS graph through
-# DCG.Encode, DecodeDCGBytes and DCG.Merge once per op and report
-# microseconds per thousand edges: the twins of the repo benchmark's
-# profile.encode_us_per_kedge, profile.decode_us_per_kedge and
-# profile.merge_us_per_kedge. Informational, not a gate: compare the
+# The profile layer alone, as testing.B: BenchmarkEncode, BenchmarkDecode,
+# BenchmarkMerge and BenchmarkOverlap run every suite program's CBS graph
+# through DCG.Encode, DecodeDCGBytes, DCG.Merge and Overlap (against
+# their merge) once per op and report microseconds per thousand edges:
+# the twins of the repo benchmark's profile.encode_us_per_kedge,
+# profile.decode_us_per_kedge, profile.merge_us_per_kedge and
+# profile.overlap_us_per_kedge. Informational, not a gate: compare the
 # minimum of five alternating runs of a parent and a change binary.
 bench-profile:
-	$(GO) test -run=^$$ -bench='Encode|Decode|Merge' -benchmem ./internal/profile/
+	$(GO) test -run=^$$ -bench='Encode|Decode|Merge|Overlap' -benchmem ./internal/profile/
 
 # The plan service alone, as testing.B: BenchmarkServicePull — a pull
 # after a push that moved nothing the policy sees (unchanged: snapshot,

@@ -304,7 +304,7 @@ func planLoopProgram(cfg Config, b *bench.Benchmark, size int64, lp PlanLoopPara
 			}
 			row.SampledRawPct += sampledRaw / passes
 			row.SampledCondPct += sampledCond / passes
-			row.OverlapPct += canonicalOverlap(snapshot, x.Graph) / passes
+			row.OverlapPct += profile.Overlap(snapshot, x.Graph) / passes
 			if pass == 0 {
 				row.Samples, row.Windows = snapshot.Total(), snapshot.Windows()
 			}
@@ -322,17 +322,6 @@ func planLoopProgram(cfg Config, b *bench.Benchmark, size int64, lp PlanLoopPara
 		}
 	}
 	return row, nil
-}
-
-// canonicalOverlap is profile.Overlap summed in a's canonical edge order:
-// Overlap sums in map order, which moves the last ulp from run to run,
-// and a ladder row is compared whole.
-func canonicalOverlap(a, b *profile.DCG) float64 {
-	var sum float64
-	for _, e := range a.Edges() {
-		sum += min(a.Percent(e), b.Percent(e))
-	}
-	return sum
 }
 
 // loopPusher is one fleet VM on the collecting side: a program under

@@ -100,3 +100,23 @@ func BenchmarkMerge(b *testing.B) {
 	}
 	perKedge(b, edges)
 }
+
+var overlapSink float64
+
+// BenchmarkOverlap is the twin of profile.overlap_us_per_kedge: each of
+// the same graphs scored against their merge once per op.
+func BenchmarkOverlap(b *testing.B) {
+	graphs, edges := cbsSuite(b)
+	merged := profile.NewDCG()
+	for _, g := range graphs {
+		merged.Merge(g)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, g := range graphs {
+			overlapSink = profile.Overlap(merged, g)
+		}
+	}
+	perKedge(b, edges)
+}

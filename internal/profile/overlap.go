@@ -1,5 +1,7 @@
 package profile
 
+import "slices"
+
 // Overlap computes the paper's accuracy metric (§6.2):
 //
 //	overlap(DCG1, DCG2) = Σ_{e ∈ CallEdges} min(Weight(e,DCG1), Weight(e,DCG2))
@@ -8,29 +10,33 @@ package profile
 // Weight(e, DCG) is the percentage of the graph's total weight carried
 // by e. The result is in [0,100]: 0 for graphs sharing no information,
 // 100 for identical weight distributions. Because weights are
-// normalized to percentages, the metric is symmetric.
+// normalized to percentages, the metric is symmetric. It sums the shared
+// edges in the canonical edge order, so it repeats bit for bit and
+// Overlap(a, b) equals Overlap(b, a) exactly; a sum in map order moved
+// the last ulp from call to call.
 func Overlap(a, b *DCG) float64 {
 	if a.total == 0 || b.total == 0 {
 		return 0
 	}
-	// Iterate the smaller map.
+	// Collect from the smaller map.
 	small, large := a, b
 	if len(b.weights) < len(a.weights) {
 		small, large = b, a
 	}
-	var sum float64
+	type term struct {
+		e   Edge
+		pct float64
+	}
+	shared := make([]term, 0, len(small.weights))
 	for e, ws := range small.weights {
-		wl, ok := large.weights[e]
-		if !ok {
-			continue
+		if wl, ok := large.weights[e]; ok {
+			shared = append(shared, term{e, min(ws/small.total*100, wl/large.total*100)})
 		}
-		ps := ws / small.total * 100
-		pl := wl / large.total * 100
-		if ps < pl {
-			sum += ps
-		} else {
-			sum += pl
-		}
+	}
+	slices.SortFunc(shared, func(x, y term) int { return compareEdges(x.e, y.e) })
+	var sum float64
+	for _, t := range shared {
+		sum += t.pct
 	}
 	return sum
 }
