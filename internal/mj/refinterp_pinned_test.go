@@ -169,6 +169,37 @@ func TestRefInterpPinned(t *testing.T) {
 	}
 }
 
+// TestRefInterpRunawayRecursionIsAnError: unbounded recursion under
+// the benchmark's fuel is an error naming the depth bound (the VM traps
+// with a stack overflow), not a fatal overflow of the Go stack, and
+// recursion to exactly the bound still runs.
+func TestRefInterpRunawayRecursionIsAnError(t *testing.T) {
+	runaway, err := checked(`int f(int x) { return f(x + 1); } int main(int n) { return f(n); }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("reference interpreter call depth exceeds %d", mj.MaxRefDepth)
+	if _, err := mj.NewRefInterp(runaway, pinFuel).CallFunction("main", 0); err == nil || err.Error() != want {
+		t.Fatalf("runaway recursion gave %v, want %q", err, want)
+	}
+
+	// main is call 1, so f(n) is n+1 calls deep below it.
+	deep, err := checked(`int f(int d) { if (d == 0) { return 0; } return 1 + f(d - 1); } int main(int n) { return f(n); }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := mj.NewRefInterp(deep, pinFuel)
+	if r, err := in.CallFunction("main", mj.MaxRefDepth-2); err != nil || r != mj.MaxRefDepth-2 {
+		t.Errorf("recursion to the bound gave %d, %v", r, err)
+	}
+	if _, err := in.CallFunction("main", mj.MaxRefDepth-1); err == nil || err.Error() != want {
+		t.Errorf("recursion one past the bound gave %v, want %q", err, want)
+	}
+	if r, err := in.CallFunction("main", 5); err != nil || r != 5 {
+		t.Errorf("a call after a trapped one gave %d, %v", r, err)
+	}
+}
+
 // BenchmarkRefInterp runs main of each suite program under the
 // reference interpreter at the small input, preparation included: the
 // testing.B twin of the repo benchmark's mj.ref_interp_ms (which also

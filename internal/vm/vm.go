@@ -168,7 +168,9 @@ type Frame struct {
 }
 
 // Bounds on what one program may ask of the host: the shared stack (in
-// slots, all frames together) and one array.
+// slots, all frames together) and one array. The MJ reference
+// interpreter bounds call depth instead (maxRefDepth in internal/mj,
+// with the measurements that chose it).
 const (
 	maxStackSlots = 1 << 24
 	maxArrayLen   = 1 << 24
