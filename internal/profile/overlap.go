@@ -11,9 +11,9 @@ import "slices"
 // by e. The result is in [0,100]: 0 for graphs sharing no information,
 // 100 for identical weight distributions. Because weights are
 // normalized to percentages, the metric is symmetric. It sums the shared
-// edges in the canonical edge order, so it repeats bit for bit and
-// Overlap(a, b) equals Overlap(b, a) exactly; a sum in map order moved
-// the last ulp from call to call.
+// edges in the canonical edge order, not map order, so that it repeats
+// bit for bit and Overlap(a, b) equals Overlap(b, a) exactly: callers
+// compare accuracies to the last bit.
 func Overlap(a, b *DCG) float64 {
 	if a.total == 0 || b.total == 0 {
 		return 0
