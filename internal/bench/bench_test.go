@@ -274,9 +274,9 @@ func TestSourcesRoundTripThroughPrinter(t *testing.T) {
 			t.Errorf("%s: printed source does not compile: %v", b.Name, err)
 			continue
 		}
-		if len(orig.Methods) != len(printed.Methods) || orig.NumCallSites != printed.NumCallSites {
+		if len(orig.Methods) != len(printed.Methods) || len(orig.Sites) != len(printed.Sites) {
 			t.Errorf("%s: printed program shape differs (%d vs %d methods, %d vs %d sites)",
-				b.Name, len(orig.Methods), len(printed.Methods), orig.NumCallSites, printed.NumCallSites)
+				b.Name, len(orig.Methods), len(printed.Methods), len(orig.Sites), len(printed.Sites))
 		}
 	}
 }

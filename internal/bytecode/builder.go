@@ -433,11 +433,8 @@ func (pb *ProgramBuilder) Link() (*Program, error) {
 				code[c.pc].A = int32(c.target.linked.ID)
 			}
 			for _, c := range mb.calls {
-				site := prog.NumCallSites
-				prog.NumCallSites++
-				prog.SiteOwner = append(prog.SiteOwner, mb.linked)
-				prog.SitePC = append(prog.SitePC, c.pc)
-				code[c.pc].B = int32(site)
+				code[c.pc].B = int32(len(prog.Sites))
+				prog.Sites = append(prog.Sites, Site{Owner: mb.linked.ID, PC: c.pc})
 				if c.closure {
 					// A (the arity) was emitted inline; only the site ID
 					// above needed assignment.

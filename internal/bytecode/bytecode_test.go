@@ -169,16 +169,16 @@ func TestCallSiteIDsUniqueAndStable(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Link: %v", err)
 	}
-	if p.NumCallSites != 2 {
-		t.Fatalf("NumCallSites = %d, want 2", p.NumCallSites)
+	if len(p.Sites) != 2 {
+		t.Fatalf("len(Sites) = %d, want 2", len(p.Sites))
 	}
 	s0 := p.Entry.Code[0].B
 	s1 := p.Entry.Code[2].B
 	if s0 == s1 {
 		t.Errorf("two call sites share ID %d", s0)
 	}
-	if p.SiteOwner[s0] != p.Entry || p.SitePC[s1] != 2 {
-		t.Errorf("site metadata wrong: owner=%v pc=%d", p.SiteOwner[s0].Name, p.SitePC[s1])
+	if p.Sites[s0].Owner != p.Entry.ID || p.Sites[s1].PC != 2 {
+		t.Errorf("site metadata wrong: owner=%d pc=%d", p.Sites[s0].Owner, p.Sites[s1].PC)
 	}
 	if !strings.Contains(p.SiteDescription(int(s1)), "$Globals.main@2") {
 		t.Errorf("SiteDescription = %q", p.SiteDescription(int(s1)))

@@ -84,11 +84,6 @@ func TestCloneIsFaithful(t *testing.T) {
 			}
 		}
 	}
-	for i, m := range c.SiteOwner {
-		if m != nil && m != c.Methods[m.ID] {
-			t.Fatalf("SiteOwner[%d] points outside the clone", i)
-		}
-	}
 }
 
 // TestCloneIsolatesInlining runs the real optimizer over one clone and
@@ -156,8 +151,8 @@ func TestCloneIsolatesDirectMutation(t *testing.T) {
 	for i := range c.StaticInit {
 		c.StaticInit[i] = -1
 	}
-	for i := range c.SitePC {
-		c.SitePC[i] = -1
+	for i := range c.Sites {
+		c.Sites[i] = bytecode.Site{Owner: -1, PC: -1}
 	}
 
 	if got := encode(t, orig); !bytes.Equal(got, origBytes) {

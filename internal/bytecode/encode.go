@@ -149,18 +149,10 @@ func EncodeProgram(p *Program, out io.Writer) error {
 	}
 	w.i32(entry)
 
-	w.uvarint(uint64(p.NumCallSites))
-	for i := 0; i < p.NumCallSites; i++ {
-		owner := int32(-1)
-		pc := uint32(0)
-		if i < len(p.SiteOwner) && p.SiteOwner[i] != nil {
-			owner = int32(p.SiteOwner[i].ID)
-		}
-		if i < len(p.SitePC) {
-			pc = uint32(p.SitePC[i])
-		}
-		w.i32(owner)
-		w.u32(pc)
+	w.uvarint(uint64(len(p.Sites)))
+	for _, s := range p.Sites {
+		w.i32(int32(s.Owner))
+		w.u32(uint32(s.PC))
 	}
 
 	if w.err != nil {
@@ -347,19 +339,16 @@ func DecodeProgram(in io.Reader) (*Program, error) {
 	}
 
 	nSites := r.count("call site", 1<<24)
-	p.NumCallSites = nSites
 	for i := 0; i < nSites; i++ {
 		owner := r.i32()
 		pc := r.u32()
-		if owner >= 0 && int(owner) < nMethods {
-			p.SiteOwner = append(p.SiteOwner, p.Methods[owner])
-		} else {
-			p.SiteOwner = append(p.SiteOwner, nil)
+		if owner < -1 || int(owner) >= nMethods {
+			return nil, fmt.Errorf("site %d: owner %d out of range", i, owner)
 		}
 		if pc > math.MaxInt32 {
 			return nil, fmt.Errorf("site %d: pc out of range", i)
 		}
-		p.SitePC = append(p.SitePC, int(pc))
+		p.Sites = append(p.Sites, Site{Owner: int(owner), PC: int(pc)})
 	}
 
 	if r.err != nil {

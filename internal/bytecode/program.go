@@ -33,17 +33,6 @@ type Method struct {
 	Trivial bool
 }
 
-// NumCallSites returns the number of call instructions in the method body.
-func (m *Method) NumCallSites() int {
-	n := 0
-	for _, ins := range m.Code {
-		if ins.Op.IsCall() {
-			n++
-		}
-	}
-	return n
-}
-
 // FieldDef describes one object field.
 type FieldDef struct {
 	Name string
@@ -90,35 +79,37 @@ type Program struct {
 	// Entry is the program's entry point, a static method.
 	Entry *Method
 
-	// NumCallSites is the number of globally unique call-site IDs
-	// assigned at link time. Call-site IDs are stable across inlining:
-	// spliced call instructions keep their original IDs so profiles
-	// remain attributable.
-	NumCallSites int
+	// Sites is indexed by the call-site IDs the linker assigns. They are
+	// stable across inlining: spliced call instructions keep their IDs,
+	// so profiles remain attributable.
+	Sites []Site
+}
 
-	// SiteOwner maps a call-site ID to the method that originally
-	// declared it, and SitePC to its original pc (for diagnostics).
-	SiteOwner []*Method
-	SitePC    []int
+// Site is one call site as the linker declared it: the ID of the method
+// whose body held it, -1 for none, and its pc there. The pair is the
+// site's identity across builds, not a diagnostic: carry-forward maps a
+// site whose owner's body is unchanged to the new build's site by it.
+type Site struct {
+	Owner int `json:"owner"`
+	PC    int `json:"pc"`
 }
 
 // Clone returns a deep copy of the program. The copy shares nothing
 // mutable with the original: method code and constant pools, class
-// field lists and vtables, and the site tables are all fresh slices,
-// and every *Method/*Class reference (Entry, SiteOwner, VTable,
-// Class.Methods, Method.Class, Class.Super) is remapped to the cloned
-// counterpart. Inlining rewrites methods in place, so callers that
-// cache a compiled program must hand out clones, never the original.
+// field lists and vtables, and the site table are all fresh slices, and
+// every *Method/*Class reference (Entry, VTable, Class.Methods,
+// Method.Class, Class.Super) is remapped to the cloned counterpart.
+// Inlining rewrites methods in place, so callers that cache a compiled
+// program must hand out clones, never the original.
 //
 // Clone relies on the linker invariant that every referenced method
 // and class appears in p.Methods / p.Classes.
 func (p *Program) Clone() *Program {
 	q := &Program{
-		NumStatics:   p.NumStatics,
-		StaticNames:  append([]string(nil), p.StaticNames...),
-		StaticInit:   append([]int64(nil), p.StaticInit...),
-		NumCallSites: p.NumCallSites,
-		SitePC:       append([]int(nil), p.SitePC...),
+		NumStatics:  p.NumStatics,
+		StaticNames: append([]string(nil), p.StaticNames...),
+		StaticInit:  append([]int64(nil), p.StaticInit...),
+		Sites:       append([]Site(nil), p.Sites...),
 	}
 
 	mmap := make(map[*Method]*Method, len(p.Methods))
@@ -171,10 +162,6 @@ func (p *Program) Clone() *Program {
 		q.Methods[i].Class = cmap[m.Class]
 	}
 	q.Entry = mmap[p.Entry]
-	q.SiteOwner = make([]*Method, len(p.SiteOwner))
-	for i, m := range p.SiteOwner {
-		q.SiteOwner[i] = mmap[m]
-	}
 	return q
 }
 
@@ -222,8 +209,8 @@ func (p *Program) TotalCodeSize() int {
 
 // SiteDescription renders a call-site ID as "Method@pc" for diagnostics.
 func (p *Program) SiteDescription(site int) string {
-	if site < 0 || site >= len(p.SiteOwner) || p.SiteOwner[site] == nil {
+	if site < 0 || site >= len(p.Sites) || p.Sites[site].Owner < 0 {
 		return fmt.Sprintf("site#%d", site)
 	}
-	return fmt.Sprintf("%s@%d", p.SiteOwner[site].Name, p.SitePC[site])
+	return fmt.Sprintf("%s@%d", p.Methods[p.Sites[site].Owner].Name, p.Sites[site].PC)
 }

@@ -56,15 +56,6 @@ type MethodFingerprint struct {
 	Hash uint64 `json:"hash"`
 }
 
-// SiteFingerprint locates one global call site in build-independent
-// terms: the method (by ID, resolvable through Methods) that declared
-// it and the pc it was declared at. Owner is -1 for sites with no
-// recorded owner.
-type SiteFingerprint struct {
-	Owner int `json:"owner"`
-	PC    int `json:"pc"`
-}
-
 // Manifest is the cross-version identity map for one build of a
 // program: which method IDs and call-site IDs correspond between two
 // versions, and which method bodies changed. VMs register it with the
@@ -74,7 +65,7 @@ type Manifest struct {
 	Program string              `json:"program"`
 	Version string              `json:"version"`
 	Methods []MethodFingerprint `json:"methods"`
-	Sites   []SiteFingerprint   `json:"sites"`
+	Sites   []Site              `json:"sites"`
 }
 
 // methodBodyHash fingerprints one method's behaviour-relevant content.
@@ -114,24 +105,13 @@ func (p *Program) BuildManifest(name string) *Manifest {
 		Program: name,
 		Version: p.Version(),
 		Methods: make([]MethodFingerprint, len(p.Methods)),
-		Sites:   make([]SiteFingerprint, p.NumCallSites),
+		Sites:   append([]Site{}, p.Sites...),
 	}
 	for i, meth := range p.Methods {
 		if meth == nil {
 			continue
 		}
 		m.Methods[i] = MethodFingerprint{Name: meth.Name, Hash: methodBodyHash(meth)}
-	}
-	for s := 0; s < p.NumCallSites; s++ {
-		owner := -1
-		if s < len(p.SiteOwner) && p.SiteOwner[s] != nil {
-			owner = p.SiteOwner[s].ID
-		}
-		pc := 0
-		if s < len(p.SitePC) {
-			pc = p.SitePC[s]
-		}
-		m.Sites[s] = SiteFingerprint{Owner: owner, PC: pc}
 	}
 	return m
 }

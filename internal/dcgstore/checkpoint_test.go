@@ -250,7 +250,7 @@ func TestCheckpointDropsEvictedBuildFiles(t *testing.T) {
 		man := &bytecode.Manifest{Program: key.Program, Version: key.Version,
 			Methods: []bytecode.MethodFingerprint{
 				{Name: "$Globals.main", Hash: uint64(i)}, {Name: "Coder.step", Hash: 0x11}, {Name: "Coder.emit", Hash: 0x22}},
-			Sites: []bytecode.SiteFingerprint{{Owner: 1, PC: 9}}}
+			Sites: []bytecode.Site{{Owner: 1, PC: 9}}}
 		if _, _, err := m.RegisterManifest(man); err != nil {
 			t.Fatal(err)
 		}

@@ -53,7 +53,7 @@ func goldenLeaf(t *testing.T, phases int) *Multi {
 	leaf := NewMulti(4)
 	manA := &bytecode.Manifest{Program: goldenA.Program, Version: goldenA.Version,
 		Methods: []bytecode.MethodFingerprint{{Name: "$Globals.iter", Hash: 1}},
-		Sites:   []bytecode.SiteFingerprint{{Owner: 0, PC: 3}}}
+		Sites:   []bytecode.Site{{Owner: 0, PC: 3}}}
 	if _, _, err := leaf.RegisterManifest(manA); err != nil {
 		t.Fatal(err)
 	}

@@ -416,7 +416,7 @@ func TestForwarderRelaysKeyedBuildsAndManifests(t *testing.T) {
 	kB := api.ProgramKey{Program: "compress", Version: "00000000bbbbbbbb"}
 	manA := &bytecode.Manifest{Program: kA.Program, Version: kA.Version,
 		Methods: []bytecode.MethodFingerprint{{Name: "$Globals.iter", Hash: 1}},
-		Sites:   []bytecode.SiteFingerprint{{Owner: 0, PC: 3}}}
+		Sites:   []bytecode.Site{{Owner: 0, PC: 3}}}
 	if _, _, err := leaf.RegisterManifest(manA); err != nil {
 		t.Fatal(err)
 	}
@@ -460,7 +460,7 @@ func TestForwarderRelaysKeyedBuildsAndManifests(t *testing.T) {
 	// keyed deltas.
 	manB := &bytecode.Manifest{Program: kB.Program, Version: kB.Version,
 		Methods: []bytecode.MethodFingerprint{{Name: "$Globals.iter", Hash: 2}},
-		Sites:   []bytecode.SiteFingerprint{{Owner: 0, PC: 3}}}
+		Sites:   []bytecode.Site{{Owner: 0, PC: 3}}}
 	if _, _, err := leaf.RegisterManifest(manB); err != nil {
 		t.Fatal(err)
 	}

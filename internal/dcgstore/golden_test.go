@@ -41,7 +41,7 @@ func goldenMulti(t *testing.T, windows bool) *Multi {
 				{Name: "Coder.step", Hash: 0x11},
 				{Name: "Coder.emit", Hash: 0x22},
 			},
-			Sites: []bytecode.SiteFingerprint{{Owner: 0, PC: 4}, {Owner: 1, PC: 9}}}
+			Sites: []bytecode.Site{{Owner: 0, PC: 4}, {Owner: 1, PC: 9}}}
 	}
 	counted := func(w float64, g *profile.DCG) *profile.DCG {
 		if windows {

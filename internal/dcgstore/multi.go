@@ -395,7 +395,7 @@ func CarryForward(old *profile.DCG, oldM, newM *bytecode.Manifest) *profile.DCG 
 			methodMap[i] = j
 		}
 	}
-	newSite := make(map[bytecode.SiteFingerprint]int, len(newM.Sites))
+	newSite := make(map[bytecode.Site]int, len(newM.Sites))
 	for s, sf := range newM.Sites {
 		newSite[sf] = s
 	}
@@ -408,7 +408,7 @@ func CarryForward(old *profile.DCG, oldM, newM *bytecode.Manifest) *profile.DCG 
 		if !ok {
 			continue
 		}
-		if ns, ok := newSite[bytecode.SiteFingerprint{Owner: nOwner, PC: sf.PC}]; ok {
+		if ns, ok := newSite[bytecode.Site{Owner: nOwner, PC: sf.PC}]; ok {
 			siteMap[s] = ns
 		}
 	}

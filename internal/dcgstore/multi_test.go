@@ -145,11 +145,11 @@ func TestCarryForwardKeepsUnchangedMethodsOnly(t *testing.T) {
 	// method the upgrade will touch.
 	goodSite, badSite := -1, -1
 	unchangedA, changed := -1, -1
-	for s := 0; s < p1.NumCallSites; s++ {
-		if p1.SiteOwner[s] == nil {
+	for s, site := range p1.Sites {
+		if site.Owner < 0 {
 			continue
 		}
-		id := p1.SiteOwner[s].ID
+		id := site.Owner
 		if goodSite < 0 {
 			goodSite, unchangedA = s, id
 		} else if id != unchangedA {
@@ -216,9 +216,9 @@ func TestRegisterManifestCarriesForwardOnce(t *testing.T) {
 	// Profile mass for v1: an edge whose caller/site-owner/callee all
 	// avoid the entry method (the one the upgrade changes).
 	site, caller := -1, -1
-	for s := 0; s < p1.NumCallSites; s++ {
-		if p1.SiteOwner[s] != nil && p1.SiteOwner[s].ID != p1.Entry.ID {
-			site, caller = s, p1.SiteOwner[s].ID
+	for s, st := range p1.Sites {
+		if st.Owner >= 0 && st.Owner != p1.Entry.ID {
+			site, caller = s, st.Owner
 			break
 		}
 	}

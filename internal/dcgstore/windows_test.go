@@ -73,7 +73,7 @@ func TestWindowsTravelWithTheGraph(t *testing.T) {
 	man := func(key api.ProgramKey) *bytecode.Manifest {
 		return &bytecode.Manifest{Program: key.Program, Version: key.Version,
 			Methods: []bytecode.MethodFingerprint{{Name: "$Globals.iter", Hash: 1}, {Name: "A.f", Hash: 2}, {Name: "B.f", Hash: 3}},
-			Sites:   []bytecode.SiteFingerprint{{Owner: 0, PC: 1}, {Owner: 0, PC: 2}, {Owner: 0, PC: 3}, {Owner: 0, PC: 4}}}
+			Sites:   []bytecode.Site{{Owner: 0, PC: 1}, {Owner: 0, PC: 2}, {Owner: 0, PC: 3}, {Owner: 0, PC: 4}}}
 	}
 	a := api.ProgramKey{Program: "compress", Version: "00000000aaaaaaaa"}
 	b := api.ProgramKey{Program: "compress", Version: "00000000bbbbbbbb"}

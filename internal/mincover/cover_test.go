@@ -117,7 +117,7 @@ int main(int n) {
 	// reachable from the instantiated classes {Square, Circle}.
 	virtEdges := 0
 	for _, e := range g.Edges {
-		if owner := prog.SiteOwner[e.Site]; owner != nil && owner.Name == "$Globals.main" {
+		if owner := prog.Sites[e.Site].Owner; owner >= 0 && prog.Methods[owner].Name == "$Globals.main" {
 			virtEdges++
 		}
 	}

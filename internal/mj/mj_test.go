@@ -674,7 +674,7 @@ func TestCompileDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(p1.Methods) != len(p2.Methods) || p1.NumCallSites != p2.NumCallSites {
+	if len(p1.Methods) != len(p2.Methods) || len(p1.Sites) != len(p2.Sites) {
 		t.Error("recompilation changed program shape")
 	}
 	for i := range p1.Methods {

@@ -225,7 +225,7 @@ func compileConditioned(program string, pristine *bytecode.Program, version stri
 			if elected[d.Site] || cond.SiteWeightPercent(d.Site) < holdPct {
 				continue
 			}
-			if d.Site >= 0 && d.Site < len(pristine.SiteOwner) && pristine.SiteOwner[d.Site].ID == d.Callee {
+			if d.Site >= 0 && d.Site < len(pristine.Sites) && pristine.Sites[d.Site].Owner == d.Callee {
 				continue // a call of the site's own method: see above
 			}
 			if d.Kind == KindGuarded {

@@ -139,7 +139,7 @@ func TestOneSampleDoesNotElect(t *testing.T) {
 		for _, s := range x.Sites() {
 			dist := x.SiteDistribution(s)
 			sees := slices.ContainsFunc(dist, func(tw profile.TargetWeight) bool { return tw.Callee == callee.ID })
-			if pristine.SiteOwner[s].Name == tc.owner && sees && (tc.receivers == 0 || len(dist) == tc.receivers) && site < 0 {
+			if pristine.Methods[pristine.Sites[s].Owner].Name == tc.owner && sees && (tc.receivers == 0 || len(dist) == tc.receivers) && site < 0 {
 				site = s
 			}
 		}
@@ -313,7 +313,7 @@ func TestHeldDecisionsApply(t *testing.T) {
 	check := pristine.MethodByName("Bin.check")
 	site := -1
 	for _, s := range x.Sites() {
-		if top, _, ok := dominantOracle(pristine, x, s); ok && top == check.ID && pristine.SiteOwner[s] == check && guardedAt(fresh, s) < 0 {
+		if top, _, ok := dominantOracle(pristine, x, s); ok && top == check.ID && pristine.Sites[s].Owner == check.ID && guardedAt(fresh, s) < 0 {
 			site = s
 		}
 	}

@@ -157,7 +157,7 @@ func TestGuardReleasedBelowBreakeven(t *testing.T) {
 	// the program does not have, is released however warm the site.
 	stray := 1 << 20
 	warm := withShares([4]float64{57, 20, 14, 9})
-	warm.AddSample(profile.Edge{Caller: pristine.SiteOwner[site].ID, Site: stray, Callee: len(pristine.Methods)}, siteWeight)
+	warm.AddSample(profile.Edge{Caller: pristine.Sites[site].Owner, Site: stray, Callee: len(pristine.Methods)}, siteWeight)
 	for _, p := range []*plan.Plan{
 		withExtra(fresh, plan.Decision{Site: stray, Callee: first, Kind: plan.KindGuarded}),
 		withExtra(fresh, plan.Decision{Site: site, Callee: len(pristine.Methods), Kind: plan.KindGuarded}),
