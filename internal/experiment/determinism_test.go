@@ -45,33 +45,3 @@ func TestParallelOutputByteIdentical(t *testing.T) {
 		})
 	}
 }
-
-// TestArtifactTableMatchesPins renders every entry of Artifacts under
-// the configuration TestArtifactsPinned uses and requires the digest
-// pinned there: the table prints what the direct calls print, and the
-// two lists name the same artifacts.
-func TestArtifactTableMatchesPins(t *testing.T) {
-	if raceLite {
-		t.Skip("pinned text is schedule-independent and verified by the non-race run; skipped under -race for time")
-	}
-	seen := 0
-	for _, a := range Artifacts {
-		id := a.Kind + " " + a.Name
-		want, ok := pinnedDigests[id]
-		if !ok {
-			t.Errorf("%s has no pinned digest", id)
-			continue
-		}
-		seen++
-		text, err := a.Render(pinnedCfg(t), "small")
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		if got := textDigest(text); got != want {
-			t.Errorf("%s digest = %s, want %s\n%s", id, got, want, text)
-		}
-	}
-	if seen != len(pinnedDigests) {
-		t.Errorf("table covers %d of %d pinned artifacts", seen, len(pinnedDigests))
-	}
-}
