@@ -12,9 +12,18 @@ import (
 	"gocbs/internal/mj"
 )
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/refinterp_pinned.txt from this interpreter")
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/refinterp_fuel.txt from this interpreter (and refinterp_results.txt, only when it is missing)")
 
-const refGolden = "testdata/refinterp_pinned.txt"
+// The reference interpreter's pin is two goldens. refResults is what
+// each program computes: main's result or error text and a digest of
+// its output. It is the oracle's meaning and is never regenerated.
+// refFuel is what each run costs: the fuel the full run used and the
+// row of a run with half of it, which pins where a run stops. It moves
+// only with a change to the fuel rule.
+const (
+	refResults = "testdata/refinterp_results.txt"
+	refFuel    = "testdata/refinterp_fuel.txt"
+)
 
 // pinFuel is more fuel than any pinned run burns.
 const pinFuel = 1 << 40
@@ -98,10 +107,10 @@ func checked(src string) (*mj.Program, error) {
 	return ast, mj.Check(ast)
 }
 
-// refRow runs main once with the given fuel and returns the pinned line:
-// result (or error text), an FNV-64a digest of Output, and the fuel
+// refRow runs main once with the given fuel and returns its outcome:
+// result (or error text) and an FNV-64a digest of Output, and the fuel
 // consumed.
-func refRow(p pinnedProgram, fuel int64) (line string, used int64, err error) {
+func refRow(p pinnedProgram, fuel int64) (outcome string, used int64, err error) {
 	in := mj.NewRefInterp(p.ast, fuel)
 	r, err := in.CallFunction("main", p.arg)
 	h := fnv.New64a()
@@ -113,43 +122,53 @@ func refRow(p pinnedProgram, fuel int64) (line string, used int64, err error) {
 	if err != nil {
 		res = fmt.Sprintf("%q", err.Error())
 	}
-	return fmt.Sprintf("%s %s out=%d/%016x fuel=%d", p.name, res, len(in.Output), h.Sum64(), used), used, err
+	return fmt.Sprintf("%s %s out=%d/%016x", p.name, res, len(in.Output), h.Sum64()), used, err
 }
 
 // TestRefInterpPinned holds the reference interpreter to what it
-// computed at the commit before it was rewritten: main's result, a
-// digest of its print output, and the exact fuel it consumed, for every
-// suite program and 32 generated ones. Then the fuel boundary: the
-// consumed fuel F is enough, F−1 runs out, and what a run with half of
-// F printed before it ran out is pinned too.
+// computed at the commit before it was rewritten, for every suite
+// program, 32 generated ones and the trap programs: main's result and a
+// digest of its print output (refResults), and the exact fuel the run
+// consumed (refFuel). Then the fuel boundary: the consumed fuel F is
+// enough, F−1 runs out, and what a run with half of F printed before it
+// ran out is pinned in refFuel too.
 func TestRefInterpPinned(t *testing.T) {
-	var lines []string
+	var results, fuel []string
 	for _, p := range pinnedPrograms(t) {
-		line, used, err := refRow(p, pinFuel)
-		half, _, _ := refRow(p, used/2)
-		lines = append(lines, line, half)
+		outcome, used, err := refRow(p, pinFuel)
+		half, halfUsed, _ := refRow(p, used/2)
+		results = append(results, outcome)
+		fuel = append(fuel, fmt.Sprintf("%s fuel=%d", p.name, used), fmt.Sprintf("%s fuel=%d", half, halfUsed))
 		if err != nil {
 			continue
 		}
-		if again, _, err := refRow(p, used); err != nil || again != line {
-			t.Errorf("%s: fuel %d (exactly what it used) gave %s, %v; want %s", p.name, used, again, err, line)
+		if again, _, err := refRow(p, used); err != nil || again != outcome {
+			t.Errorf("%s: fuel %d (exactly what it used) gave %s, %v; want %s", p.name, used, again, err, outcome)
 		}
 		if _, _, err := refRow(p, used-1); err == nil || !strings.Contains(err.Error(), "out of fuel") {
 			t.Errorf("%s: fuel %d (one short) gave %v, want out of fuel", p.name, used-1, err)
 		}
 	}
-	text := strings.Join(lines, "\n") + "\n"
+	checkGolden(t, refResults, results, false)
+	checkGolden(t, refFuel, fuel, true)
+}
 
-	if *updateGolden {
+// checkGolden compares lines with the golden at path. Under
+// -update-golden it writes the golden instead, when rewrite is set or
+// the file is missing.
+func checkGolden(t *testing.T, path string, lines []string, rewrite bool) {
+	t.Helper()
+	text := strings.Join(lines, "\n") + "\n"
+	want, err := os.ReadFile(path)
+	if *updateGolden && (rewrite || os.IsNotExist(err)) {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(refGolden, []byte(text), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	want, err := os.ReadFile(refGolden)
 	if err != nil {
 		t.Fatalf("%v (run with -update-golden at a commit whose interpreter is the reference)", err)
 	}
@@ -163,11 +182,11 @@ func TestRefInterpPinned(t *testing.T) {
 			if i < len(wantLines) {
 				w = wantLines[i]
 			}
-			t.Errorf("reference run moved:\n got  %s\n want %s", line, w)
+			t.Errorf("%s moved:\n got  %s\n want %s", path, line, w)
 		}
 	}
 	if len(wantLines) != len(lines) {
-		t.Errorf("pinned %d runs, golden has %d", len(lines), len(wantLines))
+		t.Errorf("%s: %d rows, golden has %d", path, len(lines), len(wantLines))
 	}
 }
 
