@@ -1,6 +1,10 @@
 package mj
 
 import (
+	goast "go/ast"
+	goparser "go/parser"
+	gotoken "go/token"
+	"strings"
 	"testing"
 
 	"gocbs/internal/vm"
@@ -176,34 +180,84 @@ func TestRefInterpTrapsMatchVM(t *testing.T) {
 	}
 }
 
-// TestRefInterpFuelExhaustion ensures runaway programs are cut off.
+// TestRefInterpFuelExhaustion ensures runaway programs are cut off by
+// fuel: loops whose body does and does no work, a for with no
+// condition, and mutual recursion (which runs out of fuel before it
+// reaches the call-depth bound). MJ's checker does not treat an endless
+// loop as terminating, so each main ends in a return.
 func TestRefInterpFuelExhaustion(t *testing.T) {
-	src := `
-		int main(int n) {
-			int x = 0;
-			while (true) { x = x + 1; }
+	for _, src := range []string{
+		`int main(int n) { int x = 0; while (true) { x = x + 1; } return x; }`,
+		`int main(int n) { while (true) {} return 0; }`,
+		`int main(int n) { int x = 0; for (;;) { x = x + n; } return x; }`,
+		`int main(int n) { for (int i = 0; ; i = i + 1) {} return 0; }`,
+		`int f(int x) { return g(x + 1); } int g(int x) { return f(x - 1); } int main(int n) { return f(n); }`,
+	} {
+		toks, err := Lex(src)
+		if err != nil {
+			t.Fatal(err)
 		}
-	`
-	// The checker rejects missing return only if while(true) is not
-	// recognized as terminating — MJ's checker is conservative, so add
-	// a trailing return.
-	src = `
-		int main(int n) {
-			int x = 0;
-			while (true) { x = x + 1; }
-			return x;
+		ast, err := Parse(toks)
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
 		}
-	`
-	toks, _ := Lex(src)
-	ast, err := Parse(toks)
+		if err := Check(ast); err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		if _, err := NewRefInterp(ast, 10_000).CallFunction("main", 1); err == nil || !strings.Contains(err.Error(), "out of fuel") {
+			t.Errorf("%s: got %v, want out of fuel", src, err)
+		}
+	}
+}
+
+// TestRefInterpIsIndependent holds the reference interpreter to what
+// makes it an oracle: it shares nothing with the bytecode compiler but
+// the front end. interp.go imports only fmt and names no top-level
+// declaration of codegen.go.
+func TestRefInterpIsIndependent(t *testing.T) {
+	fset := gotoken.NewFileSet()
+	interp, err := goparser.ParseFile(fset, "interp.go", nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Check(ast); err != nil {
+	codegen, err := goparser.ParseFile(fset, "codegen.go", nil, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	in := NewRefInterp(ast, 10_000)
-	if _, err := in.CallFunction("main", 1); err == nil {
-		t.Fatal("infinite loop should exhaust fuel")
+	var imports []string
+	for _, im := range interp.Imports {
+		imports = append(imports, im.Path.Value)
 	}
+	if len(imports) != 1 || imports[0] != `"fmt"` {
+		t.Errorf("interp.go imports %v, want only \"fmt\"", imports)
+	}
+	compiler := map[string]bool{}
+	for _, d := range codegen.Decls {
+		switch d := d.(type) {
+		case *goast.FuncDecl:
+			if d.Recv == nil { // a method is named only through its type
+				compiler[d.Name.Name] = true
+			}
+		case *goast.GenDecl:
+			for _, sp := range d.Specs {
+				switch sp := sp.(type) {
+				case *goast.TypeSpec:
+					compiler[sp.Name.Name] = true
+				case *goast.ValueSpec:
+					for _, n := range sp.Names {
+						compiler[n.Name] = true
+					}
+				}
+			}
+		}
+	}
+	if len(compiler) == 0 {
+		t.Fatal("codegen.go declares nothing at top level")
+	}
+	goast.Inspect(interp, func(n goast.Node) bool {
+		if id, ok := n.(*goast.Ident); ok && compiler[id.Name] {
+			t.Errorf("interp.go:%d names codegen.go's %s", fset.Position(id.Pos()).Line, id.Name)
+		}
+		return true
+	})
 }
