@@ -14,7 +14,7 @@ SOAK_SEED ?= 0
 # replays with GEN_SEED=<printed seed>.
 GEN_SEED ?= 0
 
-.PHONY: all tier1 loc build build-cmds test test-race test-daemon test-recovery test-plan test-fleet test-federation test-mincover test-rewrite test-wire test-vm test-workload test-cbsbench soak soak-gen vet vet-cmds ci bench bench-vm bench-mj bench-store bench-profile bench-plan bench-daemon vm-asm benchmark-smoke
+.PHONY: all tier1 loc build build-cmds test test-race test-daemon test-recovery test-plan test-fleet test-federation test-mincover test-rewrite test-wire test-vm test-workload test-oracle tier1-time test-cbsbench soak soak-gen vet vet-cmds ci bench bench-vm bench-mj bench-store bench-profile bench-plan bench-daemon vm-asm benchmark-smoke
 
 all: tier1
 
@@ -203,6 +203,19 @@ test-workload:
 	$(GO) test -run 'Closure' ./internal/profiler/ ./internal/bytecode/ ./internal/opt/
 	$(GO) test -run 'TestFleetSoakGenerated|TestFleetGeneratedWorkload' ./internal/fleetsim/
 
+# The reference interpreter (the oracle) and the gates that run it: its
+# results and fuel goldens, runaway programs, its independence from the
+# code generator, and the mincover, optimiser and mjgen differentials
+# against it.
+test-oracle:
+	$(GO) test ./internal/mj ./internal/mincover ./internal/opt ./cmd/mjgen
+
+# Tier-1's tests with their time broken down: the whole run's wall time,
+# each package's and the ten slowest tests', from go test -json. Fails
+# when a test fails.
+tier1-time:
+	$(GO) test -json -count=1 ./... | $(GO) run ./internal/tier1time
+
 # The experiment harness's CLI contract: one artifact end to end, the
 # unknown-name exit, -all visiting exactly experiment.Artifacts and
 # writing no file, flags applied after -quick.
@@ -233,7 +246,7 @@ vet:
 vet-cmds:
 	$(GO) vet ./cmd/...
 
-ci: tier1 vet vet-cmds build-cmds test-daemon test-plan test-race test-recovery test-fleet test-federation test-mincover test-rewrite test-wire test-vm test-workload test-cbsbench benchmark-smoke
+ci: tier1 vet vet-cmds build-cmds test-daemon test-plan test-race test-recovery test-fleet test-federation test-mincover test-rewrite test-wire test-vm test-workload test-oracle test-cbsbench benchmark-smoke
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...

@@ -27,6 +27,10 @@ import (
 	"gocbs/internal/profile"
 )
 
+// upstreamTimeout is a leaf's per-call timeout on its upstream, the one
+// every pusher has. Tests shorten it.
+var upstreamTimeout = api.DefaultTimeout
+
 // Config is everything cbsd parses from flags; Run takes it whole so
 // tests and the fleet simulator can drive the full daemon lifecycle
 // in-process.
@@ -130,9 +134,9 @@ func Run(ctx context.Context, cfg Config) error {
 	if isLeaf {
 		// One upstream HTTP client under the forwarder, registration and
 		// the plan relay, with the timeout every pusher has: a root that
-		// accepts and never answers costs a call api.DefaultTimeout, never
+		// accepts and never answers costs a call upstreamTimeout, never
 		// the shutdown.
-		upHTTP := &http.Client{Timeout: api.DefaultTimeout}
+		upHTTP := &http.Client{Timeout: upstreamTimeout}
 		up := &api.Client{BaseURL: cfg.Upstream, HTTPClient: upHTTP, Retries: -1}
 		relayed := plan.NewClient(cfg.Upstream)
 		relayed.SetHTTPClient(upHTTP)

@@ -254,10 +254,12 @@ func TestTreeKeyedFleetFiguresAreNotZero(t *testing.T) {
 // TestLeafShutdownWithHungRoot: a root that accepts connections and
 // never answers must not hold a leaf's shutdown hostage. Every upstream
 // call a leaf makes (registration, the forward loop's flush, the final
-// flush) gives up after api.DefaultTimeout, so Run returns within two of
-// them after its context ends — one for the call in flight, one for the
-// final flush — and the final checkpoint holds what the leaf ingested.
+// flush) gives up after the upstream timeout, so Run returns within two
+// of them after its context ends — one for the call in flight, one for
+// the final flush — and the final checkpoint holds what the leaf
+// ingested. The test shortens the timeout to 200 ms.
 func TestLeafShutdownWithHungRoot(t *testing.T) {
+	setUpstreamTimeout(t, 200*time.Millisecond)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -305,7 +307,7 @@ func TestLeafShutdownWithHungRoot(t *testing.T) {
 	}
 
 	cancel()
-	deadline := 3 * api.DefaultTimeout
+	deadline := 3 * upstreamTimeout
 	select {
 	case err := <-done:
 		if err != nil {
